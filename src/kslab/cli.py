@@ -297,7 +297,7 @@ def _run_particle(cfg: dict, K: float, out: Path, seed: int) -> dict:
     n = int(cfg.get("n_particles", 1000))
     rng = np.random.default_rng(seed)
     bound = _profile_bound(profile)
-    thetas = _rejection_sample(profile, bound, n, rng)
+    thetas = particle.sample_phases(profile, bound, n, rng)
     omegas = freq.sample(g, n, seed=seed + 1)
     state = particle.ParticleState(thetas, omegas, K=K)
     dt = float(cfg.get("dt_particle", float(cfg.get("sample_every", 0.1)) / 5.0))
@@ -316,15 +316,6 @@ def _run_particle(cfg: dict, K: float, out: Path, seed: int) -> dict:
 def _profile_bound(profile) -> float:
     th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
     return float(np.max(profile(th))) * 1.05
-
-
-def _rejection_sample(profile, bound, n, rng):
-    out = np.empty(0)
-    while out.size < n:
-        x = rng.uniform(0.0, TWO_PI, 4 * max(n, 64))
-        u = rng.uniform(0.0, bound, 4 * max(n, 64))
-        out = np.concatenate([out, x[u < profile(x)]])
-    return out[:n]
 
 
 def cmd_simulate(args) -> int:

@@ -431,7 +431,7 @@ def equilibrium_R(g: freq.FrequencyDensity, K: float,
 
     n_scan = 2048
     grid = np.linspace(1.0, lo_edge * (1.0 + 1e-12), n_scan)
-    vals = np.array([psi(R) for R in grid])
+    vals = grid - freq.locked_phasor_mean(g, K * grid)
     bracket = None
     for i in range(n_scan - 1):
         if vals[i] == 0.0:
@@ -447,11 +447,12 @@ def equilibrium_R(g: freq.FrequencyDensity, K: float,
     a, b = bracket   # psi(a) <= 0 <= psi(b), a <= b
     for _ in range(200):
         mid = 0.5 * (a + b)
-        if psi(mid) <= 0.0:
+        psi_mid = psi(mid)
+        if psi_mid <= 0.0:
             a = mid
         else:
             b = mid
-        if abs(psi(mid)) <= 0.1 * residual_tol and (b - a) < 1e-15:
+        if abs(psi_mid) <= 0.1 * residual_tol and (b - a) < 1e-15:
             break
     root = 0.5 * (a + b)
     residual = abs(psi(root))

@@ -11,6 +11,14 @@ evaluated as sum_k weights[k] * h(nodes[k]).  Three kinds are supported:
 
 All densities are required to have (numerically) zero mean; a nonzero-mean
 table is rejected, since the rotating-frame reduction is the caller's job.
+
+The locked-equilibrium functional H(a) = int_{|omega|<=a} sqrt(1-(omega/a)^2)
+g(omega) domega is evaluated in closed form for every kind.  A table density
+is linear on each segment, and int (c0 + c1 s) sqrt(1-s^2) ds has the
+elementary antiderivative (c0/2)(s sqrt(1-s^2) + asin s) - (c1/3)(1-s^2)^{3/2};
+each segment's increment is written with difference formulas, so nothing
+cancels on short segments or at large a.  The functional accepts an array
+of a, which makes an equilibrium scan one numpy evaluation.
 """
 
 from __future__ import annotations
@@ -21,11 +29,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 logger = logging.getLogger(__name__)
 
 MEAN_TOL = 1e-8
+
+# (a value, table segment) pairs that locked_phasor_mean evaluates at once;
+# bounds its temporaries for long tables and long arrays of a
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,14 +168,6 @@ def quadrature_nodes(g: FrequencyDensity, n: int) -> list[tuple[float, float]]:
     return [tuple(row) for row in pairs]
 
 
-def with_nodes(g: FrequencyDensity, n: int) -> FrequencyDensity:
-    """Same density, re-quadratured with (about) n nodes."""
-    pairs = np.array(quadrature_nodes(g, n))
-    return FrequencyDensity(g.kind, g.support, pairs[:, 0], pairs[:, 1],
-                            halfwidth=g.halfwidth,
-                            table_omega=g.table_omega, table_density=g.table_density)
-
-
 def moments(g: FrequencyDensity) -> tuple[float, float]:
     """Quadrature-evaluated zeroth and first moments of g."""
     mass = float(np.sum(g.weights))
@@ -236,27 +239,75 @@ def min_density_on_inner(g: FrequencyDensity) -> float:
     return float(density_at(g, grid).min())
 
 
-def locked_phasor_mean(g: FrequencyDensity, a: float) -> float:
+def locked_phasor_mean(g: FrequencyDensity, a):
     """Average of sqrt(1 - (omega/a)^2) over g, restricted to |omega| <= a.
 
     This is the self-consistency functional for locked equilibria, evaluated
     at a = K * R.  The part of g outside the lockable band |omega| <= a
-    contributes zero.
+    contributes zero, and a <= 0 gives 0.  ``a`` may be a scalar (a float is
+    returned) or an array (an array of the same shape is returned).
+
+    Every kind is in closed form.  For a table, each segment of the band is
+    integrated exactly in s = omega/a (see the module docstring).
     """
-    if a <= 0:
-        return 0.0
+    a_arr = np.asarray(a, dtype=float)
+    out = np.zeros(a_arr.shape)
+    pos = a_arr > 0
+    ap = a_arr[pos]
     if g.kind == "dirac":
-        return 1.0
-    if g.kind == "uniform":
+        out[pos] = 1.0
+    elif g.kind == "uniform":
         ell = g.halfwidth
-        u = min(1.0, ell / a)
-        return (a / (2.0 * ell)) * (u * math.sqrt(max(0.0, 1.0 - u * u)) + math.asin(u))
-    om, de = g.table_omega, g.table_density
-    lo, hi = max(om[0], -a), min(om[-1], a)
-    if lo >= hi:
-        return 0.0
-    def f(w):
-        return np.interp(w, om, de) * np.sqrt(np.maximum(0.0, 1.0 - (w / a) ** 2))
-    knots = [w for w in om if lo < w < hi]
-    val, _ = integrate.quad(f, lo, hi, points=knots or None, limit=200)
-    return float(val)
+        u = np.minimum(1.0, ell / ap)
+        out[pos] = (ap / (2.0 * ell)) * (u * np.sqrt(1.0 - u * u) + np.arcsin(u))
+    else:
+        om, de = g.table_omega, g.table_density
+        step = max(1, _BLOCK_ENTRIES // (om.size - 1))
+        vals = np.empty(ap.size)
+        for i in range(0, ap.size, step):
+            vals[i:i + step] = _table_locked_mean(om, de, ap[i:i + step])
+        out[pos] = vals
+    return float(out) if out.ndim == 0 else out
+
+
+def _table_locked_mean(om: np.ndarray, de: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """H(a) for a piecewise-linear table at positive a, one row per a.
+
+    On the clipped segment [lo, hi] = [omega_l, omega_r] & [-a, a] the
+    density is d_m + slope (omega - omega_m) about the midpoint, so with
+    s = omega / a the segment contributes a (d_m J0 + slope a (J1 - s_m J0)),
+    J0 = int sqrt(1-s^2) ds and J1 = int s sqrt(1-s^2) ds.  With c = sqrt(1-s^2),
+    S = s_h + s_l, C = c_h + c_l and ds = (hi - lo)/a, the increments
+
+        s_h c_l - s_l c_h = ds (C^2 + S^2) / (2C)   (sine of the asin increment)
+        s_h c_h - s_l c_l = ds (C^2 - S^2) / (2C)
+        c_h^3 - c_l^3     = -ds S (c_h^2 + c_h c_l + c_l^2) / C
+
+    are all proportional to ds, so they keep full relative precision on short
+    segments and at large a.  C = 0 only when [lo, hi] = [-a, a]: there all
+    three increments are 0, and atan2(0, -1) gives the asin increment pi.
+    """
+    a = a[:, None]
+    wl, wr = om[:-1], om[1:]
+    slope = np.diff(de) / np.diff(om)
+    lo = np.maximum(wl, -a)
+    hi = np.minimum(wr, a)
+    live = lo < hi
+    lo = np.where(live, lo, 0.0)
+    hi = np.where(live, hi, 0.0)
+    sl, sh = lo / a, hi / a
+    cl = np.sqrt((1.0 - sl) * (1.0 + sl))
+    ch = np.sqrt((1.0 - sh) * (1.0 + sh))
+    ds = (hi - lo) / a
+    S, C = sh + sl, ch + cl
+    nz = C > 0
+    s2_c = np.divide(S * S, C, out=np.zeros_like(C), where=nz)
+    q = np.divide(ch * ch + ch * cl + cl * cl, C, out=np.zeros_like(C), where=nz)
+    d_asin = np.arctan2(0.5 * ds * (C + s2_c), ch * cl + sh * sl)
+    d_sc = 0.5 * ds * (C - s2_c)
+    J0 = 0.5 * (d_sc + d_asin)
+    J1 = ds * S * q / 3.0
+    wm = 0.5 * (lo + hi)
+    dm = de[:-1] + slope * (wm - wl)
+    seg = a * (dm * J0 + slope * a * (J1 - (wm / a) * J0))
+    return np.where(live, seg, 0.0).sum(axis=1)

@@ -25,11 +25,11 @@ weighted total mass is 1 for normalized initial data.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import special
 
 from .frequency import FrequencyDensity, quadrature_nodes
 from .order import OrderParams, global_order
@@ -135,12 +135,28 @@ def von_mises_profile(concentration: float, theta0: float = 0.0):
     """Von Mises density with the given concentration, centered at theta0."""
     if concentration < 0:
         raise ValueError("concentration must be nonnegative")
-    norm = TWO_PI * special.i0e(concentration)
+    norm = TWO_PI * _i0e(concentration)
 
     def profile(th):
         return np.exp(concentration * (np.cos(th - theta0) - 1.0)) / norm
 
     return profile
+
+
+def _i0e(x: float) -> float:
+    """exp(-x) I0(x) for x >= 0, to a few ulps.
+
+    Below 50 this is numpy's I0 times exp(-x) (I0 alone overflows past
+    x ~ 713).  From 50 on it is the asymptotic series
+    exp(-x) I0(x) ~ (2 pi x)^(-1/2) sum_k ((2k-1)!!)^2 / (k! (8x)^k),
+    whose 20th term is below 1e-23 there.
+    """
+    if x < 50.0:
+        return float(np.i0(x)) * math.exp(-x)
+    terms = [1.0]
+    for k in range(1, 21):
+        terms.append(terms[-1] * (2 * k - 1) ** 2 / (8.0 * k * x))
+    return math.fsum(terms) / math.sqrt(TWO_PI * x)
 
 
 def table_profile(thetas, values):

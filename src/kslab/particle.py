@@ -39,6 +39,21 @@ class ParticleState:
         return self.thetas.size
 
 
+def sample_phases(profile, bound: float, n: int, rng) -> np.ndarray:
+    """n phases drawn by rejection from a density profile on [0, 2pi).
+
+    ``bound`` must dominate the profile.  Candidates come from ``rng`` in
+    batches of 4 max(n, 64) until n are accepted.
+    """
+    out = np.empty(0)
+    batch = 4 * max(n, 64)
+    while out.size < n:
+        x = rng.uniform(0.0, TWO_PI, batch)
+        u = rng.uniform(0.0, bound, batch)
+        out = np.concatenate([out, x[u < profile(x)]])
+    return out[:n]
+
+
 def particle_order(state: ParticleState) -> OrderParams:
     """Amplitude and average phase of the phasor mean (1/N) sum exp(i theta)."""
     z = np.mean(np.exp(1j * state.thetas))

@@ -308,7 +308,7 @@ def criterion_8(cache: RunCache) -> CriterionResult:
     g = run.extra["g"]
     n_part = 20000
     rng = np.random.default_rng(8)
-    thetas = _rejection_sample(_skewed_profile, 1.7 / TWO_PI, n_part, rng)
+    thetas = particle.sample_phases(_skewed_profile, 1.7 / TWO_PI, n_part, rng)
     omegas = freq.sample(g, n_part, seed=8)
     pstate = particle.ParticleState(thetas, omegas, K=run.K)
     tp0 = time.perf_counter()
@@ -329,15 +329,6 @@ def criterion_8(cache: RunCache) -> CriterionResult:
                "kinetic_seconds": run.build_seconds}
     return CriterionResult(8, "mean-field consistency", not failures,
                            failures, details, time.perf_counter() - t0)
-
-
-def _rejection_sample(profile, bound, n, rng):
-    out = np.empty(0)
-    while out.size < n:
-        x = rng.uniform(0.0, TWO_PI, 4 * n)
-        u = rng.uniform(0.0, bound, 4 * n)
-        out = np.concatenate([out, x[u < profile(x)]])
-    return out[:n]
 
 
 def criterion_9(cache: RunCache) -> CriterionResult:

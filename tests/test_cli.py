@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kslab
 from kslab import cli
 
 
@@ -164,6 +169,35 @@ def test_equilibrium_command(tmp_path, capsys):
     assert rows[1].split(",")[1] == "no solution"
     r5 = float(rows[2].split(",")[1])
     assert r5 >= 0.5
+
+
+def test_equilibrium_command_large_table(tmp_path):
+    # 401 rows put ~400 knots inside the lock band
+    om = [-0.5 + i / 400.0 for i in range(401)]
+    table = tmp_path / "density.csv"
+    table.write_text("omega,density\n" + "".join(
+        f"{w!r},{1.0 - abs(w) / 0.5!r}\n" for w in om))
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps({"frequency": {"kind": "table", "path": str(table)},
+                                "n_omega": 32, "coupling": 4.0}))
+    out = tmp_path / "out"
+    assert cli.main(["equilibrium", "--config", str(path), "--out", str(out)]) == 0
+    header, row = (out / "equilibrium.csv").read_text().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["R"] != "no solution"
+    assert float(fields["residual"]) <= 1e-10
+    assert fields["bound_sqrt_ok"] == fields["bound_mass_ok"] == "1"
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(Path(kslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, kslab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_characteristics_command(tmp_path):

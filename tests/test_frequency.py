@@ -165,6 +165,93 @@ def test_locked_phasor_mean_table_matches_quadrature_oracle():
     assert freq.locked_phasor_mean(g, a) == pytest.approx(oracle, abs=1e-8)
 
 
+def _segment_oracle(om, de, a, n=40):
+    """H(a) by Gauss-Legendre per table segment in omega = a sin(theta).
+
+    On each segment the integrand a g(a sin theta) cos(theta)^2 is an entire
+    function of theta, so a 40-point rule is exact to roundoff; the sum is
+    taken with math.fsum.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    parts = []
+    for i in range(om.size - 1):
+        lo, hi = max(om[i], -a), min(om[i + 1], a)
+        if lo >= hi:
+            continue
+        t_lo, t_hi = math.asin(lo / a), math.asin(hi / a)
+        half = 0.5 * (t_hi - t_lo)
+        t = 0.5 * (t_lo + t_hi) + half * x
+        omega = a * np.sin(t)
+        dens = de[i] + (de[i + 1] - de[i]) / (om[i + 1] - om[i]) * (omega - om[i])
+        parts.extend(half * w * a * dens * np.cos(t) ** 2)
+    return math.fsum(parts)
+
+
+def _random_symmetric_table(rng, with_zero_knot):
+    half = np.unique(rng.uniform(0.0, 1.0, rng.integers(2, 30))) * rng.uniform(0.05, 3.0)
+    half = half[half > 0]
+    dens = rng.uniform(0.0, 5.0, half.size + 1)
+    if rng.random() < 0.5:
+        dens[-1] = 0.0                       # decays to zero at the support edge
+    if with_zero_knot:
+        om = np.concatenate([-half[::-1], [0.0], half])
+        de = np.concatenate([dens[:0:-1], dens[:1], dens[1:]])
+    else:                                    # one segment straddles omega = 0
+        om = np.concatenate([-half[::-1], half])
+        de = np.concatenate([dens[:0:-1], dens[1:]])
+    return om, de
+
+
+def test_locked_phasor_mean_table_matches_segment_oracle():
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for trial in range(60):
+        om, de = _random_symmetric_table(rng, with_zero_knot=trial % 2 == 0)
+        g = freq.from_table(om, de, n_nodes=64)
+        om, de = g.table_omega, g.table_density      # renormalized to unit mass
+        knots = om[om > 0]
+        a_vals = np.concatenate([10.0 ** rng.uniform(-2.0, 3.0, 12),
+                                 knots[:3], [knots[-1], 1.5 * knots[-1]]])
+        got = freq.locked_phasor_mean(g, a_vals)
+        for a, h in zip(a_vals, got):
+            worst = max(worst, abs(h - _segment_oracle(om, de, a)))
+    assert worst <= 1e-13
+
+
+def test_locked_phasor_mean_triangle_at_small_a():
+    # the 41-row triangle of the table equilibrium test; [-0.1, 0.1] spans
+    # 8 of its segments
+    om = np.linspace(-0.5, 0.5, 41)
+    g = freq.from_table(om, 1.0 - np.abs(om) / 0.5, n_nodes=32)
+    oracle = _segment_oracle(g.table_omega, g.table_density, 0.1)
+    assert freq.locked_phasor_mean(g, 0.1) == pytest.approx(oracle, abs=1e-15)
+
+
+def test_locked_phasor_mean_vectorised_matches_scalar():
+    om = np.linspace(-0.5, 0.5, 7)
+    table = freq.from_table(om, 1.0 - np.abs(om) / 0.5)
+    a_vals = np.array([-1.0, 0.0, 1e-3, 0.1, 0.5, 0.77, 4.0, 1e3])
+    for g in (freq.dirac_at_zero(), freq.uniform(0.4), table):
+        vec = freq.locked_phasor_mean(g, a_vals)
+        assert vec.shape == a_vals.shape
+        scalars = [freq.locked_phasor_mean(g, float(a)) for a in a_vals]
+        assert all(isinstance(h, float) for h in scalars)
+        np.testing.assert_allclose(vec, scalars, rtol=0.0, atol=1e-15)
+        assert vec[0] == vec[1] == 0.0
+        grid = freq.locked_phasor_mean(g, a_vals.reshape(2, 4))
+        np.testing.assert_array_equal(grid.ravel(), vec)
+
+
+def test_locked_phasor_mean_large_table_blocks():
+    # more (a, segment) pairs than one evaluation block holds
+    om = np.linspace(-0.5, 0.5, 401)
+    g = freq.from_table(om, 1.0 - np.abs(om) / 0.5)
+    a_vals = np.linspace(0.01, 2.0, 400)
+    vec = freq.locked_phasor_mean(g, a_vals)
+    oracle = [_segment_oracle(g.table_omega, g.table_density, a) for a in a_vals[::40]]
+    np.testing.assert_allclose(vec[::40], oracle, rtol=0.0, atol=1e-13)
+
+
 def test_inner_support_radius():
     assert freq.inner_support_radius(freq.dirac_at_zero()) == 0.0
     assert freq.inner_support_radius(freq.uniform(0.4)) == 0.4

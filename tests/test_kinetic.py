@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import solve_ivp
 
 from kslab import frequency as freq
@@ -312,3 +313,11 @@ def test_profile_presets():
         assert np.min(st.values) >= 0.0
     with pytest.raises(ValueError):
         kinetic.cosine_profile(0.6)
+
+
+def test_i0e_matches_scipy():
+    # the von Mises normalizer: numpy's I0 below 50, the asymptotic series above
+    xs = np.concatenate([[0.0, 49.999, 50.0, 50.001], np.linspace(0.0, 100.0, 4001),
+                         np.linspace(100.0, 1e4, 2001), 10.0 ** np.linspace(-10.0, 4.0, 281)])
+    got = np.array([kinetic._i0e(float(x)) for x in xs])
+    np.testing.assert_allclose(got, special.i0e(xs), rtol=1e-15, atol=0.0)

@@ -244,3 +244,15 @@ def _write_config(tmp_path, st):
         for th, om in zip(st.thetas, st.omegas):
             w.writerow([format(th, ".17g"), format(om, ".17g")])
     return path
+
+
+def test_sample_phases_follows_profile():
+    def profile(th):
+        return (1.0 + 0.8 * np.cos(th)) / TWO_PI
+    th = particle.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
+    assert th.shape == (20000,)
+    assert np.all((th >= 0.0) & (th < TWO_PI))
+    # first Fourier mode of the profile: E[cos] = 0.4
+    assert np.mean(np.cos(th)) == pytest.approx(0.4, abs=0.02)
+    again = particle.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
+    np.testing.assert_array_equal(th, again)
