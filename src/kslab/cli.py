@@ -304,13 +304,11 @@ def _run_particle(cfg: dict, K: float, out: Path, seed: int) -> dict:
     traj = particle.run_particles(state, float(cfg.get("t_end", 10.0)), dt,
                                   float(cfg.get("sample_every", 0.1)))
     out.mkdir(parents=True, exist_ok=True)
-    particle.trajectory_to_csv(traj, out / "particles.csv")
-    final = traj.state_at(traj.n_samples - 1)
-    op = particle.particle_order(final)
+    _, r, phi, diameter, potential = particle.trajectory_to_csv(
+        traj, out / "particles.csv")[-1]
     return {"model": "particle", "K": K, "n_particles": n,
-            "final_r": op.R, "final_phi": op.phi,
-            "final_diameter": particle.phase_diameter(final),
-            "final_potential": particle.particle_potential(final)}
+            "final_r": float(r), "final_phi": float(phi),
+            "final_diameter": float(diameter), "final_potential": float(potential)}
 
 
 def _profile_bound(profile) -> float:
@@ -326,9 +324,13 @@ def cmd_simulate(args) -> int:
     if isinstance(coupling, list):
         raise ConfigError("simulate needs a single coupling value; use sweep for lists")
     K = float(coupling)
+    model = cfg.get("model", "kinetic")
+    if model in ("particle", "both"):
+        # fail before any run or output when the particle samples cannot tile t_end
+        particle.sample_count(0.0, float(cfg.get("t_end", 10.0)),
+                              float(cfg.get("sample_every", 0.1)))
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_bytes(raw)
-    model = cfg.get("model", "kinetic")
     summaries = {}
     if model in ("kinetic", "both"):
         summaries["kinetic"] = _run_kinetic(cfg, K, out)

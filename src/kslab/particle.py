@@ -3,6 +3,12 @@
 Phases are stored lifted to the real line, so the phase diameter and the
 gradient potential are well defined; projection to the circle happens only
 inside order-parameter and output code.
+
+Everything that needs the phasor mean z = (1/N) sum exp(i theta) takes it,
+together with the arrays cos theta and sin theta, from one pass over the
+phases (``_phasor``).  The mean-field drift is then
+omega - K (sin theta Re z - cos theta Im z), two trig calls per oscillator
+per right-hand-side evaluation.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .order import TOL_R, OrderParams
+from .order import OrderParams, _from_phasor
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,47 +60,51 @@ def sample_phases(profile, bound: float, n: int, rng) -> np.ndarray:
     return out[:n]
 
 
+def _phasor(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
+    """(cos theta, sin theta, z) with z = (1/N) sum exp(i theta) their mean."""
+    c = np.cos(thetas)
+    s = np.sin(thetas)
+    return c, s, complex(c.mean(), s.mean())
+
+
+def _mean_field_rhs(thetas: np.ndarray, omegas: np.ndarray, K: float) -> np.ndarray:
+    c, s, z = _phasor(thetas)
+    return omegas - K * (s * z.real - c * z.imag)
+
+
 def particle_order(state: ParticleState) -> OrderParams:
     """Amplitude and average phase of the phasor mean (1/N) sum exp(i theta)."""
-    z = np.mean(np.exp(1j * state.thetas))
-    r = abs(z)
-    if r > TOL_R:
-        return OrderParams(float(r), float(np.angle(z) % TWO_PI), True)
-    return OrderParams(float(r), 0.0, False)
+    return _from_phasor(_phasor(state.thetas)[2])
 
 
 def particle_rhs(state: ParticleState) -> np.ndarray:
     """dtheta_i/dt in mean-field form omega_i - K r sin(theta_i - phi).
 
-    Algebraically identical to the all-to-all pairwise sum (see
-    ``particle_rhs_direct``), but O(N): r sin(theta_i - phi) is the imaginary
-    part of exp(i theta_i) times the conjugated phasor mean.
+    Algebraically identical to the all-to-all pairwise sum
+    omega_i + (K/N) sum_j sin(theta_j - theta_i), but O(N): with
+    z = r exp(i phi) = (mean cos theta, mean sin theta),
+    r sin(theta_i - phi) = sin theta_i Re z - cos theta_i Im z, so one cos
+    and one sin per oscillator give both z and the drift.
     """
-    z = np.mean(np.exp(1j * state.thetas))
-    return state.omegas - state.K * np.imag(np.exp(1j * state.thetas) * np.conj(z))
-
-
-def particle_rhs_direct(state: ParticleState) -> np.ndarray:
-    """dtheta_i/dt by the explicit double sum (K/N) sum_j sin(theta_j - theta_i)."""
-    diff = state.thetas[None, :] - state.thetas[:, None]
-    return state.omegas + (state.K / state.n) * np.sin(diff).sum(axis=1)
+    return _mean_field_rhs(state.thetas, state.omegas, state.K)
 
 
 def particle_step(state: ParticleState, dt: float) -> ParticleState:
     """Classical RK4 update."""
     if dt == 0.0:
         return state
-
-    def f(th):
-        return particle_rhs(replace(state, thetas=th))
-
-    th = state.thetas
-    k1 = f(th)
-    k2 = f(th + 0.5 * dt * k1)
-    k3 = f(th + 0.5 * dt * k2)
-    k4 = f(th + dt * k3)
+    th, om, K = state.thetas, state.omegas, state.K
+    k1 = _mean_field_rhs(th, om, K)
+    k2 = _mean_field_rhs(th + 0.5 * dt * k1, om, K)
+    k3 = _mean_field_rhs(th + 0.5 * dt * k2, om, K)
+    k4 = _mean_field_rhs(th + dt * k3, om, K)
     new = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return replace(state, thetas=new, t=state.t + dt)
+
+
+def _potential(state: ParticleState, r: float) -> float:
+    pair = 0.5 * state.K * state.n * (1.0 - r * r)
+    return float(-np.dot(state.omegas, state.thetas) + pair)
 
 
 def particle_potential(state: ParticleState) -> float:
@@ -104,9 +114,7 @@ def particle_potential(state: ParticleState) -> float:
     evaluated through the phasor identity sum_ij cos(theta_j - theta_i)
     = |sum exp(i theta)|^2 = (N r)^2.
     """
-    r = abs(np.mean(np.exp(1j * state.thetas)))
-    pair = 0.5 * state.K * state.n * (1.0 - r * r)
-    return float(-np.dot(state.omegas, state.thetas) + pair)
+    return _potential(state, abs(_phasor(state.thetas)[2]))
 
 
 def particle_order_rates(state: ParticleState) -> tuple[float, float]:
@@ -114,15 +122,18 @@ def particle_order_rates(state: ParticleState) -> tuple[float, float]:
 
     dr/dt = -(1/N) sum sin(theta_j - phi) thetadot_j and
     dphi/dt = (1/(rN)) sum cos(theta_j - phi) thetadot_j, with thetadot in
-    mean-field form.  Requires r above tolerance.
+    mean-field form.  With z = r exp(i phi), r sin(theta - phi) and
+    r cos(theta - phi) are sin theta Re z - cos theta Im z and
+    cos theta Re z + sin theta Im z.  Requires r above tolerance.
     """
-    op = particle_order(state)
+    c, s, z = _phasor(state.thetas)
+    op = _from_phasor(z)
     if not op.defined:
         raise ValueError("average phase undefined (r below tolerance)")
-    dth = particle_rhs(state)
-    d = state.thetas - op.phi
-    rdot = -float(np.mean(np.sin(d) * dth))
-    phidot = float(np.mean(np.cos(d) * dth)) / op.R
+    r_sin = s * z.real - c * z.imag
+    dth = state.omegas - state.K * r_sin
+    rdot = -float(np.mean(r_sin * dth)) / op.R
+    phidot = float(np.mean((c * z.real + s * z.imag) * dth)) / (op.R * op.R)
     return rdot, phidot
 
 
@@ -150,37 +161,57 @@ class ParticleTrajectory:
         return self.ts.size
 
 
+def sample_count(t0: float, t_end: float, sample_every: float) -> int:
+    """Number of sample intervals of length sample_every in [t0, t_end].
+
+    Raises ValueError unless (t_end - t0)/sample_every is within 1e-9
+    (relative) of a nonnegative integer.
+    """
+    if t_end < t0:
+        raise ValueError("t_end must not precede the state time")
+    span = (t_end - t0) / sample_every
+    n = round(span)
+    if abs(span - n) > 1e-9 * span:
+        raise ValueError(f"t_end - t0 = {t_end - t0!r} is not a whole number of "
+                         f"sample intervals of {sample_every!r}")
+    return n
+
+
 def run_particles(state: ParticleState, t_end: float, dt: float,
                   sample_every: float) -> ParticleTrajectory:
-    """Fixed-step RK4 run sampled every sample_every time units.
+    """Fixed-step RK4 run sampled at t0 + i sample_every up to t_end.
 
+    t_end - t0 must be a whole number of sample intervals (``sample_count``);
     dt is shrunk if necessary so samples land exactly on step boundaries.
     """
-    if t_end < state.t:
-        raise ValueError("t_end must not precede the state time")
+    n_samples = sample_count(state.t, t_end, sample_every)
     per = max(1, int(np.ceil(sample_every / dt)))
     dt = sample_every / per
-    n_samples = int(round((t_end - state.t) / sample_every))
-    ts = [state.t]
+    ts = state.t + sample_every * np.arange(n_samples + 1)
     snaps = [state.thetas.copy()]
     for _ in range(n_samples):
         for _ in range(per):
             state = particle_step(state, dt)
-        ts.append(state.t)
         snaps.append(state.thetas.copy())
-    return ParticleTrajectory(np.array(ts), np.array(snaps), state.omegas, state.K)
+    return ParticleTrajectory(ts, np.array(snaps), state.omegas, state.K)
 
 
-def trajectory_to_csv(traj: ParticleTrajectory, path) -> None:
-    """Columns: t, r, phi, D, V_p."""
+def trajectory_to_csv(traj: ParticleTrajectory, path) -> np.ndarray:
+    """Columns: t, r, phi, D, V_p.  Returns the rows written, one per sample.
+
+    Each sample's phasor mean is computed once and gives r, phi and V_p.
+    """
+    rows = np.empty((traj.n_samples, 5))
+    for i in range(traj.n_samples):
+        s = traj.state_at(i)
+        op = particle_order(s)
+        rows[i] = (s.t, op.R, op.phi, phase_diameter(s), _potential(s, op.R))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "r", "phi", "D", "V_p"])
-        for i in range(traj.n_samples):
-            s = traj.state_at(i)
-            op = particle_order(s)
-            w.writerow([format(x, ".17g") for x in
-                        (s.t, op.R, op.phi, phase_diameter(s), particle_potential(s))])
+        for row in rows:
+            w.writerow([format(x, ".17g") for x in row])
+    return rows
 
 
 def load_config_csv(path, K: float) -> ParticleState:

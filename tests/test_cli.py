@@ -84,6 +84,20 @@ def test_simulate_particle_model(tmp_path):
     assert summary["model"] == "particle"
     # identical oscillators synchronize: r grows
     assert summary["final_r"] > 0.2
+    last = (out / "particles.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "2"
+    assert [summary[k] for k in ("final_r", "final_phi", "final_diameter",
+                                 "final_potential")] == [float(x) for x in last[1:]]
+
+
+@pytest.mark.parametrize("model", ["particle", "both"])
+def test_simulate_rejects_incommensurate_particle_t_end(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, model=model, n_particles=20, t_end=2.05,
+                       sample_every=0.1)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "whole number of sample intervals" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_both_models(tmp_path):

@@ -2,10 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from kslab import particle
 
 TWO_PI = 2.0 * math.pi
+
+
+def rhs_direct(thetas, omegas, K):
+    """O(N^2) oracle: thetadot_i = omega_i + (K/N) sum_j sin(theta_j - theta_i)."""
+    diff = thetas[None, :] - thetas[:, None]
+    return omegas + (K / thetas.size) * np.sin(diff).sum(axis=1)
+
+
+def rk4_direct(thetas, omegas, K, dt):
+    """One classical RK4 step of the direct-sum right-hand side."""
+    k1 = rhs_direct(thetas, omegas, K)
+    k2 = rhs_direct(thetas + 0.5 * dt * k1, omegas, K)
+    k3 = rhs_direct(thetas + 0.5 * dt * k2, omegas, K)
+    k4 = rhs_direct(thetas + dt * k3, omegas, K)
+    return thetas + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def test_rhs_single_oscillator():
@@ -28,14 +44,47 @@ def test_rhs_three_oscillators_brute_force():
     assert particle.particle_rhs(st) == pytest.approx(oracle, abs=1e-15)
 
 
-@pytest.mark.parametrize("n", [2, 7, 64])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 500])
 def test_mean_field_and_direct_rhs_agree(n):
     rng = np.random.default_rng(n)
-    st = particle.ParticleState(rng.uniform(0, TWO_PI, n),
-                                rng.normal(0, 1, n), K=1.7)
-    a = particle.particle_rhs(st)
-    b = particle.particle_rhs_direct(st)
-    assert np.max(np.abs(a - b)) <= 1e-12
+    th = rng.uniform(-10.0, 10.0, n)
+    om = rng.normal(0, 1, n)
+    for K in (0.0, 1.7, 6.0):
+        st = particle.ParticleState(th, om, K=K)
+        a = particle.particle_rhs(st)
+        assert np.max(np.abs(a - rhs_direct(th, om, K))) <= 1e-13
+        if K == 0.0:
+            np.testing.assert_array_equal(a, om)
+
+
+@pytest.mark.parametrize("dt", [0.01, 0.05, 0.2, -0.1])
+def test_step_matches_direct_rk4(dt):
+    rng = np.random.default_rng(41)
+    th = rng.uniform(0, TWO_PI, 200)
+    om = rng.normal(0, 1, 200)
+    st = particle.ParticleState(th, om, K=2.5, t=1.0)
+    out = particle.particle_step(st, dt)
+    assert np.max(np.abs(out.thetas - rk4_direct(th, om, 2.5, dt))) <= 1e-13
+    assert out.t == 1.0 + dt
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(th=hst.lists(hst.floats(-10.0, 10.0, **finite), min_size=1, max_size=24),
+       seed=hst.integers(0, 2**32 - 1),
+       K=hst.floats(0.0, 5.0, **finite),
+       dt=hst.floats(-0.2, 0.2, **finite),
+       c=hst.floats(-10.0, 10.0, **finite))
+def test_step_rotation_and_reflection_symmetry(th, seed, K, dt, c):
+    th = np.array(th)
+    om = np.random.default_rng(seed).normal(0.0, 1.0, th.size)
+    out = particle.particle_step(particle.ParticleState(th, om, K=K), dt).thetas
+    rotated = particle.particle_step(particle.ParticleState(th + c, om, K=K), dt).thetas
+    assert np.max(np.abs(rotated - (out + c))) <= 1e-12
+    reflected = particle.particle_step(particle.ParticleState(-th, -om, K=K), dt).thetas
+    assert np.max(np.abs(reflected + out)) <= 1e-12
 
 
 def test_step_exact_for_rigid_rotation():
@@ -233,6 +282,52 @@ def test_run_particles_and_csv(tmp_path):
     back = particle.load_config_csv(_write_config(tmp_path, st), K=st.K)
     assert np.allclose(back.thetas, st.thetas)
     assert np.allclose(back.omegas, st.omegas)
+
+
+def test_csv_rows_match_order_and_potential(tmp_path):
+    rng = np.random.default_rng(18)
+    st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
+                                rng.normal(0, 0.5, 300), K=1.5)
+    traj = particle.run_particles(st, 1.0, dt=0.02, sample_every=0.1)
+    path = tmp_path / "traj.csv"
+    rows = particle.trajectory_to_csv(traj, path)
+    lines = path.read_text().splitlines()[1:]
+    np.testing.assert_array_equal(
+        rows, [[float(x) for x in line.split(",")] for line in lines])
+    assert rows.shape == (traj.n_samples, 5)
+    for i, (t, r, phi, d, v) in enumerate(rows):
+        s = traj.state_at(i)
+        op = particle.particle_order(s)
+        assert t == s.t
+        assert abs(r - op.R) <= 1e-14
+        assert abs(phi - op.phi) <= 1e-14
+        assert d == particle.phase_diameter(s)
+        assert abs(v - particle.particle_potential(s)) <= 1e-14 * max(1.0, abs(v))
+
+
+def test_run_particles_exact_sample_times(tmp_path):
+    rng = np.random.default_rng(19)
+    st = particle.ParticleState(rng.uniform(0, TWO_PI, 8), np.zeros(8), K=1.0)
+    traj = particle.run_particles(st, 0.5, dt=0.01, sample_every=0.05)
+    np.testing.assert_array_equal(traj.ts, 0.05 * np.arange(11))
+    assert traj.ts[-1] == 0.5
+    particle.trajectory_to_csv(traj, tmp_path / "traj.csv")
+    t_col = [line.split(",")[0]
+             for line in (tmp_path / "traj.csv").read_text().splitlines()[1:]]
+    assert t_col[-1] == "0.5"
+    later = particle.ParticleState(st.thetas, st.omegas, K=1.0, t=0.3)
+    traj = particle.run_particles(later, 0.8, dt=0.01, sample_every=0.1)
+    np.testing.assert_array_equal(traj.ts, 0.3 + 0.1 * np.arange(6))
+    assert particle.run_particles(later, 0.3, dt=0.01, sample_every=0.1).n_samples == 1
+
+
+@pytest.mark.parametrize("t_end", [0.52, 0.549, 0.02])
+def test_run_particles_rejects_incommensurate_t_end(t_end):
+    st = particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=1.0)
+    with pytest.raises(ValueError, match="whole number of sample intervals"):
+        particle.run_particles(st, t_end, dt=0.01, sample_every=0.05)
+    with pytest.raises(ValueError, match="must not precede"):
+        particle.run_particles(st, -0.05, dt=0.01, sample_every=0.05)
 
 
 def _write_config(tmp_path, st):
