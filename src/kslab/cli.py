@@ -228,6 +228,7 @@ def _summarize_kinetic(cfg, K, M, res: kinetic.RunResult) -> dict:
         "final_R": final.R, "final_t": final.t,
         "final_masses": dict(final.masses),
         "min_step_delta_R": res.min_step_delta_R,
+        "positivity_margin": res.min_cell_value,
         "mass_drift": {"per_slice_rel": res.max_slice_mass_drift_rel,
                        "total": res.max_total_mass_drift,
                        "per_slice_ok": res.max_slice_mass_drift_rel <= 1e-12,

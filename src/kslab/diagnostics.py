@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frequency as freq
-from .order import OrderParams, global_order, kinetic_potential, \
-    phidot_formula, rdot_formula
+from .order import TWO_PI, OrderParams, _rates, global_order, kinetic_potential
 
-TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
 
 
@@ -65,37 +63,46 @@ class Interval:
         return f"{self.kind}_{self.parameter:g}"
 
 
-def _arc_fractions(grid, lo: float, hi: float) -> np.ndarray:
-    """Per-cell overlap fractions of the arc [lo, hi] (hi - lo in [0, 2pi])."""
-    length = hi - lo
+def _arc_sum(grid, lo: float, hi: float, f: np.ndarray):
+    """Integral of the cell-wise constant f[..., j] over the arc [lo, hi]
+    (hi - lo clipped to [0, 2pi]): the whole cells it covers, summed directly
+    (not as a difference of prefix sums, so small integrals keep their
+    relative accuracy) and wrapping past 2pi, plus its two partial end cells.
+    """
+    n, dth = grid.n_theta, grid.dtheta
+    length = min(hi - lo, TWO_PI)
     if length <= 0:
-        return np.zeros(grid.n_theta)
-    length = min(length, TWO_PI)
+        return 0.0 * f[..., 0]
     lo = lo % TWO_PI
     hi = lo + length
-    dth = grid.dtheta
-    left = grid.edges
-    right = left + dth
-    frac = np.zeros(grid.n_theta)
-    for shift in (0.0, TWO_PI):
-        a, b = lo + shift - TWO_PI, hi + shift - TWO_PI
-        frac += np.clip(np.minimum(right, b) - np.maximum(left, a), 0.0, dth)
-    return frac / dth
+    ja, jb = math.floor(lo / dth), math.floor(hi / dth)
+    if ja == jb:
+        return length * f[..., ja % n]
+    start, count = (ja + 1) % n, jb - ja - 1
+    whole = f[..., start:start + count].sum(axis=-1)
+    if start + count > n:
+        whole = whole + f[..., :start + count - n].sum(axis=-1)
+    # end overlaps are measured from the edges j * dtheta: none on an edge
+    return (((ja + 1) * dth - lo) * f[..., ja % n] + whole * dth
+            + (hi - jb * dth) * f[..., jb % n])
 
 
 def mass_on_arc(state, lo: float, hi: float) -> float:
     """Mass of the theta marginal on the arc [lo, hi] with fractional end cells."""
-    frac = _arc_fractions(state.grid, lo, hi)
-    return float(frac @ state.marginal_density()) * state.grid.dtheta
+    return float(_arc_sum(state.grid, lo, hi, state.marginal_density()))
+
+
+def _on_interval(state, interval: Interval, f: np.ndarray, op: OrderParams | None):
+    """_arc_sum of f over the moving interval; needs a defined average phase."""
+    op = global_order(state) if op is None else op
+    if not op.defined:
+        raise ValueError("average phase undefined (R below tolerance)")
+    return _arc_sum(state.grid, *interval.endpoints(op.phi), f)
 
 
 def interval_mass(state, interval: Interval, op: OrderParams | None = None) -> float:
     """Mass of f over the moving interval; needs a defined average phase."""
-    op = global_order(state) if op is None else op
-    if not op.defined:
-        raise ValueError("average phase undefined (R below tolerance)")
-    lo, hi = interval.endpoints(op.phi)
-    return mass_on_arc(state, lo, hi)
+    return float(_on_interval(state, interval, state.marginal_density(), op))
 
 
 def lyapunov_L2(state, interval: Interval, per_omega: bool = False,
@@ -106,15 +113,9 @@ def lyapunov_L2(state, interval: Interval, per_omega: bool = False,
     per_omega=True the per-slice conditional densities are squared and an
     array over omega nodes is returned.
     """
-    op = global_order(state) if op is None else op
-    if not op.defined:
-        raise ValueError("average phase undefined (R below tolerance)")
-    lo, hi = interval.endpoints(op.phi)
-    frac = _arc_fractions(state.grid, lo, hi)
-    if per_omega:
-        return (state.values ** 2) @ frac * state.grid.dtheta
-    rho = state.marginal_density()
-    return float((rho * rho) @ frac) * state.grid.dtheta
+    f = state.values ** 2 if per_omega else state.marginal_density() ** 2
+    out = _on_interval(state, interval, f, op)
+    return out if per_omega else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -674,18 +675,18 @@ class RecordSampler:
                                 phi_defined=op.defined)
         rec.v_k = kinetic_potential(state, op)
         if op.defined:
+            rho = state.marginal_density()
             for iv in cfg.intervals:
-                rec.masses[iv.label] = interval_mass(state, iv, op)
+                rec.masses[iv.label] = float(_on_interval(state, iv, rho, op))
             if cfg.lambda_interval is not None:
-                rec.lambda_value = lyapunov_L2(state, cfg.lambda_interval, op=op)
+                rec.lambda_value = float(_on_interval(state, cfg.lambda_interval, rho ** 2, op))
             if cfg.gamma_plus_interval is not None:
-                rec.gamma_plus = lyapunov_L2(state, cfg.gamma_plus_interval,
-                                             per_omega=True, op=op)
+                rec.gamma_plus = _on_interval(state, cfg.gamma_plus_interval,
+                                              state.values ** 2, op)
             if cfg.gamma_minus_interval is not None:
-                rec.gamma_minus = lyapunov_L2(state, cfg.gamma_minus_interval,
-                                              per_omega=True, op=op)
-            rec.rdot_formula = rdot_formula(state, op)
-            rec.phidot_formula = phidot_formula(state, op)
+                rec.gamma_minus = _on_interval(state, cfg.gamma_minus_interval,
+                                               state.values ** 2, op)
+            rec.rdot_formula, rec.phidot_formula = _rates(state, op, rho)
         else:
             for iv in cfg.intervals:
                 rec.masses[iv.label] = math.nan

@@ -32,9 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .frequency import FrequencyDensity, quadrature_nodes
-from .order import OrderParams, global_order
-
-TWO_PI = 2.0 * np.pi
+from .order import TOL_R, TWO_PI, OrderParams, global_order, phasor
 
 MIN_CELLS = 16
 
@@ -63,17 +61,22 @@ class PhaseGrid:
 
     n_theta: int
     centers: np.ndarray = field(init=False, repr=False)
-    edges: np.ndarray = field(init=False, repr=False)          # left edges j*dtheta
-    phasor_centers: np.ndarray = field(init=False, repr=False)  # exp(i centers)
+    edges: np.ndarray = field(init=False, repr=False)         # left edges j*dtheta
+    trig_centers: np.ndarray = field(init=False, repr=False)  # (n_theta, 2): cos, sin
+    trig_edges: np.ndarray = field(init=False, repr=False)    # (n_theta, 2): sin, cos
 
     def __post_init__(self):
         if self.n_theta < MIN_CELLS:
             raise ValueError(f"n_theta must be >= {MIN_CELLS}")
         dth = TWO_PI / self.n_theta
         centers = (np.arange(self.n_theta) + 0.5) * dth
+        edges = np.arange(self.n_theta) * dth
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "edges", np.arange(self.n_theta) * dth)
-        object.__setattr__(self, "phasor_centers", np.exp(1j * centers))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "trig_centers",
+                           np.column_stack([np.cos(centers), np.sin(centers)]))
+        object.__setattr__(self, "trig_edges",
+                           np.column_stack([np.sin(edges), np.cos(edges)]))
 
     @property
     def dtheta(self) -> float:
@@ -111,9 +114,6 @@ class KineticState:
 
     def slice_masses(self) -> np.ndarray:
         return self.values.sum(axis=1) * self.grid.dtheta
-
-    def total_mass(self) -> float:
-        return float(self.weights @ self.slice_masses())
 
     def marginal_density(self) -> np.ndarray:
         """Theta marginal rho(theta) on cell centers."""
@@ -204,40 +204,34 @@ def state_from_profile(grid: PhaseGrid, g: FrequencyDensity, n_omega: int,
 
 
 def velocity_field(state: KineticState, op: OrderParams) -> np.ndarray:
-    """Edge velocities v[k, j] = omega_k - K R sin(theta_j - phi).
-
-    Edge j sits at theta = j * dtheta, between cells j-1 and j (periodic).
-    When R is below tolerance the sine term carries a zero factor and the
-    velocities are just omega_k.
-    """
-    KR = state.K * (op.R if op.defined else 0.0)
-    if KR == 0.0:
-        return np.broadcast_to(state.omega[:, None],
-                               (state.n_omega, state.grid.n_theta)).copy()
-    s = np.sin(state.grid.edges - op.phi)
-    return state.omega[:, None] - KR * s[None, :]
+    """Edge velocities v[k, j] = omega_k - K R sin(theta_j - phi), edge j at
+    theta = j * dtheta between cells j-1 and j; omega_k when phi is undefined."""
+    z = op.R * complex(math.cos(op.phi), math.sin(op.phi)) if op.defined else 0j
+    return _edge_velocity(state, z)
 
 
-def _velocity_bound(state: KineticState, op: OrderParams) -> float:
-    """max|omega| + K R: floors (in fact equals, after flooring) the edge
-    maximum of |v|, since |omega - K R sin| never exceeds it."""
-    return float(np.max(np.abs(state.omega))) + state.K * (op.R if op.defined else 0.0)
+def _edge_velocity(state: KineticState, z: complex) -> np.ndarray:
+    """velocity_field from the phasor z = R exp(i phi) with no trig call, as
+    omega_k - K (Re z sin theta_j - Im z cos theta_j); just omega_k unless
+    |z| > TOL_R, so a NaN in one slice leaves the others' fluxes finite."""
+    if state.K == 0.0 or not abs(z) > TOL_R:
+        return np.broadcast_to(state.omega[:, None], (state.n_omega, state.grid.n_theta))
+    return state.omega[:, None] - state.grid.trig_edges @ (state.K * z.real,
+                                                           -state.K * z.imag)
+
+
+def _cfl_step(state: KineticState, R: float, cfl: float, dt_max: float) -> float:
+    """cfl * dtheta over max|omega| + K R, which no edge |v| exceeds, capped
+    at dt_max; a state with all velocities zero gets dt_max."""
+    bound = float(np.max(np.abs(state.omega))) + state.K * (R if R > TOL_R else 0.0)
+    return min(cfl * state.grid.dtheta / bound, dt_max) if bound > 0.0 else dt_max
 
 
 def cfl_dt(state: KineticState, cfl: float, dt_max: float = 1.0) -> float:
-    """Largest stable step: cfl * dtheta over the velocity scale.
-
-    The denominator is the measured edge maximum floored by the analytic
-    bound max|omega| + K R; the floor always dominates (and never exceeds
-    max|omega| + K).  A fully degenerate state, all velocities zero,
-    returns dt_max.
-    """
+    """Largest stable step: cfl * dtheta over the velocity bound max|omega| + K R."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
-    denom = _velocity_bound(state, global_order(state))
-    if denom <= 0.0:
-        return dt_max
-    return min(cfl * state.grid.dtheta / denom, dt_max)
+    return _cfl_step(state, global_order(state).R, cfl, dt_max)
 
 
 def _shift_right(a: np.ndarray) -> np.ndarray:
@@ -256,9 +250,11 @@ def _shift_left(a: np.ndarray) -> np.ndarray:
 
 
 def _minmod_slopes(values: np.ndarray) -> np.ndarray:
+    """minmod(dl, dr) = max(min(dl, dr), 0) + min(max(dl, dr), 0)."""
     dr = _shift_left(values) - values
     dl = _shift_right(dr)
-    return np.where(dl * dr > 0.0, np.sign(dl) * np.minimum(np.abs(dl), np.abs(dr)), 0.0)
+    return (np.maximum(np.minimum(dl, dr), 0.0)
+            + np.minimum(np.maximum(dl, dr), 0.0))
 
 
 def _fluxes(values: np.ndarray, v_edges: np.ndarray, scheme: str) -> np.ndarray:
@@ -275,46 +271,38 @@ def _fluxes(values: np.ndarray, v_edges: np.ndarray, scheme: str) -> np.ndarray:
     return v_edges * np.where(v_edges >= 0.0, left, right)
 
 
-def _order_of(grid: PhaseGrid, weights: np.ndarray, values: np.ndarray) -> OrderParams:
-    from .order import _from_phasor
-    z = ((weights @ values) @ grid.phasor_centers) * grid.dtheta
-    return _from_phasor(z)
-
-
 def _stage(state: KineticState, values: np.ndarray, dt: float, scheme: str,
-           op: OrderParams | None = None) -> np.ndarray:
+           z: complex | None = None, t: float | None = None) -> np.ndarray:
+    """Forward-Euler stage from values at time t (default state.t); a
+    FluxNanError names the first non-finite value, else the first such flux."""
     grid = state.grid
-    if op is None:
-        op = _order_of(grid, state.weights, values)
-    KR = state.K * (op.R if op.defined else 0.0)
-    if KR == 0.0:
-        v = np.broadcast_to(state.omega[:, None], values.shape)
-    else:
-        v = state.omega[:, None] - KR * np.sin(grid.edges - op.phi)[None, :]
-    flux = _fluxes(values, v, scheme)
+    if z is None:
+        z = phasor(grid, state.weights, values)
+    flux = _fluxes(values, _edge_velocity(state, z), scheme)
     if not np.all(np.isfinite(flux)):
-        k, j = np.argwhere(~np.isfinite(flux))[0]
-        raise FluxNanError(int(k), int(j), state.t)
+        bad = ~np.isfinite(values)
+        k, j = np.argwhere(bad if bad.any() else ~np.isfinite(flux))[0]
+        raise FluxNanError(int(k), int(j), state.t if t is None else t)
     return values - (dt / grid.dtheta) * (_shift_left(flux) - flux)
 
 
-def _advance(state: KineticState, dt: float, scheme: str,
-             op0: OrderParams) -> KineticState:
-    f1 = _stage(state, state.values, dt, scheme, op=op0)
-    f2 = _stage(state, f1, dt, scheme)
-    return replace(state, values=0.5 * (state.values + f2), t=state.t + dt)
+def _advance(state: KineticState, values: np.ndarray, t: float, dt: float,
+             scheme: str, z0: complex) -> np.ndarray:
+    f1 = _stage(state, values, dt, scheme, z0, t)
+    f2 = _stage(state, f1, dt, scheme, t=t)
+    return 0.5 * (values + f2)
 
 
 def step(state: KineticState, dt: float, scheme: str = "muscl") -> KineticState:
     """One SSP-RK2 step; order parameters are refreshed at each stage."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    op = global_order(state)
-    bound = _velocity_bound(state, op)
-    admissible = state.grid.dtheta / bound if bound > 0 else np.inf
+    z = phasor(state.grid, state.weights, state.values)
+    admissible = _cfl_step(state, abs(z), 1.0, np.inf)
     if dt > admissible * (1.0 + 1e-9):
         raise CflError(dt, admissible)
-    return _advance(state, dt, scheme, op)
+    return replace(state, values=_advance(state, state.values, state.t, dt, scheme, z),
+                   t=state.t + dt)
 
 
 @dataclass
@@ -327,22 +315,26 @@ class RunResult:
     max_slice_mass_step_rel: float   # largest per-step slice-mass change, relative
     max_slice_mass_drift_rel: float  # largest drift from the initial slice masses
     max_total_mass_drift: float
+    min_cell_value: float            # smallest cell average seen (positivity margin)
 
 
 def run(state: KineticState, t_end: float, sample_every: float,
         sampler=None, sink=None, cfl: float = 0.5, scheme: str = "muscl",
         dt_max: float = 1.0) -> RunResult:
-    """Advance to t_end with adaptive CFL steps, sampling every sample_every.
+    """Advance to t_end with adaptive CFL steps, sampling at t0 + i sample_every.
 
     ``sampler`` maps a state to a record (None records are dropped); ``sink``
     is called with each record as it is produced.  Steps are shortened to
-    land exactly on sample times, so the cadence and therefore the output
-    are deterministic for a given configuration.
+    land on sample times and then take that time exactly, so the cadence and
+    therefore the output are deterministic for a given configuration.  Each
+    step's values must stay above the -1e-13 floor KineticState enforces.
     """
     if t_end < state.t:
         raise ValueError("t_end must not precede the state time")
     if sample_every <= 0:
         raise ValueError("sample_every must be positive")
+    if not 0.0 < cfl <= 1.0:
+        raise ValueError("cfl must lie in (0, 1]")
 
     records = []
 
@@ -353,9 +345,9 @@ def run(state: KineticState, t_end: float, sample_every: float,
             if sink is not None:
                 sink(rec)
 
+    grid, w = state.grid, state.weights
     m0 = state.slice_masses()
     m0_safe = np.where(m0 > 0, m0, 1.0)
-    w = state.weights
     total0 = float(w @ m0)
     prev_m = m0.copy()
     prev_R = None
@@ -366,38 +358,43 @@ def run(state: KineticState, t_end: float, sample_every: float,
     max_dt = 0.0
     n_steps = 0
     eps = 1e-12
+    values, t0, t = state.values, state.t, state.t
+    min_value = float(values.min())
 
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
     emit(state)
-    next_sample = state.t + sample_every
-    dth = state.grid.dtheta
-    while state.t < t_end - eps:
-        op = global_order(state)
+    i_sample = 1
+    while t < t_end - eps:
+        next_sample = t0 + i_sample * sample_every
+        z = phasor(grid, w, values)
+        R = abs(z)
         if prev_R is not None:
-            min_dR = min(min_dR, op.R - prev_R)
-        prev_R = op.R
-        bound = _velocity_bound(state, op)
-        dt = cfl * dth / bound if bound > 0 else dt_max
-        dt = min(dt, dt_max, t_end - state.t, next_sample - state.t)
-        state = _advance(state, dt, scheme, op)
+            min_dR = min(min_dR, R - prev_R)
+        prev_R = R
+        dt = min(_cfl_step(state, R, cfl, dt_max), t_end - t, next_sample - t)
+        values = _advance(state, values, t, dt, scheme, z)
+        t += dt
         n_steps += 1
         max_dt = max(max_dt, dt)
 
-        m = state.slice_masses()
+        min_value = min(min_value, float(values.min()))
+        if min_value < -1e-13:
+            raise ValueError("cell averages must be nonnegative (within roundoff)")
+        m = values.sum(axis=1) * grid.dtheta
         max_step_rel = max(max_step_rel, float(np.max(np.abs(m - prev_m) / m0_safe)))
         max_drift_rel = max(max_drift_rel, float(np.max(np.abs(m - m0) / m0_safe)))
         max_total_drift = max(max_total_drift, abs(float(w @ m) - total0))
         prev_m = m
 
-        if state.t >= next_sample - eps:
-            emit(state)
-            next_sample += sample_every
+        if t >= next_sample - eps:
+            t = next_sample
+            emit(replace(state, values=values, t=t))
+            i_sample += 1
 
+    final = replace(state, values=values, t=t)
     if prev_R is not None:
-        min_dR = min(min_dR, global_order(state).R - prev_R)
-    return RunResult(records, state, n_steps, max_dt, min_dR,
-                     max_step_rel, max_drift_rel, max_total_drift)
+        min_dR = min(min_dR, global_order(final).R - prev_R)
+    return RunResult(records, final, n_steps, max_dt, min_dR,
+                     max_step_rel, max_drift_rel, max_total_drift, min_value)
 
 
 # ---------------------------------------------------------------------------

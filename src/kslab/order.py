@@ -8,6 +8,7 @@ that threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,11 +37,14 @@ def _from_phasor(z: complex) -> OrderParams:
     return OrderParams(float(R), 0.0, False)
 
 
+def phasor(grid, weights: np.ndarray, values: np.ndarray) -> complex:
+    """sum_k weights[k] * midpoint integral of values[k] exp(i theta)."""
+    return complex(*(weights @ (values @ grid.trig_centers) * grid.dtheta).tolist())
+
+
 def global_order(state) -> OrderParams:
     """Phasor mean of f over theta and omega (midpoint in theta, quadrature in omega)."""
-    rho = state.weights @ state.values
-    z = (rho @ state.grid.phasor_centers) * state.grid.dtheta
-    return _from_phasor(z)
+    return _from_phasor(phasor(state.grid, state.weights, state.values))
 
 
 def local_order(state, k: int) -> OrderParams:
@@ -48,8 +52,22 @@ def local_order(state, k: int) -> OrderParams:
     mass = float(np.sum(state.values[k]) * state.grid.dtheta)
     if mass <= 0:
         raise ValueError(f"omega slice {k} has no mass")
-    z = (state.values[k] @ state.grid.phasor_centers) * state.grid.dtheta / mass
-    return _from_phasor(z)
+    return _from_phasor(phasor(state.grid, np.ones(1), state.values[k:k + 1]) / mass)
+
+
+def _rates(state, op: OrderParams, rho: np.ndarray) -> tuple[float, float]:
+    """(rdot_formula, phidot_formula) given the theta marginal rho; cos and
+    sin of theta - phi come pointwise from the grid's table, no trig per cell."""
+    if not op.defined:
+        raise ValueError("average phase undefined (R below tolerance)")
+    cp, sp = math.cos(op.phi), math.sin(op.phi)
+    cs = state.grid.trig_centers @ np.array([[cp, -sp], [sp, cp]])
+    c, s = cs[:, 0], cs[:, 1]
+    dth = state.grid.dtheta
+    drift_c, drift_s = (state.weights * state.omega) @ (state.values @ cs) * dth
+    rdot = -drift_s + state.K * op.R * float(rho @ (s * s)) * dth
+    phidot = drift_c / op.R - state.K * float(rho @ (s * c)) * dth
+    return float(rdot), float(phidot)
 
 
 def rdot_formula(state, op: OrderParams | None = None) -> float:
@@ -59,27 +77,13 @@ def rdot_formula(state, op: OrderParams | None = None) -> float:
     which is nonnegative.
     """
     op = global_order(state) if op is None else op
-    if not op.defined:
-        raise ValueError("average phase undefined (R below tolerance)")
-    dth = state.grid.dtheta
-    s = np.sin(state.grid.centers - op.phi)
-    slice_sin = state.values @ s * dth            # per-omega integral of sin * f
-    drift = -float(np.sum(state.weights * state.omega * slice_sin))
-    rho = state.weights @ state.values
-    return drift + state.K * op.R * float(rho @ (s * s)) * dth
+    return _rates(state, op, state.marginal_density())[0]
 
 
 def phidot_formula(state, op: OrderParams | None = None) -> float:
     """Closed-form dphi/dt: (1/R)<cos(theta-phi) omega f> - (K/2)<sin 2(theta-phi) rho>."""
     op = global_order(state) if op is None else op
-    if not op.defined:
-        raise ValueError("average phase undefined (R below tolerance)")
-    dth = state.grid.dtheta
-    d = state.grid.centers - op.phi
-    slice_cos = state.values @ np.cos(d) * dth
-    drift = float(np.sum(state.weights * state.omega * slice_cos)) / op.R
-    rho = state.weights @ state.values
-    return drift - 0.5 * state.K * float(rho @ np.sin(2.0 * d)) * dth
+    return _rates(state, op, state.marginal_density())[1]
 
 
 def phidot_bound(R: float, M: float, K: float) -> float:

@@ -6,9 +6,9 @@ inside order-parameter and output code.
 
 Everything that needs the phasor mean z = (1/N) sum exp(i theta) takes it,
 together with the arrays cos theta and sin theta, from one pass over the
-phases (``_phasor``).  The mean-field drift is then
-omega - K (sin theta Re z - cos theta Im z), two trig calls per oscillator
-per right-hand-side evaluation.
+phases (``_phasor``; ``_mean_field_rhs``, per system in a batch).  The drift
+omega - K (sin theta Re z - cos theta Im z) then takes two trig calls per
+oscillator per right-hand-side evaluation.
 """
 
 from __future__ import annotations
@@ -18,9 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .order import OrderParams, _from_phasor
-
-TWO_PI = 2.0 * np.pi
+from .order import TWO_PI, OrderParams, _from_phasor
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,9 +65,21 @@ def _phasor(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
     return c, s, complex(c.mean(), s.mean())
 
 
-def _mean_field_rhs(thetas: np.ndarray, omegas: np.ndarray, K: float) -> np.ndarray:
-    c, s, z = _phasor(thetas)
-    return omegas - K * (s * z.real - c * z.imag)
+def _mean_field_rhs(thetas: np.ndarray, omegas, K: float) -> np.ndarray:
+    """omega - K (sin theta Re z - cos theta Im z) for phases (..., N), each
+    row along the last axis one system with its own phasor mean z."""
+    c, s = np.cos(thetas), np.sin(thetas)
+    z_re, z_im = c.mean(axis=-1, keepdims=True), s.mean(axis=-1, keepdims=True)
+    return omegas - K * (s * z_re - c * z_im)
+
+
+def _rk4(thetas: np.ndarray, omegas, K: float, dt: float) -> np.ndarray:
+    """One classical RK4 step of the mean-field system (batched as above)."""
+    k1 = _mean_field_rhs(thetas, omegas, K)
+    k2 = _mean_field_rhs(thetas + 0.5 * dt * k1, omegas, K)
+    k3 = _mean_field_rhs(thetas + 0.5 * dt * k2, omegas, K)
+    k4 = _mean_field_rhs(thetas + dt * k3, omegas, K)
+    return thetas + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def particle_order(state: ParticleState) -> OrderParams:
@@ -93,13 +103,8 @@ def particle_step(state: ParticleState, dt: float) -> ParticleState:
     """Classical RK4 update."""
     if dt == 0.0:
         return state
-    th, om, K = state.thetas, state.omegas, state.K
-    k1 = _mean_field_rhs(th, om, K)
-    k2 = _mean_field_rhs(th + 0.5 * dt * k1, om, K)
-    k3 = _mean_field_rhs(th + 0.5 * dt * k2, om, K)
-    k4 = _mean_field_rhs(th + dt * k3, om, K)
-    new = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return replace(state, thetas=new, t=state.t + dt)
+    return replace(state, thetas=_rk4(state.thetas, state.omegas, state.K, dt),
+                   t=state.t + dt)
 
 
 def _potential(state: ParticleState, r: float) -> float:

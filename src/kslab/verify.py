@@ -374,21 +374,13 @@ def criterion_10(cache: RunCache) -> CriterionResult:
         thetas[bad] = rng.uniform(0.0, TWO_PI, (int(bad.sum()), n_osc))
     initial = thetas.copy()
 
-    def rhs(th):
-        z = np.mean(np.exp(1j * th), axis=1, keepdims=True)
-        return -K * np.imag(np.exp(1j * th) * np.conj(z))
-
     dt, t_max = 0.05, 600.0
     t = 0.0
     while t < t_max:
         for _ in range(20):
-            k1 = rhs(thetas)
-            k2 = rhs(thetas + 0.5 * dt * k1)
-            k3 = rhs(thetas + 0.5 * dt * k2)
-            k4 = rhs(thetas + dt * k3)
-            thetas = thetas + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            thetas = particle._rk4(thetas, 0.0, K, dt)
         t += 20 * dt
-        rates = rhs(thetas)
+        rates = particle._mean_field_rhs(thetas, 0.0, K)
         if float(np.max(rates.max(axis=1) - rates.min(axis=1))) < 1e-8:
             break
 

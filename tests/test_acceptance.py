@@ -56,6 +56,7 @@ def test_criterion_07_particle_gradient_identity(cache):
     _run(7, cache)
 
 
+@pytest.mark.slow
 def test_criterion_08_mean_field_consistency(cache):
     _run(8, cache)
 
@@ -72,6 +73,7 @@ def test_criterion_11_equilibrium_self_consistency(cache):
     _run(11, cache)
 
 
+@pytest.mark.slow
 def test_criterion_12_asymptotic_amplitude_floor(cache):
     _run(12, cache)
 
@@ -80,6 +82,7 @@ def test_criterion_13_arc_mass_and_growth(cache):
     _run(13, cache)
 
 
+@pytest.mark.slow
 def test_criterion_14_barrier_comparison(cache):
     _run(14, cache)
 

@@ -46,6 +46,17 @@ def test_simulate_smoke(tmp_path):
     assert (out / "config.json").read_bytes() == cfg.read_bytes()
 
 
+def test_simulate_t_column_is_exact(tmp_path):
+    # sample times are i * sample_every, not a running sum of steps
+    cfg = write_config(tmp_path, t_end=2.0, sample_every=0.1)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert [r.split(",")[0] for r in rows[1:]] == [format(i * 0.1, ".17g") for i in range(21)]
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0.0 < summary["positivity_margin"] < 1.0 / (2.0 * math.pi)
+
+
 def test_simulate_deterministic(tmp_path):
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -103,6 +103,90 @@ def test_lyapunov_empty_interval_limit():
     assert tiny == pytest.approx(0.0, abs=1e-9)
 
 
+def arc_fractions(grid, lo, hi):
+    """Per-cell overlap fractions of the arc [lo, hi] (hi - lo clipped to
+    [0, 2pi]), cell by cell: the oracle for the arc sums."""
+    length = hi - lo
+    if length <= 0:
+        return np.zeros(grid.n_theta)
+    length = min(length, TWO_PI)
+    lo = lo % TWO_PI
+    hi = lo + length
+    dth = grid.dtheta
+    left = grid.edges
+    right = left + dth
+    frac = np.zeros(grid.n_theta)
+    for shift in (0.0, TWO_PI):
+        a, b = lo + shift - TWO_PI, hi + shift - TWO_PI
+        frac += np.clip(np.minimum(right, b) - np.maximum(left, a), 0.0, dth)
+    return frac / dth
+
+
+def _arc_cases(grid, rng):
+    dth, edges = grid.dtheta, grid.edges
+    cases = [(lo, lo + ln) for lo, ln in zip(rng.uniform(-10.0, 10.0, 60),
+                                             rng.uniform(0.0, TWO_PI, 60))]
+    cases += [(TWO_PI - 0.3, TWO_PI + 1.0), (-0.2, 0.9),          # wrap past 2pi
+              (1.1, 1.1 + TWO_PI), (0.0, TWO_PI), (2.0, 11.0),     # full circle
+              (edges[5], edges[40]), (edges[7], 3.3), (0.4, edges[30]),
+              (edges[0], edges[1]), (edges[60], edges[61]),        # on edges
+              (edges[3] + 0.2 * dth, edges[3] + 0.7 * dth),        # inside a cell
+              (edges[-1] + 0.5 * dth, TWO_PI), (edges[9], edges[9] + 0.3 * dth),
+              (1.0, 1.0), (1.0, 0.5)]
+    lo = rng.uniform(0.0, TWO_PI, 20)
+    cases += list(zip(lo, lo + rng.uniform(0.0, 1.0, 20) * dth))
+    return cases
+
+
+def _assert_arc_close(got, want, length, dth):
+    if length > dth:
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def test_arc_sums_match_overlap_fractions():
+    # values bounded away from zero: beside a near-empty cell, the ulp by
+    # which an arc's float length misses a whole number of cells moves the
+    # sum by more than 1e-12 relative, in the overlap sum as in the arc sum
+    rng = np.random.default_rng(17)
+    grid = kinetic.PhaseGrid(96)
+    values = rng.uniform(0.5, 2.0, (3, 96))
+    st = kinetic.KineticState(grid, np.array([-0.2, 0.0, 0.3]),
+                              np.array([0.2, 0.5, 0.3]), values, K=1.0)
+    rho = st.marginal_density()
+    dth = grid.dtheta
+    for lo, hi in _arc_cases(grid, rng):
+        frac = arc_fractions(grid, lo, hi)
+        length = min(max(hi - lo, 0.0), TWO_PI)
+        _assert_arc_close(diag.mass_on_arc(st, lo, hi), float(frac @ rho) * dth, length, dth)
+        for f in (rho ** 2, values ** 2):
+            _assert_arc_close(diag._arc_sum(grid, lo, hi, f), f @ frac * dth, length, dth)
+
+
+def test_antipodal_arc_sums_keep_relative_accuracy():
+    # concentrated state: the antipodal masses and L2 values are tiny, and
+    # must still match the overlap sum to 1e-12 relative
+    grid = kinetic.PhaseGrid(256)
+    g = freq.uniform(0.1, n_nodes=3)
+    st = kinetic.state_from_profile(grid, g, 3, 1.0, kinetic.von_mises_profile(20.0, 2.4))
+    op = order.global_order(st)
+    rho = st.marginal_density()
+    dth = grid.dtheta
+    tiny = []
+    for delta in (0.05, 0.2, 0.5, 1.0, 1.4):
+        iv = diag.Interval("i_minus", delta)
+        frac = arc_fractions(grid, *iv.endpoints(op.phi))
+        mass = diag.interval_mass(st, iv, op)
+        np.testing.assert_allclose(mass, float(frac @ rho) * dth, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(diag.lyapunov_L2(st, iv, op=op),
+                                   float((rho * rho) @ frac) * dth, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(diag.lyapunov_L2(st, iv, per_omega=True, op=op),
+                                   (st.values ** 2) @ frac * dth, rtol=1e-12, atol=0.0)
+        tiny.append(mass < 1e-8)
+    assert any(tiny)
+
+
 # ---------------------------------------------------------------------------
 # fitting
 

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 from scipy import special
 from scipy.integrate import solve_ivp
 
@@ -57,6 +58,28 @@ def test_velocity_direct_value():
     j = 4  # edge at pi/2 on the 16-cell grid
     assert grid.edges[j] == pytest.approx(math.pi / 2)
     assert v[0, j] == pytest.approx(-0.9)
+
+
+def velocity_direct(state, op):
+    """omega_k - K R sin(theta_j - phi) with one sine per edge: the oracle
+    for the table-based velocity."""
+    KR = state.K * (op.R if op.defined else 0.0)
+    return state.omega[:, None] - KR * np.sin(state.grid.edges - op.phi)[None, :]
+
+
+@pytest.mark.parametrize("K", [0.0, 1.7, 6.0])
+def test_velocity_field_matches_direct_sine(K):
+    rng = np.random.default_rng(3)
+    st = uniform_state(n_theta=128, n_omega=5, K=K)
+    ops = [order.OrderParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, TWO_PI), True)
+           for _ in range(20)] + [order.OrderParams(1e-13, 0.0, False)]
+    for op in ops:
+        v = kinetic.velocity_field(st, op)
+        assert np.max(np.abs(v - velocity_direct(st, op))) <= 1e-14
+    # the stepping path takes the velocity straight from the phasor
+    z = order.phasor(st.grid, st.weights, st.values)
+    v = kinetic._edge_velocity(st, z)
+    assert np.max(np.abs(v - velocity_direct(st, order.global_order(st)))) <= 1e-14
 
 
 def test_cfl_degenerate_returns_dt_max():
@@ -132,6 +155,68 @@ def test_step_aborts_on_nan_with_location():
 
 
 @pytest.mark.parametrize("scheme", ["upwind", "muscl"])
+@pytest.mark.parametrize("omega", [0.1, -0.1])
+def test_nan_reported_at_its_own_cell(scheme, omega):
+    grid = kinetic.PhaseGrid(32)
+    values = np.full((2, 32), 1.0 / TWO_PI)
+    values[1, 5] = math.nan
+    st = kinetic.KineticState(grid, np.array([-omega, omega]),
+                              np.full(2, 0.5), values, K=1.0)
+    with pytest.raises(kinetic.FluxNanError) as err:
+        kinetic.step(st, 1e-4, scheme=scheme)
+    assert (err.value.slice_index, err.value.cell_index) == (1, 5)
+
+
+def _phi_gap(a, b):
+    return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=hst.integers(0, 2**32 - 1),
+       n_theta=hst.sampled_from([16, 24, 64]),
+       n_omega=hst.integers(1, 3),
+       K=hst.floats(0.0, 5.0, allow_nan=False),
+       m=hst.integers(1, 63),
+       scheme=hst.sampled_from(["muscl", "upwind"]))
+def test_step_properties(seed, n_theta, n_omega, K, m, scheme):
+    # conservation, positivity, rotation equivariance and reflection symmetry
+    # of one step on random nonnegative data (with exact zeros)
+    rng = np.random.default_rng(seed)
+    grid = kinetic.PhaseGrid(n_theta)
+    values = (rng.uniform(0.0, 1.0, (n_omega, n_theta))
+              * (rng.uniform(0.0, 1.0, (n_omega, n_theta)) < 0.8)
+              * (1.0 + 0.5 * np.cos(grid.centers - rng.uniform(0.0, TWO_PI))))
+    omega = rng.uniform(-1.0, 1.0, n_omega)
+    weights = rng.uniform(0.1, 1.0, n_omega)
+
+    def make(om, vals):
+        return kinetic.KineticState(grid, om, weights, vals, K=K)
+
+    st = make(omega, values)
+    op = order.global_order(st)
+    assume(op.R > 1e-2)
+    dt = kinetic.cfl_dt(st, 0.5)
+    out = kinetic.step(st, dt, scheme=scheme)
+    m0 = st.slice_masses()
+    assert np.all(np.abs(out.slice_masses() - m0) <= 1e-12 * m0)
+    assert np.min(out.values) >= -1e-13
+    out_op = order.global_order(out)
+
+    m %= n_theta
+    shifted = kinetic.step(make(omega, np.roll(values, m, axis=1)), dt, scheme=scheme)
+    assert np.max(np.abs(shifted.values - np.roll(out.values, m, axis=1))) <= 1e-12
+    sh_op = order.global_order(shifted)
+    assert abs(sh_op.R - out_op.R) <= 1e-12
+    assert _phi_gap(sh_op.phi, out_op.phi + m * grid.dtheta) <= 1e-12
+
+    mirrored = kinetic.step(make(-omega, values[:, ::-1]), dt, scheme=scheme)
+    assert np.max(np.abs(mirrored.values - out.values[:, ::-1])) <= 1e-12
+    mi_op = order.global_order(mirrored)
+    assert abs(mi_op.R - out_op.R) <= 1e-12
+    assert _phi_gap(mi_op.phi, -out_op.phi) <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "muscl"])
 def test_conservation_and_velocity_bound(scheme):
     st = uniform_state(n_theta=128, n_omega=8, K=2.0, halfwidth=0.5)
     m0 = st.slice_masses()
@@ -152,6 +237,26 @@ def test_positivity_preserved():
     st = dirac_state(128, kinetic.von_mises_profile(20.0), K=1.0)
     res = kinetic.run(st, 2.0, 0.5)
     assert np.min(res.final_state.values) >= -1e-13
+
+
+def test_run_checks_positivity_each_step(monkeypatch):
+    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    res = kinetic.run(st, 0.5, 0.25)
+    assert 0.0 < res.min_cell_value <= min(np.min(st.values),
+                                           np.min(res.final_state.values))
+
+    def dip(depth):
+        def advance(state, values, t, dt, scheme, z):
+            out = values.copy()
+            out[0, 3] = -depth
+            return out
+        return advance
+
+    monkeypatch.setattr(kinetic, "_advance", dip(1e-14))
+    assert kinetic.run(st, 0.5, 0.25).min_cell_value == -1e-14
+    monkeypatch.setattr(kinetic, "_advance", dip(1e-12))
+    with pytest.raises(ValueError, match="nonnegative"):
+        kinetic.run(st, 0.5, 0.25)
 
 
 def test_run_zero_horizon_returns_initial_record():
@@ -183,6 +288,15 @@ def test_sampling_cadence():
     st = dirac_state(64, kinetic.cosine_profile(0.2))
     res = kinetic.run(st, 1.0, 0.25, sampler=lambda s: s.t)
     assert res.records == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.3])
+def test_sample_times_are_exact_multiples(t0):
+    st = kinetic.state_from_profile(kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1,
+                                    1.0, kinetic.cosine_profile(0.2), t=t0)
+    res = kinetic.run(st, t0 + 2.0, 0.1, sampler=lambda s: s.t)
+    assert res.records == [t0 + i * 0.1 for i in range(21)]
+    assert res.final_state.t == t0 + 20 * 0.1
 
 
 def _restrict(values, factor):

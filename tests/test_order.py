@@ -104,6 +104,35 @@ def test_rotation_invariance():
     assert abs((op2.phi - expected + math.pi) % TWO_PI - math.pi) <= 1e-10
 
 
+def rates_direct(state, op):
+    """dR/dt and dphi/dt with one sin/cos call per cell: the oracle for the
+    table-based rate formulas."""
+    dth = state.grid.dtheta
+    d = state.grid.centers - op.phi
+    s = np.sin(d)
+    rho = state.weights @ state.values
+    wo = state.weights * state.omega
+    rdot = (-float(np.sum(wo * (state.values @ s * dth)))
+            + state.K * op.R * float(rho @ (s * s)) * dth)
+    phidot = (float(np.sum(wo * (state.values @ np.cos(d) * dth))) / op.R
+              - 0.5 * state.K * float(rho @ np.sin(2.0 * d)) * dth)
+    return rdot, phidot
+
+
+@pytest.mark.parametrize("K", [0.0, 2.0, 9.0])
+def test_rate_formulas_match_direct_trig(K):
+    rng = np.random.default_rng(8)
+    states = [multi_slice_state(K=K), dirac_state(512, kinetic.von_mises_profile(6.0, 5.9), K=K)]
+    for st in states:
+        ops = [order.global_order(st)] + [
+            order.OrderParams(rng.uniform(0.05, 1.0), rng.uniform(0.0, TWO_PI), True)
+            for _ in range(10)]
+        for op in ops:
+            want = rates_direct(st, op)
+            assert abs(order.rdot_formula(st, op) - want[0]) <= 1e-14
+            assert abs(order.phidot_formula(st, op) - want[1]) <= 1e-14
+
+
 def test_rdot_sign_for_identical_oscillators():
     st = dirac_state(256, kinetic.cosine_profile(0.25, 1.0))
     assert order.rdot_formula(st) >= 0.0

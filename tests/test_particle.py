@@ -57,6 +57,19 @@ def test_mean_field_and_direct_rhs_agree(n):
             np.testing.assert_array_equal(a, om)
 
 
+def test_batched_rhs_rows_are_single_systems():
+    # a leading batch axis runs independent systems, each row bit-identical
+    # to the 1-d call
+    rng = np.random.default_rng(12)
+    th = rng.uniform(-5.0, 5.0, (7, 40))
+    om = rng.normal(0.0, 1.0, 40)
+    batched = particle._mean_field_rhs(th, om, 1.3)
+    stepped = particle._rk4(th, om, 1.3, 0.05)
+    for i in range(th.shape[0]):
+        np.testing.assert_array_equal(batched[i], particle._mean_field_rhs(th[i], om, 1.3))
+        np.testing.assert_array_equal(stepped[i], particle._rk4(th[i], om, 1.3, 0.05))
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.05, 0.2, -0.1])
 def test_step_matches_direct_rk4(dt):
     rng = np.random.default_rng(41)
