@@ -24,8 +24,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import frequency as freq
 from . import kinetic, particle, verify
-
-TWO_PI = 2.0 * math.pi
+from .order import TWO_PI
 
 
 class ConfigError(ValueError):
@@ -93,17 +92,17 @@ def validate_config(cfg: dict) -> dict:
 
     coupling = cfg.get("coupling", 1.0)
     if isinstance(coupling, list):
-        _require(all(isinstance(k, (int, float)) and k > 0 for k in coupling),
-                 "every coupling value must be positive")
+        _require(all(_is_number(k) and k > 0 for k in coupling),
+                 "every coupling value must be a positive number")
     else:
-        _require(isinstance(coupling, (int, float)) and coupling >= 0,
-                 "coupling must be nonnegative")
+        _require(_is_number(coupling) and coupling >= 0,
+                 "coupling must be a nonnegative number")
 
-    n_theta = int(cfg.get("n_theta", 256))
-    _require(n_theta >= kinetic.MIN_CELLS,
-             f"n_theta must be >= {kinetic.MIN_CELLS}")
-    _require(int(cfg.get("n_omega", 8)) >= 1, "n_omega must be >= 1")
-    _require(int(cfg.get("n_particles", 1000)) >= 1, "n_particles must be >= 1")
+    for key, default, low in (("n_theta", 256, kinetic.MIN_CELLS), ("n_omega", 8, 1),
+                              ("n_particles", 1000, 1), ("seed", 0, 0)):
+        value = cfg.get(key, default)
+        _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
+                 f"{key} must be an integer >= {low}, not {value!r}")
     _require(float(cfg.get("t_end", 10.0)) >= 0, "t_end must be nonnegative")
     _require(float(cfg.get("sample_every", 0.1)) > 0, "sample_every must be positive")
     cfl = float(cfg.get("cfl", 0.5))
@@ -112,6 +111,7 @@ def validate_config(cfg: dict) -> dict:
              "scheme must be muscl or upwind")
     if "dt_particle" in cfg:
         _require(float(cfg["dt_particle"]) > 0, "dt_particle must be positive")
+    _require(float(cfg.get("dt_max", 1.0)) > 0, "dt_max must be positive")
 
     dcfg = cfg.get("diagnostics", {})
     _reject_unknown(dcfg, _DIAG_KEYS, "diagnostics")
@@ -125,9 +125,11 @@ def validate_config(cfg: dict) -> dict:
 
     if "hypothesis" in cfg:
         _reject_unknown(cfg["hypothesis"], _HYP_KEYS, "hypothesis")
-    if "seed" in cfg:
-        _require(int(cfg["seed"]) >= 0, "seed must be a nonnegative integer")
     return cfg
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_interval(iv: dict) -> diag.Interval:
@@ -137,6 +139,40 @@ def _parse_interval(iv: dict) -> diag.Interval:
         raise ConfigError(f"bad interval {iv!r}: {exc}") from None
 
 
+def _read_columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
+    """One float array per named column of a CSV file with a header row.
+
+    Header names match stripped and case-insensitively, in any order, and
+    other columns are ignored.  Blank lines are skipped.  Raises ValueError,
+    naming the path, for a missing or repeated column, no data rows, a row
+    shorter than the header, or a cell that is not a finite number.
+    """
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r]
+    header = [h.strip().lower() for h in rows[0]] if rows else []
+    for name in names:
+        if header.count(name.lower()) != 1:
+            raise ValueError(f"{path}: needs one header column named {name!r} "
+                             f"(columns {', '.join(names)})")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no data rows")
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) < len(header):
+            raise ValueError(f"{path}: data row {i} has {len(row)} fields, "
+                             f"the header has {len(header)}")
+    columns = []
+    for name in names:
+        j = header.index(name.lower())
+        try:
+            col = np.array([row[j] for row in rows[1:]], dtype=float)
+        except ValueError as exc:
+            raise ValueError(f"{path}: column {name!r}: {exc}") from None
+        if not np.all(np.isfinite(col)):
+            raise ValueError(f"{path}: column {name!r} has a non-finite value")
+        columns.append(col)
+    return columns
+
+
 def build_frequency(cfg: dict) -> freq.FrequencyDensity:
     fcfg = cfg.get("frequency", {"kind": "dirac"})
     n = int(cfg.get("n_omega", 8))
@@ -144,7 +180,7 @@ def build_frequency(cfg: dict) -> freq.FrequencyDensity:
         return freq.dirac_at_zero()
     if fcfg["kind"] == "uniform":
         return freq.uniform(float(fcfg["halfwidth"]), n_nodes=n)
-    return freq.from_csv(fcfg["path"], n_nodes=n)
+    return freq.from_table(*_read_columns(fcfg["path"], ("omega", "density")), n_nodes=n)
 
 
 def build_profile(cfg: dict):
@@ -154,14 +190,7 @@ def build_profile(cfg: dict):
         return kinetic.cosine_profile(float(icfg["amplitude"]), center)
     if icfg["preset"] == "von_mises":
         return kinetic.von_mises_profile(float(icfg["concentration"]), center)
-    with open(icfg["path"], newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["theta", "value"]:
-            raise ConfigError("profile table needs CSV header 'theta,value'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    th, va = zip(*rows)
-    return kinetic.table_profile(np.array(th), np.array(va))
+    return kinetic.table_profile(*_read_columns(icfg["path"], ("theta", "value")))
 
 
 def build_diag_config(cfg: dict, M: float) -> diag.DiagnosticsConfig:
@@ -375,12 +404,15 @@ def cmd_sweep(args) -> int:
     coupling = cfg.get("coupling")
     if not isinstance(coupling, list) or len(coupling) < 2:
         raise ConfigError("sweep needs a coupling list with at least 2 values")
+    names = [f"K_{K:g}" for K in coupling]
+    if len(set(names)) < len(names):
+        raise ConfigError(f"couplings {coupling} share output directory names {names}")
     out = Path(args.out or cfg.get("out_dir", "out"))
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_bytes(raw)
     g = build_frequency(cfg)
     M = g.support
-    jobs = [(cfg, float(K), str(out / f"K_{K:g}")) for K in coupling]
+    jobs = [(cfg, float(K), str(out / name)) for K, name in zip(coupling, names)]
     threads = max(1, int(args.threads))
     rows = []
     failures = []
@@ -455,7 +487,8 @@ def cmd_verify(args) -> int:
         payload = {"suite": suite, "all_passed": ok,
                    "results": [{"criterion": r.cid, "name": r.name,
                                 "passed": r.passed, "failures": r.failures,
-                                "elapsed_s": r.elapsed} for r in results]}
+                                "details": r.details, "elapsed_s": r.elapsed}
+                               for r in results]}
         with open(out / "verify.json", "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
             fh.write("\n")
@@ -514,8 +547,7 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_characteristics(args) -> int:
-    ts, Rs, phis = _load_series(args.series)
-    series = kinetic.OrderSeries(ts, Rs, phis)
+    series = kinetic.OrderSeries(*_read_columns(args.series, ("t", "R", "phi")))
     cts, thetas = kinetic.characteristics(series, args.theta0, args.omega0,
                                           args.t0, args.t1, K=args.coupling)
     out = Path(args.out or "out")
@@ -527,21 +559,6 @@ def cmd_characteristics(args) -> int:
             w.writerow([format(t, ".17g"), format(float(th), ".17g")])
     print(f"wrote {out / 'path.csv'}")
     return 0
-
-
-def _load_series(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError("empty series file")
-        try:
-            it, ir, ip = header.index("t"), header.index("R"), header.index("phi")
-        except ValueError:
-            raise ConfigError("series file needs t, R, phi columns") from None
-        rows = [(float(r[it]), float(r[ir]), float(r[ip])) for r in reader if r]
-    ts, Rs, phis = map(np.array, zip(*rows))
-    return ts, Rs, phis
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frequency as freq
-from .order import TWO_PI, OrderParams, _rates, global_order, kinetic_potential
+from .order import TWO_PI, OrderParams, _rates, global_order, kinetic_potential, rk4_step
 
 SQRT3 = math.sqrt(3.0)
 
@@ -306,12 +306,12 @@ def riccati_solve(T: float, eta: float, beta_T: float, M: float, K: float,
     betas = np.empty(n_steps + 1)
     b = float(beta_T)
     betas[0] = b
+
+    def rhs(t, beta):
+        return riccati_rhs(beta, eta, M, K)
+
     for i in range(n_steps):
-        k1 = riccati_rhs(b, eta, M, K)
-        k2 = riccati_rhs(b + 0.5 * h * k1, eta, M, K)
-        k3 = riccati_rhs(b + 0.5 * h * k2, eta, M, K)
-        k4 = riccati_rhs(b + h * k3, eta, M, K)
-        b = b + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        b = rk4_step(rhs, ts[i], b, h)
         betas[i + 1] = b
     return ts, betas
 
@@ -367,17 +367,17 @@ def barrier_solve(p_star, t_star: float, T_kappa: float, kappa: float, K: float,
     if n_steps is None:
         n_steps = max(100, int(math.ceil(span * kappa * K / 0.005)))
     h = -span / n_steps if n_steps else 0.0
+    ts = t_star + h * np.arange(n_steps + 1)
     ps = np.empty((n_steps + 1,) + p0.shape)
     p = np.clip(p0, -p_lim, p_lim)
     ps[0] = p
+
+    def rhs(t, q):
+        return barrier_speed(q, kappa, K, eps_kappa)
+
     for i in range(n_steps):
-        k1 = barrier_speed(p, kappa, K, eps_kappa)
-        k2 = barrier_speed(p + 0.5 * h * k1, kappa, K, eps_kappa)
-        k3 = barrier_speed(p + 0.5 * h * k2, kappa, K, eps_kappa)
-        k4 = barrier_speed(p + h * k3, kappa, K, eps_kappa)
-        p = np.clip(p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), -p_lim, p_lim)
+        p = np.clip(rk4_step(rhs, ts[i], p, h), -p_lim, p_lim)
         ps[i + 1] = p
-    ts = t_star + h * np.arange(n_steps + 1)
     return ts[::-1].copy(), ps[::-1].copy()
 
 

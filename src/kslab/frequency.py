@@ -23,7 +23,6 @@ of a, which makes an equilibrium scan one numpy evaluation.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -111,20 +110,6 @@ def from_table(omegas, densities, n_nodes: int = 64) -> FrequencyDensity:
     pairs = _table_rule(om, de, n_nodes)
     return FrequencyDensity("table", support, pairs[:, 0], pairs[:, 1],
                             table_omega=om, table_density=de)
-
-
-def from_csv(path, n_nodes: int = 64) -> FrequencyDensity:
-    """Load a table density from a CSV file with header columns omega,density."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["omega", "density"]:
-            raise ValueError("expected CSV header 'omega,density'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    if not rows:
-        raise ValueError("empty density table")
-    om, de = zip(*rows)
-    return from_table(np.array(om), np.array(de), n_nodes=n_nodes)
 
 
 def _uniform_rule(halfwidth: float, n: int) -> np.ndarray:

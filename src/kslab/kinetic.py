@@ -26,13 +26,12 @@ weighted total mass is 1 for normalized initial data.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .frequency import FrequencyDensity, quadrature_nodes
-from .order import TOL_R, TWO_PI, OrderParams, global_order, phasor
+from .order import TOL_R, TWO_PI, OrderParams, global_order, phasor, rk4_step
 
 MIN_CELLS = 16
 
@@ -335,6 +334,8 @@ def run(state: KineticState, t_end: float, sample_every: float,
         raise ValueError("sample_every must be positive")
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
+    if not dt_max > 0:
+        raise ValueError("dt_max must be positive")
 
     records = []
 
@@ -475,66 +476,6 @@ def characteristics(series: OrderSeries, theta0, omega0, t0: float, t1: float,
         return omega0 - K * R * np.sin(theta - phi)
 
     for i in range(n):
-        t = ts[i]
-        k1 = rhs(t, th)
-        k2 = rhs(t + 0.5 * h, th + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, th + 0.5 * h * k2)
-        k4 = rhs(t + h, th + h * k3)
-        th = th + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        th = rk4_step(rhs, ts[i], th, h)
         out[i + 1] = th
     return ts, out
-
-
-# ---------------------------------------------------------------------------
-# external interfaces
-
-_HEADER = struct.Struct("<qqdd")  # n_theta, n_omega, t, K
-
-
-def save_checkpoint(state: KineticState, path) -> None:
-    """Flat binary layout: header (n_theta, n_omega, t, K), then row-major
-    cell values as little-endian 64-bit floats."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(state.grid.n_theta, state.n_omega, state.t, state.K))
-        fh.write(state.values.astype("<f8").tobytes())
-
-
-def load_checkpoint(path, g: FrequencyDensity) -> KineticState:
-    """Rebuild a state from a checkpoint; the omega rule comes from g."""
-    with open(path, "rb") as fh:
-        n_theta, n_omega, t, K = _HEADER.unpack(fh.read(_HEADER.size))
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(n_omega, n_theta).copy()
-    pairs = np.array(quadrature_nodes(g, n_omega))
-    if pairs.shape[0] != n_omega:
-        raise ValueError("frequency density quadrature does not match checkpoint")
-    return KineticState(PhaseGrid(n_theta), pairs[:, 0], pairs[:, 1], values, K=K, t=t)
-
-
-def save_initial_csv(state: KineticState, path) -> None:
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["omega_index", "theta_index", "f"])
-        for k in range(state.n_omega):
-            for j in range(state.grid.n_theta):
-                w.writerow([k, j, format(state.values[k, j], ".17g")])
-
-
-def load_initial_csv(path, g: FrequencyDensity, K: float, t: float = 0.0) -> KineticState:
-    """Initial data CSV with columns (omega_index, theta_index, f)."""
-    import csv as _csv
-    with open(path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["omega_index", "theta_index", "f"]:
-            raise ValueError("expected CSV header 'omega_index,theta_index,f'")
-        rows = [(int(r[0]), int(r[1]), float(r[2])) for r in reader if r]
-    n_omega = max(r[0] for r in rows) + 1
-    n_theta = max(r[1] for r in rows) + 1
-    values = np.zeros((n_omega, n_theta))
-    for k, j, v in rows:
-        values[k, j] = v
-    pairs = np.array(quadrature_nodes(g, n_omega))
-    if pairs.shape[0] != n_omega:
-        raise ValueError("frequency density quadrature does not match CSV data")
-    return KineticState(PhaseGrid(n_theta), pairs[:, 0], pairs[:, 1], values, K=K, t=t)

@@ -3,7 +3,8 @@
 The amplitude R and average phase phi are the modulus and argument of the
 phasor mean of the phase distribution; phi is only meaningful when R exceeds
 TOL_R, and every phi-dependent quantity here refuses to extrapolate below
-that threshold.
+that threshold.  The module also holds what every solver module shares:
+TWO_PI and the classical RK4 step.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def _from_phasor(z: complex) -> OrderParams:
     if R > TOL_R:
         return OrderParams(float(R), float(np.angle(z) % TWO_PI), True)
     return OrderParams(float(R), 0.0, False)
+
+
+def rk4_step(f, t, y, h):
+    """One classical Runge-Kutta step of dy/dt = f(t, y) from y at time t."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def phasor(grid, weights: np.ndarray, values: np.ndarray) -> complex:

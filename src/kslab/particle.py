@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .order import TWO_PI, OrderParams, _from_phasor
+from .order import TWO_PI, OrderParams, _from_phasor, rk4_step
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +73,6 @@ def _mean_field_rhs(thetas: np.ndarray, omegas, K: float) -> np.ndarray:
     return omegas - K * (s * z_re - c * z_im)
 
 
-def _rk4(thetas: np.ndarray, omegas, K: float, dt: float) -> np.ndarray:
-    """One classical RK4 step of the mean-field system (batched as above)."""
-    k1 = _mean_field_rhs(thetas, omegas, K)
-    k2 = _mean_field_rhs(thetas + 0.5 * dt * k1, omegas, K)
-    k3 = _mean_field_rhs(thetas + 0.5 * dt * k2, omegas, K)
-    k4 = _mean_field_rhs(thetas + dt * k3, omegas, K)
-    return thetas + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def particle_order(state: ParticleState) -> OrderParams:
     """Amplitude and average phase of the phasor mean (1/N) sum exp(i theta)."""
     return _from_phasor(_phasor(state.thetas)[2])
@@ -103,8 +94,9 @@ def particle_step(state: ParticleState, dt: float) -> ParticleState:
     """Classical RK4 update."""
     if dt == 0.0:
         return state
-    return replace(state, thetas=_rk4(state.thetas, state.omegas, state.K, dt),
-                   t=state.t + dt)
+    thetas = rk4_step(lambda t, th: _mean_field_rhs(th, state.omegas, state.K),
+                      state.t, state.thetas, dt)
+    return replace(state, thetas=thetas, t=state.t + dt)
 
 
 def _potential(state: ParticleState, r: float) -> float:
@@ -217,18 +209,6 @@ def trajectory_to_csv(traj: ParticleTrajectory, path) -> np.ndarray:
         for row in rows:
             w.writerow([format(x, ".17g") for x in row])
     return rows
-
-
-def load_config_csv(path, K: float) -> ParticleState:
-    """Initial configuration CSV with columns (theta, omega)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["theta", "omega"]:
-            raise ValueError("expected CSV header 'theta,omega'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    th, om = zip(*rows)
-    return ParticleState(np.array(th), np.array(om), K=K)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import frequency as freq
 from . import kinetic, particle
-
-TWO_PI = 2.0 * math.pi
+from .order import TWO_PI, rk4_step
 
 
 @dataclass
@@ -374,13 +373,16 @@ def criterion_10(cache: RunCache) -> CriterionResult:
         thetas[bad] = rng.uniform(0.0, TWO_PI, (int(bad.sum()), n_osc))
     initial = thetas.copy()
 
+    def rhs(t, th):
+        return particle._mean_field_rhs(th, 0.0, K)
+
     dt, t_max = 0.05, 600.0
     t = 0.0
     while t < t_max:
         for _ in range(20):
-            thetas = particle._rk4(thetas, 0.0, K, dt)
+            thetas = rk4_step(rhs, t, thetas, dt)
         t += 20 * dt
-        rates = particle._mean_field_rhs(thetas, 0.0, K)
+        rates = rhs(t, thetas)
         if float(np.max(rates.max(axis=1) - rates.min(axis=1))) < 1e-8:
             break
 

@@ -177,6 +177,7 @@ def test_verify_equilibrium_suite(tmp_path, capsys):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["all_passed"]
     assert payload["results"][0]["criterion"] == 11
+    assert payload["results"][0]["details"]["R"] >= 0.5
 
 
 def test_equilibrium_command(tmp_path, capsys):
@@ -252,3 +253,92 @@ def test_bad_json_is_config_error(tmp_path):
     path.write_text("{not json")
     assert cli.main(["simulate", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dt_max", 0), ("dt_max", -1.0),
+    ("coupling", True), ("coupling", [2.0, True]),
+    ("n_theta", 64.9), ("n_theta", 64.0), ("n_omega", True),
+    ("n_particles", "100"), ("seed", 1.5)])
+def test_config_rejects_bad_values(tmp_path, key, value):
+    cfg = write_config(tmp_path, **{key: value})
+    command = "sweep" if isinstance(value, list) else "simulate"
+    assert cli.main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rejects_couplings_sharing_a_directory(tmp_path, capsys):
+    # both values format as K_1
+    cfg = write_config(tmp_path, coupling=[1.0, 1.0000001])
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "K_1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the three input tables: columns, data rows, and the file each run writes
+TABLES = {
+    "density": (["omega", "density"], [[-0.5, 0.0], [0.0, 2.0], [0.5, 0.0]],
+                "equilibrium.csv"),
+    "profile": (["theta", "value"], [[0.0, 0.2], [2.0, 0.1], [4.0, 0.15]],
+                "trajectory.csv"),
+    "series": (["t", "R", "phi"], [[0.0, 0.3, 0.1], [1.0, 0.4, 0.2], [2.0, 0.5, 0.3]],
+               "path.csv"),
+}
+
+
+def csv_text(columns, rows):
+    return "".join(",".join(map(str, line)) + "\n" for line in [columns] + rows)
+
+
+def run_with_table(tmp_path, kind, text):
+    """Run the command that reads a `kind` table from `text`; returns
+    (exit code, table path, output directory)."""
+    tmp_path.mkdir(exist_ok=True)
+    table = tmp_path / f"{kind}.csv"
+    table.write_text(text)
+    out = tmp_path / "out"
+    if kind == "density":
+        cfg = write_config(tmp_path, frequency={"kind": "table", "path": str(table)},
+                           n_omega=8, coupling=[4.0])
+        argv = ["equilibrium", "--config", str(cfg)]
+    elif kind == "profile":
+        cfg = write_config(tmp_path, initial={"preset": "table", "path": str(table)},
+                           t_end=0.5)
+        argv = ["simulate", "--config", str(cfg)]
+    else:
+        argv = ["characteristics", "--series", str(table), "--coupling", "1.0",
+                "--theta0", "2.5", "--omega0", "0.0", "--t0", "0.0", "--t1", "1.5"]
+    return cli.main(argv + ["--out", str(out)]), table, out
+
+
+BAD_TABLES = {
+    "header only": lambda cols, rows: csv_text(cols, []),
+    "short row": lambda cols, rows: csv_text(cols, [rows[0], rows[1][:-1], rows[2]]),
+    "abc": lambda cols, rows: csv_text(cols, [rows[0], ["abc"] + rows[1][1:], rows[2]]),
+    "nan": lambda cols, rows: csv_text(cols, [rows[0], rows[1][:-1] + ["nan"], rows[2]]),
+    "missing column": lambda cols, rows: csv_text(cols[:-1], [r[:-1] for r in rows]),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TABLES)
+@pytest.mark.parametrize("kind", TABLES)
+def test_bad_input_table_is_config_error(tmp_path, capsys, kind, bad):
+    columns, rows, _ = TABLES[kind]
+    code, table, _ = run_with_table(tmp_path, kind, BAD_TABLES[bad](columns, rows))
+    assert code == 2
+    assert str(table) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", TABLES)
+def test_input_table_columns_match_by_name(tmp_path, kind):
+    # reversed, upper-case, padded columns and an extra column read as the plain file
+    columns, rows, written = TABLES[kind]
+    code, _, out = run_with_table(tmp_path / "plain", kind, csv_text(columns, rows))
+    assert code == 0
+    shuffled = csv_text([f" {c.upper()} " for c in columns[::-1]] + ["note"],
+                        [r[::-1] + ["x"] for r in rows])
+    code, _, out2 = run_with_table(tmp_path / "shuffled", kind, shuffled)
+    assert code == 0
+    assert (out / written).read_bytes() == (out2 / written).read_bytes()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kslab import cli
 from kslab import frequency as freq
 
 
@@ -118,10 +119,16 @@ def test_table_sampling_matches_density():
     assert abs(x.var() - 1.0 / 6.0) < 0.01
 
 
+def _table_config(path):
+    return {"frequency": {"kind": "table", "path": str(path)}, "n_omega": 32}
+
+
 def test_csv_round_trip(tmp_path):
+    # the CLI reads a density table from CSV and hands its columns to from_table
     path = tmp_path / "g.csv"
     path.write_text("omega,density\n-0.5,1.0\n0.0,1.0\n0.5,1.0\n")
-    g = freq.from_csv(path, n_nodes=32)
+    g = cli.build_frequency(_table_config(path))
+    assert g.kind == "table" and g.n_nodes == 32
     mass, mean = freq.moments(g)
     assert abs(mass - 1.0) <= 1e-12
     assert abs(mean) <= 1e-12
@@ -130,8 +137,8 @@ def test_csv_round_trip(tmp_path):
 def test_csv_requires_header(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("-0.5,1.0\n0.5,1.0\n")
-    with pytest.raises(ValueError):
-        freq.from_csv(path)
+    with pytest.raises(ValueError, match="g.csv"):
+        cli.build_frequency(_table_config(path))
 
 
 def test_density_at():

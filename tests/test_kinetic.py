@@ -1,5 +1,4 @@
 import math
-import struct
 
 import numpy as np
 import pytest
@@ -265,6 +264,8 @@ def test_run_zero_horizon_returns_initial_record():
     assert res.records == [0.0]
     with pytest.raises(ValueError):
         kinetic.run(st, -1.0, 0.1)
+    with pytest.raises(ValueError, match="dt_max"):
+        kinetic.run(st, 1.0, 0.1, dt_max=0.0)
 
 
 def test_run_is_deterministic():
@@ -379,42 +380,6 @@ def test_characteristics_vectorized():
     for i in range(3):
         _, single = kinetic.characteristics(series, th0[i], 0.0, 0.0, 2.0, K=1.5)
         assert np.allclose(th[:, i], single)
-
-
-# ---------------------------------------------------------------------------
-# external interfaces
-
-
-def test_checkpoint_round_trip(tmp_path):
-    st = uniform_state(n_theta=64, n_omega=4, K=1.5)
-    st = kinetic.run(st, 0.5, 0.5).final_state
-    path = tmp_path / "state.bin"
-    kinetic.save_checkpoint(st, path)
-    g = freq.uniform(0.5, n_nodes=4)
-    back = kinetic.load_checkpoint(path, g)
-    assert np.array_equal(back.values, st.values)
-    assert back.t == st.t and back.K == st.K
-    raw = path.read_bytes()
-    n_theta, n_omega, t, K = struct.unpack("<qqdd", raw[:32])
-    assert (n_theta, n_omega) == (64, 4)
-    assert (t, K) == (st.t, st.K)
-    vals = np.frombuffer(raw[32:], dtype="<f8")
-    assert vals.size == 64 * 4
-
-
-def test_initial_csv_round_trip(tmp_path):
-    st = uniform_state(n_theta=32, n_omega=3)
-    path = tmp_path / "init.csv"
-    kinetic.save_initial_csv(st, path)
-    back = kinetic.load_initial_csv(path, freq.uniform(0.5, n_nodes=3), K=st.K)
-    assert np.allclose(back.values, st.values, rtol=0, atol=1e-16)
-
-
-def test_initial_csv_requires_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0,0,1.0\n")
-    with pytest.raises(ValueError):
-        kinetic.load_initial_csv(path, freq.dirac_at_zero(), K=1.0)
 
 
 def test_profile_presets():

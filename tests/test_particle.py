@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from kslab import particle
+from kslab.order import rk4_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -63,11 +64,14 @@ def test_batched_rhs_rows_are_single_systems():
     rng = np.random.default_rng(12)
     th = rng.uniform(-5.0, 5.0, (7, 40))
     om = rng.normal(0.0, 1.0, 40)
-    batched = particle._mean_field_rhs(th, om, 1.3)
-    stepped = particle._rk4(th, om, 1.3, 0.05)
+    def rhs(t, thetas):
+        return particle._mean_field_rhs(thetas, om, 1.3)
+
+    batched = rhs(0.0, th)
+    stepped = rk4_step(rhs, 0.0, th, 0.05)
     for i in range(th.shape[0]):
-        np.testing.assert_array_equal(batched[i], particle._mean_field_rhs(th[i], om, 1.3))
-        np.testing.assert_array_equal(stepped[i], particle._rk4(th[i], om, 1.3, 0.05))
+        np.testing.assert_array_equal(batched[i], rhs(0.0, th[i]))
+        np.testing.assert_array_equal(stepped[i], rk4_step(rhs, 0.0, th[i], 0.05))
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.05, 0.2, -0.1])
@@ -292,9 +296,6 @@ def test_run_particles_and_csv(tmp_path):
     particle.trajectory_to_csv(traj, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,r,phi,D,V_p"
-    back = particle.load_config_csv(_write_config(tmp_path, st), K=st.K)
-    assert np.allclose(back.thetas, st.thetas)
-    assert np.allclose(back.omegas, st.omegas)
 
 
 def test_csv_rows_match_order_and_potential(tmp_path):
@@ -341,17 +342,6 @@ def test_run_particles_rejects_incommensurate_t_end(t_end):
         particle.run_particles(st, t_end, dt=0.01, sample_every=0.05)
     with pytest.raises(ValueError, match="must not precede"):
         particle.run_particles(st, -0.05, dt=0.01, sample_every=0.05)
-
-
-def _write_config(tmp_path, st):
-    import csv
-    path = tmp_path / "config.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "omega"])
-        for th, om in zip(st.thetas, st.omegas):
-            w.writerow([format(th, ".17g"), format(om, ".17g")])
-    return path
 
 
 def test_sample_phases_follows_profile():
