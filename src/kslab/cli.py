@@ -71,7 +71,7 @@ def validate_config(cfg: dict) -> dict:
     _require(kind in ("dirac", "uniform", "table"),
              f"frequency.kind must be dirac, uniform, or table, not {kind!r}")
     if kind == "uniform":
-        _require(float(fcfg.get("halfwidth", 0)) > 0,
+        _require(_real(fcfg, "halfwidth", 0, "frequency.") > 0,
                  "frequency.halfwidth must be positive")
     if kind == "table":
         _require("path" in fcfg, "frequency.path required for table densities")
@@ -82,11 +82,12 @@ def validate_config(cfg: dict) -> dict:
     _require(preset in ("cosine", "von_mises", "table"),
              f"initial.preset must be cosine, von_mises, or table, not {preset!r}")
     if preset == "cosine":
-        _require(abs(float(icfg.get("amplitude", 0.0))) <= 0.5,
+        _require(abs(_real(icfg, "amplitude", 0.0, "initial.")) <= 0.5,
                  "initial.amplitude must satisfy |a| <= 1/2")
     if preset == "von_mises":
-        _require(float(icfg.get("concentration", -1)) >= 0,
+        _require(_real(icfg, "concentration", -1, "initial.") >= 0,
                  "initial.concentration must be nonnegative")
+    _real(icfg, "center", 0.0, "initial.")
     if preset == "table":
         _require("path" in icfg, "initial.path required for table profiles")
 
@@ -103,15 +104,14 @@ def validate_config(cfg: dict) -> dict:
         value = cfg.get(key, default)
         _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
                  f"{key} must be an integer >= {low}, not {value!r}")
-    _require(float(cfg.get("t_end", 10.0)) >= 0, "t_end must be nonnegative")
-    _require(float(cfg.get("sample_every", 0.1)) > 0, "sample_every must be positive")
-    cfl = float(cfg.get("cfl", 0.5))
-    _require(0.0 < cfl <= 1.0, "cfl must lie in (0, 1]")
+    _require(_real(cfg, "t_end", 10.0) >= 0, "t_end must be nonnegative")
+    _require(_real(cfg, "sample_every", 0.1) > 0, "sample_every must be positive")
+    _require(0.0 < _real(cfg, "cfl", 0.5) <= 1.0, "cfl must lie in (0, 1]")
     _require(cfg.get("scheme", "muscl") in ("muscl", "upwind"),
              "scheme must be muscl or upwind")
     if "dt_particle" in cfg:
-        _require(float(cfg["dt_particle"]) > 0, "dt_particle must be positive")
-    _require(float(cfg.get("dt_max", 1.0)) > 0, "dt_max must be positive")
+        _require(_real(cfg, "dt_particle", None) > 0, "dt_particle must be positive")
+    _require(_real(cfg, "dt_max", 1.0) > 0, "dt_max must be positive")
 
     dcfg = cfg.get("diagnostics", {})
     _reject_unknown(dcfg, _DIAG_KEYS, "diagnostics")
@@ -125,6 +125,8 @@ def validate_config(cfg: dict) -> dict:
 
     if "hypothesis" in cfg:
         _reject_unknown(cfg["hypothesis"], _HYP_KEYS, "hypothesis")
+        for key in cfg["hypothesis"]:
+            _real(cfg["hypothesis"], key, None, "hypothesis.")
     return cfg
 
 
@@ -132,8 +134,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _real(mapping: dict, key: str, default, where: str = "") -> float:
+    """mapping[key], or default, as a float; it must be a JSON number, so a
+    bool or a numeric string is a ConfigError."""
+    value = mapping.get(key, default)
+    _require(_is_number(value), f"{where}{key} must be a number, not {value!r}")
+    return float(value)
+
+
 def _parse_interval(iv: dict) -> diag.Interval:
     try:
+        _require(_is_number(iv["parameter"]), "parameter must be a number")
         return diag.Interval(iv["kind"], float(iv["parameter"]))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad interval {iv!r}: {exc}") from None
@@ -211,11 +222,11 @@ def build_diag_config(cfg: dict, M: float) -> diag.DiagnosticsConfig:
 # simulate
 
 
-def _run_kinetic(cfg: dict, K: float, out: Path) -> dict:
-    g = build_frequency(cfg)
+def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
+                 profile) -> dict:
     grid = kinetic.PhaseGrid(int(cfg.get("n_theta", 256)))
     state = kinetic.state_from_profile(grid, g, int(cfg.get("n_omega", 8)),
-                                       K=K, profile=build_profile(cfg))
+                                       K=K, profile=profile)
     M = g.support
     dconfig = build_diag_config(cfg, M)
     res = kinetic.run(state, float(cfg.get("t_end", 10.0)),
@@ -321,9 +332,8 @@ def _write_plot_script(records, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_particle(cfg: dict, K: float, out: Path, seed: int) -> dict:
-    g = build_frequency(cfg)
-    profile = build_profile(cfg)
+def _run_particle(cfg: dict, K: float, out: Path, seed: int,
+                  g: freq.FrequencyDensity, profile) -> dict:
     n = int(cfg.get("n_particles", 1000))
     rng = np.random.default_rng(seed)
     bound = _profile_bound(profile)
@@ -359,13 +369,15 @@ def cmd_simulate(args) -> int:
         # fail before any run or output when the particle samples cannot tile t_end
         particle.sample_count(0.0, float(cfg.get("t_end", 10.0)),
                               float(cfg.get("sample_every", 0.1)))
+    # read and check the input tables, once, before any output exists
+    g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_bytes(raw)
     summaries = {}
     if model in ("kinetic", "both"):
-        summaries["kinetic"] = _run_kinetic(cfg, K, out)
+        summaries["kinetic"] = _run_kinetic(cfg, K, out, g, profile)
     if model in ("particle", "both"):
-        summaries["particle"] = _run_particle(cfg, K, out, seed)
+        summaries["particle"] = _run_particle(cfg, K, out, seed, g, profile)
         if model == "particle":
             with open(out / "summary.json", "w") as fh:
                 json.dump(summaries["particle"], fh, indent=1, sort_keys=True)
@@ -395,7 +407,7 @@ def _write_particle_plot(path: Path) -> None:
 
 def _sweep_one(payload):
     cfg, K, out_dir = payload
-    summary = _run_kinetic(cfg, K, Path(out_dir))
+    summary = _run_kinetic(cfg, K, Path(out_dir), build_frequency(cfg), build_profile(cfg))
     return K, summary
 
 

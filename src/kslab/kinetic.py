@@ -219,10 +219,16 @@ def _edge_velocity(state: KineticState, z: complex) -> np.ndarray:
                                                            -state.K * z.imag)
 
 
-def _cfl_step(state: KineticState, R: float, cfl: float, dt_max: float) -> float:
-    """cfl * dtheta over max|omega| + K R, which no edge |v| exceeds, capped
-    at dt_max; a state with all velocities zero gets dt_max."""
-    bound = float(np.max(np.abs(state.omega))) + state.K * (R if R > TOL_R else 0.0)
+def _omega_max(state: KineticState) -> float:
+    return float(np.max(np.abs(state.omega)))
+
+
+def _cfl_step(state: KineticState, omega_max: float, R: float, cfl: float,
+              dt_max: float) -> float:
+    """cfl * dtheta over omega_max + K R, omega_max = max|omega|, which no
+    edge |v| exceeds, capped at dt_max; a state with all velocities zero gets
+    dt_max."""
+    bound = omega_max + state.K * (R if R > TOL_R else 0.0)
     return min(cfl * state.grid.dtheta / bound, dt_max) if bound > 0.0 else dt_max
 
 
@@ -230,7 +236,7 @@ def cfl_dt(state: KineticState, cfl: float, dt_max: float = 1.0) -> float:
     """Largest stable step: cfl * dtheta over the velocity bound max|omega| + K R."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
-    return _cfl_step(state, global_order(state).R, cfl, dt_max)
+    return _cfl_step(state, _omega_max(state), global_order(state).R, cfl, dt_max)
 
 
 def _shift_right(a: np.ndarray) -> np.ndarray:
@@ -297,7 +303,7 @@ def step(state: KineticState, dt: float, scheme: str = "muscl") -> KineticState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     z = phasor(state.grid, state.weights, state.values)
-    admissible = _cfl_step(state, abs(z), 1.0, np.inf)
+    admissible = _cfl_step(state, _omega_max(state), abs(z), 1.0, np.inf)
     if dt > admissible * (1.0 + 1e-9):
         raise CflError(dt, admissible)
     return replace(state, values=_advance(state, state.values, state.t, dt, scheme, z),
@@ -347,6 +353,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
                 sink(rec)
 
     grid, w = state.grid, state.weights
+    omega_max = _omega_max(state)       # omega is fixed for the run
     m0 = state.slice_masses()
     m0_safe = np.where(m0 > 0, m0, 1.0)
     total0 = float(w @ m0)
@@ -371,7 +378,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
         if prev_R is not None:
             min_dR = min(min_dR, R - prev_R)
         prev_R = R
-        dt = min(_cfl_step(state, R, cfl, dt_max), t_end - t, next_sample - t)
+        dt = min(_cfl_step(state, omega_max, R, cfl, dt_max), t_end - t, next_sample - t)
         values = _advance(state, values, t, dt, scheme, z)
         t += dt
         n_steps += 1

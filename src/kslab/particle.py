@@ -6,19 +6,37 @@ inside order-parameter and output code.
 
 Everything that needs the phasor mean z = (1/N) sum exp(i theta) takes it,
 together with the arrays cos theta and sin theta, from one pass over the
-phases (``_phasor``; ``_mean_field_rhs``, per system in a batch).  The drift
-omega - K (sin theta Re z - cos theta Im z) then takes two trig calls per
-oscillator per right-hand-side evaluation.
+phases (``_phasor``; ``_drift``, per system in a batch), and the drift
+omega - K (sin theta Re z - cos theta Im z) needs no further trig call.
+One RK4 step (``_mean_field_step``) takes cos theta and sin theta once, at
+the step start.  Its stages 2-4 rotate them by the phase change d since the
+start, with cos d and sin d from Taylor polynomials (``_rotate``), whenever
+the a-priori bound |d| <= |dt| (max|omega| + K) is at most ``ROTATION_MAX``
+(``_rotates``, decided once per run); larger steps call np.cos/np.sin at
+every stage.  A run keeps the phasor mean of each sample from the step that
+starts there.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .order import TWO_PI, OrderParams, _from_phasor, rk4_step
+
+#: largest a-priori phase change |dt| (max|omega| + K) of one RK4 step at
+#: which its stages 2-4 rotate the step-start cos/sin (``_rotate``) instead of
+#: calling np.cos/np.sin; |dtheta/dt| <= |omega| + K|z| and |z| <= 1
+ROTATION_MAX = 0.1
+
+# Taylor coefficients of cos d (d^8 .. d^0) and sin d / d (d^8 .. d^0) in
+# powers of u = d^2.  At |d| <= ROTATION_MAX the first terms left out,
+# d^10/10! and d^11/11!, are below 3e-17, a quarter of an ulp of 1.
+_COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(4, -1, -1))
+_SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(4, -1, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,12 +83,77 @@ def _phasor(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
     return c, s, complex(c.mean(), s.mean())
 
 
+def _drift(c: np.ndarray, s: np.ndarray, omegas, K: float):
+    """(omega - K (sin theta Re z - cos theta Im z), Re z, Im z) from cos theta
+    and sin theta of phases (..., N), each row along the last axis one system
+    with its own phasor mean z, kept as a length-1 axis.  sum / n is numpy's
+    ``mean`` bit for bit, without its Python-level overhead."""
+    n = c.shape[-1]
+    z_re, z_im = c.sum(axis=-1, keepdims=True) / n, s.sum(axis=-1, keepdims=True) / n
+    out = s * z_re
+    out -= c * z_im
+    out *= -K
+    out += omegas
+    return out, z_re, z_im
+
+
 def _mean_field_rhs(thetas: np.ndarray, omegas, K: float) -> np.ndarray:
-    """omega - K (sin theta Re z - cos theta Im z) for phases (..., N), each
-    row along the last axis one system with its own phasor mean z."""
-    c, s = np.cos(thetas), np.sin(thetas)
-    z_re, z_im = c.mean(axis=-1, keepdims=True), s.mean(axis=-1, keepdims=True)
-    return omegas - K * (s * z_re - c * z_im)
+    """The mean-field drift of phases (..., N), one system per row."""
+    return _drift(np.cos(thetas), np.sin(thetas), omegas, K)[0]
+
+
+def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
+    """sum_i coeffs[i] u^(n-i), n = len(coeffs) - 1, in place on one new array."""
+    p = coeffs[0] * u
+    for a in coeffs[1:-1]:
+        p += a
+        p *= u
+    p += coeffs[-1]
+    return p
+
+
+def _rotate(c0: np.ndarray, s0: np.ndarray, d: np.ndarray):
+    """(cos(theta + d), sin(theta + d)) from c0 = cos theta and s0 = sin theta,
+    for |d| <= ROTATION_MAX: the rotation by d with cos d and sin d from
+    their Taylor polynomials to d^8 and d^9."""
+    u = d * d
+    cd = _horner(_COS_TAYLOR, u)
+    sd = _horner(_SIN_TAYLOR, u)
+    sd *= d
+    c = c0 * cd
+    c -= s0 * sd
+    cd *= s0
+    sd *= c0
+    cd += sd
+    return c, cd
+
+
+def _rotates(omegas, K: float, dt: float) -> bool:
+    """Whether |dt| (max|omega| + K), the a-priori bound on the phase change
+    within one RK4 step, is at most ROTATION_MAX.  Fixed for a run."""
+    return abs(dt) * (float(np.max(np.abs(omegas))) + K) <= ROTATION_MAX
+
+
+def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, rotate: bool):
+    """One RK4 step (``order.rk4_step``) of the mean-field flow for phases
+    (..., N), one system per row; returns (new phases, Re z, Im z) with z the
+    step-start phasor means.
+
+    cos and sin of the phases are taken once, at the step start.  Stages 2-4
+    get theirs by rotating those by d = y - theta when ``rotate``
+    (``_rotates(omegas, K, dt)``), and from np.cos/np.sin otherwise.
+    """
+    c0, s0 = np.cos(thetas), np.sin(thetas)
+    k1, z_re, z_im = _drift(c0, s0, omegas, K)
+
+    def rhs(t, y):
+        if y is thetas:             # stage 1, evaluated above
+            return k1
+        if rotate:
+            return _drift(*_rotate(c0, s0, y - thetas), omegas, K)[0]
+        return _mean_field_rhs(y, omegas, K)
+
+    return rk4_step(rhs, 0.0, thetas, dt), z_re, z_im
 
 
 def particle_order(state: ParticleState) -> OrderParams:
@@ -91,11 +174,11 @@ def particle_rhs(state: ParticleState) -> np.ndarray:
 
 
 def particle_step(state: ParticleState, dt: float) -> ParticleState:
-    """Classical RK4 update."""
+    """Classical RK4 update (``_mean_field_step``)."""
     if dt == 0.0:
         return state
-    thetas = rk4_step(lambda t, th: _mean_field_rhs(th, state.omegas, state.K),
-                      state.t, state.thetas, dt)
+    rotate = _rotates(state.omegas, state.K, dt)
+    thetas = _mean_field_step(state.thetas, state.omegas, state.K, dt, rotate)[0]
     return replace(state, thetas=thetas, t=state.t + dt)
 
 
@@ -149,9 +232,15 @@ class ParticleTrajectory:
     thetas: np.ndarray    # (n_samples, N), lifted
     omegas: np.ndarray
     K: float
+    phasors: np.ndarray | None = None   # (n_samples,) complex phasor means
 
     def state_at(self, i: int) -> ParticleState:
         return ParticleState(self.thetas[i], self.omegas, self.K, t=float(self.ts[i]))
+
+    def order_at(self, i: int) -> OrderParams:
+        """Order parameters of sample i, from the stored phasor mean if any."""
+        z = self.phasors[i] if self.phasors is not None else _phasor(self.thetas[i])[2]
+        return _from_phasor(complex(z))
 
     @property
     def n_samples(self) -> int:
@@ -180,28 +269,36 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
 
     t_end - t0 must be a whole number of sample intervals (``sample_count``);
     dt is shrunk if necessary so samples land exactly on step boundaries.
+    Each sample's phasor mean comes from the step that starts there; only
+    the final sample's is computed afresh.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     per = max(1, int(np.ceil(sample_every / dt)))
     dt = sample_every / per
     ts = state.t + sample_every * np.arange(n_samples + 1)
-    snaps = [state.thetas.copy()]
+    thetas, omegas, K = state.thetas, state.omegas, state.K
+    rotate = _rotates(omegas, K, dt)
+    snaps = [thetas]
+    phasors = []
     for _ in range(n_samples):
-        for _ in range(per):
-            state = particle_step(state, dt)
-        snaps.append(state.thetas.copy())
-    return ParticleTrajectory(ts, np.array(snaps), state.omegas, state.K)
+        for k in range(per):
+            thetas, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, rotate)
+            if k == 0:
+                phasors.append(complex(z_re[0], z_im[0]))
+        snaps.append(thetas)
+    phasors.append(_phasor(thetas)[2])
+    return ParticleTrajectory(ts, np.array(snaps), omegas, K, np.array(phasors))
 
 
 def trajectory_to_csv(traj: ParticleTrajectory, path) -> np.ndarray:
     """Columns: t, r, phi, D, V_p.  Returns the rows written, one per sample.
 
-    Each sample's phasor mean is computed once and gives r, phi and V_p.
+    Each sample's phasor mean (``order_at``) gives r, phi and V_p.
     """
     rows = np.empty((traj.n_samples, 5))
     for i in range(traj.n_samples):
         s = traj.state_at(i)
-        op = particle_order(s)
+        op = traj.order_at(i)
         rows[i] = (s.t, op.R, op.phi, phase_diameter(s), _potential(s, op.R))
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)

@@ -17,7 +17,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import frequency as freq
 from . import kinetic, particle
-from .order import TWO_PI, rk4_step
+from .order import TWO_PI
 
 
 @dataclass
@@ -313,8 +313,7 @@ def criterion_8(cache: RunCache) -> CriterionResult:
     tp0 = time.perf_counter()
     traj = particle.run_particles(pstate, 20.0, dt=0.01, sample_every=0.05)
     particle_seconds = time.perf_counter() - tp0
-    r_part = np.array([particle.particle_order(traj.state_at(i)).R
-                       for i in range(traj.n_samples)])
+    r_part = np.array([traj.order_at(i).R for i in range(traj.n_samples)])
     recs = run.result.records
     r_kin = np.array([r.R for r in recs])
     failures = []
@@ -373,16 +372,14 @@ def criterion_10(cache: RunCache) -> CriterionResult:
         thetas[bad] = rng.uniform(0.0, TWO_PI, (int(bad.sum()), n_osc))
     initial = thetas.copy()
 
-    def rhs(t, th):
-        return particle._mean_field_rhs(th, 0.0, K)
-
     dt, t_max = 0.05, 600.0
+    rotate = particle._rotates(0.0, K, dt)
     t = 0.0
     while t < t_max:
         for _ in range(20):
-            thetas = rk4_step(rhs, t, thetas, dt)
+            thetas = particle._mean_field_step(thetas, 0.0, K, dt, rotate)[0]
         t += 20 * dt
-        rates = rhs(t, thetas)
+        rates = particle._mean_field_rhs(thetas, 0.0, K)
         if float(np.max(rates.max(axis=1) - rates.min(axis=1))) < 1e-8:
             break
 

@@ -259,7 +259,16 @@ def test_bad_json_is_config_error(tmp_path):
     ("dt_max", 0), ("dt_max", -1.0),
     ("coupling", True), ("coupling", [2.0, True]),
     ("n_theta", 64.9), ("n_theta", 64.0), ("n_omega", True),
-    ("n_particles", "100"), ("seed", 1.5)])
+    ("n_particles", "100"), ("seed", 1.5),
+    # a real-valued field must be a JSON number: not a bool, not a string
+    ("t_end", True), ("cfl", "0.5"), ("sample_every", True), ("dt_max", "1"),
+    ("dt_particle", True),
+    ("frequency", {"kind": "uniform", "halfwidth": "0.1"}),
+    ("initial", {"preset": "cosine", "amplitude": True}),
+    ("initial", {"preset": "von_mises", "concentration": "2"}),
+    ("initial", {"preset": "cosine", "amplitude": 0.2, "center": False}),
+    ("hypothesis", {"mu": "1e-3"}),
+    ("diagnostics", {"intervals": [{"kind": "i_plus", "parameter": True}]})])
 def test_config_rejects_bad_values(tmp_path, key, value):
     cfg = write_config(tmp_path, **{key: value})
     command = "sweep" if isinstance(value, list) else "simulate"
@@ -326,9 +335,10 @@ BAD_TABLES = {
 @pytest.mark.parametrize("kind", TABLES)
 def test_bad_input_table_is_config_error(tmp_path, capsys, kind, bad):
     columns, rows, _ = TABLES[kind]
-    code, table, _ = run_with_table(tmp_path, kind, BAD_TABLES[bad](columns, rows))
+    code, table, out = run_with_table(tmp_path, kind, BAD_TABLES[bad](columns, rows))
     assert code == 2
     assert str(table) in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("kind", TABLES)
@@ -342,3 +352,34 @@ def test_input_table_columns_match_by_name(tmp_path, kind):
     code, _, out2 = run_with_table(tmp_path / "shuffled", kind, shuffled)
     assert code == 0
     assert (out / written).read_bytes() == (out2 / written).read_bytes()
+
+
+@pytest.mark.parametrize("model", ["kinetic", "particle", "both"])
+@pytest.mark.parametrize("kind", ["profile", "density"])
+def test_rejected_input_table_leaves_no_output(tmp_path, model, kind):
+    # simulate reads its input tables before it creates the output directory
+    columns, rows, _ = TABLES[kind]
+    table = tmp_path / f"{kind}.csv"
+    table.write_text(BAD_TABLES["nan"](columns, rows))
+    key = {"profile": "initial", "density": "frequency"}[kind]
+    spec = {"profile": {"preset": "table", "path": str(table)},
+            "density": {"kind": "table", "path": str(table)}}[kind]
+    cfg = write_config(tmp_path, model=model, t_end=0.5, n_particles=50, **{key: spec})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_simulate_reads_each_table_once(tmp_path, monkeypatch):
+    density, profile = tmp_path / "density.csv", tmp_path / "profile.csv"
+    density.write_text(csv_text(*TABLES["density"][:2]))
+    profile.write_text(csv_text(*TABLES["profile"][:2]))
+    cfg = write_config(tmp_path, model="both", t_end=0.5, n_particles=50, n_omega=4,
+                       frequency={"kind": "table", "path": str(density)},
+                       initial={"preset": "table", "path": str(profile)})
+    reads = []
+    read = cli._read_columns
+    monkeypatch.setattr(cli, "_read_columns",
+                        lambda path, names: reads.append(path) or read(path, names))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert sorted(map(str, reads)) == sorted([str(density), str(profile)])

@@ -330,6 +330,32 @@ def test_muscl_second_order_convergence():
     assert min(rates) >= 1.7
 
 
+def wrapped_cauchy(r0):
+    """Density of the wrapped Cauchy law with first moment r0."""
+    return lambda th: (1.0 - r0 * r0) / (TWO_PI * (1.0 + r0 * r0 - 2.0 * r0 * np.cos(th)))
+
+
+def oa_order(t, r0, K):
+    """Exact R(t) for identical oscillators on the Ott-Antonsen manifold:
+    R^2 = R0^2 e^{Kt} / (1 - R0^2 + R0^2 e^{Kt})."""
+    e = r0 * r0 * math.exp(K * t)
+    return math.sqrt(e / (1.0 - r0 * r0 + e))
+
+
+def test_ott_antonsen_exact_order():
+    # a wrapped-Cauchy start of identical oscillators stays wrapped Cauchy,
+    # so R(t) is known in closed form; MUSCL converges to it at second order
+    errs = []
+    for n in (128, 256, 512, 1024):
+        res = kinetic.run(dirac_state(n, wrapped_cauchy(0.3), K=2.0), 2.0, 0.1,
+                          sampler=lambda s: (s.t, order.global_order(s).R), cfl=0.5)
+        assert len(res.records) == 21
+        errs.append(max(abs(R - oa_order(t, 0.3, 2.0)) for t, R in res.records))
+    rates = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
+    assert min(rates) >= 1.8, (errs, rates)
+    assert errs[-1] <= 3e-5
+
+
 # ---------------------------------------------------------------------------
 # characteristics
 

@@ -74,6 +74,65 @@ def test_batched_rhs_rows_are_single_systems():
         np.testing.assert_array_equal(stepped[i], rk4_step(rhs, 0.0, th[i], 0.05))
 
 
+def test_rotation_matches_trig():
+    # cos and sin of y = theta + d from those of theta, against np.cos/np.sin
+    # of y itself, over |d| <= ROTATION_MAX on 200,001 points
+    rng = np.random.default_rng(40)
+    dmax = particle.ROTATION_MAX
+    th = rng.uniform(-20.0, 20.0, 200_001)
+    y = th + np.linspace(-dmax, dmax, th.size)
+    d = y - th
+    assert np.max(np.abs(d)) <= dmax
+    c, s = particle._rotate(np.cos(th), np.sin(th), d)
+    assert np.max(np.abs(c - np.cos(y))) <= 1.5e-15
+    assert np.max(np.abs(s - np.sin(y))) <= 1.5e-15
+    zero = np.zeros(th.size)
+    c0, s0 = particle._rotate(np.cos(th), np.sin(th), zero)
+    np.testing.assert_array_equal(c0, np.cos(th))
+    np.testing.assert_array_equal(s0, np.sin(th))
+
+
+@pytest.mark.parametrize("dt, rotates", [(0.01, True), (0.05, False), (0.2, False),
+                                         (-0.1, False)])
+def test_step_guard_branches(dt, rotates, monkeypatch):
+    # the data of test_step_matches_direct_rk4: stages 2-4 rotate only when
+    # |dt| (max|omega| + K) <= ROTATION_MAX; otherwise they take np.cos/np.sin
+    # and the step is the plain RK4 of the mean-field right-hand side, bit for bit
+    rng = np.random.default_rng(41)
+    th = rng.uniform(0, TWO_PI, 200)
+    om = rng.normal(0, 1, 200)
+    K = 2.5
+    assert (abs(dt) * (np.max(np.abs(om)) + K) <= particle.ROTATION_MAX) == rotates
+    calls = []
+    rotate = particle._rotate
+    monkeypatch.setattr(particle, "_rotate",
+                        lambda *a: calls.append(1) or rotate(*a))
+    out = particle.particle_step(particle.ParticleState(th, om, K=K), dt).thetas
+    assert len(calls) == (3 if rotates else 0)
+    plain = rk4_step(lambda t, y: particle._mean_field_rhs(y, om, K), 0.0, th, dt)
+    if rotates:
+        assert np.max(np.abs(out - plain)) <= 1e-14
+    else:
+        np.testing.assert_array_equal(out, plain)
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.3])
+def test_batched_step_rows_are_single_systems(dt):
+    # both branches of the guard: max|omega| + K is just under 1.8, so
+    # |dt| (max|omega| + K) is below ROTATION_MAX at dt 0.05, above at dt 0.3
+    rng = np.random.default_rng(13)
+    th = rng.uniform(-5.0, 5.0, (7, 40))
+    om = rng.uniform(-0.5, 0.5, 40)
+    rotate = particle._rotates(om, 1.3, dt)
+    assert rotate == (dt == 0.05)
+    stepped, z_re, z_im = particle._mean_field_step(th, om, 1.3, dt, rotate)
+    assert z_re.shape == z_im.shape == (7, 1)
+    for i in range(th.shape[0]):
+        row, row_re, row_im = particle._mean_field_step(th[i], om, 1.3, dt, rotate)
+        np.testing.assert_array_equal(stepped[i], row)
+        assert (z_re[i, 0], z_im[i, 0]) == (row_re[0], row_im[0])
+
+
 @pytest.mark.parametrize("dt", [0.01, 0.05, 0.2, -0.1])
 def test_step_matches_direct_rk4(dt):
     rng = np.random.default_rng(41)
@@ -317,6 +376,38 @@ def test_csv_rows_match_order_and_potential(tmp_path):
         assert abs(phi - op.phi) <= 1e-14
         assert d == particle.phase_diameter(s)
         assert abs(v - particle.particle_potential(s)) <= 1e-14 * max(1.0, abs(v))
+
+
+def test_csv_phasors_from_steps_match_recompute(tmp_path):
+    # the run's stored phasor means give the same bytes as a recompute from
+    # the stored phases (a trajectory built by hand has no phasors)
+    rng = np.random.default_rng(21)
+    st = particle.ParticleState(rng.uniform(0, TWO_PI, 500),
+                                rng.uniform(-0.1, 0.1, 500), K=2.0)
+    traj = particle.run_particles(st, 0.5, dt=0.01, sample_every=0.05)
+    assert traj.phasors.shape == (traj.n_samples,)
+    for i in range(traj.n_samples):
+        assert traj.phasors[i] == particle._phasor(traj.thetas[i])[2]
+    bare = particle.ParticleTrajectory(traj.ts, traj.thetas, traj.omegas, traj.K)
+    assert bare.phasors is None
+    particle.trajectory_to_csv(traj, tmp_path / "stored.csv")
+    particle.trajectory_to_csv(bare, tmp_path / "fresh.csv")
+    assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+@pytest.mark.parametrize("K, dt, rotates", [(2.0, 0.01, True), (10.0, 0.02, False)])
+def test_run_snapshots_are_particle_steps(K, dt, rotates):
+    # the run steps arrays and decides the guard once; its snapshots are
+    # those of particle_step, which decides it per call, bit for bit
+    rng = np.random.default_rng(22)
+    st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
+                                rng.uniform(-0.1, 0.1, 300), K=K)
+    assert particle._rotates(st.omegas, K, dt) == rotates
+    traj = particle.run_particles(st, 0.2, dt=dt, sample_every=0.1)
+    for i in range(traj.n_samples):
+        np.testing.assert_array_equal(traj.thetas[i], st.thetas)
+        for _ in range(round(0.1 / dt)):
+            st = particle.particle_step(st, dt)
 
 
 def test_run_particles_exact_sample_times(tmp_path):
