@@ -275,6 +275,8 @@ def _summarize_kinetic(cfg, K, M, res: kinetic.RunResult) -> dict:
                        "total_ok": res.max_total_mass_drift <= 1e-10},
         "bound_check_failures": bad_bounds,
     }
+    if M == 0.0:    # identical oscillators: R never decreases
+        summary["min_step_delta_R_ok"] = res.min_step_delta_R >= -1e-12
     lam = [(r.t, r.lambda_value) for r in recs if r.lambda_value is not None]
     if len(lam) >= 25:
         onset = diag.detect_transient([t for t, _ in lam], [v for _, v in lam])
@@ -406,6 +408,7 @@ def _write_particle_plot(path: Path) -> None:
 
 
 def _sweep_one(payload):
+    """One coupling of a sweep in a worker process, which reads the tables itself."""
     cfg, K, out_dir = payload
     summary = _run_kinetic(cfg, K, Path(out_dir), build_frequency(cfg), build_profile(cfg))
     return K, summary
@@ -420,9 +423,10 @@ def cmd_sweep(args) -> int:
     if len(set(names)) < len(names):
         raise ConfigError(f"couplings {coupling} share output directory names {names}")
     out = Path(args.out or cfg.get("out_dir", "out"))
+    # read and check the input tables, once, before any output exists
+    g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_bytes(raw)
-    g = build_frequency(cfg)
     M = g.support
     jobs = [(cfg, float(K), str(out / name)) for K, name in zip(coupling, names)]
     threads = max(1, int(args.threads))
@@ -430,7 +434,7 @@ def cmd_sweep(args) -> int:
     failures = []
     if threads == 1:
         for job in jobs:
-            rows.append(_try_sweep_job(job, failures))
+            rows.append(_try_sweep_job(job, g, profile, failures))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             futures = [pool.submit(_sweep_one, job) for job in jobs]
@@ -468,11 +472,12 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _try_sweep_job(job, failures):
+def _try_sweep_job(job, g, profile, failures):
+    cfg, K, out_dir = job
     try:
-        return _sweep_one(job)
+        return K, _run_kinetic(cfg, K, Path(out_dir), g, profile)
     except Exception as exc:  # per-coupling failures are isolated
-        failures.append(f"K={job[1]}: {exc}")
+        failures.append(f"K={K}: {exc}")
         return None
 
 

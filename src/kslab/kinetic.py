@@ -16,6 +16,13 @@ Discretization choices:
 * time: two-stage strong-stability-preserving Runge-Kutta (Heun) under a
   CFL restriction measured against the analytic velocity bound.
 
+A step works in place on (n_omega, n_theta + 2) buffers whose column p holds
+cell p - 1 (ghost columns 0 and n_theta + 1 repeat cells n_theta - 1 and 0)
+or, for velocities and fluxes, edge p between columns p and p + 1.  A stage
+fills the ghosts, then makes each full-size operation one ufunc call on the
+flat buffer; entries where one slice meets the next are finite junk that no
+interior result reads.
+
 Stored values are cell averages of the conditional density f / g per slice;
 the omega weights of the quadrature fold g back in whenever an integral over
 omega is taken.  With that convention each slice carries constant mass in
@@ -27,6 +34,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -206,17 +215,18 @@ def velocity_field(state: KineticState, op: OrderParams) -> np.ndarray:
     """Edge velocities v[k, j] = omega_k - K R sin(theta_j - phi), edge j at
     theta = j * dtheta between cells j-1 and j; omega_k when phi is undefined."""
     z = op.R * complex(math.cos(op.phi), math.sin(op.phi)) if op.defined else 0j
-    return _edge_velocity(state, z)
+    return _edge_velocity(state, z, state.grid.trig_edges, np.empty(state.values.shape))
 
 
-def _edge_velocity(state: KineticState, z: complex) -> np.ndarray:
-    """velocity_field from the phasor z = R exp(i phi) with no trig call, as
-    omega_k - K (Re z sin theta_j - Im z cos theta_j); just omega_k unless
-    |z| > TOL_R, so a NaN in one slice leaves the others' fluxes finite."""
-    if state.K == 0.0 or not abs(z) > TOL_R:
-        return np.broadcast_to(state.omega[:, None], (state.n_omega, state.grid.n_theta))
-    return state.omega[:, None] - state.grid.trig_edges @ (state.K * z.real,
-                                                           -state.K * z.imag)
+def _edge_velocity(state: KineticState, z: complex, trig_edges: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """velocity_field from the phasor z = R exp(i phi), into out, at the edges
+    whose (sin, cos) are the rows of trig_edges: no trig call.  Just omega_k
+    unless |z| > TOL_R, so a NaN in one slice leaves the others' fluxes finite."""
+    np.copyto(out, state.omega[:, None])
+    if state.K != 0.0 and abs(z) > TOL_R:
+        np.subtract(out, trig_edges @ (state.K * z.real, -state.K * z.imag), out=out)
+    return out
 
 
 def _omega_max(state: KineticState) -> float:
@@ -239,63 +249,79 @@ def cfl_dt(state: KineticState, cfl: float, dt_max: float = 1.0) -> float:
     return _cfl_step(state, _omega_max(state), global_order(state).R, cfl, dt_max)
 
 
-def _shift_right(a: np.ndarray) -> np.ndarray:
-    """Periodic shift by +1 along the theta axis (cheaper than np.roll here)."""
-    out = np.empty_like(a)
-    out[:, 1:] = a[:, :-1]
-    out[:, 0] = a[:, -1]
-    return out
+def _padded(shape: tuple[int, int]) -> SimpleNamespace:
+    """A zeroed (n_omega, n_theta + 2) array and the views a stage takes of it."""
+    a = np.zeros(shape)
+    f, n = a.reshape(-1), shape[1] - 2
+    return SimpleNamespace(a=a, f=f, head=f[:-1], tail=f[1:], inner=a[:, 1:-1],
+                           ghosts=a[:, ::n + 1], seam=a[:, n:0:1 - n])
 
 
-def _shift_left(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    out[:, :-1] = a[:, 1:]
-    out[:, -1] = a[:, 0]
-    return out
+class _Workspace:
+    """The buffers of SSP-RK2 steps for states of one shape (the layout is in
+    the module docstring); `advance` rotates three value buffers."""
+
+    def __init__(self, grid: PhaseGrid, n_omega: int):
+        shape, self.dtheta = (n_omega, grid.n_theta + 2), grid.dtheta
+        self.trig = grid.trig_edges[np.r_[0:grid.n_theta, 0, 1]]   # edge p at column p
+        self.bufs = [_padded(shape) for _ in range(3)]
+        self.vel, self.diff, self.slope, self.half, self.face = (_padded(shape) for _ in range(5))
+        self.flux = self.diff.a[:, :-2]     # diff ends a stage as fluxes; edges 0 .. n_theta - 1
+        self.upwind_right = np.zeros(shape[0] * shape[1] - 1, dtype=bool)
+
+    def load(self, values: np.ndarray) -> np.ndarray:
+        self.bufs[0].inner[...] = values
+        return self.bufs[0].inner
+
+    def stage(self, state: KineticState, src, dst, dt: float, scheme: str,
+              z: complex, t: float) -> None:
+        """Forward-Euler stage from src to dst at time t; a FluxNanError names
+        the first non-finite value, else the first non-finite flux."""
+        d, s, h, face, up = self.diff, self.slope, self.half, self.face, self.upwind_right
+        np.copyto(src.ghosts, src.seam)
+        _edge_velocity(state, z, self.trig, self.vel.a)
+        np.subtract(src.tail, src.head, out=d.head)
+        if scheme == "muscl":                   # minmod(dl, dr) = median(dl, dr, 0)
+            np.minimum(d.head, d.tail, out=s.tail)
+            np.maximum(d.head, d.tail, out=h.tail)
+            np.minimum(h.f, 0.0, out=h.f)
+            np.maximum(s.f, h.f, out=s.f)
+            np.copyto(s.ghosts, s.seam)
+            np.multiply(s.f, 0.5, out=h.f)
+        elif scheme == "upwind":
+            h.f.fill(0.0)
+        else:
+            raise ValueError(f"unknown scheme {scheme!r}")
+        np.add(src.f, h.f, out=face.f)                          # upwind state at edge p:
+        np.less(self.vel.head, 0.0, out=up)                     # column p's right face
+        np.subtract(src.tail, h.tail, out=face.head, where=up)  # or p + 1's left face
+        np.multiply(self.vel.f, face.f, out=d.f)
+        # a non-finite interior flux makes the sum non-finite; junk alone may too
+        if not math.isfinite(np.add.reduce(d.f)) and not np.isfinite(self.flux).all():
+            bad = ~np.isfinite(src.inner)
+            k, j = np.argwhere(bad if bad.any() else ~np.isfinite(self.flux))[0]
+            raise FluxNanError(int(k), int(j), t)
+        np.subtract(d.tail, d.head, out=h.tail)
+        np.multiply(h.f, dt / self.dtheta, out=h.f)
+        np.subtract(src.f, h.f, out=dst.f)
+
+    def advance(self, state: KineticState, t: float, dt: float, scheme: str,
+                z0: complex) -> np.ndarray:
+        """One SSP-RK2 step of the loaded values; returns a view of the result,
+        which the next advance overwrites."""
+        u0, u1, u2 = self.bufs
+        self.stage(state, u0, u1, dt, scheme, z0, t)
+        self.stage(state, u1, u2, dt, scheme, phasor(state.grid, state.weights, u1.inner), t)
+        np.add(u0.f, u2.f, out=u2.f)
+        np.multiply(u2.f, 0.5, out=u2.f)
+        self.bufs = [u2, u0, u1]
+        return u2.inner
 
 
-def _minmod_slopes(values: np.ndarray) -> np.ndarray:
-    """minmod(dl, dr) = max(min(dl, dr), 0) + min(max(dl, dr), 0)."""
-    dr = _shift_left(values) - values
-    dl = _shift_right(dr)
-    return (np.maximum(np.minimum(dl, dr), 0.0)
-            + np.minimum(np.maximum(dl, dr), 0.0))
-
-
-def _fluxes(values: np.ndarray, v_edges: np.ndarray, scheme: str) -> np.ndarray:
-    """Upwind fluxes at left edges; F[k, j] is the flux between cells j-1 and j."""
-    if scheme == "muscl":
-        slopes = _minmod_slopes(values)
-        left = _shift_right(values + 0.5 * slopes)
-        right = values - 0.5 * slopes
-    elif scheme == "upwind":
-        left = _shift_right(values)
-        right = values
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return v_edges * np.where(v_edges >= 0.0, left, right)
-
-
-def _stage(state: KineticState, values: np.ndarray, dt: float, scheme: str,
-           z: complex | None = None, t: float | None = None) -> np.ndarray:
-    """Forward-Euler stage from values at time t (default state.t); a
-    FluxNanError names the first non-finite value, else the first such flux."""
-    grid = state.grid
-    if z is None:
-        z = phasor(grid, state.weights, values)
-    flux = _fluxes(values, _edge_velocity(state, z), scheme)
-    if not np.all(np.isfinite(flux)):
-        bad = ~np.isfinite(values)
-        k, j = np.argwhere(bad if bad.any() else ~np.isfinite(flux))[0]
-        raise FluxNanError(int(k), int(j), state.t if t is None else t)
-    return values - (dt / grid.dtheta) * (_shift_left(flux) - flux)
-
-
-def _advance(state: KineticState, values: np.ndarray, t: float, dt: float,
-             scheme: str, z0: complex) -> np.ndarray:
-    f1 = _stage(state, values, dt, scheme, z0, t)
-    f2 = _stage(state, f1, dt, scheme, t=t)
-    return 0.5 * (values + f2)
+@lru_cache(maxsize=8)
+def _shared_workspace(n_omega: int, n_theta: int) -> _Workspace:
+    """The workspace `step` reuses for states of one shape (not thread-safe)."""
+    return _Workspace(PhaseGrid(n_theta), n_omega)
 
 
 def step(state: KineticState, dt: float, scheme: str = "muscl") -> KineticState:
@@ -306,7 +332,9 @@ def step(state: KineticState, dt: float, scheme: str = "muscl") -> KineticState:
     admissible = _cfl_step(state, _omega_max(state), abs(z), 1.0, np.inf)
     if dt > admissible * (1.0 + 1e-9):
         raise CflError(dt, admissible)
-    return replace(state, values=_advance(state, state.values, state.t, dt, scheme, z),
+    ws = _shared_workspace(state.n_omega, state.grid.n_theta)
+    ws.load(state.values)
+    return replace(state, values=ws.advance(state, state.t, dt, scheme, z).copy(),
                    t=state.t + dt)
 
 
@@ -357,7 +385,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
     m0 = state.slice_masses()
     m0_safe = np.where(m0 > 0, m0, 1.0)
     total0 = float(w @ m0)
-    prev_m = m0.copy()
+    masses = [m0]               # the last folded slice masses, then one row per step
     prev_R = None
     min_dR = 0.0
     max_step_rel = 0.0
@@ -366,8 +394,19 @@ def run(state: KineticState, t_end: float, sample_every: float,
     max_dt = 0.0
     n_steps = 0
     eps = 1e-12
-    values, t0, t = state.values, state.t, state.t
+    ws = _Workspace(grid, state.n_omega)
+    values, t0, t = ws.load(state.values), state.t, state.t
     min_value = float(values.min())
+
+    def fold():
+        """Fold the slice masses of the steps since the last fold into the maxima."""
+        nonlocal max_step_rel, max_drift_rel, max_total_drift
+        m = np.array(masses)
+        step_rel, drift_rel = (np.abs(m[1:] - ref) / m0_safe for ref in (m[:-1], m0))
+        max_step_rel = max(max_step_rel, float(step_rel.max(initial=0.0)))
+        max_drift_rel = max(max_drift_rel, float(drift_rel.max(initial=0.0)))
+        max_total_drift = max([max_total_drift] + [abs(float(w @ r) - total0) for r in m[1:]])
+        del masses[:-1]
 
     emit(state)
     i_sample = 1
@@ -379,7 +418,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
             min_dR = min(min_dR, R - prev_R)
         prev_R = R
         dt = min(_cfl_step(state, omega_max, R, cfl, dt_max), t_end - t, next_sample - t)
-        values = _advance(state, values, t, dt, scheme, z)
+        values = ws.advance(state, t, dt, scheme, z)
         t += dt
         n_steps += 1
         max_dt = max(max_dt, dt)
@@ -387,18 +426,16 @@ def run(state: KineticState, t_end: float, sample_every: float,
         min_value = min(min_value, float(values.min()))
         if min_value < -1e-13:
             raise ValueError("cell averages must be nonnegative (within roundoff)")
-        m = values.sum(axis=1) * grid.dtheta
-        max_step_rel = max(max_step_rel, float(np.max(np.abs(m - prev_m) / m0_safe)))
-        max_drift_rel = max(max_drift_rel, float(np.max(np.abs(m - m0) / m0_safe)))
-        max_total_drift = max(max_total_drift, abs(float(w @ m) - total0))
-        prev_m = m
+        masses.append(values.sum(axis=1) * grid.dtheta)
 
         if t >= next_sample - eps:
             t = next_sample
-            emit(replace(state, values=values, t=t))
+            fold()
+            emit(replace(state, values=values.copy(), t=t))
             i_sample += 1
 
-    final = replace(state, values=values, t=t)
+    fold()
+    final = replace(state, values=values.copy(), t=t)
     if prev_R is not None:
         min_dR = min(min_dR, global_order(final).R - prev_R)
     return RunResult(records, final, n_steps, max_dt, min_dR,

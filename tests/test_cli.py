@@ -65,6 +65,27 @@ def test_simulate_deterministic(tmp_path):
     assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
 
+def test_identical_oscillators_flag_decreasing_R(tmp_path):
+    # a dirac g gets the min_step_delta_R_ok monitor; a distributed g does not
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["min_step_delta_R"] >= -1e-12 and summary["min_step_delta_R_ok"] is True
+    cfg = write_config(tmp_path, frequency={"kind": "uniform", "halfwidth": 0.5}, n_omega=4)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "u")]) == 0
+    assert "min_step_delta_R_ok" not in json.loads((tmp_path / "u" / "summary.json").read_text())
+
+    from kslab import diagnostics, kinetic
+    st = kinetic.state_from_profile(kinetic.PhaseGrid(64), kslab.frequency.dirac_at_zero(),
+                                    1, 1.0, kinetic.cosine_profile(0.2))
+    res = kinetic.run(st, 0.2, 0.1, sampler=diagnostics.RecordSampler(
+        diagnostics.DiagnosticsConfig(m_bound=0.0)))
+    for dR, ok in ((-1e-12, True), (-1.01e-12, False)):
+        res.min_step_delta_R = dR
+        assert cli._summarize_kinetic({}, 1.0, 0.0, res)["min_step_delta_R_ok"] is ok
+
+
 def test_simulate_rejects_small_grid(tmp_path):
     cfg = write_config(tmp_path, n_theta=8)
     assert cli.main(["simulate", "--config", str(cfg), "--out",
@@ -368,6 +389,40 @@ def test_rejected_input_table_leaves_no_output(tmp_path, model, kind):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["profile", "density"])
+def test_sweep_rejects_bad_input_table_before_output(tmp_path, capsys, kind):
+    # a nan profile cell used to give exit 0 and an empty sweep.csv, a nan
+    # density cell exit 2 with config.json left behind
+    columns, rows, _ = TABLES[kind]
+    table = tmp_path / f"{kind}.csv"
+    table.write_text(BAD_TABLES["nan"](columns, rows))
+    key = {"profile": "initial", "density": "frequency"}[kind]
+    spec = {"profile": {"preset": "table", "path": str(table)},
+            "density": {"kind": "table", "path": str(table)}}[kind]
+    cfg = write_config(tmp_path, coupling=[1.0, 2.0], t_end=0.5, n_omega=4, **{key: spec})
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert str(table) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_serial_sweep_reads_each_table_once(tmp_path, monkeypatch):
+    density, profile = tmp_path / "density.csv", tmp_path / "profile.csv"
+    density.write_text(csv_text(*TABLES["density"][:2]))
+    profile.write_text(csv_text(*TABLES["profile"][:2]))
+    cfg = write_config(tmp_path, coupling=[1.0, 2.0, 3.0], t_end=0.5, n_omega=4,
+                       frequency={"kind": "table", "path": str(density)},
+                       initial={"preset": "table", "path": str(profile)})
+    reads = []
+    read = cli._read_columns
+    monkeypatch.setattr(cli, "_read_columns",
+                        lambda path, names: reads.append(path) or read(path, names))
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(map(str, reads)) == sorted([str(density), str(profile)])
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
 def test_simulate_reads_each_table_once(tmp_path, monkeypatch):

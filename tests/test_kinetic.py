@@ -75,10 +75,13 @@ def test_velocity_field_matches_direct_sine(K):
     for op in ops:
         v = kinetic.velocity_field(st, op)
         assert np.max(np.abs(v - velocity_direct(st, op))) <= 1e-14
-    # the stepping path takes the velocity straight from the phasor
+    # the stepping path takes the velocity straight from the phasor, at the
+    # padded edges 0 .. n_theta + 1 of the workspace (edge n_theta is edge 0)
     z = order.phasor(st.grid, st.weights, st.values)
-    v = kinetic._edge_velocity(st, z)
-    assert np.max(np.abs(v - velocity_direct(st, order.global_order(st)))) <= 1e-14
+    ws = kinetic._Workspace(st.grid, st.n_omega)
+    v = kinetic._edge_velocity(st, z, ws.trig, ws.vel.a)
+    assert np.max(np.abs(v[:, :-2] - velocity_direct(st, order.global_order(st)))) <= 1e-14
+    assert np.array_equal(v[:, -2], v[:, 0])
 
 
 def test_cfl_degenerate_returns_dt_max():
@@ -113,6 +116,14 @@ def test_step_zero_velocity_keeps_state():
     assert np.array_equal(out.values, st.values)
 
 
+def kernel_stage(state, values, dt, scheme):
+    """One forward-Euler stage of the solver's kernel from values at state.t."""
+    ws = kinetic._Workspace(state.grid, state.n_omega)
+    z = order.phasor(state.grid, state.weights, ws.load(values))
+    ws.stage(state, ws.bufs[0], ws.bufs[1], dt, scheme, z, state.t)
+    return ws.bufs[1].inner.copy()
+
+
 @pytest.mark.parametrize("scheme", ["upwind", "muscl"])
 def test_step_amplitude_grows_and_matches_dense_ode(scheme):
     # independent oracle: the same semi-discrete system integrated by a
@@ -126,7 +137,7 @@ def test_step_amplitude_grows_and_matches_dense_ode(scheme):
 
     def rhs(t, y):
         values = y.reshape(st.values.shape)
-        return (kinetic._stage(st, values, 1.0, scheme) - values).ravel()
+        return (kernel_stage(st, values, 1.0, scheme) - values).ravel()
 
     sol = solve_ivp(rhs, (0.0, dt), st.values.ravel(), rtol=1e-11, atol=1e-13)
     ref = kinetic.KineticState(st.grid, st.omega, st.weights,
@@ -164,6 +175,22 @@ def test_nan_reported_at_its_own_cell(scheme, omega):
     with pytest.raises(kinetic.FluxNanError) as err:
         kinetic.step(st, 1e-4, scheme=scheme)
     assert (err.value.slice_index, err.value.cell_index) == (1, 5)
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "muscl"])
+@pytest.mark.parametrize("omega", [0.1, -0.1])
+def test_nan_next_to_a_ghost_column_reported_at_its_own_cell(scheme, omega):
+    # cells 0 and n_theta - 1 are copied into the ghost columns of the buffers;
+    # a NaN there is reported at its cell, in either slice, never at a ghost
+    grid = kinetic.PhaseGrid(32)
+    for k, j in ((0, 0), (0, 31), (1, 0), (1, 31)):
+        values = np.full((2, 32), 1.0 / TWO_PI)
+        values[k, j] = math.nan
+        st = kinetic.KineticState(grid, np.array([-omega, omega]),
+                                  np.full(2, 0.5), values, K=1.0)
+        with pytest.raises(kinetic.FluxNanError) as err:
+            kinetic.step(st, 1e-4, scheme=scheme)
+        assert (err.value.slice_index, err.value.cell_index) == (k, j)
 
 
 def _phi_gap(a, b):
@@ -244,18 +271,137 @@ def test_run_checks_positivity_each_step(monkeypatch):
     assert 0.0 < res.min_cell_value <= min(np.min(st.values),
                                            np.min(res.final_state.values))
 
+    advance = kinetic._Workspace.advance
+
     def dip(depth):
-        def advance(state, values, t, dt, scheme, z):
-            out = values.copy()
+        def dipped(ws, state, t, dt, scheme, z):
+            out = advance(ws, state, t, dt, scheme, z)
             out[0, 3] = -depth
             return out
-        return advance
+        return dipped
 
-    monkeypatch.setattr(kinetic, "_advance", dip(1e-14))
+    monkeypatch.setattr(kinetic._Workspace, "advance", dip(1e-14))
     assert kinetic.run(st, 0.5, 0.25).min_cell_value == -1e-14
-    monkeypatch.setattr(kinetic, "_advance", dip(1e-12))
+    monkeypatch.setattr(kinetic._Workspace, "advance", dip(1e-12))
     with pytest.raises(ValueError, match="nonnegative"):
         kinetic.run(st, 0.5, 0.25)
+
+
+def oracle_stage(state, values, dt, scheme, z):
+    """The plain-array stage the ghost-padded kernel replaced: periodic shifts
+    by copy, minmod as max(min(dl, dr), 0) + min(max(dl, dr), 0), and a fresh
+    array for every intermediate."""
+    def shift_right(a):           # out[:, j] = a[:, j - 1]
+        return np.concatenate([a[:, -1:], a[:, :-1]], axis=1)
+
+    def shift_left(a):            # out[:, j] = a[:, j + 1]
+        return np.concatenate([a[:, 1:], a[:, :1]], axis=1)
+
+    if state.K == 0.0 or not abs(z) > order.TOL_R:
+        v_edges = np.broadcast_to(state.omega[:, None], values.shape)
+    else:
+        v_edges = state.omega[:, None] - state.grid.trig_edges @ (state.K * z.real,
+                                                                  -state.K * z.imag)
+    if scheme == "muscl":
+        dr = shift_left(values) - values
+        dl = shift_right(dr)
+        slopes = (np.maximum(np.minimum(dl, dr), 0.0)
+                  + np.minimum(np.maximum(dl, dr), 0.0))
+        left, right = shift_right(values + 0.5 * slopes), values - 0.5 * slopes
+    else:
+        left, right = shift_right(values), values
+    flux = v_edges * np.where(v_edges >= 0.0, left, right)
+    return values - (dt / state.grid.dtheta) * (shift_left(flux) - flux)
+
+
+def oracle_step(state, values, dt, scheme, z):
+    f1 = oracle_stage(state, values, dt, scheme, z)
+    f2 = oracle_stage(state, f1, dt, scheme, order.phasor(state.grid, state.weights, f1))
+    return 0.5 * (values + f2)
+
+
+def kernel_state(n_omega, n_theta, K, seam, seed=11):
+    """Random nonnegative slices (with exact zeros) of unit total mass; with
+    `seam`, every other slice is scaled by 1e6, so a slice that read its
+    neighbour's cells would be visibly wrong."""
+    rng = np.random.default_rng(seed)
+    grid = kinetic.PhaseGrid(n_theta)
+    values = (rng.uniform(0.0, 1.0, (n_omega, n_theta))
+              * (rng.uniform(0.0, 1.0, (n_omega, n_theta)) < 0.8))
+    if seam:
+        values *= 1e6 ** (np.arange(n_omega) % 2)[:, None]
+    omega = np.array([-0.6]) if n_omega == 1 else np.linspace(-0.7, 0.9, n_omega)
+    weights = 1.0 / (n_omega * values.sum(axis=1) * grid.dtheta)
+    return kinetic.KineticState(grid, omega, weights, values, K=K)
+
+
+KERNEL_CASES = ([(n_omega, n_theta, K, False) for n_omega in (1, 3)
+                 for n_theta in (16, 17, 64) for K in (0.0, 2.5)]
+                + [(3, n_theta, K, True) for n_theta in (16, 17) for K in (0.0, 2.5)])
+
+
+@pytest.mark.parametrize("scheme", ["muscl", "upwind"])
+@pytest.mark.parametrize("n_omega,n_theta,K,seam", KERNEL_CASES)
+def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
+    st = kernel_state(n_omega, n_theta, K, seam)
+    dt = 2.0 ** math.floor(math.log2(0.5 * st.grid.dtheta / (0.9 + K)))
+    z = order.phasor(st.grid, st.weights, st.values)
+    assert np.array_equal(kernel_stage(st, st.values, dt, scheme),
+                          oracle_stage(st, st.values, dt, scheme, z))
+    assert np.array_equal(kinetic.step(st, dt, scheme).values,
+                          oracle_step(st, st.values, dt, scheme, z))
+
+    # 50 steps of run, dt a power of two so every step takes it exactly; the
+    # sampler keeps the values it is handed, so they must be copies
+    res = kinetic.run(st, 50 * dt, 10 * dt, sampler=lambda s: s.values, scheme=scheme,
+                      dt_max=dt)
+    m0 = st.slice_masses()
+    total0 = float(st.weights @ m0)
+    values, prev_m, samples = st.values, m0, [st.values]
+    prev_R, min_dR, step_rel, drift_rel, total_drift = None, 0.0, 0.0, 0.0, 0.0
+    min_value = float(values.min())
+    for i in range(1, 51):
+        z = order.phasor(st.grid, st.weights, values)
+        if prev_R is not None:
+            min_dR = min(min_dR, abs(z) - prev_R)
+        prev_R = abs(z)
+        values = oracle_step(st, values, dt, scheme, z)
+        min_value = min(min_value, float(values.min()))
+        m = values.sum(axis=1) * st.grid.dtheta
+        step_rel = max(step_rel, float(np.max(np.abs(m - prev_m) / m0)))
+        drift_rel = max(drift_rel, float(np.max(np.abs(m - m0) / m0)))
+        total_drift = max(total_drift, abs(float(st.weights @ m) - total0))
+        prev_m = m
+        if i % 10 == 0:
+            samples.append(values)
+    min_dR = min(min_dR, order.global_order(res.final_state).R - prev_R)
+    assert res.n_steps == 50 and res.max_dt == dt
+    assert len(res.records) == len(samples) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(res.records, samples))
+    assert np.array_equal(res.final_state.values, values)
+    assert (res.min_step_delta_R, res.max_slice_mass_step_rel, res.max_slice_mass_drift_rel,
+            res.max_total_mass_drift, res.min_cell_value) == (
+                min_dR, step_rel, drift_rel, total_drift, min_value)
+
+
+def test_rigid_rotation_at_zero_coupling():
+    # at K = 0 each slice translates: f_k(theta, t) = f0(theta - omega_k t);
+    # slices of both signs move apart, so a leak across the seams would show
+    profile = kinetic.cosine_profile(0.3, 1.0)
+    errs = []
+    for n in (64, 128, 256, 512):
+        grid = kinetic.PhaseGrid(n)
+        st = kinetic.state_from_profile(grid, freq.uniform(0.8, n_nodes=4), 4, 0.0, profile)
+        assert np.min(st.omega) < 0.0 < np.max(st.omega)
+        out = kinetic.run(st, 1.0, 1.0, cfl=0.5).final_state
+        norm = kinetic.project_profile(grid, profile).sum() * grid.dtheta
+        exact = np.array([kinetic.project_profile(grid, lambda th, w=w: profile(th - w))
+                          for w in st.omega]) / norm
+        errs.append(np.sum(np.abs(out.values - exact), axis=1) * grid.dtheta)
+    errs = np.array(errs)                       # (grid level, slice), L1 per slice
+    rates = np.log2(errs[:-1] / errs[1:])
+    assert rates.min() >= 1.75, rates            # seen 1.84-1.94
+    assert errs[-1].max() <= 5e-5, errs[-1]      # seen 3.0e-5
 
 
 def test_run_zero_horizon_returns_initial_record():
