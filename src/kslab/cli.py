@@ -57,6 +57,22 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _object(value, allowed, where) -> dict:
+    """value, which must be a JSON object with keys from allowed."""
+    _require(isinstance(value, dict), f"{where} must be a JSON object, not {value!r}")
+    _reject_unknown(value, allowed, where)
+    return value
+
+
+def _path(mapping: dict, key: str, where: str = "") -> None:
+    """mapping[key], if present, must be a non-empty string: an integer or a
+    bool would open that file descriptor (0 is stdin)."""
+    if key in mapping:
+        value = mapping[key]
+        _require(isinstance(value, str) and value != "",
+                 f"{where}{key} must be a non-empty string, not {value!r}")
+
+
 def validate_config(cfg: dict) -> dict:
     """Check every field against the module preconditions; returns cfg."""
     _require(isinstance(cfg, dict), "configuration must be a JSON object")
@@ -65,8 +81,9 @@ def validate_config(cfg: dict) -> dict:
     _require(model in ("kinetic", "particle", "both"),
              f"model must be kinetic, particle, or both, not {model!r}")
 
-    fcfg = cfg.get("frequency", {"kind": "dirac"})
-    _reject_unknown(fcfg, _FREQ_KEYS, "frequency")
+    _path(cfg, "out_dir")
+    fcfg = _object(cfg.get("frequency", {"kind": "dirac"}), _FREQ_KEYS, "frequency")
+    _path(fcfg, "path", "frequency.")
     kind = fcfg.get("kind")
     _require(kind in ("dirac", "uniform", "table"),
              f"frequency.kind must be dirac, uniform, or table, not {kind!r}")
@@ -76,8 +93,9 @@ def validate_config(cfg: dict) -> dict:
     if kind == "table":
         _require("path" in fcfg, "frequency.path required for table densities")
 
-    icfg = cfg.get("initial", {"preset": "cosine", "amplitude": 0.2})
-    _reject_unknown(icfg, _INIT_KEYS, "initial")
+    icfg = _object(cfg.get("initial", {"preset": "cosine", "amplitude": 0.2}),
+                   _INIT_KEYS, "initial")
+    _path(icfg, "path", "initial.")
     preset = icfg.get("preset")
     _require(preset in ("cosine", "von_mises", "table"),
              f"initial.preset must be cosine, von_mises, or table, not {preset!r}")
@@ -113,18 +131,17 @@ def validate_config(cfg: dict) -> dict:
         _require(_real(cfg, "dt_particle", None) > 0, "dt_particle must be positive")
     _require(_real(cfg, "dt_max", 1.0) > 0, "dt_max must be positive")
 
-    dcfg = cfg.get("diagnostics", {})
-    _reject_unknown(dcfg, _DIAG_KEYS, "diagnostics")
+    dcfg = _object(cfg.get("diagnostics", {}), _DIAG_KEYS, "diagnostics")
     for key in ("lambda_interval", "gamma_plus", "gamma_minus"):
         if key in dcfg:
-            _reject_unknown(dcfg[key], _INTERVAL_KEYS, f"diagnostics.{key}")
-            _parse_interval(dcfg[key])
-    for iv in dcfg.get("intervals", []):
-        _reject_unknown(iv, _INTERVAL_KEYS, "diagnostics.intervals[]")
-        _parse_interval(iv)
+            _parse_interval(_object(dcfg[key], _INTERVAL_KEYS, f"diagnostics.{key}"))
+    intervals = dcfg.get("intervals", [])
+    _require(isinstance(intervals, list), "diagnostics.intervals must be a JSON list")
+    for iv in intervals:
+        _parse_interval(_object(iv, _INTERVAL_KEYS, "diagnostics.intervals[]"))
 
     if "hypothesis" in cfg:
-        _reject_unknown(cfg["hypothesis"], _HYP_KEYS, "hypothesis")
+        _object(cfg["hypothesis"], _HYP_KEYS, "hypothesis")
         for key in cfg["hypothesis"]:
             _real(cfg["hypothesis"], key, None, "hypothesis.")
     return cfg
@@ -186,12 +203,11 @@ def _read_columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
 
 def build_frequency(cfg: dict) -> freq.FrequencyDensity:
     fcfg = cfg.get("frequency", {"kind": "dirac"})
-    n = int(cfg.get("n_omega", 8))
     if fcfg["kind"] == "dirac":
         return freq.dirac_at_zero()
     if fcfg["kind"] == "uniform":
-        return freq.uniform(float(fcfg["halfwidth"]), n_nodes=n)
-    return freq.from_table(*_read_columns(fcfg["path"], ("omega", "density")), n_nodes=n)
+        return freq.uniform(float(fcfg["halfwidth"]))
+    return freq.from_table(*_read_columns(fcfg["path"], ("omega", "density")))
 
 
 def build_profile(cfg: dict):
@@ -204,7 +220,7 @@ def build_profile(cfg: dict):
     return kinetic.table_profile(*_read_columns(icfg["path"], ("theta", "value")))
 
 
-def build_diag_config(cfg: dict, M: float) -> diag.DiagnosticsConfig:
+def build_diag_config(cfg: dict) -> diag.DiagnosticsConfig:
     dcfg = cfg.get("diagnostics", {})
     intervals = tuple(_parse_interval(iv) for iv in dcfg.get("intervals", []))
     return diag.DiagnosticsConfig(
@@ -214,8 +230,7 @@ def build_diag_config(cfg: dict, M: float) -> diag.DiagnosticsConfig:
         gamma_plus_interval=_parse_interval(dcfg["gamma_plus"])
         if "gamma_plus" in dcfg else None,
         gamma_minus_interval=_parse_interval(dcfg["gamma_minus"])
-        if "gamma_minus" in dcfg else None,
-        m_bound=M)
+        if "gamma_minus" in dcfg else None)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +243,7 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     state = kinetic.state_from_profile(grid, g, int(cfg.get("n_omega", 8)),
                                        K=K, profile=profile)
     M = g.support
-    dconfig = build_diag_config(cfg, M)
+    dconfig = build_diag_config(cfg)
     res = kinetic.run(state, float(cfg.get("t_end", 10.0)),
                       float(cfg.get("sample_every", 0.1)),
                       sampler=diag.RecordSampler(dconfig),
@@ -276,7 +291,7 @@ def _summarize_kinetic(cfg, K, M, res: kinetic.RunResult) -> dict:
         "bound_check_failures": bad_bounds,
     }
     if M == 0.0:    # identical oscillators: R never decreases
-        summary["min_step_delta_R_ok"] = res.min_step_delta_R >= -1e-12
+        summary["min_step_delta_R_ok"] = res.min_step_delta_R_ok
     lam = [(r.t, r.lambda_value) for r in recs if r.lambda_value is not None]
     if len(lam) >= 25:
         onset = diag.detect_transient([t for t, _ in lam], [v for _, v in lam])

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frequency as freq
-from .order import TWO_PI, OrderParams, _rates, global_order, kinetic_potential, rk4_step
+from .order import (TWO_PI, OrderParams, _rates, global_order, kinetic_potential,
+                    phidot_bound, rk4_step)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -87,35 +88,13 @@ def _arc_sum(grid, lo: float, hi: float, f: np.ndarray):
             + (hi - jb * dth) * f[..., jb % n])
 
 
-def mass_on_arc(state, lo: float, hi: float) -> float:
-    """Mass of the theta marginal on the arc [lo, hi] with fractional end cells."""
-    return float(_arc_sum(state.grid, lo, hi, state.marginal_density()))
-
-
-def _on_interval(state, interval: Interval, f: np.ndarray, op: OrderParams | None):
-    """_arc_sum of f over the moving interval; needs a defined average phase."""
-    op = global_order(state) if op is None else op
+def _on_interval(state, interval: Interval, f: np.ndarray, op: OrderParams):
+    """_arc_sum of f over the moving interval at the order parameters op of
+    state: the mass for f = rho, the L2 functionals for f = rho^2 or
+    values^2 (one per omega slice).  Needs a defined average phase."""
     if not op.defined:
         raise ValueError("average phase undefined (R below tolerance)")
     return _arc_sum(state.grid, *interval.endpoints(op.phi), f)
-
-
-def interval_mass(state, interval: Interval, op: OrderParams | None = None) -> float:
-    """Mass of f over the moving interval; needs a defined average phase."""
-    return float(_on_interval(state, interval, state.marginal_density(), op))
-
-
-def lyapunov_L2(state, interval: Interval, per_omega: bool = False,
-                op: OrderParams | None = None):
-    """Squared-density integral over the moving interval (midpoint quadrature).
-
-    With per_omega=False the theta marginal rho is squared; with
-    per_omega=True the per-slice conditional densities are squared and an
-    array over omega nodes is returned.
-    """
-    f = state.values ** 2 if per_omega else state.marginal_density() ** 2
-    out = _on_interval(state, interval, f, op)
-    return out if per_omega else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +141,19 @@ def fit_exponential_rate(series, window: tuple[float, float]) -> FitResult:
     return FitResult(float(slope), r2, pts.shape[0], shrunk)
 
 
-def detect_transient(ts, values, direction: str = "decreasing",
-                     run_length: int = 20) -> float | None:
-    """First sample time from which the monotone trend holds run_length times.
+def detect_transient(ts, values) -> float | None:
+    """First sample time from which the values do not increase over 20
+    consecutive steps.
 
     Returns None when no such onset exists.  The onset is reported, never
     hard-coded, so callers can quote it next to fitted rates.
     """
     ts = np.asarray(ts, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    d = np.diff(vals)
-    good = d <= 0 if direction == "decreasing" else d >= 0
+    good = np.diff(np.asarray(values, dtype=float)) <= 0
     count = 0
     for i, ok in enumerate(good):
         count = count + 1 if ok else 0
-        if count >= run_length:
+        if count >= 20:
             return float(ts[i + 1 - count])
     return None
 
@@ -405,8 +382,7 @@ def equilibrium_probe(g: freq.FrequencyDensity, K: float, R: float) -> float:
     return freq.locked_phasor_mean(g, K * R)
 
 
-def equilibrium_R(g: freq.FrequencyDensity, K: float,
-                  residual_tol: float = 1e-10) -> EquilibriumResult:
+def equilibrium_R(g: freq.FrequencyDensity, K: float) -> EquilibriumResult:
     """Largest fixed point of R = H(R) on (M/K, 1], by scan plus bisection.
 
     Returns "no solution" (found=False) when R - H(R) has no sign change on
@@ -453,7 +429,7 @@ def equilibrium_R(g: freq.FrequencyDensity, K: float,
             a = mid
         else:
             b = mid
-        if abs(psi_mid) <= 0.1 * residual_tol and (b - a) < 1e-15:
+        if abs(psi_mid) <= 1e-11 and (b - a) < 1e-15:
             break
     root = 0.5 * (a + b)
     residual = abs(psi(root))
@@ -648,7 +624,6 @@ class DiagnosticsConfig:
     lambda_interval: Interval | None = None
     gamma_plus_interval: Interval | None = None
     gamma_minus_interval: Interval | None = None
-    m_bound: float | None = None           # support bound M for bound checks
     sandwich_gamma: float | None = None    # enables the mass/amplitude sandwich
     sandwich_r_low: float | None = None
     sandwich_mu: float = 1e-3
@@ -693,15 +668,14 @@ class RecordSampler:
         return rec
 
 
-def finalize_records(records, K: float, m_bound: float,
-                     config: DiagnosticsConfig | None = None,
-                     dtheta: float | None = None) -> None:
+def finalize_records(records, K: float, m_bound: float, config: DiagnosticsConfig,
+                     dtheta: float) -> None:
     """Fill measured derivatives (central differences) and bound checks.
 
     Mutates the records in place.  The phase is unwrapped before
-    differencing; undefined-phase samples get no measured phidot.  When
-    dtheta is supplied, the mass/amplitude sandwich gets the 5*dtheta
-    quadrature slack.
+    differencing; undefined-phase samples get no measured phidot.  m_bound
+    is the support bound M of g; the mass/amplitude sandwich, when config
+    enables it, gets the 5*dtheta quadrature slack.
     """
     n = len(records)
     if n < 2:
@@ -722,21 +696,21 @@ def finalize_records(records, K: float, m_bound: float,
         r.phidot_measured = float(phidot[i]) if r.phi_defined else None
         checks = {}
         if r.phi_defined and r.R > 0:
-            bound = m_bound / r.R + K * (1.0 - r.R)
+            bound = phidot_bound(r.R, m_bound, K)
             margin = bound - abs(r.phidot_measured)
             checks["phidot_bound"] = {"passed": bool(margin >= 0),
                                       "margin": float(margin),
                                       "bound": float(bound)}
         lip = (m_bound + K + 0.01) - abs(r.rdot_measured)
         checks["rdot_lipschitz"] = {"passed": bool(lip >= 0), "margin": float(lip)}
-        if (config is not None and config.sandwich_gamma is not None
-                and config.sandwich_r_low is not None and r.rdot_measured <= 0):
+        if (config.sandwich_gamma is not None and config.sandwich_r_low is not None
+                and r.rdot_measured <= 0):
             label = Interval("l_plus", math.pi / 3).label
             if label in r.masses and math.isfinite(r.masses[label]):
                 e1, e2, _ = constants_E(K, m_bound, config.sandwich_r_low,
                                         config.sandwich_gamma, config.sandwich_mu)
                 mass = r.masses[label]
-                slack = 5.0 * dtheta if dtheta is not None else 0.0
+                slack = 5.0 * dtheta
                 lo_margin = r.R - (2.0 * mass - e2 - 1.0)
                 hi_margin = (2.0 * mass + 2.0 * e1 - 1.0) - r.R
                 checks["amplitude_mass_sandwich"] = {

@@ -1,11 +1,12 @@
 """Natural-frequency densities g(omega) and their quadrature rules.
 
-A density is represented together with a fixed quadrature rule whose weights
+A density holds only its kind, the bound M of its support and, for a table,
+the table.  ``quadrature_nodes(g, n)`` builds an n-point rule whose weights
 carry the density folded in: an integral int h(omega) g(omega) domega is
-evaluated as sum_k weights[k] * h(nodes[k]).  Three kinds are supported:
+evaluated as sum_k weight_k * h(node_k).  Three kinds are supported:
 
 * ``dirac``   - unit point mass at omega = 0 (identical oscillators),
-* ``uniform`` - constant density 1/(2*halfwidth) on [-halfwidth, halfwidth],
+* ``uniform`` - constant density 1/(2M) on [-M, M],
 * ``table``   - piecewise-linear density given by (omega, density) samples,
   renormalized to unit mass at load time.
 
@@ -41,52 +42,33 @@ _BLOCK_ENTRIES = 1 << 16
 @dataclass(frozen=True, eq=False)
 class FrequencyDensity:
     kind: str                 # "dirac" | "uniform" | "table"
-    support: float            # M: all nodes lie in [-M, M]
-    nodes: np.ndarray         # quadrature nodes omega_k
-    weights: np.ndarray       # density-folded weights, sum ~ total mass
-    halfwidth: float = 0.0    # uniform kind only
+    support: float            # M: g vanishes outside [-M, M]
     table_omega: np.ndarray | None = field(default=None, repr=False)
     table_density: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("dirac", "uniform", "table"):
             raise ValueError(f"unknown frequency density kind {self.kind!r}")
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
-            raise ValueError("quadrature nodes/weights must be matching nonempty 1-d arrays")
-        if np.any(weights < 0):
-            raise ValueError("quadrature weights must be nonnegative")
-        if np.any(np.abs(nodes) > self.support + 1e-12):
-            raise ValueError("quadrature nodes outside the support bound")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.nodes.size
 
 
 def dirac_at_zero() -> FrequencyDensity:
     """Identical-oscillator density: a unit point mass at omega = 0."""
-    return FrequencyDensity("dirac", 0.0, np.zeros(1), np.ones(1))
+    return FrequencyDensity("dirac", 0.0)
 
 
-def uniform(halfwidth: float, n_nodes: int = 64) -> FrequencyDensity:
-    """Uniform density on [-halfwidth, halfwidth] with a Gauss-Legendre rule."""
+def uniform(halfwidth: float) -> FrequencyDensity:
+    """Uniform density on [-halfwidth, halfwidth]."""
     if halfwidth <= 0:
         raise ValueError("halfwidth must be positive")
-    pairs = _uniform_rule(halfwidth, n_nodes)
-    nodes, weights = pairs[:, 0], pairs[:, 1]
-    return FrequencyDensity("uniform", halfwidth, nodes, weights, halfwidth=halfwidth)
+    return FrequencyDensity("uniform", halfwidth)
 
 
-def from_table(omegas, densities, n_nodes: int = 64) -> FrequencyDensity:
+def from_table(omegas, densities) -> FrequencyDensity:
     """Piecewise-linear density from (omega, density) samples.
 
     The table is renormalized to unit mass; the renormalization factor is
-    logged.  An all-zero table is accepted (zero quadrature weights) so the
-    caller can detect it through ``moments``; negative densities are rejected.
+    logged.  Negative densities, an all-zero table (no mass to renormalize)
+    and a nonzero mean are rejected.
     """
     om = np.asarray(omegas, dtype=float)
     de = np.asarray(densities, dtype=float)
@@ -97,19 +79,18 @@ def from_table(omegas, densities, n_nodes: int = 64) -> FrequencyDensity:
     if np.any(de < 0):
         raise ValueError("table densities must be nonnegative")
     mass = np.trapezoid(de, om)
-    if mass > 0:
-        factor = 1.0 / mass
-        if abs(factor - 1.0) > 1e-12:
-            logger.info("table density renormalized by factor %.17g", factor)
-        de = de * factor
-        mean = np.trapezoid(om * de, om)
-        if abs(mean) > MEAN_TOL:
-            raise ValueError(f"table density has nonzero mean {mean:.3e}; "
-                             "shift to the rotating frame first")
+    if not mass > 0:
+        raise ValueError("table density has zero mass")
+    factor = 1.0 / mass
+    if abs(factor - 1.0) > 1e-12:
+        logger.info("table density renormalized by factor %.17g", factor)
+    de = de * factor
+    mean = np.trapezoid(om * de, om)
+    if abs(mean) > MEAN_TOL:
+        raise ValueError(f"table density has nonzero mean {mean:.3e}; "
+                         "shift to the rotating frame first")
     support = float(max(abs(om[0]), abs(om[-1])))
-    pairs = _table_rule(om, de, n_nodes)
-    return FrequencyDensity("table", support, pairs[:, 0], pairs[:, 1],
-                            table_omega=om, table_density=de)
+    return FrequencyDensity("table", support, table_omega=om, table_density=de)
 
 
 def _uniform_rule(halfwidth: float, n: int) -> np.ndarray:
@@ -147,17 +128,10 @@ def quadrature_nodes(g: FrequencyDensity, n: int) -> list[tuple[float, float]]:
     if g.kind == "dirac":
         return [(0.0, 1.0)]
     if g.kind == "uniform":
-        pairs = _uniform_rule(g.halfwidth, n)
+        pairs = _uniform_rule(g.support, n)
     else:
         pairs = _table_rule(g.table_omega, g.table_density, n)
     return [tuple(row) for row in pairs]
-
-
-def moments(g: FrequencyDensity) -> tuple[float, float]:
-    """Quadrature-evaluated zeroth and first moments of g."""
-    mass = float(np.sum(g.weights))
-    mean = float(np.sum(g.nodes * g.weights))
-    return mass, mean
 
 
 def sample(g: FrequencyDensity, n: int, seed: int) -> np.ndarray:
@@ -168,11 +142,9 @@ def sample(g: FrequencyDensity, n: int, seed: int) -> np.ndarray:
     if g.kind == "dirac":
         return np.zeros(n)
     if g.kind == "uniform":
-        return rng.uniform(-g.halfwidth, g.halfwidth, n)
+        return rng.uniform(-g.support, g.support, n)
     om, de = g.table_omega, g.table_density
     dmax = float(de.max())
-    if dmax <= 0:
-        raise ValueError("cannot sample from an all-zero density table")
     out = np.empty(0)
     while out.size < n:
         batch = max(2 * (n - out.size), 128)
@@ -188,7 +160,7 @@ def density_at(g: FrequencyDensity, omega) -> np.ndarray:
         raise ValueError("the dirac density has no pointwise values")
     om = np.asarray(omega, dtype=float)
     if g.kind == "uniform":
-        return np.where(np.abs(om) <= g.halfwidth, 1.0 / (2.0 * g.halfwidth), 0.0)
+        return np.where(np.abs(om) <= g.support, 1.0 / (2.0 * g.support), 0.0)
     return np.interp(om, g.table_omega, g.table_density, left=0.0, right=0.0)
 
 
@@ -201,11 +173,9 @@ def inner_support_radius(g: FrequencyDensity) -> float:
     if g.kind == "dirac":
         return 0.0
     if g.kind == "uniform":
-        return g.halfwidth
+        return g.support
     om, de = g.table_omega, g.table_density
     idx = np.flatnonzero(de > 0)
-    if idx.size == 0:
-        return 0.0
     lo = om[max(idx[0] - 1, 0)]
     hi = om[min(idx[-1] + 1, om.size - 1)]
     if lo < 0.0 < hi:
@@ -219,7 +189,7 @@ def min_density_on_inner(g: FrequencyDensity) -> float:
     if m <= 0:
         return 0.0
     if g.kind == "uniform":
-        return 1.0 / (2.0 * g.halfwidth)
+        return 1.0 / (2.0 * g.support)
     grid = np.linspace(-m, m, 2049)
     return float(density_at(g, grid).min())
 
@@ -242,7 +212,7 @@ def locked_phasor_mean(g: FrequencyDensity, a):
     if g.kind == "dirac":
         out[pos] = 1.0
     elif g.kind == "uniform":
-        ell = g.halfwidth
+        ell = g.support
         u = np.minimum(1.0, ell / ap)
         out[pos] = (ap / (2.0 * ell)) * (u * np.sqrt(1.0 - u * u) + np.arcsin(u))
     else:

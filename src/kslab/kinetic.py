@@ -40,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .frequency import FrequencyDensity, quadrature_nodes
-from .order import TOL_R, TWO_PI, OrderParams, global_order, phasor, rk4_step
+from .order import TOL_R, TWO_PI, global_order, phasor, rk4_step
 
 MIN_CELLS = 16
 
@@ -211,18 +211,12 @@ def state_from_profile(grid: PhaseGrid, g: FrequencyDensity, n_omega: int,
 # fluxes and stepping
 
 
-def velocity_field(state: KineticState, op: OrderParams) -> np.ndarray:
-    """Edge velocities v[k, j] = omega_k - K R sin(theta_j - phi), edge j at
-    theta = j * dtheta between cells j-1 and j; omega_k when phi is undefined."""
-    z = op.R * complex(math.cos(op.phi), math.sin(op.phi)) if op.defined else 0j
-    return _edge_velocity(state, z, state.grid.trig_edges, np.empty(state.values.shape))
-
-
 def _edge_velocity(state: KineticState, z: complex, trig_edges: np.ndarray,
                    out: np.ndarray) -> np.ndarray:
-    """velocity_field from the phasor z = R exp(i phi), into out, at the edges
-    whose (sin, cos) are the rows of trig_edges: no trig call.  Just omega_k
-    unless |z| > TOL_R, so a NaN in one slice leaves the others' fluxes finite."""
+    """Edge velocities v[k, j] = omega_k - K R sin(theta_j - phi) from the
+    phasor z = R exp(i phi), into out, at the edges theta_j whose (sin, cos)
+    are the rows of trig_edges: no trig call.  Just omega_k unless
+    |z| > TOL_R, so a NaN in one slice leaves the others' fluxes finite."""
     np.copyto(out, state.omega[:, None])
     if state.K != 0.0 and abs(z) > TOL_R:
         np.subtract(out, trig_edges @ (state.K * z.real, -state.K * z.imag), out=out)
@@ -350,17 +344,24 @@ class RunResult:
     max_total_mass_drift: float
     min_cell_value: float            # smallest cell average seen (positivity margin)
 
+    @property
+    def min_step_delta_R_ok(self) -> bool:
+        """Whether R fell by at most 1e-12 in every step, as it must for
+        identical oscillators."""
+        return self.min_step_delta_R >= -1e-12
+
 
 def run(state: KineticState, t_end: float, sample_every: float,
-        sampler=None, sink=None, cfl: float = 0.5, scheme: str = "muscl",
+        sampler=None, cfl: float = 0.5, scheme: str = "muscl",
         dt_max: float = 1.0) -> RunResult:
     """Advance to t_end with adaptive CFL steps, sampling at t0 + i sample_every.
 
-    ``sampler`` maps a state to a record (None records are dropped); ``sink``
-    is called with each record as it is produced.  Steps are shortened to
-    land on sample times and then take that time exactly, so the cadence and
-    therefore the output are deterministic for a given configuration.  Each
-    step's values must stay above the -1e-13 floor KineticState enforces.
+    ``sampler`` maps the state at each sample time to a record, the start
+    and t_end included; without it the result holds no records.  Steps are
+    shortened to land on sample times and then take that time exactly, so
+    the cadence and therefore the output are deterministic for a given
+    configuration.  Each step's values must stay above the -1e-13 floor
+    KineticState enforces.
     """
     if t_end < state.t:
         raise ValueError("t_end must not precede the state time")
@@ -374,11 +375,8 @@ def run(state: KineticState, t_end: float, sample_every: float,
     records = []
 
     def emit(s):
-        rec = sampler(s) if sampler is not None else None
-        if rec is not None:
-            records.append(rec)
-            if sink is not None:
-                sink(rec)
+        if sampler is not None:
+            records.append(sampler(s))
 
     grid, w = state.grid, state.weights
     omega_max = _omega_max(state)       # omega is fixed for the run

@@ -1,4 +1,4 @@
-"""Global and local order parameters of a kinetic state, and their rates.
+"""Order parameters of a kinetic state and their closed-form rates.
 
 The amplitude R and average phase phi are the modulus and argument of the
 phasor mean of the phase distribution; phi is only meaningful when R exceeds
@@ -57,17 +57,11 @@ def global_order(state) -> OrderParams:
     return _from_phasor(phasor(state.grid, state.weights, state.values))
 
 
-def local_order(state, k: int) -> OrderParams:
-    """Order parameters of the conditional density on omega slice k."""
-    mass = float(np.sum(state.values[k]) * state.grid.dtheta)
-    if mass <= 0:
-        raise ValueError(f"omega slice {k} has no mass")
-    return _from_phasor(phasor(state.grid, np.ones(1), state.values[k:k + 1]) / mass)
-
-
 def _rates(state, op: OrderParams, rho: np.ndarray) -> tuple[float, float]:
-    """(rdot_formula, phidot_formula) given the theta marginal rho; cos and
-    sin of theta - phi come pointwise from the grid's table, no trig per cell."""
+    """Closed-form dR/dt = -<sin(theta-phi) omega f> + K R <sin^2(theta-phi) rho>
+    and dphi/dt = (1/R)<cos(theta-phi) omega f> - (K/2)<sin 2(theta-phi) rho>
+    at op, given the theta marginal rho; cos and sin of theta - phi come
+    pointwise from the grid's table, no trig per cell."""
     if not op.defined:
         raise ValueError("average phase undefined (R below tolerance)")
     cp, sp = math.cos(op.phi), math.sin(op.phi)
@@ -78,22 +72,6 @@ def _rates(state, op: OrderParams, rho: np.ndarray) -> tuple[float, float]:
     rdot = -drift_s + state.K * op.R * float(rho @ (s * s)) * dth
     phidot = drift_c / op.R - state.K * float(rho @ (s * c)) * dth
     return float(rdot), float(phidot)
-
-
-def rdot_formula(state, op: OrderParams | None = None) -> float:
-    """Closed-form dR/dt: -<sin(theta-phi) omega f> + K R <sin^2(theta-phi) rho>.
-
-    For identical oscillators (omega = 0) this reduces to K R <sin^2 rho>,
-    which is nonnegative.
-    """
-    op = global_order(state) if op is None else op
-    return _rates(state, op, state.marginal_density())[0]
-
-
-def phidot_formula(state, op: OrderParams | None = None) -> float:
-    """Closed-form dphi/dt: (1/R)<cos(theta-phi) omega f> - (K/2)<sin 2(theta-phi) rho>."""
-    op = global_order(state) if op is None else op
-    return _rates(state, op, state.marginal_density())[1]
 
 
 def phidot_bound(R: float, M: float, K: float) -> float:

@@ -183,38 +183,13 @@ def particle_step(state: ParticleState, dt: float) -> ParticleState:
 
 
 def _potential(state: ParticleState, r: float) -> float:
+    """Gradient-flow potential, whose negative gradient is the dynamics, from
+    the amplitude r of the phasor mean:
+    V = -sum_i omega_i theta_i + (K/2N) sum_ij (1 - cos(theta_j - theta_i)),
+    with sum_ij cos(theta_j - theta_i) = |sum exp(i theta)|^2 = (N r)^2.
+    """
     pair = 0.5 * state.K * state.n * (1.0 - r * r)
     return float(-np.dot(state.omegas, state.thetas) + pair)
-
-
-def particle_potential(state: ParticleState) -> float:
-    """Gradient-flow potential; the dynamics is its negative gradient.
-
-    V = -sum_i omega_i theta_i + (K/2N) sum_ij (1 - cos(theta_j - theta_i)),
-    evaluated through the phasor identity sum_ij cos(theta_j - theta_i)
-    = |sum exp(i theta)|^2 = (N r)^2.
-    """
-    return _potential(state, abs(_phasor(state.thetas)[2]))
-
-
-def particle_order_rates(state: ParticleState) -> tuple[float, float]:
-    """(dr/dt, dphi/dt) from the order-parameter evolution equations.
-
-    dr/dt = -(1/N) sum sin(theta_j - phi) thetadot_j and
-    dphi/dt = (1/(rN)) sum cos(theta_j - phi) thetadot_j, with thetadot in
-    mean-field form.  With z = r exp(i phi), r sin(theta - phi) and
-    r cos(theta - phi) are sin theta Re z - cos theta Im z and
-    cos theta Re z + sin theta Im z.  Requires r above tolerance.
-    """
-    c, s, z = _phasor(state.thetas)
-    op = _from_phasor(z)
-    if not op.defined:
-        raise ValueError("average phase undefined (r below tolerance)")
-    r_sin = s * z.real - c * z.imag
-    dth = state.omegas - state.K * r_sin
-    rdot = -float(np.mean(r_sin * dth)) / op.R
-    phidot = float(np.mean((c * z.real + s * z.imag) * dth)) / (op.R * op.R)
-    return rdot, phidot
 
 
 def phase_diameter(state: ParticleState) -> float:

@@ -51,11 +51,11 @@ class RunCache:
     # -- run 1: distributed frequencies, conservation / consistency host ----
     def run1(self) -> _CachedRun:
         if "run1" not in self._runs:
-            g = freq.uniform(0.1, n_nodes=16)
+            g = freq.uniform(0.1)
             grid = kinetic.PhaseGrid(512)
             state = kinetic.state_from_profile(grid, g, 16, K=2.0,
                                                profile=_skewed_profile)
-            cfg = diag.DiagnosticsConfig(m_bound=0.1)
+            cfg = diag.DiagnosticsConfig()
             t0 = time.perf_counter()
             res = kinetic.run(state, 20.0, 0.05,
                               sampler=diag.RecordSampler(cfg), cfl=0.5)
@@ -76,8 +76,7 @@ class RunCache:
             cfg = diag.DiagnosticsConfig(
                 intervals=(diag.Interval("i_plus", 0.2), diag.Interval("i_minus", 0.2),
                            diag.Interval("i_plus", 0.5), diag.Interval("i_minus", 0.5)),
-                lambda_interval=diag.Interval("i_minus", 0.5),
-                m_bound=0.0)
+                lambda_interval=diag.Interval("i_minus", 0.5))
             t0 = time.perf_counter()
             res = kinetic.run(state, 40.0, 0.05,
                               sampler=diag.RecordSampler(cfg), cfl=0.5)
@@ -91,7 +90,7 @@ class RunCache:
     # -- run 12: large coupling, asymptotic amplitude host -------------------
     def run12(self) -> _CachedRun:
         if "run12" not in self._runs:
-            g = freq.uniform(0.05, n_nodes=16)
+            g = freq.uniform(0.05)
             grid = kinetic.PhaseGrid(1024)
             state = kinetic.state_from_profile(grid, g, 16, K=10.0,
                                                profile=kinetic.cosine_profile(0.3))
@@ -99,7 +98,6 @@ class RunCache:
                 intervals=(diag.Interval("l_plus", math.pi / 3),
                            diag.Interval("l_minus", math.pi / 3)),
                 gamma_minus_interval=diag.Interval("l_minus", math.pi / 3),
-                m_bound=0.05,
                 sandwich_gamma=1.45, sandwich_r_low=0.15, sandwich_mu=1e-3)
             t0 = time.perf_counter()
             res = kinetic.run(state, 60.0, 0.05,
@@ -171,6 +169,7 @@ def criterion_2(cache: RunCache) -> CriterionResult:
            f"late |dR/dt| {max_late_rdot:.3e} > 1e-4")
     details = {"final_mass_near": final.masses[label], "final_R": final.R,
                "min_step_dR": run.result.min_step_delta_R,
+               "min_step_delta_R_ok": run.result.min_step_delta_R_ok,
                "late_rdot": max_late_rdot, "runtime_s": run.build_seconds}
     return CriterionResult(2, "identical-case concentration", not failures,
                            failures, details, time.perf_counter() - t0)
@@ -183,7 +182,7 @@ def criterion_3(cache: RunCache) -> CriterionResult:
     series = [(r.t, r.lambda_value) for r in recs if r.lambda_value is not None]
     ts = [t for t, _ in series]
     vals = [v for _, v in series]
-    onset = diag.detect_transient(ts, vals, direction="decreasing", run_length=20)
+    onset = diag.detect_transient(ts, vals)
     failures = []
     _check(failures, onset is not None, "no monotone-decay onset detected")
     details = {"onset": onset}
@@ -214,7 +213,7 @@ def criterion_4(cache: RunCache) -> CriterionResult:
                 lipschitz_bad += 1
             if r.R <= 0.05 or r.phidot_measured is None:
                 continue
-            bound = run.M / r.R + run.K * (1.0 - r.R) + slack
+            bound = r.bound_checks["phidot_bound"]["bound"] + slack
             worst = min(worst, bound - abs(r.phidot_measured))
         _check(failures, worst >= 0.0,
                f"{name}: |dphi/dt| exceeds its bound by {-worst:.3e}")
@@ -412,7 +411,7 @@ def criterion_10(cache: RunCache) -> CriterionResult:
 def criterion_11(cache: RunCache) -> CriterionResult:
     t0 = time.perf_counter()
     failures = []
-    g = freq.uniform(1.0, n_nodes=64)
+    g = freq.uniform(1.0)
     probe = diag.equilibrium_probe(g, K=1.0, R=1.0)
     _check(failures, abs(probe - math.pi / 4.0) <= 1e-10,
            f"H(1) = {probe!r} differs from pi/4")
@@ -456,8 +455,7 @@ def criterion_12(cache: RunCache) -> CriterionResult:
     # antipodal quarter-arc L2 decays at the guaranteed rate once the trend sets in
     fold = [(r.t, float(run.result.final_state.weights @ r.gamma_minus))
             for r in recs if r.gamma_minus is not None]
-    onset = diag.detect_transient([t for t, _ in fold], [v for _, v in fold],
-                                  direction="decreasing", run_length=20)
+    onset = diag.detect_transient([t for t, _ in fold], [v for _, v in fold])
     gamma_slope = None
     if onset is None:
         failures.append("no decay onset for the antipodal L2 functional")
@@ -495,12 +493,12 @@ def criterion_13(cache: RunCache) -> CriterionResult:
            "the large-coupling condition or the admissibility window failed")
     threshold = diag.mstar(eps0, gamma0)
 
-    g = freq.uniform(M, n_nodes=8)
+    g = freq.uniform(M)
     grid = kinetic.PhaseGrid(1024)
     state = kinetic.state_from_profile(grid, g, 8, K=K,
                                        profile=kinetic.von_mises_profile(30.0))
     arc = diag.Interval("l_plus", gamma0)
-    cfg = diag.DiagnosticsConfig(intervals=(arc,), gamma_plus_interval=arc, m_bound=M)
+    cfg = diag.DiagnosticsConfig(intervals=(arc,), gamma_plus_interval=arc)
     res = kinetic.run(state, 4.0, 0.02, sampler=diag.RecordSampler(cfg), cfl=0.5)
     recs = res.records
 

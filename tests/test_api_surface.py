@@ -1,0 +1,84 @@
+"""Every public top-level name of a kslab module is used by the program.
+
+A public function, class or constant that only tests reach is either wired
+into the program or deleted.  This walks the syntax trees of src/kslab/*.py
+and perfbench/*.py and requires each public top-level name of a kslab
+module to be loaded somewhere outside its own definition: as a name in its
+own module or in a module that imports it by name, as an attribute of the
+module, or as a "<module>.<name>" span name that the benchmark reads.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "kslab"
+FILES = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+MODULES = {path.stem for path in SRC.glob("*.py")}
+SPAN = re.compile(r"(\w+)\.(\w+)")
+
+
+def public_definitions(tree):
+    """(name, node) for each public top-level function, class and assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from ((name, node) for name in names if not name.startswith("_"))
+
+
+def imports(tree):
+    """(local alias -> kslab module, local name -> kslab module it came from)."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("kslab.") and a.asname:
+                    modules[a.asname] = a.name.split(".", 1)[1]
+        elif isinstance(node, ast.ImportFrom):
+            # src/kslab imports relative to the package, perfbench absolutely
+            source = ".".join(["kslab"] * (node.level == 1) + [node.module or ""]).strip(".")
+            if source == "kslab":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif source.startswith("kslab."):
+                names.update((a.asname or a.name, source[6:]) for a in node.names)
+    return modules, names
+
+
+def uses(path, tree):
+    """((module, name), node) for each load that can reach a kslab name."""
+    own = path.stem if path.parent == SRC else None
+    modules, names = imports(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            for module in {own, names.get(node.id)} - {None}:
+                yield (module, node.id), node
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            yield (modules[node.value.id], node.attr), node
+        elif (own is None and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and SPAN.fullmatch(node.value) and node.value.split(".")[0] in MODULES):
+            yield tuple(node.value.split(".")), node
+
+
+def test_every_public_name_is_used_by_the_program():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in FILES}
+    used = {}
+    for path, tree in trees.items():
+        for key, node in uses(path, tree):
+            used.setdefault(key, set()).add(id(node))
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for name, node in public_definitions(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if not used.get((path.stem, name), set()) - inside:
+                unused.append(f"{path.stem}.{name}")
+    assert not unused, f"public names that no program code loads: {unused}"

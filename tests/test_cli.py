@@ -80,7 +80,7 @@ def test_identical_oscillators_flag_decreasing_R(tmp_path):
     st = kinetic.state_from_profile(kinetic.PhaseGrid(64), kslab.frequency.dirac_at_zero(),
                                     1, 1.0, kinetic.cosine_profile(0.2))
     res = kinetic.run(st, 0.2, 0.1, sampler=diagnostics.RecordSampler(
-        diagnostics.DiagnosticsConfig(m_bound=0.0)))
+        diagnostics.DiagnosticsConfig()))
     for dR, ok in ((-1e-12, True), (-1.01e-12, False)):
         res.min_step_delta_R = dR
         assert cli._summarize_kinetic({}, 1.0, 0.0, res)["min_step_delta_R_ok"] is ok
@@ -289,13 +289,49 @@ def test_bad_json_is_config_error(tmp_path):
     ("initial", {"preset": "von_mises", "concentration": "2"}),
     ("initial", {"preset": "cosine", "amplitude": 0.2, "center": False}),
     ("hypothesis", {"mu": "1e-3"}),
-    ("diagnostics", {"intervals": [{"kind": "i_plus", "parameter": True}]})])
+    ("diagnostics", {"intervals": [{"kind": "i_plus", "parameter": True}]}),
+    # every section is a JSON object, intervals a list of them, a path a
+    # non-empty string (0 and true would read stdin and stdout)
+    ("frequency", 5), ("initial", []), ("diagnostics", []), ("hypothesis", []),
+    ("diagnostics", {"intervals": 3}), ("diagnostics", {"intervals": [5]}),
+    ("diagnostics", {"lambda_interval": 3}), ("out_dir", 5),
+    ("frequency", {"kind": "table", "path": 0}),
+    ("frequency", {"kind": "table", "path": True}),
+    ("initial", {"preset": "table", "path": 0})])
 def test_config_rejects_bad_values(tmp_path, key, value):
     cfg = write_config(tmp_path, **{key: value})
-    command = "sweep" if isinstance(value, list) else "simulate"
+    command = "sweep" if key == "coupling" and isinstance(value, list) else "simulate"
     assert cli.main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_zero_mass_density_table_is_config_error(tmp_path, capsys):
+    # an all-zero table used to run with total mass 0 and R = 0 throughout
+    table = tmp_path / "density.csv"
+    table.write_text("omega,density\n-0.5,0\n0,0\n0.5,0\n")
+    cfg = write_config(tmp_path, frequency={"kind": "table", "path": str(table)},
+                       n_omega=4, n_theta=64)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "zero mass" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_table_path_zero_does_not_read_stdin(tmp_path):
+    # open(0) would read the density table from stdin and run on it
+    cfg = write_config(tmp_path, frequency={"kind": "table", "path": 0}, n_omega=4, t_end=0.2)
+    src = str(Path(kslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "out"
+    main = "import sys, kslab.cli; sys.exit(kslab.cli.main())"
+    done = subprocess.run([sys.executable, "-c", main, "simulate", "--config", str(cfg),
+                           "--out", str(out)], input="omega,density\n-0.5,1\n0.5,1\n",
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2
+    assert "frequency.path must be a non-empty string" in done.stderr
+    assert not out.exists()
 
 
 def test_sweep_rejects_couplings_sharing_a_directory(tmp_path, capsys):

@@ -22,6 +22,16 @@ def dirac_state(n_theta, profile, K=1.0):
 # intervals and masses
 
 
+def arc_mass(st, lo, hi):
+    """Mass of the theta marginal on the arc [lo, hi] (``_arc_sum``)."""
+    return float(diag._arc_sum(st.grid, lo, hi, st.marginal_density()))
+
+
+def on_interval(st, iv, f, op=None):
+    """``_on_interval``, by default at the state's own order parameters."""
+    return diag._on_interval(st, iv, f, order.global_order(st) if op is None else op)
+
+
 def test_interval_validation_and_endpoints():
     with pytest.raises(ValueError):
         diag.Interval("i_plus", 0.0)
@@ -44,18 +54,19 @@ def test_arc_identity_between_families():
 
 def test_mass_full_circle_and_complementarity():
     st = dirac_state(128, kinetic.cosine_profile(0.3, 0.5))
-    assert diag.mass_on_arc(st, 0.0, TWO_PI) == pytest.approx(1.0, abs=1e-10)
+    assert arc_mass(st, 0.0, TWO_PI) == pytest.approx(1.0, abs=1e-10)
     op = order.global_order(st)
-    plus = diag.interval_mass(st, diag.Interval("i_plus", 0.7), op)
-    minus = diag.interval_mass(st, diag.Interval("i_minus", 0.7), op)
-    rest = (diag.mass_on_arc(st, op.phi + 0.7, op.phi + math.pi - 0.7)
-            + diag.mass_on_arc(st, op.phi + math.pi + 0.7, op.phi + TWO_PI - 0.7))
+    rho = st.marginal_density()
+    plus = float(on_interval(st, diag.Interval("i_plus", 0.7), rho, op))
+    minus = float(on_interval(st, diag.Interval("i_minus", 0.7), rho, op))
+    rest = (arc_mass(st, op.phi + 0.7, op.phi + math.pi - 0.7)
+            + arc_mass(st, op.phi + math.pi + 0.7, op.phi + TWO_PI - 0.7))
     assert plus + minus + rest == pytest.approx(1.0, abs=1e-10)
 
 
 def test_mass_shrinks_with_width():
     st = dirac_state(128, kinetic.cosine_profile(0.3))
-    masses = [diag.interval_mass(st, diag.Interval("i_plus", d))
+    masses = [float(on_interval(st, diag.Interval("i_plus", d), st.marginal_density()))
               for d in (0.8, 0.4, 0.2, 0.05, 0.01)]
     assert all(a > b for a, b in zip(masses, masses[1:]))
     assert masses[-1] < 0.01
@@ -65,14 +76,14 @@ def test_mass_subcell_apportionment_exact_for_flat_density():
     st = dirac_state(64, lambda th: np.full_like(th, 1.0 / TWO_PI))
     # arbitrary arc endpoints cutting through cell interiors
     lo, hi = 0.123, 2.345
-    assert diag.mass_on_arc(st, lo, hi) == pytest.approx((hi - lo) / TWO_PI,
+    assert arc_mass(st, lo, hi) == pytest.approx((hi - lo) / TWO_PI,
                                                          abs=1e-14)
 
 
 def test_mass_continuous_in_phase():
     st = dirac_state(64, kinetic.cosine_profile(0.4, 1.0))
     rho_max = float(np.max(st.marginal_density()))
-    vals = [diag.mass_on_arc(st, 1.0 + e, 2.0 + e) for e in np.linspace(0, 0.01, 11)]
+    vals = [arc_mass(st, 1.0 + e, 2.0 + e) for e in np.linspace(0, 0.01, 11)]
     for a, b in zip(vals, vals[1:]):
         assert abs(b - a) <= 2.5 * rho_max * 0.001
 
@@ -80,7 +91,7 @@ def test_mass_continuous_in_phase():
 def test_mass_requires_defined_phase():
     st = dirac_state(64, lambda th: np.full_like(th, 1.0 / TWO_PI))
     with pytest.raises(ValueError):
-        diag.interval_mass(st, diag.Interval("i_plus", 0.3))
+        on_interval(st, diag.Interval("i_plus", 0.3), st.marginal_density())
 
 
 def test_lyapunov_constant_density():
@@ -90,16 +101,16 @@ def test_lyapunov_constant_density():
     iv = diag.Interval("i_minus", 0.5)
     op = order.OrderParams(0.5, 1.0, True)
     # rho = 1/2pi on an interval of length 1.0 integrates to L / (4 pi^2)
-    assert diag.lyapunov_L2(flat, iv, op=op) == pytest.approx(
+    assert float(on_interval(flat, iv, flat.marginal_density() ** 2, op)) == pytest.approx(
         1.0 / (4.0 * math.pi ** 2), abs=1e-14)
-    per = diag.lyapunov_L2(flat, iv, per_omega=True, op=op)
+    per = on_interval(flat, iv, flat.values ** 2, op)
     assert per.shape == (1,)
     assert per[0] == pytest.approx(1.0 / (4.0 * math.pi ** 2), abs=1e-14)
 
 
 def test_lyapunov_empty_interval_limit():
     st = dirac_state(128, kinetic.cosine_profile(0.3))
-    tiny = diag.lyapunov_L2(st, diag.Interval("i_minus", 1e-9))
+    tiny = float(on_interval(st, diag.Interval("i_minus", 1e-9), st.marginal_density() ** 2))
     assert tiny == pytest.approx(0.0, abs=1e-9)
 
 
@@ -159,7 +170,7 @@ def test_arc_sums_match_overlap_fractions():
     for lo, hi in _arc_cases(grid, rng):
         frac = arc_fractions(grid, lo, hi)
         length = min(max(hi - lo, 0.0), TWO_PI)
-        _assert_arc_close(diag.mass_on_arc(st, lo, hi), float(frac @ rho) * dth, length, dth)
+        _assert_arc_close(arc_mass(st, lo, hi), float(frac @ rho) * dth, length, dth)
         for f in (rho ** 2, values ** 2):
             _assert_arc_close(diag._arc_sum(grid, lo, hi, f), f @ frac * dth, length, dth)
 
@@ -168,7 +179,7 @@ def test_antipodal_arc_sums_keep_relative_accuracy():
     # concentrated state: the antipodal masses and L2 values are tiny, and
     # must still match the overlap sum to 1e-12 relative
     grid = kinetic.PhaseGrid(256)
-    g = freq.uniform(0.1, n_nodes=3)
+    g = freq.uniform(0.1)
     st = kinetic.state_from_profile(grid, g, 3, 1.0, kinetic.von_mises_profile(20.0, 2.4))
     op = order.global_order(st)
     rho = st.marginal_density()
@@ -177,11 +188,11 @@ def test_antipodal_arc_sums_keep_relative_accuracy():
     for delta in (0.05, 0.2, 0.5, 1.0, 1.4):
         iv = diag.Interval("i_minus", delta)
         frac = arc_fractions(grid, *iv.endpoints(op.phi))
-        mass = diag.interval_mass(st, iv, op)
+        mass = float(on_interval(st, iv, rho, op))
         np.testing.assert_allclose(mass, float(frac @ rho) * dth, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(diag.lyapunov_L2(st, iv, op=op),
+        np.testing.assert_allclose(float(on_interval(st, iv, rho ** 2, op)),
                                    float((rho * rho) @ frac) * dth, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(diag.lyapunov_L2(st, iv, per_omega=True, op=op),
+        np.testing.assert_allclose(on_interval(st, iv, st.values ** 2, op),
                                    (st.values ** 2) @ frac * dth, rtol=1e-12, atol=0.0)
         tiny.append(mass < 1e-8)
     assert any(tiny)
@@ -232,9 +243,9 @@ def test_detect_transient():
     ts = np.arange(50.0)
     vals = np.concatenate([np.ones(10) + 0.1 * np.sin(np.arange(10)),
                            np.exp(-0.1 * np.arange(40))])
-    onset = diag.detect_transient(ts, vals, "decreasing", run_length=20)
+    onset = diag.detect_transient(ts, vals)
     assert onset is not None and 8.0 <= onset <= 11.0
-    assert diag.detect_transient(ts, np.sin(ts), "decreasing", 20) is None
+    assert diag.detect_transient(ts, np.sin(ts)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +414,20 @@ def test_equilibrium_dirac_is_unity():
 
 
 def test_equilibrium_probe_quarter_circle():
-    g = freq.uniform(1.0, n_nodes=64)
+    g = freq.uniform(1.0)
     assert diag.equilibrium_probe(g, 1.0, 1.0) == pytest.approx(math.pi / 4.0,
                                                                 abs=1e-12)
 
 
 def test_equilibrium_no_solution_at_small_coupling():
-    res = diag.equilibrium_R(freq.uniform(1.0, n_nodes=64), 1.0)
+    res = diag.equilibrium_R(freq.uniform(1.0), 1.0)
     assert not res.found
     assert "no solution" in res.message
     assert res.probe_at_one == pytest.approx(math.pi / 4.0, abs=1e-12)
 
 
 def test_equilibrium_fixed_point_against_brentq_oracle():
-    g = freq.uniform(1.0, n_nodes=64)
+    g = freq.uniform(1.0)
     K = 5.0
     res = diag.equilibrium_R(g, K)
     assert res.found
@@ -436,7 +447,7 @@ def test_equilibrium_fixed_point_against_brentq_oracle():
 
 def test_equilibrium_table_density():
     om = np.linspace(-0.5, 0.5, 41)
-    g = freq.from_table(om, 1.0 - np.abs(om) / 0.5, n_nodes=32)
+    g = freq.from_table(om, 1.0 - np.abs(om) / 0.5)
     res = diag.equilibrium_R(g, K=4.0)
     assert res.found
     assert res.residual <= 1e-10
@@ -504,8 +515,7 @@ def run_with_records(n_theta=128, t_end=2.0):
     cfg = diag.DiagnosticsConfig(
         intervals=(diag.Interval("i_plus", 0.3), diag.Interval("i_minus", 0.3)),
         lambda_interval=diag.Interval("i_minus", 0.5),
-        gamma_plus_interval=diag.Interval("l_plus", 1.0),
-        m_bound=0.0)
+        gamma_plus_interval=diag.Interval("l_plus", 1.0))
     res = kinetic.run(st, t_end, 0.05, sampler=diag.RecordSampler(cfg))
     diag.finalize_records(res.records, K=1.0, m_bound=0.0, config=cfg,
                           dtheta=st.grid.dtheta)

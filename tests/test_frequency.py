@@ -7,9 +7,15 @@ from kslab import cli
 from kslab import frequency as freq
 
 
+def moments(g, n):
+    """Zeroth and first moments of g by its n-point rule."""
+    pairs = np.array(freq.quadrature_nodes(g, n))
+    return float(np.sum(pairs[:, 1])), float(np.sum(pairs[:, 0] * pairs[:, 1]))
+
+
 def test_dirac_moments():
     g = freq.dirac_at_zero()
-    assert freq.moments(g) == (1.0, 0.0)
+    assert moments(g, 1) == (1.0, 0.0)
 
 
 def test_dirac_quadrature_any_n():
@@ -24,8 +30,7 @@ def test_dirac_samples_are_zero():
 
 
 def test_uniform_moments():
-    g = freq.uniform(1.0, n_nodes=64)
-    mass, mean = freq.moments(g)
+    mass, mean = moments(freq.uniform(1.0), 64)
     assert abs(mass - 1.0) <= 1e-12
     assert abs(mean) <= 1e-12
 
@@ -39,20 +44,21 @@ def test_uniform_two_point_rule():
 
 
 def test_uniform_second_moment():
-    g = freq.uniform(1.0, n_nodes=64)
-    second = float(np.sum(g.weights * g.nodes ** 2))
+    nodes, weights = np.array(freq.quadrature_nodes(freq.uniform(1.0), 64)).T
+    second = float(np.sum(weights * nodes ** 2))
     assert abs(second - 1.0 / 3.0) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [8, 16, 33, 64])
 def test_builtin_rule_invariants(n):
-    for g in (freq.dirac_at_zero(), freq.uniform(0.3, n_nodes=n)):
-        mass, mean = freq.moments(g)
+    for g in (freq.dirac_at_zero(), freq.uniform(0.3)):
+        mass, mean = moments(g, n)
         assert abs(mass - 1.0) <= 1e-10
         assert abs(mean) <= 1e-10
-        assert np.all(np.abs(g.nodes) <= g.support + 1e-12)
-        assert np.all(g.weights >= 0.0)
-        assert np.all(np.diff(g.nodes) >= 0.0)   # nodes sorted
+        nodes, weights = np.array(freq.quadrature_nodes(g, n)).T
+        assert np.all(np.abs(nodes) <= g.support + 1e-12)
+        assert np.all(weights >= 0.0)
+        assert np.all(np.diff(nodes) >= 0.0)   # nodes sorted
 
 
 def test_sample_uniform_statistics():
@@ -84,18 +90,17 @@ def test_quadrature_rejects_zero_nodes():
 def test_table_moments_and_normalization(caplog):
     om = np.linspace(-1.0, 1.0, 21)
     de = 2.0 * (1.0 - np.abs(om))        # integrates to 2, gets renormalized
-    g = freq.from_table(om, de, n_nodes=64)
-    mass, mean = freq.moments(g)
+    g = freq.from_table(om, de)
+    mass, mean = moments(g, 64)
     assert abs(mass - 1.0) <= 1e-12
     assert abs(mean) <= 1e-12
     assert g.support == 1.0
 
 
 def test_table_all_zero_flaggable():
-    g = freq.from_table([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
-    assert freq.moments(g) == (0.0, 0.0)
-    with pytest.raises(ValueError):
-        freq.sample(g, 3, seed=0)
+    # a table without mass cannot be renormalized, so it is rejected
+    with pytest.raises(ValueError, match="zero mass"):
+        freq.from_table([-1.0, 0.0, 1.0], [0.0, 0.0, 0.0])
 
 
 def test_table_negative_density_rejected():
@@ -111,7 +116,7 @@ def test_table_nonzero_mean_rejected():
 def test_table_sampling_matches_density():
     om = np.linspace(-1.0, 1.0, 41)
     de = 1.0 - np.abs(om)
-    g = freq.from_table(om, de, n_nodes=64)
+    g = freq.from_table(om, de)
     x = freq.sample(g, 50_000, seed=7)
     assert np.all(np.abs(x) <= 1.0)
     # triangular density has zero mean and variance 1/6
@@ -128,8 +133,8 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "g.csv"
     path.write_text("omega,density\n-0.5,1.0\n0.0,1.0\n0.5,1.0\n")
     g = cli.build_frequency(_table_config(path))
-    assert g.kind == "table" and g.n_nodes == 32
-    mass, mean = freq.moments(g)
+    assert g.kind == "table" and g.table_omega.tolist() == [-0.5, 0.0, 0.5]
+    mass, mean = moments(g, 32)
     assert abs(mass - 1.0) <= 1e-12
     assert abs(mean) <= 1e-12
 
@@ -164,7 +169,7 @@ def test_locked_phasor_mean_closed_forms():
 def test_locked_phasor_mean_table_matches_quadrature_oracle():
     om = np.linspace(-1.0, 1.0, 81)
     de = np.full(81, 0.5)
-    g = freq.from_table(om, de, n_nodes=64)
+    g = freq.from_table(om, de)
     # independent oracle: dense trapezoid of the clipped integrand
     w = np.linspace(-1.0, 1.0, 200_001)
     a = 1.3
@@ -214,7 +219,7 @@ def test_locked_phasor_mean_table_matches_segment_oracle():
     worst = 0.0
     for trial in range(60):
         om, de = _random_symmetric_table(rng, with_zero_knot=trial % 2 == 0)
-        g = freq.from_table(om, de, n_nodes=64)
+        g = freq.from_table(om, de)
         om, de = g.table_omega, g.table_density      # renormalized to unit mass
         knots = om[om > 0]
         a_vals = np.concatenate([10.0 ** rng.uniform(-2.0, 3.0, 12),
@@ -229,7 +234,7 @@ def test_locked_phasor_mean_triangle_at_small_a():
     # the 41-row triangle of the table equilibrium test; [-0.1, 0.1] spans
     # 8 of its segments
     om = np.linspace(-0.5, 0.5, 41)
-    g = freq.from_table(om, 1.0 - np.abs(om) / 0.5, n_nodes=32)
+    g = freq.from_table(om, 1.0 - np.abs(om) / 0.5)
     oracle = _segment_oracle(g.table_omega, g.table_density, 0.1)
     assert freq.locked_phasor_mean(g, 0.1) == pytest.approx(oracle, abs=1e-15)
 

@@ -37,27 +37,10 @@ def test_narrow_bump_limit():
     assert abs(op.phi - 2.0) < 1e-3
 
 
-def test_local_order_single_slice_equals_global():
-    st = dirac_state(128, kinetic.cosine_profile(0.3, 0.7))
-    g = order.global_order(st)
-    l = order.local_order(st, 0)
-    assert l.R == pytest.approx(g.R, abs=1e-13)
-    assert l.phi == pytest.approx(g.phi, abs=1e-13)
-
-
-def test_local_order_zero_mass_slice_rejected():
-    st = dirac_state(128, kinetic.cosine_profile(0.3))
-    values = st.values.copy()
-    values[0] = 0.0
-    empty = kinetic.KineticState(st.grid, st.omega, st.weights, values, K=1.0)
-    with pytest.raises(ValueError):
-        order.local_order(empty, 0)
-
-
 def multi_slice_state(n_theta=256, n_omega=8, K=2.0):
-    """Slices with distinct profiles, so local order parameters differ."""
+    """Slices with distinct profiles, so their order parameters differ."""
     grid = kinetic.PhaseGrid(n_theta)
-    g = freq.uniform(0.5, n_nodes=n_omega)
+    g = freq.uniform(0.5)
     pairs = np.array(freq.quadrature_nodes(g, n_omega))
     values = np.empty((n_omega, n_theta))
     for k in range(n_omega):
@@ -68,19 +51,15 @@ def multi_slice_state(n_theta=256, n_omega=8, K=2.0):
 
 
 def test_local_global_consistency():
-    # the global phasor is the weight-folded sum of the local phasors
+    # the global phasor is the weight-folded sum of the slice phasors
     st = multi_slice_state()
     g = order.global_order(st)
     dth = st.grid.dtheta
-    cos_sum = 0.0
-    sin_sum = 0.0
-    for k in range(st.n_omega):
-        l = order.local_order(st, k)
-        mass_k = float(st.values[k].sum()) * dth
-        cos_sum += st.weights[k] * mass_k * l.R * math.cos(l.phi - g.phi)
-        sin_sum += st.weights[k] * mass_k * l.R * math.sin(l.phi - g.phi)
-    assert abs(cos_sum - g.R) <= 5.0 * dth ** 2
-    assert abs(sin_sum) <= 5.0 * dth ** 2
+    z = sum(st.weights[k] * order.phasor(st.grid, np.ones(1), st.values[k:k + 1])
+            for k in range(st.n_omega))
+    z *= complex(math.cos(g.phi), -math.sin(g.phi))
+    assert abs(z.real - g.R) <= 5.0 * dth ** 2
+    assert abs(z.imag) <= 5.0 * dth ** 2
 
 
 def test_moment_identity():
@@ -102,6 +81,13 @@ def test_rotation_invariance():
     assert abs(op2.R - op.R) <= 1e-12
     expected = (op.phi + shift * st.grid.dtheta) % TWO_PI
     assert abs((op2.phi - expected + math.pi) % TWO_PI - math.pi) <= 1e-10
+
+
+def rates(state, op=None):
+    """The solver's closed-form (dR/dt, dphi/dt), by default at the state's
+    own order parameters."""
+    op = order.global_order(state) if op is None else op
+    return order._rates(state, op, state.marginal_density())
 
 
 def rates_direct(state, op):
@@ -129,13 +115,14 @@ def test_rate_formulas_match_direct_trig(K):
             for _ in range(10)]
         for op in ops:
             want = rates_direct(st, op)
-            assert abs(order.rdot_formula(st, op) - want[0]) <= 1e-14
-            assert abs(order.phidot_formula(st, op) - want[1]) <= 1e-14
+            got = rates(st, op)
+            assert abs(got[0] - want[0]) <= 1e-14
+            assert abs(got[1] - want[1]) <= 1e-14
 
 
 def test_rdot_sign_for_identical_oscillators():
     st = dirac_state(256, kinetic.cosine_profile(0.25, 1.0))
-    assert order.rdot_formula(st) >= 0.0
+    assert rates(st)[0] >= 0.0
 
 
 def test_rdot_vanishes_on_concentrated_state():
@@ -145,25 +132,25 @@ def test_rdot_vanishes_on_concentrated_state():
     values = np.zeros((1, 128))
     values[0, 40] = 1.0 / grid.dtheta
     st = kinetic.KineticState(grid, np.zeros(1), np.ones(1), values, K=1.0)
-    assert order.rdot_formula(st) == pytest.approx(0.0, abs=1e-15)
+    assert rates(st)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rdot_requires_defined_phase():
     st = dirac_state(128, lambda th: np.full_like(th, 1.0 / TWO_PI))
     with pytest.raises(ValueError):
-        order.rdot_formula(st)
+        rates(st)
 
 
 def test_phidot_even_density_is_zero():
     st = dirac_state(256, kinetic.cosine_profile(0.3, 0.9))
-    assert order.phidot_formula(st) == pytest.approx(0.0, abs=1e-12)
+    assert rates(st)[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_phidot_bounded_on_random_states():
     st = multi_slice_state()
     op = order.global_order(st)
     M = float(np.max(np.abs(st.omega)))
-    val = order.phidot_formula(st)
+    val = rates(st)[1]
     assert abs(val) <= order.phidot_bound(op.R, M, st.K) + 1e-12
 
 
@@ -194,4 +181,4 @@ def test_rate_formulas_match_short_run():
         r_prev = order.global_order(states[i - 1]).R
         r_next = order.global_order(states[i + 1]).R
         measured = (r_next - r_prev) / (2.0 * sample)
-        assert abs(measured - order.rdot_formula(states[i])) <= tol
+        assert abs(measured - rates(states[i])[0]) <= tol
