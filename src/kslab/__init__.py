@@ -1,9 +1,4 @@
 """kslab: a numerical laboratory for the Kuramoto-Sakaguchi kinetic equation
 and the finite-N Kuramoto model."""
 
-from . import cli, diagnostics, frequency, kinetic, order, particle, verify
-
 __version__ = "0.1.0"
-
-__all__ = ["cli", "diagnostics", "frequency", "kinetic", "order", "particle",
-           "verify", "__version__"]

@@ -265,9 +265,7 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
             kappa=float(h.get("kappa", 0.7)), eps0=float(h.get("eps0", 0.2)),
             gamma0=float(h.get("gamma0", 1.1)))
         summary["hypothesis"] = report.to_dict()
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", summary)
     _write_plot_script(res.records, out / "plot.gp")
     return summary
 
@@ -330,10 +328,8 @@ def _write_plot_script(records, path: Path) -> None:
         lines.append(f"plot 'trajectory.csv' using {idx['t']}:{idx['R']} "
                      "with lines title 'R'")
     lines += ["set title 'L2 functionals'", "set logscale y"]
-    l2_parts = []
-    if "lambda" in idx:
-        l2_parts.append(f"'trajectory.csv' using {idx['t']}:{idx['lambda']} "
-                        "with lines title 'Lambda'")
+    l2_parts = [f"'trajectory.csv' using {idx['t']}:{idx['lambda']} "
+                "with lines title 'Lambda'"]
     l2_parts += [f"'trajectory.csv' using {idx['t']}:{idx[c]} with lines notitle"
                  for c in gamma_cols[:8]]
     lines.append("plot " + ", ".join(l2_parts))
@@ -396,14 +392,10 @@ def cmd_simulate(args) -> int:
     if model in ("particle", "both"):
         summaries["particle"] = _run_particle(cfg, K, out, seed, g, profile)
         if model == "particle":
-            with open(out / "summary.json", "w") as fh:
-                json.dump(summaries["particle"], fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            _write_json(out / "summary.json", summaries["particle"])
             _write_particle_plot(out / "plot.gp")
     if model == "both":
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summaries, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(out / "summary.json", summaries)
     print(f"wrote artifacts to {out}")
     return 0
 
@@ -422,11 +414,14 @@ def _write_particle_plot(path: Path) -> None:
 # sweep
 
 
-def _sweep_one(payload):
-    """One coupling of a sweep in a worker process, which reads the tables itself."""
-    cfg, K, out_dir = payload
-    summary = _run_kinetic(cfg, K, Path(out_dir), build_frequency(cfg), build_profile(cfg))
-    return K, summary
+def _sweep_one(job):
+    """(K, summary, error) of one sweep coupling; a failure is returned as
+    its message, so the other couplings still run."""
+    cfg, K, out_dir, g, profile = job
+    try:
+        return K, _run_kinetic(cfg, K, Path(out_dir), g, profile), None
+    except Exception as exc:  # per-coupling failures are isolated
+        return K, None, f"K={K}: {exc}"
 
 
 def cmd_sweep(args) -> int:
@@ -443,26 +438,21 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_bytes(raw)
     M = g.support
-    jobs = [(cfg, float(K), str(out / name)) for K, name in zip(coupling, names)]
-    threads = max(1, int(args.threads))
-    rows = []
-    failures = []
+    jobs = [(cfg, float(K), str(out / name), g, profile)
+            for K, name in zip(coupling, names)]
+    # the pool forks all its workers at the first submit, so ask for no idle ones
+    threads = min(max(1, int(args.threads)), len(jobs))
     if threads == 1:
-        for job in jobs:
-            rows.append(_try_sweep_job(job, g, profile, failures))
+        results = [_sweep_one(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_sweep_one, job) for job in jobs]
-            for job, fut in zip(jobs, futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    failures.append(f"K={job[1]}: {exc}")
-                    rows.append(None)
-    rows = [r for r in rows if r is not None]
+            results = list(pool.map(_sweep_one, jobs))
+    failures = [error for _, _, error in results if error is not None]
 
     table = []
-    for K, summary in rows:
+    for K, summary, _ in results:
+        if summary is None:
+            continue
         r_inf = diag.r_infinity(M, K) if K > 0 else math.nan
         masses = summary.get("final_masses", {})
         first_mass = next(iter(masses.values())) if masses else math.nan
@@ -477,23 +467,12 @@ def cmd_sweep(args) -> int:
         for row in table:
             w.writerow([format(row[c], ".17g") for c in
                         ("K", "final_R", "r_infinity", "gap", "final_interval_mass")])
-    with open(out / "sweep_summary.json", "w") as fh:
-        json.dump({"rows": table, "final_R_increasing": monotone,
-                   "failed_couplings": failures}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "sweep_summary.json",
+                {"rows": table, "final_R_increasing": monotone, "failed_couplings": failures})
     print(f"swept {len(table)} coupling values; final R increasing: {monotone}")
     for msg in failures:
         print(f"sweep failure: {msg}", file=sys.stderr)
     return 0
-
-
-def _try_sweep_job(job, g, profile, failures):
-    cfg, K, out_dir = job
-    try:
-        return K, _run_kinetic(cfg, K, Path(out_dir), g, profile)
-    except Exception as exc:  # per-coupling failures are isolated
-        failures.append(f"K={K}: {exc}")
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +495,21 @@ def cmd_verify(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        payload = {"suite": suite, "all_passed": ok,
-                   "results": [{"criterion": r.cid, "name": r.name,
-                                "passed": r.passed, "failures": r.failures,
-                                "details": r.details, "elapsed_s": r.elapsed}
-                               for r in results]}
-        with open(out / "verify.json", "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
-            fh.write("\n")
+        _write_json(out / "verify.json", {
+            "suite": suite, "all_passed": ok,
+            "results": [{"criterion": r.cid, "name": r.name,
+                         "passed": r.passed, "failures": r.failures,
+                         "details": r.details, "elapsed_s": r.elapsed}
+                        for r in results]})
     return 0 if ok else 1
+
+
+def _write_json(path: Path, payload) -> None:
+    """payload as sorted, one-space-indented JSON with a final newline;
+    numpy scalars and arrays become numbers and lists."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
+        fh.write("\n")
 
 
 def _json_default(obj):

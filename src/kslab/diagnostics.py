@@ -108,10 +108,6 @@ class FitResult:
     n_used: int
     shrunk: bool      # nonpositive samples were dropped from the window
 
-    def __iter__(self):
-        yield self.slope
-        yield self.r_squared
-
 
 def fit_exponential_rate(series, window: tuple[float, float]) -> FitResult:
     """Least-squares slope of log(value) against t over the window.

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -129,26 +129,30 @@ class KineticState:
 
 
 # ---------------------------------------------------------------------------
-# initial data
+# initial data: profiles are partials of module-level functions, so they
+# pickle into the worker processes of a sweep
 
 
 def cosine_profile(a: float, theta0: float = 0.0):
     """Density (1 + 2 a cos(theta - theta0)) / 2pi; needs |a| <= 1/2."""
     if abs(a) > 0.5:
         raise ValueError("cosine amplitude must satisfy |a| <= 1/2 for positivity")
-    return lambda th: (1.0 + 2.0 * a * np.cos(th - theta0)) / TWO_PI
+    return partial(_cosine, a, theta0)
+
+
+def _cosine(a, theta0, th):
+    return (1.0 + 2.0 * a * np.cos(th - theta0)) / TWO_PI
 
 
 def von_mises_profile(concentration: float, theta0: float = 0.0):
     """Von Mises density with the given concentration, centered at theta0."""
     if concentration < 0:
         raise ValueError("concentration must be nonnegative")
-    norm = TWO_PI * _i0e(concentration)
+    return partial(_von_mises, concentration, theta0, TWO_PI * _i0e(concentration))
 
-    def profile(th):
-        return np.exp(concentration * (np.cos(th - theta0) - 1.0)) / norm
 
-    return profile
+def _von_mises(concentration, theta0, norm, th):
+    return np.exp(concentration * (np.cos(th - theta0) - 1.0)) / norm
 
 
 def _i0e(x: float) -> float:
@@ -177,7 +181,11 @@ def table_profile(thetas, values):
     th, va = th[idx], va[idx]
     th_ext = np.concatenate([[th[-1] - TWO_PI], th, [th[0] + TWO_PI]])
     va_ext = np.concatenate([[va[-1]], va, [va[0]]])
-    return lambda x: np.interp(np.asarray(x) % TWO_PI, th_ext, va_ext)
+    return partial(_periodic_interp, th_ext, va_ext)
+
+
+def _periodic_interp(th_ext, va_ext, x):
+    return np.interp(np.asarray(x) % TWO_PI, th_ext, va_ext)
 
 
 _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)

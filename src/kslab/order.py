@@ -26,10 +26,6 @@ class OrderParams:
     phi: float          # in [0, 2*pi); 0.0 when undefined
     defined: bool       # True iff R > TOL_R
 
-    def __iter__(self):
-        yield self.R
-        yield self.phi
-
 
 def _from_phasor(z: complex) -> OrderParams:
     R = abs(z)

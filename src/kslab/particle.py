@@ -309,15 +309,14 @@ def _circle_dist(a, b):
     return np.abs((np.asarray(a) - np.asarray(b) + np.pi) % TWO_PI - np.pi)
 
 
-def classify_asymptotic(traj: ParticleTrajectory, phi_ref=None,
-                        tol: float = 1e-6, band: float = 0.1) -> Classification:
+def classify_asymptotic(traj: ParticleTrajectory, tol: float = 1e-6,
+                        band: float = 0.1) -> Classification:
     """Partition oscillators into synchronous and anti-synchronous sets.
 
     An identical-frequency trajectory run to near-stationarity is required:
     if the final frequency spread max|thetadot_i - thetadot_j| exceeds tol,
-    every oscillator is labeled undetermined.  ``phi_ref`` maps t to the
-    reference phase; by default the trajectory's own final average phase
-    (rotating with the common frequency) is used.  An oscillator within
+    every oscillator is labeled undetermined.  The reference phase is the
+    final average phase (0 when it is undefined).  An oscillator within
     ``band`` radians of the reference is synchronous, within ``band`` of its
     antipode anti-synchronous, otherwise undetermined.
     """
@@ -325,16 +324,7 @@ def classify_asymptotic(traj: ParticleTrajectory, phi_ref=None,
     rates = particle_rhs(final)
     if float(rates.max() - rates.min()) > tol:
         return Classification(("undetermined",) * final.n, False)
-    if phi_ref is None:
-        op = particle_order(final)
-        mean_omega = float(np.mean(traj.omegas))
-        phi_final = op.phi if op.defined else 0.0
-        t_final = final.t
-
-        def phi_ref(t):
-            return phi_final + mean_omega * (t - t_final)
-
-    ref = phi_ref(final.t)
+    ref = particle_order(final).phi     # 0.0 when undefined
     d_sync = _circle_dist(final.thetas, ref)
     d_anti = _circle_dist(final.thetas, ref + np.pi)
     labels = np.where(d_sync < band, "sync",

@@ -1,16 +1,20 @@
 """Pinned desk-scale verification scenarios.
 
-Each criterion function takes a shared RunCache (expensive solver runs are
-reused across criteria), evaluates its checks at the pinned tolerances, and
-returns a CriterionResult.  The CLI verify command and the acceptance test
-suite both drive these.
+Each criterion is a check ``(cache, failures, details)`` registered in
+CRITERIA by ``@_criterion(cid, name)``.  The check takes its expensive
+kinetic runs from the shared RunCache, which builds each run of the
+_PINNED_RUNS table once, appends a message to ``failures`` for each broken
+check at the pinned tolerances, and records what it measured in
+``details``.  ``CRITERIA[cid](cache)`` times the check and returns a
+CriterionResult, which passes when no failure was appended.  The CLI verify
+command (through run_suite) and the acceptance test suite both call it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,89 +34,59 @@ class CriterionResult:
     elapsed: float
 
 
+def _skewed_profile(th):
+    """Positive density with R0 = 0.2 and a genuinely moving average phase."""
+    return (1.0 + 0.4 * np.cos(th) + 0.3 * np.sin(2.0 * th)) / TWO_PI
+
+
+# name: (density g, n_theta, n_omega, K, initial profile, t_end, diagnostics);
+# every run samples each 0.05 time units at CFL 0.5
+_PINNED_RUNS = {
+    # distributed frequencies: conservation / consistency host
+    "run1": (freq.uniform(0.1), 512, 16, 2.0, _skewed_profile, 20.0,
+             diag.DiagnosticsConfig()),
+    # identical oscillators: point-attractor host
+    "run2": (freq.dirac_at_zero(), 1024, 1, 1.0, kinetic.cosine_profile(0.2), 40.0,
+             diag.DiagnosticsConfig(
+                 intervals=(diag.Interval("i_plus", 0.2), diag.Interval("i_minus", 0.2),
+                            diag.Interval("i_plus", 0.5), diag.Interval("i_minus", 0.5)),
+                 lambda_interval=diag.Interval("i_minus", 0.5))),
+    # large coupling: asymptotic amplitude host
+    "run12": (freq.uniform(0.05), 1024, 16, 10.0, kinetic.cosine_profile(0.3), 60.0,
+              diag.DiagnosticsConfig(
+                  intervals=(diag.Interval("l_plus", math.pi / 3),
+                             diag.Interval("l_minus", math.pi / 3)),
+                  gamma_minus_interval=diag.Interval("l_minus", math.pi / 3),
+                  sandwich_gamma=1.45, sandwich_r_low=0.15, sandwich_mu=1e-3)),
+}
+
+
 @dataclass
 class _CachedRun:
     result: kinetic.RunResult
-    grid: kinetic.PhaseGrid
-    K: float
-    M: float
-    max_dt: float
-    build_seconds: float
-    config: diag.DiagnosticsConfig
-    extra: dict = field(default_factory=dict)
+    g: freq.FrequencyDensity
+    build_seconds: float        # time in kinetic.run
 
 
 class RunCache:
-    """Lazy store for the three expensive kinetic runs."""
+    """Lazy store for the expensive pinned kinetic runs."""
 
     def __init__(self):
         self._runs: dict[str, _CachedRun] = {}
 
-    # -- run 1: distributed frequencies, conservation / consistency host ----
-    def run1(self) -> _CachedRun:
-        if "run1" not in self._runs:
-            g = freq.uniform(0.1)
-            grid = kinetic.PhaseGrid(512)
-            state = kinetic.state_from_profile(grid, g, 16, K=2.0,
-                                               profile=_skewed_profile)
-            cfg = diag.DiagnosticsConfig()
+    def run(self, name: str) -> _CachedRun:
+        """The pinned run `name`, built, timed and finalized on first use."""
+        if name not in self._runs:
+            g, n_theta, n_omega, K, profile, t_end, cfg = _PINNED_RUNS[name]
+            grid = kinetic.PhaseGrid(n_theta)
+            state = kinetic.state_from_profile(grid, g, n_omega, K=K, profile=profile)
             t0 = time.perf_counter()
-            res = kinetic.run(state, 20.0, 0.05,
-                              sampler=diag.RecordSampler(cfg), cfl=0.5)
-            dt_build = time.perf_counter() - t0
-            diag.finalize_records(res.records, K=2.0, m_bound=0.1,
+            res = kinetic.run(state, t_end, 0.05, sampler=diag.RecordSampler(cfg), cfl=0.5)
+            build_seconds = time.perf_counter() - t0
+            diag.finalize_records(res.records, K=K, m_bound=g.support,
                                   config=cfg, dtheta=grid.dtheta)
-            self._runs["run1"] = _CachedRun(res, grid, 2.0, 0.1, res.max_dt,
-                                            dt_build, cfg, {"g": g})
-        return self._runs["run1"]
-
-    # -- run 2: identical oscillators, point-attractor host ------------------
-    def run2(self) -> _CachedRun:
-        if "run2" not in self._runs:
-            g = freq.dirac_at_zero()
-            grid = kinetic.PhaseGrid(1024)
-            state = kinetic.state_from_profile(grid, g, 1, K=1.0,
-                                               profile=kinetic.cosine_profile(0.2))
-            cfg = diag.DiagnosticsConfig(
-                intervals=(diag.Interval("i_plus", 0.2), diag.Interval("i_minus", 0.2),
-                           diag.Interval("i_plus", 0.5), diag.Interval("i_minus", 0.5)),
-                lambda_interval=diag.Interval("i_minus", 0.5))
-            t0 = time.perf_counter()
-            res = kinetic.run(state, 40.0, 0.05,
-                              sampler=diag.RecordSampler(cfg), cfl=0.5)
-            dt_build = time.perf_counter() - t0
-            diag.finalize_records(res.records, K=1.0, m_bound=0.0,
-                                  config=cfg, dtheta=grid.dtheta)
-            self._runs["run2"] = _CachedRun(res, grid, 1.0, 0.0, res.max_dt,
-                                            dt_build, cfg)
-        return self._runs["run2"]
-
-    # -- run 12: large coupling, asymptotic amplitude host -------------------
-    def run12(self) -> _CachedRun:
-        if "run12" not in self._runs:
-            g = freq.uniform(0.05)
-            grid = kinetic.PhaseGrid(1024)
-            state = kinetic.state_from_profile(grid, g, 16, K=10.0,
-                                               profile=kinetic.cosine_profile(0.3))
-            cfg = diag.DiagnosticsConfig(
-                intervals=(diag.Interval("l_plus", math.pi / 3),
-                           diag.Interval("l_minus", math.pi / 3)),
-                gamma_minus_interval=diag.Interval("l_minus", math.pi / 3),
-                sandwich_gamma=1.45, sandwich_r_low=0.15, sandwich_mu=1e-3)
-            t0 = time.perf_counter()
-            res = kinetic.run(state, 60.0, 0.05,
-                              sampler=diag.RecordSampler(cfg), cfl=0.5)
-            dt_build = time.perf_counter() - t0
-            diag.finalize_records(res.records, K=10.0, m_bound=0.05,
-                                  config=cfg, dtheta=grid.dtheta)
-            self._runs["run12"] = _CachedRun(res, grid, 10.0, 0.05, res.max_dt,
-                                             dt_build, cfg, {"g": g})
-        return self._runs["run12"]
-
-
-def _skewed_profile(th):
-    """Positive density with R0 = 0.2 and a genuinely moving average phase."""
-    return (1.0 + 0.4 * np.cos(th) + 0.3 * np.sin(2.0 * th)) / TWO_PI
+            self._runs[name] = _CachedRun(res, g, build_seconds)
+        return self._runs[name]
 
 
 def _interior(records):
@@ -124,33 +98,53 @@ def _check(failures, ok: bool, message: str):
         failures.append(message)
 
 
+def _slack(run: _CachedRun) -> float:
+    """Discretization slack 10 (max dt + dtheta^2) of a run's rate checks."""
+    return 10.0 * (run.result.max_dt + run.result.final_state.grid.dtheta ** 2)
+
+
 # ---------------------------------------------------------------------------
 # criteria
 
+CRITERIA = {}
 
-def criterion_1(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    run = cache.run1()
-    failures = []
+
+def _criterion(cid: int, name: str):
+    """Register check(cache, failures, details) as CRITERIA[cid], which times
+    the check and returns its CriterionResult."""
+    def register(check):
+        def evaluate(cache: RunCache) -> CriterionResult:
+            t0 = time.perf_counter()
+            failures, details = [], {}
+            check(cache, failures, details)
+            return CriterionResult(cid, name, not failures, failures, details,
+                                   time.perf_counter() - t0)
+
+        CRITERIA[cid] = evaluate
+        return check
+
+    return register
+
+
+@_criterion(1, "conservation under transport")
+def _conservation(cache, failures, details):
+    run = cache.run("run1")
     _check(failures, run.result.max_slice_mass_drift_rel <= 1e-12,
            f"per-slice mass drift {run.result.max_slice_mass_drift_rel:.3e} > 1e-12")
     _check(failures, run.result.max_total_mass_drift <= 1e-10,
            f"total mass drift {run.result.max_total_mass_drift:.3e} > 1e-10")
     _check(failures, run.build_seconds < 30.0,
            f"runtime {run.build_seconds:.1f}s >= 30s")
-    details = {"slice_drift": run.result.max_slice_mass_drift_rel,
-               "total_drift": run.result.max_total_mass_drift,
-               "runtime_s": run.build_seconds}
-    return CriterionResult(1, "conservation under transport", not failures,
-                           failures, details, time.perf_counter() - t0)
+    details.update({"slice_drift": run.result.max_slice_mass_drift_rel,
+                    "total_drift": run.result.max_total_mass_drift,
+                    "runtime_s": run.build_seconds})
 
 
-def criterion_2(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    run = cache.run2()
+@_criterion(2, "identical-case concentration")
+def _identical_concentration(cache, failures, details):
+    run = cache.run("run2")
     recs = run.result.records
     final = recs[-1]
-    failures = []
     for delta in (0.2, 0.5):
         label = diag.Interval("i_plus", delta).label
         _check(failures, final.masses[label] >= 0.99,
@@ -167,45 +161,39 @@ def criterion_2(cache: RunCache) -> CriterionResult:
     max_late_rdot = max(abs(r.rdot_measured) for r in quarter)
     _check(failures, max_late_rdot <= 1e-4,
            f"late |dR/dt| {max_late_rdot:.3e} > 1e-4")
-    details = {"final_mass_near": final.masses[label], "final_R": final.R,
-               "min_step_dR": run.result.min_step_delta_R,
-               "min_step_delta_R_ok": run.result.min_step_delta_R_ok,
-               "late_rdot": max_late_rdot, "runtime_s": run.build_seconds}
-    return CriterionResult(2, "identical-case concentration", not failures,
-                           failures, details, time.perf_counter() - t0)
+    details.update({"final_mass_near": final.masses[label], "final_R": final.R,
+                    "min_step_dR": run.result.min_step_delta_R,
+                    "min_step_delta_R_ok": run.result.min_step_delta_R_ok,
+                    "late_rdot": max_late_rdot, "runtime_s": run.build_seconds})
 
 
-def criterion_3(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    run = cache.run2()
-    recs = run.result.records
-    series = [(r.t, r.lambda_value) for r in recs if r.lambda_value is not None]
+@_criterion(3, "antipodal L2 decay rate")
+def _antipodal_decay_rate(cache, failures, details):
+    run = cache.run("run2")
+    series = [(r.t, r.lambda_value) for r in run.result.records
+              if r.lambda_value is not None]
     ts = [t for t, _ in series]
     vals = [v for _, v in series]
     onset = diag.detect_transient(ts, vals)
-    failures = []
     _check(failures, onset is not None, "no monotone-decay onset detected")
-    details = {"onset": onset}
+    details["onset"] = onset
     if onset is not None:
         window = diag.late_window(onset, ts[-1])
         fit = diag.fit_exponential_rate(series, window)
-        rate_bound = -0.9 * (0.2 * math.cos(0.5) / 2.0) * run.K
+        rate_bound = -0.9 * (0.2 * math.cos(0.5) / 2.0) * run.result.final_state.K
         _check(failures, fit.slope <= rate_bound,
                f"fitted slope {fit.slope:.4f} > bound {rate_bound:.4f}")
         _check(failures, fit.r_squared >= 0.98,
                f"r^2 {fit.r_squared:.4f} < 0.98")
         details.update({"window": window, "slope": fit.slope,
                         "rate_bound": rate_bound, "r_squared": fit.r_squared})
-    return CriterionResult(3, "antipodal L2 decay rate", not failures,
-                           failures, details, time.perf_counter() - t0)
 
 
-def criterion_4(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    failures = []
-    details = {}
-    for name, run in (("run1", cache.run1()), ("run2", cache.run2())):
-        slack = 10.0 * (run.max_dt + run.grid.dtheta ** 2)
+@_criterion(4, "average-phase drift bound")
+def _phase_drift_bound(cache, failures, details):
+    for name in ("run1", "run2"):
+        run = cache.run(name)
+        slack = _slack(run)
         worst = math.inf
         lipschitz_bad = 0
         for r in _interior(run.result.records):
@@ -220,15 +208,12 @@ def criterion_4(cache: RunCache) -> CriterionResult:
         _check(failures, lipschitz_bad == 0,
                f"{name}: {lipschitz_bad} samples broke the |dR/dt| <= M+K bound")
         details[name] = {"min_margin": worst, "slack": slack}
-    return CriterionResult(4, "average-phase drift bound", not failures,
-                           failures, details, time.perf_counter() - t0)
 
 
-def criterion_5(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    run = cache.run1()
-    slack_r = 10.0 * (run.max_dt + run.grid.dtheta ** 2) * (run.M + run.K)
-    slack_p = slack_r
+@_criterion(5, "order-parameter rate formulas")
+def _rate_formulas(cache, failures, details):
+    run = cache.run("run1")
+    slack = _slack(run) * (run.g.support + run.result.final_state.K)
     worst_r = 0.0
     worst_p = 0.0
     for r in _interior(run.result.records):
@@ -236,42 +221,39 @@ def criterion_5(cache: RunCache) -> CriterionResult:
             worst_r = max(worst_r, abs(r.rdot_measured - r.rdot_formula))
         if r.R > 0.05 and r.phidot_measured is not None and r.phidot_formula is not None:
             worst_p = max(worst_p, abs(r.phidot_measured - r.phidot_formula))
-    failures = []
-    _check(failures, worst_r <= slack_r,
-           f"dR/dt mismatch {worst_r:.3e} > {slack_r:.3e}")
-    _check(failures, worst_p <= slack_p,
-           f"dphi/dt mismatch {worst_p:.3e} > {slack_p:.3e}")
-    details = {"rdot_mismatch": worst_r, "phidot_mismatch": worst_p,
-               "tolerance": slack_r}
-    return CriterionResult(5, "order-parameter rate formulas", not failures,
-                           failures, details, time.perf_counter() - t0)
+    _check(failures, worst_r <= slack,
+           f"dR/dt mismatch {worst_r:.3e} > {slack:.3e}")
+    _check(failures, worst_p <= slack,
+           f"dphi/dt mismatch {worst_p:.3e} > {slack:.3e}")
+    details.update({"rdot_mismatch": worst_r, "phidot_mismatch": worst_p,
+                    "tolerance": slack})
 
 
-def criterion_6(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    run = cache.run2()
+@_criterion(6, "potential dissipation identity")
+def _potential_dissipation(cache, failures, details):
+    run = cache.run("run2")
     recs = run.result.records
+    K = run.result.final_state.K
     vk = np.array([r.v_k for r in recs])
-    failures = []
     rise = float(np.max(np.diff(vk)))
     _check(failures, rise <= 1e-9, f"potential increased by {rise:.3e} between samples")
-    slack = 10.0 * (run.max_dt + run.grid.dtheta ** 2) * run.K ** 2
+    slack = _slack(run) * K ** 2
     ts = np.array([r.t for r in recs])
     vkdot = np.gradient(vk, ts)
     worst = 0.0
     for i, r in enumerate(recs[1:-1], start=1):
         if r.rdot_formula is None:
             continue
-        dissipation = -run.K * r.R * r.rdot_formula   # equals -(K R)^2 <sin^2 rho>
+        dissipation = -K * r.R * r.rdot_formula   # equals -(K R)^2 <sin^2 rho>
         worst = max(worst, abs(vkdot[i] - dissipation))
     _check(failures, worst <= slack,
            f"dissipation identity off by {worst:.3e} > {slack:.3e}")
-    details = {"max_vk_rise": rise, "dissipation_mismatch": worst, "tolerance": slack}
-    return CriterionResult(6, "potential dissipation identity", not failures,
-                           failures, details, time.perf_counter() - t0)
+    details.update({"max_vk_rise": rise, "dissipation_mismatch": worst,
+                    "tolerance": slack})
 
 
-def criterion_7(cache: RunCache) -> CriterionResult:
+@_criterion(7, "particle gradient identity")
+def _particle_gradient_identity(cache, failures, details):
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     n, K, h = 8, 1.3, 1e-5
@@ -293,45 +275,38 @@ def criterion_7(cache: RunCache) -> CriterionResult:
         grad[i] = (potential(up) - potential(dn)) / (2.0 * h)
     err = float(np.max(np.abs(particle.particle_rhs(state) + grad)))
     elapsed = time.perf_counter() - t0
-    failures = []
     _check(failures, err <= 1e-6, f"gradient identity error {err:.3e} > 1e-6")
     _check(failures, elapsed < 1.0, f"runtime {elapsed:.2f}s >= 1s")
-    return CriterionResult(7, "particle gradient identity", not failures,
-                           failures, {"error": err}, elapsed)
+    details["error"] = err
 
 
-def criterion_8(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    run = cache.run1()
-    g = run.extra["g"]
+@_criterion(8, "mean-field consistency")
+def _mean_field_consistency(cache, failures, details):
+    run = cache.run("run1")
     n_part = 20000
     rng = np.random.default_rng(8)
     thetas = particle.sample_phases(_skewed_profile, 1.7 / TWO_PI, n_part, rng)
-    omegas = freq.sample(g, n_part, seed=8)
-    pstate = particle.ParticleState(thetas, omegas, K=run.K)
+    omegas = freq.sample(run.g, n_part, seed=8)
+    pstate = particle.ParticleState(thetas, omegas, K=run.result.final_state.K)
     tp0 = time.perf_counter()
     traj = particle.run_particles(pstate, 20.0, dt=0.01, sample_every=0.05)
     particle_seconds = time.perf_counter() - tp0
     r_part = np.array([traj.order_at(i).R for i in range(traj.n_samples)])
     recs = run.result.records
     r_kin = np.array([r.R for r in recs])
-    failures = []
     _check(failures, traj.n_samples == len(recs),
            f"sample grids differ: {traj.n_samples} vs {len(recs)}")
     gap = float(np.max(np.abs(r_kin[:traj.n_samples] - r_part[:len(recs)])))
     _check(failures, gap <= 0.05, f"kinetic/particle gap {gap:.4f} > 0.05")
     total = particle_seconds + run.build_seconds
     _check(failures, total < 180.0, f"runtime {total:.1f}s >= 180s")
-    details = {"max_gap": gap, "particle_seconds": particle_seconds,
-               "kinetic_seconds": run.build_seconds}
-    return CriterionResult(8, "mean-field consistency", not failures,
-                           failures, details, time.perf_counter() - t0)
+    details.update({"max_gap": gap, "particle_seconds": particle_seconds,
+                    "kinetic_seconds": run.build_seconds})
 
 
-def criterion_9(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(9, "amplitude vs phase diameter")
+def _diameter_amplitude_bound(cache, failures, details):
     rng = np.random.default_rng(9)
-    failures = []
     worst = math.inf
     for _ in range(1000):
         spread = rng.uniform(0.05, math.pi * 0.999)
@@ -352,13 +327,11 @@ def criterion_9(cache: RunCache) -> CriterionResult:
     r_loose = particle.particle_order(loose).R
     _check(failures, r_loose < 1.0 - 1e-6,
            f"r {r_loose} not strictly below 1 for positive diameter")
-    details = {"min_margin": worst, "r_at_zero_diameter": r_tight}
-    return CriterionResult(9, "amplitude vs phase diameter", not failures,
-                           failures, details, time.perf_counter() - t0)
+    details.update({"min_margin": worst, "r_at_zero_diameter": r_tight})
 
 
-def criterion_10(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(10, "antipodal set has at most one member")
+def _antipodal_cardinality(cache, failures, details):
     rng = np.random.default_rng(10)
     n_seeds, n_osc, K = 200, 10, 1.0
     thetas = rng.uniform(0.0, TWO_PI, (n_seeds, n_osc))
@@ -395,22 +368,18 @@ def criterion_10(cache: RunCache) -> CriterionResult:
             anti_counts.append(cls.n_anti)
             if cls.n_anti <= 1:
                 n_ok += 1
-    failures = []
     _check(failures, n_converged > 0, "no run converged")
     frac = n_ok / n_converged if n_converged else 0.0
     _check(failures, frac >= 0.99,
            f"only {frac:.3f} of converged runs had at most one antipodal oscillator")
-    details = {"converged": n_converged, "unconverged": n_seeds - n_converged,
-               "ok_fraction": frac,
-               "max_anti": max(anti_counts) if anti_counts else None}
-    return CriterionResult(10, "antipodal set has at most one member",
-                           not failures, failures, details,
-                           time.perf_counter() - t0)
+    details.update({"converged": n_converged, "unconverged": n_seeds - n_converged,
+                    "ok_fraction": frac,
+                    "max_anti": max(anti_counts) if anti_counts else None})
 
 
-def criterion_11(cache: RunCache) -> CriterionResult:
+@_criterion(11, "locked-equilibrium self-consistency")
+def _equilibrium_self_consistency(cache, failures, details):
     t0 = time.perf_counter()
-    failures = []
     g = freq.uniform(1.0)
     probe = diag.equilibrium_probe(g, K=1.0, R=1.0)
     _check(failures, abs(probe - math.pi / 4.0) <= 1e-10,
@@ -427,22 +396,19 @@ def criterion_11(cache: RunCache) -> CriterionResult:
         _check(failures, res.bound_mass_ok, "inner-mass lower bound violated")
     elapsed = time.perf_counter() - t0
     _check(failures, elapsed < 1.0, f"runtime {elapsed:.2f}s >= 1s")
-    details = {"probe_H1": probe, "R": res.R if res.found else None,
-               "residual": res.residual if res.found else None}
-    return CriterionResult(11, "locked-equilibrium self-consistency",
-                           not failures, failures, details, elapsed)
+    details.update({"probe_H1": probe, "R": res.R if res.found else None,
+                    "residual": res.residual if res.found else None})
 
 
-def criterion_12(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    failures = []
+@_criterion(12, "asymptotic amplitude floor")
+def _amplitude_floor(cache, failures, details):
     report = diag.hypothesis_check(K=10.0, M=0.05, R0=0.3, mu=1e-3,
                                    gamma=1.45, kappa=0.7, eps0=0.2, gamma0=1.1)
     _check(failures, report.amplitude_floor_gate_passed,
            "structural hypothesis gate failed: "
            + "; ".join(c.name for c in report.checks
                        if c.name in diag.AMPLITUDE_FLOOR_GATE and not c.passed))
-    run = cache.run12()
+    run = cache.run("run12")
     recs = run.result.records
     floor = diag.r_infinity(0.05, 10.0) - 0.02
     late = [r.R for r in recs if r.t >= 40.0]
@@ -472,19 +438,15 @@ def criterion_12(cache: RunCache) -> CriterionResult:
         and not r.bound_checks["amplitude_mass_sandwich"]["passed"])
     _check(failures, sandwich_failures == 0,
            f"{sandwich_failures} samples violated the mass/amplitude sandwich")
-
-    details = {"hypothesis": report.to_dict(), "late_min_R": late_min,
-               "floor": floor, "gamma_minus_slope": gamma_slope,
-               "runtime_s": run.build_seconds}
-    return CriterionResult(12, "asymptotic amplitude floor", not failures,
-                           failures, details, time.perf_counter() - t0)
+    details.update({"hypothesis": report.to_dict(), "late_min_R": late_min,
+                    "floor": floor, "gamma_minus_slope": gamma_slope,
+                    "runtime_s": run.build_seconds})
 
 
-def criterion_13(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(13, "arc mass monotonicity and L2 growth")
+def _arc_mass_and_growth(cache, failures, details):
     eps0, gamma0, M = 0.2, 1.1, 0.01
     K = 1.2 * (M / eps0) * (1.0 + 1.0 / eps0)
-    failures = []
     report = diag.hypothesis_check(K=K, M=M, R0=0.9, mu=1e-3, gamma=1.45,
                                    kappa=0.7, eps0=eps0, gamma0=gamma0)
     _check(failures, report.passed(("arc_trapping_coupling",
@@ -516,20 +478,16 @@ def criterion_13(cache: RunCache) -> CriterionResult:
         slopes.append(fit.slope)
     _check(failures, min(slopes) >= slope_bound,
            f"slowest per-frequency L2 growth {min(slopes):.4f} < {slope_bound:.4f}")
-    details = {"K": K, "threshold": threshold, "initial_mass": float(masses[0]),
-               "min_mass_step": dip, "slopes": slopes, "slope_bound": slope_bound}
-    return CriterionResult(13, "arc mass monotonicity and L2 growth",
-                           not failures, failures, details,
-                           time.perf_counter() - t0)
+    details.update({"K": K, "threshold": threshold, "initial_mass": float(masses[0]),
+                    "min_mass_step": dip, "slopes": slopes, "slope_bound": slope_bound})
 
 
-def criterion_14(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    run = cache.run12()
+@_criterion(14, "barrier dominates the characteristics")
+def _barrier_comparison(cache, failures, details):
+    run = cache.run("run12")
     recs = run.result.records
-    K, M, kappa = run.K, run.M, 0.7
+    K, M, kappa = run.result.final_state.K, run.g.support, 0.7
     eps_k, valid = diag.epsilon_kappa(kappa, M, K)
-    failures = []
     _check(failures, valid, "barrier offset not below 1")
     p_lim = math.sqrt(1.0 - eps_k ** 2)
 
@@ -543,11 +501,10 @@ def criterion_14(cache: RunCache) -> CriterionResult:
         T_kappa = float(ts[idx])
     else:
         T_kappa = math.inf
+    details["T_kappa"] = T_kappa
     _check(failures, T_kappa < 50.0, "amplitude never settled above kappa")
     if T_kappa >= 50.0:
-        return CriterionResult(14, "barrier dominates the characteristics",
-                               False, failures, {"T_kappa": T_kappa},
-                               time.perf_counter() - t0)
+        return
     series = kinetic.OrderSeries.from_records(recs)
     t_star = T_kappa + 5.0
 
@@ -587,18 +544,13 @@ def criterion_14(cache: RunCache) -> CriterionResult:
         crossing = 1.5 * bound - float(ts2[i_last])
         _check(failures, crossing < bound,
                f"crossing time {crossing:.3f} >= bound {bound:.3f}")
-    details = {"T_kappa": T_kappa, "worst_excess": worst,
-               "crossing_time": crossing, "crossing_bound": bound}
-    return CriterionResult(14, "barrier dominates the characteristics",
-                           not failures, failures, details,
-                           time.perf_counter() - t0)
+    details.update({"worst_excess": worst, "crossing_time": crossing,
+                    "crossing_bound": bound})
 
 
-def criterion_15(cache: RunCache) -> CriterionResult:
-    t0 = time.perf_counter()
-    failures = []
+@_criterion(15, "comparison flow converges to its upper root")
+def _comparison_flow(cache, failures, details):
     K = 1.0
-    details = {}
     for ratio in (0.0, 1e-4, 1e-3):
         M = ratio * K
         r_minus, r_plus = diag.r_pm(0.0, M, K)
@@ -615,17 +567,7 @@ def criterion_15(cache: RunCache) -> CriterionResult:
                 _check(failures, err <= 1e-6,
                        f"M/K={ratio}, beta0={beta0:.3f}: end error {err:.3e}")
         details[str(ratio)] = {"r_minus": r_minus, "r_plus": r_plus}
-    return CriterionResult(15, "comparison flow converges to its upper root",
-                           not failures, failures, details,
-                           time.perf_counter() - t0)
 
-
-CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10, 11: criterion_11, 12: criterion_12,
-    13: criterion_13, 14: criterion_14, 15: criterion_15,
-}
 
 SUITES = {
     "conservation": (1,),

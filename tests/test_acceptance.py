@@ -1,15 +1,27 @@
 """Acceptance suite: every pinned verification criterion at its stated
 tolerance, one pass/fail line printed per criterion.
 
-Expensive solver runs are shared through a session-scoped cache, so the
-mean-field comparison reuses the conservation run and the barrier checks
-reuse the large-coupling run.  Run with `pytest -s tests/test_acceptance.py`
-to watch the per-criterion lines.
+One test is made for each entry of `verify.CRITERIA`, so a criterion added
+to the registry is tested too.  Expensive solver runs are shared through a
+session-scoped cache, so the mean-field comparison reuses the conservation
+run and the barrier checks reuse the large-coupling run.  Run with
+`pytest -s tests/test_acceptance.py` to watch the per-criterion lines.
 """
 
 import pytest
 
 from kslab import verify
+
+# the suffix of each criterion's test name; criteria missing here get "criterion"
+NAMES = {1: "conservation", 2: "identical_concentration", 3: "antipodal_decay_rate",
+         4: "phase_drift_bound", 5: "rate_formula_consistency",
+         6: "potential_dissipation", 7: "particle_gradient_identity",
+         8: "mean_field_consistency", 9: "diameter_amplitude_bound",
+         10: "antipodal_cardinality", 11: "equilibrium_self_consistency",
+         12: "asymptotic_amplitude_floor", 13: "arc_mass_and_growth",
+         14: "barrier_comparison", 15: "comparison_flow"}
+# the 20,000-oscillator run and the two on the large-coupling run
+SLOW = {8, 12, 14}
 
 
 @pytest.fixture(scope="session")
@@ -17,75 +29,20 @@ def cache():
     return verify.RunCache()
 
 
-def _run(cid, cache):
-    result = verify.CRITERIA[cid](cache)
-    mark = "PASS" if result.passed else "FAIL"
-    print(f"[{mark}] criterion {result.cid:>2}: {result.name} "
-          f"({result.elapsed:.1f}s)")
-    for f in result.failures:
-        print(f"       - {f}")
-    assert result.passed, f"criterion {cid} failed: {result.failures}"
-    return result
+def _criterion_test(cid):
+    def test(cache):
+        result = verify.CRITERIA[cid](cache)
+        mark = "PASS" if result.passed else "FAIL"
+        print(f"[{mark}] criterion {result.cid:>2}: {result.name} "
+              f"({result.elapsed:.1f}s)")
+        for f in result.failures:
+            print(f"       - {f}")
+        assert result.passed, f"criterion {cid} failed: {result.failures}"
+
+    return pytest.mark.slow(test) if cid in SLOW else test
 
 
-def test_criterion_01_conservation(cache):
-    _run(1, cache)
-
-
-def test_criterion_02_identical_concentration(cache):
-    _run(2, cache)
-
-
-def test_criterion_03_antipodal_decay_rate(cache):
-    _run(3, cache)
-
-
-def test_criterion_04_phase_drift_bound(cache):
-    _run(4, cache)
-
-
-def test_criterion_05_rate_formula_consistency(cache):
-    _run(5, cache)
-
-
-def test_criterion_06_potential_dissipation(cache):
-    _run(6, cache)
-
-
-def test_criterion_07_particle_gradient_identity(cache):
-    _run(7, cache)
-
-
-@pytest.mark.slow
-def test_criterion_08_mean_field_consistency(cache):
-    _run(8, cache)
-
-
-def test_criterion_09_diameter_amplitude_bound(cache):
-    _run(9, cache)
-
-
-def test_criterion_10_antipodal_cardinality(cache):
-    _run(10, cache)
-
-
-def test_criterion_11_equilibrium_self_consistency(cache):
-    _run(11, cache)
-
-
-@pytest.mark.slow
-def test_criterion_12_asymptotic_amplitude_floor(cache):
-    _run(12, cache)
-
-
-def test_criterion_13_arc_mass_and_growth(cache):
-    _run(13, cache)
-
-
-@pytest.mark.slow
-def test_criterion_14_barrier_comparison(cache):
-    _run(14, cache)
-
-
-def test_criterion_15_comparison_flow(cache):
-    _run(15, cache)
+# in registry order, so the session cache builds run1, run2 and run12 in turn
+for _cid in sorted(verify.CRITERIA):
+    globals()[f"test_criterion_{_cid:02d}_{NAMES.get(_cid, 'criterion')}"] = \
+        _criterion_test(_cid)

@@ -247,6 +247,17 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "[]"
 
 
+def test_module_run_gives_no_runtime_warning(tmp_path):
+    # runpy warns when importing the package has already imported kslab.cli
+    src = str(Path(kslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "kslab.cli",
+                           "verify", "--suite", "equilibrium"],
+                          env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_characteristics_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -444,7 +455,8 @@ def test_sweep_rejects_bad_input_table_before_output(tmp_path, capsys, kind):
     assert not out.exists()
 
 
-def test_serial_sweep_reads_each_table_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_reads_each_table_once(tmp_path, monkeypatch, threads):
     density, profile = tmp_path / "density.csv", tmp_path / "profile.csv"
     density.write_text(csv_text(*TABLES["density"][:2]))
     profile.write_text(csv_text(*TABLES["profile"][:2]))
@@ -453,12 +465,63 @@ def test_serial_sweep_reads_each_table_once(tmp_path, monkeypatch):
                        initial={"preset": "table", "path": str(profile)})
     reads = []
     read = cli._read_columns
-    monkeypatch.setattr(cli, "_read_columns",
-                        lambda path, names: reads.append(path) or read(path, names))
+
+    def read_once(path, names):
+        # forked pool workers inherit this reader and the reads made before them
+        assert path not in reads, f"{path} read again"
+        reads.append(path)
+        return read(path, names)
+
+    monkeypatch.setattr(cli, "_read_columns", read_once)
     out = tmp_path / "out"
-    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
     assert sorted(map(str, reads)) == sorted([str(density), str(profile)])
+    assert json.loads((out / "sweep_summary.json").read_text())["failed_couplings"] == []
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_isolates_a_failed_coupling(tmp_path, monkeypatch, threads):
+    run = cli._run_kinetic
+
+    def fail_at_two(cfg, K, *rest):
+        if K == 2.0:
+            raise RuntimeError("boom")
+        return run(cfg, K, *rest)
+
+    monkeypatch.setattr(cli, "_run_kinetic", fail_at_two)
+    cfg = write_config(tmp_path, coupling=[1.0, 2.0, 3.0], t_end=0.5)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert summary["failed_couplings"] == ["K=2.0: boom"]
+    assert [row["K"] for row in summary["rows"]] == [1.0, 3.0]
+
+
+def test_sweep_pool_has_no_more_workers_than_couplings(tmp_path, monkeypatch):
+    # a fake pool: the real one would fork every requested worker at once
+    requested = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    cfg = write_config(tmp_path, coupling=[1.0, 2.0], t_end=0.5)
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--threads", "8"]) == 0
+    assert requested == [2]
 
 
 def test_simulate_reads_each_table_once(tmp_path, monkeypatch):

@@ -319,7 +319,7 @@ def test_classify_bipolar():
         np.array([0.0, 10.0]),
         np.vstack([np.linspace(0, 2, 6), final]),
         np.zeros(6), K=1.0)
-    cls = particle.classify_asymptotic(traj, phi_ref=lambda t: 1.0)
+    cls = particle.classify_asymptotic(traj)
     assert cls.converged
     assert cls.n_anti == 1
     assert cls.i_anti == (3,)
