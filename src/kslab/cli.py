@@ -35,21 +35,22 @@ class ConfigError(ValueError):
 # configuration parsing
 
 
-_TOP_KEYS = {"model", "frequency", "initial", "coupling", "n_theta", "n_omega",
-             "n_particles", "t_end", "sample_every", "cfl", "scheme",
-             "diagnostics", "seed", "out_dir", "dt_particle", "hypothesis",
-             "dt_max"}
+#: every optional top-level field and its default; a section the user gives
+#: replaces the default section whole
+_DEFAULTS = {
+    "model": "kinetic", "frequency": {"kind": "dirac"},
+    "initial": {"preset": "cosine", "amplitude": 0.2}, "coupling": 1.0,
+    "n_theta": 256, "n_omega": 8, "n_particles": 1000, "seed": 0,
+    "t_end": 10.0, "sample_every": 0.1, "cfl": 0.5, "scheme": "muscl",
+    "dt_max": 1.0, "diagnostics": {}, "out_dir": "out",
+}
+#: defaults of the hypothesis fields; R0 defaults to the initial R of the run
+_HYP_DEFAULTS = {"mu": 1e-3, "gamma": 1.45, "kappa": 0.7, "eps0": 0.2, "gamma0": 1.1}
+_TOP_KEYS = set(_DEFAULTS) | {"dt_particle", "hypothesis"}
 _FREQ_KEYS = {"kind", "halfwidth", "path"}
 _INIT_KEYS = {"preset", "amplitude", "concentration", "center", "path"}
 _DIAG_KEYS = {"intervals", "lambda_interval", "gamma_plus", "gamma_minus"}
 _INTERVAL_KEYS = {"kind", "parameter"}
-_HYP_KEYS = {"R0", "mu", "gamma", "kappa", "eps0", "gamma0"}
-
-
-def _reject_unknown(mapping, allowed, where):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
 def _require(cond, message):
@@ -58,10 +59,11 @@ def _require(cond, message):
 
 
 def _object(value, allowed, where) -> dict:
-    """value, which must be a JSON object with keys from allowed."""
+    """A copy of value, which must be a JSON object with keys from allowed."""
     _require(isinstance(value, dict), f"{where} must be a JSON object, not {value!r}")
-    _reject_unknown(value, allowed, where)
-    return value
+    unknown = set(value) - allowed
+    _require(not unknown, f"unknown key(s) {sorted(unknown)} in {where}")
+    return dict(value)
 
 
 def _path(mapping: dict, key: str, where: str = "") -> None:
@@ -73,77 +75,86 @@ def _path(mapping: dict, key: str, where: str = "") -> None:
                  f"{where}{key} must be a non-empty string, not {value!r}")
 
 
-def validate_config(cfg: dict) -> dict:
-    """Check every field against the module preconditions; returns cfg."""
-    _require(isinstance(cfg, dict), "configuration must be a JSON object")
-    _reject_unknown(cfg, _TOP_KEYS, "configuration")
-    model = cfg.get("model", "kinetic")
-    _require(model in ("kinetic", "particle", "both"),
-             f"model must be kinetic, particle, or both, not {model!r}")
+def validate_config(raw: dict) -> dict:
+    """Check every field against the module preconditions.
+
+    Returns a new config: the _DEFAULTS under the user's keys, real-valued
+    fields as floats, dt_particle (sample_every / 5 unless given),
+    initial.center (0.0 unless given), a given hypothesis section over
+    _HYP_DEFAULTS, and diagnostics parsed into a DiagnosticsConfig.  A field
+    that the frequency kind or the initial preset needs must be given.
+    """
+    cfg = {**_DEFAULTS, **_object(raw, _TOP_KEYS, "configuration")}
+    _require(cfg["model"] in ("kinetic", "particle", "both"),
+             f"model must be kinetic, particle, or both, not {cfg['model']!r}")
 
     _path(cfg, "out_dir")
-    fcfg = _object(cfg.get("frequency", {"kind": "dirac"}), _FREQ_KEYS, "frequency")
+    fcfg = cfg["frequency"] = _object(cfg["frequency"], _FREQ_KEYS, "frequency")
     _path(fcfg, "path", "frequency.")
     kind = fcfg.get("kind")
     _require(kind in ("dirac", "uniform", "table"),
              f"frequency.kind must be dirac, uniform, or table, not {kind!r}")
     if kind == "uniform":
-        _require(_real(fcfg, "halfwidth", 0, "frequency.") > 0,
-                 "frequency.halfwidth must be positive")
+        fcfg["halfwidth"] = _real(fcfg, "halfwidth", "frequency.")
+        _require(fcfg["halfwidth"] > 0, "frequency.halfwidth must be positive")
     if kind == "table":
         _require("path" in fcfg, "frequency.path required for table densities")
 
-    icfg = _object(cfg.get("initial", {"preset": "cosine", "amplitude": 0.2}),
-                   _INIT_KEYS, "initial")
+    icfg = cfg["initial"] = _object(cfg["initial"], _INIT_KEYS, "initial")
     _path(icfg, "path", "initial.")
     preset = icfg.get("preset")
     _require(preset in ("cosine", "von_mises", "table"),
              f"initial.preset must be cosine, von_mises, or table, not {preset!r}")
     if preset == "cosine":
-        _require(abs(_real(icfg, "amplitude", 0.0, "initial.")) <= 0.5,
-                 "initial.amplitude must satisfy |a| <= 1/2")
+        icfg["amplitude"] = _real(icfg, "amplitude", "initial.")
+        _require(abs(icfg["amplitude"]) <= 0.5, "initial.amplitude must satisfy |a| <= 1/2")
     if preset == "von_mises":
-        _require(_real(icfg, "concentration", -1, "initial.") >= 0,
-                 "initial.concentration must be nonnegative")
-    _real(icfg, "center", 0.0, "initial.")
+        icfg["concentration"] = _real(icfg, "concentration", "initial.")
+        _require(icfg["concentration"] >= 0, "initial.concentration must be nonnegative")
     if preset == "table":
         _require("path" in icfg, "initial.path required for table profiles")
+    icfg.setdefault("center", 0.0)
+    icfg["center"] = _real(icfg, "center", "initial.")
 
-    coupling = cfg.get("coupling", 1.0)
-    if isinstance(coupling, list):
-        _require(all(_is_number(k) and k > 0 for k in coupling),
+    if isinstance(cfg["coupling"], list):
+        _require(all(_is_number(k) and k > 0 for k in cfg["coupling"]),
                  "every coupling value must be a positive number")
+        cfg["coupling"] = [float(k) for k in cfg["coupling"]]
     else:
-        _require(_is_number(coupling) and coupling >= 0,
+        _require(_is_number(cfg["coupling"]) and cfg["coupling"] >= 0,
                  "coupling must be a nonnegative number")
+        cfg["coupling"] = float(cfg["coupling"])
 
-    for key, default, low in (("n_theta", 256, kinetic.MIN_CELLS), ("n_omega", 8, 1),
-                              ("n_particles", 1000, 1), ("seed", 0, 0)):
-        value = cfg.get(key, default)
+    for key, low in (("n_theta", kinetic.MIN_CELLS), ("n_omega", 1),
+                     ("n_particles", 1), ("seed", 0)):
+        value = cfg[key]
         _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
                  f"{key} must be an integer >= {low}, not {value!r}")
-    _require(_real(cfg, "t_end", 10.0) >= 0, "t_end must be nonnegative")
-    _require(_real(cfg, "sample_every", 0.1) > 0, "sample_every must be positive")
-    _require(0.0 < _real(cfg, "cfl", 0.5) <= 1.0, "cfl must lie in (0, 1]")
-    _require(cfg.get("scheme", "muscl") in ("muscl", "upwind"),
-             "scheme must be muscl or upwind")
-    if "dt_particle" in cfg:
-        _require(_real(cfg, "dt_particle", None) > 0, "dt_particle must be positive")
-    _require(_real(cfg, "dt_max", 1.0) > 0, "dt_max must be positive")
+    cfg.setdefault("dt_particle", _real(cfg, "sample_every") / 5.0)
+    for key in ("t_end", "sample_every", "cfl", "dt_max", "dt_particle"):
+        cfg[key] = _real(cfg, key)
+    _require(cfg["t_end"] >= 0, "t_end must be nonnegative")
+    _require(cfg["sample_every"] > 0, "sample_every must be positive")
+    _require(0.0 < cfg["cfl"] <= 1.0, "cfl must lie in (0, 1]")
+    _require(cfg["scheme"] in ("muscl", "upwind"), "scheme must be muscl or upwind")
+    _require(cfg["dt_particle"] > 0, "dt_particle must be positive")
+    _require(cfg["dt_max"] > 0, "dt_max must be positive")
 
-    dcfg = _object(cfg.get("diagnostics", {}), _DIAG_KEYS, "diagnostics")
-    for key in ("lambda_interval", "gamma_plus", "gamma_minus"):
-        if key in dcfg:
-            _parse_interval(_object(dcfg[key], _INTERVAL_KEYS, f"diagnostics.{key}"))
+    dcfg = _object(cfg["diagnostics"], _DIAG_KEYS, "diagnostics")
     intervals = dcfg.get("intervals", [])
     _require(isinstance(intervals, list), "diagnostics.intervals must be a JSON list")
-    for iv in intervals:
-        _parse_interval(_object(iv, _INTERVAL_KEYS, "diagnostics.intervals[]"))
+
+    def named(key):
+        return _interval(dcfg[key], f"diagnostics.{key}") if key in dcfg else None
+
+    cfg["diagnostics"] = diag.DiagnosticsConfig(
+        intervals=tuple(_interval(iv, "diagnostics.intervals[]") for iv in intervals),
+        lambda_interval=named("lambda_interval"), gamma_plus_interval=named("gamma_plus"),
+        gamma_minus_interval=named("gamma_minus"))
 
     if "hypothesis" in cfg:
-        _object(cfg["hypothesis"], _HYP_KEYS, "hypothesis")
-        for key in cfg["hypothesis"]:
-            _real(cfg["hypothesis"], key, None, "hypothesis.")
+        h = _object(cfg["hypothesis"], set(_HYP_DEFAULTS) | {"R0"}, "hypothesis")
+        cfg["hypothesis"] = {**_HYP_DEFAULTS, **{key: _real(h, key, "hypothesis.") for key in h}}
     return cfg
 
 
@@ -151,15 +162,17 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _real(mapping: dict, key: str, default, where: str = "") -> float:
-    """mapping[key], or default, as a float; it must be a JSON number, so a
+def _real(mapping: dict, key: str, where: str = "") -> float:
+    """mapping[key] as a float; it must be given and be a JSON number, so a
     bool or a numeric string is a ConfigError."""
-    value = mapping.get(key, default)
+    _require(key in mapping, f"{where}{key} is required")
+    value = mapping[key]
     _require(_is_number(value), f"{where}{key} must be a number, not {value!r}")
     return float(value)
 
 
-def _parse_interval(iv: dict) -> diag.Interval:
+def _interval(value, where: str) -> diag.Interval:
+    iv = _object(value, _INTERVAL_KEYS, where)
     try:
         _require(_is_number(iv["parameter"]), "parameter must be a number")
         return diag.Interval(iv["kind"], float(iv["parameter"]))
@@ -202,35 +215,21 @@ def _read_columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
 
 
 def build_frequency(cfg: dict) -> freq.FrequencyDensity:
-    fcfg = cfg.get("frequency", {"kind": "dirac"})
+    fcfg = cfg["frequency"]
     if fcfg["kind"] == "dirac":
         return freq.dirac_at_zero()
     if fcfg["kind"] == "uniform":
-        return freq.uniform(float(fcfg["halfwidth"]))
+        return freq.uniform(fcfg["halfwidth"])
     return freq.from_table(*_read_columns(fcfg["path"], ("omega", "density")))
 
 
 def build_profile(cfg: dict):
-    icfg = cfg.get("initial", {"preset": "cosine", "amplitude": 0.2})
-    center = float(icfg.get("center", 0.0))
+    icfg = cfg["initial"]
     if icfg["preset"] == "cosine":
-        return kinetic.cosine_profile(float(icfg["amplitude"]), center)
+        return kinetic.cosine_profile(icfg["amplitude"], icfg["center"])
     if icfg["preset"] == "von_mises":
-        return kinetic.von_mises_profile(float(icfg["concentration"]), center)
+        return kinetic.von_mises_profile(icfg["concentration"], icfg["center"])
     return kinetic.table_profile(*_read_columns(icfg["path"], ("theta", "value")))
-
-
-def build_diag_config(cfg: dict) -> diag.DiagnosticsConfig:
-    dcfg = cfg.get("diagnostics", {})
-    intervals = tuple(_parse_interval(iv) for iv in dcfg.get("intervals", []))
-    return diag.DiagnosticsConfig(
-        intervals=intervals,
-        lambda_interval=_parse_interval(dcfg["lambda_interval"])
-        if "lambda_interval" in dcfg else None,
-        gamma_plus_interval=_parse_interval(dcfg["gamma_plus"])
-        if "gamma_plus" in dcfg else None,
-        gamma_minus_interval=_parse_interval(dcfg["gamma_minus"])
-        if "gamma_minus" in dcfg else None)
 
 
 # ---------------------------------------------------------------------------
@@ -239,38 +238,29 @@ def build_diag_config(cfg: dict) -> diag.DiagnosticsConfig:
 
 def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
                  profile) -> dict:
-    grid = kinetic.PhaseGrid(int(cfg.get("n_theta", 256)))
-    state = kinetic.state_from_profile(grid, g, int(cfg.get("n_omega", 8)),
-                                       K=K, profile=profile)
+    state = kinetic.state_from_profile(kinetic.PhaseGrid(cfg["n_theta"]), g,
+                                       cfg["n_omega"], K=K, profile=profile)
     M = g.support
-    dconfig = build_diag_config(cfg)
-    res = kinetic.run(state, float(cfg.get("t_end", 10.0)),
-                      float(cfg.get("sample_every", 0.1)),
-                      sampler=diag.RecordSampler(dconfig),
-                      cfl=float(cfg.get("cfl", 0.5)),
-                      scheme=cfg.get("scheme", "muscl"),
-                      dt_max=float(cfg.get("dt_max", 1.0)))
-    diag.finalize_records(res.records, K=K, m_bound=M, config=dconfig,
-                          dtheta=grid.dtheta)
+    res = kinetic.run(state, cfg["t_end"], cfg["sample_every"],
+                      sampler=diag.RecordSampler(cfg["diagnostics"]), cfl=cfg["cfl"],
+                      scheme=cfg["scheme"], dt_max=cfg["dt_max"])
+    diag.finalize_records(res.records, K=K, m_bound=M)
     out.mkdir(parents=True, exist_ok=True)
     diag.records_to_csv(res.records, out / "trajectory.csv")
     diag.bound_checks_to_json(res.records, out / "bound_checks.json")
 
-    summary = _summarize_kinetic(cfg, K, M, res)
+    summary = _summarize_kinetic(K, M, res)
     if "hypothesis" in cfg:
-        h = cfg["hypothesis"]
-        report = diag.hypothesis_check(
-            K=K, M=M, R0=float(h.get("R0", res.records[0].R)),
-            mu=float(h.get("mu", 1e-3)), gamma=float(h.get("gamma", 1.45)),
-            kappa=float(h.get("kappa", 0.7)), eps0=float(h.get("eps0", 0.2)),
-            gamma0=float(h.get("gamma0", 1.1)))
+        # R0 defaults to the initial R of the run
+        report = diag.hypothesis_check(K=K, M=M, **{"R0": res.records[0].R,
+                                                    **cfg["hypothesis"]})
         summary["hypothesis"] = report.to_dict()
     _write_json(out / "summary.json", summary)
     _write_plot_script(res.records, out / "plot.gp")
     return summary
 
 
-def _summarize_kinetic(cfg, K, M, res: kinetic.RunResult) -> dict:
+def _summarize_kinetic(K, M, res: kinetic.RunResult) -> dict:
     recs = res.records
     final = recs[-1]
     bad_bounds = sum(1 for r in recs if r.bound_checks
@@ -347,15 +337,14 @@ def _write_plot_script(records, path: Path) -> None:
 
 def _run_particle(cfg: dict, K: float, out: Path, seed: int,
                   g: freq.FrequencyDensity, profile) -> dict:
-    n = int(cfg.get("n_particles", 1000))
+    n = cfg["n_particles"]
     rng = np.random.default_rng(seed)
     bound = _profile_bound(profile)
     thetas = particle.sample_phases(profile, bound, n, rng)
     omegas = freq.sample(g, n, seed=seed + 1)
     state = particle.ParticleState(thetas, omegas, K=K)
-    dt = float(cfg.get("dt_particle", float(cfg.get("sample_every", 0.1)) / 5.0))
-    traj = particle.run_particles(state, float(cfg.get("t_end", 10.0)), dt,
-                                  float(cfg.get("sample_every", 0.1)))
+    traj = particle.run_particles(state, cfg["t_end"], cfg["dt_particle"],
+                                  cfg["sample_every"])
     out.mkdir(parents=True, exist_ok=True)
     _, r, phi, diameter, potential = particle.trajectory_to_csv(
         traj, out / "particles.csv")[-1]
@@ -371,17 +360,14 @@ def _profile_bound(profile) -> float:
 
 def cmd_simulate(args) -> int:
     cfg, raw = _load_config(args.config)
-    out = Path(args.out or cfg.get("out_dir", "out"))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", 0))
-    coupling = cfg.get("coupling", 1.0)
-    if isinstance(coupling, list):
+    out = Path(args.out or cfg["out_dir"])
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    K, model = cfg["coupling"], cfg["model"]
+    if isinstance(K, list):
         raise ConfigError("simulate needs a single coupling value; use sweep for lists")
-    K = float(coupling)
-    model = cfg.get("model", "kinetic")
     if model in ("particle", "both"):
         # fail before any run or output when the particle samples cannot tile t_end
-        particle.sample_count(0.0, float(cfg.get("t_end", 10.0)),
-                              float(cfg.get("sample_every", 0.1)))
+        particle.sample_count(0.0, cfg["t_end"], cfg["sample_every"])
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -426,22 +412,24 @@ def _sweep_one(job):
 
 def cmd_sweep(args) -> int:
     cfg, raw = _load_config(args.config)
-    coupling = cfg.get("coupling")
+    coupling = cfg["coupling"]
     if not isinstance(coupling, list) or len(coupling) < 2:
         raise ConfigError("sweep needs a coupling list with at least 2 values")
+    if cfg["model"] != "kinetic":
+        raise ConfigError(f"sweep runs only the kinetic model, not {cfg['model']!r}")
     names = [f"K_{K:g}" for K in coupling]
     if len(set(names)) < len(names):
         raise ConfigError(f"couplings {coupling} share output directory names {names}")
-    out = Path(args.out or cfg.get("out_dir", "out"))
+    out = Path(args.out or cfg["out_dir"])
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_bytes(raw)
     M = g.support
-    jobs = [(cfg, float(K), str(out / name), g, profile)
+    jobs = [(cfg, K, str(out / name), g, profile)
             for K, name in zip(coupling, names)]
     # the pool forks all its workers at the first submit, so ask for no idle ones
-    threads = min(max(1, int(args.threads)), len(jobs))
+    threads = min(max(1, args.threads), len(jobs))
     if threads == 1:
         results = [_sweep_one(job) for job in jobs]
     else:
@@ -454,7 +442,7 @@ def cmd_sweep(args) -> int:
         if summary is None:
             continue
         r_inf = diag.r_infinity(M, K) if K > 0 else math.nan
-        masses = summary.get("final_masses", {})
+        masses = summary["final_masses"]
         first_mass = next(iter(masses.values())) if masses else math.nan
         table.append({"K": K, "final_R": summary["final_R"], "r_infinity": r_inf,
                       "gap": summary["final_R"] - r_inf,
@@ -527,12 +515,11 @@ def _json_default(obj):
 def cmd_equilibrium(args) -> int:
     cfg, raw = _load_config(args.config)
     g = build_frequency(cfg)
-    coupling = cfg.get("coupling", 1.0)
-    k_list = coupling if isinstance(coupling, list) else [coupling]
+    coupling = cfg["coupling"]
     rows = []
-    for K in k_list:
-        res = diag.equilibrium_R(g, float(K))
-        rows.append((float(K), res))
+    for K in coupling if isinstance(coupling, list) else [coupling]:
+        res = diag.equilibrium_R(g, K)
+        rows.append((K, res))
         if res.found:
             print(f"K={K:g}: R = {res.R:.12g} (residual {res.residual:.2e}, "
                   f"bounds {'ok' if res.bound_sqrt_ok and res.bound_mass_ok else 'VIOLATED'})")

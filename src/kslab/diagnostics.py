@@ -171,25 +171,24 @@ def mstar_gamma0_cap(eps0: float) -> float:
     return math.asin(1.0 - 2.0 * eps0 / (2.0 * SQRT3 + 1.0))
 
 
-def mstar(eps0: float, gamma0: float, check: bool = True) -> float:
+def mstar(eps0: float, gamma0: float) -> float:
     """Mass threshold (2 + eps0 + cos g0) / ((1 + sin g0)(1 + cos g0)).
 
-    With check=True the admissibility window 0 < eps0 < 3*sqrt(3)/4 - 1,
+    The admissibility window 0 < eps0 < 3*sqrt(3)/4 - 1,
     pi/3 <= gamma0 < arcsin(1 - 2 eps0 / (2 sqrt(3) + 1)) is enforced and
     the strict bounds (1 + eps0)/(1 + sin g0) < value < 1 are asserted for
-    interior inputs.  check=False evaluates the raw formula.
+    interior inputs.
     """
-    if check:
-        if not 0.0 < eps0 < MSTAR_EPS_MAX:
-            raise ValueError(
-                f"eps0={eps0:.6g} violates 0 < eps0 < 3*sqrt(3)/4 - 1 ~ {MSTAR_EPS_MAX:.6g}")
-        cap = mstar_gamma0_cap(eps0)
-        if not math.pi / 3 <= gamma0 < cap:
-            raise ValueError(
-                f"gamma0={gamma0:.6g} violates pi/3 <= gamma0 < {cap:.6g}")
+    if not 0.0 < eps0 < MSTAR_EPS_MAX:
+        raise ValueError(
+            f"eps0={eps0:.6g} violates 0 < eps0 < 3*sqrt(3)/4 - 1 ~ {MSTAR_EPS_MAX:.6g}")
+    cap = mstar_gamma0_cap(eps0)
+    if not math.pi / 3 <= gamma0 < cap:
+        raise ValueError(
+            f"gamma0={gamma0:.6g} violates pi/3 <= gamma0 < {cap:.6g}")
     value = (2.0 + eps0 + math.cos(gamma0)) / (
         (1.0 + math.sin(gamma0)) * (1.0 + math.cos(gamma0)))
-    if check and gamma0 > math.pi / 3 and eps0 < MSTAR_EPS_MAX:
+    if gamma0 > math.pi / 3:
         lower = (1.0 + eps0) / (1.0 + math.sin(gamma0))
         assert lower < value < 1.0, "threshold left its guaranteed bracket"
     return value
@@ -263,17 +262,17 @@ def riccati_rhs(beta, eta: float, M: float, K: float):
 
 
 def riccati_solve(T: float, eta: float, beta_T: float, M: float, K: float,
-                  horizon: float, n_steps: int | None = None):
-    """RK4 path of the comparison Riccati flow on [T, T + horizon].
+                  horizon: float):
+    """RK4 path of the comparison Riccati flow on [T, T + horizon], in at
+    least 400 steps of at most 1/50 of the e-folding time near the roots.
 
     Any start above r_minus converges to r_plus; starts at either root stay
     constant.  Returns (ts, betas).
     """
     r_minus, r_plus = r_pm(eta, M, K)
     gap = max(r_plus - r_minus, 1e-12)
-    if n_steps is None:
-        tau = 4.0 * SQRT3 / (K * gap)       # local e-folding time near the roots
-        n_steps = max(400, int(math.ceil(horizon / (0.02 * tau))))
+    tau = 4.0 * SQRT3 / (K * gap)
+    n_steps = max(400, int(math.ceil(horizon / (0.02 * tau))))
     h = horizon / n_steps
     ts = T + h * np.arange(n_steps + 1)
     betas = np.empty(n_steps + 1)
@@ -319,9 +318,9 @@ def barrier_crossing_bound(eps: float, kappa: float, K: float,
 
 
 def barrier_solve(p_star, t_star: float, T_kappa: float, kappa: float, K: float,
-                  eps_kappa: float, n_steps: int | None = None):
+                  eps_kappa: float):
     """Backward RK4 path of the barrier through p_star at t_star, on
-    [T_kappa, t_star].
+    [T_kappa, t_star], in at least 100 steps of at most 0.005 / (kappa K).
 
     Requires |p_star| <= sqrt(1 - eps_kappa^2).  The exact flow never leaves
     that band (its endpoints are fixed points), so each substep clamps the
@@ -337,8 +336,7 @@ def barrier_solve(p_star, t_star: float, T_kappa: float, kappa: float, K: float,
     span = t_star - T_kappa
     if span < 0:
         raise ValueError("t_star must not precede T_kappa")
-    if n_steps is None:
-        n_steps = max(100, int(math.ceil(span * kappa * K / 0.005)))
+    n_steps = max(100, int(math.ceil(span * kappa * K / 0.005)))
     h = -span / n_steps if n_steps else 0.0
     ts = t_star + h * np.arange(n_steps + 1)
     ps = np.empty((n_steps + 1,) + p0.shape)
@@ -620,9 +618,6 @@ class DiagnosticsConfig:
     lambda_interval: Interval | None = None
     gamma_plus_interval: Interval | None = None
     gamma_minus_interval: Interval | None = None
-    sandwich_gamma: float | None = None    # enables the mass/amplitude sandwich
-    sandwich_r_low: float | None = None
-    sandwich_mu: float = 1e-3
 
 
 class RecordSampler:
@@ -664,14 +659,12 @@ class RecordSampler:
         return rec
 
 
-def finalize_records(records, K: float, m_bound: float, config: DiagnosticsConfig,
-                     dtheta: float) -> None:
+def finalize_records(records, K: float, m_bound: float) -> None:
     """Fill measured derivatives (central differences) and bound checks.
 
     Mutates the records in place.  The phase is unwrapped before
     differencing; undefined-phase samples get no measured phidot.  m_bound
-    is the support bound M of g; the mass/amplitude sandwich, when config
-    enables it, gets the 5*dtheta quadrature slack.
+    is the support bound M of g.
     """
     n = len(records)
     if n < 2:
@@ -699,20 +692,6 @@ def finalize_records(records, K: float, m_bound: float, config: DiagnosticsConfi
                                       "bound": float(bound)}
         lip = (m_bound + K + 0.01) - abs(r.rdot_measured)
         checks["rdot_lipschitz"] = {"passed": bool(lip >= 0), "margin": float(lip)}
-        if (config.sandwich_gamma is not None and config.sandwich_r_low is not None
-                and r.rdot_measured <= 0):
-            label = Interval("l_plus", math.pi / 3).label
-            if label in r.masses and math.isfinite(r.masses[label]):
-                e1, e2, _ = constants_E(K, m_bound, config.sandwich_r_low,
-                                        config.sandwich_gamma, config.sandwich_mu)
-                mass = r.masses[label]
-                slack = 5.0 * dtheta
-                lo_margin = r.R - (2.0 * mass - e2 - 1.0)
-                hi_margin = (2.0 * mass + 2.0 * e1 - 1.0) - r.R
-                checks["amplitude_mass_sandwich"] = {
-                    "passed": bool(lo_margin >= -slack and hi_margin >= -slack),
-                    "margin": float(min(lo_margin, hi_margin)),
-                }
         r.bound_checks = checks
 
 

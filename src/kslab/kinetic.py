@@ -199,7 +199,7 @@ def project_profile(grid: PhaseGrid, profile) -> np.ndarray:
 
 
 def state_from_profile(grid: PhaseGrid, g: FrequencyDensity, n_omega: int,
-                       K: float, profile, t: float = 0.0) -> KineticState:
+                       K: float, profile) -> KineticState:
     """Product initial state f0 = g(omega) * rho0(theta), unit slice masses.
 
     The projected profile is renormalized per slice so the discrete slice
@@ -212,7 +212,7 @@ def state_from_profile(grid: PhaseGrid, g: FrequencyDensity, n_omega: int,
         raise ValueError("initial profile produced negative cell averages")
     cells = cells / (cells.sum() * grid.dtheta)
     values = np.tile(cells, (pairs.shape[0], 1))
-    return KineticState(grid, pairs[:, 0], pairs[:, 1], values, K=K, t=t)
+    return KineticState(grid, pairs[:, 0], pairs[:, 1], values, K=K)
 
 
 # ---------------------------------------------------------------------------
@@ -244,11 +244,12 @@ def _cfl_step(state: KineticState, omega_max: float, R: float, cfl: float,
     return min(cfl * state.grid.dtheta / bound, dt_max) if bound > 0.0 else dt_max
 
 
-def cfl_dt(state: KineticState, cfl: float, dt_max: float = 1.0) -> float:
-    """Largest stable step: cfl * dtheta over the velocity bound max|omega| + K R."""
+def cfl_dt(state: KineticState, cfl: float) -> float:
+    """Largest stable step: cfl * dtheta over the velocity bound max|omega| + K R,
+    capped at 1.0, the default dt_max of ``run``."""
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
-    return _cfl_step(state, _omega_max(state), global_order(state).R, cfl, dt_max)
+    return _cfl_step(state, _omega_max(state), global_order(state).R, cfl, 1.0)
 
 
 def _padded(shape: tuple[int, int]) -> SimpleNamespace:
@@ -493,8 +494,10 @@ class OrderSeries:
 
 
 def characteristics(series: OrderSeries, theta0, omega0, t0: float, t1: float,
-                    K: float, max_step: float | None = None):
-    """Integrate dtheta/dt = omega - K R(t) sin(theta - phi(t)) by RK4.
+                    K: float):
+    """Integrate dtheta/dt = omega - K R(t) sin(theta - phi(t)) by RK4, in
+    steps no longer than 0.01 / (1 + K max R + max|omega0|) or the shortest
+    sample interval of the series.
 
     (R, phi) are linearly interpolated in the recorded series; integration
     may run forward (t1 > t0) or backward.  theta0/omega0 broadcast, so many
@@ -510,10 +513,9 @@ def characteristics(series: OrderSeries, theta0, omega0, t0: float, t1: float,
     span = t1 - t0
     if span == 0.0:
         return np.array([t0]), theta0[None, ...].copy()
-    if max_step is None:
-        Rmax = float(np.max(series.R))
-        max_step = min(0.01 / (1.0 + K * Rmax + float(np.max(np.abs(omega0)))),
-                       float(np.min(np.diff(series.ts))))
+    Rmax = float(np.max(series.R))
+    max_step = min(0.01 / (1.0 + K * Rmax + float(np.max(np.abs(omega0)))),
+                   float(np.min(np.diff(series.ts))))
     n = max(1, int(np.ceil(abs(span) / max_step)))
     h = span / n
     ts = t0 + h * np.arange(n + 1)

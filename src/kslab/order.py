@@ -77,7 +77,7 @@ def phidot_bound(R: float, M: float, K: float) -> float:
     return M / R + K * (1.0 - R)
 
 
-def kinetic_potential(state, op: OrderParams | None = None) -> float:
-    """Interaction potential K/2 (1 - R^2); dissipates along the flow."""
-    op = global_order(state) if op is None else op
+def kinetic_potential(state, op: OrderParams) -> float:
+    """Interaction potential K/2 (1 - R^2) at the order parameters op of
+    state; dissipates along the flow."""
     return 0.5 * state.K * (1.0 - op.R ** 2)

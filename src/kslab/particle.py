@@ -207,15 +207,14 @@ class ParticleTrajectory:
     thetas: np.ndarray    # (n_samples, N), lifted
     omegas: np.ndarray
     K: float
-    phasors: np.ndarray | None = None   # (n_samples,) complex phasor means
+    phasors: np.ndarray   # (n_samples,) complex phasor means
 
     def state_at(self, i: int) -> ParticleState:
         return ParticleState(self.thetas[i], self.omegas, self.K, t=float(self.ts[i]))
 
     def order_at(self, i: int) -> OrderParams:
-        """Order parameters of sample i, from the stored phasor mean if any."""
-        z = self.phasors[i] if self.phasors is not None else _phasor(self.thetas[i])[2]
-        return _from_phasor(complex(z))
+        """Order parameters of sample i, from its stored phasor mean."""
+        return _from_phasor(complex(self.phasors[i]))
 
     @property
     def n_samples(self) -> int:
@@ -309,24 +308,23 @@ def _circle_dist(a, b):
     return np.abs((np.asarray(a) - np.asarray(b) + np.pi) % TWO_PI - np.pi)
 
 
-def classify_asymptotic(traj: ParticleTrajectory, tol: float = 1e-6,
-                        band: float = 0.1) -> Classification:
-    """Partition oscillators into synchronous and anti-synchronous sets.
+def classify_asymptotic(final: ParticleState) -> Classification:
+    """Partition the oscillators of a final state into synchronous and
+    anti-synchronous sets.
 
-    An identical-frequency trajectory run to near-stationarity is required:
-    if the final frequency spread max|thetadot_i - thetadot_j| exceeds tol,
-    every oscillator is labeled undetermined.  The reference phase is the
-    final average phase (0 when it is undefined).  An oscillator within
-    ``band`` radians of the reference is synchronous, within ``band`` of its
-    antipode anti-synchronous, otherwise undetermined.
+    An identical-frequency state run to near-stationarity is required: if
+    the frequency spread max|thetadot_i - thetadot_j| exceeds 1e-6, every
+    oscillator is labeled undetermined.  The reference phase is the average
+    phase (0 when it is undefined).  An oscillator within 0.1 radians of the
+    reference is synchronous, within 0.1 of its antipode anti-synchronous,
+    otherwise undetermined.
     """
-    final = traj.state_at(traj.n_samples - 1)
     rates = particle_rhs(final)
-    if float(rates.max() - rates.min()) > tol:
+    if float(rates.max() - rates.min()) > 1e-6:
         return Classification(("undetermined",) * final.n, False)
     ref = particle_order(final).phi     # 0.0 when undefined
     d_sync = _circle_dist(final.thetas, ref)
     d_anti = _circle_dist(final.thetas, ref + np.pi)
-    labels = np.where(d_sync < band, "sync",
-                      np.where(d_anti < band, "anti", "undetermined"))
+    labels = np.where(d_sync < 0.1, "sync",
+                      np.where(d_anti < 0.1, "anti", "undetermined"))
     return Classification(tuple(labels.tolist()), True)

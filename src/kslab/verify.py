@@ -56,8 +56,7 @@ _PINNED_RUNS = {
               diag.DiagnosticsConfig(
                   intervals=(diag.Interval("l_plus", math.pi / 3),
                              diag.Interval("l_minus", math.pi / 3)),
-                  gamma_minus_interval=diag.Interval("l_minus", math.pi / 3),
-                  sandwich_gamma=1.45, sandwich_r_low=0.15, sandwich_mu=1e-3)),
+                  gamma_minus_interval=diag.Interval("l_minus", math.pi / 3))),
 }
 
 
@@ -78,13 +77,12 @@ class RunCache:
         """The pinned run `name`, built, timed and finalized on first use."""
         if name not in self._runs:
             g, n_theta, n_omega, K, profile, t_end, cfg = _PINNED_RUNS[name]
-            grid = kinetic.PhaseGrid(n_theta)
-            state = kinetic.state_from_profile(grid, g, n_omega, K=K, profile=profile)
+            state = kinetic.state_from_profile(kinetic.PhaseGrid(n_theta), g, n_omega,
+                                               K=K, profile=profile)
             t0 = time.perf_counter()
             res = kinetic.run(state, t_end, 0.05, sampler=diag.RecordSampler(cfg), cfl=0.5)
             build_seconds = time.perf_counter() - t0
-            diag.finalize_records(res.records, K=K, m_bound=g.support,
-                                  config=cfg, dtheta=grid.dtheta)
+            diag.finalize_records(res.records, K=K, m_bound=g.support)
             self._runs[name] = _CachedRun(res, g, build_seconds)
         return self._runs[name]
 
@@ -342,7 +340,6 @@ def _antipodal_cardinality(cache, failures, details):
         if not bad.any():
             break
         thetas[bad] = rng.uniform(0.0, TWO_PI, (int(bad.sum()), n_osc))
-    initial = thetas.copy()
 
     dt, t_max = 0.05, 600.0
     rotate = particle._rotates(0.0, K, dt)
@@ -359,10 +356,7 @@ def _antipodal_cardinality(cache, failures, details):
     n_ok = 0
     anti_counts = []
     for s in range(n_seeds):
-        traj = particle.ParticleTrajectory(
-            np.array([0.0, t]), np.vstack([initial[s], thetas[s]]),
-            np.zeros(n_osc), K)
-        cls = particle.classify_asymptotic(traj, tol=1e-6, band=0.1)
+        cls = particle.classify_asymptotic(particle.ParticleState(thetas[s], np.zeros(n_osc), K))
         if cls.converged:
             n_converged += 1
             anti_counts.append(cls.n_anti)
@@ -432,10 +426,18 @@ def _amplitude_floor(cache, failures, details):
         _check(failures, fit.slope <= bound,
                f"antipodal L2 slope {fit.slope:.3f} > {bound:.3f}")
 
-    sandwich_failures = sum(
-        1 for r in recs if r.bound_checks
-        and "amplitude_mass_sandwich" in r.bound_checks
-        and not r.bound_checks["amplitude_mass_sandwich"]["passed"])
+    # mass/amplitude sandwich at interior samples where R does not grow, on
+    # the l_plus(pi/3) mass, with a 5 dtheta quadrature slack
+    e1, e2, _ = diag.constants_E(run.result.final_state.K, run.g.support, 0.15, 1.45, 1e-3)
+    label = diag.Interval("l_plus", math.pi / 3).label
+    slack = 5.0 * run.result.final_state.grid.dtheta
+    sandwich_failures = 0
+    for r in _interior(recs):
+        if r.rdot_measured <= 0 and math.isfinite(r.masses[label]):
+            lo_margin = r.R - (2.0 * r.masses[label] - e2 - 1.0)
+            hi_margin = (2.0 * r.masses[label] + 2.0 * e1 - 1.0) - r.R
+            if not (lo_margin >= -slack and hi_margin >= -slack):
+                sandwich_failures += 1
     _check(failures, sandwich_failures == 0,
            f"{sandwich_failures} samples violated the mass/amplitude sandwich")
     details.update({"hypothesis": report.to_dict(), "late_min_R": late_min,
@@ -581,10 +583,10 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cache: RunCache | None = None):
+def run_suite(name: str):
     """Run the named suite; returns (results, all_passed)."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    cache = cache if cache is not None else RunCache()
+    cache = RunCache()
     results = [CRITERIA[cid](cache) for cid in SUITES[name]]
     return results, all(r.passed for r in results)

@@ -83,7 +83,7 @@ def test_identical_oscillators_flag_decreasing_R(tmp_path):
         diagnostics.DiagnosticsConfig()))
     for dR, ok in ((-1e-12, True), (-1.01e-12, False)):
         res.min_step_delta_R = dR
-        assert cli._summarize_kinetic({}, 1.0, 0.0, res)["min_step_delta_R_ok"] is ok
+        assert cli._summarize_kinetic(1.0, 0.0, res)["min_step_delta_R_ok"] is ok
 
 
 def test_simulate_rejects_small_grid(tmp_path):
@@ -308,13 +308,51 @@ def test_bad_json_is_config_error(tmp_path):
     ("diagnostics", {"lambda_interval": 3}), ("out_dir", 5),
     ("frequency", {"kind": "table", "path": 0}),
     ("frequency", {"kind": "table", "path": True}),
-    ("initial", {"preset": "table", "path": 0})])
+    ("initial", {"preset": "table", "path": 0}),
+    # a field that the preset or kind needs has no default
+    ("initial", {"preset": "cosine"}), ("initial", {"preset": "von_mises"}),
+    ("frequency", {"kind": "uniform"})])
 def test_config_rejects_bad_values(tmp_path, key, value):
     cfg = write_config(tmp_path, **{key: value})
     command = "sweep" if key == "coupling" and isinstance(value, list) else "simulate"
     assert cli.main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+#: every optional top-level field at its documented default
+DEFAULTS = {
+    "model": "kinetic", "frequency": {"kind": "dirac"},
+    "initial": {"preset": "cosine", "amplitude": 0.2, "center": 0.0},
+    "coupling": 1.0, "n_theta": 256, "n_omega": 8, "n_particles": 1000, "seed": 0,
+    "t_end": 10.0, "sample_every": 0.1, "cfl": 0.5, "scheme": "muscl", "dt_max": 1.0,
+    "diagnostics": {}, "out_dir": "out",
+}
+
+
+@pytest.mark.parametrize("short, written", [
+    ({"t_end": 1.0}, "trajectory.csv"),
+    ({"t_end": 1.0, "model": "particle"}, "particles.csv")])
+def test_defaults_match_the_fields_written_out(tmp_path, short, written):
+    assert set(DEFAULTS) == set(cli._DEFAULTS)
+    outs = []
+    for name, cfg in (("short", short), ("long", {**DEFAULTS, **short})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        outs.append(tmp_path / name)
+        assert cli.main(["simulate", "--config", str(path), "--out", str(outs[-1])]) == 0
+    for file in (written, "summary.json"):
+        assert (outs[0] / file).read_bytes() == (outs[1] / file).read_bytes()
+
+
+@pytest.mark.parametrize("model", ["particle", "both"])
+def test_sweep_runs_only_the_kinetic_model(tmp_path, capsys, model):
+    # sweep used to run the kinetic solver whatever the model
+    cfg = write_config(tmp_path, model=model, coupling=[1.0, 2.0], t_end=0.5)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "sweep runs only the kinetic model" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_mass_density_table_is_config_error(tmp_path, capsys):

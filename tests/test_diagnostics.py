@@ -252,16 +252,6 @@ def test_detect_transient():
 # closed-form constants
 
 
-def test_mstar_boundary_value_unchecked():
-    eps0 = 3.0 * SQRT3 / 4.0 - 1.0
-    assert diag.mstar(eps0, math.pi / 3.0, check=False) == pytest.approx(1.0)
-
-
-def test_mstar_near_degenerate_unchecked():
-    val = diag.mstar(1e-12, math.pi / 2.0 - 1e-12, check=False)
-    assert val == pytest.approx((2.0 + 0.0 + 0.0) / (2.0 * 1.0), abs=1e-9)
-
-
 def test_mstar_inadmissible_raises_with_named_constraint():
     with pytest.raises(ValueError, match="eps0"):
         diag.mstar(0.5, 1.1)
@@ -395,8 +385,7 @@ def test_barrier_crossing_time_below_bound():
     p_lim = math.sqrt(1.0 - eps_k ** 2)
     bound = diag.barrier_crossing_bound(eps, kappa, K, eps_k)
     t_star = 2.0 * bound
-    ts, ps = diag.barrier_solve(p_lim - eps, t_star, 0.0, kappa, K, eps_k,
-                                n_steps=200_000)
+    ts, ps = diag.barrier_solve(p_lim - eps, t_star, 0.0, kappa, K, eps_k)
     below = ps <= -p_lim + eps
     assert below.any()
     crossing = t_star - float(ts[np.where(below)[0][-1]])
@@ -517,8 +506,7 @@ def run_with_records(n_theta=128, t_end=2.0):
         lambda_interval=diag.Interval("i_minus", 0.5),
         gamma_plus_interval=diag.Interval("l_plus", 1.0))
     res = kinetic.run(st, t_end, 0.05, sampler=diag.RecordSampler(cfg))
-    diag.finalize_records(res.records, K=1.0, m_bound=0.0, config=cfg,
-                          dtheta=st.grid.dtheta)
+    diag.finalize_records(res.records, K=1.0, m_bound=0.0)
     return res.records, cfg
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -93,10 +94,13 @@ def test_velocity_field_matches_direct_sine(K):
 
 
 def test_cfl_degenerate_returns_dt_max():
+    # no velocity anywhere: every step is dt_max, bar the last one to t_end
     grid = kinetic.PhaseGrid(32)
     values = np.full((1, 32), 1.0 / TWO_PI)
     st = kinetic.KineticState(grid, np.zeros(1), np.ones(1), values, K=0.0)
-    assert kinetic.cfl_dt(st, 0.5, dt_max=0.37) == 0.37
+    assert kinetic.cfl_dt(st, 0.5) == 1.0
+    res = kinetic.run(st, 1.0, 1.0, dt_max=0.37)
+    assert res.max_dt == 0.37 and res.n_steps == 3
 
 
 def test_cfl_at_full_velocity_bound():
@@ -447,8 +451,8 @@ def test_sampling_cadence():
 
 @pytest.mark.parametrize("t0", [0.0, 0.3])
 def test_sample_times_are_exact_multiples(t0):
-    st = kinetic.state_from_profile(kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1,
-                                    1.0, kinetic.cosine_profile(0.2), t=t0)
+    st = dataclasses.replace(kinetic.state_from_profile(
+        kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1, 1.0, kinetic.cosine_profile(0.2)), t=t0)
     res = kinetic.run(st, t0 + 2.0, 0.1, sampler=lambda s: s.t)
     assert res.records == [t0 + i * 0.1 for i in range(21)]
     assert res.final_state.t == t0 + 20 * 0.1
@@ -532,11 +536,13 @@ def test_characteristics_fixed_point():
 
 
 def test_characteristics_matches_richardson_oracle():
-    series = constant_series(0.5, 0.0, 0.0, 2.0)
-    _, coarse = kinetic.characteristics(series, 0.1, 0.0, 0.0, 1.0, K=2.0)
-    _, fine = kinetic.characteristics(series, 0.1, 0.0, 0.0, 1.0, K=2.0,
-                                      max_step=1e-4)
-    assert abs(float(coarse[-1]) - float(fine[-1])) <= 1e-8
+    # the closed-form Adler solution at constant R and phi, omega = 0:
+    # tan((theta - phi)/2) = tan((theta0 - phi)/2) exp(-K R t)
+    R, phi, K, theta0 = 0.5, 0.3, 2.0, 2.9
+    series = constant_series(R, phi, 0.0, 2.0)
+    ts, th = kinetic.characteristics(series, theta0, 0.0, 0.0, 1.0, K=K)
+    exact = phi + 2.0 * np.arctan(np.tan((theta0 - phi) / 2.0) * np.exp(-K * R * ts))
+    assert np.max(np.abs(th - exact)) <= 1e-8
 
 
 def test_characteristics_backward():

@@ -164,9 +164,11 @@ def test_phidot_bound_values():
 
 def test_kinetic_potential_extremes():
     spike = dirac_state(512, kinetic.von_mises_profile(3000.0), K=2.0)
-    assert order.kinetic_potential(spike) == pytest.approx(0.0, abs=1e-3)
+    assert order.kinetic_potential(spike, order.global_order(spike)) == pytest.approx(
+        0.0, abs=1e-3)
     flat = dirac_state(128, lambda th: np.full_like(th, 1.0 / TWO_PI), K=2.0)
-    assert order.kinetic_potential(flat) == pytest.approx(1.0, abs=1e-10)
+    assert order.kinetic_potential(flat, order.global_order(flat)) == pytest.approx(
+        1.0, abs=1e-10)
 
 
 def test_rate_formulas_match_short_run():

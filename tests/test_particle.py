@@ -302,11 +302,7 @@ def test_diameter_amplitude_inequality_sampled():
 
 
 def test_classify_all_synchronized():
-    traj = particle.ParticleTrajectory(
-        np.array([0.0, 10.0]),
-        np.vstack([np.linspace(0, 1, 6), np.full(6, 0.8)]),
-        np.zeros(6), K=1.0)
-    cls = particle.classify_asymptotic(traj)
+    cls = particle.classify_asymptotic(particle.ParticleState(np.full(6, 0.8), np.zeros(6), K=1.0))
     assert cls.converged
     assert cls.n_anti == 0
     assert len(cls.i_sync) == 6
@@ -315,11 +311,7 @@ def test_classify_all_synchronized():
 def test_classify_bipolar():
     final = np.full(6, 1.0)
     final[3] = 1.0 + math.pi
-    traj = particle.ParticleTrajectory(
-        np.array([0.0, 10.0]),
-        np.vstack([np.linspace(0, 2, 6), final]),
-        np.zeros(6), K=1.0)
-    cls = particle.classify_asymptotic(traj)
+    cls = particle.classify_asymptotic(particle.ParticleState(final, np.zeros(6), K=1.0))
     assert cls.converged
     assert cls.n_anti == 1
     assert cls.i_anti == (3,)
@@ -328,9 +320,9 @@ def test_classify_bipolar():
 def test_classify_unconverged():
     rng = np.random.default_rng(16)
     th = rng.uniform(0, TWO_PI, 8)
-    traj = particle.ParticleTrajectory(
-        np.array([0.0, 1.0]), np.vstack([th, th]), np.zeros(8), K=1.0)
-    cls = particle.classify_asymptotic(traj, tol=1e-9)
+    st = particle.ParticleState(th, np.zeros(8), K=1.0)
+    assert np.ptp(particle.particle_rhs(st)) > 1e-6
+    cls = particle.classify_asymptotic(st)
     assert not cls.converged
     assert set(cls.labels) == {"undetermined"}
 
@@ -371,7 +363,7 @@ def test_csv_rows_match_order_and_potential(tmp_path):
 
 def test_csv_phasors_from_steps_match_recompute(tmp_path):
     # the run's stored phasor means give the same bytes as a recompute from
-    # the stored phases (a trajectory built by hand has no phasors)
+    # the stored phases
     rng = np.random.default_rng(21)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 500),
                                 rng.uniform(-0.1, 0.1, 500), K=2.0)
@@ -379,10 +371,10 @@ def test_csv_phasors_from_steps_match_recompute(tmp_path):
     assert traj.phasors.shape == (traj.n_samples,)
     for i in range(traj.n_samples):
         assert traj.phasors[i] == particle._phasor(traj.thetas[i])[2]
-    bare = particle.ParticleTrajectory(traj.ts, traj.thetas, traj.omegas, traj.K)
-    assert bare.phasors is None
+    fresh = particle.ParticleTrajectory(traj.ts, traj.thetas, traj.omegas, traj.K,
+                                        np.array([particle._phasor(th)[2] for th in traj.thetas]))
     particle.trajectory_to_csv(traj, tmp_path / "stored.csv")
-    particle.trajectory_to_csv(bare, tmp_path / "fresh.csv")
+    particle.trajectory_to_csv(fresh, tmp_path / "fresh.csv")
     assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
