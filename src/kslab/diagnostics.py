@@ -376,12 +376,39 @@ def equilibrium_probe(g: freq.FrequencyDensity, K: float, R: float) -> float:
     return freq.locked_phasor_mean(g, K * R)
 
 
+# a root near R = 1 (large K) lies in the first scan chunk
+_SCAN_POINTS = 2048
+_SCAN_CHUNK = 64
+_BISECT_LEVELS = 6
+_MAX_HALVINGS = 200
+
+
+def _bisection_tree(a: float, b: float) -> np.ndarray:
+    """The sorted nodes of the next _BISECT_LEVELS levels of bisecting [a, b],
+    ends included; each midpoint is 0.5 * (lo + hi) of its own parent interval,
+    as a scalar bisection forms it."""
+    nodes = np.array([a, b])
+    for _ in range(_BISECT_LEVELS):
+        finer = np.empty(2 * nodes.size - 1)
+        finer[0::2] = nodes
+        finer[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        nodes = finer
+    return nodes
+
+
 def equilibrium_R(g: freq.FrequencyDensity, K: float) -> EquilibriumResult:
     """Largest fixed point of R = H(R) on (M/K, 1], by scan plus bisection.
 
-    Returns "no solution" (found=False) when R - H(R) has no sign change on
-    the band, which is how a too-small coupling manifests.  The two locked-
-    equilibrium lower bounds are evaluated on the solution.
+    psi(R) = R - H(R) is scanned on 2,048 points from R = 1 down to just
+    above M/K, in chunks of 64, 128, ... points, one array call each, up to
+    the first chunk that holds the bracket (the first point with psi = 0,
+    or psi > 0 followed by psi <= 0).  The bracket is halved at most 200
+    times, until |psi(mid)| <= 1e-11 and it is narrower than 1e-15.  One
+    array call evaluates psi on every midpoint of the next six halvings,
+    which then walk those values by sign, so the root is the one a scalar
+    bisection finds.  Returns "no solution" (found=False) when psi has no
+    sign change on the band, which is how a too-small coupling manifests.
+    The two locked-equilibrium lower bounds are evaluated on the solution.
     """
     if K <= 0:
         raise ValueError("K must be positive")
@@ -398,33 +425,42 @@ def equilibrium_R(g: freq.FrequencyDensity, K: float) -> EquilibriumResult:
             f"no solution: lock band (M/K, 1] empty or no sign change; H(1)={probe_1:.12g}")
 
     def psi(R):
-        return R - equilibrium_probe(g, K, R)
+        return R - freq.locked_phasor_mean(g, K * R)
 
-    n_scan = 2048
-    grid = np.linspace(1.0, lo_edge * (1.0 + 1e-12), n_scan)
-    vals = grid - freq.locked_phasor_mean(g, K * grid)
-    bracket = None
-    for i in range(n_scan - 1):
-        if vals[i] == 0.0:
-            bracket = (grid[i], grid[i])
-            break
-        if vals[i] > 0.0 and vals[i + 1] <= 0.0:
-            bracket = (grid[i + 1], grid[i])
-            break
-    if bracket is None:
+    grid = np.linspace(1.0, lo_edge * (1.0 + 1e-12), _SCAN_POINTS)
+    vals = np.empty(_SCAN_POINTS)
+    start, size, first = 0, _SCAN_CHUNK, None
+    while first is None and start < _SCAN_POINTS:
+        stop = min(start + size, _SCAN_POINTS)
+        vals[start:stop] = psi(grid[start:stop])
+        # the pairs (i, i + 1) this chunk completes
+        base = max(start - 1, 0)
+        v = vals[base:stop]
+        hits = np.flatnonzero((v[:-1] == 0.0) | ((v[:-1] > 0.0) & (v[1:] <= 0.0)))
+        if hits.size:
+            first = base + int(hits[0])
+        start, size = stop, 2 * size
+    if first is None:
         return EquilibriumResult(
             False, None, math.inf, probe_1, 0.0, False, bound_mass, False,
             f"no solution: R - H(R) has no sign change on (M/K, 1]; H(1)={probe_1:.12g}")
-    a, b = bracket   # psi(a) <= 0 <= psi(b), a <= b
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        psi_mid = psi(mid)
-        if psi_mid <= 0.0:
-            a = mid
-        else:
-            b = mid
-        if abs(psi_mid) <= 1e-11 and (b - a) < 1e-15:
-            break
+    # psi(a) <= 0 <= psi(b), a <= b
+    a, b = (grid[first], grid[first]) if vals[first] == 0.0 else (grid[first + 1], grid[first])
+    halvings, done = 0, False
+    while not done:
+        nodes = _bisection_tree(a, b)
+        psi_nodes = psi(nodes)
+        lo, hi = 0, nodes.size - 1
+        while hi - lo > 1 and not done:
+            mid = (lo + hi) // 2
+            if psi_nodes[mid] <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            halvings += 1
+            done = ((abs(psi_nodes[mid]) <= 1e-11 and nodes[hi] - nodes[lo] < 1e-15)
+                    or halvings == _MAX_HALVINGS)
+        a, b = nodes[lo], nodes[hi]
     root = 0.5 * (a + b)
     residual = abs(psi(root))
     arg = g.support / (K * root)

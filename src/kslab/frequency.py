@@ -19,7 +19,9 @@ is linear on each segment, and int (c0 + c1 s) sqrt(1-s^2) ds has the
 elementary antiderivative (c0/2)(s sqrt(1-s^2) + asin s) - (c1/3)(1-s^2)^{3/2};
 each segment's increment is written with difference formulas, so nothing
 cancels on short segments or at large a.  The functional accepts an array
-of a, which makes an equilibrium scan one numpy evaluation.
+of a and gives each element the value a scalar call gives, so an
+equilibrium solve evaluates a chunk of its scan, or several bisection
+levels, in one numpy call.
 """
 
 from __future__ import annotations
@@ -184,14 +186,19 @@ def inner_support_radius(g: FrequencyDensity) -> float:
 
 
 def min_density_on_inner(g: FrequencyDensity) -> float:
-    """min of g over [-m, m] with m the inner support radius."""
+    """min of g over [-m, m] with m the inner support radius.
+
+    A piecewise-linear table takes its minimum there at -m, at m or at a
+    knot between them, so only those points are evaluated.
+    """
     m = inner_support_radius(g)
     if m <= 0:
         return 0.0
     if g.kind == "uniform":
         return 1.0 / (2.0 * g.support)
-    grid = np.linspace(-m, m, 2049)
-    return float(density_at(g, grid).min())
+    om = g.table_omega
+    points = np.concatenate(([-m, m], om[(om > -m) & (om < m)]))
+    return float(density_at(g, points).min())
 
 
 def locked_phasor_mean(g: FrequencyDensity, a):
@@ -213,7 +220,7 @@ def locked_phasor_mean(g: FrequencyDensity, a):
         out[pos] = 1.0
     elif g.kind == "uniform":
         ell = g.support
-        u = np.minimum(1.0, ell / ap)
+        u = ell / np.maximum(ap, ell)   # min(1, ell / a), no overflow at tiny a
         out[pos] = (ap / (2.0 * ell)) * (u * np.sqrt(1.0 - u * u) + np.arcsin(u))
     else:
         om, de = g.table_omega, g.table_density

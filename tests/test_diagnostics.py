@@ -443,6 +443,92 @@ def test_equilibrium_table_density():
     assert res.bound_sqrt_ok
 
 
+def _reference_root_search(g, K):
+    """equilibrium_R's search written plainly: one 2,048-point scan, then
+    one scalar call per halving.  Returns (R, residual), or None when the
+    scan finds no sign change."""
+    def psi(R):
+        return R - freq.locked_phasor_mean(g, K * R)
+
+    grid = np.linspace(1.0, g.support / K * (1.0 + 1e-12), 2048)
+    vals = psi(grid)
+    for i in range(2047):
+        if vals[i] == 0.0:
+            a, b = grid[i], grid[i]
+            break
+        if vals[i] > 0.0 and vals[i + 1] <= 0.0:
+            a, b = grid[i + 1], grid[i]
+            break
+    else:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        psi_mid = psi(mid)
+        if psi_mid <= 0.0:
+            a = mid
+        else:
+            b = mid
+        if abs(psi_mid) <= 1e-11 and (b - a) < 1e-15:
+            break
+    root = 0.5 * (a + b)
+    return root, abs(psi(root))
+
+
+def _triangle(rows):
+    om = np.linspace(-0.5, 0.5, rows)
+    return freq.from_table(om, 1.0 - np.abs(om) / 0.5)
+
+
+_BIMODAL = ([-1.0, -0.6, -0.2, 0.0, 0.2, 0.6, 1.0], [0.3, 1.0, 0.1, 0.05, 0.1, 1.0, 0.3])
+
+
+@pytest.mark.parametrize("g, K", [
+    (_triangle(5), 4.0), (_triangle(41), 4.0),
+    # K = 1 empties the lock band, K = 1.2 scans all 2,048 points without a
+    # sign change, K = 2.94 brackets the root between scan points 63 and 64,
+    # across the first chunk's end, and K = 2 near point 197, in the second
+    # chunk
+    (freq.uniform(1.0), 1.0), (freq.uniform(1.0), 1.2), (freq.uniform(1.0), 2.94),
+    (freq.uniform(1.0), 2.0),
+    (freq.uniform(1.0), 5.0), (freq.uniform(0.05), 10.0),
+    *[(freq.from_table(*_BIMODAL), K) for K in (1.2, 1.5, 2.0, 3.0, 6.0, 20.0)],
+])
+def test_equilibrium_matches_reference_search(g, K):
+    probe_1 = freq.locked_phasor_mean(g, K)
+    bound_mass = freq.inner_support_radius(g) * freq.min_density_on_inner(g)
+    found = _reference_root_search(g, K) if g.support < K else None
+    res = diag.equilibrium_R(g, K)
+    if found is None:
+        assert not res.found and "no solution" in res.message
+        assert (res.R, res.residual, res.probe_at_one, res.bound_sqrt, res.bound_sqrt_ok,
+                res.bound_mass, res.bound_mass_ok) == (None, math.inf, probe_1, 0.0, False,
+                                                       bound_mass, False)
+        return
+    root, residual = found
+    arg = g.support / (K * root)
+    bound_sqrt = math.sqrt(max(0.0, 1.0 - arg * arg))
+    assert res == diag.EquilibriumResult(
+        True, root, residual, probe_1, bound_sqrt, root >= bound_sqrt - 1e-12,
+        bound_mass, root >= bound_mass - 1e-12, f"R = {root:.12g}")
+
+
+def test_equilibrium_call_count(monkeypatch):
+    sizes = []
+    inner = freq.locked_phasor_mean
+
+    def counted(g, a):
+        sizes.append(np.size(a))
+        return inner(g, a)
+
+    monkeypatch.setattr(freq, "locked_phasor_mean", counted)
+    assert diag.equilibrium_R(_triangle(5), 4.0).found
+    assert len(sizes) <= 12
+    sizes.clear()
+    # with no sign change the scan still evaluates every point, after H(1)
+    assert not diag.equilibrium_R(freq.uniform(1.0), 1.2).found
+    assert sum(sizes) == 1 + 2048
+
+
 # ---------------------------------------------------------------------------
 # hypothesis report
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 
 from kslab import cli
 from kslab import frequency as freq
@@ -254,6 +255,22 @@ def test_locked_phasor_mean_vectorised_matches_scalar():
         np.testing.assert_array_equal(grid.ravel(), vec)
 
 
+@settings(max_examples=60, deadline=None)
+@given(half=hst.lists(hst.floats(0.0, 1.0), min_size=2, max_size=12),
+       width=hst.floats(0.01, 2.0),
+       a_vals=hst.lists(hst.floats(-1.0, 10.0), min_size=1, max_size=40))
+def test_locked_phasor_mean_array_equals_scalar_calls(half, width, a_vals):
+    # equilibrium_R evaluates its scan and bisection in array calls and must
+    # land on the values scalar calls give, so the match is exact
+    assume(max(half) >= 1e-3)
+    pos = np.linspace(0.0, width, len(half))
+    table = freq.from_table(np.concatenate((-pos[:0:-1], pos)),
+                            np.concatenate((half[:0:-1], half)))
+    for g in (table, freq.uniform(width)):
+        vec = freq.locked_phasor_mean(g, np.array(a_vals))
+        assert vec.tolist() == [freq.locked_phasor_mean(g, a) for a in a_vals]
+
+
 def test_locked_phasor_mean_large_table_blocks():
     # more (a, segment) pairs than one evaluation block holds
     om = np.linspace(-0.5, 0.5, 401)
@@ -270,3 +287,11 @@ def test_inner_support_radius():
     g = freq.from_table([-1.0, -0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 0.0])
     assert freq.inner_support_radius(g) == pytest.approx(1.0)
     assert freq.min_density_on_inner(freq.uniform(0.4)) == pytest.approx(1.25)
+
+
+def test_min_density_on_inner_finds_minimum_between_grid_points():
+    # the minima sit at the knots +-0.3, which a uniform grid on [-1, 1] misses
+    g = freq.from_table([-1.0, -0.3, 0.0, 0.3, 1.0], [1.0, 0.2, 1.0, 0.2, 1.0])
+    assert freq.min_density_on_inner(g) == pytest.approx(0.2 / 1.2, rel=1e-15)
+    triangle = freq.from_table([-0.5, -0.25, 0.0, 0.25, 0.5], [0.0, 0.5, 1.0, 0.5, 0.0])
+    assert freq.min_density_on_inner(triangle) == 0.0
