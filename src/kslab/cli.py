@@ -136,7 +136,8 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["t_end"] >= 0, "t_end must be nonnegative")
     _require(cfg["sample_every"] > 0, "sample_every must be positive")
     _require(0.0 < cfg["cfl"] <= 1.0, "cfl must lie in (0, 1]")
-    _require(cfg["scheme"] in ("muscl", "upwind"), "scheme must be muscl or upwind")
+    _require(cfg["scheme"] == "muscl",
+             f"scheme must be 'muscl' ('upwind' was removed), not {cfg['scheme']!r}")
     _require(cfg["dt_particle"] > 0, "dt_particle must be positive")
     _require(cfg["dt_max"] > 0, "dt_max must be positive")
 
@@ -243,7 +244,7 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     M = g.support
     res = kinetic.run(state, cfg["t_end"], cfg["sample_every"],
                       sampler=diag.RecordSampler(cfg["diagnostics"]), cfl=cfg["cfl"],
-                      scheme=cfg["scheme"], dt_max=cfg["dt_max"])
+                      dt_max=cfg["dt_max"])
     diag.finalize_records(res.records, K=K, m_bound=M)
     out.mkdir(parents=True, exist_ok=True)
     diag.records_to_csv(res.records, out / "trajectory.csv")
@@ -337,25 +338,27 @@ def _write_plot_script(records, path: Path) -> None:
 
 def _run_particle(cfg: dict, K: float, out: Path, seed: int,
                   g: freq.FrequencyDensity, profile) -> dict:
-    n = cfg["n_particles"]
+    n, icfg = cfg["n_particles"], cfg["initial"]
+    # sample_phases needs a bound on the profile: 1.05 times its maximum on a
+    # grid, or its exact peak where a grid misses a narrow one.  A cosine or
+    # von Mises profile peaks at its centre or the antipode, a piecewise-linear
+    # table at a knot (the first argument of its partial).
+    th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+    peaks = (profile.args[0] if icfg["preset"] == "table"
+             else icfg["center"] + np.array([0.0, np.pi]))
+    bound = max(float(np.max(profile(th))) * 1.05, float(np.max(profile(peaks))))
     rng = np.random.default_rng(seed)
-    bound = _profile_bound(profile)
     thetas = particle.sample_phases(profile, bound, n, rng)
     omegas = freq.sample(g, n, seed=seed + 1)
     state = particle.ParticleState(thetas, omegas, K=K)
-    traj = particle.run_particles(state, cfg["t_end"], cfg["dt_particle"],
+    rows = particle.run_particles(state, cfg["t_end"], cfg["dt_particle"],
                                   cfg["sample_every"])
     out.mkdir(parents=True, exist_ok=True)
-    _, r, phi, diameter, potential = particle.trajectory_to_csv(
-        traj, out / "particles.csv")[-1]
+    particle.trajectory_to_csv(rows, out / "particles.csv")
+    _, r, phi, diameter, potential = rows[-1]
     return {"model": "particle", "K": K, "n_particles": n,
             "final_r": float(r), "final_phi": float(phi),
             "final_diameter": float(diameter), "final_potential": float(potential)}
-
-
-def _profile_bound(profile) -> float:
-    th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    return float(np.max(profile(th))) * 1.05
 
 
 def cmd_simulate(args) -> int:
@@ -441,7 +444,7 @@ def cmd_sweep(args) -> int:
     for K, summary, _ in results:
         if summary is None:
             continue
-        r_inf = diag.r_infinity(M, K) if K > 0 else math.nan
+        r_inf = diag.r_infinity(M, K)
         masses = summary["final_masses"]
         first_mass = next(iter(masses.values())) if masses else math.nan
         table.append({"K": K, "final_R": summary["final_R"], "r_infinity": r_inf,

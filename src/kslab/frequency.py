@@ -121,9 +121,12 @@ def _table_rule(om: np.ndarray, de: np.ndarray, n: int) -> np.ndarray:
 
 
 def quadrature_nodes(g: FrequencyDensity, n: int) -> list[tuple[float, float]]:
-    """Return an n-point density-folded rule for g as (node, weight) pairs.
+    """Return a density-folded rule for g as (node, weight) pairs.
 
-    The dirac kind always collapses to the single pair (0, 1).
+    A uniform density gets n nodes.  A table with n_seg segments gets
+    p = max(2, ceil(n / n_seg)) Gauss nodes on each segment, p * n_seg in
+    all: 8 for n = 1 or 8 on a 5-row table, 12 for n = 10.  The dirac kind
+    always collapses to the single pair (0, 1).
     """
     if n < 1:
         raise ValueError("node count must be >= 1")

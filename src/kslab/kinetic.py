@@ -11,8 +11,8 @@ at every Runge-Kutta stage because the velocity field is nonlocal.
 
 Discretization choices:
 
-* space: first-order upwind fluxes, optionally minmod-limited MUSCL
-  reconstruction (second order on smooth data, positivity preserving),
+* space: minmod-limited MUSCL reconstruction with upwind face states
+  (second order on smooth data, positivity preserving),
 * time: two-stage strong-stability-preserving Runge-Kutta (Heun) under a
   CFL restriction measured against the analytic velocity bound.
 
@@ -276,25 +276,20 @@ class _Workspace:
         self.bufs[0].inner[...] = values
         return self.bufs[0].inner
 
-    def stage(self, state: KineticState, src, dst, dt: float, scheme: str,
-              z: complex, t: float) -> None:
+    def stage(self, state: KineticState, src, dst, dt: float, z: complex,
+              t: float) -> None:
         """Forward-Euler stage from src to dst at time t; a FluxNanError names
         the first non-finite value, else the first non-finite flux."""
         d, s, h, face, up = self.diff, self.slope, self.half, self.face, self.upwind_right
         np.copyto(src.ghosts, src.seam)
         _edge_velocity(state, z, self.trig, self.vel.a)
         np.subtract(src.tail, src.head, out=d.head)
-        if scheme == "muscl":                   # minmod(dl, dr) = median(dl, dr, 0)
-            np.minimum(d.head, d.tail, out=s.tail)
-            np.maximum(d.head, d.tail, out=h.tail)
-            np.minimum(h.f, 0.0, out=h.f)
-            np.maximum(s.f, h.f, out=s.f)
-            np.copyto(s.ghosts, s.seam)
-            np.multiply(s.f, 0.5, out=h.f)
-        elif scheme == "upwind":
-            h.f.fill(0.0)
-        else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        np.minimum(d.head, d.tail, out=s.tail)      # minmod(dl, dr) = median(dl, dr, 0)
+        np.maximum(d.head, d.tail, out=h.tail)
+        np.minimum(h.f, 0.0, out=h.f)
+        np.maximum(s.f, h.f, out=s.f)
+        np.copyto(s.ghosts, s.seam)
+        np.multiply(s.f, 0.5, out=h.f)
         np.add(src.f, h.f, out=face.f)                          # upwind state at edge p:
         np.less(self.vel.head, 0.0, out=up)                     # column p's right face
         np.subtract(src.tail, h.tail, out=face.head, where=up)  # or p + 1's left face
@@ -308,13 +303,13 @@ class _Workspace:
         np.multiply(h.f, dt / self.dtheta, out=h.f)
         np.subtract(src.f, h.f, out=dst.f)
 
-    def advance(self, state: KineticState, t: float, dt: float, scheme: str,
+    def advance(self, state: KineticState, t: float, dt: float,
                 z0: complex) -> np.ndarray:
         """One SSP-RK2 step of the loaded values; returns a view of the result,
         which the next advance overwrites."""
         u0, u1, u2 = self.bufs
-        self.stage(state, u0, u1, dt, scheme, z0, t)
-        self.stage(state, u1, u2, dt, scheme, phasor(state.grid, state.weights, u1.inner), t)
+        self.stage(state, u0, u1, dt, z0, t)
+        self.stage(state, u1, u2, dt, phasor(state.grid, state.weights, u1.inner), t)
         np.add(u0.f, u2.f, out=u2.f)
         np.multiply(u2.f, 0.5, out=u2.f)
         self.bufs = [u2, u0, u1]
@@ -327,7 +322,7 @@ def _shared_workspace(n_omega: int, n_theta: int) -> _Workspace:
     return _Workspace(PhaseGrid(n_theta), n_omega)
 
 
-def step(state: KineticState, dt: float, scheme: str = "muscl") -> KineticState:
+def step(state: KineticState, dt: float) -> KineticState:
     """One SSP-RK2 step; order parameters are refreshed at each stage."""
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -337,7 +332,7 @@ def step(state: KineticState, dt: float, scheme: str = "muscl") -> KineticState:
         raise CflError(dt, admissible)
     ws = _shared_workspace(state.n_omega, state.grid.n_theta)
     ws.load(state.values)
-    return replace(state, values=ws.advance(state, state.t, dt, scheme, z).copy(),
+    return replace(state, values=ws.advance(state, state.t, dt, z).copy(),
                    t=state.t + dt)
 
 
@@ -361,8 +356,7 @@ class RunResult:
 
 
 def run(state: KineticState, t_end: float, sample_every: float,
-        sampler=None, cfl: float = 0.5, scheme: str = "muscl",
-        dt_max: float = 1.0) -> RunResult:
+        sampler=None, cfl: float = 0.5, dt_max: float = 1.0) -> RunResult:
     """Advance to t_end with adaptive CFL steps, sampling at t0 + i sample_every.
 
     ``sampler`` maps the state at each sample time to a record, the start
@@ -425,7 +419,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
             min_dR = min(min_dR, R - prev_R)
         prev_R = R
         dt = min(_cfl_step(state, omega_max, R, cfl, dt_max), t_end - t, next_sample - t)
-        values = ws.advance(state, t, dt, scheme, z)
+        values = ws.advance(state, t, dt, z)
         t += dt
         n_steps += 1
         max_dt = max(max_dt, dt)

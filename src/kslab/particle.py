@@ -13,8 +13,8 @@ the step start.  Its stages 2-4 rotate them by the phase change d since the
 start, with cos d and sin d from Taylor polynomials (``_rotate``), whenever
 the a-priori bound |d| <= |dt| (max|omega| + K) is at most ``ROTATION_MAX``
 (``_rotates``, decided once per run); larger steps call np.cos/np.sin at
-every stage.  A run keeps the phasor mean of each sample from the step that
-starts there.
+every stage.  A run returns one row (t, r, phi, D, V_p) per sample, with r,
+phi and V_p from the phasor mean of the step that starts there.
 """
 
 from __future__ import annotations
@@ -201,26 +201,6 @@ def phase_diameter(state: ParticleState) -> float:
 # trajectories
 
 
-@dataclass(frozen=True, eq=False)
-class ParticleTrajectory:
-    ts: np.ndarray        # (n_samples,)
-    thetas: np.ndarray    # (n_samples, N), lifted
-    omegas: np.ndarray
-    K: float
-    phasors: np.ndarray   # (n_samples,) complex phasor means
-
-    def state_at(self, i: int) -> ParticleState:
-        return ParticleState(self.thetas[i], self.omegas, self.K, t=float(self.ts[i]))
-
-    def order_at(self, i: int) -> OrderParams:
-        """Order parameters of sample i, from its stored phasor mean."""
-        return _from_phasor(complex(self.phasors[i]))
-
-    @property
-    def n_samples(self) -> int:
-        return self.ts.size
-
-
 def sample_count(t0: float, t_end: float, sample_every: float) -> int:
     """Number of sample intervals of length sample_every in [t0, t_end].
 
@@ -238,13 +218,14 @@ def sample_count(t0: float, t_end: float, sample_every: float) -> int:
 
 
 def run_particles(state: ParticleState, t_end: float, dt: float,
-                  sample_every: float) -> ParticleTrajectory:
-    """Fixed-step RK4 run sampled at t0 + i sample_every up to t_end.
+                  sample_every: float) -> np.ndarray:
+    """Fixed-step RK4 run sampled at t0 + i sample_every up to t_end; returns
+    the (n_samples + 1, 5) rows t, r, phi, D, V_p, one per sample.
 
     t_end - t0 must be a whole number of sample intervals (``sample_count``);
     dt is shrunk if necessary so samples land exactly on step boundaries.
-    Each sample's phasor mean comes from the step that starts there; only
-    the final sample's is computed afresh.
+    Each row's r, phi and V_p come from the phasor mean of the step that
+    starts at its sample; only the final row's is computed afresh.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     per = max(1, int(np.ceil(sample_every / dt)))
@@ -252,34 +233,30 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
     ts = state.t + sample_every * np.arange(n_samples + 1)
     thetas, omegas, K = state.thetas, state.omegas, state.K
     rotate = _rotates(omegas, K, dt)
-    snaps = [thetas]
-    phasors = []
-    for _ in range(n_samples):
+
+    def row(i: int, phases: np.ndarray, z: complex) -> tuple:
+        s = ParticleState(phases, omegas, K, t=float(ts[i]))
+        op = _from_phasor(z)
+        return s.t, op.R, op.phi, phase_diameter(s), _potential(s, op.R)
+
+    rows = np.empty((n_samples + 1, 5))
+    for i in range(n_samples):
+        start = thetas
         for k in range(per):
             thetas, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, rotate)
             if k == 0:
-                phasors.append(complex(z_re[0], z_im[0]))
-        snaps.append(thetas)
-    phasors.append(_phasor(thetas)[2])
-    return ParticleTrajectory(ts, np.array(snaps), omegas, K, np.array(phasors))
+                rows[i] = row(i, start, complex(z_re[0], z_im[0]))
+    rows[-1] = row(n_samples, thetas, _phasor(thetas)[2])
+    return rows
 
 
-def trajectory_to_csv(traj: ParticleTrajectory, path) -> np.ndarray:
-    """Columns: t, r, phi, D, V_p.  Returns the rows written, one per sample.
-
-    Each sample's phasor mean (``order_at``) gives r, phi and V_p.
-    """
-    rows = np.empty((traj.n_samples, 5))
-    for i in range(traj.n_samples):
-        s = traj.state_at(i)
-        op = traj.order_at(i)
-        rows[i] = (s.t, op.R, op.phi, phase_diameter(s), _potential(s, op.R))
+def trajectory_to_csv(rows: np.ndarray, path) -> None:
+    """Write the rows of ``run_particles`` under the header t, r, phi, D, V_p."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "r", "phi", "D", "V_p"])
         for row in rows:
             w.writerow([format(x, ".17g") for x in row])
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -292,16 +269,8 @@ class Classification:
     converged: bool
 
     @property
-    def i_sync(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.labels) if s == "sync")
-
-    @property
-    def i_anti(self) -> tuple[int, ...]:
-        return tuple(i for i, s in enumerate(self.labels) if s == "anti")
-
-    @property
     def n_anti(self) -> int:
-        return len(self.i_anti)
+        return self.labels.count("anti")
 
 
 def _circle_dist(a, b):

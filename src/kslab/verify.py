@@ -287,14 +287,13 @@ def _mean_field_consistency(cache, failures, details):
     omegas = freq.sample(run.g, n_part, seed=8)
     pstate = particle.ParticleState(thetas, omegas, K=run.result.final_state.K)
     tp0 = time.perf_counter()
-    traj = particle.run_particles(pstate, 20.0, dt=0.01, sample_every=0.05)
+    r_part = particle.run_particles(pstate, 20.0, dt=0.01, sample_every=0.05)[:, 1]
     particle_seconds = time.perf_counter() - tp0
-    r_part = np.array([traj.order_at(i).R for i in range(traj.n_samples)])
     recs = run.result.records
     r_kin = np.array([r.R for r in recs])
-    _check(failures, traj.n_samples == len(recs),
-           f"sample grids differ: {traj.n_samples} vs {len(recs)}")
-    gap = float(np.max(np.abs(r_kin[:traj.n_samples] - r_part[:len(recs)])))
+    _check(failures, r_part.size == len(recs),
+           f"sample grids differ: {r_part.size} vs {len(recs)}")
+    gap = float(np.max(np.abs(r_kin[:r_part.size] - r_part[:len(recs)])))
     _check(failures, gap <= 0.05, f"kinetic/particle gap {gap:.4f} > 0.05")
     total = particle_seconds + run.build_seconds
     _check(failures, total < 180.0, f"runtime {total:.1f}s >= 180s")

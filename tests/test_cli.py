@@ -5,10 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kslab
-from kslab import cli
+from kslab import cli, particle
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -311,13 +312,21 @@ def test_bad_json_is_config_error(tmp_path):
     ("initial", {"preset": "table", "path": 0}),
     # a field that the preset or kind needs has no default
     ("initial", {"preset": "cosine"}), ("initial", {"preset": "von_mises"}),
-    ("frequency", {"kind": "uniform"})])
+    ("frequency", {"kind": "uniform"}),
+    # MUSCL is the one kinetic scheme
+    ("scheme", "upwind")])
 def test_config_rejects_bad_values(tmp_path, key, value):
     cfg = write_config(tmp_path, **{key: value})
     command = "sweep" if key == "coupling" and isinstance(value, list) else "simulate"
     assert cli.main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_upwind_scheme_is_reported_removed(tmp_path, capsys):
+    cfg = write_config(tmp_path, scheme="upwind")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "'upwind' was removed" in capsys.readouterr().err
 
 
 #: every optional top-level field at its documented default
@@ -575,3 +584,29 @@ def test_simulate_reads_each_table_once(tmp_path, monkeypatch):
                         lambda path, names: reads.append(path) or read(path, names))
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert sorted(map(str, reads)) == sorted([str(density), str(profile)])
+
+
+def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch):
+    # the peak of 50 at theta = 1.0004 lies between the points of a 4,096-point
+    # grid, whose maximum there is ~20; a rejection bound taken from the grid
+    # alone would cut the peak and undersample [1, 1.0008]
+    table = tmp_path / "profile.csv"
+    table.write_text(csv_text(["theta", "value"],
+                              [[0, 1], [1, 1], [1.0004, 50], [1.0008, 1], [3, 1]]))
+    sample_phases, drawn = particle.sample_phases, []
+
+    def recording(profile, bound, n, rng):
+        drawn.append((bound, sample_phases(profile, bound, n, rng)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(particle, "sample_phases", recording)
+    n = 100000
+    cfg = write_config(tmp_path, model="particle", n_particles=n, t_end=0.0,
+                       initial={"preset": "table", "path": str(table)})
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (bound, thetas), = drawn
+    assert bound >= 50.0
+    # exact mass on [1, 1.0008] over the total, by trapezoids on the table
+    share = 0.0204 / (2.0 * math.pi + 0.0204 - 0.0008)
+    sampled = np.mean((thetas >= 1.0) & (thetas <= 1.0008))
+    assert abs(sampled - share) <= 5.0 * math.sqrt(share * (1.0 - share) / n), sampled

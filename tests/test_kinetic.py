@@ -12,6 +12,10 @@ from kslab import kinetic, order
 
 TWO_PI = 2.0 * math.pi
 
+# MUSCL is the one kinetic scheme; this one-value parametrization only keeps
+# the `[...-muscl]` test ids stable, so `scheme` is unused in the tests it marks
+MUSCL = pytest.mark.parametrize("scheme", ["muscl"])
+
 
 def dirac_state(n_theta, profile, K=1.0):
     grid = kinetic.PhaseGrid(n_theta)
@@ -114,42 +118,42 @@ def test_cfl_at_full_velocity_bound():
     assert dt <= 0.5 * (TWO_PI / 256) / 5.0 * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("scheme", ["upwind", "muscl"])
+@MUSCL
 def test_step_uniform_profile_is_steady(scheme):
     st = uniform_state(a=0.0)
-    out = kinetic.step(st, 1e-3, scheme=scheme)
+    out = kinetic.step(st, 1e-3)
     assert np.allclose(out.values, st.values, atol=1e-15)
     assert out.t == pytest.approx(1e-3)
 
 
 def test_step_zero_velocity_keeps_state():
     st = dirac_state(64, kinetic.cosine_profile(0.4), K=0.0)
-    out = kinetic.step(st, 0.01, scheme="muscl")
+    out = kinetic.step(st, 0.01)
     assert np.array_equal(out.values, st.values)
 
 
-def kernel_stage(state, values, dt, scheme):
+def kernel_stage(state, values, dt):
     """One forward-Euler stage of the solver's kernel from values at state.t."""
     ws = kinetic._Workspace(state.grid, state.n_omega)
     z = order.phasor(state.grid, state.weights, ws.load(values))
-    ws.stage(state, ws.bufs[0], ws.bufs[1], dt, scheme, z, state.t)
+    ws.stage(state, ws.bufs[0], ws.bufs[1], dt, z, state.t)
     return ws.bufs[1].inner.copy()
 
 
-@pytest.mark.parametrize("scheme", ["upwind", "muscl"])
+@MUSCL
 def test_step_amplitude_grows_and_matches_dense_ode(scheme):
     # independent oracle: the same semi-discrete system integrated by a
     # high-order adaptive method
     st = dirac_state(64, kinetic.cosine_profile(0.2), K=1.0)
     dt = 2e-3
     R0 = order.global_order(st).R
-    out = kinetic.step(st, dt, scheme=scheme)
+    out = kinetic.step(st, dt)
     R1 = order.global_order(out).R
     assert R1 > R0
 
     def rhs(t, y):
         values = y.reshape(st.values.shape)
-        return (kernel_stage(st, values, 1.0, scheme) - values).ravel()
+        return (kernel_stage(st, values, 1.0) - values).ravel()
 
     sol = solve_ivp(rhs, (0.0, dt), st.values.ravel(), rtol=1e-11, atol=1e-13)
     ref = kinetic.KineticState(st.grid, st.omega, st.weights,
@@ -176,7 +180,7 @@ def test_step_aborts_on_nan_with_location():
     assert err.value.slice_index == 1
 
 
-@pytest.mark.parametrize("scheme", ["upwind", "muscl"])
+@MUSCL
 @pytest.mark.parametrize("omega", [0.1, -0.1])
 def test_nan_reported_at_its_own_cell(scheme, omega):
     grid = kinetic.PhaseGrid(32)
@@ -185,11 +189,11 @@ def test_nan_reported_at_its_own_cell(scheme, omega):
     st = kinetic.KineticState(grid, np.array([-omega, omega]),
                               np.full(2, 0.5), values, K=1.0)
     with pytest.raises(kinetic.FluxNanError) as err:
-        kinetic.step(st, 1e-4, scheme=scheme)
+        kinetic.step(st, 1e-4)
     assert (err.value.slice_index, err.value.cell_index) == (1, 5)
 
 
-@pytest.mark.parametrize("scheme", ["upwind", "muscl"])
+@MUSCL
 @pytest.mark.parametrize("omega", [0.1, -0.1])
 def test_nan_next_to_a_ghost_column_reported_at_its_own_cell(scheme, omega):
     # cells 0 and n_theta - 1 are copied into the ghost columns of the buffers;
@@ -201,7 +205,7 @@ def test_nan_next_to_a_ghost_column_reported_at_its_own_cell(scheme, omega):
         st = kinetic.KineticState(grid, np.array([-omega, omega]),
                                   np.full(2, 0.5), values, K=1.0)
         with pytest.raises(kinetic.FluxNanError) as err:
-            kinetic.step(st, 1e-4, scheme=scheme)
+            kinetic.step(st, 1e-4)
         assert (err.value.slice_index, err.value.cell_index) == (k, j)
 
 
@@ -214,9 +218,8 @@ def _phi_gap(a, b):
        n_theta=hst.sampled_from([16, 24, 64]),
        n_omega=hst.integers(1, 3),
        K=hst.floats(0.0, 5.0, allow_nan=False),
-       m=hst.integers(1, 63),
-       scheme=hst.sampled_from(["muscl", "upwind"]))
-def test_step_properties(seed, n_theta, n_omega, K, m, scheme):
+       m=hst.integers(1, 63))
+def test_step_properties(seed, n_theta, n_omega, K, m):
     # conservation, positivity, rotation equivariance and reflection symmetry
     # of one step on random nonnegative data (with exact zeros)
     rng = np.random.default_rng(seed)
@@ -234,27 +237,27 @@ def test_step_properties(seed, n_theta, n_omega, K, m, scheme):
     op = order.global_order(st)
     assume(op.R > 1e-2)
     dt = kinetic.cfl_dt(st, 0.5)
-    out = kinetic.step(st, dt, scheme=scheme)
+    out = kinetic.step(st, dt)
     m0 = st.slice_masses()
     assert np.all(np.abs(out.slice_masses() - m0) <= 1e-12 * m0)
     assert np.min(out.values) >= -1e-13
     out_op = order.global_order(out)
 
     m %= n_theta
-    shifted = kinetic.step(make(omega, np.roll(values, m, axis=1)), dt, scheme=scheme)
+    shifted = kinetic.step(make(omega, np.roll(values, m, axis=1)), dt)
     assert np.max(np.abs(shifted.values - np.roll(out.values, m, axis=1))) <= 1e-12
     sh_op = order.global_order(shifted)
     assert abs(sh_op.R - out_op.R) <= 1e-12
     assert _phi_gap(sh_op.phi, out_op.phi + m * grid.dtheta) <= 1e-12
 
-    mirrored = kinetic.step(make(-omega, values[:, ::-1]), dt, scheme=scheme)
+    mirrored = kinetic.step(make(-omega, values[:, ::-1]), dt)
     assert np.max(np.abs(mirrored.values - out.values[:, ::-1])) <= 1e-12
     mi_op = order.global_order(mirrored)
     assert abs(mi_op.R - out_op.R) <= 1e-12
     assert _phi_gap(mi_op.phi, -out_op.phi) <= 1e-12
 
 
-@pytest.mark.parametrize("scheme", ["upwind", "muscl"])
+@MUSCL
 def test_conservation_and_velocity_bound(scheme):
     st = uniform_state(n_theta=128, n_omega=8, K=2.0, halfwidth=0.5)
     m0 = st.slice_masses()
@@ -265,7 +268,7 @@ def test_conservation_and_velocity_bound(scheme):
         op = order.global_order(st)
         v = velocity(st, op)
         assert np.max(np.abs(v)) <= M + st.K + 1e-12
-        st = kinetic.step(st, dt, scheme=scheme)
+        st = kinetic.step(st, dt)
         m = st.slice_masses()
         assert np.all(np.abs(m - prev) <= 1e-12 * m0)
         assert np.min(st.values) >= -1e-13
@@ -286,8 +289,8 @@ def test_run_checks_positivity_each_step(monkeypatch):
     advance = kinetic._Workspace.advance
 
     def dip(depth):
-        def dipped(ws, state, t, dt, scheme, z):
-            out = advance(ws, state, t, dt, scheme, z)
+        def dipped(ws, state, t, dt, z):
+            out = advance(ws, state, t, dt, z)
             out[0, 3] = -depth
             return out
         return dipped
@@ -299,7 +302,7 @@ def test_run_checks_positivity_each_step(monkeypatch):
         kinetic.run(st, 0.5, 0.25)
 
 
-def oracle_stage(state, values, dt, scheme, z):
+def oracle_stage(state, values, dt, z):
     """The plain-array stage the ghost-padded kernel replaced: periodic shifts
     by copy, minmod as max(min(dl, dr), 0) + min(max(dl, dr), 0), and a fresh
     array for every intermediate."""
@@ -314,21 +317,18 @@ def oracle_stage(state, values, dt, scheme, z):
     else:
         v_edges = state.omega[:, None] - state.grid.trig_edges @ (state.K * z.real,
                                                                   -state.K * z.imag)
-    if scheme == "muscl":
-        dr = shift_left(values) - values
-        dl = shift_right(dr)
-        slopes = (np.maximum(np.minimum(dl, dr), 0.0)
-                  + np.minimum(np.maximum(dl, dr), 0.0))
-        left, right = shift_right(values + 0.5 * slopes), values - 0.5 * slopes
-    else:
-        left, right = shift_right(values), values
+    dr = shift_left(values) - values
+    dl = shift_right(dr)
+    slopes = (np.maximum(np.minimum(dl, dr), 0.0)
+              + np.minimum(np.maximum(dl, dr), 0.0))
+    left, right = shift_right(values + 0.5 * slopes), values - 0.5 * slopes
     flux = v_edges * np.where(v_edges >= 0.0, left, right)
     return values - (dt / state.grid.dtheta) * (shift_left(flux) - flux)
 
 
-def oracle_step(state, values, dt, scheme, z):
-    f1 = oracle_stage(state, values, dt, scheme, z)
-    f2 = oracle_stage(state, f1, dt, scheme, order.phasor(state.grid, state.weights, f1))
+def oracle_step(state, values, dt, z):
+    f1 = oracle_stage(state, values, dt, z)
+    f2 = oracle_stage(state, f1, dt, order.phasor(state.grid, state.weights, f1))
     return 0.5 * (values + f2)
 
 
@@ -352,21 +352,19 @@ KERNEL_CASES = ([(n_omega, n_theta, K, False) for n_omega in (1, 3)
                 + [(3, n_theta, K, True) for n_theta in (16, 17) for K in (0.0, 2.5)])
 
 
-@pytest.mark.parametrize("scheme", ["muscl", "upwind"])
+@MUSCL
 @pytest.mark.parametrize("n_omega,n_theta,K,seam", KERNEL_CASES)
 def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
     st = kernel_state(n_omega, n_theta, K, seam)
     dt = 2.0 ** math.floor(math.log2(0.5 * st.grid.dtheta / (0.9 + K)))
     z = order.phasor(st.grid, st.weights, st.values)
-    assert np.array_equal(kernel_stage(st, st.values, dt, scheme),
-                          oracle_stage(st, st.values, dt, scheme, z))
-    assert np.array_equal(kinetic.step(st, dt, scheme).values,
-                          oracle_step(st, st.values, dt, scheme, z))
+    assert np.array_equal(kernel_stage(st, st.values, dt),
+                          oracle_stage(st, st.values, dt, z))
+    assert np.array_equal(kinetic.step(st, dt).values, oracle_step(st, st.values, dt, z))
 
     # 50 steps of run, dt a power of two so every step takes it exactly; the
     # sampler keeps the values it is handed, so they must be copies
-    res = kinetic.run(st, 50 * dt, 10 * dt, sampler=lambda s: s.values, scheme=scheme,
-                      dt_max=dt)
+    res = kinetic.run(st, 50 * dt, 10 * dt, sampler=lambda s: s.values, dt_max=dt)
     m0 = st.slice_masses()
     total0 = float(st.weights @ m0)
     values, prev_m, samples = st.values, m0, [st.values]
@@ -377,7 +375,7 @@ def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
         if prev_R is not None:
             min_dR = min(min_dR, abs(z) - prev_R)
         prev_R = abs(z)
-        values = oracle_step(st, values, dt, scheme, z)
+        values = oracle_step(st, values, dt, z)
         min_value = min(min_value, float(values.min()))
         m = values.sum(axis=1) * st.grid.dtheta
         step_rel = max(step_rel, float(np.max(np.abs(m - prev_m) / m0)))
@@ -463,28 +461,17 @@ def _restrict(values, factor):
     return values.reshape(n_omega, n // factor, factor).mean(axis=2)
 
 
-def _convergence_rates(scheme):
+def test_muscl_second_order_convergence():
     t_end = 0.3
     profile = kinetic.von_mises_profile(4.0, 1.0)
     ref_n = 2048
-    ref = kinetic.run(dirac_state(ref_n, profile, K=1.0), t_end, t_end,
-                      cfl=0.4, scheme=scheme).final_state
+    ref = kinetic.run(dirac_state(ref_n, profile, K=1.0), t_end, t_end, cfl=0.4).final_state
     errs = []
     for n in (128, 256, 512):
-        out = kinetic.run(dirac_state(n, profile, K=1.0), t_end, t_end,
-                          cfl=0.4, scheme=scheme).final_state
+        out = kinetic.run(dirac_state(n, profile, K=1.0), t_end, t_end, cfl=0.4).final_state
         coarse_ref = _restrict(ref.values, ref_n // n)
         errs.append(float(np.sum(np.abs(out.values - coarse_ref)) * out.grid.dtheta))
-    return [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-
-
-def test_upwind_first_order_convergence():
-    rates = _convergence_rates("upwind")
-    assert min(rates) >= 0.8
-
-
-def test_muscl_second_order_convergence():
-    rates = _convergence_rates("muscl")
+    rates = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(rates) >= 1.7
 
 

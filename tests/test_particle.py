@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,7 +306,7 @@ def test_classify_all_synchronized():
     cls = particle.classify_asymptotic(particle.ParticleState(np.full(6, 0.8), np.zeros(6), K=1.0))
     assert cls.converged
     assert cls.n_anti == 0
-    assert len(cls.i_sync) == 6
+    assert cls.labels == ("sync",) * 6
 
 
 def test_classify_bipolar():
@@ -314,7 +315,7 @@ def test_classify_bipolar():
     cls = particle.classify_asymptotic(particle.ParticleState(final, np.zeros(6), K=1.0))
     assert cls.converged
     assert cls.n_anti == 1
-    assert cls.i_anti == (3,)
+    assert cls.labels == ("sync",) * 3 + ("anti",) + ("sync",) * 2
 
 
 def test_classify_unconverged():
@@ -327,15 +328,40 @@ def test_classify_unconverged():
     assert set(cls.labels) == {"undetermined"}
 
 
+def sample_states(st, t_end, dt, sample_every):
+    """The states at the sample times t0 + i sample_every of a run, stepped by
+    particle_step with dt shrunk to divide sample_every, as run_particles does."""
+    per = max(1, math.ceil(sample_every / dt))
+    n = particle.sample_count(st.t, t_end, sample_every)
+    ts = st.t + sample_every * np.arange(n + 1)
+    states = [particle.ParticleState(st.thetas, st.omegas, st.K, t=float(ts[0]))]
+    for t in ts[1:]:
+        for _ in range(per):
+            st = particle.particle_step(st, sample_every / per)
+        states.append(particle.ParticleState(st.thetas, st.omegas, st.K, t=float(t)))
+    return states
+
+
+def recomputed_rows(st, t_end, dt, sample_every):
+    """The rows t, r, phi, D, V_p recomputed from the sample states through
+    particle_order, phase_diameter and the potential."""
+    rows = []
+    for s in sample_states(st, t_end, dt, sample_every):
+        op = particle.particle_order(s)
+        rows.append((s.t, op.R, op.phi, particle.phase_diameter(s), potential(s)))
+    return np.array(rows)
+
+
 def test_run_particles_and_csv(tmp_path):
     rng = np.random.default_rng(17)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 12),
                                 np.zeros(12), K=1.0)
-    traj = particle.run_particles(st, 2.0, dt=0.01, sample_every=0.5)
-    assert traj.n_samples == 5
-    assert traj.ts[-1] == pytest.approx(2.0)
+    rows = particle.run_particles(st, 2.0, dt=0.01, sample_every=0.5)
+    assert rows.shape == (5, 5)
+    assert rows[-1, 0] == pytest.approx(2.0)
+    np.testing.assert_array_equal(rows, recomputed_rows(st, 2.0, 0.01, 0.5))
     path = tmp_path / "traj.csv"
-    particle.trajectory_to_csv(traj, path)
+    particle.trajectory_to_csv(rows, path)
     header = path.read_text().splitlines()[0]
     assert header == "t,r,phi,D,V_p"
 
@@ -344,15 +370,15 @@ def test_csv_rows_match_order_and_potential(tmp_path):
     rng = np.random.default_rng(18)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.normal(0, 0.5, 300), K=1.5)
-    traj = particle.run_particles(st, 1.0, dt=0.02, sample_every=0.1)
+    rows = particle.run_particles(st, 1.0, dt=0.02, sample_every=0.1)
     path = tmp_path / "traj.csv"
-    rows = particle.trajectory_to_csv(traj, path)
+    particle.trajectory_to_csv(rows, path)
     lines = path.read_text().splitlines()[1:]
     np.testing.assert_array_equal(
         rows, [[float(x) for x in line.split(",")] for line in lines])
-    assert rows.shape == (traj.n_samples, 5)
-    for i, (t, r, phi, d, v) in enumerate(rows):
-        s = traj.state_at(i)
+    states = sample_states(st, 1.0, 0.02, 0.1)
+    assert rows.shape == (len(states), 5) == (11, 5)
+    for (t, r, phi, d, v), s in zip(rows, states):
         op = particle.particle_order(s)
         assert t == s.t
         assert abs(r - op.R) <= 1e-14
@@ -362,51 +388,63 @@ def test_csv_rows_match_order_and_potential(tmp_path):
 
 
 def test_csv_phasors_from_steps_match_recompute(tmp_path):
-    # the run's stored phasor means give the same bytes as a recompute from
-    # the stored phases
+    # the rows, whose r, phi and V_p come from the phasor means the steps
+    # take, give the same bytes as rows recomputed from the sample phases
     rng = np.random.default_rng(21)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 500),
                                 rng.uniform(-0.1, 0.1, 500), K=2.0)
-    traj = particle.run_particles(st, 0.5, dt=0.01, sample_every=0.05)
-    assert traj.phasors.shape == (traj.n_samples,)
-    for i in range(traj.n_samples):
-        assert traj.phasors[i] == particle._phasor(traj.thetas[i])[2]
-    fresh = particle.ParticleTrajectory(traj.ts, traj.thetas, traj.omegas, traj.K,
-                                        np.array([particle._phasor(th)[2] for th in traj.thetas]))
-    particle.trajectory_to_csv(traj, tmp_path / "stored.csv")
-    particle.trajectory_to_csv(fresh, tmp_path / "fresh.csv")
+    particle.trajectory_to_csv(particle.run_particles(st, 0.5, dt=0.01, sample_every=0.05),
+                               tmp_path / "stored.csv")
+    particle.trajectory_to_csv(recomputed_rows(st, 0.5, 0.01, 0.05), tmp_path / "fresh.csv")
     assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 @pytest.mark.parametrize("K, dt, rotates", [(2.0, 0.01, True), (10.0, 0.02, False)])
 def test_run_snapshots_are_particle_steps(K, dt, rotates):
-    # the run steps arrays and decides the guard once; its snapshots are
-    # those of particle_step, which decides it per call, bit for bit
+    # the run steps arrays and decides the guard once; its rows are those of
+    # the states particle_step reaches, which decides it per call, bit for bit
     rng = np.random.default_rng(22)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.uniform(-0.1, 0.1, 300), K=K)
     assert particle._rotates(st.omegas, K, dt) == rotates
-    traj = particle.run_particles(st, 0.2, dt=dt, sample_every=0.1)
-    for i in range(traj.n_samples):
-        np.testing.assert_array_equal(traj.thetas[i], st.thetas)
-        for _ in range(round(0.1 / dt)):
-            st = particle.particle_step(st, dt)
+    rows = particle.run_particles(st, 0.2, dt=dt, sample_every=0.1)
+    np.testing.assert_array_equal(rows, recomputed_rows(st, 0.2, dt, 0.1))
 
 
 def test_run_particles_exact_sample_times(tmp_path):
     rng = np.random.default_rng(19)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 8), np.zeros(8), K=1.0)
-    traj = particle.run_particles(st, 0.5, dt=0.01, sample_every=0.05)
-    np.testing.assert_array_equal(traj.ts, 0.05 * np.arange(11))
-    assert traj.ts[-1] == 0.5
-    particle.trajectory_to_csv(traj, tmp_path / "traj.csv")
+    rows = particle.run_particles(st, 0.5, dt=0.01, sample_every=0.05)
+    np.testing.assert_array_equal(rows[:, 0], 0.05 * np.arange(11))
+    assert rows[-1, 0] == 0.5
+    particle.trajectory_to_csv(rows, tmp_path / "traj.csv")
     t_col = [line.split(",")[0]
              for line in (tmp_path / "traj.csv").read_text().splitlines()[1:]]
     assert t_col[-1] == "0.5"
     later = particle.ParticleState(st.thetas, st.omegas, K=1.0, t=0.3)
-    traj = particle.run_particles(later, 0.8, dt=0.01, sample_every=0.1)
-    np.testing.assert_array_equal(traj.ts, 0.3 + 0.1 * np.arange(6))
-    assert particle.run_particles(later, 0.3, dt=0.01, sample_every=0.1).n_samples == 1
+    rows = particle.run_particles(later, 0.8, dt=0.01, sample_every=0.1)
+    np.testing.assert_array_equal(rows[:, 0], 0.3 + 0.1 * np.arange(6))
+    np.testing.assert_array_equal(rows, recomputed_rows(later, 0.8, 0.01, 0.1))
+    assert particle.run_particles(later, 0.3, dt=0.01, sample_every=0.1).shape == (1, 5)
+
+
+def test_run_particles_memory_does_not_grow_with_samples():
+    # the run keeps its rows, not the phases of each sample: 90 more samples
+    # of 20,000 oscillators must cost less than one array of their phases
+    rng = np.random.default_rng(23)
+    n = 20000
+    st = particle.ParticleState(rng.uniform(0, TWO_PI, n), rng.uniform(-0.5, 0.5, n), K=1.0)
+
+    def peak(t_end):
+        tracemalloc.start()
+        try:
+            particle.run_particles(st, t_end, dt=0.01, sample_every=0.01)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(0.1), peak(1.0)
+    assert many - few < 8 * n, (few, many)
 
 
 @pytest.mark.parametrize("t_end", [0.52, 0.549, 0.02])
