@@ -4,9 +4,8 @@ Subcommands: simulate, sweep, verify, equilibrium, characteristics.
 Exit codes: 0 success, 1 criterion failure, 2 configuration error.
 
 The configuration is a single JSON document; unknown keys are errors so a
-typo in an inequality parameter cannot silently change an experiment.  CSV
-outputs use RFC-4180 quoting, '.' decimals, and 17-significant-digit floats,
-and are byte-identical across reruns of the same configuration and seed.
+typo in an inequality parameter cannot silently change an experiment.  Every
+CSV and JSON output is written by ``files``.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import numpy as np
 from . import diagnostics as diag
 from . import frequency as freq
 from . import kinetic, particle, verify
+from .files import write_csv, write_json
 from .order import TWO_PI
 
 
@@ -256,7 +256,6 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
         report = diag.hypothesis_check(K=K, M=M, **{"R0": res.records[0].R,
                                                     **cfg["hypothesis"]})
         summary["hypothesis"] = report.to_dict()
-    _write_json(out / "summary.json", summary)
     _write_plot_script(res.records, out / "plot.gp")
     return summary
 
@@ -295,7 +294,7 @@ def _summarize_kinetic(K, M, res: kinetic.RunResult) -> dict:
 
 
 def _write_plot_script(records, path: Path) -> None:
-    cols = diag._record_columns(records)
+    cols = [name for name, _ in diag.record_cells(records[0])]
     idx = {name: i + 1 for i, name in enumerate(cols)}   # gnuplot is 1-based
     mass_cols = [c for c in cols if c.startswith("mass_")]
     gamma_cols = [c for c in cols if c.startswith("gamma_")]
@@ -353,7 +352,6 @@ def _run_particle(cfg: dict, K: float, out: Path, seed: int,
     state = particle.ParticleState(thetas, omegas, K=K)
     rows = particle.run_particles(state, cfg["t_end"], cfg["dt_particle"],
                                   cfg["sample_every"])
-    out.mkdir(parents=True, exist_ok=True)
     particle.trajectory_to_csv(rows, out / "particles.csv")
     _, r, phi, diameter, potential = rows[-1]
     return {"model": "particle", "K": K, "n_particles": n,
@@ -381,10 +379,8 @@ def cmd_simulate(args) -> int:
     if model in ("particle", "both"):
         summaries["particle"] = _run_particle(cfg, K, out, seed, g, profile)
         if model == "particle":
-            _write_json(out / "summary.json", summaries["particle"])
             _write_particle_plot(out / "plot.gp")
-    if model == "both":
-        _write_json(out / "summary.json", summaries)
+    write_json(out / "summary.json", summaries if model == "both" else summaries[model])
     print(f"wrote artifacts to {out}")
     return 0
 
@@ -408,7 +404,9 @@ def _sweep_one(job):
     its message, so the other couplings still run."""
     cfg, K, out_dir, g, profile = job
     try:
-        return K, _run_kinetic(cfg, K, Path(out_dir), g, profile), None
+        summary = _run_kinetic(cfg, K, Path(out_dir), g, profile)
+        write_json(Path(out_dir) / "summary.json", summary)
+        return K, summary, None
     except Exception as exc:  # per-coupling failures are isolated
         return K, None, f"K={K}: {exc}"
 
@@ -452,13 +450,9 @@ def cmd_sweep(args) -> int:
                       "final_interval_mass": first_mass})
     finals = [row["final_R"] for row in table]
     monotone = all(b >= a - 1e-9 for a, b in zip(finals, finals[1:]))
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K", "final_R", "r_infinity", "gap", "final_interval_mass"])
-        for row in table:
-            w.writerow([format(row[c], ".17g") for c in
-                        ("K", "final_R", "r_infinity", "gap", "final_interval_mass")])
-    _write_json(out / "sweep_summary.json",
+    columns = ["K", "final_R", "r_infinity", "gap", "final_interval_mass"]
+    write_csv(out / "sweep.csv", columns, ([row[c] for c in columns] for row in table))
+    write_json(out / "sweep_summary.json",
                 {"rows": table, "final_R_increasing": monotone, "failed_couplings": failures})
     print(f"swept {len(table)} coupling values; final R increasing: {monotone}")
     for msg in failures:
@@ -486,29 +480,13 @@ def cmd_verify(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "verify.json", {
+        write_json(out / "verify.json", {
             "suite": suite, "all_passed": ok,
             "results": [{"criterion": r.cid, "name": r.name,
                          "passed": r.passed, "failures": r.failures,
                          "details": r.details, "elapsed_s": r.elapsed}
                         for r in results]})
     return 0 if ok else 1
-
-
-def _write_json(path: Path, payload) -> None:
-    """payload as sorted, one-space-indented JSON with a final newline;
-    numpy scalars and arrays become numbers and lists."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
-        fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 # ---------------------------------------------------------------------------
@@ -522,30 +500,22 @@ def cmd_equilibrium(args) -> int:
     rows = []
     for K in coupling if isinstance(coupling, list) else [coupling]:
         res = diag.equilibrium_R(g, K)
-        rows.append((K, res))
         if res.found:
             print(f"K={K:g}: R = {res.R:.12g} (residual {res.residual:.2e}, "
                   f"bounds {'ok' if res.bound_sqrt_ok and res.bound_mass_ok else 'VIOLATED'})")
+            rows.append([K, res.R, res.residual, res.probe_at_one, res.R - res.bound_sqrt,
+                         int(res.bound_sqrt_ok), res.R - res.bound_mass, int(res.bound_mass_ok)])
         else:
             print(f"K={K:g}: {res.message}")
+            rows.append([K, "no solution", None, res.probe_at_one, None,
+                         int(res.bound_sqrt_ok), None, int(res.bound_mass_ok)])
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.json").write_bytes(raw)
-        with open(out / "equilibrium.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["K", "R", "residual", "H_at_1",
-                        "bound_sqrt_margin", "bound_sqrt_ok",
-                        "bound_mass_margin", "bound_mass_ok"])
-            for K, res in rows:
-                sq_margin = res.R - res.bound_sqrt if res.found else math.nan
-                ms_margin = res.R - res.bound_mass if res.found else math.nan
-                w.writerow([format(K, ".17g"),
-                            format(res.R, ".17g") if res.found else "no solution",
-                            format(res.residual, ".17g") if res.found else "nan",
-                            format(res.probe_at_one, ".17g"),
-                            format(sq_margin, ".17g"), int(res.bound_sqrt_ok),
-                            format(ms_margin, ".17g"), int(res.bound_mass_ok)])
+        write_csv(out / "equilibrium.csv", ["K", "R", "residual", "H_at_1", "bound_sqrt_margin",
+                                            "bound_sqrt_ok", "bound_mass_margin", "bound_mass_ok"],
+                  rows)
     return 0
 
 
@@ -559,11 +529,7 @@ def cmd_characteristics(args) -> int:
                                           args.t0, args.t1, K=args.coupling)
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "path.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "theta"])
-        for t, th in zip(cts, np.atleast_2d(thetas.T)[0]):
-            w.writerow([format(t, ".17g"), format(float(th), ".17g")])
+    write_csv(out / "path.csv", ["t", "theta"], zip(cts, np.atleast_2d(thetas.T)[0]))
     print(f"wrote {out / 'path.csv'}")
     return 0
 
@@ -630,7 +596,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, kinetic.FluxNanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,16 +9,15 @@ monotonicity checks downstream.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import frequency as freq
+from .files import write_csv, write_json
 from .order import (TWO_PI, OrderParams, _rates, global_order, kinetic_potential,
-                    phidot_bound, rk4_step)
+                    phidot_bound, rk4_path)
 
 SQRT3 = math.sqrt(3.0)
 
@@ -273,19 +272,11 @@ def riccati_solve(T: float, eta: float, beta_T: float, M: float, K: float,
     gap = max(r_plus - r_minus, 1e-12)
     tau = 4.0 * SQRT3 / (K * gap)
     n_steps = max(400, int(math.ceil(horizon / (0.02 * tau))))
-    h = horizon / n_steps
-    ts = T + h * np.arange(n_steps + 1)
-    betas = np.empty(n_steps + 1)
-    b = float(beta_T)
-    betas[0] = b
 
     def rhs(t, beta):
         return riccati_rhs(beta, eta, M, K)
 
-    for i in range(n_steps):
-        b = rk4_step(rhs, ts[i], b, h)
-        betas[i + 1] = b
-    return ts, betas
+    return rk4_path(rhs, T, float(beta_T), horizon / n_steps, n_steps)
 
 
 def epsilon_kappa(kappa: float, M: float, K: float) -> tuple[float, bool]:
@@ -337,18 +328,14 @@ def barrier_solve(p_star, t_star: float, T_kappa: float, kappa: float, K: float,
     if span < 0:
         raise ValueError("t_star must not precede T_kappa")
     n_steps = max(100, int(math.ceil(span * kappa * K / 0.005)))
-    h = -span / n_steps if n_steps else 0.0
-    ts = t_star + h * np.arange(n_steps + 1)
-    ps = np.empty((n_steps + 1,) + p0.shape)
-    p = np.clip(p0, -p_lim, p_lim)
-    ps[0] = p
 
     def rhs(t, q):
         return barrier_speed(q, kappa, K, eps_kappa)
 
-    for i in range(n_steps):
-        p = np.clip(rk4_step(rhs, ts[i], p, h), -p_lim, p_lim)
-        ps[i + 1] = p
+    def clip(q):
+        return np.clip(q, -p_lim, p_lim)
+
+    ts, ps = rk4_path(rhs, t_star, clip(p0), -span / n_steps, n_steps, project=clip)
     return ts[::-1].copy(), ps[::-1].copy()
 
 
@@ -731,48 +718,28 @@ def finalize_records(records, K: float, m_bound: float) -> None:
         r.bound_checks = checks
 
 
-def _record_columns(records) -> list[str]:
-    first = records[0]
-    cols = ["t", "R", "phi", "phi_defined", "v_k",
-            "rdot_formula", "rdot_measured", "phidot_formula", "phidot_measured",
-            "lambda"]
-    cols += [f"mass_{label}" for label in first.masses]
-    if first.gamma_plus is not None:
-        cols += [f"gamma_plus_{k}" for k in range(len(first.gamma_plus))]
-    if first.gamma_minus is not None:
-        cols += [f"gamma_minus_{k}" for k in range(len(first.gamma_minus))]
-    return cols
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    return format(float(x), ".17g")
+def record_cells(rec: DiagnosticsRecord) -> list[tuple[str, object]]:
+    """The (column, value) pairs of rec's trajectory.csv row: fixed columns,
+    interval masses, then the omega slices of each L2 functional it holds."""
+    cells = [("t", rec.t), ("R", rec.R), ("phi", rec.phi),
+             ("phi_defined", int(rec.phi_defined)), ("v_k", rec.v_k),
+             ("rdot_formula", rec.rdot_formula), ("rdot_measured", rec.rdot_measured),
+             ("phidot_formula", rec.phidot_formula),
+             ("phidot_measured", rec.phidot_measured), ("lambda", rec.lambda_value)]
+    cells += [(f"mass_{label}", m) for label, m in rec.masses.items()]
+    for name, per_slice in (("gamma_plus", rec.gamma_plus), ("gamma_minus", rec.gamma_minus)):
+        if per_slice is not None:
+            cells += [(f"{name}_{k}", v) for k, v in enumerate(per_slice)]
+    return cells
 
 
 def records_to_csv(records, path) -> None:
-    """One row per sample; stable column order (see ``_record_columns``)."""
+    """One row per sample, under the columns of the first (``record_cells``)."""
     if not records:
         raise ValueError("no records to write")
-    cols = _record_columns(records)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in records:
-            row = [_fmt(r.t), _fmt(r.R), _fmt(r.phi), int(r.phi_defined), _fmt(r.v_k),
-                   _fmt(r.rdot_formula), _fmt(r.rdot_measured),
-                   _fmt(r.phidot_formula), _fmt(r.phidot_measured),
-                   _fmt(r.lambda_value)]
-            row += [_fmt(v) for v in r.masses.values()]
-            if r.gamma_plus is not None:
-                row += [_fmt(v) for v in r.gamma_plus]
-            if r.gamma_minus is not None:
-                row += [_fmt(v) for v in r.gamma_minus]
-            w.writerow(row)
+    write_csv(path, [name for name, _ in record_cells(records[0])],
+              ([value for _, value in record_cells(r)] for r in records))
 
 
 def bound_checks_to_json(records, path) -> None:
-    payload = [{"t": r.t, "checks": r.bound_checks or {}} for r in records]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [{"t": r.t, "checks": r.bound_checks or {}} for r in records])

@@ -40,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .frequency import FrequencyDensity, quadrature_nodes
-from .order import TOL_R, TWO_PI, global_order, phasor, rk4_step
+from .order import TOL_R, TWO_PI, global_order, phasor, rk4_path
 
 MIN_CELLS = 16
 
@@ -172,11 +172,14 @@ def _i0e(x: float) -> float:
 
 
 def table_profile(thetas, values):
-    """Periodic piecewise-linear density through (theta, value) samples."""
+    """Periodic piecewise-linear density through nonnegative (theta, value)
+    samples, not all zero."""
     th = np.asarray(thetas, dtype=float) % TWO_PI
     va = np.asarray(values, dtype=float)
     if np.any(va < 0):
         raise ValueError("profile table values must be nonnegative")
+    if not np.any(va > 0):
+        raise ValueError("profile table has zero mass: every value is 0")
     idx = np.argsort(th)
     th, va = th[idx], va[idx]
     th_ext = np.concatenate([[th[-1] - TWO_PI], th, [th[0] + TWO_PI]])
@@ -511,17 +514,10 @@ def characteristics(series: OrderSeries, theta0, omega0, t0: float, t1: float,
     max_step = min(0.01 / (1.0 + K * Rmax + float(np.max(np.abs(omega0)))),
                    float(np.min(np.diff(series.ts))))
     n = max(1, int(np.ceil(abs(span) / max_step)))
-    h = span / n
-    ts = t0 + h * np.arange(n + 1)
-    out = np.empty((n + 1,) + np.broadcast_shapes(theta0.shape, omega0.shape))
-    th = np.broadcast_to(theta0, out.shape[1:]).astype(float).copy()
-    out[0] = th
+    th = np.broadcast_to(theta0, np.broadcast_shapes(theta0.shape, omega0.shape))
 
     def rhs(t, theta):
         R, phi = series.interp(t)
         return omega0 - K * R * np.sin(theta - phi)
 
-    for i in range(n):
-        th = rk4_step(rhs, ts[i], th, h)
-        out[i + 1] = th
-    return ts, out
+    return rk4_path(rhs, t0, th, span / n, n)

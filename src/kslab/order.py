@@ -4,7 +4,7 @@ The amplitude R and average phase phi are the modulus and argument of the
 phasor mean of the phase distribution; phi is only meaningful when R exceeds
 TOL_R, and every phi-dependent quantity here refuses to extrapolate below
 that threshold.  The module also holds what every solver module shares:
-TWO_PI and the classical RK4 step.
+TWO_PI, the classical RK4 step and the fixed-step RK4 path.
 """
 
 from __future__ import annotations
@@ -41,6 +41,21 @@ def rk4_step(f, t, y, h):
     k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
     k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_path(f, t0: float, y0, h: float, n: int, project=None):
+    """n ``rk4_step`` steps of length h from y0 at t0; returns (ts, ys) with
+    ts = t0 + h * arange(n + 1) and ys[i] the float state at ts[i].  Each new
+    state is mapped through project, if given, before the next step."""
+    ts = t0 + h * np.arange(n + 1)
+    ys = np.empty((n + 1,) + np.shape(y0))
+    y = ys[0] = y0
+    for i in range(n):
+        y = rk4_step(f, ts[i], y, h)
+        if project is not None:
+            y = project(y)
+        ys[i + 1] = y
+    return ts, ys
 
 
 def phasor(grid, weights: np.ndarray, values: np.ndarray) -> complex:

@@ -19,12 +19,12 @@ phi and V_p from the phasor mean of the step that starts there.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .files import write_csv
 from .order import TWO_PI, OrderParams, _from_phasor, rk4_step
 
 #: largest a-priori phase change |dt| (max|omega| + K) of one RK4 step at
@@ -252,11 +252,7 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
 
 def trajectory_to_csv(rows: np.ndarray, path) -> None:
     """Write the rows of ``run_particles`` under the header t, r, phi, D, V_p."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "r", "phi", "D", "V_p"])
-        for row in rows:
-            w.writerow([format(x, ".17g") for x in row])
+    write_csv(path, ["t", "r", "phi", "D", "V_p"], rows)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import kslab
-from kslab import cli, particle
+from kslab import cli, kinetic, particle
+from kslab import diagnostics as diag
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -610,3 +611,149 @@ def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch)
     share = 0.0204 / (2.0 * math.pi + 0.0204 - 0.0008)
     sampled = np.mean((thetas >= 1.0) & (thetas <= 1.0008))
     assert abs(sampled - share) <= 5.0 * math.sqrt(share * (1.0 - share) / n), sampled
+
+
+@pytest.mark.parametrize("model", ["kinetic", "particle"])
+def test_zero_mass_initial_table_is_config_error(tmp_path, monkeypatch, capsys, model):
+    # kinetic divided by the zero mass; particle drew phases below a bound of 0
+    # forever, so a zero bound fails here instead of hanging
+    sample_phases = particle.sample_phases
+
+    def bounded(profile, bound, n, rng):
+        assert bound > 0.0, "rejection sampling with bound 0 never accepts"
+        return sample_phases(profile, bound, n, rng)
+
+    monkeypatch.setattr(particle, "sample_phases", bounded)
+    table = tmp_path / "profile.csv"
+    table.write_text(csv_text(["theta", "value"], [[0, 0], [1, 0], [3, 0]]))
+    cfg = write_config(tmp_path, model=model, n_particles=20,
+                       initial={"preset": "table", "path": str(table)})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "zero mass" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_flux_nan_is_reported_with_exit_2(tmp_path, monkeypatch, capsys):
+    # exit 1 is what verify reserves for a failed criterion
+    def failing(*args, **kwargs):
+        raise kinetic.FluxNanError(0, 3, 0.5)
+
+    monkeypatch.setattr(kinetic, "run", failing)
+    cfg = write_config(tmp_path)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite flux at slice 0, cell 3")
+
+
+def count_json_writes(monkeypatch) -> list[str]:
+    """The paths json.dump writes to from now on, in order."""
+    dump, written = json.dump, []
+
+    def counting(obj, fh, **kwargs):
+        written.append(fh.name)
+        return dump(obj, fh, **kwargs)
+
+    monkeypatch.setattr(json, "dump", counting)
+    return written
+
+
+@pytest.mark.parametrize("model", ["kinetic", "particle", "both"])
+def test_simulate_writes_summary_once(tmp_path, monkeypatch, model):
+    # a "both" run wrote a kinetic summary first and then overwrote it
+    written = count_json_writes(monkeypatch)
+    cfg = write_config(tmp_path, model=model, n_particles=50, t_end=0.5)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert written.count(str(out / "summary.json")) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    if model == "both":
+        assert set(summary) == {"kinetic", "particle"}
+    else:
+        assert summary["model"] == model
+
+
+def test_sweep_writes_each_summary_once(tmp_path, monkeypatch):
+    written = count_json_writes(monkeypatch)
+    cfg = write_config(tmp_path, coupling=[1.0, 2.0], t_end=0.5)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(w for w in written if w.endswith("summary.json")) == [
+        str(out / "K_1" / "summary.json"), str(out / "K_2" / "summary.json"),
+        str(out / "sweep_summary.json")]
+
+
+# ---------------------------------------------------------------------------
+# the cell format of every CSV output
+
+
+def test_equilibrium_csv_cells(tmp_path):
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps({"frequency": {"kind": "uniform", "halfwidth": 1.0},
+                                "n_omega": 64, "coupling": [1.0, 5.0]}))
+    out = tmp_path / "out"
+    assert cli.main(["equilibrium", "--config", str(path), "--out", str(out)]) == 0
+    header, none, found = (out / "equilibrium.csv").read_text().splitlines()
+    assert header == ("K,R,residual,H_at_1,bound_sqrt_margin,bound_sqrt_ok,"
+                      "bound_mass_margin,bound_mass_ok")
+    g = cli.build_frequency(cli.validate_config(json.loads(path.read_text())))
+    res = diag.equilibrium_R(g, 1.0)
+    assert none == f"1,no solution,nan,{res.probe_at_one:.17g},nan,0,nan,0"
+    res = diag.equilibrium_R(g, 5.0)
+    assert found.split(",") == [
+        format(x, ".17g") for x in (5.0, res.R, res.residual, res.probe_at_one,
+                                    res.R - res.bound_sqrt)] + ["1"] + [
+        format(res.R - res.bound_mass, ".17g"), "1"]
+
+
+@pytest.mark.parametrize("amplitude, defined", [(0.2, "1"), (0.0, "0")])
+def test_trajectory_csv_cells(tmp_path, amplitude, defined):
+    cfg = write_config(tmp_path, initial={"preset": "cosine", "amplitude": amplitude},
+                       t_end=0.5)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    col = {name: i for i, name in enumerate(header.split(","))}
+    rows = [r.split(",") for r in rows]
+    # the endpoints have no central difference; an undefined phase has no phidot
+    for name in ("rdot_measured", "phidot_measured"):
+        assert rows[0][col[name]] == rows[-1][col[name]] == "nan"
+    assert rows[1][col["rdot_measured"]] != "nan"
+    assert (rows[1][col["phidot_measured"]] == "nan") == (defined == "0")
+    assert {r[col["phi_defined"]] for r in rows} == {defined}
+    assert all(len(r) == len(col) for r in rows)
+
+
+def assert_17g_cells(rows, values):
+    """Each cell is the 17-significant-digit form of its value and reads back
+    as exactly that value."""
+    for row, want in zip(rows, values, strict=True):
+        assert row == [format(x, ".17g") for x in want]
+        assert [float(c) for c in row] == [float(x) for x in want]
+
+
+def test_sweep_csv_cells_round_trip(tmp_path):
+    cfg = write_config(tmp_path, coupling=[1.0, 2.5, 4.0], t_end=0.5,
+                       frequency={"kind": "uniform", "halfwidth": 0.1}, n_omega=4)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    columns = header.split(",")
+    table = json.loads((out / "sweep_summary.json").read_text())["rows"]
+    assert_17g_cells([r.split(",") for r in rows], [[t[c] for c in columns] for t in table])
+
+
+@pytest.mark.parametrize("t0, t1", [("0.0", "1.5"), ("1.7", "0.2")])
+def test_path_csv_cells_round_trip(tmp_path, t0, t1):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    series = out / "trajectory.csv"
+    assert cli.main(["characteristics", "--series", str(series), "--coupling", "1.0",
+                     "--theta0", "2.5", "--omega0", "0.1", "--t0", t0, "--t1", t1,
+                     "--out", str(tmp_path / "char")]) == 0
+    header, *rows = (tmp_path / "char" / "path.csv").read_text().splitlines()
+    assert header == "t,theta"
+    ts, thetas = kinetic.characteristics(
+        kinetic.OrderSeries(*cli._read_columns(series, ("t", "R", "phi"))),
+        2.5, 0.1, float(t0), float(t1), K=1.0)
+    assert_17g_cells([r.split(",") for r in rows], zip(ts, thetas))

@@ -565,6 +565,8 @@ def test_profile_presets():
         assert np.min(st.values) >= 0.0
     with pytest.raises(ValueError):
         kinetic.cosine_profile(0.6)
+    with pytest.raises(ValueError, match="zero mass"):
+        kinetic.table_profile([0.0, 1.0, 3.0], [0.0, 0.0, 0.0])
 
 
 def test_i0e_matches_scipy():

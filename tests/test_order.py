@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kslab import diagnostics as diag
 from kslab import frequency as freq
 from kslab import kinetic, order
 
@@ -184,3 +185,118 @@ def test_rate_formulas_match_short_run():
         r_next = order.global_order(states[i + 1]).R
         measured = (r_next - r_prev) / (2.0 * sample)
         assert abs(measured - rates(states[i])[0]) <= tol
+
+
+# ---------------------------------------------------------------------------
+# the shared fixed-step RK4 path against the loops each solver had before it
+
+
+def riccati_reference(T, eta, beta_T, M, K, horizon):
+    r_minus, r_plus = diag.r_pm(eta, M, K)
+    tau = 4.0 * diag.SQRT3 / (K * max(r_plus - r_minus, 1e-12))
+    n_steps = max(400, int(math.ceil(horizon / (0.02 * tau))))
+    h = horizon / n_steps
+    ts = T + h * np.arange(n_steps + 1)
+    betas = np.empty(n_steps + 1)
+    b = float(beta_T)
+    betas[0] = b
+    for i in range(n_steps):
+        b = order.rk4_step(lambda t, beta: diag.riccati_rhs(beta, eta, M, K), ts[i], b, h)
+        betas[i + 1] = b
+    return ts, betas
+
+
+def barrier_reference(p_star, t_star, T_kappa, kappa, K, eps_kappa):
+    p_lim = math.sqrt(1.0 - eps_kappa ** 2)
+    p0 = np.asarray(p_star, dtype=float)
+    span = t_star - T_kappa
+    n_steps = max(100, int(math.ceil(span * kappa * K / 0.005)))
+    h = -span / n_steps
+    ts = t_star + h * np.arange(n_steps + 1)
+    ps = np.empty((n_steps + 1,) + p0.shape)
+    p = np.clip(p0, -p_lim, p_lim)
+    ps[0] = p
+    for i in range(n_steps):
+        q = order.rk4_step(lambda t, q: diag.barrier_speed(q, kappa, K, eps_kappa), ts[i], p, h)
+        p = np.clip(q, -p_lim, p_lim)
+        ps[i + 1] = p
+    return ts[::-1].copy(), ps[::-1].copy()
+
+
+def characteristics_reference(series, theta0, omega0, t0, t1, K):
+    theta0 = np.asarray(theta0, dtype=float)
+    omega0 = np.asarray(omega0, dtype=float)
+    span = t1 - t0
+    max_step = min(0.01 / (1.0 + K * float(np.max(series.R))
+                           + float(np.max(np.abs(omega0)))),
+                   float(np.min(np.diff(series.ts))))
+    n = max(1, int(np.ceil(abs(span) / max_step)))
+    h = span / n
+    ts = t0 + h * np.arange(n + 1)
+    out = np.empty((n + 1,) + np.broadcast_shapes(theta0.shape, omega0.shape))
+    th = np.broadcast_to(theta0, out.shape[1:]).astype(float).copy()
+    out[0] = th
+
+    def rhs(t, theta):
+        R, phi = series.interp(t)
+        return omega0 - K * R * np.sin(theta - phi)
+
+    for i in range(n):
+        th = order.rk4_step(rhs, ts[i], th, h)
+        out[i + 1] = th
+    return ts, out
+
+
+def assert_paths_equal(got, want):
+    for a, b in zip(got, want):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("T, eta, beta_T, M, K, horizon", [
+    (0.0, 0.0, 0.9, 0.01, 5.0, 3.0),
+    (1.5, 0.01, 0.5, 0.02, 10.0, 20.0),       # more than 400 steps
+    (0.0, 0.0, 0.75, 0.0, 2.0, 1.0),
+])
+def test_riccati_path_matches_old_loop(T, eta, beta_T, M, K, horizon):
+    want = riccati_reference(T, eta, beta_T, M, K, horizon)
+    assert_paths_equal(diag.riccati_solve(T, eta, beta_T, M, K, horizon), want)
+
+
+@pytest.mark.parametrize("p_star", ["scalar", "array", "edge"])
+def test_barrier_path_matches_old_loop(p_star):
+    kappa, K, M = 0.75, 8.0, 0.05
+    eps_kappa = diag.epsilon_kappa(kappa, M, K)[0]
+    p_lim = math.sqrt(1.0 - eps_kappa ** 2)
+    start = {"scalar": 0.3,
+             "array": np.array([[-0.5, 0.0], [0.2, 0.6]]),
+             # on the band edge, and past it by less than the 1e-12 allowance
+             "edge": np.array([p_lim, -p_lim, p_lim + 5e-13])}[p_star]
+    want = barrier_reference(start, 2.0, 0.5, kappa, K, eps_kappa)
+    got = diag.barrier_solve(start, 2.0, 0.5, kappa, K, eps_kappa)
+    assert_paths_equal(got, want)
+    assert np.all(np.abs(got[1]) <= p_lim)
+
+
+def wavy_series():
+    ts = np.linspace(0.0, 3.0, 61)
+    return kinetic.OrderSeries(ts, 0.5 + 0.3 * np.sin(ts), 0.4 * ts + 0.2 * np.cos(2 * ts))
+
+
+@pytest.mark.parametrize("theta0, omega0, t0, t1", [
+    (2.5, 0.1, 0.0, 1.5),                                    # scalar, forward
+    (2.5, 0.1, 2.7, 0.4),                                    # scalar, backward
+    (np.array([[0.0], [1.0], [4.0]]), np.array([-0.2, 0.0, 0.3, 0.5]), 0.3, 2.9),
+    (np.array([0.5, 3.0]), 0.05, 3.0, 0.0),                  # array, backward
+])
+def test_characteristics_path_matches_old_loop(theta0, omega0, t0, t1):
+    series = wavy_series()
+    want = characteristics_reference(series, theta0, omega0, t0, t1, K=1.5)
+    assert_paths_equal(kinetic.characteristics(series, theta0, omega0, t0, t1, K=1.5), want)
+
+
+def test_rk4_path_projects_each_step():
+    ts, ys = order.rk4_path(lambda t, y: np.ones_like(y), 1.0, np.zeros(2), 0.25, 4,
+                            project=lambda y: np.minimum(y, 0.6))
+    np.testing.assert_array_equal(ts, 1.0 + 0.25 * np.arange(5))
+    np.testing.assert_array_equal(ys[:, 0], [0.0, 0.25, 0.5, 0.6, 0.6])
