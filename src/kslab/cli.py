@@ -5,7 +5,8 @@ Exit codes: 0 success, 1 criterion failure, 2 configuration error.
 
 The configuration is a single JSON document; unknown keys are errors so a
 typo in an inequality parameter cannot silently change an experiment.  Every
-CSV and JSON output is written by ``files``.
+CSV and JSON output is written by ``files``.  ``verify`` and the process pool
+load only with the commands that use them.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics as diag
 from . import frequency as freq
-from . import kinetic, particle, verify
+from . import kinetic, particle
 from .files import write_csv, write_json
 from .order import TWO_PI
 
@@ -366,9 +366,8 @@ def cmd_simulate(args) -> int:
     K, model = cfg["coupling"], cfg["model"]
     if isinstance(K, list):
         raise ConfigError("simulate needs a single coupling value; use sweep for lists")
-    if model in ("particle", "both"):
-        # fail before any run or output when the particle samples cannot tile t_end
-        particle.sample_count(0.0, cfg["t_end"], cfg["sample_every"])
+    # fail before any run or output when the samples cannot tile t_end
+    particle.sample_count(0.0, cfg["t_end"], cfg["sample_every"])
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -422,6 +421,8 @@ def cmd_sweep(args) -> int:
     if len(set(names)) < len(names):
         raise ConfigError(f"couplings {coupling} share output directory names {names}")
     out = Path(args.out or cfg["out_dir"])
+    # fail before any run or output when the samples cannot tile t_end
+    particle.sample_count(0.0, cfg["t_end"], cfg["sample_every"])
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -434,6 +435,7 @@ def cmd_sweep(args) -> int:
     if threads == 1:
         results = [_sweep_one(job) for job in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_sweep_one, jobs))
     failures = [error for _, _, error in results if error is not None]
@@ -465,6 +467,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     suite = args.suite
     if suite not in verify.SUITES:
         print(f"unknown suite {suite!r}; choose from {sorted(verify.SUITES)}",
@@ -524,6 +527,11 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_characteristics(args) -> int:
+    _require(math.isfinite(args.coupling) and args.coupling >= 0,
+             f"--coupling must be a finite nonnegative number, not {args.coupling!r}")
+    for flag in ("theta0", "omega0", "t0", "t1"):
+        value = getattr(args, flag)
+        _require(math.isfinite(value), f"--{flag} must be a finite number, not {value!r}")
     series = kinetic.OrderSeries(*_read_columns(args.series, ("t", "R", "phi")))
     cts, thetas = kinetic.characteristics(series, args.theta0, args.omega0,
                                           args.t0, args.t1, K=args.coupling)

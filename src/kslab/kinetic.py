@@ -191,7 +191,11 @@ def _periodic_interp(th_ext, va_ext, x):
     return np.interp(np.asarray(x) % TWO_PI, th_ext, va_ext)
 
 
-_GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
+# np.polynomial.legendre.leggauss(4), written out so numpy.polynomial is not imported
+_GAUSS4_X = np.array([-0.8611363115940526, -0.33998104358485626,
+                      0.33998104358485626, 0.8611363115940526])
+_GAUSS4_W = np.array([0.34785484513745357, 0.6521451548625464,
+                      0.6521451548625464, 0.34785484513745357])
 
 
 def project_profile(grid: PhaseGrid, profile) -> np.ndarray:
@@ -363,7 +367,9 @@ def run(state: KineticState, t_end: float, sample_every: float,
     """Advance to t_end with adaptive CFL steps, sampling at t0 + i sample_every.
 
     ``sampler`` maps the state at each sample time to a record, the start
-    and t_end included; without it the result holds no records.  Steps are
+    included, and t_end when t_end - t0 is a whole number of sample
+    intervals (the CLI accepts no other t_end); without it the result holds
+    no records.  Steps are
     shortened to land on sample times and then take that time exactly, so
     the cadence and therefore the output are deterministic for a given
     configuration.  Each step's values must stay above the -1e-13 floor

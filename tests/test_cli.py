@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -134,6 +135,18 @@ def test_simulate_rejects_incommensurate_particle_t_end(tmp_path, capsys, model)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, coupling", [("simulate", 1.0), ("sweep", [1.0, 2.0])],
+                         ids=["simulate", "sweep"])
+def test_kinetic_t_end_off_the_sample_grid_is_config_error(tmp_path, capsys, command,
+                                                           coupling):
+    # a kinetic run would step past its last sample at 0.2 and never report 0.25
+    cfg = write_config(tmp_path, coupling=coupling, t_end=0.25, sample_every=0.1)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "whole number of sample intervals" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_both_models(tmp_path):
     cfg = write_config(tmp_path, model="both", n_particles=200)
     out = tmp_path / "out"
@@ -238,25 +251,39 @@ def test_equilibrium_command_large_table(tmp_path):
     assert fields["bound_sqrt_ok"] == fields["bound_mass_ok"] == "1"
 
 
-def test_cli_import_leaves_scipy_out():
+def src_env() -> dict:
+    """The environment with kslab's source directory first on PYTHONPATH."""
     src = str(Path(kslab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_leaves_scipy_out():
     code = ("import sys, kslab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_command_only_modules_out():
+    # verify, the process pool and numpy.polynomial load with the commands that use them
+    code = "import sys, kslab.cli; print(*sorted(sys.modules))"
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, check=True)
+    loaded = done.stdout.split()
+    assert "kslab.cli" in loaded
+    assert [m for m in loaded if m == "kslab.verify" or m.split(".")[0] == "multiprocessing"
+            or m == "concurrent.futures.process"
+            or m.startswith("numpy.polynomial")] == []
+
+
 def test_module_run_gives_no_runtime_warning(tmp_path):
     # runpy warns when importing the package has already imported kslab.cli
-    src = str(Path(kslab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "kslab.cli",
                            "verify", "--suite", "equilibrium"],
-                          env=env, cwd=tmp_path, capture_output=True, text=True)
+                          env=src_env(), cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
@@ -275,6 +302,21 @@ def test_characteristics_command(tmp_path):
     assert start == pytest.approx(2.5)
     # the phase is pulled toward the average phase at 0 (mod 2pi)
     assert abs(end) < abs(start)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("coupling", "inf"), ("coupling", "nan"), ("coupling", "-1"), ("theta0", "nan"),
+    ("omega0", "inf"), ("omega0", "-inf"), ("t0", "nan"), ("t1", "inf")])
+def test_characteristics_rejects_bad_flags(tmp_path, capsys, flag, value):
+    series = tmp_path / "series.csv"
+    series.write_text("t,R,phi\n" + "".join(f"{0.1 * i},0.5,0.0\n" for i in range(21)))
+    flags = {"coupling": "1.0", "theta0": "2.5", "omega0": "0.0", "t0": "0.0", "t1": "1.5",
+             flag: value}
+    out = tmp_path / "out"
+    assert cli.main(["characteristics", "--series", str(series), "--out", str(out)]
+                    + [f"--{name}={v}" for name, v in flags.items()]) == 2
+    assert f"--{flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -565,7 +607,7 @@ def test_sweep_pool_has_no_more_workers_than_couplings(tmp_path, monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     cfg = write_config(tmp_path, coupling=[1.0, 2.0], t_end=0.5)
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out"),
                      "--threads", "8"]) == 0

@@ -569,6 +569,13 @@ def test_profile_presets():
         kinetic.table_profile([0.0, 1.0, 3.0], [0.0, 0.0, 0.0])
 
 
+def test_gauss4_literals_are_numpys_rule():
+    # project_profile, and every initial state with it, stays bit for bit the same
+    x, w = np.polynomial.legendre.leggauss(4)
+    assert np.array_equal(kinetic._GAUSS4_X, x)
+    assert np.array_equal(kinetic._GAUSS4_W, w)
+
+
 def test_i0e_matches_scipy():
     # the von Mises normalizer: numpy's I0 below 50, the asymptotic series above
     xs = np.concatenate([[0.0, 49.999, 50.0, 50.001], np.linspace(0.0, 100.0, 4001),
