@@ -24,7 +24,7 @@ from . import diagnostics as diag
 from . import frequency as freq
 from . import kinetic, particle
 from .files import write_csv, write_json
-from .order import TWO_PI
+from .order import TWO_PI, sample_count
 
 
 class ConfigError(ValueError):
@@ -82,7 +82,8 @@ def validate_config(raw: dict) -> dict:
     fields as floats, dt_particle (sample_every / 5 unless given),
     initial.center (0.0 unless given), a given hypothesis section over
     _HYP_DEFAULTS, and diagnostics parsed into a DiagnosticsConfig.  A field
-    that the frequency kind or the initial preset needs must be given.
+    that the frequency kind or the initial preset needs must be given, and
+    t_end must be a whole number of sample intervals (``order.sample_count``).
     """
     cfg = {**_DEFAULTS, **_object(raw, _TOP_KEYS, "configuration")}
     _require(cfg["model"] in ("kinetic", "particle", "both"),
@@ -134,7 +135,7 @@ def validate_config(raw: dict) -> dict:
     for key in ("t_end", "sample_every", "cfl", "dt_max", "dt_particle"):
         cfg[key] = _real(cfg, key)
     _require(cfg["t_end"] >= 0, "t_end must be nonnegative")
-    _require(cfg["sample_every"] > 0, "sample_every must be positive")
+    sample_count(0.0, cfg["t_end"], cfg["sample_every"])    # the samples must tile t_end
     _require(0.0 < cfg["cfl"] <= 1.0, "cfl must lie in (0, 1]")
     _require(cfg["scheme"] == "muscl",
              f"scheme must be 'muscl' ('upwind' was removed), not {cfg['scheme']!r}")
@@ -366,8 +367,6 @@ def cmd_simulate(args) -> int:
     K, model = cfg["coupling"], cfg["model"]
     if isinstance(K, list):
         raise ConfigError("simulate needs a single coupling value; use sweep for lists")
-    # fail before any run or output when the samples cannot tile t_end
-    particle.sample_count(0.0, cfg["t_end"], cfg["sample_every"])
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -421,8 +420,6 @@ def cmd_sweep(args) -> int:
     if len(set(names)) < len(names):
         raise ConfigError(f"couplings {coupling} share output directory names {names}")
     out = Path(args.out or cfg["out_dir"])
-    # fail before any run or output when the samples cannot tile t_end
-    particle.sample_count(0.0, cfg["t_end"], cfg["sample_every"])
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -450,7 +447,7 @@ def cmd_sweep(args) -> int:
         table.append({"K": K, "final_R": summary["final_R"], "r_infinity": r_inf,
                       "gap": summary["final_R"] - r_inf,
                       "final_interval_mass": first_mass})
-    finals = [row["final_R"] for row in table]
+    finals = [row["final_R"] for row in sorted(table, key=lambda row: row["K"])]
     monotone = all(b >= a - 1e-9 for a, b in zip(finals, finals[1:]))
     columns = ["K", "final_R", "r_infinity", "gap", "final_interval_mass"]
     write_csv(out / "sweep.csv", columns, ([row[c] for c in columns] for row in table))

@@ -40,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .frequency import FrequencyDensity, quadrature_nodes
-from .order import TOL_R, TWO_PI, global_order, phasor, rk4_path
+from .order import TOL_R, TWO_PI, global_order, phasor, rk4_path, sample_count
 
 MIN_CELLS = 16
 
@@ -364,31 +364,21 @@ class RunResult:
 
 def run(state: KineticState, t_end: float, sample_every: float,
         sampler=None, cfl: float = 0.5, dt_max: float = 1.0) -> RunResult:
-    """Advance to t_end with adaptive CFL steps, sampling at t0 + i sample_every.
+    """Advance with adaptive CFL steps through the samples t0 + i sample_every,
+    i = 0 .. ``order.sample_count(t0, t_end, sample_every)``, and end at the
+    last one; sample_count raises ValueError for any other t_end.
 
-    ``sampler`` maps the state at each sample time to a record, the start
-    included, and t_end when t_end - t0 is a whole number of sample
-    intervals (the CLI accepts no other t_end); without it the result holds
-    no records.  Steps are
-    shortened to land on sample times and then take that time exactly, so
-    the cadence and therefore the output are deterministic for a given
-    configuration.  Each step's values must stay above the -1e-13 floor
-    KineticState enforces.
+    ``sampler`` maps the state at each sample time, the start included, to a
+    record; without it the result holds no records.  Steps are shortened to
+    land on sample times and then take that time exactly, so the cadence and
+    therefore the output are deterministic for a given configuration.  Each
+    step's values must stay above the -1e-13 floor KineticState enforces.
     """
-    if t_end < state.t:
-        raise ValueError("t_end must not precede the state time")
-    if sample_every <= 0:
-        raise ValueError("sample_every must be positive")
+    n_samples = sample_count(state.t, t_end, sample_every)
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
     if not dt_max > 0:
         raise ValueError("dt_max must be positive")
-
-    records = []
-
-    def emit(s):
-        if sampler is not None:
-            records.append(sampler(s))
 
     grid, w = state.grid, state.weights
     omega_max = _omega_max(state)       # omega is fixed for the run
@@ -396,7 +386,6 @@ def run(state: KineticState, t_end: float, sample_every: float,
     m0_safe = np.where(m0 > 0, m0, 1.0)
     total0 = float(w @ m0)
     masses = [m0]               # the last folded slice masses, then one row per step
-    prev_R = None
     min_dR = 0.0
     max_step_rel = 0.0
     max_drift_rel = 0.0
@@ -406,7 +395,10 @@ def run(state: KineticState, t_end: float, sample_every: float,
     eps = 1e-12
     ws = _Workspace(grid, state.n_omega)
     values, t0, t = ws.load(state.values), state.t, state.t
+    z = phasor(grid, w, values)     # of the current values: drives the next step
+    R = abs(z)
     min_value = float(values.min())
+    records = [] if sampler is None else [sampler(state)]
 
     def fold():
         """Fold the slice masses of the steps since the last fold into the maxima."""
@@ -418,38 +410,32 @@ def run(state: KineticState, t_end: float, sample_every: float,
         max_total_drift = max([max_total_drift] + [abs(float(w @ r) - total0) for r in m[1:]])
         del masses[:-1]
 
-    emit(state)
-    i_sample = 1
-    while t < t_end - eps:
-        next_sample = t0 + i_sample * sample_every
-        z = phasor(grid, w, values)
-        R = abs(z)
-        if prev_R is not None:
-            min_dR = min(min_dR, R - prev_R)
-        prev_R = R
-        dt = min(_cfl_step(state, omega_max, R, cfl, dt_max), t_end - t, next_sample - t)
-        values = ws.advance(state, t, dt, z)
-        t += dt
-        n_steps += 1
-        max_dt = max(max_dt, dt)
+    for i in range(1, n_samples + 1):
+        t_sample = t0 + i * sample_every
+        # the last sample time may round past t_end (3 * 0.1 > 0.3): no step passes t_end
+        t_stop = min(t_sample, t_end)
+        while t < t_stop - eps:
+            dt = min(_cfl_step(state, omega_max, R, cfl, dt_max), t_stop - t)
+            values = ws.advance(state, t, dt, z)
+            t += dt
+            n_steps += 1
+            max_dt = max(max_dt, dt)
 
-        min_value = min(min_value, float(values.min()))
-        if min_value < -1e-13:
-            raise ValueError("cell averages must be nonnegative (within roundoff)")
-        masses.append(values.sum(axis=1) * grid.dtheta)
+            min_value = min(min_value, float(values.min()))
+            if min_value < -1e-13:
+                raise ValueError("cell averages must be nonnegative (within roundoff)")
+            masses.append(values.sum(axis=1) * grid.dtheta)
+            z = phasor(grid, w, values)
+            min_dR = min(min_dR, abs(z) - R)
+            R = abs(z)
 
-        if t >= next_sample - eps:
-            t = next_sample
-            fold()
-            emit(replace(state, values=values.copy(), t=t))
-            i_sample += 1
+        t = t_sample
+        fold()
+        if sampler is not None:
+            records.append(sampler(replace(state, values=values.copy(), t=t)))
 
-    fold()
-    final = replace(state, values=values.copy(), t=t)
-    if prev_R is not None:
-        min_dR = min(min_dR, global_order(final).R - prev_R)
-    return RunResult(records, final, n_steps, max_dt, min_dR,
-                     max_step_rel, max_drift_rel, max_total_drift, min_value)
+    return RunResult(records, replace(state, values=values.copy(), t=t), n_steps, max_dt,
+                     min_dR, max_step_rel, max_drift_rel, max_total_drift, min_value)
 
 
 # ---------------------------------------------------------------------------

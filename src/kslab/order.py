@@ -4,7 +4,8 @@ The amplitude R and average phase phi are the modulus and argument of the
 phasor mean of the phase distribution; phi is only meaningful when R exceeds
 TOL_R, and every phi-dependent quantity here refuses to extrapolate below
 that threshold.  The module also holds what every solver module shares:
-TWO_PI, the classical RK4 step and the fixed-step RK4 path.
+TWO_PI, the sample clock (``sample_count``), the classical RK4 step and the
+fixed-step RK4 path.
 """
 
 from __future__ import annotations
@@ -32,6 +33,24 @@ def _from_phasor(z: complex) -> OrderParams:
     if R > TOL_R:
         return OrderParams(float(R), float(np.angle(z) % TWO_PI), True)
     return OrderParams(float(R), 0.0, False)
+
+
+def sample_count(t0: float, t_end: float, sample_every: float) -> int:
+    """Number n of sample intervals from t0 to t_end: a run from t0 samples
+    at t0 + i sample_every for i = 0 .. n and ends at its last sample.
+
+    Raises ValueError unless sample_every > 0, t_end >= t0 and
+    (t_end - t0)/sample_every is within 1e-9 (relative) of an integer.
+    """
+    if not sample_every > 0:
+        raise ValueError("sample_every must be positive")
+    if not t_end >= t0:
+        raise ValueError("t_end must not precede the state time")
+    span = (t_end - t0) / sample_every
+    if not (math.isfinite(span) and abs(span - round(span)) <= 1e-9 * span):
+        raise ValueError(f"t_end - t0 = {t_end - t0!r} is not a whole number of "
+                         f"sample intervals of {sample_every!r}")
+    return round(span)
 
 
 def rk4_step(f, t, y, h):

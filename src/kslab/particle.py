@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .files import write_csv
-from .order import TWO_PI, OrderParams, _from_phasor, rk4_step
+from .order import TWO_PI, OrderParams, _from_phasor, rk4_step, sample_count
 
 #: largest a-priori phase change |dt| (max|omega| + K) of one RK4 step at
 #: which its stages 2-4 rotate the step-start cos/sin (``_rotate``) instead of
@@ -201,29 +201,15 @@ def phase_diameter(state: ParticleState) -> float:
 # trajectories
 
 
-def sample_count(t0: float, t_end: float, sample_every: float) -> int:
-    """Number of sample intervals of length sample_every in [t0, t_end].
-
-    Raises ValueError unless (t_end - t0)/sample_every is within 1e-9
-    (relative) of a nonnegative integer.
-    """
-    if t_end < t0:
-        raise ValueError("t_end must not precede the state time")
-    span = (t_end - t0) / sample_every
-    n = round(span)
-    if abs(span - n) > 1e-9 * span:
-        raise ValueError(f"t_end - t0 = {t_end - t0!r} is not a whole number of "
-                         f"sample intervals of {sample_every!r}")
-    return n
-
-
 def run_particles(state: ParticleState, t_end: float, dt: float,
                   sample_every: float) -> np.ndarray:
     """Fixed-step RK4 run sampled at t0 + i sample_every up to t_end; returns
     the (n_samples + 1, 5) rows t, r, phi, D, V_p, one per sample.
 
-    t_end - t0 must be a whole number of sample intervals (``sample_count``);
-    dt is shrunk if necessary so samples land exactly on step boundaries.
+    The samples are those of ``order.sample_count``, which raises ValueError
+    unless t_end - t0 is a whole number of sample intervals; the run ends at
+    the last sample.  dt is shrunk if necessary so samples land exactly on
+    step boundaries.
     Each row's r, phi and V_p come from the phasor mean of the step that
     starts at its sample; only the final row's is computed afresh.
     """

@@ -135,11 +135,12 @@ def test_simulate_rejects_incommensurate_particle_t_end(tmp_path, capsys, model)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, coupling", [("simulate", 1.0), ("sweep", [1.0, 2.0])],
-                         ids=["simulate", "sweep"])
+@pytest.mark.parametrize("command, coupling", [
+    ("simulate", 1.0), ("sweep", [1.0, 2.0]), ("equilibrium", 1.0)],
+    ids=["simulate", "sweep", "equilibrium"])
 def test_kinetic_t_end_off_the_sample_grid_is_config_error(tmp_path, capsys, command,
                                                            coupling):
-    # a kinetic run would step past its last sample at 0.2 and never report 0.25
+    # every command that reads a config checks t_end against the sample clock
     cfg = write_config(tmp_path, coupling=coupling, t_end=0.25, sample_every=0.1)
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
@@ -190,6 +191,21 @@ def test_sweep_distributed_monotone(tmp_path):
     for row in summary["rows"]:
         assert math.isfinite(row["gap"])
     assert summary["failed_couplings"] == []
+
+
+def test_sweep_monotonicity_is_judged_in_coupling_order(tmp_path):
+    # couplings listed in decreasing order: final R rises with K, and the
+    # rows keep the order of the list
+    cfg = write_config(tmp_path, coupling=[2.0, 1.0], n_theta=64, n_omega=2,
+                       frequency={"kind": "uniform", "halfwidth": 0.1}, t_end=1.0)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [row["K"] for row in summary["rows"]] == [2.0, 1.0]
+    assert summary["rows"][0]["final_R"] > summary["rows"][1]["final_R"]
+    assert summary["final_R_increasing"]
+    assert [r.split(",")[0] for r in (out / "sweep.csv").read_text().splitlines()[1:]] == [
+        "2", "1"]
 
 
 def test_sweep_threaded_matches_serial(tmp_path):
@@ -357,7 +373,9 @@ def test_bad_json_is_config_error(tmp_path):
     ("initial", {"preset": "cosine"}), ("initial", {"preset": "von_mises"}),
     ("frequency", {"kind": "uniform"}),
     # MUSCL is the one kinetic scheme
-    ("scheme", "upwind")])
+    ("scheme", "upwind"),
+    # JSON Infinity is no whole number of sample intervals
+    ("t_end", math.inf)])
 def test_config_rejects_bad_values(tmp_path, key, value):
     cfg = write_config(tmp_path, **{key: value})
     command = "sweep" if key == "coupling" and isinstance(value, list) else "simulate"

@@ -456,6 +456,19 @@ def test_sample_times_are_exact_multiples(t0):
     assert res.final_state.t == t0 + 20 * 0.1
 
 
+def test_t_end_within_tolerance_ends_at_the_last_sample():
+    # 1.0000000001 is 10 sample intervals to 1e-9: the run takes the steps of
+    # t_end 1.0 and no step past the sample at 1.0
+    st = kinetic.state_from_profile(kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1, 1.0,
+                                    kinetic.cosine_profile(0.2))
+    exact = kinetic.run(st, 1.0, 0.1, sampler=lambda s: s.t)
+    res = kinetic.run(st, 1.0000000001, 0.1, sampler=lambda s: s.t)
+    assert res.final_state.t == res.records[-1] == exact.final_state.t == 1.0
+    assert res.records == exact.records
+    assert res.n_steps == exact.n_steps
+    np.testing.assert_array_equal(res.final_state.values, exact.final_state.values)
+
+
 def _restrict(values, factor):
     n_omega, n = values.shape
     return values.reshape(n_omega, n // factor, factor).mean(axis=2)

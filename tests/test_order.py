@@ -300,3 +300,24 @@ def test_rk4_path_projects_each_step():
                             project=lambda y: np.minimum(y, 0.6))
     np.testing.assert_array_equal(ts, 1.0 + 0.25 * np.arange(5))
     np.testing.assert_array_equal(ys[:, 0], [0.0, 0.25, 0.5, 0.6, 0.6])
+
+
+@pytest.mark.parametrize("t0, t_end, sample_every, n", [
+    (0.0, 1.0, 0.1, 10), (0.3, 0.8, 0.1, 5), (2.0, 2.0, 0.1, 0),
+    (0.0, 0.3, 0.1, 3),             # 0.3 / 0.1 rounds to 2.9999999999999996
+    (0.0, 1.0000000001, 0.1, 10),   # within 1e-9 of 10 intervals
+    (0.0, 0.9999999999, 0.1, 10)])
+def test_sample_count(t0, t_end, sample_every, n):
+    assert order.sample_count(t0, t_end, sample_every) == n
+
+
+@pytest.mark.parametrize("t_end, sample_every, match", [
+    (0.25, 0.1, "whole number of sample intervals"),
+    (math.inf, 0.1, "whole number of sample intervals"),
+    (1.0, 5e-324, "whole number of sample intervals"),     # the span overflows
+    (-0.1, 0.1, "must not precede"), (math.nan, 0.1, "must not precede"),
+    (1.0, 0.0, "sample_every must be positive"), (1.0, -0.1, "sample_every must be positive"),
+    (1.0, math.nan, "sample_every must be positive")])
+def test_sample_count_rejects(t_end, sample_every, match):
+    with pytest.raises(ValueError, match=match):
+        order.sample_count(0.0, t_end, sample_every)

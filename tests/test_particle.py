@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from kslab import particle
-from kslab.order import rk4_step
+from kslab import frequency as freq
+from kslab import kinetic, particle
+from kslab.order import rk4_step, sample_count
 
 TWO_PI = 2.0 * math.pi
 
@@ -332,7 +333,7 @@ def sample_states(st, t_end, dt, sample_every):
     """The states at the sample times t0 + i sample_every of a run, stepped by
     particle_step with dt shrunk to divide sample_every, as run_particles does."""
     per = max(1, math.ceil(sample_every / dt))
-    n = particle.sample_count(st.t, t_end, sample_every)
+    n = sample_count(st.t, t_end, sample_every)
     ts = st.t + sample_every * np.arange(n + 1)
     states = [particle.ParticleState(st.thetas, st.omegas, st.K, t=float(ts[0]))]
     for t in ts[1:]:
@@ -447,13 +448,30 @@ def test_run_particles_memory_does_not_grow_with_samples():
     assert many - few < 8 * n, (few, many)
 
 
-@pytest.mark.parametrize("t_end", [0.52, 0.549, 0.02])
-def test_run_particles_rejects_incommensurate_t_end(t_end):
+def _run_particles(t_end, sample_every):
     st = particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=1.0)
+    return particle.run_particles(st, t_end, dt=0.01, sample_every=sample_every)
+
+
+def _run_kinetic(t_end, sample_every):
+    st = kinetic.state_from_profile(kinetic.PhaseGrid(16), freq.dirac_at_zero(), 1, 1.0,
+                                    kinetic.cosine_profile(0.2))
+    return kinetic.run(st, t_end, sample_every)
+
+
+@pytest.mark.parametrize("run, t_end", [
+    pytest.param(run, t_end, id=f"{prefix}{t_end}")
+    for prefix, run in (("", _run_particles), ("kinetic-", _run_kinetic))
+    for t_end in (0.52, 0.549, 0.02)])
+def test_run_particles_rejects_incommensurate_t_end(run, t_end):
+    # both steppers take their samples from order.sample_count
     with pytest.raises(ValueError, match="whole number of sample intervals"):
-        particle.run_particles(st, t_end, dt=0.01, sample_every=0.05)
+        run(t_end, 0.05)
     with pytest.raises(ValueError, match="must not precede"):
-        particle.run_particles(st, -0.05, dt=0.01, sample_every=0.05)
+        run(-0.05, 0.05)
+    for sample_every in (0.0, -0.1):
+        with pytest.raises(ValueError, match="sample_every must be positive"):
+            run(t_end, sample_every)
 
 
 def test_sample_phases_follows_profile():
