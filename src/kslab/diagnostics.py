@@ -16,8 +16,7 @@ import numpy as np
 
 from . import frequency as freq
 from .files import write_csv, write_json
-from .order import (TWO_PI, OrderParams, _rates, global_order, kinetic_potential,
-                    phidot_bound, rk4_path)
+from .order import TWO_PI, OrderParams, _rates, kinetic_potential, phidot_bound, rk4_path
 
 SQRT3 = math.sqrt(3.0)
 
@@ -104,24 +103,18 @@ def _on_interval(state, interval: Interval, f: np.ndarray, op: OrderParams):
 class FitResult:
     slope: float
     r_squared: float
-    n_used: int
-    shrunk: bool      # nonpositive samples were dropped from the window
 
 
 def fit_exponential_rate(series, window: tuple[float, float]) -> FitResult:
     """Least-squares slope of log(value) against t over the window.
 
     ``series`` is an iterable of (t, value) pairs.  Nonpositive values in
-    the window are dropped (flagged via ``shrunk``); at least 5 positive
-    samples are required.
+    the window are dropped; at least 5 positive samples are required.
     """
     pts = np.array([(t, v) for t, v in series])
     t_a, t_b = window
     sel = (pts[:, 0] >= t_a) & (pts[:, 0] <= t_b)
-    pts = pts[sel]
-    pos = pts[:, 1] > 0.0
-    shrunk = bool(np.any(~pos))
-    pts = pts[pos]
+    pts = pts[sel & (pts[:, 1] > 0.0)]
     if pts.shape[0] < 5:
         raise ValueError("need at least 5 positive samples in the fit window")
     t = pts[:, 0]
@@ -133,7 +126,7 @@ def fit_exponential_rate(series, window: tuple[float, float]) -> FitResult:
     # a flat series has zero variance up to roundoff; that is a perfect fit
     floor = 1e-24 * y.size * max(1.0, float(np.max(np.abs(y))) ** 2)
     r2 = 1.0 if ss_tot <= floor else 1.0 - ss_res / ss_tot
-    return FitResult(float(slope), r2, pts.shape[0], shrunk)
+    return FitResult(float(slope), r2)
 
 
 def detect_transient(ts, values) -> float | None:
@@ -644,7 +637,8 @@ class DiagnosticsConfig:
 
 
 class RecordSampler:
-    """Stateful state -> DiagnosticsRecord map; carries the last defined phase.
+    """Stateful (state, op) -> DiagnosticsRecord map, op the order parameters
+    of state; carries the last defined phase.
 
     When R falls below tolerance the logged phi keeps the last defined value
     and the record is flagged undefined; phi-anchored masses are then NaN
@@ -655,9 +649,8 @@ class RecordSampler:
         self.config = config
         self._carried_phi = 0.0
 
-    def __call__(self, state) -> DiagnosticsRecord:
+    def __call__(self, state, op: OrderParams) -> DiagnosticsRecord:
         cfg = self.config
-        op = global_order(state)
         if op.defined:
             self._carried_phi = op.phi
         rec = DiagnosticsRecord(t=state.t, R=op.R, phi=self._carried_phi,

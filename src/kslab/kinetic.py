@@ -40,7 +40,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .frequency import FrequencyDensity, quadrature_nodes
-from .order import TOL_R, TWO_PI, global_order, phasor, rk4_path, sample_count
+from .order import TOL_R, TWO_PI, _from_phasor, global_order, phasor, rk4_path, sample_count
 
 MIN_CELLS = 16
 
@@ -69,9 +69,8 @@ class PhaseGrid:
 
     n_theta: int
     centers: np.ndarray = field(init=False, repr=False)
-    edges: np.ndarray = field(init=False, repr=False)         # left edges j*dtheta
     trig_centers: np.ndarray = field(init=False, repr=False)  # (n_theta, 2): cos, sin
-    trig_edges: np.ndarray = field(init=False, repr=False)    # (n_theta, 2): sin, cos
+    trig_edges: np.ndarray = field(init=False, repr=False)    # (n_theta, 2): sin, cos at j dtheta
 
     def __post_init__(self):
         if self.n_theta < MIN_CELLS:
@@ -80,7 +79,6 @@ class PhaseGrid:
         centers = (np.arange(self.n_theta) + 0.5) * dth
         edges = np.arange(self.n_theta) * dth
         object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "trig_centers",
                            np.column_stack([np.cos(centers), np.sin(centers)]))
         object.__setattr__(self, "trig_edges",
@@ -350,7 +348,6 @@ class RunResult:
     n_steps: int
     max_dt: float
     min_step_delta_R: float          # most negative one-step change of R
-    max_slice_mass_step_rel: float   # largest per-step slice-mass change, relative
     max_slice_mass_drift_rel: float  # largest drift from the initial slice masses
     max_total_mass_drift: float
     min_cell_value: float            # smallest cell average seen (positivity margin)
@@ -368,11 +365,13 @@ def run(state: KineticState, t_end: float, sample_every: float,
     i = 0 .. ``order.sample_count(t0, t_end, sample_every)``, and end at the
     last one; sample_count raises ValueError for any other t_end.
 
-    ``sampler`` maps the state at each sample time, the start included, to a
-    record; without it the result holds no records.  Steps are shortened to
-    land on sample times and then take that time exactly, so the cadence and
-    therefore the output are deterministic for a given configuration.  Each
-    step's values must stay above the -1e-13 floor KineticState enforces.
+    ``sampler(state, op)`` maps the state at each sample time, the start
+    included, and its order parameters op to a record; without it the result
+    holds no records.  The last sample's state is the result's final_state.
+    Steps are shortened to land on sample times and then take that time
+    exactly, so the cadence and therefore the output are deterministic for a
+    given configuration.  Each step's values must stay above the -1e-13 floor
+    KineticState enforces.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     if not 0.0 < cfl <= 1.0:
@@ -385,9 +384,8 @@ def run(state: KineticState, t_end: float, sample_every: float,
     m0 = state.slice_masses()
     m0_safe = np.where(m0 > 0, m0, 1.0)
     total0 = float(w @ m0)
-    masses = [m0]               # the last folded slice masses, then one row per step
+    masses = []                 # slice masses of the steps since the last fold
     min_dR = 0.0
-    max_step_rel = 0.0
     max_drift_rel = 0.0
     max_total_drift = 0.0
     max_dt = 0.0
@@ -398,17 +396,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
     z = phasor(grid, w, values)     # of the current values: drives the next step
     R = abs(z)
     min_value = float(values.min())
-    records = [] if sampler is None else [sampler(state)]
-
-    def fold():
-        """Fold the slice masses of the steps since the last fold into the maxima."""
-        nonlocal max_step_rel, max_drift_rel, max_total_drift
-        m = np.array(masses)
-        step_rel, drift_rel = (np.abs(m[1:] - ref) / m0_safe for ref in (m[:-1], m0))
-        max_step_rel = max(max_step_rel, float(step_rel.max(initial=0.0)))
-        max_drift_rel = max(max_drift_rel, float(drift_rel.max(initial=0.0)))
-        max_total_drift = max([max_total_drift] + [abs(float(w @ r) - total0) for r in m[1:]])
-        del masses[:-1]
+    records = [] if sampler is None else [sampler(state, _from_phasor(z))]
 
     for i in range(1, n_samples + 1):
         t_sample = t0 + i * sample_every
@@ -430,12 +418,17 @@ def run(state: KineticState, t_end: float, sample_every: float,
             R = abs(z)
 
         t = t_sample
-        fold()
+        # an interval shorter than eps takes no step and adds no drift
+        drift_rel = np.abs(np.array(masses or [m0]) - m0) / m0_safe
+        max_drift_rel = max(max_drift_rel, float(drift_rel.max()))
+        max_total_drift = max([max_total_drift] + [abs(float(w @ m) - total0) for m in masses])
+        masses.clear()
+        state = replace(state, values=values.copy(), t=t)
         if sampler is not None:
-            records.append(sampler(replace(state, values=values.copy(), t=t)))
+            records.append(sampler(state, _from_phasor(z)))
 
-    return RunResult(records, replace(state, values=values.copy(), t=t), n_steps, max_dt,
-                     min_dR, max_step_rel, max_drift_rel, max_total_drift, min_value)
+    return RunResult(records, state, n_steps, max_dt, min_dR, max_drift_rel,
+                     max_total_drift, min_value)
 
 
 # ---------------------------------------------------------------------------

@@ -208,12 +208,14 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
 
     The samples are those of ``order.sample_count``, which raises ValueError
     unless t_end - t0 is a whole number of sample intervals; the run ends at
-    the last sample.  dt is shrunk if necessary so samples land exactly on
-    step boundaries.
+    the last sample.  dt must be finite and positive; it is shrunk if
+    necessary so samples land exactly on step boundaries.
     Each row's r, phi and V_p come from the phasor mean of the step that
     starts at its sample; only the final row's is computed afresh.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     per = max(1, int(np.ceil(sample_every / dt)))
     dt = sample_every / per
     ts = state.t + sample_every * np.arange(n_samples + 1)

@@ -6,6 +6,11 @@ and perfbench/*.py and requires each public top-level name of a kslab
 module to be loaded somewhere outside its own definition: as a name in its
 own module or in a module that imports it by name, as an attribute of the
 module, or as a "<module>.<name>" span name that the benchmark reads.
+
+The same holds for class members: each annotated field and each method or
+property (dunders aside) of a kslab class must be loaded as an attribute,
+``x.<name>``, somewhere in that code outside its own definition.  Members
+are matched by name only, whatever the object they are loaded from.
 """
 
 import ast
@@ -82,3 +87,38 @@ def test_every_public_name_is_used_by_the_program():
             if not used.get((path.stem, name), set()) - inside:
                 unused.append(f"{path.stem}.{name}")
     assert not unused, f"public names that no program code loads: {unused}"
+
+
+def class_members(tree):
+    """(class, member, node) for each annotated field and non-dunder method
+    or property of each class in the tree."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                name = node.target.id
+            elif isinstance(node, ast.FunctionDef):
+                name = node.name
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                yield cls.name, name, node
+
+
+def test_every_class_member_is_read_by_the_program():
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in FILES}
+    loads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.attr, set()).add(id(node))
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for cls, name, node in class_members(tree):
+            inside = {id(n) for n in ast.walk(node)}
+            if not loads.get(name, set()) - inside:
+                unused.append(f"{path.stem}.{cls}.{name}")
+    assert not unused, f"class members that no program code reads: {unused}"

@@ -35,7 +35,7 @@ def test_grid_validation():
     grid = kinetic.PhaseGrid(32)
     assert grid.dtheta == pytest.approx(TWO_PI / 32)
     assert grid.centers[0] == pytest.approx(0.5 * grid.dtheta)
-    assert grid.edges[0] == 0.0
+    assert tuple(grid.trig_edges[0]) == (0.0, 1.0)      # sin, cos of the edge at 0
 
 
 def velocity(state, op):
@@ -48,7 +48,7 @@ def velocity(state, op):
 
 def test_velocity_at_average_phase():
     st = uniform_state()
-    op = order.OrderParams(0.5, st.grid.edges[7], True)
+    op = order.OrderParams(0.5, 7 * st.grid.dtheta, True)
     v = velocity(st, op)
     assert v[:, 7] == pytest.approx(st.omega, abs=1e-14)
 
@@ -68,7 +68,7 @@ def test_velocity_direct_value():
     op = order.OrderParams(0.5, 0.0, True)
     v = velocity(st, op)
     j = 4  # edge at pi/2 on the 16-cell grid
-    assert grid.edges[j] == pytest.approx(math.pi / 2)
+    assert j * grid.dtheta == pytest.approx(math.pi / 2)
     assert v[0, j] == pytest.approx(-0.9)
 
 
@@ -76,7 +76,8 @@ def velocity_direct(state, op):
     """omega_k - K R sin(theta_j - phi) with one sine per edge: the oracle
     for the table-based velocity."""
     KR = state.K * (op.R if op.defined else 0.0)
-    return state.omega[:, None] - KR * np.sin(state.grid.edges - op.phi)[None, :]
+    edges = np.arange(state.grid.n_theta) * state.grid.dtheta
+    return state.omega[:, None] - KR * np.sin(edges - op.phi)[None, :]
 
 
 @pytest.mark.parametrize("K", [0.0, 1.7, 6.0])
@@ -364,11 +365,11 @@ def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
 
     # 50 steps of run, dt a power of two so every step takes it exactly; the
     # sampler keeps the values it is handed, so they must be copies
-    res = kinetic.run(st, 50 * dt, 10 * dt, sampler=lambda s: s.values, dt_max=dt)
+    res = kinetic.run(st, 50 * dt, 10 * dt, sampler=lambda s, op: s.values, dt_max=dt)
     m0 = st.slice_masses()
     total0 = float(st.weights @ m0)
-    values, prev_m, samples = st.values, m0, [st.values]
-    prev_R, min_dR, step_rel, drift_rel, total_drift = None, 0.0, 0.0, 0.0, 0.0
+    values, samples = st.values, [st.values]
+    prev_R, min_dR, drift_rel, total_drift = None, 0.0, 0.0, 0.0
     min_value = float(values.min())
     for i in range(1, 51):
         z = order.phasor(st.grid, st.weights, values)
@@ -378,10 +379,8 @@ def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
         values = oracle_step(st, values, dt, z)
         min_value = min(min_value, float(values.min()))
         m = values.sum(axis=1) * st.grid.dtheta
-        step_rel = max(step_rel, float(np.max(np.abs(m - prev_m) / m0)))
         drift_rel = max(drift_rel, float(np.max(np.abs(m - m0) / m0)))
         total_drift = max(total_drift, abs(float(st.weights @ m) - total0))
-        prev_m = m
         if i % 10 == 0:
             samples.append(values)
     min_dR = min(min_dR, order.global_order(res.final_state).R - prev_R)
@@ -389,9 +388,9 @@ def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
     assert len(res.records) == len(samples) == 6
     assert all(np.array_equal(a, b) for a, b in zip(res.records, samples))
     assert np.array_equal(res.final_state.values, values)
-    assert (res.min_step_delta_R, res.max_slice_mass_step_rel, res.max_slice_mass_drift_rel,
+    assert (res.min_step_delta_R, res.max_slice_mass_drift_rel,
             res.max_total_mass_drift, res.min_cell_value) == (
-                min_dR, step_rel, drift_rel, total_drift, min_value)
+                min_dR, drift_rel, total_drift, min_value)
 
 
 def test_rigid_rotation_at_zero_coupling():
@@ -416,7 +415,7 @@ def test_rigid_rotation_at_zero_coupling():
 
 def test_run_zero_horizon_returns_initial_record():
     st = dirac_state(64, kinetic.cosine_profile(0.2))
-    res = kinetic.run(st, st.t, 0.1, sampler=lambda s: s.t)
+    res = kinetic.run(st, st.t, 0.1, sampler=lambda s, op: s.t)
     assert res.records == [0.0]
     with pytest.raises(ValueError):
         kinetic.run(st, -1.0, 0.1)
@@ -424,10 +423,27 @@ def test_run_zero_horizon_returns_initial_record():
         kinetic.run(st, 1.0, 0.1, dt_max=0.0)
 
 
+def test_sampler_gets_each_state_with_its_order_parameters():
+    st = kinetic.state_from_profile(kinetic.PhaseGrid(64), freq.uniform(0.5), 4, 1.5,
+                                    kinetic.von_mises_profile(2.0, 1.0))
+    calls = []
+    res = kinetic.run(st, 1.0, 0.1, sampler=lambda s, op: calls.append((s, op)))
+    assert [s.t for s, _ in calls] == pytest.approx(0.1 * np.arange(11))
+    assert all(op == order.global_order(s) for s, op in calls)
+    assert res.final_state is calls[-1][0]
+
+
+def test_run_sample_intervals_below_time_tolerance_take_no_step():
+    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    res = kinetic.run(st, 1e-12, 1e-13, sampler=lambda s, op: s.t)
+    assert res.n_steps == 0 and len(res.records) == 11
+    assert res.max_slice_mass_drift_rel == res.max_total_mass_drift == 0.0
+
+
 def test_run_is_deterministic():
     make = lambda: dirac_state(64, kinetic.cosine_profile(0.2), K=1.0)
-    r1 = kinetic.run(make(), 2.0, 0.1, sampler=lambda s: s.values.copy())
-    r2 = kinetic.run(make(), 2.0, 0.1, sampler=lambda s: s.values.copy())
+    r1 = kinetic.run(make(), 2.0, 0.1, sampler=lambda s, op: s.values.copy())
+    r2 = kinetic.run(make(), 2.0, 0.1, sampler=lambda s, op: s.values.copy())
     assert len(r1.records) == len(r2.records)
     for a, b in zip(r1.records, r2.records):
         assert np.array_equal(a, b)
@@ -443,7 +459,7 @@ def test_identical_case_long_run_reaches_unity():
 
 def test_sampling_cadence():
     st = dirac_state(64, kinetic.cosine_profile(0.2))
-    res = kinetic.run(st, 1.0, 0.25, sampler=lambda s: s.t)
+    res = kinetic.run(st, 1.0, 0.25, sampler=lambda s, op: s.t)
     assert res.records == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
 
@@ -451,7 +467,7 @@ def test_sampling_cadence():
 def test_sample_times_are_exact_multiples(t0):
     st = dataclasses.replace(kinetic.state_from_profile(
         kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1, 1.0, kinetic.cosine_profile(0.2)), t=t0)
-    res = kinetic.run(st, t0 + 2.0, 0.1, sampler=lambda s: s.t)
+    res = kinetic.run(st, t0 + 2.0, 0.1, sampler=lambda s, op: s.t)
     assert res.records == [t0 + i * 0.1 for i in range(21)]
     assert res.final_state.t == t0 + 20 * 0.1
 
@@ -461,8 +477,8 @@ def test_t_end_within_tolerance_ends_at_the_last_sample():
     # t_end 1.0 and no step past the sample at 1.0
     st = kinetic.state_from_profile(kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1, 1.0,
                                     kinetic.cosine_profile(0.2))
-    exact = kinetic.run(st, 1.0, 0.1, sampler=lambda s: s.t)
-    res = kinetic.run(st, 1.0000000001, 0.1, sampler=lambda s: s.t)
+    exact = kinetic.run(st, 1.0, 0.1, sampler=lambda s, op: s.t)
+    res = kinetic.run(st, 1.0000000001, 0.1, sampler=lambda s, op: s.t)
     assert res.final_state.t == res.records[-1] == exact.final_state.t == 1.0
     assert res.records == exact.records
     assert res.n_steps == exact.n_steps
@@ -506,7 +522,7 @@ def test_ott_antonsen_exact_order():
     errs = []
     for n in (128, 256, 512, 1024):
         res = kinetic.run(dirac_state(n, wrapped_cauchy(0.3), K=2.0), 2.0, 0.1,
-                          sampler=lambda s: (s.t, order.global_order(s).R), cfl=0.5)
+                          sampler=lambda s, op: (s.t, op.R), cfl=0.5)
         assert len(res.records) == 21
         errs.append(max(abs(R - oa_order(t, 0.3, 2.0)) for t, R in res.records))
     rates = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]

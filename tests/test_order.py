@@ -176,7 +176,7 @@ def test_rate_formulas_match_short_run():
     # solver-vs-formula cross-check on a smooth identical-oscillator run
     st = dirac_state(128, kinetic.cosine_profile(0.2, 0.4), K=1.0)
     sample = 0.05
-    res = kinetic.run(st, 1.0, sample, sampler=lambda s: s, cfl=0.5)
+    res = kinetic.run(st, 1.0, sample, sampler=lambda s, op: s, cfl=0.5)
     states = res.records
     dth = st.grid.dtheta
     tol = 10.0 * (res.max_dt + dth ** 2)

@@ -474,6 +474,13 @@ def test_run_particles_rejects_incommensurate_t_end(run, t_end):
             run(t_end, sample_every)
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
+def test_run_particles_rejects_bad_dt(dt):
+    st = particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=1.0)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        particle.run_particles(st, 0.2, dt, 0.1)
+
+
 def test_sample_phases_follows_profile():
     def profile(th):
         return (1.0 + 0.8 * np.cos(th)) / TWO_PI
