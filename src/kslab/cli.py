@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 criterion failure, 2 configuration error.
 
 The configuration is a single JSON document; unknown keys are errors so a
 typo in an inequality parameter cannot silently change an experiment.  Every
-CSV and JSON output is written by ``files``.  ``verify`` and the process pool
-load only with the commands that use them.
+CSV and JSON output is written by ``files``.  Importing this module loads only
+``files``, ``frequency`` and ``order``; each command loads the other modules
+and the process pool that it calls, so ``equilibrium`` loads none of them.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics as diag
 from . import frequency as freq
-from . import kinetic, particle
 from .files import write_csv, write_json
-from .order import TWO_PI, sample_count
+from .order import MIN_CELLS, TWO_PI, sample_count
 
 
 class ConfigError(ValueError):
@@ -81,9 +80,10 @@ def validate_config(raw: dict) -> dict:
     Returns a new config: the _DEFAULTS under the user's keys, real-valued
     fields as floats, dt_particle (sample_every / 5 unless given),
     initial.center (0.0 unless given), a given hypothesis section over
-    _HYP_DEFAULTS, and diagnostics parsed into a DiagnosticsConfig.  A field
-    that the frequency kind or the initial preset needs must be given, and
-    t_end must be a whole number of sample intervals (``order.sample_count``).
+    _HYP_DEFAULTS, and a non-empty diagnostics section parsed into a
+    DiagnosticsConfig (None for the empty default).  A field that the frequency
+    kind or the initial preset needs must be given, and t_end must be a whole
+    number of sample intervals (``order.sample_count``).
     """
     cfg = {**_DEFAULTS, **_object(raw, _TOP_KEYS, "configuration")}
     _require(cfg["model"] in ("kinetic", "particle", "both"),
@@ -126,7 +126,7 @@ def validate_config(raw: dict) -> dict:
                  "coupling must be a nonnegative number")
         cfg["coupling"] = float(cfg["coupling"])
 
-    for key, low in (("n_theta", kinetic.MIN_CELLS), ("n_omega", 1),
+    for key, low in (("n_theta", MIN_CELLS), ("n_omega", 1),
                      ("n_particles", 1), ("seed", 0)):
         value = cfg[key]
         _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
@@ -142,17 +142,21 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["dt_particle"] > 0, "dt_particle must be positive")
     _require(cfg["dt_max"] > 0, "dt_max must be positive")
 
-    dcfg = _object(cfg["diagnostics"], _DIAG_KEYS, "diagnostics")
-    intervals = dcfg.get("intervals", [])
-    _require(isinstance(intervals, list), "diagnostics.intervals must be a JSON list")
+    if cfg["diagnostics"] == {}:    # nothing to parse, so no diagnostics module to load
+        cfg["diagnostics"] = None
+    else:
+        from . import diagnostics as diag
+        dcfg = _object(cfg["diagnostics"], _DIAG_KEYS, "diagnostics")
+        intervals = dcfg.get("intervals", [])
+        _require(isinstance(intervals, list), "diagnostics.intervals must be a JSON list")
 
-    def named(key):
-        return _interval(dcfg[key], f"diagnostics.{key}") if key in dcfg else None
+        def named(key):
+            return _interval(dcfg[key], f"diagnostics.{key}") if key in dcfg else None
 
-    cfg["diagnostics"] = diag.DiagnosticsConfig(
-        intervals=tuple(_interval(iv, "diagnostics.intervals[]") for iv in intervals),
-        lambda_interval=named("lambda_interval"), gamma_plus_interval=named("gamma_plus"),
-        gamma_minus_interval=named("gamma_minus"))
+        cfg["diagnostics"] = diag.DiagnosticsConfig(
+            intervals=tuple(_interval(iv, "diagnostics.intervals[]") for iv in intervals),
+            lambda_interval=named("lambda_interval"), gamma_plus_interval=named("gamma_plus"),
+            gamma_minus_interval=named("gamma_minus"))
 
     if "hypothesis" in cfg:
         h = _object(cfg["hypothesis"], set(_HYP_DEFAULTS) | {"R0"}, "hypothesis")
@@ -173,7 +177,8 @@ def _real(mapping: dict, key: str, where: str = "") -> float:
     return float(value)
 
 
-def _interval(value, where: str) -> diag.Interval:
+def _interval(value, where: str):
+    from . import diagnostics as diag
     iv = _object(value, _INTERVAL_KEYS, where)
     try:
         _require(_is_number(iv["parameter"]), "parameter must be a number")
@@ -226,6 +231,7 @@ def build_frequency(cfg: dict) -> freq.FrequencyDensity:
 
 
 def build_profile(cfg: dict):
+    from . import kinetic
     icfg = cfg["initial"]
     if icfg["preset"] == "cosine":
         return kinetic.cosine_profile(icfg["amplitude"], icfg["center"])
@@ -240,12 +246,14 @@ def build_profile(cfg: dict):
 
 def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
                  profile) -> dict:
+    from . import diagnostics as diag
+    from . import kinetic
     state = kinetic.state_from_profile(kinetic.PhaseGrid(cfg["n_theta"]), g,
                                        cfg["n_omega"], K=K, profile=profile)
     M = g.support
-    res = kinetic.run(state, cfg["t_end"], cfg["sample_every"],
-                      sampler=diag.RecordSampler(cfg["diagnostics"]), cfl=cfg["cfl"],
-                      dt_max=cfg["dt_max"])
+    sampler = diag.RecordSampler(cfg["diagnostics"] or diag.DiagnosticsConfig())
+    res = kinetic.run(state, cfg["t_end"], cfg["sample_every"], sampler=sampler,
+                      cfl=cfg["cfl"], dt_max=cfg["dt_max"])
     diag.finalize_records(res.records, K=K, m_bound=M)
     out.mkdir(parents=True, exist_ok=True)
     diag.records_to_csv(res.records, out / "trajectory.csv")
@@ -261,7 +269,8 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     return summary
 
 
-def _summarize_kinetic(K, M, res: kinetic.RunResult) -> dict:
+def _summarize_kinetic(K, M, res) -> dict:
+    from . import diagnostics as diag
     recs = res.records
     final = recs[-1]
     bad_bounds = sum(1 for r in recs if r.bound_checks
@@ -295,6 +304,7 @@ def _summarize_kinetic(K, M, res: kinetic.RunResult) -> dict:
 
 
 def _write_plot_script(records, path: Path) -> None:
+    from . import diagnostics as diag
     cols = [name for name, _ in diag.record_cells(records[0])]
     idx = {name: i + 1 for i, name in enumerate(cols)}   # gnuplot is 1-based
     mass_cols = [c for c in cols if c.startswith("mass_")]
@@ -338,6 +348,7 @@ def _write_plot_script(records, path: Path) -> None:
 
 def _run_particle(cfg: dict, K: float, out: Path, seed: int,
                   g: freq.FrequencyDensity, profile) -> dict:
+    from . import particle
     n, icfg = cfg["n_particles"], cfg["initial"]
     # sample_phases needs a bound on the profile: 1.05 times its maximum on a
     # grid, or its exact peak where a grid misses a narrow one.  A cosine or
@@ -437,11 +448,12 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(_sweep_one, jobs))
     failures = [error for _, _, error in results if error is not None]
 
+    from .diagnostics import r_infinity
     table = []
     for K, summary, _ in results:
         if summary is None:
             continue
-        r_inf = diag.r_infinity(M, K)
+        r_inf = r_infinity(M, K)
         masses = summary["final_masses"]
         first_mass = next(iter(masses.values())) if masses else math.nan
         table.append({"K": K, "final_R": summary["final_R"], "r_infinity": r_inf,
@@ -499,7 +511,7 @@ def cmd_equilibrium(args) -> int:
     coupling = cfg["coupling"]
     rows = []
     for K in coupling if isinstance(coupling, list) else [coupling]:
-        res = diag.equilibrium_R(g, K)
+        res = freq.equilibrium_R(g, K)
         if res.found:
             print(f"K={K:g}: R = {res.R:.12g} (residual {res.residual:.2e}, "
                   f"bounds {'ok' if res.bound_sqrt_ok and res.bound_mass_ok else 'VIOLATED'})")
@@ -529,6 +541,7 @@ def cmd_characteristics(args) -> int:
     for flag in ("theta0", "omega0", "t0", "t1"):
         value = getattr(args, flag)
         _require(math.isfinite(value), f"--{flag} must be a finite number, not {value!r}")
+    from . import kinetic
     series = kinetic.OrderSeries(*_read_columns(args.series, ("t", "R", "phi")))
     cts, thetas = kinetic.characteristics(series, args.theta0, args.omega0,
                                           args.t0, args.t1, K=args.coupling)
@@ -601,7 +614,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, kinetic.FluxNanError) as exc:
+    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:  # kinetic.FluxNanError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

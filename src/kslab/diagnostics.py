@@ -1,6 +1,5 @@
 """Interval masses, Lyapunov functionals, closed-form constants, comparison
-ODEs, the locked-equilibrium self-consistency solver, rate fitting, and the
-per-sample diagnostics records.
+ODEs, rate fitting, and the per-sample diagnostics records.
 
 Moving-interval masses use sub-cell linear apportionment at the two end
 cells; snapping to whole cells would add O(dtheta) jitter that defeats the
@@ -14,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import frequency as freq
 from .files import write_csv, write_json
 from .order import TWO_PI, OrderParams, _rates, kinetic_potential, phidot_bound, rk4_path
 
@@ -101,6 +99,7 @@ def _on_interval(state, interval: Interval, f: np.ndarray, op: OrderParams):
 
 @dataclass(frozen=True)
 class FitResult:
+    """Slope and r^2 of a least-squares fit of log(value) against t."""
     slope: float
     r_squared: float
 
@@ -333,130 +332,12 @@ def barrier_solve(p_star, t_star: float, T_kappa: float, kappa: float, K: float,
 
 
 # ---------------------------------------------------------------------------
-# locked-equilibrium self-consistency
-
-
-@dataclass(frozen=True)
-class EquilibriumResult:
-    found: bool
-    R: float | None
-    residual: float
-    probe_at_one: float          # H(1), handy when no solution exists
-    bound_sqrt: float            # sqrt(1 - (M/(K R))^2), 0 when not found
-    bound_sqrt_ok: bool
-    bound_mass: float            # m * min g on the inner support
-    bound_mass_ok: bool
-    message: str
-
-
-def equilibrium_probe(g: freq.FrequencyDensity, K: float, R: float) -> float:
-    """H(R): the g-average of sqrt(1 - (omega/(K R))^2), clipped to |omega| <= K R."""
-    if K <= 0 or R <= 0:
-        raise ValueError("K and R must be positive")
-    return freq.locked_phasor_mean(g, K * R)
-
-
-# a root near R = 1 (large K) lies in the first scan chunk
-_SCAN_POINTS = 2048
-_SCAN_CHUNK = 64
-_BISECT_LEVELS = 6
-_MAX_HALVINGS = 200
-
-
-def _bisection_tree(a: float, b: float) -> np.ndarray:
-    """The sorted nodes of the next _BISECT_LEVELS levels of bisecting [a, b],
-    ends included; each midpoint is 0.5 * (lo + hi) of its own parent interval,
-    as a scalar bisection forms it."""
-    nodes = np.array([a, b])
-    for _ in range(_BISECT_LEVELS):
-        finer = np.empty(2 * nodes.size - 1)
-        finer[0::2] = nodes
-        finer[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-        nodes = finer
-    return nodes
-
-
-def equilibrium_R(g: freq.FrequencyDensity, K: float) -> EquilibriumResult:
-    """Largest fixed point of R = H(R) on (M/K, 1], by scan plus bisection.
-
-    psi(R) = R - H(R) is scanned on 2,048 points from R = 1 down to just
-    above M/K, in chunks of 64, 128, ... points, one array call each, up to
-    the first chunk that holds the bracket (the first point with psi = 0,
-    or psi > 0 followed by psi <= 0).  The bracket is halved at most 200
-    times, until |psi(mid)| <= 1e-11 and it is narrower than 1e-15.  One
-    array call evaluates psi on every midpoint of the next six halvings,
-    which then walk those values by sign, so the root is the one a scalar
-    bisection finds.  Returns "no solution" (found=False) when psi has no
-    sign change on the band, which is how a too-small coupling manifests.
-    The two locked-equilibrium lower bounds are evaluated on the solution.
-    """
-    if K <= 0:
-        raise ValueError("K must be positive")
-    probe_1 = equilibrium_probe(g, K, 1.0)
-    m = freq.inner_support_radius(g)
-    bound_mass = m * freq.min_density_on_inner(g)
-    if g.kind == "dirac" or g.support == 0.0:
-        return EquilibriumResult(True, 1.0, 0.0, probe_1, 1.0, True,
-                                 bound_mass, 1.0 >= bound_mass, "R = 1 (identical oscillators)")
-    lo_edge = g.support / K
-    if lo_edge >= 1.0:
-        return EquilibriumResult(
-            False, None, math.inf, probe_1, 0.0, False, bound_mass, False,
-            f"no solution: lock band (M/K, 1] empty or no sign change; H(1)={probe_1:.12g}")
-
-    def psi(R):
-        return R - freq.locked_phasor_mean(g, K * R)
-
-    grid = np.linspace(1.0, lo_edge * (1.0 + 1e-12), _SCAN_POINTS)
-    vals = np.empty(_SCAN_POINTS)
-    start, size, first = 0, _SCAN_CHUNK, None
-    while first is None and start < _SCAN_POINTS:
-        stop = min(start + size, _SCAN_POINTS)
-        vals[start:stop] = psi(grid[start:stop])
-        # the pairs (i, i + 1) this chunk completes
-        base = max(start - 1, 0)
-        v = vals[base:stop]
-        hits = np.flatnonzero((v[:-1] == 0.0) | ((v[:-1] > 0.0) & (v[1:] <= 0.0)))
-        if hits.size:
-            first = base + int(hits[0])
-        start, size = stop, 2 * size
-    if first is None:
-        return EquilibriumResult(
-            False, None, math.inf, probe_1, 0.0, False, bound_mass, False,
-            f"no solution: R - H(R) has no sign change on (M/K, 1]; H(1)={probe_1:.12g}")
-    # psi(a) <= 0 <= psi(b), a <= b
-    a, b = (grid[first], grid[first]) if vals[first] == 0.0 else (grid[first + 1], grid[first])
-    halvings, done = 0, False
-    while not done:
-        nodes = _bisection_tree(a, b)
-        psi_nodes = psi(nodes)
-        lo, hi = 0, nodes.size - 1
-        while hi - lo > 1 and not done:
-            mid = (lo + hi) // 2
-            if psi_nodes[mid] <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            halvings += 1
-            done = ((abs(psi_nodes[mid]) <= 1e-11 and nodes[hi] - nodes[lo] < 1e-15)
-                    or halvings == _MAX_HALVINGS)
-        a, b = nodes[lo], nodes[hi]
-    root = 0.5 * (a + b)
-    residual = abs(psi(root))
-    arg = g.support / (K * root)
-    bound_sqrt = math.sqrt(max(0.0, 1.0 - arg * arg))
-    return EquilibriumResult(True, root, residual, probe_1,
-                             bound_sqrt, root >= bound_sqrt - 1e-12,
-                             bound_mass, root >= bound_mass - 1e-12,
-                             f"R = {root:.12g}")
-
-
-# ---------------------------------------------------------------------------
 # hypothesis report
 
 
 @dataclass(frozen=True)
 class Check:
+    """One named inequality of a hypothesis report and its margin."""
     name: str
     group: str
     passed: bool
@@ -479,6 +360,7 @@ AMPLITUDE_FLOOR_GATE = ("initial_amplitude_positive", "growth_budget",
 
 @dataclass(frozen=True)
 class HypothesisReport:
+    """Every check of the hypothesis inequalities, with their parameters."""
     checks: tuple[Check, ...]
     params: dict
 
@@ -612,6 +494,7 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float, gamma: float,
 
 @dataclass
 class DiagnosticsRecord:
+    """The order parameters, masses, functionals and rates at one sample."""
     t: float
     R: float
     phi: float
@@ -630,6 +513,7 @@ class DiagnosticsRecord:
 
 @dataclass(frozen=True)
 class DiagnosticsConfig:
+    """The intervals whose masses and L2 functionals each sample records."""
     intervals: tuple[Interval, ...] = ()
     lambda_interval: Interval | None = None
     gamma_plus_interval: Interval | None = None

@@ -1,4 +1,4 @@
-"""Natural-frequency densities g(omega) and their quadrature rules.
+"""Natural-frequency densities g(omega), their quadrature rules and locked states.
 
 A density holds only its kind, the bound M of its support and, for a table,
 the table.  ``quadrature_nodes(g, n)`` builds an n-point rule whose weights
@@ -19,9 +19,9 @@ is linear on each segment, and int (c0 + c1 s) sqrt(1-s^2) ds has the
 elementary antiderivative (c0/2)(s sqrt(1-s^2) + asin s) - (c1/3)(1-s^2)^{3/2};
 each segment's increment is written with difference formulas, so nothing
 cancels on short segments or at large a.  The functional accepts an array
-of a and gives each element the value a scalar call gives, so an
-equilibrium solve evaluates a chunk of its scan, or several bisection
-levels, in one numpy call.
+of a and gives each element the value a scalar call gives, so
+``equilibrium_R``, which solves the locked state R = H(K R), evaluates a
+chunk of its scan, or several bisection levels, in one numpy call.
 """
 
 from __future__ import annotations
@@ -43,10 +43,12 @@ _BLOCK_ENTRIES = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class FrequencyDensity:
+    """A density g(omega) of one kind; a table holds its knots and slopes."""
     kind: str                 # "dirac" | "uniform" | "table"
     support: float            # M: g vanishes outside [-M, M]
     table_omega: np.ndarray | None = field(default=None, repr=False)
     table_density: np.ndarray | None = field(default=None, repr=False)
+    table_slope: np.ndarray | None = field(default=None, repr=False)   # per segment
 
     def __post_init__(self):
         if self.kind not in ("dirac", "uniform", "table"):
@@ -92,7 +94,8 @@ def from_table(omegas, densities) -> FrequencyDensity:
         raise ValueError(f"table density has nonzero mean {mean:.3e}; "
                          "shift to the rotating frame first")
     support = float(max(abs(om[0]), abs(om[-1])))
-    return FrequencyDensity("table", support, table_omega=om, table_density=de)
+    return FrequencyDensity("table", support, table_omega=om, table_density=de,
+                            table_slope=np.diff(de) / np.diff(om))
 
 
 def _uniform_rule(halfwidth: float, n: int) -> np.ndarray:
@@ -226,16 +229,17 @@ def locked_phasor_mean(g: FrequencyDensity, a):
         u = ell / np.maximum(ap, ell)   # min(1, ell / a), no overflow at tiny a
         out[pos] = (ap / (2.0 * ell)) * (u * np.sqrt(1.0 - u * u) + np.arcsin(u))
     else:
-        om, de = g.table_omega, g.table_density
+        om, de, slope = g.table_omega, g.table_density, g.table_slope
         step = max(1, _BLOCK_ENTRIES // (om.size - 1))
         vals = np.empty(ap.size)
         for i in range(0, ap.size, step):
-            vals[i:i + step] = _table_locked_mean(om, de, ap[i:i + step])
+            vals[i:i + step] = _table_locked_mean(om, de, slope, ap[i:i + step])
         out[pos] = vals
     return float(out) if out.ndim == 0 else out
 
 
-def _table_locked_mean(om: np.ndarray, de: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _table_locked_mean(om: np.ndarray, de: np.ndarray, slope: np.ndarray,
+                       a: np.ndarray) -> np.ndarray:
     """H(a) for a piecewise-linear table at positive a, one row per a.
 
     On the clipped segment [lo, hi] = [omega_l, omega_r] & [-a, a] the
@@ -254,7 +258,6 @@ def _table_locked_mean(om: np.ndarray, de: np.ndarray, a: np.ndarray) -> np.ndar
     """
     a = a[:, None]
     wl, wr = om[:-1], om[1:]
-    slope = np.diff(de) / np.diff(om)
     lo = np.maximum(wl, -a)
     hi = np.minimum(wr, a)
     live = lo < hi
@@ -276,3 +279,123 @@ def _table_locked_mean(om: np.ndarray, de: np.ndarray, a: np.ndarray) -> np.ndar
     dm = de[:-1] + slope * (wm - wl)
     seg = a * (dm * J0 + slope * a * (J1 - (wm / a) * J0))
     return np.where(live, seg, 0.0).sum(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# locked-equilibrium self-consistency
+
+
+@dataclass(frozen=True)
+class EquilibriumResult:
+    """The locked amplitude R for one (g, K), with its residual and bounds."""
+    found: bool
+    R: float | None
+    residual: float
+    probe_at_one: float          # H(1), handy when no solution exists
+    bound_sqrt: float            # sqrt(1 - (M/(K R))^2), 0 when not found
+    bound_sqrt_ok: bool
+    bound_mass: float            # m * min g on the inner support
+    bound_mass_ok: bool
+    message: str
+
+
+def equilibrium_probe(g: FrequencyDensity, K: float, R: float) -> float:
+    """H(R): the g-average of sqrt(1 - (omega/(K R))^2), clipped to |omega| <= K R."""
+    if K <= 0 or R <= 0:
+        raise ValueError("K and R must be positive")
+    return locked_phasor_mean(g, K * R)
+
+
+# a root near R = 1 (large K) lies in the first scan chunk
+_SCAN_POINTS = 2048
+_SCAN_CHUNK = 64
+_BISECT_LEVELS = 6
+_MAX_HALVINGS = 200
+
+
+def _bisection_tree(a: float, b: float) -> np.ndarray:
+    """The sorted nodes of the next _BISECT_LEVELS levels of bisecting [a, b],
+    ends included; each midpoint is 0.5 * (lo + hi) of its own parent interval,
+    as a scalar bisection forms it."""
+    nodes = np.array([a, b])
+    for _ in range(_BISECT_LEVELS):
+        finer = np.empty(2 * nodes.size - 1)
+        finer[0::2] = nodes
+        finer[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+        nodes = finer
+    return nodes
+
+
+def equilibrium_R(g: FrequencyDensity, K: float) -> EquilibriumResult:
+    """Largest fixed point of R = H(R) on (M/K, 1], by scan plus bisection.
+
+    psi(R) = R - H(R) is scanned on 2,048 points from R = 1 down to just
+    above M/K, in chunks of 64, 128, ... points, one array call each, up to
+    the first chunk that holds the bracket (the first point with psi = 0,
+    or psi > 0 followed by psi <= 0).  The bracket is halved at most 200
+    times, until |psi(mid)| <= 1e-11 and it is narrower than 1e-15.  One
+    array call evaluates psi on every midpoint of the next six halvings,
+    which then walk those values by sign, so the root is the one a scalar
+    bisection finds.  Returns "no solution" (found=False) when psi has no
+    sign change on the band, which is how a too-small coupling manifests.
+    The two locked-equilibrium lower bounds are evaluated on the solution.
+    """
+    if K <= 0:
+        raise ValueError("K must be positive")
+    probe_1 = equilibrium_probe(g, K, 1.0)
+    m = inner_support_radius(g)
+    bound_mass = m * min_density_on_inner(g)
+    if g.kind == "dirac" or g.support == 0.0:
+        return EquilibriumResult(True, 1.0, 0.0, probe_1, 1.0, True,
+                                 bound_mass, 1.0 >= bound_mass, "R = 1 (identical oscillators)")
+    lo_edge = g.support / K
+    if lo_edge >= 1.0:
+        return EquilibriumResult(
+            False, None, math.inf, probe_1, 0.0, False, bound_mass, False,
+            f"no solution: lock band (M/K, 1] empty or no sign change; H(1)={probe_1:.12g}")
+
+    def psi(R):
+        return R - locked_phasor_mean(g, K * R)
+
+    grid = np.linspace(1.0, lo_edge * (1.0 + 1e-12), _SCAN_POINTS)
+    vals = np.empty(_SCAN_POINTS)
+    start, size, first = 0, _SCAN_CHUNK, None
+    while first is None and start < _SCAN_POINTS:
+        stop = min(start + size, _SCAN_POINTS)
+        vals[start:stop] = psi(grid[start:stop])
+        # the pairs (i, i + 1) this chunk completes
+        base = max(start - 1, 0)
+        v = vals[base:stop]
+        hits = np.flatnonzero((v[:-1] == 0.0) | ((v[:-1] > 0.0) & (v[1:] <= 0.0)))
+        if hits.size:
+            first = base + int(hits[0])
+        start, size = stop, 2 * size
+    if first is None:
+        return EquilibriumResult(
+            False, None, math.inf, probe_1, 0.0, False, bound_mass, False,
+            f"no solution: R - H(R) has no sign change on (M/K, 1]; H(1)={probe_1:.12g}")
+    # psi(a) <= 0 <= psi(b), a <= b
+    a, b = (grid[first], grid[first]) if vals[first] == 0.0 else (grid[first + 1], grid[first])
+    halvings, done = 0, False
+    while not done:
+        nodes = _bisection_tree(a, b)
+        psi_nodes = psi(nodes)
+        lo, hi = 0, nodes.size - 1
+        while hi - lo > 1 and not done:
+            mid = (lo + hi) // 2
+            if psi_nodes[mid] <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            halvings += 1
+            done = ((abs(psi_nodes[mid]) <= 1e-11 and nodes[hi] - nodes[lo] < 1e-15)
+                    or halvings == _MAX_HALVINGS)
+        a, b = nodes[lo], nodes[hi]
+    root = 0.5 * (a + b)
+    residual = abs(psi(root))
+    arg = g.support / (K * root)
+    bound_sqrt = math.sqrt(max(0.0, 1.0 - arg * arg))
+    return EquilibriumResult(True, root, residual, probe_1,
+                             bound_sqrt, root >= bound_sqrt - 1e-12,
+                             bound_mass, root >= bound_mass - 1e-12,
+                             f"R = {root:.12g}")

@@ -40,9 +40,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .frequency import FrequencyDensity, quadrature_nodes
-from .order import TOL_R, TWO_PI, _from_phasor, global_order, phasor, rk4_path, sample_count
-
-MIN_CELLS = 16
+from .order import (MIN_CELLS, TOL_R, TWO_PI, _from_phasor, global_order, phasor, rk4_path,
+                    sample_count)
 
 
 class CflError(ValueError):
@@ -343,6 +342,7 @@ def step(state: KineticState, dt: float) -> KineticState:
 
 @dataclass
 class RunResult:
+    """The records, final state, step counts and monitors of one run."""
     records: list
     final_state: KineticState
     n_steps: int
@@ -371,9 +371,12 @@ def run(state: KineticState, t_end: float, sample_every: float,
     Steps are shortened to land on sample times and then take that time
     exactly, so the cadence and therefore the output are deterministic for a
     given configuration.  Each step's values must stay above the -1e-13 floor
-    KineticState enforces.
+    KineticState enforces.  sample_every must exceed the 1e-12 time tolerance.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
+    eps = 1e-12
+    if not sample_every > eps:
+        raise ValueError(f"sample_every must exceed the time tolerance {eps:g}")
     if not 0.0 < cfl <= 1.0:
         raise ValueError("cfl must lie in (0, 1]")
     if not dt_max > 0:
@@ -390,7 +393,6 @@ def run(state: KineticState, t_end: float, sample_every: float,
     max_total_drift = 0.0
     max_dt = 0.0
     n_steps = 0
-    eps = 1e-12
     ws = _Workspace(grid, state.n_omega)
     values, t0, t = ws.load(state.values), state.t, state.t
     z = phasor(grid, w, values)     # of the current values: drives the next step

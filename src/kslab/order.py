@@ -4,8 +4,8 @@ The amplitude R and average phase phi are the modulus and argument of the
 phasor mean of the phase distribution; phi is only meaningful when R exceeds
 TOL_R, and every phi-dependent quantity here refuses to extrapolate below
 that threshold.  The module also holds what every solver module shares:
-TWO_PI, the sample clock (``sample_count``), the classical RK4 step and the
-fixed-step RK4 path.
+TWO_PI, the smallest phase grid (MIN_CELLS), the sample clock
+(``sample_count``), the classical RK4 step and the fixed-step RK4 path.
 """
 
 from __future__ import annotations
@@ -20,9 +20,13 @@ TWO_PI = 2.0 * np.pi
 #: below this amplitude the average phase is treated as undefined
 TOL_R = 1e-12
 
+#: the fewest cells a kinetic phase grid may have
+MIN_CELLS = 16
+
 
 @dataclass(frozen=True)
 class OrderParams:
+    """Amplitude R and average phase phi of a phasor mean."""
     R: float
     phi: float          # in [0, 2*pi); 0.0 when undefined
     defined: bool       # True iff R > TOL_R

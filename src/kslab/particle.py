@@ -41,6 +41,7 @@ _SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(4, -1, 
 
 @dataclass(frozen=True, eq=False)
 class ParticleState:
+    """Phases and natural frequencies of N oscillators at coupling K and time t."""
     thetas: np.ndarray   # lifted phases, radians
     omegas: np.ndarray   # natural frequencies, frozen in time
     K: float
@@ -249,6 +250,7 @@ def trajectory_to_csv(rows: np.ndarray, path) -> None:
 
 @dataclass(frozen=True)
 class Classification:
+    """Per-oscillator sync/anti labels and whether the phases converged."""
     labels: tuple[str, ...]        # "sync" | "anti" | "undetermined" per oscillator
     converged: bool
 

@@ -374,12 +374,12 @@ def _antipodal_cardinality(cache, failures, details):
 def _equilibrium_self_consistency(cache, failures, details):
     t0 = time.perf_counter()
     g = freq.uniform(1.0)
-    probe = diag.equilibrium_probe(g, K=1.0, R=1.0)
+    probe = freq.equilibrium_probe(g, K=1.0, R=1.0)
     _check(failures, abs(probe - math.pi / 4.0) <= 1e-10,
            f"H(1) = {probe!r} differs from pi/4")
-    res_k1 = diag.equilibrium_R(g, K=1.0)
+    res_k1 = freq.equilibrium_R(g, K=1.0)
     _check(failures, not res_k1.found, "spurious equilibrium found at K=1")
-    res = diag.equilibrium_R(g, K=5.0)
+    res = freq.equilibrium_R(g, K=5.0)
     _check(failures, res.found, "no equilibrium found at K=5")
     if res.found:
         _check(failures, res.residual <= 1e-10,

@@ -12,6 +12,7 @@ import pytest
 import kslab
 from kslab import cli, kinetic, particle
 from kslab import diagnostics as diag
+from kslab import frequency as freq
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -93,6 +94,14 @@ def test_simulate_rejects_small_grid(tmp_path):
     cfg = write_config(tmp_path, n_theta=8)
     assert cli.main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 2
+
+
+def test_simulate_rejects_sample_interval_within_time_tolerance(tmp_path, capsys):
+    # the kinetic run used to take no step yet record every sample
+    cfg = write_config(tmp_path, t_end=1e-11, sample_every=1e-12)
+    assert cli.main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 2
+    assert "time tolerance" in capsys.readouterr().err
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -283,16 +292,55 @@ def test_cli_import_leaves_scipy_out():
     assert done.stdout.strip() == "[]"
 
 
+#: the kslab modules that importing kslab.cli loads, and all that equilibrium loads
+CLI_IMPORT_MODULES = {"kslab", "kslab.cli", "kslab.files", "kslab.frequency", "kslab.order"}
+
+
 def test_cli_import_leaves_command_only_modules_out():
-    # verify, the process pool and numpy.polynomial load with the commands that use them
+    # the solver modules, verify, the process pool and numpy.polynomial load
+    # with the commands that use them
     code = "import sys, kslab.cli; print(*sorted(sys.modules))"
     done = subprocess.run([sys.executable, "-c", code], env=src_env(),
                           capture_output=True, text=True, check=True)
     loaded = done.stdout.split()
-    assert "kslab.cli" in loaded
-    assert [m for m in loaded if m == "kslab.verify" or m.split(".")[0] == "multiprocessing"
+    assert {m for m in loaded if m.split(".")[0] == "kslab"} == CLI_IMPORT_MODULES
+    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"
             or m == "concurrent.futures.process"
             or m.startswith("numpy.polynomial")] == []
+
+
+@pytest.mark.parametrize("command, leaves_out", [
+    ("equilibrium", {"kslab.kinetic", "kslab.particle", "kslab.diagnostics", "kslab.verify"}),
+    ("simulate-particle", {"kslab.diagnostics", "kslab.verify"}),
+    ("simulate-kinetic", {"kslab.particle", "kslab.verify"}),
+    ("characteristics", {"kslab.particle", "kslab.diagnostics", "kslab.verify"})])
+def test_command_loads_only_the_modules_it_runs(tmp_path, command, leaves_out):
+    # each run is a fresh process, so sys.modules after main shows what the command loaded;
+    # an empty diagnostics section loads no diagnostics module
+    if command == "characteristics":
+        series = tmp_path / "trajectory.csv"
+        series.write_text("t,R,phi\n0,0.2,0\n1,0.3,0.1\n2,0.4,0.2\n")
+        argv = ["characteristics", "--series", str(series), "--coupling", "1", "--theta0",
+                "2.5", "--omega0", "0", "--t0", "0", "--t1", "1.5"]
+    elif command == "equilibrium":
+        argv = ["equilibrium", "--config", str(write_config(
+            tmp_path, frequency={"kind": "uniform", "halfwidth": 1.0}, coupling=[1.0, 5.0],
+            diagnostics={}))]
+    else:
+        # the kinetic run keeps write_config's diagnostics section
+        model = command.split("-")[1]
+        extra = {"diagnostics": {}} if model == "particle" else {}
+        argv = ["simulate", "--config", str(write_config(
+            tmp_path, model=model, t_end=0.2, n_particles=50, **extra))]
+    code = ("import sys, kslab.cli; code = kslab.cli.main(sys.argv[1:]); "
+            "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'kslab'))")
+    done = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path / "out")],
+                          env=src_env(), capture_output=True, text=True, check=True)
+    code, *loaded = done.stdout.splitlines()[-1].split()
+    assert code == "0", done.stderr
+    assert CLI_IMPORT_MODULES <= set(loaded) and not leaves_out & set(loaded)
+    if command == "equilibrium":
+        assert set(loaded) == CLI_IMPORT_MODULES
 
 
 def test_module_run_gives_no_runtime_warning(tmp_path):
@@ -756,9 +804,9 @@ def test_equilibrium_csv_cells(tmp_path):
     assert header == ("K,R,residual,H_at_1,bound_sqrt_margin,bound_sqrt_ok,"
                       "bound_mass_margin,bound_mass_ok")
     g = cli.build_frequency(cli.validate_config(json.loads(path.read_text())))
-    res = diag.equilibrium_R(g, 1.0)
+    res = freq.equilibrium_R(g, 1.0)
     assert none == f"1,no solution,nan,{res.probe_at_one:.17g},nan,0,nan,0"
-    res = diag.equilibrium_R(g, 5.0)
+    res = freq.equilibrium_R(g, 5.0)
     assert found.split(",") == [
         format(x, ".17g") for x in (5.0, res.R, res.residual, res.probe_at_one,
                                     res.R - res.bound_sqrt)] + ["1"] + [

@@ -399,18 +399,18 @@ def test_barrier_crossing_time_below_bound():
 
 def test_equilibrium_dirac_is_unity():
     for K in (0.5, 1.0, 10.0):
-        res = diag.equilibrium_R(freq.dirac_at_zero(), K)
+        res = freq.equilibrium_R(freq.dirac_at_zero(), K)
         assert res.found and res.R == 1.0 and res.residual == 0.0
 
 
 def test_equilibrium_probe_quarter_circle():
     g = freq.uniform(1.0)
-    assert diag.equilibrium_probe(g, 1.0, 1.0) == pytest.approx(math.pi / 4.0,
+    assert freq.equilibrium_probe(g, 1.0, 1.0) == pytest.approx(math.pi / 4.0,
                                                                 abs=1e-12)
 
 
 def test_equilibrium_no_solution_at_small_coupling():
-    res = diag.equilibrium_R(freq.uniform(1.0), 1.0)
+    res = freq.equilibrium_R(freq.uniform(1.0), 1.0)
     assert not res.found
     assert "no solution" in res.message
     assert res.probe_at_one == pytest.approx(math.pi / 4.0, abs=1e-12)
@@ -419,7 +419,7 @@ def test_equilibrium_no_solution_at_small_coupling():
 def test_equilibrium_fixed_point_against_brentq_oracle():
     g = freq.uniform(1.0)
     K = 5.0
-    res = diag.equilibrium_R(g, K)
+    res = freq.equilibrium_R(g, K)
     assert res.found
     assert res.residual <= 1e-10
     assert res.R >= 0.5
@@ -438,7 +438,7 @@ def test_equilibrium_fixed_point_against_brentq_oracle():
 def test_equilibrium_table_density():
     om = np.linspace(-0.5, 0.5, 41)
     g = freq.from_table(om, 1.0 - np.abs(om) / 0.5)
-    res = diag.equilibrium_R(g, K=4.0)
+    res = freq.equilibrium_R(g, K=4.0)
     assert res.found
     assert res.residual <= 1e-10
     assert res.bound_sqrt_ok
@@ -498,7 +498,7 @@ def test_equilibrium_matches_reference_search(g, K):
     probe_1 = freq.locked_phasor_mean(g, K)
     bound_mass = freq.inner_support_radius(g) * freq.min_density_on_inner(g)
     found = _reference_root_search(g, K) if g.support < K else None
-    res = diag.equilibrium_R(g, K)
+    res = freq.equilibrium_R(g, K)
     if found is None:
         assert not res.found and "no solution" in res.message
         assert (res.R, res.residual, res.probe_at_one, res.bound_sqrt, res.bound_sqrt_ok,
@@ -508,7 +508,7 @@ def test_equilibrium_matches_reference_search(g, K):
     root, residual = found
     arg = g.support / (K * root)
     bound_sqrt = math.sqrt(max(0.0, 1.0 - arg * arg))
-    assert res == diag.EquilibriumResult(
+    assert res == freq.EquilibriumResult(
         True, root, residual, probe_1, bound_sqrt, root >= bound_sqrt - 1e-12,
         bound_mass, root >= bound_mass - 1e-12, f"R = {root:.12g}")
 
@@ -522,11 +522,11 @@ def test_equilibrium_call_count(monkeypatch):
         return inner(g, a)
 
     monkeypatch.setattr(freq, "locked_phasor_mean", counted)
-    assert diag.equilibrium_R(_triangle(5), 4.0).found
+    assert freq.equilibrium_R(_triangle(5), 4.0).found
     assert len(sizes) <= 12
     sizes.clear()
     # with no sign change the scan still evaluates every point, after H(1)
-    assert not diag.equilibrium_R(freq.uniform(1.0), 1.2).found
+    assert not freq.equilibrium_R(freq.uniform(1.0), 1.2).found
     assert sum(sizes) == 1 + 2048
 
 

@@ -433,11 +433,15 @@ def test_sampler_gets_each_state_with_its_order_parameters():
     assert res.final_state is calls[-1][0]
 
 
-def test_run_sample_intervals_below_time_tolerance_take_no_step():
+def test_run_rejects_sample_intervals_within_time_tolerance():
+    # such a run used to take no step yet stamp its samples with their times
     st = dirac_state(64, kinetic.cosine_profile(0.2))
-    res = kinetic.run(st, 1e-12, 1e-13, sampler=lambda s, op: s.t)
-    assert res.n_steps == 0 and len(res.records) == 11
-    assert res.max_slice_mass_drift_rel == res.max_total_mass_drift == 0.0
+    for sample_every in (1e-13, 1e-12):
+        with pytest.raises(ValueError, match="time tolerance"):
+            kinetic.run(st, 10 * sample_every, sample_every)
+    res = kinetic.run(st, 2e-11, 2e-12, sampler=lambda s, op: s.t)
+    assert res.n_steps == 10 and res.records[-1] == res.final_state.t
+    assert res.final_state.t == pytest.approx(2e-11, rel=1e-12)
 
 
 def test_run_is_deterministic():
