@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
@@ -194,27 +195,33 @@ def _read_columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
     other columns are ignored.  Blank lines are skipped.  Raises ValueError,
     naming the path, for a missing or repeated column, no data rows, a row
     shorter than the header, or a cell that is not a finite number.
+
+    The header is read by ``csv``, the data rows by one ``np.loadtxt`` pass
+    under the same quoting: a '#' starts no comment, every header column
+    must be present (an ignored one reads as 0.0) and longer rows pass.
     """
     with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    header = [h.strip().lower() for h in rows[0]] if rows else []
-    for name in names:
-        if header.count(name.lower()) != 1:
-            raise ValueError(f"{path}: needs one header column named {name!r} "
-                             f"(columns {', '.join(names)})")
-    if len(rows) < 2:
-        raise ValueError(f"{path}: no data rows")
-    for i, row in enumerate(rows[1:], start=1):
-        if len(row) < len(header):
-            raise ValueError(f"{path}: data row {i} has {len(row)} fields, "
-                             f"the header has {len(header)}")
-    columns = []
-    for name in names:
-        j = header.index(name.lower())
+        header = [h.strip().lower() for h in next((r for r in csv.reader(fh) if r), [])]
+        for name in names:
+            if header.count(name.lower()) != 1:
+                raise ValueError(f"{path}: needs one header column named {name!r} "
+                                 f"(columns {', '.join(names)})")
+        # csv skips only empty lines; a line of spaces is a (short) row
+        first = next((line for line in fh if line.strip("\r\n")), None)
+        if first is None:
+            raise ValueError(f"{path}: no data rows")
+        wanted = [header.index(name.lower()) for name in names]
         try:
-            col = np.array([row[j] for row in rows[1:]], dtype=float)
+            table = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                               quotechar='"', comments=None, ndmin=2,
+                               usecols=range(len(header)),
+                               converters=dict.fromkeys(set(range(len(header))) - set(wanted),
+                                                        lambda cell: 0.0))
         except ValueError as exc:
-            raise ValueError(f"{path}: column {name!r}: {exc}") from None
+            raise ValueError(f"{path}: {exc}") from None
+    columns = []
+    for name, j in zip(names, wanted):
+        col = np.ascontiguousarray(table[:, j])
         if not np.all(np.isfinite(col)):
             raise ValueError(f"{path}: column {name!r} has a non-finite value")
         columns.append(col)

@@ -53,7 +53,7 @@ class CflError(ValueError):
 
 
 class FluxNanError(FloatingPointError):
-    """A non-finite flux appeared during a step."""
+    """A non-finite flux or cell value appeared during a step."""
 
     def __init__(self, slice_index: int, cell_index: int, t: float):
         self.slice_index = slice_index
@@ -67,6 +67,7 @@ class PhaseGrid:
     """Uniform periodic grid on [0, 2*pi) with cell centers (j + 1/2) dtheta."""
 
     n_theta: int
+    dtheta: float = field(init=False, repr=False)  # 2 pi / n_theta
     centers: np.ndarray = field(init=False, repr=False)
     trig_centers: np.ndarray = field(init=False, repr=False)  # (n_theta, 2): cos, sin
     trig_edges: np.ndarray = field(init=False, repr=False)    # (n_theta, 2): sin, cos at j dtheta
@@ -77,15 +78,12 @@ class PhaseGrid:
         dth = TWO_PI / self.n_theta
         centers = (np.arange(self.n_theta) + 0.5) * dth
         edges = np.arange(self.n_theta) * dth
+        object.__setattr__(self, "dtheta", dth)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "trig_centers",
                            np.column_stack([np.cos(centers), np.sin(centers)]))
         object.__setattr__(self, "trig_edges",
                            np.column_stack([np.sin(edges), np.cos(edges)]))
-
-    @property
-    def dtheta(self) -> float:
-        return TWO_PI / self.n_theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +120,7 @@ class KineticState:
 
     def marginal_density(self) -> np.ndarray:
         """Theta marginal rho(theta) on cell centers."""
-        return self.weights @ self.values
+        return np.dot(self.weights, self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +227,10 @@ def _edge_velocity(state: KineticState, z: complex, trig_edges: np.ndarray,
     phasor z = R exp(i phi), into out, at the edges theta_j whose (sin, cos)
     are the rows of trig_edges: no trig call.  Just omega_k unless
     |z| > TOL_R, so a NaN in one slice leaves the others' fluxes finite."""
-    np.copyto(out, state.omega[:, None])
     if state.K != 0.0 and abs(z) > TOL_R:
-        np.subtract(out, trig_edges @ (state.K * z.real, -state.K * z.imag), out=out)
+        return np.subtract(state.omega[:, None],
+                           trig_edges @ (state.K * z.real, -state.K * z.imag), out=out)
+    np.copyto(out, state.omega[:, None])
     return out
 
 
@@ -280,10 +279,9 @@ class _Workspace:
         self.bufs[0].inner[...] = values
         return self.bufs[0].inner
 
-    def stage(self, state: KineticState, src, dst, dt: float, z: complex,
-              t: float) -> None:
-        """Forward-Euler stage from src to dst at time t; a FluxNanError names
-        the first non-finite value, else the first non-finite flux."""
+    def stage(self, state: KineticState, src, dst, dt: float, z: complex) -> None:
+        """Forward-Euler stage from src to dst; it leaves the fluxes in
+        self.flux and checks nothing (see ``raise_flux_nan``)."""
         d, s, h, face, up = self.diff, self.slope, self.half, self.face, self.upwind_right
         np.copyto(src.ghosts, src.seam)
         _edge_velocity(state, z, self.trig, self.vel.a)
@@ -298,26 +296,38 @@ class _Workspace:
         np.less(self.vel.head, 0.0, out=up)                     # column p's right face
         np.subtract(src.tail, h.tail, out=face.head, where=up)  # or p + 1's left face
         np.multiply(self.vel.f, face.f, out=d.f)
-        # a non-finite interior flux makes the sum non-finite; junk alone may too
-        if not math.isfinite(np.add.reduce(d.f)) and not np.isfinite(self.flux).all():
-            bad = ~np.isfinite(src.inner)
-            k, j = np.argwhere(bad if bad.any() else ~np.isfinite(self.flux))[0]
-            raise FluxNanError(int(k), int(j), t)
         np.subtract(d.tail, d.head, out=h.tail)
         np.multiply(h.f, dt / self.dtheta, out=h.f)
         np.subtract(src.f, h.f, out=dst.f)
 
-    def advance(self, state: KineticState, t: float, dt: float,
-                z0: complex) -> np.ndarray:
+    def advance(self, state: KineticState, dt: float, z0: complex) -> np.ndarray:
         """One SSP-RK2 step of the loaded values; returns a view of the result,
         which the next advance overwrites."""
         u0, u1, u2 = self.bufs
-        self.stage(state, u0, u1, dt, z0, t)
-        self.stage(state, u1, u2, dt, phasor(state.grid, state.weights, u1.inner), t)
+        self.stage(state, u0, u1, dt, z0)
+        self.stage(state, u1, u2, dt, phasor(state.grid, state.weights, u1.inner))
         np.add(u0.f, u2.f, out=u2.f)
         np.multiply(u2.f, 0.5, out=u2.f)
         self.bufs = [u2, u0, u1]
         return u2.inner
+
+    def raise_flux_nan(self, state: KineticState, t: float, dt: float, z0: complex,
+                       values: np.ndarray):
+        """Raise the FluxNanError of the step that `advance` just took from t
+        to the non-finite values.  Its two stages run again from the start
+        values, which advance keeps; the first with a non-finite flux names
+        its first non-finite value, else that flux, at t.  If neither has one,
+        the first non-finite cell of values is named at t + dt."""
+        k, j = np.argwhere(~np.isfinite(values))[0]     # the rerun overwrites values
+        u2, u0, u1 = self.bufs
+        for src, dst in ((u0, u1), (u1, u2)):
+            z = z0 if src is u0 else phasor(state.grid, state.weights, src.inner)
+            self.stage(state, src, dst, dt, z)
+            if not np.isfinite(self.flux).all():
+                bad = ~np.isfinite(src.inner)
+                k, j = np.argwhere(bad if bad.any() else ~np.isfinite(self.flux))[0]
+                raise FluxNanError(int(k), int(j), t)
+        raise FluxNanError(int(k), int(j), t + dt)
 
 
 @lru_cache(maxsize=8)
@@ -336,8 +346,19 @@ def step(state: KineticState, dt: float) -> KineticState:
         raise CflError(dt, admissible)
     ws = _shared_workspace(state.n_omega, state.grid.n_theta)
     ws.load(state.values)
-    return replace(state, values=ws.advance(state, state.t, dt, z).copy(),
-                   t=state.t + dt)
+    values = ws.advance(state, dt, z)
+    if not (math.isfinite(values.min()) and math.isfinite(values.sum())):
+        ws.raise_flux_nan(state, state.t, dt, z, values)
+    return replace(state, values=values.copy(), t=state.t + dt)
+
+
+def _checked_state(state: KineticState, values: np.ndarray, t: float) -> KineticState:
+    """state with values and t replaced, built without the scan of
+    ``KineticState.__post_init__``: for values a run's per-step checks
+    have already passed."""
+    new = object.__new__(KineticState)
+    new.__dict__.update(vars(state), values=values, t=t)
+    return new
 
 
 @dataclass
@@ -371,7 +392,8 @@ def run(state: KineticState, t_end: float, sample_every: float,
     Steps are shortened to land on sample times and then take that time
     exactly, so the cadence and therefore the output are deterministic for a
     given configuration.  Each step's values must stay above the -1e-13 floor
-    KineticState enforces.  sample_every must exceed the 1e-12 time tolerance.
+    KineticState enforces, and a non-finite one raises FluxNanError
+    (``_Workspace.raise_flux_nan``).  sample_every must exceed the 1e-12 time tolerance.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     eps = 1e-12
@@ -406,15 +428,22 @@ def run(state: KineticState, t_end: float, sample_every: float,
         t_stop = min(t_sample, t_end)
         while t < t_stop - eps:
             dt = min(_cfl_step(state, omega_max, R, cfl, dt_max), t_stop - t)
-            values = ws.advance(state, t, dt, z)
+            values = ws.advance(state, dt, z)
+            low, mass = float(values.min()), values.sum(axis=1) * grid.dtheta
+            total = float(w @ mass)
+            # a non-finite cell makes the min NaN or -inf, or a slice mass and so
+            # the total NaN or +inf
+            if not (math.isfinite(low) and math.isfinite(total)):
+                ws.raise_flux_nan(state, t, dt, z, values)
             t += dt
             n_steps += 1
             max_dt = max(max_dt, dt)
 
-            min_value = min(min_value, float(values.min()))
+            min_value = min(min_value, low)
             if min_value < -1e-13:
                 raise ValueError("cell averages must be nonnegative (within roundoff)")
-            masses.append(values.sum(axis=1) * grid.dtheta)
+            masses.append(mass)
+            max_total_drift = max(max_total_drift, abs(total - total0))
             z = phasor(grid, w, values)
             min_dR = min(min_dR, abs(z) - R)
             R = abs(z)
@@ -423,9 +452,8 @@ def run(state: KineticState, t_end: float, sample_every: float,
         # an interval shorter than eps takes no step and adds no drift
         drift_rel = np.abs(np.array(masses or [m0]) - m0) / m0_safe
         max_drift_rel = max(max_drift_rel, float(drift_rel.max()))
-        max_total_drift = max([max_total_drift] + [abs(float(w @ m) - total0) for m in masses])
         masses.clear()
-        state = replace(state, values=values.copy(), t=t)
+        state = _checked_state(state, values.copy(), t)
         if sampler is not None:
             records.append(sampler(state, _from_phasor(z)))
 

@@ -83,7 +83,9 @@ def rk4_path(f, t0: float, y0, h: float, n: int, project=None):
 
 def phasor(grid, weights: np.ndarray, values: np.ndarray) -> complex:
     """sum_k weights[k] * midpoint integral of values[k] exp(i theta)."""
-    return complex(*(weights @ (values @ grid.trig_centers) * grid.dtheta).tolist())
+    # a 1-d by 2-d product, here, in _rates and in KineticState.marginal_density,
+    # is np.dot: the bits of @ (1 to 32 slices), at a fraction of its call cost
+    return complex(*(np.dot(weights, values @ grid.trig_centers) * grid.dtheta).tolist())
 
 
 def global_order(state) -> OrderParams:
@@ -102,7 +104,7 @@ def _rates(state, op: OrderParams, rho: np.ndarray) -> tuple[float, float]:
     cs = state.grid.trig_centers @ np.array([[cp, -sp], [sp, cp]])
     c, s = cs[:, 0], cs[:, 1]
     dth = state.grid.dtheta
-    drift_c, drift_s = (state.weights * state.omega) @ (state.values @ cs) * dth
+    drift_c, drift_s = np.dot(state.weights * state.omega, state.values @ cs) * dth
     rdot = -drift_s + state.K * op.R * float(rho @ (s * s)) * dth
     phidot = drift_c / op.R - state.K * float(rho @ (s * c)) * dth
     return float(rdot), float(phidot)

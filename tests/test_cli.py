@@ -552,6 +552,16 @@ BAD_TABLES = {
     "abc": lambda cols, rows: csv_text(cols, [rows[0], ["abc"] + rows[1][1:], rows[2]]),
     "nan": lambda cols, rows: csv_text(cols, [rows[0], rows[1][:-1] + ["nan"], rows[2]]),
     "missing column": lambda cols, rows: csv_text(cols[:-1], [r[:-1] for r in rows]),
+    # blank lines are skipped, so a header followed by blank lines has no data rows
+    "blank lines only": lambda cols, rows: csv_text(cols, []) + "\n\n",
+    # a row shorter than the header fails even where it lacks only an ignored column
+    "short ignored column": lambda cols, rows: csv_text(
+        cols + ["note"], [rows[0] + ["x"], rows[1], rows[2] + ["x"]]),
+    # a line holding only spaces is a one-field row, not a blank line
+    "whitespace line": lambda cols, rows: csv_text(cols, [rows[0], [" "], rows[1], rows[2]]),
+    # '#' starts no comment: the cell is not a number
+    "hash in cell": lambda cols, rows: csv_text(
+        cols, [rows[0], rows[1][:-1] + [f"{rows[1][-1]}#1"], rows[2]]),
 }
 
 
@@ -574,6 +584,32 @@ def test_input_table_columns_match_by_name(tmp_path, kind):
     shuffled = csv_text([f" {c.upper()} " for c in columns[::-1]] + ["note"],
                         [r[::-1] + ["x"] for r in rows])
     code, _, out2 = run_with_table(tmp_path / "shuffled", kind, shuffled)
+    assert code == 0
+    assert (out / written).read_bytes() == (out2 / written).read_bytes()
+
+
+def _csv_lines(columns, rows):
+    return [",".join(map(str, line)) for line in [columns] + rows]
+
+
+# layouts that read as the plain table
+GOOD_TABLES = {
+    "crlf": lambda cols, rows: "\r\n".join(_csv_lines(cols, rows)) + "\r\n",
+    "blank lines": lambda cols, rows: "\n\n" + "\n\n".join(_csv_lines(cols, rows)) + "\n",
+    "quoted number": lambda cols, rows: csv_text(
+        cols, [[f'"{rows[0][0]}"'] + rows[0][1:]] + rows[1:]),
+    "quoted comma": lambda cols, rows: csv_text(cols + ["note"], [r + ['"a,b"'] for r in rows]),
+    "longer row": lambda cols, rows: csv_text(cols, [rows[0] + [7, "x"]] + rows[1:]),
+}
+
+
+@pytest.mark.parametrize("layout", GOOD_TABLES)
+@pytest.mark.parametrize("kind", TABLES)
+def test_input_table_layouts_read_as_the_plain_table(tmp_path, kind, layout):
+    columns, rows, written = TABLES[kind]
+    code, _, out = run_with_table(tmp_path / "plain", kind, csv_text(columns, rows))
+    assert code == 0
+    code, _, out2 = run_with_table(tmp_path / "layout", kind, GOOD_TABLES[layout](columns, rows))
     assert code == 0
     assert (out / written).read_bytes() == (out2 / written).read_bytes()
 

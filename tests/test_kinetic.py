@@ -137,7 +137,7 @@ def kernel_stage(state, values, dt):
     """One forward-Euler stage of the solver's kernel from values at state.t."""
     ws = kinetic._Workspace(state.grid, state.n_omega)
     z = order.phasor(state.grid, state.weights, ws.load(values))
-    ws.stage(state, ws.bufs[0], ws.bufs[1], dt, z, state.t)
+    ws.stage(state, ws.bufs[0], ws.bufs[1], dt, z)
     return ws.bufs[1].inner.copy()
 
 
@@ -290,8 +290,8 @@ def test_run_checks_positivity_each_step(monkeypatch):
     advance = kinetic._Workspace.advance
 
     def dip(depth):
-        def dipped(ws, state, t, dt, z):
-            out = advance(ws, state, t, dt, z)
+        def dipped(ws, *args):
+            out = advance(ws, *args)
             out[0, 3] = -depth
             return out
         return dipped
@@ -301,6 +301,90 @@ def test_run_checks_positivity_each_step(monkeypatch):
     monkeypatch.setattr(kinetic._Workspace, "advance", dip(1e-12))
     with pytest.raises(ValueError, match="nonnegative"):
         kinetic.run(st, 0.5, 0.25)
+
+
+def two_slice_state(k, j, value):
+    """A 2-slice state on 32 cells whose cell (k, j) holds value, set after
+    the state is built (its own check rejects a -inf cell)."""
+    grid = kinetic.PhaseGrid(32)
+    st = kinetic.KineticState(grid, np.array([-0.1, 0.1]), np.full(2, 0.5),
+                              np.full((2, 32), 1.0 / TWO_PI), K=1.0)
+    st.values[k, j] = value
+    return st
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("k, j", [(0, 0), (0, 31), (1, 0), (1, 5), (1, 31)])
+def test_run_names_a_non_finite_start_cell(k, j, value):
+    # an infinite cell makes inf - inf on the way, which numpy warns about
+    with np.errstate(invalid="ignore"), pytest.raises(kinetic.FluxNanError) as err:
+        kinetic.run(two_slice_state(k, j, value), 0.5, 0.25)
+    assert (err.value.slice_index, err.value.cell_index) == (k, j)
+    assert str(err.value).endswith(", t=0")
+
+
+def nan_at_call(n, cell=(0, 3)):
+    """An advance that puts a NaN into cell of the result of its n-th call
+    and records the step length of each call."""
+    advance, calls = kinetic._Workspace.advance, []
+
+    def advanced(ws, *args):            # args end with dt, z
+        out = advance(ws, *args)
+        calls.append(args[-2])
+        if len(calls) == n:
+            out[cell] = math.nan
+        return out
+    return advanced, calls
+
+
+def test_run_names_a_nan_that_appears_mid_run(monkeypatch):
+    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    advanced, calls = nan_at_call(3)
+    monkeypatch.setattr(kinetic._Workspace, "advance", advanced)
+    with pytest.raises(kinetic.FluxNanError) as err:
+        kinetic.run(st, 2.0, 1.0)
+    assert (err.value.slice_index, err.value.cell_index) == (0, 3)
+    # the third step ends inside the first sample interval, at the sum of the three steps
+    assert sum(calls[:3]) < 1.0
+    assert str(err.value).endswith(f", t={sum(calls[:3]):.6g}")
+
+
+def test_run_names_a_nan_in_its_last_step(monkeypatch):
+    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    n_steps = kinetic.run(st, 0.5, 0.25).n_steps
+    advanced, calls = nan_at_call(n_steps, cell=(0, 63))
+    monkeypatch.setattr(kinetic._Workspace, "advance", advanced)
+    with pytest.raises(kinetic.FluxNanError) as err:
+        kinetic.run(st, 0.5, 0.25)
+    assert (err.value.slice_index, err.value.cell_index) == (0, 63)
+    assert len(calls) == n_steps
+
+
+def test_state_rejects_a_negative_cell():
+    grid = kinetic.PhaseGrid(32)
+    values = np.full((1, 32), 1.0 / TWO_PI)
+    values[0, 7] = -1e-12
+    with pytest.raises(ValueError, match="nonnegative"):
+        kinetic.KineticState(grid, np.zeros(1), np.ones(1), values, K=1.0)
+
+
+def test_sampler_gets_the_run_values_at_each_sample_time(monkeypatch):
+    st = uniform_state(n_theta=64, n_omega=3, K=2.0)
+    samples = []
+    with monkeypatch.context() as m:
+        # the run's own per-step checks stand in for the state's full scan
+        m.setattr(kinetic.KineticState, "__post_init__", lambda self: pytest.fail("rescan"))
+        res = kinetic.run(st, 0.75, 0.25, sampler=lambda s, op: samples.append(s) or s.t)
+    assert res.records == [0.0, 0.25, 0.5, 0.75]
+    assert samples[-1] is res.final_state
+    for i, s in enumerate(samples[1:], start=1):
+        alone = kinetic.run(st, 0.25 * i, 0.25).final_state
+        assert s.t == alone.t == 0.25 * i
+        assert np.array_equal(s.values, alone.values)
+        assert s.grid is st.grid and s.omega is st.omega and s.weights is st.weights
+        assert s.K == st.K
+    for a, b in zip(samples, samples[1:]):
+        assert not np.shares_memory(a.values, b.values)
 
 
 def oracle_stage(state, values, dt, z):

@@ -491,3 +491,49 @@ def test_sample_phases_follows_profile():
     assert np.mean(np.cos(th)) == pytest.approx(0.4, abs=0.02)
     again = particle.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
     np.testing.assert_array_equal(th, again)
+
+
+class CappedRng:
+    """A generator whose uniform draws stop, with an error, after cap values."""
+
+    def __init__(self, seed, cap):
+        self.rng, self.left = np.random.default_rng(seed), cap
+
+    def uniform(self, low, high, size):
+        self.left -= size
+        if self.left < 0:
+            raise RuntimeError("too many draws")
+        return self.rng.uniform(low, high, size)
+
+
+def test_sample_phases_inverts_a_spike_table():
+    # nearly all the mass sits on [1, 1.000002]: rejection under the peak
+    # accepts 1.6e-7 of its candidates, inverting the CDF takes n draws
+    knots, heights = [0.0, 1.0, 1.000001, 1.000002, 3.0], [0.0, 0.0, 1.0, 0.0, 0.0]
+    profile = kinetic.table_profile(knots, heights)
+    n = 20000
+    th = particle.sample_phases(profile, 1.0, n, CappedRng(5, 4 * n))
+    assert th.shape == (n,)
+    assert np.all((th >= 1.0) & (th <= 1.000002))
+    # the table's CDF at its knots is 0, 0, 1/2, 1, 1
+    cdf = np.array([np.mean(th <= x) for x in knots])
+    assert np.max(np.abs(cdf - [0.0, 0.0, 0.5, 1.0, 1.0])) <= 5.0 * math.sqrt(0.25 / n), cdf
+
+
+def test_sample_phases_follows_a_table_cdf():
+    # a table whose first knot lies above 0, so one segment wraps through 0:
+    # the share of phases in [knots[0], x] is the trapezoid mass there
+    knots = np.array([0.5, 1.5, 2.0, 4.0, 6.0])
+    heights = np.array([1.0, 3.0, 0.0, 2.0, 0.25])
+    profile = kinetic.table_profile(knots, heights)
+    n = 200000
+    th = particle.sample_phases(profile, 3.0, n, np.random.default_rng(9))
+    assert np.all((th >= 0.0) & (th < TWO_PI))
+    x = np.append(knots, knots[0] + TWO_PI)
+    y = np.append(heights, heights[0])
+    mass = np.concatenate([[0.0], np.cumsum(np.diff(x) * 0.5 * (y[:-1] + y[1:]))])
+    cdf = mass[:-1] / mass[-1]
+    emp = np.array([np.mean((th >= knots[0]) & (th <= v)) for v in knots])
+    assert np.max(np.abs(emp - cdf)) <= 5.0 * math.sqrt(0.25 / n), (emp, cdf)
+    again = particle.sample_phases(profile, 3.0, n, np.random.default_rng(9))
+    np.testing.assert_array_equal(th, again)
