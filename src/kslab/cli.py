@@ -357,23 +357,25 @@ def _run_particle(cfg: dict, K: float, out: Path, seed: int,
                   g: freq.FrequencyDensity, profile) -> dict:
     from . import particle
     n, icfg = cfg["n_particles"], cfg["initial"]
-    # sample_phases needs a bound on the profile: 1.05 times its maximum on a
-    # grid, or its exact peak where a grid misses a narrow one.  A cosine or
-    # von Mises profile peaks at its centre or the antipode, a piecewise-linear
-    # table at a knot (the first argument of its partial).
-    th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    peaks = (profile.args[0] if icfg["preset"] == "table"
-             else icfg["center"] + np.array([0.0, np.pi]))
-    bound = max(float(np.max(profile(th))) * 1.05, float(np.max(profile(peaks))))
+    # sample_phases draws a table by inverting its CDF, and a cosine or von
+    # Mises profile by rejection under a bound: 1.05 times its maximum on a
+    # grid, or its exact peak, at its centre or the antipode, if that is larger
+    bound = None
+    if icfg["preset"] != "table":
+        th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        peaks = icfg["center"] + np.array([0.0, np.pi])
+        bound = max(float(np.max(profile(th))) * 1.05, float(np.max(profile(peaks))))
     rng = np.random.default_rng(seed)
     thetas = particle.sample_phases(profile, bound, n, rng)
     omegas = freq.sample(g, n, seed=seed + 1)
     state = particle.ParticleState(thetas, omegas, K=K)
-    rows = particle.run_particles(state, cfg["t_end"], cfg["dt_particle"],
-                                  cfg["sample_every"])
+    t_end, dt, sample_every = cfg["t_end"], cfg["dt_particle"], cfg["sample_every"]
+    n_samples, per, dt_taken, rotates = particle.step_plan(state, t_end, dt, sample_every)
+    rows = particle.run_particles(state, t_end, dt, sample_every)
     particle.trajectory_to_csv(rows, out / "particles.csv")
     _, r, phi, diameter, potential = rows[-1]
     return {"model": "particle", "K": K, "n_particles": n,
+            "n_steps": n_samples * per, "dt": dt_taken, "rotates": rotates,
             "final_r": float(r), "final_phi": float(phi),
             "final_diameter": float(diameter), "final_potential": float(potential)}
 

@@ -8,13 +8,18 @@ Everything that needs the phasor mean z = (1/N) sum exp(i theta) takes it,
 together with the arrays cos theta and sin theta, from one pass over the
 phases (``_phasor``; ``_drift``, per system in a batch), and the drift
 omega - K (sin theta Re z - cos theta Im z) needs no further trig call.
-One RK4 step (``_mean_field_step``) takes cos theta and sin theta once, at
-the step start.  Its stages 2-4 rotate them by the phase change d since the
-start, with cos d and sin d from Taylor polynomials (``_rotate``), whenever
-the a-priori bound |d| <= |dt| (max|omega| + K) is at most ``ROTATION_MAX``
-(``_rotates``, decided once per run); larger steps call np.cos/np.sin at
-every stage.  A run returns one row (t, r, phi, D, V_p) per sample, with r,
-phi and V_p from the phasor mean of the step that starts there.
+One RK4 step (``_mean_field_step``) takes cos theta and sin theta at the
+step start, from np.cos/np.sin or from its caller.  Its stages 2-4 rotate
+them by the phase change d since the start, with cos d and sin d from
+Taylor polynomials (``_rotate``), whenever the a-priori bound
+|d| <= |dt| (max|omega| + K) is at most ``ROTATION_MAX`` (``_rotates``,
+decided once per run); larger steps call np.cos/np.sin at every stage.
+A rotating run (``run_particles``) takes np.cos/np.sin once per sample
+interval, at its start, and carries the table from one step start to the
+next by the same rotation through the step's phase change.  A run returns
+one row (t, r, phi, D, V_p) per sample, with r, phi and V_p from the
+phasor mean of the step that starts there, which the exact trig of the
+sample phases gives.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from .files import write_csv
 from .order import TWO_PI, OrderParams, _from_phasor, rk4_step, sample_count
 
 #: largest a-priori phase change |dt| (max|omega| + K) of one RK4 step at
-#: which its stages 2-4 rotate the step-start cos/sin (``_rotate``) instead of
-#: calling np.cos/np.sin; |dtheta/dt| <= |omega| + K|z| and |z| <= 1
+#: which its stages 2-4, and the next step start, rotate the step-start
+#: cos/sin (``_rotate``) instead of calling np.cos/np.sin;
+#: |dtheta/dt| <= |omega| + K|z| and |z| <= 1
 ROTATION_MAX = 0.1
 
 # Taylor coefficients of cos d (d^8 .. d^0) and sin d / d (d^8 .. d^0) in
@@ -62,14 +68,14 @@ class ParticleState:
         return self.thetas.size
 
 
-def sample_phases(profile, bound: float, n: int, rng) -> np.ndarray:
+def sample_phases(profile, bound: float | None, n: int, rng) -> np.ndarray:
     """n phases on [0, 2pi) drawn from a density profile.
 
     A table profile (``kinetic.table_profile``) is drawn in one pass, by
-    inverting its piecewise-quadratic CDF at n uniform draws from ``rng``.
-    Any other profile is drawn by rejection under ``bound``, which must
-    dominate it: candidates come from ``rng`` in batches of 4 max(n, 64)
-    until n are accepted.
+    inverting its piecewise-quadratic CDF at n uniform draws from ``rng``;
+    it reads no bound, which may be None.  Any other profile is drawn by
+    rejection under ``bound``, which must dominate it: candidates come from
+    ``rng`` in batches of 4 max(n, 64) until n are accepted.
     """
     from .kinetic import _periodic_interp
     if getattr(profile, "func", None) is _periodic_interp:
@@ -147,7 +153,7 @@ def _rotate(c0: np.ndarray, s0: np.ndarray, d: np.ndarray):
     cd = _horner(_COS_TAYLOR, u)
     sd = _horner(_SIN_TAYLOR, u)
     sd *= d
-    c = c0 * cd
+    c = np.multiply(c0, cd, out=u)     # u is spent: one array fewer alive
     c -= s0 * sd
     cd *= s0
     sd *= c0
@@ -161,16 +167,18 @@ def _rotates(omegas, K: float, dt: float) -> bool:
     return abs(dt) * (float(np.max(np.abs(omegas))) + K) <= ROTATION_MAX
 
 
-def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, rotate: bool):
+def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, rotate: bool,
+                     trig: tuple | None = None):
     """One RK4 step (``order.rk4_step``) of the mean-field flow for phases
     (..., N), one system per row; returns (new phases, Re z, Im z) with z the
     step-start phasor means.
 
-    cos and sin of the phases are taken once, at the step start.  Stages 2-4
-    get theirs by rotating those by d = y - theta when ``rotate``
-    (``_rotates(omegas, K, dt)``), and from np.cos/np.sin otherwise.
+    cos and sin of the phases are trig = (cos theta, sin theta), if given,
+    or taken once, at the step start.  Stages 2-4 get theirs by rotating
+    those by d = y - theta when ``rotate`` (``_rotates(omegas, K, dt)``), and
+    from np.cos/np.sin otherwise.
     """
-    c0, s0 = np.cos(thetas), np.sin(thetas)
+    c0, s0 = (np.cos(thetas), np.sin(thetas)) if trig is None else trig
     k1, z_re, z_im = _drift(c0, s0, omegas, K)
 
     def rhs(t, y):
@@ -228,26 +236,41 @@ def phase_diameter(state: ParticleState) -> float:
 # trajectories
 
 
+def step_plan(state: ParticleState, t_end: float, dt: float,
+              sample_every: float) -> tuple[int, int, float, bool]:
+    """(n_samples, per, dt, rotates) of a ``run_particles`` run: per RK4 steps
+    of dt in each of the n_samples sample intervals of ``order.sample_count``,
+    dt shrunk from the one asked for so that it divides sample_every, and
+    whether the steps rotate cos/sin (``_rotates``).
+
+    Raises ValueError as ``sample_count`` does, and unless dt is finite and
+    positive.
+    """
+    n_samples = sample_count(state.t, t_end, sample_every)
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
+    per = max(1, math.ceil(sample_every / dt))
+    dt = sample_every / per
+    return n_samples, per, dt, _rotates(state.omegas, state.K, dt)
+
+
 def run_particles(state: ParticleState, t_end: float, dt: float,
                   sample_every: float) -> np.ndarray:
     """Fixed-step RK4 run sampled at t0 + i sample_every up to t_end; returns
     the (n_samples + 1, 5) rows t, r, phi, D, V_p, one per sample.
 
-    The samples are those of ``order.sample_count``, which raises ValueError
-    unless t_end - t0 is a whole number of sample intervals; the run ends at
-    the last sample.  dt must be finite and positive; it is shrunk if
-    necessary so samples land exactly on step boundaries.
+    The steps are those of ``step_plan``, which raises ValueError unless
+    t_end - t0 is a whole number of sample intervals and dt is finite and
+    positive; the run ends at the last sample.
+    When the steps rotate, np.cos/np.sin are taken once per sample interval,
+    at its start; each later step start rotates the previous step start's
+    table (``_rotate``) through the step's phase change new - old.
     Each row's r, phi and V_p come from the phasor mean of the step that
     starts at its sample; only the final row's is computed afresh.
     """
-    n_samples = sample_count(state.t, t_end, sample_every)
-    if not 0.0 < dt < math.inf:
-        raise ValueError("dt must be finite and positive")
-    per = max(1, int(np.ceil(sample_every / dt)))
-    dt = sample_every / per
+    n_samples, per, dt, rotate = step_plan(state, t_end, dt, sample_every)
     ts = state.t + sample_every * np.arange(n_samples + 1)
     thetas, omegas, K = state.thetas, state.omegas, state.K
-    rotate = _rotates(omegas, K, dt)
 
     def row(i: int, phases: np.ndarray, z: complex) -> tuple:
         s = ParticleState(phases, omegas, K, t=float(ts[i]))
@@ -257,10 +280,14 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
     rows = np.empty((n_samples + 1, 5))
     for i in range(n_samples):
         start = thetas
+        trig = (np.cos(thetas), np.sin(thetas)) if rotate else None
         for k in range(per):
-            thetas, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, rotate)
+            new, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, rotate, trig)
             if k == 0:
                 rows[i] = row(i, start, complex(z_re[0], z_im[0]))
+            if rotate and k + 1 < per:
+                trig = _rotate(*trig, new - thetas)
+            thetas = new
     rows[-1] = row(n_samples, thetas, _phasor(thetas)[2])
     return rows
 

@@ -286,6 +286,8 @@ def _mean_field_consistency(cache, failures, details):
     thetas = particle.sample_phases(_skewed_profile, 1.7 / TWO_PI, n_part, rng)
     omegas = freq.sample(run.g, n_part, seed=8)
     pstate = particle.ParticleState(thetas, omegas, K=run.result.final_state.K)
+    n_samples, per = particle.step_plan(pstate, 20.0, 0.01, 0.05)[:2]
+    n_steps = n_samples * per
     tp0 = time.perf_counter()
     r_part = particle.run_particles(pstate, 20.0, dt=0.01, sample_every=0.05)[:, 1]
     particle_seconds = time.perf_counter() - tp0
@@ -298,6 +300,8 @@ def _mean_field_consistency(cache, failures, details):
     total = particle_seconds + run.build_seconds
     _check(failures, total < 180.0, f"runtime {total:.1f}s >= 180s")
     details.update({"max_gap": gap, "particle_seconds": particle_seconds,
+                    "particle_steps": n_steps,
+                    "particle_ns_per_oscillator_step": 1e9 * particle_seconds / (n_steps * n_part),
                     "kinetic_seconds": run.build_seconds})
 
 

@@ -134,6 +134,20 @@ def test_simulate_particle_model(tmp_path):
                                  "final_potential")] == [float(x) for x in last[1:]]
 
 
+@pytest.mark.parametrize("dt_particle, coupling, per, rotates", [
+    (0.03, 1.0, 4, True), (0.1, 2.0, 1, False)])
+def test_particle_summary_reports_its_steps(tmp_path, dt_particle, coupling, per, rotates):
+    # dt_particle is shrunk to divide sample_every; the steps rotate cos/sin
+    # only when dt (max|omega| + K) <= ROTATION_MAX
+    cfg = write_config(tmp_path, model="particle", n_particles=50, t_end=0.5,
+                       dt_particle=dt_particle, coupling=coupling)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["n_steps"], summary["dt"], summary["rotates"]) == (5 * per, 0.1 / per,
+                                                                       rotates)
+
+
 @pytest.mark.parametrize("model", ["particle", "both"])
 def test_simulate_rejects_incommensurate_particle_t_end(tmp_path, capsys, model):
     cfg = write_config(tmp_path, model=model, n_particles=20, t_end=2.05,
@@ -733,8 +747,9 @@ def test_simulate_reads_each_table_once(tmp_path, monkeypatch):
 
 def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch):
     # the peak of 50 at theta = 1.0004 lies between the points of a 4,096-point
-    # grid, whose maximum there is ~20; a rejection bound taken from the grid
-    # alone would cut the peak and undersample [1, 1.0008]
+    # grid, whose maximum there is ~20; the table is drawn by inverting its
+    # CDF, with no rejection bound that could cut the peak and undersample
+    # [1, 1.0008]
     table = tmp_path / "profile.csv"
     table.write_text(csv_text(["theta", "value"],
                               [[0, 1], [1, 1], [1.0004, 50], [1.0008, 1], [3, 1]]))
@@ -750,7 +765,7 @@ def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch)
                        initial={"preset": "table", "path": str(table)})
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     (bound, thetas), = drawn
-    assert bound >= 50.0
+    assert bound is None
     # exact mass on [1, 1.0008] over the total, by trapezoids on the table
     share = 0.0204 / (2.0 * math.pi + 0.0204 - 0.0008)
     sampled = np.mean((thetas >= 1.0) & (thetas <= 1.0008))

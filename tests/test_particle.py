@@ -329,28 +329,64 @@ def test_classify_unconverged():
     assert set(cls.labels) == {"undetermined"}
 
 
-def sample_states(st, t_end, dt, sample_every):
-    """The states at the sample times t0 + i sample_every of a run, stepped by
-    particle_step with dt shrunk to divide sample_every, as run_particles does."""
+def sample_times(st, t_end, dt, sample_every):
+    """(per, h, ts): per steps of h = sample_every / per in each sample
+    interval, dt shrunk to divide sample_every as run_particles does, and
+    the sample times t0 + i sample_every."""
     per = max(1, math.ceil(sample_every / dt))
     n = sample_count(st.t, t_end, sample_every)
-    ts = st.t + sample_every * np.arange(n + 1)
+    return per, sample_every / per, st.t + sample_every * np.arange(n + 1)
+
+
+def chain_states(st, t_end, dt, sample_every):
+    """The states at the sample times of a chain of particle_step calls,
+    each of which takes np.cos/np.sin at its own start."""
+    per, h, ts = sample_times(st, t_end, dt, sample_every)
     states = [particle.ParticleState(st.thetas, st.omegas, st.K, t=float(ts[0]))]
     for t in ts[1:]:
         for _ in range(per):
-            st = particle.particle_step(st, sample_every / per)
+            st = particle.particle_step(st, h)
         states.append(particle.ParticleState(st.thetas, st.omegas, st.K, t=float(t)))
     return states
 
 
-def recomputed_rows(st, t_end, dt, sample_every):
+def sample_states(st, t_end, dt, sample_every):
+    """The states at the sample times of a run, stepped as run_particles
+    steps: np.cos/np.sin of the phases at each sample start and, when the
+    steps rotate, each later step start's cos/sin rotated from the previous
+    one by the stored phase change new - old (np.cos/np.sin otherwise)."""
+    per, h, ts = sample_times(st, t_end, dt, sample_every)
+    rotate = particle._rotates(st.omegas, st.K, h)
+    th = st.thetas
+    states = [particle.ParticleState(th, st.omegas, st.K, t=float(ts[0]))]
+    for t in ts[1:]:
+        c, s = np.cos(th), np.sin(th)
+        for _ in range(per):
+            new = particle._mean_field_step(th, st.omegas, st.K, h, rotate, (c, s))[0]
+            c, s = particle._rotate(c, s, new - th) if rotate else (np.cos(new), np.sin(new))
+            th = new
+        states.append(particle.ParticleState(th, st.omegas, st.K, t=float(t)))
+    return states
+
+
+def recomputed_rows(st, t_end, dt, sample_every, states=sample_states):
     """The rows t, r, phi, D, V_p recomputed from the sample states through
     particle_order, phase_diameter and the potential."""
     rows = []
-    for s in sample_states(st, t_end, dt, sample_every):
+    for s in states(st, t_end, dt, sample_every):
         op = particle.particle_order(s)
         rows.append((s.t, op.R, op.phi, particle.phase_diameter(s), potential(s)))
     return np.array(rows)
+
+
+def assert_near_chain(rows, st, t_end, dt, sample_every, tol=1e-13):
+    """r, phi and D of the rows within tol of those of the particle_step chain."""
+    chain = recomputed_rows(st, t_end, dt, sample_every, chain_states)
+    np.testing.assert_array_equal(rows[:, 0], chain[:, 0])
+    dphi = (rows[:, 2] - chain[:, 2] + math.pi) % TWO_PI - math.pi
+    for name, err in (("r", rows[:, 1] - chain[:, 1]), ("phi", dphi),
+                      ("D", rows[:, 3] - chain[:, 3])):
+        assert np.max(np.abs(err)) <= tol, (name, np.max(np.abs(err)))
 
 
 def test_run_particles_and_csv(tmp_path):
@@ -361,6 +397,7 @@ def test_run_particles_and_csv(tmp_path):
     assert rows.shape == (5, 5)
     assert rows[-1, 0] == pytest.approx(2.0)
     np.testing.assert_array_equal(rows, recomputed_rows(st, 2.0, 0.01, 0.5))
+    assert_near_chain(rows, st, 2.0, 0.01, 0.5)
     path = tmp_path / "traj.csv"
     particle.trajectory_to_csv(rows, path)
     header = path.read_text().splitlines()[0]
@@ -394,22 +431,27 @@ def test_csv_phasors_from_steps_match_recompute(tmp_path):
     rng = np.random.default_rng(21)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 500),
                                 rng.uniform(-0.1, 0.1, 500), K=2.0)
-    particle.trajectory_to_csv(particle.run_particles(st, 0.5, dt=0.01, sample_every=0.05),
-                               tmp_path / "stored.csv")
+    rows = particle.run_particles(st, 0.5, dt=0.01, sample_every=0.05)
+    particle.trajectory_to_csv(rows, tmp_path / "stored.csv")
     particle.trajectory_to_csv(recomputed_rows(st, 0.5, 0.01, 0.05), tmp_path / "fresh.csv")
     assert (tmp_path / "stored.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert_near_chain(rows, st, 0.5, 0.01, 0.05)
 
 
 @pytest.mark.parametrize("K, dt, rotates", [(2.0, 0.01, True), (10.0, 0.02, False)])
 def test_run_snapshots_are_particle_steps(K, dt, rotates):
-    # the run steps arrays and decides the guard once; its rows are those of
-    # the states particle_step reaches, which decides it per call, bit for bit
+    # the run steps arrays and decides the guard once; without rotation its
+    # rows are those of the states particle_step reaches, which decides it
+    # per call, bit for bit; with it, they differ from those at roundoff
     rng = np.random.default_rng(22)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.uniform(-0.1, 0.1, 300), K=K)
     assert particle._rotates(st.omegas, K, dt) == rotates
     rows = particle.run_particles(st, 0.2, dt=dt, sample_every=0.1)
     np.testing.assert_array_equal(rows, recomputed_rows(st, 0.2, dt, 0.1))
+    assert_near_chain(rows, st, 0.2, dt, 0.1)
+    if not rotates:
+        np.testing.assert_array_equal(rows, recomputed_rows(st, 0.2, dt, 0.1, chain_states))
 
 
 def test_run_particles_exact_sample_times(tmp_path):
@@ -426,7 +468,61 @@ def test_run_particles_exact_sample_times(tmp_path):
     rows = particle.run_particles(later, 0.8, dt=0.01, sample_every=0.1)
     np.testing.assert_array_equal(rows[:, 0], 0.3 + 0.1 * np.arange(6))
     np.testing.assert_array_equal(rows, recomputed_rows(later, 0.8, 0.01, 0.1))
+    assert_near_chain(rows, later, 0.8, 0.01, 0.1)
     assert particle.run_particles(later, 0.3, dt=0.01, sample_every=0.1).shape == (1, 5)
+
+
+def flow_map_orders(thetas, omega, K, ts, h):
+    """(R, phi) at the times ts of N identical oscillators at frequency omega
+    from the Watanabe-Strogatz flow map: z_j(t) = M(z_j(0)) for one Moebius
+    map M(z) = (p11 z + p12) / (p21 z + p22) with P' = A P, P(0) = I and
+    A = [[i omega / 2, K Z / 2], [K conj(Z) / 2, -i omega / 2]], Z the mean of
+    M over the start points; RK4 steps of h, a whole number per interval."""
+    z0 = np.exp(1j * thetas)
+
+    def mean_z(p):
+        return np.mean((p[0, 0] * z0 + p[0, 1]) / (p[1, 0] * z0 + p[1, 1]))
+
+    def rhs(t, p):
+        Z = mean_z(p)
+        return np.array([[0.5j * omega, 0.5 * K * Z],
+                         [0.5 * K * np.conj(Z), -0.5j * omega]]) @ p
+
+    p, out = np.eye(2, dtype=complex), []
+    for i, t in enumerate(ts):
+        if i:
+            steps = round((t - ts[i - 1]) / h)
+            for _ in range(steps):
+                p = rk4_step(rhs, 0.0, p, (t - ts[i - 1]) / steps)
+        Z = mean_z(p)
+        out.append((abs(Z), np.angle(Z) % TWO_PI))
+    return np.array(out)
+
+
+def test_run_particles_match_the_flow_map_of_identical_oscillators():
+    # ten steps per sample interval, so the run carries its rotated cos/sin
+    # table from step to step; the flow map is exact up to its own RK4 error
+    th = np.random.default_rng(10).uniform(0.0, TWO_PI, 10)
+    st = particle.ParticleState(th, np.zeros(10), K=1.0)
+    assert particle.step_plan(st, 2.0, 0.01, 0.1) == (20, 10, 0.01, True)
+    rows = particle.run_particles(st, 2.0, dt=0.01, sample_every=0.1)
+    exact = flow_map_orders(th, 0.0, 1.0, rows[:, 0], 1e-3)
+    assert np.max(np.abs(rows[:, 1] - exact[:, 0])) <= 1e-9
+    dphi = (rows[:, 2] - exact[:, 1] + math.pi) % TWO_PI - math.pi
+    assert np.max(np.abs(dphi)) <= 1e-9
+
+
+def test_long_rotating_interval_stays_near_the_step_chain():
+    # 2,000 rotating steps in one sample interval: the carried cos/sin table
+    # does not drift from np.cos/np.sin beyond roundoff
+    rng = np.random.default_rng(24)
+    st = particle.ParticleState(rng.uniform(0.0, TWO_PI, 2000),
+                                rng.uniform(-0.5, 0.5, 2000), K=2.0)
+    assert particle.step_plan(st, 20.0, 0.01, 20.0) == (1, 2000, 0.01, True)
+    rows = particle.run_particles(st, 20.0, dt=0.01, sample_every=20.0)
+    op = particle.particle_order(st)
+    assert (rows[0, 1], rows[0, 2]) == (op.R, op.phi)
+    assert_near_chain(rows, st, 20.0, 0.01, 20.0, tol=1e-12)
 
 
 def test_run_particles_memory_does_not_grow_with_samples():
