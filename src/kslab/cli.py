@@ -238,13 +238,12 @@ def build_frequency(cfg: dict) -> freq.FrequencyDensity:
 
 
 def build_profile(cfg: dict):
-    from . import kinetic
     icfg = cfg["initial"]
     if icfg["preset"] == "cosine":
-        return kinetic.cosine_profile(icfg["amplitude"], icfg["center"])
+        return freq.cosine_profile(icfg["amplitude"], icfg["center"])
     if icfg["preset"] == "von_mises":
-        return kinetic.von_mises_profile(icfg["concentration"], icfg["center"])
-    return kinetic.table_profile(*_read_columns(icfg["path"], ("theta", "value")))
+        return freq.von_mises_profile(icfg["concentration"], icfg["center"])
+    return freq.table_profile(*_read_columns(icfg["path"], ("theta", "value")))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +365,7 @@ def _run_particle(cfg: dict, K: float, out: Path, seed: int,
         peaks = icfg["center"] + np.array([0.0, np.pi])
         bound = max(float(np.max(profile(th))) * 1.05, float(np.max(profile(peaks))))
     rng = np.random.default_rng(seed)
-    thetas = particle.sample_phases(profile, bound, n, rng)
+    thetas = freq.sample_phases(profile, bound, n, rng)
     omegas = freq.sample(g, n, seed=seed + 1)
     state = particle.ParticleState(thetas, omegas, K=K)
     t_end, dt, sample_every = cfg["t_end"], cfg["dt_particle"], cfg["sample_every"]

@@ -1,4 +1,6 @@
-"""Natural-frequency densities g(omega), their quadrature rules and locked states.
+"""Input densities: natural frequencies g(omega), with their quadrature rules
+and locked states, and the initial phase profiles rho0(theta); both steppers
+start from the product f0 = rho0(theta) g(omega).
 
 A density holds only its kind, the bound M of its support and, for a table,
 the table.  ``quadrature_nodes(g, n)`` builds an n-point rule whose weights
@@ -12,6 +14,11 @@ evaluated as sum_k weight_k * h(node_k).  Three kinds are supported:
 
 All densities are required to have (numerically) zero mean; a nonzero-mean
 table is rejected, since the rotating-frame reduction is the caller's job.
+
+A profile rho0 (cosine, von Mises or periodic piecewise-linear table) is a
+partial of a module-level function of theta, so it pickles into the worker
+processes of a sweep.  Every table, of g or of rho0, is drawn by one inverse
+CDF (``_inverse_cdf``), any other profile by rejection (``sample_phases``).
 
 The locked-equilibrium functional H(a) = int_{|omega|<=a} sqrt(1-(omega/a)^2)
 g(omega) domega is evaluated in closed form for every kind.  A table density
@@ -29,8 +36,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+
+from .order import TWO_PI
 
 logger = logging.getLogger(__name__)
 
@@ -71,13 +81,15 @@ def from_table(omegas, densities) -> FrequencyDensity:
     """Piecewise-linear density from (omega, density) samples.
 
     The table is renormalized to unit mass; the renormalization factor is
-    logged.  Negative densities, an all-zero table (no mass to renormalize)
-    and a nonzero mean are rejected.
+    logged.  A non-finite knot, negative densities, an all-zero table (no
+    mass to renormalize) and a nonzero mean are rejected.
     """
     om = np.asarray(omegas, dtype=float)
     de = np.asarray(densities, dtype=float)
     if om.ndim != 1 or om.size < 2 or om.shape != de.shape:
         raise ValueError("table needs matching 1-d omega/density arrays with >= 2 rows")
+    if not (np.isfinite(om).all() and np.isfinite(de).all()):
+        raise ValueError("table omegas and densities must be finite")
     if np.any(np.diff(om) <= 0):
         raise ValueError("table omegas must be strictly increasing")
     if np.any(de < 0):
@@ -108,19 +120,11 @@ def _uniform_rule(halfwidth: float, n: int) -> np.ndarray:
 def _table_rule(om: np.ndarray, de: np.ndarray, n: int) -> np.ndarray:
     # Composite Gauss-Legendre: the density is linear on each segment, so a
     # per-segment rule integrates h*g exactly for polynomial h of low degree.
-    n_seg = om.size - 1
-    p = max(2, math.ceil(n / n_seg))
-    x, w = np.polynomial.legendre.leggauss(p)
-    nodes, weights = [], []
-    for i in range(n_seg):
-        a, b = om[i], om[i + 1]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        seg_nodes = mid + half * x
-        g = np.interp(seg_nodes, om, de)
-        nodes.append(seg_nodes)
-        weights.append(half * w * g)
-    return np.column_stack([np.concatenate(nodes), np.concatenate(weights)])
+    x, w = np.polynomial.legendre.leggauss(max(2, math.ceil(n / (om.size - 1))))
+    half = 0.5 * np.diff(om)[:, None]
+    nodes = 0.5 * (om[:-1] + om[1:])[:, None] + half * x
+    weights = half * w * np.interp(nodes, om, de)
+    return np.column_stack([nodes.ravel(), weights.ravel()])
 
 
 def quadrature_nodes(g: FrequencyDensity, n: int) -> list[tuple[float, float]]:
@@ -151,14 +155,109 @@ def sample(g: FrequencyDensity, n: int, seed: int) -> np.ndarray:
         return np.zeros(n)
     if g.kind == "uniform":
         return rng.uniform(-g.support, g.support, n)
-    om, de = g.table_omega, g.table_density
-    dmax = float(de.max())
+    return _inverse_cdf(g.table_omega, g.table_density, n, rng)
+
+
+def _inverse_cdf(x: np.ndarray, y: np.ndarray, n: int, rng) -> np.ndarray:
+    """n draws on [x[0], x[-1]] from the piecewise-linear density through the
+    knots (x, y), x increasing and y >= 0 with positive mass.  Each uniform
+    draw u from ``rng`` picks the segment whose mass interval holds it and
+    solves y0 s + slope s^2 / 2 = r, r the mass u leaves in the segment, by
+    the root 2r / (y0 + sqrt(y0^2 + 2 slope r)), which cancels nothing."""
+    h = np.diff(x)
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (y[:-1] + y[1:]))])
+    u = rng.uniform(0.0, cum[-1], n)
+    # a segment without mass holds no draw; u can round up to cum[-1]
+    i = np.minimum(np.searchsorted(cum, u, side="right") - 1, h.size - 1)
+    r, y0 = u - cum[i], y[i]
+    slope = (y[i + 1] - y0) / h[i]
+    root = y0 + np.sqrt(np.maximum(y0 * y0 + 2.0 * slope * r, 0.0))
+    s = np.divide(2.0 * r, root, out=np.zeros(n), where=root > 0.0)
+    return x[i] + np.minimum(s, h[i])
+
+
+# ---------------------------------------------------------------------------
+# initial phase profiles rho0(theta)
+
+
+def cosine_profile(a: float, theta0: float = 0.0):
+    """Density (1 + 2 a cos(theta - theta0)) / 2pi; needs |a| <= 1/2."""
+    if abs(a) > 0.5:
+        raise ValueError("cosine amplitude must satisfy |a| <= 1/2 for positivity")
+    return partial(_cosine, a, theta0)
+
+
+def _cosine(a, theta0, th):
+    return (1.0 + 2.0 * a * np.cos(th - theta0)) / TWO_PI
+
+
+def von_mises_profile(concentration: float, theta0: float = 0.0):
+    """Von Mises density with the given concentration, centered at theta0."""
+    if concentration < 0:
+        raise ValueError("concentration must be nonnegative")
+    return partial(_von_mises, concentration, theta0, TWO_PI * _i0e(concentration))
+
+
+def _von_mises(concentration, theta0, norm, th):
+    return np.exp(concentration * (np.cos(th - theta0) - 1.0)) / norm
+
+
+def _i0e(x: float) -> float:
+    """exp(-x) I0(x) for x >= 0, to a few ulps.
+
+    Below 50 this is numpy's I0 times exp(-x) (I0 alone overflows past
+    x ~ 713).  From 50 on it is the asymptotic series
+    exp(-x) I0(x) ~ (2 pi x)^(-1/2) sum_k ((2k-1)!!)^2 / (k! (8x)^k),
+    whose 20th term is below 1e-23 there.
+    """
+    if x < 50.0:
+        return float(np.i0(x)) * math.exp(-x)
+    terms = [1.0]
+    for k in range(1, 21):
+        terms.append(terms[-1] * (2 * k - 1) ** 2 / (8.0 * k * x))
+    return math.fsum(terms) / math.sqrt(TWO_PI * x)
+
+
+def table_profile(thetas, values):
+    """Periodic piecewise-linear density through finite, nonnegative
+    (theta, value) samples, not all zero."""
+    th, va = np.asarray(thetas, dtype=float), np.asarray(values, dtype=float)
+    if not (np.isfinite(th).all() and np.isfinite(va).all()):
+        raise ValueError("profile table thetas and values must be finite")
+    if np.any(va < 0):
+        raise ValueError("profile table values must be nonnegative")
+    if not np.any(va > 0):
+        raise ValueError("profile table has zero mass: every value is 0")
+    th = th % TWO_PI
+    idx = np.argsort(th)
+    th, va = th[idx], va[idx]
+    th_ext = np.concatenate([[th[-1] - TWO_PI], th, [th[0] + TWO_PI]])
+    va_ext = np.concatenate([[va[-1]], va, [va[0]]])
+    return partial(_periodic_interp, th_ext, va_ext)
+
+
+def _periodic_interp(th_ext, va_ext, x):
+    return np.interp(np.asarray(x) % TWO_PI, th_ext, va_ext)
+
+
+def sample_phases(profile, bound: float | None, n: int, rng) -> np.ndarray:
+    """n phases on [0, 2pi) drawn from a density profile.
+
+    A table profile is drawn by ``_inverse_cdf`` over the period from its
+    first knot, at n uniform draws from ``rng``; it reads no bound, which
+    may be None.  Any other profile is drawn by rejection under ``bound``,
+    which must dominate it: candidates come from ``rng`` in batches of
+    4 max(n, 64) until n are accepted.
+    """
+    if getattr(profile, "func", None) is _periodic_interp:
+        th_ext, va_ext = profile.args
+        return _inverse_cdf(th_ext[1:], va_ext[1:], n, rng) % TWO_PI
     out = np.empty(0)
+    batch = 4 * max(n, 64)
     while out.size < n:
-        batch = max(2 * (n - out.size), 128)
-        x = rng.uniform(om[0], om[-1], batch)
-        u = rng.uniform(0.0, dmax, batch)
-        out = np.concatenate([out, x[u < np.interp(x, om, de)]])
+        x = rng.uniform(0.0, TWO_PI, batch)
+        u = rng.uniform(0.0, bound, batch)
+        out = np.concatenate([out, x[u < profile(x)]])
     return out[:n]
 
 

@@ -7,7 +7,9 @@ The transport equation
 is advanced on a periodic cell-centered theta grid, one slice per omega
 quadrature node.  Slices never exchange omega; they couple only through the
 global order parameters (R, phi), which are recomputed from the full state
-at every Runge-Kutta stage because the velocity field is nonlocal.
+at every Runge-Kutta stage because the velocity field is nonlocal.  The
+initial state is the product of a profile rho0 and a density g, both from
+``frequency`` (``state_from_profile``).
 
 Discretization choices:
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -124,66 +126,7 @@ class KineticState:
 
 
 # ---------------------------------------------------------------------------
-# initial data: profiles are partials of module-level functions, so they
-# pickle into the worker processes of a sweep
-
-
-def cosine_profile(a: float, theta0: float = 0.0):
-    """Density (1 + 2 a cos(theta - theta0)) / 2pi; needs |a| <= 1/2."""
-    if abs(a) > 0.5:
-        raise ValueError("cosine amplitude must satisfy |a| <= 1/2 for positivity")
-    return partial(_cosine, a, theta0)
-
-
-def _cosine(a, theta0, th):
-    return (1.0 + 2.0 * a * np.cos(th - theta0)) / TWO_PI
-
-
-def von_mises_profile(concentration: float, theta0: float = 0.0):
-    """Von Mises density with the given concentration, centered at theta0."""
-    if concentration < 0:
-        raise ValueError("concentration must be nonnegative")
-    return partial(_von_mises, concentration, theta0, TWO_PI * _i0e(concentration))
-
-
-def _von_mises(concentration, theta0, norm, th):
-    return np.exp(concentration * (np.cos(th - theta0) - 1.0)) / norm
-
-
-def _i0e(x: float) -> float:
-    """exp(-x) I0(x) for x >= 0, to a few ulps.
-
-    Below 50 this is numpy's I0 times exp(-x) (I0 alone overflows past
-    x ~ 713).  From 50 on it is the asymptotic series
-    exp(-x) I0(x) ~ (2 pi x)^(-1/2) sum_k ((2k-1)!!)^2 / (k! (8x)^k),
-    whose 20th term is below 1e-23 there.
-    """
-    if x < 50.0:
-        return float(np.i0(x)) * math.exp(-x)
-    terms = [1.0]
-    for k in range(1, 21):
-        terms.append(terms[-1] * (2 * k - 1) ** 2 / (8.0 * k * x))
-    return math.fsum(terms) / math.sqrt(TWO_PI * x)
-
-
-def table_profile(thetas, values):
-    """Periodic piecewise-linear density through nonnegative (theta, value)
-    samples, not all zero."""
-    th = np.asarray(thetas, dtype=float) % TWO_PI
-    va = np.asarray(values, dtype=float)
-    if np.any(va < 0):
-        raise ValueError("profile table values must be nonnegative")
-    if not np.any(va > 0):
-        raise ValueError("profile table has zero mass: every value is 0")
-    idx = np.argsort(th)
-    th, va = th[idx], va[idx]
-    th_ext = np.concatenate([[th[-1] - TWO_PI], th, [th[0] + TWO_PI]])
-    va_ext = np.concatenate([[va[-1]], va, [va[0]]])
-    return partial(_periodic_interp, th_ext, va_ext)
-
-
-def _periodic_interp(th_ext, va_ext, x):
-    return np.interp(np.asarray(x) % TWO_PI, th_ext, va_ext)
+# initial data: the cell averages of a profile rho0 (``frequency``)
 
 
 # np.polynomial.legendre.leggauss(4), written out so numpy.polynomial is not imported

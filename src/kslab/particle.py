@@ -1,8 +1,8 @@
-"""Finite-N Kuramoto model: RK4 integration, order parameters, potential.
+"""Finite-N Kuramoto dynamics: RK4 integration, order parameters, potential.
 
 Phases are stored lifted to the real line, so the phase diameter and the
 gradient potential are well defined; projection to the circle happens only
-inside order-parameter and output code.
+inside order-parameter and output code.  Start phases come from ``frequency``.
 
 Everything that needs the phasor mean z = (1/N) sum exp(i theta) takes it,
 together with the arrays cos theta and sin theta, from one pass over the
@@ -66,47 +66,6 @@ class ParticleState:
     @property
     def n(self) -> int:
         return self.thetas.size
-
-
-def sample_phases(profile, bound: float | None, n: int, rng) -> np.ndarray:
-    """n phases on [0, 2pi) drawn from a density profile.
-
-    A table profile (``kinetic.table_profile``) is drawn in one pass, by
-    inverting its piecewise-quadratic CDF at n uniform draws from ``rng``;
-    it reads no bound, which may be None.  Any other profile is drawn by
-    rejection under ``bound``, which must dominate it: candidates come from
-    ``rng`` in batches of 4 max(n, 64) until n are accepted.
-    """
-    from .kinetic import _periodic_interp
-    if getattr(profile, "func", None) is _periodic_interp:
-        return _invert_table_cdf(*profile.args, n, rng)
-    out = np.empty(0)
-    batch = 4 * max(n, 64)
-    while out.size < n:
-        x = rng.uniform(0.0, TWO_PI, batch)
-        u = rng.uniform(0.0, bound, batch)
-        out = np.concatenate([out, x[u < profile(x)]])
-    return out[:n]
-
-
-def _invert_table_cdf(th_ext, va_ext, n: int, rng) -> np.ndarray:
-    """n phases from the periodic piecewise-linear density through the
-    knots (th_ext, va_ext) of ``kinetic.table_profile``, whose last n_knots + 1
-    span one period from the first knot.  Each draw u picks the segment
-    whose mass interval holds it and solves y0 s + slope s^2 / 2 = r, r the
-    mass u leaves in the segment, by the root 2r / (y0 + sqrt(y0^2 + 2 slope r)),
-    which cancels nothing."""
-    x, y = th_ext[1:], va_ext[1:]
-    h = np.diff(x)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (y[:-1] + y[1:]))])
-    u = rng.uniform(0.0, cum[-1], n)
-    # a segment without mass holds no draw; u can round up to cum[-1]
-    i = np.minimum(np.searchsorted(cum, u, side="right") - 1, h.size - 1)
-    r, y0 = u - cum[i], y[i]
-    slope = (y[i + 1] - y0) / h[i]
-    root = y0 + np.sqrt(np.maximum(y0 * y0 + 2.0 * slope * r, 0.0))
-    s = np.divide(2.0 * r, root, out=np.zeros(n), where=root > 0.0)
-    return (x[i] + np.minimum(s, h[i])) % TWO_PI
 
 
 def _phasor(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:

@@ -46,13 +46,13 @@ _PINNED_RUNS = {
     "run1": (freq.uniform(0.1), 512, 16, 2.0, _skewed_profile, 20.0,
              diag.DiagnosticsConfig()),
     # identical oscillators: point-attractor host
-    "run2": (freq.dirac_at_zero(), 1024, 1, 1.0, kinetic.cosine_profile(0.2), 40.0,
+    "run2": (freq.dirac_at_zero(), 1024, 1, 1.0, freq.cosine_profile(0.2), 40.0,
              diag.DiagnosticsConfig(
                  intervals=(diag.Interval("i_plus", 0.2), diag.Interval("i_minus", 0.2),
                             diag.Interval("i_plus", 0.5), diag.Interval("i_minus", 0.5)),
                  lambda_interval=diag.Interval("i_minus", 0.5))),
     # large coupling: asymptotic amplitude host
-    "run12": (freq.uniform(0.05), 1024, 16, 10.0, kinetic.cosine_profile(0.3), 60.0,
+    "run12": (freq.uniform(0.05), 1024, 16, 10.0, freq.cosine_profile(0.3), 60.0,
               diag.DiagnosticsConfig(
                   intervals=(diag.Interval("l_plus", math.pi / 3),
                              diag.Interval("l_minus", math.pi / 3)),
@@ -283,7 +283,7 @@ def _mean_field_consistency(cache, failures, details):
     run = cache.run("run1")
     n_part = 20000
     rng = np.random.default_rng(8)
-    thetas = particle.sample_phases(_skewed_profile, 1.7 / TWO_PI, n_part, rng)
+    thetas = freq.sample_phases(_skewed_profile, 1.7 / TWO_PI, n_part, rng)
     omegas = freq.sample(run.g, n_part, seed=8)
     pstate = particle.ParticleState(thetas, omegas, K=run.result.final_state.K)
     n_samples, per = particle.step_plan(pstate, 20.0, 0.01, 0.05)[:2]
@@ -463,7 +463,7 @@ def _arc_mass_and_growth(cache, failures, details):
     g = freq.uniform(M)
     grid = kinetic.PhaseGrid(1024)
     state = kinetic.state_from_profile(grid, g, 8, K=K,
-                                       profile=kinetic.von_mises_profile(30.0))
+                                       profile=freq.von_mises_profile(30.0))
     arc = diag.Interval("l_plus", gamma0)
     cfg = diag.DiagnosticsConfig(intervals=(arc,), gamma_plus_interval=arc)
     res = kinetic.run(state, 4.0, 0.02, sampler=diag.RecordSampler(cfg), cfl=0.5)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kslab
-from kslab import cli, kinetic, particle
+from kslab import cli, kinetic
 from kslab import diagnostics as diag
 from kslab import frequency as freq
 
@@ -82,7 +82,7 @@ def test_identical_oscillators_flag_decreasing_R(tmp_path):
 
     from kslab import diagnostics, kinetic
     st = kinetic.state_from_profile(kinetic.PhaseGrid(64), kslab.frequency.dirac_at_zero(),
-                                    1, 1.0, kinetic.cosine_profile(0.2))
+                                    1, 1.0, freq.cosine_profile(0.2))
     res = kinetic.run(st, 0.2, 0.1, sampler=diagnostics.RecordSampler(
         diagnostics.DiagnosticsConfig()))
     for dR, ok in ((-1e-12, True), (-1.01e-12, False)):
@@ -325,7 +325,7 @@ def test_cli_import_leaves_command_only_modules_out():
 
 @pytest.mark.parametrize("command, leaves_out", [
     ("equilibrium", {"kslab.kinetic", "kslab.particle", "kslab.diagnostics", "kslab.verify"}),
-    ("simulate-particle", {"kslab.diagnostics", "kslab.verify"}),
+    ("simulate-particle", {"kslab.kinetic", "kslab.diagnostics", "kslab.verify"}),
     ("simulate-kinetic", {"kslab.particle", "kslab.verify"}),
     ("characteristics", {"kslab.particle", "kslab.diagnostics", "kslab.verify"})])
 def test_command_loads_only_the_modules_it_runs(tmp_path, command, leaves_out):
@@ -753,13 +753,13 @@ def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch)
     table = tmp_path / "profile.csv"
     table.write_text(csv_text(["theta", "value"],
                               [[0, 1], [1, 1], [1.0004, 50], [1.0008, 1], [3, 1]]))
-    sample_phases, drawn = particle.sample_phases, []
+    sample_phases, drawn = freq.sample_phases, []
 
     def recording(profile, bound, n, rng):
         drawn.append((bound, sample_phases(profile, bound, n, rng)))
         return drawn[-1][1]
 
-    monkeypatch.setattr(particle, "sample_phases", recording)
+    monkeypatch.setattr(freq, "sample_phases", recording)
     n = 100000
     cfg = write_config(tmp_path, model="particle", n_particles=n, t_end=0.0,
                        initial={"preset": "table", "path": str(table)})
@@ -776,13 +776,13 @@ def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch)
 def test_zero_mass_initial_table_is_config_error(tmp_path, monkeypatch, capsys, model):
     # kinetic divided by the zero mass; particle drew phases below a bound of 0
     # forever, so a zero bound fails here instead of hanging
-    sample_phases = particle.sample_phases
+    sample_phases = freq.sample_phases
 
     def bounded(profile, bound, n, rng):
         assert bound > 0.0, "rejection sampling with bound 0 never accepts"
         return sample_phases(profile, bound, n, rng)
 
-    monkeypatch.setattr(particle, "sample_phases", bounded)
+    monkeypatch.setattr(freq, "sample_phases", bounded)
     table = tmp_path / "profile.csv"
     table.write_text(csv_text(["theta", "value"], [[0, 0], [1, 0], [3, 0]]))
     cfg = write_config(tmp_path, model=model, n_particles=20,

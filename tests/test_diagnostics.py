@@ -53,7 +53,7 @@ def test_arc_identity_between_families():
 
 
 def test_mass_full_circle_and_complementarity():
-    st = dirac_state(128, kinetic.cosine_profile(0.3, 0.5))
+    st = dirac_state(128, freq.cosine_profile(0.3, 0.5))
     assert arc_mass(st, 0.0, TWO_PI) == pytest.approx(1.0, abs=1e-10)
     op = order.global_order(st)
     rho = st.marginal_density()
@@ -65,7 +65,7 @@ def test_mass_full_circle_and_complementarity():
 
 
 def test_mass_shrinks_with_width():
-    st = dirac_state(128, kinetic.cosine_profile(0.3))
+    st = dirac_state(128, freq.cosine_profile(0.3))
     masses = [float(on_interval(st, diag.Interval("i_plus", d), st.marginal_density()))
               for d in (0.8, 0.4, 0.2, 0.05, 0.01)]
     assert all(a > b for a, b in zip(masses, masses[1:]))
@@ -81,7 +81,7 @@ def test_mass_subcell_apportionment_exact_for_flat_density():
 
 
 def test_mass_continuous_in_phase():
-    st = dirac_state(64, kinetic.cosine_profile(0.4, 1.0))
+    st = dirac_state(64, freq.cosine_profile(0.4, 1.0))
     rho_max = float(np.max(st.marginal_density()))
     vals = [arc_mass(st, 1.0 + e, 2.0 + e) for e in np.linspace(0, 0.01, 11)]
     for a, b in zip(vals, vals[1:]):
@@ -95,7 +95,7 @@ def test_mass_requires_defined_phase():
 
 
 def test_lyapunov_constant_density():
-    st = dirac_state(128, kinetic.cosine_profile(0.3, 0.0))
+    st = dirac_state(128, freq.cosine_profile(0.3, 0.0))
     values = np.full_like(st.values, 1.0 / TWO_PI)
     flat = kinetic.KineticState(st.grid, st.omega, st.weights, values, K=1.0)
     iv = diag.Interval("i_minus", 0.5)
@@ -109,7 +109,7 @@ def test_lyapunov_constant_density():
 
 
 def test_lyapunov_empty_interval_limit():
-    st = dirac_state(128, kinetic.cosine_profile(0.3))
+    st = dirac_state(128, freq.cosine_profile(0.3))
     tiny = float(on_interval(st, diag.Interval("i_minus", 1e-9), st.marginal_density() ** 2))
     assert tiny == pytest.approx(0.0, abs=1e-9)
 
@@ -181,7 +181,7 @@ def test_antipodal_arc_sums_keep_relative_accuracy():
     # must still match the overlap sum to 1e-12 relative
     grid = kinetic.PhaseGrid(256)
     g = freq.uniform(0.1)
-    st = kinetic.state_from_profile(grid, g, 3, 1.0, kinetic.von_mises_profile(20.0, 2.4))
+    st = kinetic.state_from_profile(grid, g, 3, 1.0, freq.von_mises_profile(20.0, 2.4))
     op = order.global_order(st)
     rho = st.marginal_density()
     dth = grid.dtheta
@@ -587,7 +587,7 @@ def test_hypothesis_never_raises():
 
 
 def run_with_records(n_theta=128, t_end=2.0):
-    st = dirac_state(n_theta, kinetic.cosine_profile(0.25, 0.7), K=1.0)
+    st = dirac_state(n_theta, freq.cosine_profile(0.25, 0.7), K=1.0)
     cfg = diag.DiagnosticsConfig(
         intervals=(diag.Interval("i_plus", 0.3), diag.Interval("i_minus", 0.3)),
         lambda_interval=diag.Interval("i_minus", 0.5),

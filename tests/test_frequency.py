@@ -98,6 +98,31 @@ def test_table_moments_and_normalization(caplog):
     assert g.support == 1.0
 
 
+def table_rule_loop(om, de, n):
+    """The composite Gauss-Legendre rule of a table, one segment at a time."""
+    x, w = np.polynomial.legendre.leggauss(max(2, math.ceil(n / (om.size - 1))))
+    nodes, weights = [], []
+    for a, b in zip(om[:-1], om[1:]):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        seg_nodes = mid + half * x
+        nodes.append(seg_nodes)
+        weights.append(half * w * np.interp(seg_nodes, om, de))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 17, 64])
+def test_table_rule_is_the_per_segment_loop(n):
+    # the array form takes the same operations per node, so it is bit for bit the loop's
+    rng = np.random.default_rng(n)
+    for size in (2, 5, 21):
+        om = np.cumsum(rng.uniform(0.01, 1.0, size))
+        om -= om.mean()
+        de = rng.uniform(0.0, 2.0, size)
+        nodes, weights = table_rule_loop(om, de, n)
+        rule = freq._table_rule(om, de, n)
+        assert np.array_equal(rule[:, 0], nodes) and np.array_equal(rule[:, 1], weights)
+
+
 def test_table_all_zero_flaggable():
     # a table without mass cannot be renormalized, so it is rejected
     with pytest.raises(ValueError, match="zero mass"):
@@ -123,6 +148,39 @@ def test_table_sampling_matches_density():
     # triangular density has zero mean and variance 1/6
     assert abs(x.mean()) < 0.01
     assert abs(x.var() - 1.0 / 6.0) < 0.01
+
+
+def test_table_sampling_inverts_a_narrow_peak(monkeypatch, capped_rng):
+    # all the mass lies within 1e-6 of 0: rejection under the peak accepts
+    # one candidate in 2e6 (~0.23 s a draw), inverting the CDF takes n draws
+    knots = [-1.0, -1e-6, 0.0, 1e-6, 1.0]
+    g = freq.from_table(knots, [0.0, 0.0, 1.0, 0.0, 0.0])
+    n = 20000
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: capped_rng(seed, 4 * n))
+    x = freq.sample(g, n, seed=1)
+    assert x.shape == (n,)
+    assert np.all(np.abs(x) <= 1e-6)
+    # the table's CDF at its knots is 0, 0, 1/2, 1, 1
+    cdf = np.array([np.mean(x <= k) for k in knots])
+    assert np.max(np.abs(cdf - [0.0, 0.0, 0.5, 1.0, 1.0])) <= 5.0 * math.sqrt(0.25 / n), cdf
+
+
+@pytest.mark.parametrize("omegas, densities", [
+    ([-1.0, math.nan, 1.0], [0.5, 1.0, 0.5]), ([-1.0, 0.0, 1.0], [0.5, math.nan, 0.5]),
+    ([-math.inf, 0.0, 1.0], [0.5, 1.0, 0.5]), ([-1.0, 0.0, 1.0], [0.5, math.inf, 0.5])])
+def test_table_non_finite_knot_rejected(omegas, densities):
+    # a NaN density used to be reported as zero mass
+    with pytest.raises(ValueError, match="must be finite"):
+        freq.from_table(omegas, densities)
+
+
+@pytest.mark.parametrize("thetas, values", [
+    ([0.0, math.nan, 3.0], [1.0, 1.0, 1.0]), ([0.0, 1.0, 3.0], [1.0, math.nan, 1.0]),
+    ([0.0, math.inf, 3.0], [1.0, 1.0, 1.0]), ([0.0, 1.0, 3.0], [1.0, -math.inf, 1.0])])
+def test_table_profile_non_finite_knot_rejected(thetas, values):
+    # a NaN theta used to build a finite but wrong state, a NaN value a NaN one
+    with pytest.raises(ValueError, match="must be finite"):
+        freq.table_profile(thetas, values)
 
 
 def _table_config(path):

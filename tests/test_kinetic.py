@@ -26,7 +26,7 @@ def uniform_state(n_theta=64, n_omega=8, K=2.0, halfwidth=0.5, a=0.3):
     grid = kinetic.PhaseGrid(n_theta)
     g = freq.uniform(halfwidth)
     return kinetic.state_from_profile(grid, g, n_omega, K,
-                                      kinetic.cosine_profile(a))
+                                      freq.cosine_profile(a))
 
 
 def test_grid_validation():
@@ -128,7 +128,7 @@ def test_step_uniform_profile_is_steady(scheme):
 
 
 def test_step_zero_velocity_keeps_state():
-    st = dirac_state(64, kinetic.cosine_profile(0.4), K=0.0)
+    st = dirac_state(64, freq.cosine_profile(0.4), K=0.0)
     out = kinetic.step(st, 0.01)
     assert np.array_equal(out.values, st.values)
 
@@ -145,7 +145,7 @@ def kernel_stage(state, values, dt):
 def test_step_amplitude_grows_and_matches_dense_ode(scheme):
     # independent oracle: the same semi-discrete system integrated by a
     # high-order adaptive method
-    st = dirac_state(64, kinetic.cosine_profile(0.2), K=1.0)
+    st = dirac_state(64, freq.cosine_profile(0.2), K=1.0)
     dt = 2e-3
     R0 = order.global_order(st).R
     out = kinetic.step(st, dt)
@@ -164,7 +164,7 @@ def test_step_amplitude_grows_and_matches_dense_ode(scheme):
 
 
 def test_step_rejects_cfl_violation():
-    st = dirac_state(64, kinetic.cosine_profile(0.2), K=1.0)
+    st = dirac_state(64, freq.cosine_profile(0.2), K=1.0)
     with pytest.raises(kinetic.CflError) as err:
         kinetic.step(st, 10.0)
     assert err.value.admissible < 10.0
@@ -276,13 +276,13 @@ def test_conservation_and_velocity_bound(scheme):
 
 
 def test_positivity_preserved():
-    st = dirac_state(128, kinetic.von_mises_profile(20.0), K=1.0)
+    st = dirac_state(128, freq.von_mises_profile(20.0), K=1.0)
     res = kinetic.run(st, 2.0, 0.5)
     assert np.min(res.final_state.values) >= -1e-13
 
 
 def test_run_checks_positivity_each_step(monkeypatch):
-    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    st = dirac_state(64, freq.cosine_profile(0.2))
     res = kinetic.run(st, 0.5, 0.25)
     assert 0.0 < res.min_cell_value <= min(np.min(st.values),
                                            np.min(res.final_state.values))
@@ -338,7 +338,7 @@ def nan_at_call(n, cell=(0, 3)):
 
 
 def test_run_names_a_nan_that_appears_mid_run(monkeypatch):
-    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    st = dirac_state(64, freq.cosine_profile(0.2))
     advanced, calls = nan_at_call(3)
     monkeypatch.setattr(kinetic._Workspace, "advance", advanced)
     with pytest.raises(kinetic.FluxNanError) as err:
@@ -350,7 +350,7 @@ def test_run_names_a_nan_that_appears_mid_run(monkeypatch):
 
 
 def test_run_names_a_nan_in_its_last_step(monkeypatch):
-    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    st = dirac_state(64, freq.cosine_profile(0.2))
     n_steps = kinetic.run(st, 0.5, 0.25).n_steps
     advanced, calls = nan_at_call(n_steps, cell=(0, 63))
     monkeypatch.setattr(kinetic._Workspace, "advance", advanced)
@@ -480,7 +480,7 @@ def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
 def test_rigid_rotation_at_zero_coupling():
     # at K = 0 each slice translates: f_k(theta, t) = f0(theta - omega_k t);
     # slices of both signs move apart, so a leak across the seams would show
-    profile = kinetic.cosine_profile(0.3, 1.0)
+    profile = freq.cosine_profile(0.3, 1.0)
     errs = []
     for n in (64, 128, 256, 512):
         grid = kinetic.PhaseGrid(n)
@@ -498,7 +498,7 @@ def test_rigid_rotation_at_zero_coupling():
 
 
 def test_run_zero_horizon_returns_initial_record():
-    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    st = dirac_state(64, freq.cosine_profile(0.2))
     res = kinetic.run(st, st.t, 0.1, sampler=lambda s, op: s.t)
     assert res.records == [0.0]
     with pytest.raises(ValueError):
@@ -509,7 +509,7 @@ def test_run_zero_horizon_returns_initial_record():
 
 def test_sampler_gets_each_state_with_its_order_parameters():
     st = kinetic.state_from_profile(kinetic.PhaseGrid(64), freq.uniform(0.5), 4, 1.5,
-                                    kinetic.von_mises_profile(2.0, 1.0))
+                                    freq.von_mises_profile(2.0, 1.0))
     calls = []
     res = kinetic.run(st, 1.0, 0.1, sampler=lambda s, op: calls.append((s, op)))
     assert [s.t for s, _ in calls] == pytest.approx(0.1 * np.arange(11))
@@ -519,7 +519,7 @@ def test_sampler_gets_each_state_with_its_order_parameters():
 
 def test_run_rejects_sample_intervals_within_time_tolerance():
     # such a run used to take no step yet stamp its samples with their times
-    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    st = dirac_state(64, freq.cosine_profile(0.2))
     for sample_every in (1e-13, 1e-12):
         with pytest.raises(ValueError, match="time tolerance"):
             kinetic.run(st, 10 * sample_every, sample_every)
@@ -529,7 +529,7 @@ def test_run_rejects_sample_intervals_within_time_tolerance():
 
 
 def test_run_is_deterministic():
-    make = lambda: dirac_state(64, kinetic.cosine_profile(0.2), K=1.0)
+    make = lambda: dirac_state(64, freq.cosine_profile(0.2), K=1.0)
     r1 = kinetic.run(make(), 2.0, 0.1, sampler=lambda s, op: s.values.copy())
     r2 = kinetic.run(make(), 2.0, 0.1, sampler=lambda s, op: s.values.copy())
     assert len(r1.records) == len(r2.records)
@@ -538,7 +538,7 @@ def test_run_is_deterministic():
 
 
 def test_identical_case_long_run_reaches_unity():
-    st = dirac_state(64, kinetic.cosine_profile(0.2), K=1.0)
+    st = dirac_state(64, freq.cosine_profile(0.2), K=1.0)
     res = kinetic.run(st, 40.0, 0.5)
     assert order.global_order(res.final_state).R >= 0.99
     assert res.min_step_delta_R >= -1e-9
@@ -546,7 +546,7 @@ def test_identical_case_long_run_reaches_unity():
 
 
 def test_sampling_cadence():
-    st = dirac_state(64, kinetic.cosine_profile(0.2))
+    st = dirac_state(64, freq.cosine_profile(0.2))
     res = kinetic.run(st, 1.0, 0.25, sampler=lambda s, op: s.t)
     assert res.records == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -554,7 +554,7 @@ def test_sampling_cadence():
 @pytest.mark.parametrize("t0", [0.0, 0.3])
 def test_sample_times_are_exact_multiples(t0):
     st = dataclasses.replace(kinetic.state_from_profile(
-        kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1, 1.0, kinetic.cosine_profile(0.2)), t=t0)
+        kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1, 1.0, freq.cosine_profile(0.2)), t=t0)
     res = kinetic.run(st, t0 + 2.0, 0.1, sampler=lambda s, op: s.t)
     assert res.records == [t0 + i * 0.1 for i in range(21)]
     assert res.final_state.t == t0 + 20 * 0.1
@@ -564,7 +564,7 @@ def test_t_end_within_tolerance_ends_at_the_last_sample():
     # 1.0000000001 is 10 sample intervals to 1e-9: the run takes the steps of
     # t_end 1.0 and no step past the sample at 1.0
     st = kinetic.state_from_profile(kinetic.PhaseGrid(64), freq.dirac_at_zero(), 1, 1.0,
-                                    kinetic.cosine_profile(0.2))
+                                    freq.cosine_profile(0.2))
     exact = kinetic.run(st, 1.0, 0.1, sampler=lambda s, op: s.t)
     res = kinetic.run(st, 1.0000000001, 0.1, sampler=lambda s, op: s.t)
     assert res.final_state.t == res.records[-1] == exact.final_state.t == 1.0
@@ -580,7 +580,7 @@ def _restrict(values, factor):
 
 def test_muscl_second_order_convergence():
     t_end = 0.3
-    profile = kinetic.von_mises_profile(4.0, 1.0)
+    profile = freq.von_mises_profile(4.0, 1.0)
     ref_n = 2048
     ref = kinetic.run(dirac_state(ref_n, profile, K=1.0), t_end, t_end, cfl=0.4).final_state
     errs = []
@@ -674,16 +674,16 @@ def test_characteristics_vectorized():
 
 def test_profile_presets():
     grid = kinetic.PhaseGrid(256)
-    for profile in (kinetic.cosine_profile(0.4, 1.0),
-                    kinetic.von_mises_profile(12.0, 2.0),
-                    kinetic.table_profile([0.0, 2.0, 4.0], [0.2, 0.5, 0.1])):
+    for profile in (freq.cosine_profile(0.4, 1.0),
+                    freq.von_mises_profile(12.0, 2.0),
+                    freq.table_profile([0.0, 2.0, 4.0], [0.2, 0.5, 0.1])):
         st = kinetic.state_from_profile(grid, freq.dirac_at_zero(), 1, 1.0, profile)
         assert st.slice_masses() == pytest.approx([1.0], abs=1e-14)
         assert np.min(st.values) >= 0.0
     with pytest.raises(ValueError):
-        kinetic.cosine_profile(0.6)
+        freq.cosine_profile(0.6)
     with pytest.raises(ValueError, match="zero mass"):
-        kinetic.table_profile([0.0, 1.0, 3.0], [0.0, 0.0, 0.0])
+        freq.table_profile([0.0, 1.0, 3.0], [0.0, 0.0, 0.0])
 
 
 def test_gauss4_literals_are_numpys_rule():
@@ -697,5 +697,5 @@ def test_i0e_matches_scipy():
     # the von Mises normalizer: numpy's I0 below 50, the asymptotic series above
     xs = np.concatenate([[0.0, 49.999, 50.0, 50.001], np.linspace(0.0, 100.0, 4001),
                          np.linspace(100.0, 1e4, 2001), 10.0 ** np.linspace(-10.0, 4.0, 281)])
-    got = np.array([kinetic._i0e(float(x)) for x in xs])
+    got = np.array([freq._i0e(float(x)) for x in xs])
     np.testing.assert_allclose(got, special.i0e(xs), rtol=1e-15, atol=0.0)

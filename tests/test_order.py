@@ -24,7 +24,7 @@ def test_uniform_density_has_zero_amplitude():
 
 @pytest.mark.parametrize("a,theta0", [(0.2, 0.0), (0.35, 1.3), (0.5, 4.0)])
 def test_cosine_profile_amplitude_and_phase(a, theta0):
-    st = dirac_state(256, kinetic.cosine_profile(a, theta0))
+    st = dirac_state(256, freq.cosine_profile(a, theta0))
     op = order.global_order(st)
     dth = st.grid.dtheta
     assert abs(op.R - a) <= 5.0 * dth ** 2
@@ -32,7 +32,7 @@ def test_cosine_profile_amplitude_and_phase(a, theta0):
 
 
 def test_narrow_bump_limit():
-    st = dirac_state(512, kinetic.von_mises_profile(400.0, 2.0))
+    st = dirac_state(512, freq.von_mises_profile(400.0, 2.0))
     op = order.global_order(st)
     assert op.R > 0.995
     assert abs(op.phi - 2.0) < 1e-3
@@ -45,7 +45,7 @@ def multi_slice_state(n_theta=256, n_omega=8, K=2.0):
     pairs = np.array(freq.quadrature_nodes(g, n_omega))
     values = np.empty((n_omega, n_theta))
     for k in range(n_omega):
-        prof = kinetic.cosine_profile(0.1 + 0.04 * k, 0.3 * k)
+        prof = freq.cosine_profile(0.1 + 0.04 * k, 0.3 * k)
         values[k] = kinetic.project_profile(grid, prof)
         values[k] /= values[k].sum() * grid.dtheta
     return kinetic.KineticState(grid, pairs[:, 0], pairs[:, 1], values, K=K)
@@ -109,7 +109,7 @@ def rates_direct(state, op):
 @pytest.mark.parametrize("K", [0.0, 2.0, 9.0])
 def test_rate_formulas_match_direct_trig(K):
     rng = np.random.default_rng(8)
-    states = [multi_slice_state(K=K), dirac_state(512, kinetic.von_mises_profile(6.0, 5.9), K=K)]
+    states = [multi_slice_state(K=K), dirac_state(512, freq.von_mises_profile(6.0, 5.9), K=K)]
     for st in states:
         ops = [order.global_order(st)] + [
             order.OrderParams(rng.uniform(0.05, 1.0), rng.uniform(0.0, TWO_PI), True)
@@ -122,7 +122,7 @@ def test_rate_formulas_match_direct_trig(K):
 
 
 def test_rdot_sign_for_identical_oscillators():
-    st = dirac_state(256, kinetic.cosine_profile(0.25, 1.0))
+    st = dirac_state(256, freq.cosine_profile(0.25, 1.0))
     assert rates(st)[0] >= 0.0
 
 
@@ -143,7 +143,7 @@ def test_rdot_requires_defined_phase():
 
 
 def test_phidot_even_density_is_zero():
-    st = dirac_state(256, kinetic.cosine_profile(0.3, 0.9))
+    st = dirac_state(256, freq.cosine_profile(0.3, 0.9))
     assert rates(st)[1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_phidot_bound_values():
 
 
 def test_kinetic_potential_extremes():
-    spike = dirac_state(512, kinetic.von_mises_profile(3000.0), K=2.0)
+    spike = dirac_state(512, freq.von_mises_profile(3000.0), K=2.0)
     assert order.kinetic_potential(spike, order.global_order(spike)) == pytest.approx(
         0.0, abs=1e-3)
     flat = dirac_state(128, lambda th: np.full_like(th, 1.0 / TWO_PI), K=2.0)
@@ -174,7 +174,7 @@ def test_kinetic_potential_extremes():
 
 def test_rate_formulas_match_short_run():
     # solver-vs-formula cross-check on a smooth identical-oscillator run
-    st = dirac_state(128, kinetic.cosine_profile(0.2, 0.4), K=1.0)
+    st = dirac_state(128, freq.cosine_profile(0.2, 0.4), K=1.0)
     sample = 0.05
     res = kinetic.run(st, 1.0, sample, sampler=lambda s, op: s, cfl=0.5)
     states = res.records

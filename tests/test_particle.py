@@ -474,29 +474,34 @@ def test_run_particles_exact_sample_times(tmp_path):
 
 def flow_map_orders(thetas, omega, K, ts, h):
     """(R, phi) at the times ts of N identical oscillators at frequency omega
-    from the Watanabe-Strogatz flow map: z_j(t) = M(z_j(0)) for one Moebius
-    map M(z) = (p11 z + p12) / (p21 z + p22) with P' = A P, P(0) = I and
+    from the Watanabe-Strogatz flow map, and their phases on [0, 2pi) at
+    ts[-1]: z_j(t) = M(z_j(0)) for one Moebius map
+    M(z) = (p11 z + p12) / (p21 z + p22) with P' = A P, P(0) = I and
     A = [[i omega / 2, K Z / 2], [K conj(Z) / 2, -i omega / 2]], Z the mean of
-    M over the start points; RK4 steps of h, a whole number per interval."""
+    M over the start points; RK4 steps of h, a whole number per interval.
+    Phases (..., N) are a batch of systems, one flow map per row, and the
+    results get the batch axes after the time axis."""
     z0 = np.exp(1j * thetas)
 
-    def mean_z(p):
-        return np.mean((p[0, 0] * z0 + p[0, 1]) / (p[1, 0] * z0 + p[1, 1]))
+    def moebius(p):
+        return ((p[..., 0, 0, None] * z0 + p[..., 0, 1, None])
+                / (p[..., 1, 0, None] * z0 + p[..., 1, 1, None]))
 
     def rhs(t, p):
-        Z = mean_z(p)
-        return np.array([[0.5j * omega, 0.5 * K * Z],
-                         [0.5 * K * np.conj(Z), -0.5j * omega]]) @ p
+        Z = np.mean(moebius(p), axis=-1)
+        a = np.stack([np.full(Z.shape, 0.5j * omega), 0.5 * K * Z,
+                      0.5 * K * np.conj(Z), np.full(Z.shape, -0.5j * omega)], axis=-1)
+        return a.reshape(Z.shape + (2, 2)) @ p
 
-    p, out = np.eye(2, dtype=complex), []
+    p, out = np.broadcast_to(np.eye(2, dtype=complex), thetas.shape[:-1] + (2, 2)), []
     for i, t in enumerate(ts):
         if i:
             steps = round((t - ts[i - 1]) / h)
             for _ in range(steps):
                 p = rk4_step(rhs, 0.0, p, (t - ts[i - 1]) / steps)
-        Z = mean_z(p)
-        out.append((abs(Z), np.angle(Z) % TWO_PI))
-    return np.array(out)
+        Z = np.mean(moebius(p), axis=-1)
+        out.append(np.stack([np.abs(Z), np.angle(Z) % TWO_PI], axis=-1))
+    return np.array(out), np.angle(moebius(p)) % TWO_PI
 
 
 def test_run_particles_match_the_flow_map_of_identical_oscillators():
@@ -506,10 +511,32 @@ def test_run_particles_match_the_flow_map_of_identical_oscillators():
     st = particle.ParticleState(th, np.zeros(10), K=1.0)
     assert particle.step_plan(st, 2.0, 0.01, 0.1) == (20, 10, 0.01, True)
     rows = particle.run_particles(st, 2.0, dt=0.01, sample_every=0.1)
-    exact = flow_map_orders(th, 0.0, 1.0, rows[:, 0], 1e-3)
+    exact = flow_map_orders(th, 0.0, 1.0, rows[:, 0], 1e-3)[0]
     assert np.max(np.abs(rows[:, 1] - exact[:, 0])) <= 1e-9
     dphi = (rows[:, 2] - exact[:, 1] + math.pi) % TWO_PI - math.pi
     assert np.max(np.abs(dphi)) <= 1e-9
+
+
+def test_batched_steps_match_the_flow_map_of_identical_oscillators():
+    # criterion 10's start and steps: 200 systems of 10 oscillators at K = 1,
+    # stepped together by rotating RK4 steps of 0.05 to t = 2.  Their phases
+    # differ from the flow map's (h = 1e-3, within 4e-12 of h = 5e-3) by at
+    # most 3.9e-8, which falls 16-fold per halving of the step (6.1e-7 at
+    # dt = 0.1, 2.5e-9 at 0.025): RK4's own error, so the bound is 1e-7
+    thetas = np.random.default_rng(10).uniform(0.0, TWO_PI, (200, 10))
+    assert np.abs(np.mean(np.exp(1j * thetas), axis=1)).min() >= 0.01   # none redrawn
+    dt = 0.05
+    rotate = particle._rotates(0.0, 1.0, dt)
+    assert rotate
+    th = thetas
+    for _ in range(40):
+        th = particle._mean_field_step(th, 0.0, 1.0, dt, rotate)[0]
+    orders, phases = flow_map_orders(thetas, 0.0, 1.0, [0.0, 2.0], 1e-3)
+    assert orders.shape == (2, 200, 2) and phases.shape == (200, 10)
+    dphase = (th - phases + math.pi) % TWO_PI - math.pi
+    assert np.max(np.abs(dphase)) <= 1e-7
+    r = np.abs(np.mean(np.exp(1j * th), axis=1))
+    assert np.max(np.abs(r - orders[-1, :, 0])) <= 1e-7
 
 
 def test_long_rotating_interval_stays_near_the_step_chain():
@@ -551,7 +578,7 @@ def _run_particles(t_end, sample_every):
 
 def _run_kinetic(t_end, sample_every):
     st = kinetic.state_from_profile(kinetic.PhaseGrid(16), freq.dirac_at_zero(), 1, 1.0,
-                                    kinetic.cosine_profile(0.2))
+                                    freq.cosine_profile(0.2))
     return kinetic.run(st, t_end, sample_every)
 
 
@@ -580,35 +607,22 @@ def test_run_particles_rejects_bad_dt(dt):
 def test_sample_phases_follows_profile():
     def profile(th):
         return (1.0 + 0.8 * np.cos(th)) / TWO_PI
-    th = particle.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
+    th = freq.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
     assert th.shape == (20000,)
     assert np.all((th >= 0.0) & (th < TWO_PI))
     # first Fourier mode of the profile: E[cos] = 0.4
     assert np.mean(np.cos(th)) == pytest.approx(0.4, abs=0.02)
-    again = particle.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
+    again = freq.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
     np.testing.assert_array_equal(th, again)
 
 
-class CappedRng:
-    """A generator whose uniform draws stop, with an error, after cap values."""
-
-    def __init__(self, seed, cap):
-        self.rng, self.left = np.random.default_rng(seed), cap
-
-    def uniform(self, low, high, size):
-        self.left -= size
-        if self.left < 0:
-            raise RuntimeError("too many draws")
-        return self.rng.uniform(low, high, size)
-
-
-def test_sample_phases_inverts_a_spike_table():
+def test_sample_phases_inverts_a_spike_table(capped_rng):
     # nearly all the mass sits on [1, 1.000002]: rejection under the peak
     # accepts 1.6e-7 of its candidates, inverting the CDF takes n draws
     knots, heights = [0.0, 1.0, 1.000001, 1.000002, 3.0], [0.0, 0.0, 1.0, 0.0, 0.0]
-    profile = kinetic.table_profile(knots, heights)
+    profile = freq.table_profile(knots, heights)
     n = 20000
-    th = particle.sample_phases(profile, 1.0, n, CappedRng(5, 4 * n))
+    th = freq.sample_phases(profile, 1.0, n, capped_rng(5, 4 * n))
     assert th.shape == (n,)
     assert np.all((th >= 1.0) & (th <= 1.000002))
     # the table's CDF at its knots is 0, 0, 1/2, 1, 1
@@ -621,9 +635,9 @@ def test_sample_phases_follows_a_table_cdf():
     # the share of phases in [knots[0], x] is the trapezoid mass there
     knots = np.array([0.5, 1.5, 2.0, 4.0, 6.0])
     heights = np.array([1.0, 3.0, 0.0, 2.0, 0.25])
-    profile = kinetic.table_profile(knots, heights)
+    profile = freq.table_profile(knots, heights)
     n = 200000
-    th = particle.sample_phases(profile, 3.0, n, np.random.default_rng(9))
+    th = freq.sample_phases(profile, 3.0, n, np.random.default_rng(9))
     assert np.all((th >= 0.0) & (th < TWO_PI))
     x = np.append(knots, knots[0] + TWO_PI)
     y = np.append(heights, heights[0])
@@ -631,5 +645,5 @@ def test_sample_phases_follows_a_table_cdf():
     cdf = mass[:-1] / mass[-1]
     emp = np.array([np.mean((th >= knots[0]) & (th <= v)) for v in knots])
     assert np.max(np.abs(emp - cdf)) <= 5.0 * math.sqrt(0.25 / n), (emp, cdf)
-    again = particle.sample_phases(profile, 3.0, n, np.random.default_rng(9))
+    again = freq.sample_phases(profile, 3.0, n, np.random.default_rng(9))
     np.testing.assert_array_equal(th, again)
