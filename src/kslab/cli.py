@@ -79,7 +79,7 @@ def validate_config(raw: dict) -> dict:
     """Check every field against the module preconditions.
 
     Returns a new config: the _DEFAULTS under the user's keys, real-valued
-    fields as floats, dt_particle (sample_every / 5 unless given),
+    fields as finite floats, dt_particle (sample_every / 5 unless given),
     initial.center (0.0 unless given), a given hypothesis section over
     _HYP_DEFAULTS, and a non-empty diagnostics section parsed into a
     DiagnosticsConfig (None for the empty default).  A field that the frequency
@@ -120,11 +120,11 @@ def validate_config(raw: dict) -> dict:
 
     if isinstance(cfg["coupling"], list):
         _require(all(_is_number(k) and k > 0 for k in cfg["coupling"]),
-                 "every coupling value must be a positive number")
+                 "every coupling value must be a positive finite number")
         cfg["coupling"] = [float(k) for k in cfg["coupling"]]
     else:
         _require(_is_number(cfg["coupling"]) and cfg["coupling"] >= 0,
-                 "coupling must be a nonnegative number")
+                 "coupling must be a nonnegative finite number")
         cfg["coupling"] = float(cfg["coupling"])
 
     for key, low in (("n_theta", MIN_CELLS), ("n_omega", 1),
@@ -166,15 +166,22 @@ def validate_config(raw: dict) -> dict:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether value is a JSON number with a finite float value: not a bool,
+    not Infinity or NaN, and no integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _real(mapping: dict, key: str, where: str = "") -> float:
-    """mapping[key] as a float; it must be given and be a JSON number, so a
-    bool or a numeric string is a ConfigError."""
+    """mapping[key] as a float; it must be given and be a finite JSON number,
+    so a bool, a numeric string, Infinity or NaN is a ConfigError."""
     _require(key in mapping, f"{where}{key} is required")
     value = mapping[key]
-    _require(_is_number(value), f"{where}{key} must be a number, not {value!r}")
+    _require(_is_number(value), f"{where}{key} must be a finite number, not {value!r}")
     return float(value)
 
 

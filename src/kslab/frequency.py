@@ -28,7 +28,8 @@ each segment's increment is written with difference formulas, so nothing
 cancels on short segments or at large a.  The functional accepts an array
 of a and gives each element the value a scalar call gives, so
 ``equilibrium_R``, which solves the locked state R = H(K R), evaluates a
-chunk of its scan, or several bisection levels, in one numpy call.
+chunk of its scan, or the stretch of its bisection path that a secant
+predicts, in one numpy call.
 """
 
 from __future__ import annotations
@@ -408,21 +409,8 @@ def equilibrium_probe(g: FrequencyDensity, K: float, R: float) -> float:
 # a root near R = 1 (large K) lies in the first scan chunk
 _SCAN_POINTS = 2048
 _SCAN_CHUNK = 64
-_BISECT_LEVELS = 6
+_PATH_POINTS = 64
 _MAX_HALVINGS = 200
-
-
-def _bisection_tree(a: float, b: float) -> np.ndarray:
-    """The sorted nodes of the next _BISECT_LEVELS levels of bisecting [a, b],
-    ends included; each midpoint is 0.5 * (lo + hi) of its own parent interval,
-    as a scalar bisection forms it."""
-    nodes = np.array([a, b])
-    for _ in range(_BISECT_LEVELS):
-        finer = np.empty(2 * nodes.size - 1)
-        finer[0::2] = nodes
-        finer[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-        nodes = finer
-    return nodes
 
 
 def equilibrium_R(g: FrequencyDensity, K: float) -> EquilibriumResult:
@@ -431,37 +419,43 @@ def equilibrium_R(g: FrequencyDensity, K: float) -> EquilibriumResult:
     psi(R) = R - H(R) is scanned on 2,048 points from R = 1 down to just
     above M/K, in chunks of 64, 128, ... points, one array call each, up to
     the first chunk that holds the bracket (the first point with psi = 0,
-    or psi > 0 followed by psi <= 0).  The bracket is halved at most 200
-    times, until |psi(mid)| <= 1e-11 and it is narrower than 1e-15.  One
-    array call evaluates psi on every midpoint of the next six halvings,
-    which then walk those values by sign, so the root is the one a scalar
-    bisection finds.  Returns "no solution" (found=False) when psi has no
-    sign change on the band, which is how a too-small coupling manifests.
-    The two locked-equilibrium lower bounds are evaluated on the solution.
+    or psi > 0 followed by psi <= 0); H(1) is read at the first point.  The
+    bracket is halved at most 200 times, until |psi(mid)| <= 1e-11 and it is
+    narrower than 1e-15.  One array call evaluates psi at the next 64
+    midpoints of the bisection path that the secant through the bracket
+    predicts; the halvings walk those values by sign up to the first
+    midpoint whose sign the secant got wrong, and the next call predicts
+    from the bracket that midpoint leaves.  Each midpoint is 0.5 (lo + hi)
+    of the bracket it halves, so the root is the one a scalar bisection
+    finds.  A walk that ends on the predicted path reads the residual at the
+    path's next midpoint, which is the root.  Returns "no solution"
+    (found=False) when psi has no sign change on the band, which is how a
+    too-small coupling manifests.  The two locked-equilibrium lower bounds
+    are evaluated on the solution.  K must be positive and finite.
     """
-    if K <= 0:
-        raise ValueError("K must be positive")
-    probe_1 = equilibrium_probe(g, K, 1.0)
+    if not (K > 0 and math.isfinite(K)):
+        raise ValueError(f"K must be positive and finite, not {K!r}")
     m = inner_support_radius(g)
     bound_mass = m * min_density_on_inner(g)
     if g.kind == "dirac" or g.support == 0.0:
-        return EquilibriumResult(True, 1.0, 0.0, probe_1, 1.0, True,
+        return EquilibriumResult(True, 1.0, 0.0, equilibrium_probe(g, K, 1.0), 1.0, True,
                                  bound_mass, 1.0 >= bound_mass, "R = 1 (identical oscillators)")
     lo_edge = g.support / K
     if lo_edge >= 1.0:
+        probe_1 = equilibrium_probe(g, K, 1.0)
         return EquilibriumResult(
             False, None, math.inf, probe_1, 0.0, False, bound_mass, False,
             f"no solution: lock band (M/K, 1] empty or no sign change; H(1)={probe_1:.12g}")
-
-    def psi(R):
-        return R - locked_phasor_mean(g, K * R)
 
     grid = np.linspace(1.0, lo_edge * (1.0 + 1e-12), _SCAN_POINTS)
     vals = np.empty(_SCAN_POINTS)
     start, size, first = 0, _SCAN_CHUNK, None
     while first is None and start < _SCAN_POINTS:
         stop = min(start + size, _SCAN_POINTS)
-        vals[start:stop] = psi(grid[start:stop])
+        h = locked_phasor_mean(g, K * grid[start:stop])
+        if start == 0:
+            probe_1 = float(h[0])       # grid[0] == 1.0
+        vals[start:stop] = grid[start:stop] - h
         # the pairs (i, i + 1) this chunk completes
         base = max(start - 1, 0)
         v = vals[base:stop]
@@ -473,25 +467,35 @@ def equilibrium_R(g: FrequencyDensity, K: float) -> EquilibriumResult:
         return EquilibriumResult(
             False, None, math.inf, probe_1, 0.0, False, bound_mass, False,
             f"no solution: R - H(R) has no sign change on (M/K, 1]; H(1)={probe_1:.12g}")
-    # psi(a) <= 0 <= psi(b), a <= b
-    a, b = (grid[first], grid[first]) if vals[first] == 0.0 else (grid[first + 1], grid[first])
+    # psi(a) = fa <= 0 < fb = psi(b) with a < b, or a == b at a scan root
+    ends = [first, first] if vals[first] == 0.0 else [first + 1, first]
+    (a, b), (fa, fb) = grid[ends].tolist(), vals[ends].tolist()
     halvings, done = 0, False
     while not done:
-        nodes = _bisection_tree(a, b)
-        psi_nodes = psi(nodes)
-        lo, hi = 0, nodes.size - 1
-        while hi - lo > 1 and not done:
-            mid = (lo + hi) // 2
-            if psi_nodes[mid] <= 0.0:
-                lo = mid
+        # the predicted path: psi <= 0 at a midpoint at or below the secant root r
+        r = a - fa * (b - a) / (fb - fa) if fb > fa else a
+        lo, hi, mids = a, b, []
+        for _ in range(_PATH_POINTS):
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            lo, hi = (mid, hi) if mid <= r else (lo, mid)
+        path = np.array(mids)
+        psi_path = (path - locked_phasor_mean(g, K * path)).tolist()
+        for i, (mid, f) in enumerate(zip(mids, psi_path)):
+            if f <= 0.0:
+                a, fa = mid, f
             else:
-                hi = mid
+                b, fb = mid, f
             halvings += 1
-            done = ((abs(psi_nodes[mid]) <= 1e-11 and nodes[hi] - nodes[lo] < 1e-15)
-                    or halvings == _MAX_HALVINGS)
-        a, b = nodes[lo], nodes[hi]
+            done = (abs(f) <= 1e-11 and b - a < 1e-15) or halvings == _MAX_HALVINGS
+            on_path = (f <= 0.0) == (mid <= r)
+            if done or not on_path:
+                break
     root = 0.5 * (a + b)
-    residual = abs(psi(root))
+    if on_path and i + 1 < _PATH_POINTS:
+        residual = abs(psi_path[i + 1])         # mids[i + 1] == root
+    else:
+        residual = abs(root - locked_phasor_mean(g, K * root))
     arg = g.support / (K * root)
     bound_sqrt = math.sqrt(max(0.0, 1.0 - arg * arg))
     return EquilibriumResult(True, root, residual, probe_1,

@@ -304,6 +304,10 @@ def _checked_state(state: KineticState, values: np.ndarray, t: float) -> Kinetic
     return new
 
 
+# the smallest normal float; run flushes cells below it to 0 at each sample
+_TINY = np.finfo(float).tiny
+
+
 @dataclass
 class RunResult:
     """The records, final state, step counts and monitors of one run."""
@@ -336,7 +340,11 @@ def run(state: KineticState, t_end: float, sample_every: float,
     exactly, so the cadence and therefore the output are deterministic for a
     given configuration.  Each step's values must stay above the -1e-13 floor
     KineticState enforces, and a non-finite one raises FluxNanError
-    (``_Workspace.raise_flux_nan``).  sample_every must exceed the 1e-12 time tolerance.
+    (``_Workspace.raise_flux_nan``).  At each sample the cells whose |value|
+    is below the smallest normal float are set to 0, in the state the run
+    goes on from as well as in the sample: a contracting run drives its
+    far field there, and arithmetic on subnormals is many times slower.
+    sample_every must exceed the 1e-12 time tolerance.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     eps = 1e-12
@@ -396,6 +404,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
         drift_rel = np.abs(np.array(masses or [m0]) - m0) / m0_safe
         max_drift_rel = max(max_drift_rel, float(drift_rel.max()))
         masses.clear()
+        values[np.abs(values) < _TINY] = 0.0
         state = _checked_state(state, values.copy(), t)
         if sampler is not None:
             records.append(sampler(state, _from_phasor(z)))

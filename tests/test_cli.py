@@ -437,7 +437,15 @@ def test_bad_json_is_config_error(tmp_path):
     # MUSCL is the one kinetic scheme
     ("scheme", "upwind"),
     # JSON Infinity is no whole number of sample intervals
-    ("t_end", math.inf)])
+    ("t_end", math.inf),
+    # nor is Infinity or NaN a coupling, a width, a centre or a concentration
+    ("coupling", math.inf), ("coupling", math.nan), ("coupling", [4.0, math.inf]),
+    ("frequency", {"kind": "uniform", "halfwidth": math.inf}),
+    ("initial", {"preset": "cosine", "amplitude": 0.2, "center": math.nan}),
+    ("initial", {"preset": "von_mises", "concentration": math.inf}),
+    ("dt_max", math.inf), ("hypothesis", {"mu": math.nan}),
+    # an integer too large for a float
+    pytest.param("coupling", 10 ** 400, id="coupling-10**400")])
 def test_config_rejects_bad_values(tmp_path, key, value):
     cfg = write_config(tmp_path, **{key: value})
     command = "sweep" if key == "coupling" and isinstance(value, list) else "simulate"
@@ -843,6 +851,19 @@ def test_sweep_writes_each_summary_once(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the cell format of every CSV output
+
+
+@pytest.mark.parametrize("fields", [
+    {"frequency": {"kind": "uniform", "halfwidth": 1.0}, "coupling": [4.0, math.inf]},
+    {"frequency": {"kind": "uniform", "halfwidth": math.inf}, "coupling": 4.0}])
+def test_equilibrium_rejects_non_finite_numbers(tmp_path, capsys, fields):
+    # each used to exit 0, with a row of nan or with H(1) = nan
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps(fields))
+    out = tmp_path / "out"
+    assert cli.main(["equilibrium", "--config", str(path), "--out", str(out)]) == 2
+    assert "finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_equilibrium_csv_cells(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as hst
 from scipy import optimize
 
 from kslab import diagnostics as diag
@@ -495,6 +496,11 @@ _BIMODAL = ([-1.0, -0.6, -0.2, 0.0, 0.2, 0.6, 1.0], [0.3, 1.0, 0.1, 0.05, 0.1, 1
     *[(freq.from_table(*_BIMODAL), K) for K in (1.2, 1.5, 2.0, 3.0, 6.0, 20.0)],
 ])
 def test_equilibrium_matches_reference_search(g, K):
+    _assert_matches_reference(g, K)
+
+
+def _assert_matches_reference(g, K):
+    """equilibrium_R(g, K) is, to the bit, the result of the plain search."""
     probe_1 = freq.locked_phasor_mean(g, K)
     bound_mass = freq.inner_support_radius(g) * freq.min_density_on_inner(g)
     found = _reference_root_search(g, K) if g.support < K else None
@@ -513,6 +519,31 @@ def test_equilibrium_matches_reference_search(g, K):
         bound_mass, root >= bound_mass - 1e-12, f"R = {root:.12g}")
 
 
+@settings(max_examples=40, deadline=None)
+@given(width=hst.floats(0.01, 2.0), half=hst.lists(hst.floats(0.0, 1.0), min_size=2,
+                                                  max_size=10),
+       table=hst.booleans(), ratio=hst.floats(1.01, 100.0))
+def test_equilibrium_matches_reference_search_on_random_densities(width, half, table, ratio):
+    # a uniform width or a symmetric table on [-width, width], at a coupling
+    # K = ratio * width whose lock band (width / K, 1] is not empty
+    assume(max(half) >= 1e-3)
+    if table:
+        pos = np.linspace(0.0, width, len(half))
+        g = freq.from_table(np.concatenate((-pos[:0:-1], pos)),
+                            np.concatenate((half[:0:-1], half)))
+    else:
+        g = freq.uniform(width)
+    K = ratio * g.support
+    assume(g.support < K)
+    _assert_matches_reference(g, K)
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, math.inf, math.nan])
+def test_equilibrium_rejects_a_bad_coupling(K):
+    with pytest.raises(ValueError, match="positive and finite"):
+        freq.equilibrium_R(freq.uniform(1.0), K)
+
+
 def test_equilibrium_call_count(monkeypatch):
     sizes = []
     inner = freq.locked_phasor_mean
@@ -522,12 +553,14 @@ def test_equilibrium_call_count(monkeypatch):
         return inner(g, a)
 
     monkeypatch.setattr(freq, "locked_phasor_mean", counted)
+    # the scan's first chunk, which gives H(1) too, and one call for each
+    # stretch of the bisection path that a secant predicts
     assert freq.equilibrium_R(_triangle(5), 4.0).found
-    assert len(sizes) <= 12
+    assert len(sizes) <= 4
     sizes.clear()
-    # with no sign change the scan still evaluates every point, after H(1)
+    # with no sign change the scan evaluates every point, and nothing else
     assert not freq.equilibrium_R(freq.uniform(1.0), 1.2).found
-    assert sum(sizes) == 1 + 2048
+    assert sum(sizes) == 2048
 
 
 # ---------------------------------------------------------------------------
