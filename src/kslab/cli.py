@@ -47,8 +47,10 @@ _DEFAULTS = {
 #: defaults of the hypothesis fields; R0 defaults to the initial R of the run
 _HYP_DEFAULTS = {"mu": 1e-3, "gamma": 1.45, "kappa": 0.7, "eps0": 0.2, "gamma0": 1.1}
 _TOP_KEYS = set(_DEFAULTS) | {"dt_particle", "hypothesis"}
-_FREQ_KEYS = {"kind", "halfwidth", "path"}
-_INIT_KEYS = {"preset", "amplitude", "concentration", "center", "path"}
+#: the keys that each frequency kind and each initial preset reads
+_FREQ_KEYS = {"dirac": {"kind"}, "uniform": {"kind", "halfwidth"}, "table": {"kind", "path"}}
+_INIT_KEYS = {"cosine": {"preset", "amplitude", "center"},
+              "von_mises": {"preset", "concentration", "center"}, "table": {"preset", "path"}}
 _DIAG_KEYS = {"intervals", "lambda_interval", "gamma_plus", "gamma_minus"}
 _INTERVAL_KEYS = {"kind", "parameter"}
 
@@ -58,9 +60,16 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
-def _object(value, allowed, where) -> dict:
-    """A copy of value, which must be a JSON object with keys from allowed."""
+def _object(value, allowed, where, tag=None) -> dict:
+    """A copy of value, which must be a JSON object with keys from allowed;
+    with a tag, value[tag] must be a key of allowed, and the keys of value
+    must come from allowed[value[tag]]."""
     _require(isinstance(value, dict), f"{where} must be a JSON object, not {value!r}")
+    if tag is not None:
+        names, choice = list(allowed), value.get(tag)
+        _require(choice in names, f"{where}.{tag} must be {', '.join(names[:-1])}, "
+                 f"or {names[-1]}, not {choice!r}")
+        allowed, where = allowed[choice], f"{where} ({tag} {choice})"
     unknown = set(value) - allowed
     _require(not unknown, f"unknown key(s) {sorted(unknown)} in {where}")
     return dict(value)
@@ -80,10 +89,11 @@ def validate_config(raw: dict) -> dict:
 
     Returns a new config: the _DEFAULTS under the user's keys, real-valued
     fields as finite floats, dt_particle (sample_every / 5 unless given),
-    initial.center (0.0 unless given), a given hypothesis section over
-    _HYP_DEFAULTS, and a non-empty diagnostics section parsed into a
-    DiagnosticsConfig (None for the empty default).  A field that the frequency
-    kind or the initial preset needs must be given, and t_end must be a whole
+    initial.center of a cosine or von Mises preset (0.0 unless given), a
+    given hypothesis section over _HYP_DEFAULTS, and a non-empty diagnostics
+    section parsed into a DiagnosticsConfig (None for the empty default).
+    The frequency kind and the initial preset each accept only the keys they
+    read, a field that one needs must be given, and t_end must be a whole
     number of sample intervals (``order.sample_count``).
     """
     cfg = {**_DEFAULTS, **_object(raw, _TOP_KEYS, "configuration")}
@@ -91,32 +101,27 @@ def validate_config(raw: dict) -> dict:
              f"model must be kinetic, particle, or both, not {cfg['model']!r}")
 
     _path(cfg, "out_dir")
-    fcfg = cfg["frequency"] = _object(cfg["frequency"], _FREQ_KEYS, "frequency")
+    fcfg = cfg["frequency"] = _object(cfg["frequency"], _FREQ_KEYS, "frequency", "kind")
     _path(fcfg, "path", "frequency.")
-    kind = fcfg.get("kind")
-    _require(kind in ("dirac", "uniform", "table"),
-             f"frequency.kind must be dirac, uniform, or table, not {kind!r}")
-    if kind == "uniform":
+    if fcfg["kind"] == "uniform":
         fcfg["halfwidth"] = _real(fcfg, "halfwidth", "frequency.")
         _require(fcfg["halfwidth"] > 0, "frequency.halfwidth must be positive")
-    if kind == "table":
+    if fcfg["kind"] == "table":
         _require("path" in fcfg, "frequency.path required for table densities")
 
-    icfg = cfg["initial"] = _object(cfg["initial"], _INIT_KEYS, "initial")
+    icfg = cfg["initial"] = _object(cfg["initial"], _INIT_KEYS, "initial", "preset")
     _path(icfg, "path", "initial.")
-    preset = icfg.get("preset")
-    _require(preset in ("cosine", "von_mises", "table"),
-             f"initial.preset must be cosine, von_mises, or table, not {preset!r}")
-    if preset == "cosine":
+    if icfg["preset"] == "cosine":
         icfg["amplitude"] = _real(icfg, "amplitude", "initial.")
         _require(abs(icfg["amplitude"]) <= 0.5, "initial.amplitude must satisfy |a| <= 1/2")
-    if preset == "von_mises":
+    if icfg["preset"] == "von_mises":
         icfg["concentration"] = _real(icfg, "concentration", "initial.")
         _require(icfg["concentration"] >= 0, "initial.concentration must be nonnegative")
-    if preset == "table":
+    if icfg["preset"] == "table":
         _require("path" in icfg, "initial.path required for table profiles")
-    icfg.setdefault("center", 0.0)
-    icfg["center"] = _real(icfg, "center", "initial.")
+    else:
+        icfg.setdefault("center", 0.0)
+        icfg["center"] = _real(icfg, "center", "initial.")
 
     if isinstance(cfg["coupling"], list):
         _require(all(_is_number(k) and k > 0 for k in cfg["coupling"]),

@@ -18,6 +18,9 @@ Discretization choices:
 * time: two-stage strong-stability-preserving Runge-Kutta (Heun) under a
   CFL restriction measured against the analytic velocity bound.
 
+``run`` keeps the sample clock, the phasor and R monitor and the records.
+The MUSCL stepper of one run (``_Muscl``) owns the step length, the step,
+and every per-cell check and monitor; ``step`` and ``cfl_dt`` use it too.
 A step works in place on (n_omega, n_theta + 2) buffers whose column p holds
 cell p - 1 (ghost columns 0 and n_theta + 1 repeat cells n_theta - 1 and 0)
 or, for velocities and fluxes, edge p between columns p and p + 1.  A stage
@@ -36,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -177,25 +179,10 @@ def _edge_velocity(state: KineticState, z: complex, trig_edges: np.ndarray,
     return out
 
 
-def _omega_max(state: KineticState) -> float:
-    return float(np.max(np.abs(state.omega)))
-
-
-def _cfl_step(state: KineticState, omega_max: float, R: float, cfl: float,
-              dt_max: float) -> float:
-    """cfl * dtheta over omega_max + K R, omega_max = max|omega|, which no
-    edge |v| exceeds, capped at dt_max; a state with all velocities zero gets
-    dt_max."""
-    bound = omega_max + state.K * (R if R > TOL_R else 0.0)
-    return min(cfl * state.grid.dtheta / bound, dt_max) if bound > 0.0 else dt_max
-
-
 def cfl_dt(state: KineticState, cfl: float) -> float:
     """Largest stable step: cfl * dtheta over the velocity bound max|omega| + K R,
     capped at 1.0, the default dt_max of ``run``."""
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
-    return _cfl_step(state, _omega_max(state), global_order(state).R, cfl, 1.0)
+    return _Muscl(state, cfl, 1.0).step_length(state, global_order(state).R)
 
 
 def _padded(shape: tuple[int, int]) -> SimpleNamespace:
@@ -206,25 +193,44 @@ def _padded(shape: tuple[int, int]) -> SimpleNamespace:
                            ghosts=a[:, ::n + 1], seam=a[:, n:0:1 - n])
 
 
-class _Workspace:
-    """The buffers of SSP-RK2 steps for states of one shape (the layout is in
-    the module docstring); `advance` rotates three value buffers."""
+class _Muscl:
+    """The MUSCL stepper of one run from state: its step length, its SSP-RK2
+    step on buffers laid out as in the module docstring (`advance` rotates
+    three value buffers; bufs[0].inner holds the current values, the loaded
+    state's to begin with), and the per-cell checks and monitors of each
+    step and sample."""
 
-    def __init__(self, grid: PhaseGrid, n_omega: int):
-        shape, self.dtheta = (n_omega, grid.n_theta + 2), grid.dtheta
+    def __init__(self, state: KineticState, cfl: float, dt_max: float):
+        if not 0.0 < cfl <= 1.0:
+            raise ValueError("cfl must lie in (0, 1]")
+        if not dt_max > 0:
+            raise ValueError("dt_max must be positive")
+        grid, self.cfl, self.dt_max = state.grid, cfl, dt_max
+        self.omega_max = float(np.max(np.abs(state.omega)))     # omega is fixed for the run
+        shape, self.dtheta = (state.n_omega, grid.n_theta + 2), grid.dtheta
         self.trig = grid.trig_edges[np.r_[0:grid.n_theta, 0, 1]]   # edge p at column p
         self.bufs = [_padded(shape) for _ in range(3)]
         self.vel, self.diff, self.slope, self.half, self.face = (_padded(shape) for _ in range(5))
         self.flux = self.diff.a[:, :-2]     # diff ends a stage as fluxes; edges 0 .. n_theta - 1
         self.upwind_right = np.zeros(shape[0] * shape[1] - 1, dtype=bool)
+        self.bufs[0].inner[...] = state.values
+        self.m0 = state.slice_masses()
+        self.m0_safe = np.where(self.m0 > 0, self.m0, 1.0)
+        self.total0 = float(state.weights @ self.m0)
+        self.masses = []                # slice masses of the steps since the last sample
+        self.min_value = float(state.values.min())
+        self.max_drift_rel = self.max_total_drift = 0.0
 
-    def load(self, values: np.ndarray) -> np.ndarray:
-        self.bufs[0].inner[...] = values
-        return self.bufs[0].inner
+    def step_length(self, state: KineticState, R: float) -> float:
+        """cfl * dtheta over omega_max + K R, omega_max = max|omega|, which no
+        edge |v| exceeds, capped at dt_max; a state with all velocities zero
+        gets dt_max."""
+        bound = self.omega_max + state.K * (R if R > TOL_R else 0.0)
+        return min(self.cfl * self.dtheta / bound, self.dt_max) if bound > 0.0 else self.dt_max
 
     def stage(self, state: KineticState, src, dst, dt: float, z: complex) -> None:
         """Forward-Euler stage from src to dst; it leaves the fluxes in
-        self.flux and checks nothing (see ``raise_flux_nan``)."""
+        self.flux and checks nothing (see ``step``)."""
         d, s, h, face, up = self.diff, self.slope, self.half, self.face, self.upwind_right
         np.copyto(src.ghosts, src.seam)
         _edge_velocity(state, z, self.trig, self.vel.a)
@@ -254,44 +260,62 @@ class _Workspace:
         self.bufs = [u2, u0, u1]
         return u2.inner
 
-    def raise_flux_nan(self, state: KineticState, t: float, dt: float, z0: complex,
-                       values: np.ndarray):
-        """Raise the FluxNanError of the step that `advance` just took from t
-        to the non-finite values.  Its two stages run again from the start
-        values, which advance keeps; the first with a non-finite flux names
-        its first non-finite value, else that flux, at t.  If neither has one,
-        the first non-finite cell of values is named at t + dt."""
-        k, j = np.argwhere(~np.isfinite(values))[0]     # the rerun overwrites values
-        u2, u0, u1 = self.bufs
-        for src, dst in ((u0, u1), (u1, u2)):
-            z = z0 if src is u0 else phasor(state.grid, state.weights, src.inner)
-            self.stage(state, src, dst, dt, z)
-            if not np.isfinite(self.flux).all():
-                bad = ~np.isfinite(src.inner)
-                k, j = np.argwhere(bad if bad.any() else ~np.isfinite(self.flux))[0]
-                raise FluxNanError(int(k), int(j), t)
-        raise FluxNanError(int(k), int(j), t + dt)
+    def step(self, state: KineticState, t: float, dt: float, z0: complex) -> np.ndarray:
+        """The advance from t by dt, checked: returns its values (a view that
+        the next advance overwrites) and folds their minimum and masses into
+        the monitors.  Values below -1e-13, the floor KineticState enforces,
+        raise ValueError.  A non-finite value raises FluxNanError: the two
+        stages run again from the start values, which advance keeps; the first
+        with a non-finite flux names its first non-finite value, else that
+        flux, at t.  If neither has one, the first non-finite cell of the
+        values is named at t + dt."""
+        values = self.advance(state, dt, z0)
+        low, mass = float(values.min()), values.sum(axis=1) * self.dtheta
+        total = float(state.weights @ mass)
+        # a non-finite cell makes the min NaN or -inf, or a slice mass and so
+        # the total NaN or +inf
+        if not (math.isfinite(low) and math.isfinite(total)):
+            k, j = np.argwhere(~np.isfinite(values))[0]     # the rerun overwrites values
+            u2, u0, u1 = self.bufs
+            for src, dst in ((u0, u1), (u1, u2)):
+                z = z0 if src is u0 else phasor(state.grid, state.weights, src.inner)
+                self.stage(state, src, dst, dt, z)
+                if not np.isfinite(self.flux).all():
+                    bad = ~np.isfinite(src.inner)
+                    k, j = np.argwhere(bad if bad.any() else ~np.isfinite(self.flux))[0]
+                    raise FluxNanError(int(k), int(j), t)
+            raise FluxNanError(int(k), int(j), t + dt)
+        self.min_value = min(self.min_value, low)
+        if self.min_value < -1e-13:
+            raise ValueError("cell averages must be nonnegative (within roundoff)")
+        self.masses.append(mass)
+        self.max_total_drift = max(self.max_total_drift, abs(total - self.total0))
+        return values
 
-
-@lru_cache(maxsize=8)
-def _shared_workspace(n_omega: int, n_theta: int) -> _Workspace:
-    """The workspace `step` reuses for states of one shape (not thread-safe)."""
-    return _Workspace(PhaseGrid(n_theta), n_omega)
+    def sample(self) -> np.ndarray:
+        """Fold the slice-mass drift of the steps since the last sample, set
+        the cells whose |value| is below the smallest normal float to 0, and
+        return a copy of the current values."""
+        # an interval shorter than the time tolerance takes no step and adds no drift
+        drift_rel = np.abs(np.array(self.masses or [self.m0]) - self.m0) / self.m0_safe
+        self.max_drift_rel = max(self.max_drift_rel, float(drift_rel.max()))
+        self.masses.clear()
+        values = self.bufs[0].inner
+        values[np.abs(values) < np.finfo(float).tiny] = 0.0
+        return values.copy()
 
 
 def step(state: KineticState, dt: float) -> KineticState:
-    """One SSP-RK2 step; order parameters are refreshed at each stage."""
-    if dt <= 0:
+    """One checked SSP-RK2 step; order parameters are refreshed at each stage."""
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    z = phasor(state.grid, state.weights, state.values)
-    admissible = _cfl_step(state, _omega_max(state), abs(z), 1.0, np.inf)
-    if dt > admissible * (1.0 + 1e-9):
+    muscl = _Muscl(state, 1.0, np.inf)
+    z = phasor(state.grid, state.weights, muscl.bufs[0].inner)
+    admissible = muscl.step_length(state, abs(z))
+    # admissible is 0 only for an infinite R: a non-finite cell, which the step names
+    if admissible > 0.0 and dt > admissible * (1.0 + 1e-9):
         raise CflError(dt, admissible)
-    ws = _shared_workspace(state.n_omega, state.grid.n_theta)
-    ws.load(state.values)
-    values = ws.advance(state, dt, z)
-    if not (math.isfinite(values.min()) and math.isfinite(values.sum())):
-        ws.raise_flux_nan(state, state.t, dt, z, values)
+    values = muscl.step(state, state.t, dt, z)
     return replace(state, values=values.copy(), t=state.t + dt)
 
 
@@ -302,10 +326,6 @@ def _checked_state(state: KineticState, values: np.ndarray, t: float) -> Kinetic
     new = object.__new__(KineticState)
     new.__dict__.update(vars(state), values=values, t=t)
     return new
-
-
-# the smallest normal float; run flushes cells below it to 0 at each sample
-_TINY = np.finfo(float).tiny
 
 
 @dataclass
@@ -338,39 +358,24 @@ def run(state: KineticState, t_end: float, sample_every: float,
     holds no records.  The last sample's state is the result's final_state.
     Steps are shortened to land on sample times and then take that time
     exactly, so the cadence and therefore the output are deterministic for a
-    given configuration.  Each step's values must stay above the -1e-13 floor
-    KineticState enforces, and a non-finite one raises FluxNanError
-    (``_Workspace.raise_flux_nan``).  At each sample the cells whose |value|
-    is below the smallest normal float are set to 0, in the state the run
-    goes on from as well as in the sample: a contracting run drives its
-    far field there, and arithmetic on subnormals is many times slower.
-    sample_every must exceed the 1e-12 time tolerance.
+    given configuration.  The stepper (``_Muscl.step`` and ``sample``) owns
+    every per-cell check and monitor: a value below the -1e-13 floor raises
+    ValueError, a non-finite one FluxNanError, and each sample sets the cells
+    whose |value| is below the smallest normal float to 0, in the state the
+    run goes on from as well (a contracting run drives its far field there,
+    and arithmetic on subnormals is many times slower).  sample_every must
+    exceed the 1e-12 time tolerance.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     eps = 1e-12
     if not sample_every > eps:
         raise ValueError(f"sample_every must exceed the time tolerance {eps:g}")
-    if not 0.0 < cfl <= 1.0:
-        raise ValueError("cfl must lie in (0, 1]")
-    if not dt_max > 0:
-        raise ValueError("dt_max must be positive")
-
+    muscl = _Muscl(state, cfl, dt_max)
     grid, w = state.grid, state.weights
-    omega_max = _omega_max(state)       # omega is fixed for the run
-    m0 = state.slice_masses()
-    m0_safe = np.where(m0 > 0, m0, 1.0)
-    total0 = float(w @ m0)
-    masses = []                 # slice masses of the steps since the last fold
-    min_dR = 0.0
-    max_drift_rel = 0.0
-    max_total_drift = 0.0
-    max_dt = 0.0
-    n_steps = 0
-    ws = _Workspace(grid, state.n_omega)
-    values, t0, t = ws.load(state.values), state.t, state.t
-    z = phasor(grid, w, values)     # of the current values: drives the next step
+    n_steps, max_dt, min_dR = 0, 0.0, 0.0
+    t0 = t = state.t
+    z = phasor(grid, w, muscl.bufs[0].inner)    # of the current values: drives the next step
     R = abs(z)
-    min_value = float(values.min())
     records = [] if sampler is None else [sampler(state, _from_phasor(z))]
 
     for i in range(1, n_samples + 1):
@@ -378,39 +383,21 @@ def run(state: KineticState, t_end: float, sample_every: float,
         # the last sample time may round past t_end (3 * 0.1 > 0.3): no step passes t_end
         t_stop = min(t_sample, t_end)
         while t < t_stop - eps:
-            dt = min(_cfl_step(state, omega_max, R, cfl, dt_max), t_stop - t)
-            values = ws.advance(state, dt, z)
-            low, mass = float(values.min()), values.sum(axis=1) * grid.dtheta
-            total = float(w @ mass)
-            # a non-finite cell makes the min NaN or -inf, or a slice mass and so
-            # the total NaN or +inf
-            if not (math.isfinite(low) and math.isfinite(total)):
-                ws.raise_flux_nan(state, t, dt, z, values)
+            dt = min(muscl.step_length(state, R), t_stop - t)
+            z = phasor(grid, w, muscl.step(state, t, dt, z))
             t += dt
             n_steps += 1
             max_dt = max(max_dt, dt)
-
-            min_value = min(min_value, low)
-            if min_value < -1e-13:
-                raise ValueError("cell averages must be nonnegative (within roundoff)")
-            masses.append(mass)
-            max_total_drift = max(max_total_drift, abs(total - total0))
-            z = phasor(grid, w, values)
             min_dR = min(min_dR, abs(z) - R)
             R = abs(z)
 
         t = t_sample
-        # an interval shorter than eps takes no step and adds no drift
-        drift_rel = np.abs(np.array(masses or [m0]) - m0) / m0_safe
-        max_drift_rel = max(max_drift_rel, float(drift_rel.max()))
-        masses.clear()
-        values[np.abs(values) < _TINY] = 0.0
-        state = _checked_state(state, values.copy(), t)
+        state = _checked_state(state, muscl.sample(), t)
         if sampler is not None:
             records.append(sampler(state, _from_phasor(z)))
 
-    return RunResult(records, state, n_steps, max_dt, min_dR, max_drift_rel,
-                     max_total_drift, min_value)
+    return RunResult(records, state, n_steps, max_dt, min_dR, muscl.max_drift_rel,
+                     muscl.max_total_drift, muscl.min_value)
 
 
 # ---------------------------------------------------------------------------

@@ -454,6 +454,24 @@ def test_config_rejects_bad_values(tmp_path, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section, value", [
+    ("frequency", {"kind": "dirac", "halfwidth": 0.1}),
+    ("frequency", {"kind": "dirac", "path": "density.csv"}),
+    ("frequency", {"kind": "uniform", "halfwidth": 0.1, "path": "density.csv"}),
+    ("frequency", {"kind": "table", "path": "density.csv", "halfwidth": 0.1}),
+    ("initial", {"preset": "cosine", "amplitude": 0.2, "concentration": 2.0}),
+    ("initial", {"preset": "cosine", "amplitude": 0.2, "path": "profile.csv"}),
+    ("initial", {"preset": "von_mises", "concentration": 2.0, "amplitude": 0.2}),
+    ("initial", {"preset": "table", "path": "profile.csv", "center": 2.0})])
+def test_config_rejects_a_key_its_kind_does_not_read(tmp_path, capsys, section, value):
+    # such a key would be ignored, so a typo or a stale field could not
+    # change the run it seems to change
+    cfg = write_config(tmp_path, **{section: value})
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown key(s)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_upwind_scheme_is_reported_removed(tmp_path, capsys):
     cfg = write_config(tmp_path, scheme="upwind")
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
