@@ -179,6 +179,31 @@ def test_step_rejects_cfl_violation():
     assert err.value.admissible < 10.0
 
 
+def test_step_aborts_on_nan_with_location():
+    with pytest.raises(kinetic.FluxNanError) as err:
+        kinetic.step(two_slice_state(1, 5, math.nan), 1e-4)
+    assert err.value.slice_index == 1
+
+
+@MUSCL
+@pytest.mark.parametrize("omega", [0.1, -0.1])
+def test_nan_reported_at_its_own_cell(scheme, omega):
+    with pytest.raises(kinetic.FluxNanError) as err:
+        kinetic.step(two_slice_state(1, 5, math.nan, omega), 1e-4)
+    assert (err.value.slice_index, err.value.cell_index) == (1, 5)
+
+
+@MUSCL
+@pytest.mark.parametrize("omega", [0.1, -0.1])
+def test_nan_next_to_a_ghost_column_reported_at_its_own_cell(scheme, omega):
+    # cells 0 and n_theta - 1 are copied into the ghost columns of the buffers;
+    # a NaN there is reported at its cell, in either slice, never at a ghost
+    for k, j in ((0, 0), (0, 31), (1, 0), (1, 31)):
+        with pytest.raises(kinetic.FluxNanError) as err:
+            kinetic.step(two_slice_state(k, j, math.nan, omega), 1e-4)
+        assert (err.value.slice_index, err.value.cell_index) == (k, j)
+
+
 def _phi_gap(a, b):
     return abs((a - b + math.pi) % TWO_PI - math.pi)
 
