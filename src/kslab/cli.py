@@ -124,8 +124,8 @@ def validate_config(raw: dict) -> dict:
         icfg["center"] = _real(icfg, "center", "initial.")
 
     if isinstance(cfg["coupling"], list):
-        _require(all(_is_number(k) and k > 0 for k in cfg["coupling"]),
-                 "every coupling value must be a positive finite number")
+        _require(cfg["coupling"] and all(_is_number(k) and k > 0 for k in cfg["coupling"]),
+                 "a coupling list must be nonempty, each value a positive finite number")
         cfg["coupling"] = [float(k) for k in cfg["coupling"]]
     else:
         _require(_is_number(cfg["coupling"]) and cfg["coupling"] >= 0,
@@ -364,10 +364,10 @@ def _write_plot_script(records, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _run_particle(cfg: dict, K: float, out: Path, seed: int,
-                  g: freq.FrequencyDensity, profile) -> dict:
+def _run_particle(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
+                  profile) -> dict:
     from . import particle
-    n, icfg = cfg["n_particles"], cfg["initial"]
+    n, icfg, seed = cfg["n_particles"], cfg["initial"], cfg["seed"]
     # sample_phases draws a table by inverting its CDF, and a cosine or von
     # Mises profile by rejection under a bound: 1.05 times its maximum on a
     # grid, or its exact peak, at its centre or the antipode, if that is larger
@@ -394,7 +394,6 @@ def _run_particle(cfg: dict, K: float, out: Path, seed: int,
 def cmd_simulate(args) -> int:
     cfg, raw = _load_config(args.config)
     out = Path(args.out or cfg["out_dir"])
-    seed = args.seed if args.seed is not None else cfg["seed"]
     K, model = cfg["coupling"], cfg["model"]
     if isinstance(K, list):
         raise ConfigError("simulate needs a single coupling value; use sweep for lists")
@@ -406,7 +405,7 @@ def cmd_simulate(args) -> int:
     if model in ("kinetic", "both"):
         summaries["kinetic"] = _run_kinetic(cfg, K, out, g, profile)
     if model in ("particle", "both"):
-        summaries["particle"] = _run_particle(cfg, K, out, seed, g, profile)
+        summaries["particle"] = _run_particle(cfg, K, out, g, profile)
         if model == "particle":
             _write_particle_plot(out / "plot.gp")
     write_json(out / "summary.json", summaries if model == "both" else summaries[model])
@@ -597,7 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one experiment")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sw = sub.add_parser("sweep", help="run a coupling sweep")

@@ -5,12 +5,14 @@ start from the product f0 = rho0(theta) g(omega).
 A density holds only its kind, the bound M of its support and, for a table,
 the table.  ``quadrature_nodes(g, n)`` builds an n-point rule whose weights
 carry the density folded in: an integral int h(omega) g(omega) domega is
-evaluated as sum_k weight_k * h(node_k).  Three kinds are supported:
+evaluated as sum_k weight_k * h(node_k).  Two kinds are supported:
 
 * ``dirac``   - unit point mass at omega = 0 (identical oscillators),
-* ``uniform`` - constant density 1/(2M) on [-M, M],
 * ``table``   - piecewise-linear density given by (omega, density) samples,
   renormalized to unit mass at load time.
+
+A uniform density on [-M, M] (``uniform``) is the one-segment table with
+constant density 1/(2M), so every continuous g takes the same path.
 
 All densities are required to have (numerically) zero mean; a nonzero-mean
 table is rejected, since the rotating-frame reduction is the caller's job.
@@ -21,10 +23,10 @@ processes of a sweep.  Every table, of g or of rho0, is drawn by one inverse
 CDF (``_inverse_cdf``), any other profile by rejection (``sample_phases``).
 
 The locked-equilibrium functional H(a) = int_{|omega|<=a} sqrt(1-(omega/a)^2)
-g(omega) domega is evaluated in closed form for every kind.  A table density
-is linear on each segment, and int (c0 + c1 s) sqrt(1-s^2) ds has the
-elementary antiderivative (c0/2)(s sqrt(1-s^2) + asin s) - (c1/3)(1-s^2)^{3/2};
-each segment's increment is written with difference formulas, so nothing
+g(omega) domega is evaluated in closed form.  A table density is linear on
+each segment, and int (c0 + c1 s) sqrt(1-s^2) ds has the elementary
+antiderivative (c0/2)(s sqrt(1-s^2) + asin s) - (c1/3)(1-s^2)^{3/2}; each
+segment's increment is written with difference formulas, so nothing
 cancels on short segments or at large a.  The functional accepts an array
 of a and gives each element the value a scalar call gives, so
 ``equilibrium_R``, which solves the locked state R = H(K R), evaluates a
@@ -55,14 +57,14 @@ _BLOCK_ENTRIES = 1 << 16
 @dataclass(frozen=True, eq=False)
 class FrequencyDensity:
     """A density g(omega) of one kind; a table holds its knots and slopes."""
-    kind: str                 # "dirac" | "uniform" | "table"
+    kind: str                 # "dirac" | "table"
     support: float            # M: g vanishes outside [-M, M]
     table_omega: np.ndarray | None = field(default=None, repr=False)
     table_density: np.ndarray | None = field(default=None, repr=False)
     table_slope: np.ndarray | None = field(default=None, repr=False)   # per segment
 
     def __post_init__(self):
-        if self.kind not in ("dirac", "uniform", "table"):
+        if self.kind not in ("dirac", "table"):
             raise ValueError(f"unknown frequency density kind {self.kind!r}")
 
 
@@ -72,10 +74,10 @@ def dirac_at_zero() -> FrequencyDensity:
 
 
 def uniform(halfwidth: float) -> FrequencyDensity:
-    """Uniform density on [-halfwidth, halfwidth]."""
+    """Uniform density on [-halfwidth, halfwidth]: the one-segment table."""
     if halfwidth <= 0:
         raise ValueError("halfwidth must be positive")
-    return FrequencyDensity("uniform", halfwidth)
+    return from_table([-halfwidth, halfwidth], [0.5 / halfwidth] * 2)
 
 
 def from_table(omegas, densities) -> FrequencyDensity:
@@ -111,13 +113,6 @@ def from_table(omegas, densities) -> FrequencyDensity:
                             table_slope=np.diff(de) / np.diff(om))
 
 
-def _uniform_rule(halfwidth: float, n: int) -> np.ndarray:
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes = halfwidth * x
-    weights = 0.5 * w          # GL weight * halfwidth * density 1/(2*halfwidth)
-    return np.column_stack([nodes, weights])
-
-
 def _table_rule(om: np.ndarray, de: np.ndarray, n: int) -> np.ndarray:
     # Composite Gauss-Legendre: the density is linear on each segment, so a
     # per-segment rule integrates h*g exactly for polynomial h of low degree.
@@ -131,20 +126,16 @@ def _table_rule(om: np.ndarray, de: np.ndarray, n: int) -> np.ndarray:
 def quadrature_nodes(g: FrequencyDensity, n: int) -> list[tuple[float, float]]:
     """Return a density-folded rule for g as (node, weight) pairs.
 
-    A uniform density gets n nodes.  A table with n_seg segments gets
-    p = max(2, ceil(n / n_seg)) Gauss nodes on each segment, p * n_seg in
-    all: 8 for n = 1 or 8 on a 5-row table, 12 for n = 10.  The dirac kind
-    always collapses to the single pair (0, 1).
+    A table with n_seg segments gets p = max(2, ceil(n / n_seg)) Gauss
+    nodes on each segment, p * n_seg in all: 8 for n = 1 or 8 on a 5-row
+    table, 12 for n = 10, and max(2, n) for a uniform density.  The dirac
+    kind always collapses to the single pair (0, 1).
     """
     if n < 1:
         raise ValueError("node count must be >= 1")
     if g.kind == "dirac":
         return [(0.0, 1.0)]
-    if g.kind == "uniform":
-        pairs = _uniform_rule(g.support, n)
-    else:
-        pairs = _table_rule(g.table_omega, g.table_density, n)
-    return [tuple(row) for row in pairs]
+    return [tuple(row) for row in _table_rule(g.table_omega, g.table_density, n)]
 
 
 def sample(g: FrequencyDensity, n: int, seed: int) -> np.ndarray:
@@ -154,8 +145,6 @@ def sample(g: FrequencyDensity, n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if g.kind == "dirac":
         return np.zeros(n)
-    if g.kind == "uniform":
-        return rng.uniform(-g.support, g.support, n)
     return _inverse_cdf(g.table_omega, g.table_density, n, rng)
 
 
@@ -267,8 +256,6 @@ def density_at(g: FrequencyDensity, omega) -> np.ndarray:
     if g.kind == "dirac":
         raise ValueError("the dirac density has no pointwise values")
     om = np.asarray(omega, dtype=float)
-    if g.kind == "uniform":
-        return np.where(np.abs(om) <= g.support, 1.0 / (2.0 * g.support), 0.0)
     return np.interp(om, g.table_omega, g.table_density, left=0.0, right=0.0)
 
 
@@ -280,8 +267,6 @@ def inner_support_radius(g: FrequencyDensity) -> float:
     """
     if g.kind == "dirac":
         return 0.0
-    if g.kind == "uniform":
-        return g.support
     om, de = g.table_omega, g.table_density
     idx = np.flatnonzero(de > 0)
     lo = om[max(idx[0] - 1, 0)]
@@ -300,8 +285,6 @@ def min_density_on_inner(g: FrequencyDensity) -> float:
     m = inner_support_radius(g)
     if m <= 0:
         return 0.0
-    if g.kind == "uniform":
-        return 1.0 / (2.0 * g.support)
     om = g.table_omega
     points = np.concatenate(([-m, m], om[(om > -m) & (om < m)]))
     return float(density_at(g, points).min())
@@ -315,7 +298,7 @@ def locked_phasor_mean(g: FrequencyDensity, a):
     contributes zero, and a <= 0 gives 0.  ``a`` may be a scalar (a float is
     returned) or an array (an array of the same shape is returned).
 
-    Every kind is in closed form.  For a table, each segment of the band is
+    Both kinds are in closed form.  For a table, each segment of the band is
     integrated exactly in s = omega/a (see the module docstring).
     """
     a_arr = np.asarray(a, dtype=float)
@@ -324,10 +307,6 @@ def locked_phasor_mean(g: FrequencyDensity, a):
     ap = a_arr[pos]
     if g.kind == "dirac":
         out[pos] = 1.0
-    elif g.kind == "uniform":
-        ell = g.support
-        u = ell / np.maximum(ap, ell)   # min(1, ell / a), no overflow at tiny a
-        out[pos] = (ap / (2.0 * ell)) * (u * np.sqrt(1.0 - u * u) + np.arcsin(u))
     else:
         om, de, slope = g.table_omega, g.table_density, g.table_slope
         step = max(1, _BLOCK_ENTRIES // (om.size - 1))

@@ -25,7 +25,7 @@ sample phases gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,15 +165,6 @@ def particle_rhs(state: ParticleState) -> np.ndarray:
     and one sin per oscillator give both z and the drift.
     """
     return _mean_field_rhs(state.thetas, state.omegas, state.K)
-
-
-def particle_step(state: ParticleState, dt: float) -> ParticleState:
-    """Classical RK4 update (``_mean_field_step``)."""
-    if dt == 0.0:
-        return state
-    rotate = _rotates(state.omegas, state.K, dt)
-    thetas = _mean_field_step(state.thetas, state.omegas, state.K, dt, rotate)[0]
-    return replace(state, thetas=thetas, t=state.t + dt)
 
 
 def _potential(state: ParticleState, r: float) -> float:

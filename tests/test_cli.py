@@ -272,6 +272,24 @@ def test_equilibrium_command(tmp_path, capsys):
     assert r5 >= 0.5
 
 
+def test_empty_coupling_list_is_config_error(tmp_path, capsys):
+    # equilibrium used to exit 0 with a header-only equilibrium.csv
+    cfg = write_config(tmp_path, coupling=[])
+    out = tmp_path / "out"
+    assert cli.main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "coupling list must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_takes_its_seed_from_the_config_only(tmp_path):
+    cfg = write_config(tmp_path, model="particle")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                  "--seed", "3"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_equilibrium_command_large_table(tmp_path):
     # 401 rows put ~400 knots inside the lock band
     om = [-0.5 + i / 400.0 for i in range(401)]

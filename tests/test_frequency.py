@@ -62,6 +62,57 @@ def test_builtin_rule_invariants(n):
         assert np.all(np.diff(nodes) >= 0.0)   # nodes sorted
 
 
+# A uniform g on [-h, h] is the one-segment table with density 1/(2h); its
+# closed forms are references for the table path.
+UNIFORM_WIDTHS = [0.05, 0.3, 1.0]
+
+
+def uniform_locked_mean(h, a):
+    """H(a) of the uniform density on [-h, h]: with u = min(1, h/a),
+    (a/2h) (u sqrt(1 - u^2) + asin u)."""
+    u = np.minimum(1.0, h / a)
+    return (a / (2.0 * h)) * (u * np.sqrt(1.0 - u * u) + np.arcsin(u))
+
+
+@pytest.mark.parametrize("h", UNIFORM_WIDTHS)
+def test_uniform_is_a_one_segment_table(h):
+    g = freq.uniform(h)
+    assert g.kind == "table"
+    assert g.table_omega.tolist() == [-h, h]
+    assert g.table_density.tolist() == [0.5 / h, 0.5 / h]
+    assert freq.inner_support_radius(g) == h
+    assert freq.min_density_on_inner(g) == 1.0 / (2.0 * h)
+
+
+@pytest.mark.parametrize("h", UNIFORM_WIDTHS)
+def test_uniform_locked_mean_matches_closed_form(h):
+    g = freq.uniform(h)
+    a = h * np.logspace(-3.0, 3.0, 601)
+    ref = uniform_locked_mean(h, a)
+    np.testing.assert_allclose(freq.locked_phasor_mean(g, a), ref, rtol=1e-15, atol=0.0)
+    assert freq.locked_phasor_mean(g, float(a[0])) == pytest.approx(ref[0], rel=1e-15)
+
+
+@pytest.mark.parametrize("h", UNIFORM_WIDTHS)
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 33, 64])
+def test_uniform_rule_is_gauss_legendre(h, n):
+    # one segment gets max(2, n) Gauss nodes, so n = 1 gives two
+    x, w = np.polynomial.legendre.leggauss(max(2, n))
+    nodes, weights = np.array(freq.quadrature_nodes(freq.uniform(h), n)).T
+    np.testing.assert_array_equal(nodes, h * x)
+    np.testing.assert_allclose(weights, 0.5 * w, rtol=0.0, atol=4e-16)
+
+
+@pytest.mark.parametrize("h", UNIFORM_WIDTHS)
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_uniform_sample_matches_rng_uniform(h, seed):
+    # the inverse CDF of one flat segment is -h + u / (1/2h), u uniform on
+    # [0, 1): the draws of rng.uniform(-h, h) up to rounding
+    got = freq.sample(freq.uniform(h), 5000, seed=seed)
+    ref = np.random.default_rng(seed).uniform(-h, h, 5000)
+    assert np.max(np.abs(got - ref)) <= 2.0 * np.finfo(float).eps * h
+
+
 def test_sample_uniform_statistics():
     n = 10 ** 5
     x = freq.sample(freq.uniform(1.0), n, seed=1)

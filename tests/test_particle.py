@@ -27,6 +27,14 @@ def rk4_direct(thetas, omegas, K, dt):
     return thetas + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def rk4(state, dt):
+    """One RK4 step of a state (``_mean_field_step``), the guard decided for
+    this step as ``run_particles`` decides it for a run; t advances by dt."""
+    rotate = particle._rotates(state.omegas, state.K, dt)
+    thetas = particle._mean_field_step(state.thetas, state.omegas, state.K, dt, rotate)[0]
+    return particle.ParticleState(thetas, state.omegas, state.K, t=state.t + dt)
+
+
 def test_rhs_single_oscillator():
     st = particle.ParticleState(np.array([0.7]), np.array([1.3]), K=2.0)
     assert particle.particle_rhs(st) == pytest.approx([1.3])
@@ -109,7 +117,7 @@ def test_step_guard_branches(dt, rotates, monkeypatch):
     rotate = particle._rotate
     monkeypatch.setattr(particle, "_rotate",
                         lambda *a: calls.append(1) or rotate(*a))
-    out = particle.particle_step(particle.ParticleState(th, om, K=K), dt).thetas
+    out = rk4(particle.ParticleState(th, om, K=K), dt).thetas
     assert len(calls) == (3 if rotates else 0)
     plain = rk4_step(lambda t, y: particle._mean_field_rhs(y, om, K), 0.0, th, dt)
     if rotates:
@@ -141,9 +149,8 @@ def test_step_matches_direct_rk4(dt):
     th = rng.uniform(0, TWO_PI, 200)
     om = rng.normal(0, 1, 200)
     st = particle.ParticleState(th, om, K=2.5, t=1.0)
-    out = particle.particle_step(st, dt)
+    out = rk4(st, dt)
     assert np.max(np.abs(out.thetas - rk4_direct(th, om, 2.5, dt))) <= 1e-13
-    assert out.t == 1.0 + dt
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -158,19 +165,18 @@ finite = dict(allow_nan=False, allow_infinity=False)
 def test_step_rotation_and_reflection_symmetry(th, seed, K, dt, c):
     th = np.array(th)
     om = np.random.default_rng(seed).normal(0.0, 1.0, th.size)
-    out = particle.particle_step(particle.ParticleState(th, om, K=K), dt).thetas
-    rotated = particle.particle_step(particle.ParticleState(th + c, om, K=K), dt).thetas
+    out = rk4(particle.ParticleState(th, om, K=K), dt).thetas
+    rotated = rk4(particle.ParticleState(th + c, om, K=K), dt).thetas
     assert np.max(np.abs(rotated - (out + c))) <= 1e-12
-    reflected = particle.particle_step(particle.ParticleState(-th, -om, K=K), dt).thetas
+    reflected = rk4(particle.ParticleState(-th, -om, K=K), dt).thetas
     assert np.max(np.abs(reflected + out)) <= 1e-12
 
 
 def test_step_exact_for_rigid_rotation():
     st = particle.ParticleState(np.array([0.1, 2.0, 4.0]),
                                 np.full(3, 0.8), K=0.0)
-    out = particle.particle_step(st, 0.37)
+    out = rk4(st, 0.37)
     assert out.thetas == pytest.approx(st.thetas + 0.8 * 0.37, abs=1e-15)
-    assert out.t == pytest.approx(0.37)
 
 
 def test_step_fourth_order():
@@ -183,8 +189,8 @@ def test_step_fourth_order():
     def local_error(h):
         ref = st
         for _ in range(256):
-            ref = particle.particle_step(ref, h / 256.0)
-        return np.max(np.abs(particle.particle_step(st, h).thetas - ref.thetas))
+            ref = rk4(ref, h / 256.0)
+        return np.max(np.abs(rk4(st, h).thetas - ref.thetas))
 
     ratio = local_error(dt) / local_error(dt / 2.0)
     assert 22.0 <= ratio <= 45.0
@@ -195,7 +201,7 @@ def test_step_reversibility():
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 10),
                                 rng.normal(0, 0.5, 10), K=1.2)
     dt = 0.05
-    back = particle.particle_step(particle.particle_step(st, dt), -dt)
+    back = rk4(rk4(st, dt), -dt)
     assert np.max(np.abs(back.thetas - st.thetas)) <= 10.0 * dt ** 5
 
 
@@ -206,7 +212,7 @@ def test_balanced_law():
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 16), om, K=2.0)
     total0 = st.thetas.sum()
     for _ in range(200):
-        st = particle.particle_step(st, 0.02)
+        st = rk4(st, 0.02)
     assert abs(st.thetas.sum() - total0) <= 1e-10
 
 
@@ -279,7 +285,7 @@ def test_potential_monotone_identical_oscillators():
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 24), np.zeros(24), K=1.5)
     v = potential(st)
     for _ in range(300):
-        st = particle.particle_step(st, 0.02)
+        st = rk4(st, 0.02)
         v_new = potential(st)
         assert v_new <= v + 1e-10
         v = v_new
@@ -339,13 +345,13 @@ def sample_times(st, t_end, dt, sample_every):
 
 
 def chain_states(st, t_end, dt, sample_every):
-    """The states at the sample times of a chain of particle_step calls,
+    """The states at the sample times of a chain of single RK4 steps (``rk4``),
     each of which takes np.cos/np.sin at its own start."""
     per, h, ts = sample_times(st, t_end, dt, sample_every)
     states = [particle.ParticleState(st.thetas, st.omegas, st.K, t=float(ts[0]))]
     for t in ts[1:]:
         for _ in range(per):
-            st = particle.particle_step(st, h)
+            st = rk4(st, h)
         states.append(particle.ParticleState(st.thetas, st.omegas, st.K, t=float(t)))
     return states
 
@@ -380,7 +386,7 @@ def recomputed_rows(st, t_end, dt, sample_every, states=sample_states):
 
 
 def assert_near_chain(rows, st, t_end, dt, sample_every, tol=1e-13):
-    """r, phi and D of the rows within tol of those of the particle_step chain."""
+    """r, phi and D of the rows within tol of those of the single-step chain."""
     chain = recomputed_rows(st, t_end, dt, sample_every, chain_states)
     np.testing.assert_array_equal(rows[:, 0], chain[:, 0])
     dphi = (rows[:, 2] - chain[:, 2] + math.pi) % TWO_PI - math.pi
@@ -441,8 +447,8 @@ def test_csv_phasors_from_steps_match_recompute(tmp_path):
 @pytest.mark.parametrize("K, dt, rotates", [(2.0, 0.01, True), (10.0, 0.02, False)])
 def test_run_snapshots_are_particle_steps(K, dt, rotates):
     # the run steps arrays and decides the guard once; without rotation its
-    # rows are those of the states particle_step reaches, which decides it
-    # per call, bit for bit; with it, they differ from those at roundoff
+    # rows are those of the states a chain of single steps (``rk4``) reaches,
+    # which decides it per step, bit for bit; with it, they differ at roundoff
     rng = np.random.default_rng(22)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.uniform(-0.1, 0.1, 300), K=K)
