@@ -41,11 +41,10 @@ _DEFAULTS = {
     "model": "kinetic", "frequency": {"kind": "dirac"},
     "initial": {"preset": "cosine", "amplitude": 0.2}, "coupling": 1.0,
     "n_theta": 256, "n_omega": 8, "n_particles": 1000, "seed": 0,
-    "t_end": 10.0, "sample_every": 0.1, "cfl": 0.5, "scheme": "muscl",
-    "dt_max": 1.0, "diagnostics": {}, "out_dir": "out",
+    "t_end": 10.0, "sample_every": 0.1, "cfl": 0.5, "scheme": "muscl", "diagnostics": {},
 }
-#: defaults of the hypothesis fields; R0 defaults to the initial R of the run
-_HYP_DEFAULTS = {"mu": 1e-3, "gamma": 1.45, "kappa": 0.7, "eps0": 0.2, "gamma0": 1.1}
+#: the hypothesis fields; ``diagnostics.hypothesis_check`` defaults each one but R0
+_HYP_KEYS = {"R0", "mu", "gamma", "kappa", "eps0", "gamma0"}
 _TOP_KEYS = set(_DEFAULTS) | {"dt_particle", "hypothesis"}
 #: the keys that each frequency kind and each initial preset reads
 _FREQ_KEYS = {"dirac": {"kind"}, "uniform": {"kind", "halfwidth"}, "table": {"kind", "path"}}
@@ -89,8 +88,8 @@ def validate_config(raw: dict) -> dict:
 
     Returns a new config: the _DEFAULTS under the user's keys, real-valued
     fields as finite floats, dt_particle (sample_every / 5 unless given),
-    initial.center of a cosine or von Mises preset (0.0 unless given), a
-    given hypothesis section over _HYP_DEFAULTS, and a non-empty diagnostics
+    initial.center of a cosine or von Mises preset (0.0 unless given), the
+    fields of a given hypothesis section, and a non-empty diagnostics
     section parsed into a DiagnosticsConfig (None for the empty default).
     The frequency kind and the initial preset each accept only the keys they
     read, a field that one needs must be given, and t_end must be a whole
@@ -100,7 +99,6 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["model"] in ("kinetic", "particle", "both"),
              f"model must be kinetic, particle, or both, not {cfg['model']!r}")
 
-    _path(cfg, "out_dir")
     fcfg = cfg["frequency"] = _object(cfg["frequency"], _FREQ_KEYS, "frequency", "kind")
     _path(fcfg, "path", "frequency.")
     if fcfg["kind"] == "uniform":
@@ -138,7 +136,7 @@ def validate_config(raw: dict) -> dict:
         _require(isinstance(value, int) and not isinstance(value, bool) and value >= low,
                  f"{key} must be an integer >= {low}, not {value!r}")
     cfg.setdefault("dt_particle", _real(cfg, "sample_every") / 5.0)
-    for key in ("t_end", "sample_every", "cfl", "dt_max", "dt_particle"):
+    for key in ("t_end", "sample_every", "cfl", "dt_particle"):
         cfg[key] = _real(cfg, key)
     _require(cfg["t_end"] >= 0, "t_end must be nonnegative")
     sample_count(0.0, cfg["t_end"], cfg["sample_every"])    # the samples must tile t_end
@@ -146,7 +144,6 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["scheme"] == "muscl",
              f"scheme must be 'muscl' ('upwind' was removed), not {cfg['scheme']!r}")
     _require(cfg["dt_particle"] > 0, "dt_particle must be positive")
-    _require(cfg["dt_max"] > 0, "dt_max must be positive")
 
     if cfg["diagnostics"] == {}:    # nothing to parse, so no diagnostics module to load
         cfg["diagnostics"] = None
@@ -165,8 +162,8 @@ def validate_config(raw: dict) -> dict:
             gamma_minus_interval=named("gamma_minus"))
 
     if "hypothesis" in cfg:
-        h = _object(cfg["hypothesis"], set(_HYP_DEFAULTS) | {"R0"}, "hypothesis")
-        cfg["hypothesis"] = {**_HYP_DEFAULTS, **{key: _real(h, key, "hypothesis.") for key in h}}
+        h = _object(cfg["hypothesis"], _HYP_KEYS, "hypothesis")
+        cfg["hypothesis"] = {key: _real(h, key, "hypothesis.") for key in h}
     return cfg
 
 
@@ -208,11 +205,12 @@ def _read_columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
     naming the path, for a missing or repeated column, no data rows, a row
     shorter than the header, or a cell that is not a finite number.
 
-    The header is read by ``csv``, the data rows by one ``np.loadtxt`` pass
-    under the same quoting: a '#' starts no comment, every header column
-    must be present (an ignored one reads as 0.0) and longer rows pass.
+    The file is UTF-8, after any byte-order mark.  The header is read by
+    ``csv``, the data rows by one ``np.loadtxt`` pass under the same quoting:
+    a '#' starts no comment, every header column must be present (an
+    ignored one reads as 0.0) and longer rows pass.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header = [h.strip().lower() for h in next((r for r in csv.reader(fh) if r), [])]
         for name in names:
             if header.count(name.lower()) != 1:
@@ -270,19 +268,16 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
                                        cfg["n_omega"], K=K, profile=profile)
     M = g.support
     sampler = diag.RecordSampler(cfg["diagnostics"] or diag.DiagnosticsConfig())
-    res = kinetic.run(state, cfg["t_end"], cfg["sample_every"], sampler=sampler,
-                      cfl=cfg["cfl"], dt_max=cfg["dt_max"])
+    res = kinetic.run(state, cfg["t_end"], cfg["sample_every"], sampler=sampler, cfl=cfg["cfl"])
     diag.finalize_records(res.records, K=K, m_bound=M)
     out.mkdir(parents=True, exist_ok=True)
     diag.records_to_csv(res.records, out / "trajectory.csv")
     diag.bound_checks_to_json(res.records, out / "bound_checks.json")
 
     summary = _summarize_kinetic(K, M, res)
-    if "hypothesis" in cfg:
-        # R0 defaults to the initial R of the run
-        report = diag.hypothesis_check(K=K, M=M, **{"R0": res.records[0].R,
-                                                    **cfg["hypothesis"]})
-        summary["hypothesis"] = report.to_dict()
+    if "hypothesis" in cfg:    # R0 defaults to the initial R of the run
+        hyp = {"R0": res.records[0].R, **cfg["hypothesis"]}
+        summary["hypothesis"] = diag.hypothesis_check(K=K, M=M, **hyp).to_dict()
     _write_plot_script(res.records, out / "plot.gp")
     return summary
 
@@ -393,7 +388,7 @@ def _run_particle(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
 
 def cmd_simulate(args) -> int:
     cfg, raw = _load_config(args.config)
-    out = Path(args.out or cfg["out_dir"])
+    out = Path(args.out or "out")
     K, model = cfg["coupling"], cfg["model"]
     if isinstance(K, list):
         raise ConfigError("simulate needs a single coupling value; use sweep for lists")
@@ -449,7 +444,7 @@ def cmd_sweep(args) -> int:
     names = [f"K_{K:g}" for K in coupling]
     if len(set(names)) < len(names):
         raise ConfigError(f"couplings {coupling} share output directory names {names}")
-    out = Path(args.out or cfg["out_dir"])
+    out = Path(args.out or "out")
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -593,26 +588,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kuramoto-Sakaguchi kinetic equation laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_sim = sub.add_parser("simulate", help="run one experiment")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out", default=None)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sw = sub.add_parser("sweep", help="run a coupling sweep")
-    p_sw.add_argument("--config", required=True)
-    p_sw.add_argument("--out", default=None)
-    p_sw.add_argument("--threads", type=int, default=1)
-    p_sw.set_defaults(func=cmd_sweep)
+    for name, func, text in (("simulate", cmd_simulate, "run one experiment"),
+                             ("sweep", cmd_sweep, "run a coupling sweep"),
+                             ("equilibrium", cmd_equilibrium, "locked-equilibrium table")):
+        p_cfg = sub.add_parser(name, help=text)
+        p_cfg.add_argument("--config", required=True)
+        p_cfg.add_argument("--out", default=None)
+        p_cfg.set_defaults(func=func)
+    sub.choices["sweep"].add_argument("--threads", type=int, default=1)
 
     p_ver = sub.add_parser("verify", help="run pinned verification suites")
     p_ver.add_argument("--suite", required=True)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)
-
-    p_eq = sub.add_parser("equilibrium", help="locked-equilibrium table")
-    p_eq.add_argument("--config", required=True)
-    p_eq.add_argument("--out", default=None)
-    p_eq.set_defaults(func=cmd_equilibrium)
 
     p_ch = sub.add_parser("characteristics", help="integrate one characteristic")
     p_ch.add_argument("--series", required=True,

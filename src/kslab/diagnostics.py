@@ -388,10 +388,12 @@ class HypothesisReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def hypothesis_check(K: float, M: float, R0: float, mu: float, gamma: float,
-                     kappa: float, eps0: float, gamma0: float) -> HypothesisReport:
+def hypothesis_check(K: float, M: float, R0: float, mu: float = 1e-3, gamma: float = 1.45,
+                     kappa: float = 0.7, eps0: float = 0.2,
+                     gamma0: float = 1.1) -> HypothesisReport:
     """Structured pass/fail report, with margins, for every displayed
-    inequality the large-coupling results rest on.
+    inequality the large-coupling results rest on; the defaults are the
+    analysis constants of the pinned criteria and of a config's hypothesis.
 
     Reports, never raises: a failed check is data, so an out-of-hypothesis
     configuration stays distinguishable from a failed verification run.

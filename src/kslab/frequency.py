@@ -378,13 +378,6 @@ class EquilibriumResult:
     message: str
 
 
-def equilibrium_probe(g: FrequencyDensity, K: float, R: float) -> float:
-    """H(R): the g-average of sqrt(1 - (omega/(K R))^2), clipped to |omega| <= K R."""
-    if K <= 0 or R <= 0:
-        raise ValueError("K and R must be positive")
-    return locked_phasor_mean(g, K * R)
-
-
 # a root near R = 1 (large K) lies in the first scan chunk
 _SCAN_POINTS = 2048
 _SCAN_CHUNK = 64
@@ -417,11 +410,11 @@ def equilibrium_R(g: FrequencyDensity, K: float) -> EquilibriumResult:
     m = inner_support_radius(g)
     bound_mass = m * min_density_on_inner(g)
     if g.kind == "dirac" or g.support == 0.0:
-        return EquilibriumResult(True, 1.0, 0.0, equilibrium_probe(g, K, 1.0), 1.0, True,
+        return EquilibriumResult(True, 1.0, 0.0, locked_phasor_mean(g, K), 1.0, True,
                                  bound_mass, 1.0 >= bound_mass, "R = 1 (identical oscillators)")
     lo_edge = g.support / K
     if lo_edge >= 1.0:
-        probe_1 = equilibrium_probe(g, K, 1.0)
+        probe_1 = locked_phasor_mean(g, K)
         return EquilibriumResult(
             False, None, math.inf, probe_1, 0.0, False, bound_mass, False,
             f"no solution: lock band (M/K, 1] empty or no sign change; H(1)={probe_1:.12g}")

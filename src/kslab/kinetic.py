@@ -358,12 +358,13 @@ def run(state: KineticState, t_end: float, sample_every: float,
     holds no records.  The last sample's state is the result's final_state.
     Steps are shortened to land on sample times and then take that time
     exactly, so the cadence and therefore the output are deterministic for a
-    given configuration.  The stepper (``_Muscl.step`` and ``sample``) owns
-    every per-cell check and monitor: a value below the -1e-13 floor raises
-    ValueError, a non-finite one FluxNanError, and each sample sets the cells
-    whose |value| is below the smallest normal float to 0, in the state the
-    run goes on from as well (a contracting run drives its far field there,
-    and arithmetic on subnormals is many times slower).  sample_every must
+    given configuration, and the sample interval caps each step as dt_max
+    does.  The stepper (``_Muscl.step`` and ``sample``) owns every per-cell
+    check and monitor: a value below the -1e-13 floor raises ValueError, a
+    non-finite one FluxNanError, and each sample sets the cells whose
+    |value| is below the smallest normal float to 0, in the state the run
+    goes on from as well (a contracting run drives its far field there, and
+    arithmetic on subnormals is many times slower).  sample_every must
     exceed the 1e-12 time tolerance.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
@@ -424,24 +425,9 @@ class OrderSeries:
         object.__setattr__(self, "R", np.asarray(self.R, dtype=float))
         object.__setattr__(self, "phi", np.unwrap(np.asarray(self.phi, dtype=float)))
 
-    @classmethod
-    def from_records(cls, records) -> "OrderSeries":
-        ts = np.array([r.t for r in records])
-        R = np.array([r.R for r in records])
-        phi = np.array([r.phi for r in records])
-        return cls(ts, R, phi)
-
     def interp(self, t):
         t = np.asarray(t, dtype=float)
         return np.interp(t, self.ts, self.R), np.interp(t, self.ts, self.phi)
-
-    @property
-    def t_min(self) -> float:
-        return float(self.ts[0])
-
-    @property
-    def t_max(self) -> float:
-        return float(self.ts[-1])
 
 
 def characteristics(series: OrderSeries, theta0, omega0, t0: float, t1: float,
@@ -457,7 +443,7 @@ def characteristics(series: OrderSeries, theta0, omega0, t0: float, t1: float,
     axis per broadcast input shape.
     """
     lo, hi = min(t0, t1), max(t0, t1)
-    if lo < series.t_min - 1e-9 or hi > series.t_max + 1e-9:
+    if lo < series.ts[0] - 1e-9 or hi > series.ts[-1] + 1e-9:
         raise ValueError("requested interval lies outside the recorded series")
     theta0 = np.asarray(theta0, dtype=float)
     omega0 = np.asarray(omega0, dtype=float)

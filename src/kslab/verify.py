@@ -23,6 +23,9 @@ from . import frequency as freq
 from . import kinetic, particle
 from .order import TWO_PI
 
+#: the analysis constants kappa, eps0 and gamma0: hypothesis_check's defaults
+_, _, _KAPPA, _EPS0, _GAMMA0 = diag.hypothesis_check.__defaults__
+
 
 @dataclass
 class CriterionResult:
@@ -37,7 +40,6 @@ class CriterionResult:
 def _skewed_profile(th):
     """Positive density with R0 = 0.2 and a genuinely moving average phase."""
     return (1.0 + 0.4 * np.cos(th) + 0.3 * np.sin(2.0 * th)) / TWO_PI
-
 
 # name: (density g, n_theta, n_omega, K, initial profile, t_end, diagnostics);
 # every run samples each 0.05 time units at CFL 0.5
@@ -378,7 +380,7 @@ def _antipodal_cardinality(cache, failures, details):
 def _equilibrium_self_consistency(cache, failures, details):
     t0 = time.perf_counter()
     g = freq.uniform(1.0)
-    probe = freq.equilibrium_probe(g, K=1.0, R=1.0)
+    probe = freq.locked_phasor_mean(g, 1.0)     # H(1) at K = 1
     _check(failures, abs(probe - math.pi / 4.0) <= 1e-10,
            f"H(1) = {probe!r} differs from pi/4")
     res_k1 = freq.equilibrium_R(g, K=1.0)
@@ -399,8 +401,7 @@ def _equilibrium_self_consistency(cache, failures, details):
 
 @_criterion(12, "asymptotic amplitude floor")
 def _amplitude_floor(cache, failures, details):
-    report = diag.hypothesis_check(K=10.0, M=0.05, R0=0.3, mu=1e-3,
-                                   gamma=1.45, kappa=0.7, eps0=0.2, gamma0=1.1)
+    report = diag.hypothesis_check(K=10.0, M=0.05, R0=0.3)
     _check(failures, report.amplitude_floor_gate_passed,
            "structural hypothesis gate failed: "
            + "; ".join(c.name for c in report.checks
@@ -431,7 +432,8 @@ def _amplitude_floor(cache, failures, details):
 
     # mass/amplitude sandwich at interior samples where R does not grow, on
     # the l_plus(pi/3) mass, with a 5 dtheta quadrature slack
-    e1, e2, _ = diag.constants_E(run.result.final_state.K, run.g.support, 0.15, 1.45, 1e-3)
+    e1, e2, _ = diag.constants_E(run.result.final_state.K, run.g.support, 0.15,
+                                 report.params["gamma"], report.params["mu"])
     label = diag.Interval("l_plus", math.pi / 3).label
     slack = 5.0 * run.result.final_state.grid.dtheta
     sandwich_failures = 0
@@ -450,10 +452,9 @@ def _amplitude_floor(cache, failures, details):
 
 @_criterion(13, "arc mass monotonicity and L2 growth")
 def _arc_mass_and_growth(cache, failures, details):
-    eps0, gamma0, M = 0.2, 1.1, 0.01
+    eps0, gamma0, M = _EPS0, _GAMMA0, 0.01
     K = 1.2 * (M / eps0) * (1.0 + 1.0 / eps0)
-    report = diag.hypothesis_check(K=K, M=M, R0=0.9, mu=1e-3, gamma=1.45,
-                                   kappa=0.7, eps0=eps0, gamma0=gamma0)
+    report = diag.hypothesis_check(K=K, M=M, R0=0.9)
     _check(failures, report.passed(("arc_trapping_coupling",
                                     "mass_threshold_eps_window",
                                     "mass_threshold_angle_window")),
@@ -491,7 +492,7 @@ def _arc_mass_and_growth(cache, failures, details):
 def _barrier_comparison(cache, failures, details):
     run = cache.run("run12")
     recs = run.result.records
-    K, M, kappa = run.result.final_state.K, run.g.support, 0.7
+    K, M, kappa = run.result.final_state.K, run.g.support, _KAPPA
     eps_k, valid = diag.epsilon_kappa(kappa, M, K)
     _check(failures, valid, "barrier offset not below 1")
     p_lim = math.sqrt(1.0 - eps_k ** 2)
@@ -510,7 +511,7 @@ def _barrier_comparison(cache, failures, details):
     _check(failures, T_kappa < 50.0, "amplitude never settled above kappa")
     if T_kappa >= 50.0:
         return
-    series = kinetic.OrderSeries.from_records(recs)
+    series = kinetic.OrderSeries(ts, Rs, [r.phi for r in recs])
     t_star = T_kappa + 5.0
 
     rng = np.random.default_rng(14)

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -290,6 +291,38 @@ def test_simulate_takes_its_seed_from_the_config_only(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_simulate_hypothesis_section_takes_the_documented_defaults(tmp_path):
+    cfg = write_config(tmp_path, hypothesis={"kappa": 0.75})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    first = dict(zip(rows[0].split(","), rows[1].split(",")))
+    params = json.loads((out / "summary.json").read_text())["hypothesis"]["params"]
+    assert params == {"K": 1.0, "M": 0.0, "R0": float(first["R"]), "mu": 1e-3,
+                      "gamma": 1.45, "kappa": 0.75, "eps0": 0.2, "gamma0": 1.1}
+
+
+@pytest.mark.parametrize("concentration, code", [(2.0, 0), (-1.0, 2)])
+def test_von_mises_preset_from_a_config(tmp_path, capsys, concentration, code):
+    cfg = write_config(tmp_path, model="both", n_particles=50, t_end=0.5,
+                       initial={"preset": "von_mises", "concentration": concentration})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
+    if code == 0:
+        assert json.loads((out / "summary.json").read_text())["kinetic"]["final_R"] > 0.5
+    else:
+        assert "concentration must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_simulate_rejects_a_coupling_list(tmp_path, capsys):
+    cfg = write_config(tmp_path, coupling=[1.0, 2.0])
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "use sweep for lists" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_equilibrium_command_large_table(tmp_path):
     # 401 rows put ~400 knots inside the lock band
     om = [-0.5 + i / 400.0 for i in range(401)]
@@ -427,13 +460,15 @@ def test_bad_json_is_config_error(tmp_path):
                      "--out", str(tmp_path / "out")]) == 2
 
 
+# pytest names a case whose value is a section by its place in this list
+# (frequency-value14), so a retired case is replaced in place, not deleted
 @pytest.mark.parametrize("key, value", [
-    ("dt_max", 0), ("dt_max", -1.0),
+    ("dt_particle", 0), ("dt_particle", -1.0),
     ("coupling", True), ("coupling", [2.0, True]),
     ("n_theta", 64.9), ("n_theta", 64.0), ("n_omega", True),
     ("n_particles", "100"), ("seed", 1.5),
     # a real-valued field must be a JSON number: not a bool, not a string
-    ("t_end", True), ("cfl", "0.5"), ("sample_every", True), ("dt_max", "1"),
+    ("t_end", True), ("cfl", "0.5"), ("sample_every", True), ("dt_particle", "0.02"),
     ("dt_particle", True),
     ("frequency", {"kind": "uniform", "halfwidth": "0.1"}),
     ("initial", {"preset": "cosine", "amplitude": True}),
@@ -445,7 +480,7 @@ def test_bad_json_is_config_error(tmp_path):
     # non-empty string (0 and true would read stdin and stdout)
     ("frequency", 5), ("initial", []), ("diagnostics", []), ("hypothesis", []),
     ("diagnostics", {"intervals": 3}), ("diagnostics", {"intervals": [5]}),
-    ("diagnostics", {"lambda_interval": 3}), ("out_dir", 5),
+    ("diagnostics", {"lambda_interval": 3}), ("initial", {"preset": "table", "path": ""}),
     ("frequency", {"kind": "table", "path": 0}),
     ("frequency", {"kind": "table", "path": True}),
     ("initial", {"preset": "table", "path": 0}),
@@ -461,7 +496,7 @@ def test_bad_json_is_config_error(tmp_path):
     ("frequency", {"kind": "uniform", "halfwidth": math.inf}),
     ("initial", {"preset": "cosine", "amplitude": 0.2, "center": math.nan}),
     ("initial", {"preset": "von_mises", "concentration": math.inf}),
-    ("dt_max", math.inf), ("hypothesis", {"mu": math.nan}),
+    ("dt_particle", math.inf), ("hypothesis", {"mu": math.nan}),
     # an integer too large for a float
     pytest.param("coupling", 10 ** 400, id="coupling-10**400")])
 def test_config_rejects_bad_values(tmp_path, key, value):
@@ -501,9 +536,25 @@ DEFAULTS = {
     "model": "kinetic", "frequency": {"kind": "dirac"},
     "initial": {"preset": "cosine", "amplitude": 0.2, "center": 0.0},
     "coupling": 1.0, "n_theta": 256, "n_omega": 8, "n_particles": 1000, "seed": 0,
-    "t_end": 10.0, "sample_every": 0.1, "cfl": 0.5, "scheme": "muscl", "dt_max": 1.0,
-    "diagnostics": {}, "out_dir": "out",
+    "t_end": 10.0, "sample_every": 0.1, "cfl": 0.5, "scheme": "muscl", "diagnostics": {},
 }
+
+
+@pytest.mark.parametrize("key, value", [("dt_max", 1.0), ("out_dir", "out")])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, key, value):
+    # --out chooses the output directory, and the sample interval caps each step
+    cfg = write_config(tmp_path, **{key: value})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_default_table_names_every_top_level_key():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = text.split("Each optional field has one default")[1].split("\n\n")[1]
+    rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+    assert {name for row in rows for name in re.findall(r"`(\w+)`", row)} == cli._TOP_KEYS
 
 
 @pytest.mark.parametrize("short, written", [
@@ -588,7 +639,7 @@ def run_with_table(tmp_path, kind, text):
     (exit code, table path, output directory)."""
     tmp_path.mkdir(exist_ok=True)
     table = tmp_path / f"{kind}.csv"
-    table.write_text(text)
+    table.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     if kind == "density":
         cfg = write_config(tmp_path, frequency={"kind": "table", "path": str(table)},
@@ -658,6 +709,8 @@ GOOD_TABLES = {
         cols, [[f'"{rows[0][0]}"'] + rows[0][1:]] + rows[1:]),
     "quoted comma": lambda cols, rows: csv_text(cols + ["note"], [r + ['"a,b"'] for r in rows]),
     "longer row": lambda cols, rows: csv_text(cols, [rows[0] + [7, "x"]] + rows[1:]),
+    # spreadsheets start a UTF-8 export with a byte-order mark
+    "utf-8 bom": lambda cols, rows: "\ufeff" + csv_text(cols, rows),
 }
 
 
@@ -818,15 +871,12 @@ def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch)
 
 @pytest.mark.parametrize("model", ["kinetic", "particle"])
 def test_zero_mass_initial_table_is_config_error(tmp_path, monkeypatch, capsys, model):
-    # kinetic divided by the zero mass; particle drew phases below a bound of 0
-    # forever, so a zero bound fails here instead of hanging
-    sample_phases = freq.sample_phases
+    # kinetic divided by the zero mass, and particle drew phases below a bound
+    # of 0 forever; table_profile rejects the table before any draw
+    def no_draw(*args):
+        raise AssertionError("a zero-mass table reached the phase sampler")
 
-    def bounded(profile, bound, n, rng):
-        assert bound > 0.0, "rejection sampling with bound 0 never accepts"
-        return sample_phases(profile, bound, n, rng)
-
-    monkeypatch.setattr(freq, "sample_phases", bounded)
+    monkeypatch.setattr(freq, "sample_phases", no_draw)
     table = tmp_path / "profile.csv"
     table.write_text(csv_text(["theta", "value"], [[0, 0], [1, 0], [3, 0]]))
     cfg = write_config(tmp_path, model=model, n_particles=20,

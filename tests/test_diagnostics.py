@@ -405,9 +405,9 @@ def test_equilibrium_dirac_is_unity():
 
 
 def test_equilibrium_probe_quarter_circle():
-    g = freq.uniform(1.0)
-    assert freq.equilibrium_probe(g, 1.0, 1.0) == pytest.approx(math.pi / 4.0,
-                                                                abs=1e-12)
+    # the probe H(1) at K = 1
+    assert freq.locked_phasor_mean(freq.uniform(1.0), 1.0) == pytest.approx(math.pi / 4.0,
+                                                                            abs=1e-12)
 
 
 def test_equilibrium_no_solution_at_small_coupling():
