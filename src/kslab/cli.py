@@ -24,7 +24,7 @@ import numpy as np
 
 from . import frequency as freq
 from .files import write_csv, write_json
-from .order import MIN_CELLS, TWO_PI, sample_count
+from .order import MIN_CELLS, TIME_TOL, TWO_PI, sample_count
 
 
 class ConfigError(ValueError):
@@ -92,8 +92,9 @@ def validate_config(raw: dict) -> dict:
     fields of a given hypothesis section, and a non-empty diagnostics
     section parsed into a DiagnosticsConfig (None for the empty default).
     The frequency kind and the initial preset each accept only the keys they
-    read, a field that one needs must be given, and t_end must be a whole
-    number of sample intervals (``order.sample_count``).
+    read, a field that one needs must be given, t_end must be a whole
+    number of sample intervals (``order.sample_count``), and each interval
+    must exceed ``order.TIME_TOL``.
     """
     cfg = {**_DEFAULTS, **_object(raw, _TOP_KEYS, "configuration")}
     _require(cfg["model"] in ("kinetic", "particle", "both"),
@@ -140,6 +141,8 @@ def validate_config(raw: dict) -> dict:
         cfg[key] = _real(cfg, key)
     _require(cfg["t_end"] >= 0, "t_end must be nonnegative")
     sample_count(0.0, cfg["t_end"], cfg["sample_every"])    # the samples must tile t_end
+    _require(cfg["sample_every"] > TIME_TOL,
+             f"sample_every must exceed the time tolerance {TIME_TOL:g}")
     _require(0.0 < cfg["cfl"] <= 1.0, "cfl must lie in (0, 1]")
     _require(cfg["scheme"] == "muscl",
              f"scheme must be 'muscl' ('upwind' was removed), not {cfg['scheme']!r}")
@@ -205,19 +208,23 @@ def _read_columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
     naming the path, for a missing or repeated column, no data rows, a row
     shorter than the header, or a cell that is not a finite number.
 
-    The file is UTF-8, after any byte-order mark.  The header is read by
-    ``csv``, the data rows by one ``np.loadtxt`` pass under the same quoting:
-    a '#' starts no comment, every header column must be present (an
-    ignored one reads as 0.0) and longer rows pass.
+    The file is UTF-8, after any byte-order mark; other bytes are a
+    ValueError naming the path.  The header is read by ``csv``, the data
+    rows by one ``np.loadtxt`` pass under the same quoting: a '#' starts no
+    comment, every header column must be present (an ignored one reads as
+    0.0) and longer rows pass.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        header = [h.strip().lower() for h in next((r for r in csv.reader(fh) if r), [])]
+        try:
+            header = [h.strip().lower() for h in next((r for r in csv.reader(fh) if r), [])]
+            # csv skips only empty lines; a line of spaces is a (short) row
+            first = next((line for line in fh if line.strip("\r\n")), None)
+        except UnicodeDecodeError as exc:    # one in a later row reaches loadtxt's below
+            raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
         for name in names:
             if header.count(name.lower()) != 1:
                 raise ValueError(f"{path}: needs one header column named {name!r} "
                                  f"(columns {', '.join(names)})")
-        # csv skips only empty lines; a line of spaces is a (short) row
-        first = next((line for line in fh if line.strip("\r\n")), None)
         if first is None:
             raise ValueError(f"{path}: no data rows")
         wanted = [header.index(name.lower()) for name in names]

@@ -84,15 +84,6 @@ def _arc_sum(grid, lo: float, hi: float, f: np.ndarray):
             + (hi - jb * dth) * f[..., jb % n])
 
 
-def _on_interval(state, interval: Interval, f: np.ndarray, op: OrderParams):
-    """_arc_sum of f over the moving interval at the order parameters op of
-    state: the mass for f = rho, the L2 functionals for f = rho^2 or
-    values^2 (one per omega slice).  Needs a defined average phase."""
-    if not op.defined:
-        raise ValueError("average phase undefined (R below tolerance)")
-    return _arc_sum(state.grid, *interval.endpoints(op.phi), f)
-
-
 # ---------------------------------------------------------------------------
 # rate fitting and transient detection
 
@@ -405,24 +396,29 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float = 1e-3, gamma: flo
 
     add("initial_amplitude_positive", "initial", R0, f"R0 = {R0:.6g} > 0")
 
-    if R0 > 0 and K > 0:
-        drift = (2.0 * M / (K * R0) + 4.0 * M / (K * R0 ** 2)
-                 + (2.0 * math.sqrt(2.0) / (R0 * math.sqrt(R0)))
-                 * math.sqrt(M / K + mu))
-        add("phase_drift_budget", "coupling", 0.5 - drift,
-            f"1/2 > 2M/(K R0) + 4M/(K R0^2) + (2 sqrt2 / R0^1.5) sqrt(M/K + mu) = {drift:.6g}")
-        budget = K * K * mu - (2.0 * M * M / R0 ** 2 - 1.5 * M * M / R0)
-        add("growth_budget", "coupling", budget,
-            f"K^2 mu - (2M^2/R0^2 - 3M^2/(2R0)) = {budget:.6g} > 0")
-        denom = 3.0 - (SQRT3 - 2.0 * R0) ** 2
+    need = ("R0, K > 0" if not (R0 > 0 and K > 0)
+            else "M/K + mu >= 0" if M / K + mu < 0 else None)
+    if need is None:
+        try:
+            drift = (2.0 * M / (K * R0) + 4.0 * M / (K * R0 ** 2)
+                     + (2.0 * math.sqrt(2.0) / (R0 * math.sqrt(R0)))
+                     * math.sqrt(M / K + mu))
+            budget = K * K * mu - (2.0 * M * M / R0 ** 2 - 1.5 * M * M / R0)
+            denom = 3.0 - (SQRT3 - 2.0 * R0) ** 2
+        except ArithmeticError:     # R0^2 underflowed to 0 or overflowed
+            need = "K R0^2 > 0 and R0^2 finite in floating point"
+    if need is None:
         floor = max(64.0 * M / SQRT3,
                     64.0 * SQRT3 * M / denom if denom > 0 else math.inf)
+        add("phase_drift_budget", "coupling", 0.5 - drift,
+            f"1/2 > 2M/(K R0) + 4M/(K R0^2) + (2 sqrt2 / R0^1.5) sqrt(M/K + mu) = {drift:.6g}")
+        add("growth_budget", "coupling", budget,
+            f"K^2 mu - (2M^2/R0^2 - 3M^2/(2R0)) = {budget:.6g} > 0")
         add("coupling_floor", "coupling", K - floor,
             f"K = {K:.6g} > max(64M/sqrt3, 64 sqrt3 M / (3 - (sqrt3 - 2R0)^2)) = {floor:.6g}")
     else:
-        add("phase_drift_budget", "coupling", -math.inf, "undefined: needs R0, K > 0")
-        add("growth_budget", "coupling", -math.inf, "undefined: needs R0, K > 0")
-        add("coupling_floor", "coupling", -math.inf, "undefined: needs R0, K > 0")
+        for name in ("phase_drift_budget", "growth_budget", "coupling_floor"):
+            add(name, "coupling", -math.inf, f"undefined: needs {need}")
 
     gmargin = min(gamma - math.pi / 3, math.pi / 2 - gamma)
     add("sandwich_angle_range", "sandwich", gmargin,
@@ -435,7 +431,7 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float = 1e-3, gamma: flo
             add("growth_exceeds_losses", "sandwich",
                 mu * R0 / 24.0 - (2.0 * e1 + e2 + e3),
                 f"mu R0/24 = {mu * R0 / 24:.6g} > 2E1 + E2 + E3 = {2 * e1 + e2 + e3:.6g}")
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:    # a float that left the range too
             add("amplitude_retention", "sandwich", -math.inf, f"undefined: {exc}")
             add("growth_exceeds_losses", "sandwich", -math.inf, f"undefined: {exc}")
     else:
@@ -455,9 +451,12 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float = 1e-3, gamma: flo
         add("barrier_level_cap", "barrier", -math.inf,
             "undefined: 3 - 64 sqrt3 M/K < 0")
     if kappa > 0 and K > 0:
-        ek, ok = epsilon_kappa(kappa, M, K)
-        add("barrier_offset_valid", "barrier", 1.0 - ek,
-            f"eps_kappa = {ek:.6g} < 1")
+        try:
+            ek = epsilon_kappa(kappa, M, K)[0]
+            add("barrier_offset_valid", "barrier", 1.0 - ek, f"eps_kappa = {ek:.6g} < 1")
+        except ArithmeticError:     # kappa^2 underflowed to 0 or overflowed
+            add("barrier_offset_valid", "barrier", -math.inf,
+                "undefined: needs kappa^2 > 0 and finite in floating point")
     else:
         add("barrier_offset_valid", "barrier", -math.inf,
             "undefined: needs kappa, K > 0")
@@ -543,17 +542,18 @@ class RecordSampler:
                                 phi_defined=op.defined)
         rec.v_k = kinetic_potential(state, op)
         if op.defined:
-            rho = state.marginal_density()
+            grid, rho = state.grid, state.marginal_density()
             for iv in cfg.intervals:
-                rec.masses[iv.label] = float(_on_interval(state, iv, rho, op))
+                rec.masses[iv.label] = float(_arc_sum(grid, *iv.endpoints(op.phi), rho))
             if cfg.lambda_interval is not None:
-                rec.lambda_value = float(_on_interval(state, cfg.lambda_interval, rho ** 2, op))
+                rec.lambda_value = float(_arc_sum(grid, *cfg.lambda_interval.endpoints(op.phi),
+                                                  rho ** 2))
             if cfg.gamma_plus_interval is not None:
-                rec.gamma_plus = _on_interval(state, cfg.gamma_plus_interval,
-                                              state.values ** 2, op)
+                rec.gamma_plus = _arc_sum(grid, *cfg.gamma_plus_interval.endpoints(op.phi),
+                                          state.values ** 2)
             if cfg.gamma_minus_interval is not None:
-                rec.gamma_minus = _on_interval(state, cfg.gamma_minus_interval,
-                                               state.values ** 2, op)
+                rec.gamma_minus = _arc_sum(grid, *cfg.gamma_minus_interval.endpoints(op.phi),
+                                           state.values ** 2)
             rec.rdot_formula, rec.phidot_formula = _rates(state, op, rho)
         else:
             for iv in cfg.intervals:
@@ -576,13 +576,9 @@ def finalize_records(records, K: float, m_bound: float) -> None:
     phis = np.unwrap(np.array([r.phi for r in records]))
     rdot = np.gradient(Rs, ts)
     phidot = np.gradient(phis, ts)
-    interior = range(1, n - 1)   # endpoints only have one-sided differences
-    for i, r in enumerate(records):
-        if i not in interior:
-            r.rdot_measured = None
-            r.phidot_measured = None
-            r.bound_checks = {}
-            continue
+    # the endpoints only have one-sided differences: they keep None
+    for i in range(1, n - 1):
+        r = records[i]
         r.rdot_measured = float(rdot[i])
         r.phidot_measured = float(phidot[i]) if r.phi_defined else None
         checks = {}

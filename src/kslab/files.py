@@ -9,8 +9,6 @@ from __future__ import annotations
 import csv
 import json
 
-import numpy as np
-
 
 def _cell(x) -> str:
     if x is None:
@@ -30,16 +28,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, payload) -> None:
-    """payload as sorted, one-space-indented JSON with a final newline;
-    numpy scalars and arrays become numbers and lists."""
+    """payload as sorted, one-space-indented JSON with a final newline."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True, default=_json_default)
+        json.dump(payload, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")

@@ -251,45 +251,6 @@ def sample_phases(profile, bound: float | None, n: int, rng) -> np.ndarray:
     return out[:n]
 
 
-def density_at(g: FrequencyDensity, omega) -> np.ndarray:
-    """Pointwise density values; undefined for the dirac kind."""
-    if g.kind == "dirac":
-        raise ValueError("the dirac density has no pointwise values")
-    om = np.asarray(omega, dtype=float)
-    return np.interp(om, g.table_omega, g.table_density, left=0.0, right=0.0)
-
-
-def inner_support_radius(g: FrequencyDensity) -> float:
-    """Largest m with [-m, m] inside the support of g (0 for dirac).
-
-    The support is the closure of {g > 0}, so a table whose density decays
-    linearly to zero at its end nodes is supported up to those nodes.
-    """
-    if g.kind == "dirac":
-        return 0.0
-    om, de = g.table_omega, g.table_density
-    idx = np.flatnonzero(de > 0)
-    lo = om[max(idx[0] - 1, 0)]
-    hi = om[min(idx[-1] + 1, om.size - 1)]
-    if lo < 0.0 < hi:
-        return float(min(-lo, hi))
-    return 0.0
-
-
-def min_density_on_inner(g: FrequencyDensity) -> float:
-    """min of g over [-m, m] with m the inner support radius.
-
-    A piecewise-linear table takes its minimum there at -m, at m or at a
-    knot between them, so only those points are evaluated.
-    """
-    m = inner_support_radius(g)
-    if m <= 0:
-        return 0.0
-    om = g.table_omega
-    points = np.concatenate(([-m, m], om[(om > -m) & (om < m)]))
-    return float(density_at(g, points).min())
-
-
 def locked_phasor_mean(g: FrequencyDensity, a):
     """Average of sqrt(1 - (omega/a)^2) over g, restricted to |omega| <= a.
 
@@ -378,6 +339,21 @@ class EquilibriumResult:
     message: str
 
 
+def _inner_mass_bound(g: FrequencyDensity) -> float:
+    """m min g, the inner-mass lower bound on a locked R (0 for dirac): m is
+    the largest radius with [-m, m] inside the support of g, the closure of
+    {g > 0}, and a table is least on [-m, m] at -m, at m or at a knot."""
+    if g.kind == "dirac":
+        return 0.0
+    om, de = g.table_omega, g.table_density
+    idx = np.flatnonzero(de > 0)
+    m = min(-om[max(idx[0] - 1, 0)], om[min(idx[-1] + 1, om.size - 1)])
+    if m <= 0:
+        return 0.0
+    points = np.concatenate(([-m, m], om[(om > -m) & (om < m)]))
+    return float(m * np.interp(points, om, de).min())
+
+
 # a root near R = 1 (large K) lies in the first scan chunk
 _SCAN_POINTS = 2048
 _SCAN_CHUNK = 64
@@ -407,8 +383,7 @@ def equilibrium_R(g: FrequencyDensity, K: float) -> EquilibriumResult:
     """
     if not (K > 0 and math.isfinite(K)):
         raise ValueError(f"K must be positive and finite, not {K!r}")
-    m = inner_support_radius(g)
-    bound_mass = m * min_density_on_inner(g)
+    bound_mass = _inner_mass_bound(g)
     if g.kind == "dirac" or g.support == 0.0:
         return EquilibriumResult(True, 1.0, 0.0, locked_phasor_mean(g, K), 1.0, True,
                                  bound_mass, 1.0 >= bound_mass, "R = 1 (identical oscillators)")

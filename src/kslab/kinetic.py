@@ -44,8 +44,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .frequency import FrequencyDensity, quadrature_nodes
-from .order import (MIN_CELLS, TOL_R, TWO_PI, _from_phasor, global_order, phasor, rk4_path,
-                    sample_count)
+from .order import (MIN_CELLS, TIME_TOL, TOL_R, TWO_PI, _from_phasor, global_order, phasor,
+                    rk4_path, sample_count)
 
 
 class CflError(ValueError):
@@ -365,12 +365,11 @@ def run(state: KineticState, t_end: float, sample_every: float,
     |value| is below the smallest normal float to 0, in the state the run
     goes on from as well (a contracting run drives its far field there, and
     arithmetic on subnormals is many times slower).  sample_every must
-    exceed the 1e-12 time tolerance.
+    exceed the time tolerance ``order.TIME_TOL``.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
-    eps = 1e-12
-    if not sample_every > eps:
-        raise ValueError(f"sample_every must exceed the time tolerance {eps:g}")
+    if not sample_every > TIME_TOL:
+        raise ValueError(f"sample_every must exceed the time tolerance {TIME_TOL:g}")
     muscl = _Muscl(state, cfl, dt_max)
     grid, w = state.grid, state.weights
     n_steps, max_dt, min_dR = 0, 0.0, 0.0
@@ -383,7 +382,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
         t_sample = t0 + i * sample_every
         # the last sample time may round past t_end (3 * 0.1 > 0.3): no step passes t_end
         t_stop = min(t_sample, t_end)
-        while t < t_stop - eps:
+        while t < t_stop - TIME_TOL:
             dt = min(muscl.step_length(state, R), t_stop - t)
             z = phasor(grid, w, muscl.step(state, t, dt, z))
             t += dt

@@ -39,6 +39,11 @@ def _from_phasor(z: complex) -> OrderParams:
     return OrderParams(float(R), 0.0, False)
 
 
+#: a kinetic run steps to within this time of each sample; the sample
+#: interval must exceed it
+TIME_TOL = 1e-12
+
+
 def sample_count(t0: float, t_end: float, sample_every: float) -> int:
     """Number n of sample intervals from t0 to t_end: a run from t0 samples
     at t0 + i sample_every for i = 0 .. n and ends at its last sample.

@@ -248,41 +248,18 @@ def trajectory_to_csv(rows: np.ndarray, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# asymptotic classification
+# asymptotic antipodal set
 
 
-@dataclass(frozen=True)
-class Classification:
-    """Per-oscillator sync/anti labels and whether the phases converged."""
-    labels: tuple[str, ...]        # "sync" | "anti" | "undetermined" per oscillator
-    converged: bool
-
-    @property
-    def n_anti(self) -> int:
-        return self.labels.count("anti")
-
-
-def _circle_dist(a, b):
-    return np.abs((np.asarray(a) - np.asarray(b) + np.pi) % TWO_PI - np.pi)
-
-
-def classify_asymptotic(final: ParticleState) -> Classification:
-    """Partition the oscillators of a final state into synchronous and
-    anti-synchronous sets.
-
-    An identical-frequency state run to near-stationarity is required: if
-    the frequency spread max|thetadot_i - thetadot_j| exceeds 1e-6, every
-    oscillator is labeled undetermined.  The reference phase is the average
-    phase (0 when it is undefined).  An oscillator within 0.1 radians of the
-    reference is synchronous, within 0.1 of its antipode anti-synchronous,
-    otherwise undetermined.
-    """
+def antipodal_count(final: ParticleState) -> int | None:
+    """Number of oscillators of a converged identical-frequency state within
+    0.1 radians of the antipode of the average phase (0 when undefined), or
+    None when the rate spread max|thetadot_i - thetadot_j| exceeds 1e-6.
+    None of them is also within 0.1 of the average phase: the two circle
+    distances sum to pi."""
     rates = particle_rhs(final)
     if float(rates.max() - rates.min()) > 1e-6:
-        return Classification(("undetermined",) * final.n, False)
-    ref = particle_order(final).phi     # 0.0 when undefined
-    d_sync = _circle_dist(final.thetas, ref)
-    d_anti = _circle_dist(final.thetas, ref + np.pi)
-    labels = np.where(d_sync < 0.1, "sync",
-                      np.where(d_anti < 0.1, "anti", "undetermined"))
-    return Classification(tuple(labels.tolist()), True)
+        return None
+    anti = particle_order(final).phi + np.pi
+    d_anti = np.abs((final.thetas - anti + np.pi) % TWO_PI - np.pi)
+    return int(np.count_nonzero(d_anti < 0.1))

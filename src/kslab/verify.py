@@ -357,16 +357,10 @@ def _antipodal_cardinality(cache, failures, details):
         if float(np.max(rates.max(axis=1) - rates.min(axis=1))) < 1e-8:
             break
 
-    n_converged = 0
-    n_ok = 0
-    anti_counts = []
-    for s in range(n_seeds):
-        cls = particle.classify_asymptotic(particle.ParticleState(thetas[s], np.zeros(n_osc), K))
-        if cls.converged:
-            n_converged += 1
-            anti_counts.append(cls.n_anti)
-            if cls.n_anti <= 1:
-                n_ok += 1
+    counts = [particle.antipodal_count(particle.ParticleState(th, np.zeros(n_osc), K))
+              for th in thetas]
+    anti_counts = [n for n in counts if n is not None]     # one per converged run
+    n_converged, n_ok = len(anti_counts), sum(n <= 1 for n in anti_counts)
     _check(failures, n_converged > 0, "no run converged")
     frac = n_ok / n_converged if n_converged else 0.0
     _check(failures, frac >= 0.99,

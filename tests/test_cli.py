@@ -105,6 +105,15 @@ def test_simulate_rejects_sample_interval_within_time_tolerance(tmp_path, capsys
     assert "time tolerance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["kinetic", "particle"])
+def test_sample_interval_within_time_tolerance_leaves_no_output(tmp_path, capsys, model):
+    cfg = write_config(tmp_path, model=model, t_end=1e-12, sample_every=1e-13)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "time tolerance 1e-12" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = write_config(tmp_path, gamma_zero=1.1)   # typo-like stray key
     assert cli.main(["simulate", "--config", str(cfg), "--out",
@@ -300,6 +309,17 @@ def test_simulate_hypothesis_section_takes_the_documented_defaults(tmp_path):
     params = json.loads((out / "summary.json").read_text())["hypothesis"]["params"]
     assert params == {"K": 1.0, "M": 0.0, "R0": float(first["R"]), "mu": 1e-3,
                       "gamma": 1.45, "kappa": 0.75, "eps0": 0.2, "gamma0": 1.1}
+
+
+def test_simulate_reports_an_undefined_hypothesis_check(tmp_path):
+    # mu = -1 makes M/K + mu negative: the coupling checks are undefined
+    cfg = write_config(tmp_path, hypothesis={"mu": -1.0})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    checks = json.loads((out / "summary.json").read_text())["hypothesis"]["checks"]
+    drift = next(c for c in checks if c["name"] == "phase_drift_budget")
+    assert drift["detail"] == "undefined: needs M/K + mu >= 0"
+    assert (out / "plot.gp").exists()
 
 
 @pytest.mark.parametrize("concentration, code", [(2.0, 0), (-1.0, 2)])
@@ -634,12 +654,12 @@ def csv_text(columns, rows):
     return "".join(",".join(map(str, line)) + "\n" for line in [columns] + rows)
 
 
-def run_with_table(tmp_path, kind, text):
-    """Run the command that reads a `kind` table from `text`; returns
-    (exit code, table path, output directory)."""
+def run_with_table(tmp_path, kind, text, encoding="utf-8"):
+    """Run the command that reads a `kind` table from `text`, written in
+    `encoding`; returns (exit code, table path, output directory)."""
     tmp_path.mkdir(exist_ok=True)
     table = tmp_path / f"{kind}.csv"
-    table.write_text(text, encoding="utf-8")
+    table.write_text(text, encoding=encoding)
     out = tmp_path / "out"
     if kind == "density":
         cfg = write_config(tmp_path, frequency={"kind": "table", "path": str(table)},
@@ -681,6 +701,23 @@ def test_bad_input_table_is_config_error(tmp_path, capsys, kind, bad):
     code, table, out = run_with_table(tmp_path, kind, BAD_TABLES[bad](columns, rows))
     assert code == 2
     assert str(table) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["header", "row", "late row"])
+@pytest.mark.parametrize("kind", TABLES)
+def test_non_utf8_input_table_is_config_error(tmp_path, capsys, kind, where):
+    # a cp1252 e-acute in an ignored header column or cell; a late row's
+    # lies past the first 8 KiB that the header and first row are read from
+    columns, rows, _ = TABLES[kind]
+    note = {"header": "caf\u00e9", "row": "caf\u00e9", "late row": "x" * 9000 + "\u00e9"}[where]
+    cells = [[note if where != "header" and i == 1 else "x"] for i in range(len(rows))]
+    text = csv_text(columns + [note if where == "header" else "note"],
+                    [r + c for r, c in zip(rows, cells)])
+    code, table, out = run_with_table(tmp_path, kind, text, encoding="cp1252")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(table) in err and "'utf-8' codec can't decode" in err
     assert not out.exists()
 
 

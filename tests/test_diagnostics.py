@@ -29,8 +29,10 @@ def arc_mass(st, lo, hi):
 
 
 def on_interval(st, iv, f, op=None):
-    """``_on_interval``, by default at the state's own order parameters."""
-    return diag._on_interval(st, iv, f, order.global_order(st) if op is None else op)
+    """``_arc_sum`` of f over the interval iv at the average phase of op,
+    by default the state's own order parameters."""
+    op = order.global_order(st) if op is None else op
+    return diag._arc_sum(st.grid, *iv.endpoints(op.phi), f)
 
 
 def test_interval_validation_and_endpoints():
@@ -89,10 +91,18 @@ def test_mass_continuous_in_phase():
         assert abs(b - a) <= 2.5 * rho_max * 0.001
 
 
-def test_mass_requires_defined_phase():
+def test_record_sampler_masses_are_nan_without_a_phase():
+    # a uniform start has R below TOL_R: no phase, so no phi-anchored value
     st = dirac_state(64, lambda th: np.full_like(th, 1.0 / TWO_PI))
-    with pytest.raises(ValueError):
-        on_interval(st, diag.Interval("i_plus", 0.3), st.marginal_density())
+    op = order.global_order(st)
+    assert not op.defined
+    cfg = diag.DiagnosticsConfig(intervals=(diag.Interval("i_plus", 0.3),),
+                                 lambda_interval=diag.Interval("i_minus", 0.5),
+                                 gamma_plus_interval=diag.Interval("l_plus", 1.0))
+    rec = diag.RecordSampler(cfg)(st, op)
+    assert math.isnan(rec.masses["i_plus_0.3"])
+    assert (rec.lambda_value, rec.gamma_plus, rec.rdot_formula) == (None, None, None)
+    assert not rec.phi_defined
 
 
 def test_lyapunov_constant_density():
@@ -502,7 +512,7 @@ def test_equilibrium_matches_reference_search(g, K):
 def _assert_matches_reference(g, K):
     """equilibrium_R(g, K) is, to the bit, the result of the plain search."""
     probe_1 = freq.locked_phasor_mean(g, K)
-    bound_mass = freq.inner_support_radius(g) * freq.min_density_on_inner(g)
+    bound_mass = freq._inner_mass_bound(g)
     found = _reference_root_search(g, K) if g.support < K else None
     res = freq.equilibrium_R(g, K)
     if found is None:
@@ -613,6 +623,35 @@ def test_hypothesis_never_raises():
     report = diag.hypothesis_check(K=-1.0, M=0.5, R0=0.0, mu=0.0,
                                    gamma=3.0, kappa=0.0, eps0=0.0, gamma0=0.5)
     assert not report.all_passed
+
+
+COUPLING_CHECKS = ("phase_drift_budget", "growth_budget", "coupling_floor")
+
+
+@pytest.mark.parametrize("R0, mu, need", [
+    (0.3, -1.0, "M/K + mu >= 0"),       # sqrt(M/K + mu) of a negative number
+    (1e-200, 1e-3, "K R0^2 > 0"),       # R0^2 underflows to 0
+    (1e200, 1e-3, "R0^2 finite"),       # R0^2 overflows
+])
+def test_hypothesis_reports_an_unmet_need_as_undefined(R0, mu, need):
+    report = diag.hypothesis_check(K=1.0, M=0.5, R0=R0, mu=mu)
+    for name in COUPLING_CHECKS:
+        c = report.check(name)
+        assert (c.passed, c.margin) == (False, -math.inf)
+        assert c.detail.startswith("undefined: needs ") and need in c.detail
+
+
+_FINITE = hst.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@given(K=_FINITE, M=_FINITE, R0=_FINITE, mu=_FINITE, gamma=_FINITE, kappa=_FINITE,
+       eps0=_FINITE, gamma0=_FINITE)
+def test_hypothesis_reports_every_check_on_finite_inputs(K, M, R0, mu, gamma, kappa, eps0,
+                                                         gamma0):
+    # a check whose terms leave the float range is reported undefined
+    report = diag.hypothesis_check(K, M, R0, mu, gamma, kappa, eps0, gamma0)
+    assert len(report.checks) == 14
 
 
 # ---------------------------------------------------------------------------

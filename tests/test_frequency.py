@@ -80,8 +80,7 @@ def test_uniform_is_a_one_segment_table(h):
     assert g.kind == "table"
     assert g.table_omega.tolist() == [-h, h]
     assert g.table_density.tolist() == [0.5 / h, 0.5 / h]
-    assert freq.inner_support_radius(g) == h
-    assert freq.min_density_on_inner(g) == 1.0 / (2.0 * h)
+    assert freq._inner_mass_bound(g) == h * (1.0 / (2.0 * h))
 
 
 @pytest.mark.parametrize("h", UNIFORM_WIDTHS)
@@ -256,14 +255,6 @@ def test_csv_requires_header(tmp_path):
         cli.build_frequency(_table_config(path))
 
 
-def test_density_at():
-    g = freq.uniform(0.25)
-    assert freq.density_at(g, 0.0) == pytest.approx(2.0)
-    assert freq.density_at(g, 0.3) == 0.0
-    with pytest.raises(ValueError):
-        freq.density_at(freq.dirac_at_zero(), 0.0)
-
-
 def test_locked_phasor_mean_closed_forms():
     # fully lockable band: the average of sqrt(1 - (w/a)^2) over U[-1,1]
     # at a = 1 is the quarter-circle area, pi/4
@@ -391,16 +382,21 @@ def test_locked_phasor_mean_large_table_blocks():
 
 
 def test_inner_support_radius():
-    assert freq.inner_support_radius(freq.dirac_at_zero()) == 0.0
-    assert freq.inner_support_radius(freq.uniform(0.4)) == 0.4
+    # the bound m min g on the inner support radius m of g
+    assert freq._inner_mass_bound(freq.dirac_at_zero()) == 0.0
+    assert freq._inner_mass_bound(freq.uniform(0.4)) == pytest.approx(0.4 * 1.25)
+    # the support is the closure of {g > 0}: it reaches the zero end knots +-1
+    # (on [-0.5, 0.5] alone the bound would be 1/3)
     g = freq.from_table([-1.0, -0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 0.0])
-    assert freq.inner_support_radius(g) == pytest.approx(1.0)
-    assert freq.min_density_on_inner(freq.uniform(0.4)) == pytest.approx(1.25)
+    assert freq._inner_mass_bound(g) == 0.0
+    # support [-2, 1]: m = 1, and g is least on [-1, 1] at -1 and 0, 1/3 each
+    skew = freq.from_table([-2.0, -1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 2.0])
+    assert freq._inner_mass_bound(skew) == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_min_density_on_inner_finds_minimum_between_grid_points():
     # the minima sit at the knots +-0.3, which a uniform grid on [-1, 1] misses
     g = freq.from_table([-1.0, -0.3, 0.0, 0.3, 1.0], [1.0, 0.2, 1.0, 0.2, 1.0])
-    assert freq.min_density_on_inner(g) == pytest.approx(0.2 / 1.2, rel=1e-15)
+    assert freq._inner_mass_bound(g) == pytest.approx(0.2 / 1.2, rel=1e-15)
     triangle = freq.from_table([-0.5, -0.25, 0.0, 0.25, 0.5], [0.0, 0.5, 1.0, 0.5, 0.0])
-    assert freq.min_density_on_inner(triangle) == 0.0
+    assert freq._inner_mass_bound(triangle) == 0.0

@@ -310,19 +310,14 @@ def test_diameter_amplitude_inequality_sampled():
 
 
 def test_classify_all_synchronized():
-    cls = particle.classify_asymptotic(particle.ParticleState(np.full(6, 0.8), np.zeros(6), K=1.0))
-    assert cls.converged
-    assert cls.n_anti == 0
-    assert cls.labels == ("sync",) * 6
+    final = particle.ParticleState(np.full(6, 0.8), np.zeros(6), K=1.0)
+    assert particle.antipodal_count(final) == 0
 
 
 def test_classify_bipolar():
     final = np.full(6, 1.0)
     final[3] = 1.0 + math.pi
-    cls = particle.classify_asymptotic(particle.ParticleState(final, np.zeros(6), K=1.0))
-    assert cls.converged
-    assert cls.n_anti == 1
-    assert cls.labels == ("sync",) * 3 + ("anti",) + ("sync",) * 2
+    assert particle.antipodal_count(particle.ParticleState(final, np.zeros(6), K=1.0)) == 1
 
 
 def test_classify_unconverged():
@@ -330,9 +325,7 @@ def test_classify_unconverged():
     th = rng.uniform(0, TWO_PI, 8)
     st = particle.ParticleState(th, np.zeros(8), K=1.0)
     assert np.ptp(particle.particle_rhs(st)) > 1e-6
-    cls = particle.classify_asymptotic(st)
-    assert not cls.converged
-    assert set(cls.labels) == {"undetermined"}
+    assert particle.antipodal_count(st) is None
 
 
 def sample_times(st, t_end, dt, sample_every):
