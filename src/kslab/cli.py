@@ -290,7 +290,7 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
 
 
 def _summarize_kinetic(K, M, res) -> dict:
-    from . import diagnostics as diag
+    from . import diagnostics as diag, kinetic
     recs = res.records
     final = recs[-1]
     bad_bounds = sum(1 for r in recs if r.bound_checks
@@ -304,8 +304,8 @@ def _summarize_kinetic(K, M, res) -> dict:
         "positivity_margin": res.min_cell_value,
         "mass_drift": {"per_slice_rel": res.max_slice_mass_drift_rel,
                        "total": res.max_total_mass_drift,
-                       "per_slice_ok": res.max_slice_mass_drift_rel <= 1e-12,
-                       "total_ok": res.max_total_mass_drift <= 1e-10},
+                       "per_slice_ok": res.max_slice_mass_drift_rel <= kinetic.SLICE_DRIFT_GATE,
+                       "total_ok": res.max_total_mass_drift <= kinetic.TOTAL_DRIFT_GATE},
         "bound_check_failures": bad_bounds,
     }
     if M == 0.0:    # identical oscillators: R never decreases

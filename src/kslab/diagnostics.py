@@ -423,22 +423,25 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float = 1e-3, gamma: flo
     gmargin = min(gamma - math.pi / 3, math.pi / 2 - gamma)
     add("sandwich_angle_range", "sandwich", gmargin,
         f"gamma = {gamma:.6g} in (pi/3, pi/2)")
-    if gmargin > 0 and R0 > 0 and K > 0 and mu > 0:
+    undefined = ("undefined: needs gamma in range, R0, K, mu > 0"
+                 if not (gmargin > 0 and R0 > 0 and K > 0 and mu > 0)
+                 else "undefined: needs K R0/2 > 0 in floating point" if not K * (R0 / 2.0) > 0
+                 else None)
+    if undefined is None:
         try:
             e1, e2, e3 = constants_E(K, M, R0 / 2.0, gamma, mu)
-            add("amplitude_retention", "sandwich", (R0 - 2.0 * e1 - e2) - R0 / 2.0,
-                f"R0 - 2E1 - E2 = {R0 - 2 * e1 - e2:.6g} > R0/2 = {R0 / 2:.6g}")
-            add("growth_exceeds_losses", "sandwich",
-                mu * R0 / 24.0 - (2.0 * e1 + e2 + e3),
-                f"mu R0/24 = {mu * R0 / 24:.6g} > 2E1 + E2 + E3 = {2 * e1 + e2 + e3:.6g}")
-        except (ValueError, ArithmeticError) as exc:    # a float that left the range too
-            add("amplitude_retention", "sandwich", -math.inf, f"undefined: {exc}")
-            add("growth_exceeds_losses", "sandwich", -math.inf, f"undefined: {exc}")
+        except ArithmeticError:     # M^2/K underflowed to 0
+            undefined = "undefined: needs M^2/K > 0 in floating point"
+        except ValueError as exc:   # the growth-budget condition fails
+            undefined = f"undefined: {exc}"
+    if undefined is None:
+        add("amplitude_retention", "sandwich", (R0 - 2.0 * e1 - e2) - R0 / 2.0,
+            f"R0 - 2E1 - E2 = {R0 - 2 * e1 - e2:.6g} > R0/2 = {R0 / 2:.6g}")
+        add("growth_exceeds_losses", "sandwich", mu * R0 / 24.0 - (2.0 * e1 + e2 + e3),
+            f"mu R0/24 = {mu * R0 / 24:.6g} > 2E1 + E2 + E3 = {2 * e1 + e2 + e3:.6g}")
     else:
-        add("amplitude_retention", "sandwich", -math.inf,
-            "undefined: needs gamma in range, R0, K, mu > 0")
-        add("growth_exceeds_losses", "sandwich", -math.inf,
-            "undefined: needs gamma in range, R0, K, mu > 0")
+        for name in ("amplitude_retention", "growth_exceeds_losses"):
+            add(name, "sandwich", -math.inf, undefined)
 
     add("barrier_level_range", "barrier", min(kappa - 2.0 / 3.0, SQRT3 / 2.0 - kappa),
         f"kappa = {kappa:.6g} in (2/3, sqrt(3)/2)")

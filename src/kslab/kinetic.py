@@ -18,15 +18,16 @@ Discretization choices:
 * time: two-stage strong-stability-preserving Runge-Kutta (Heun) under a
   CFL restriction measured against the analytic velocity bound.
 
-``run`` keeps the sample clock, the phasor and R monitor and the records.
-The MUSCL stepper of one run (``_Muscl``) owns the step length, the step,
-and every per-cell check and monitor; ``step`` and ``cfl_dt`` use it too.
-A step works in place on (n_omega, n_theta + 2) buffers whose column p holds
-cell p - 1 (ghost columns 0 and n_theta + 1 repeat cells n_theta - 1 and 0)
-or, for velocities and fluxes, edge p between columns p and p + 1.  A stage
-fills the ghosts, then makes each full-size operation one ufunc call on the
-flat buffer; entries where one slice meets the next are finite junk that no
-interior result reads.
+``run`` keeps the sample clock, the R monitor and the records, and caps each
+step at DT_MAX.  Only the MUSCL stepper of one run (``_Muscl``) touches
+cells; ``run``, ``step`` and ``cfl_dt`` read it through ``z``,
+``step_length``, ``step``, ``sample`` and the monitors (``min_value``,
+``max_drift_rel``, ``max_total_drift``).  A step works in place on (n_omega,
+n_theta + 2) buffers whose column p holds cell p - 1 (ghost columns 0 and
+n_theta + 1 repeat cells n_theta - 1 and 0) or, for velocities and fluxes,
+edge p between columns p and p + 1.  A stage fills the ghosts, then makes
+each full-size operation one ufunc call on the flat buffer; entries where
+one slice meets the next are finite junk that no interior result reads.
 
 Stored values are cell averages of the conditional density f / g per slice;
 the omega weights of the quadrature fold g back in whenever an integral over
@@ -38,7 +39,7 @@ weighted total mass is 1 for normalized initial data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -181,8 +182,8 @@ def _edge_velocity(state: KineticState, z: complex, trig_edges: np.ndarray,
 
 def cfl_dt(state: KineticState, cfl: float) -> float:
     """Largest stable step: cfl * dtheta over the velocity bound max|omega| + K R,
-    capped at 1.0, the default dt_max of ``run``."""
-    return _Muscl(state, cfl, 1.0).step_length(state, global_order(state).R)
+    capped at DT_MAX as in ``run``."""
+    return min(_Muscl(state, cfl).step_length(state, global_order(state).R), DT_MAX)
 
 
 def _padded(shape: tuple[int, int]) -> SimpleNamespace:
@@ -194,18 +195,16 @@ def _padded(shape: tuple[int, int]) -> SimpleNamespace:
 
 
 class _Muscl:
-    """The MUSCL stepper of one run from state: its step length, its SSP-RK2
-    step on buffers laid out as in the module docstring (`advance` rotates
-    three value buffers; bufs[0].inner holds the current values, the loaded
-    state's to begin with), and the per-cell checks and monitors of each
-    step and sample."""
+    """The MUSCL stepper of one run from state: z, the phasor of the loaded
+    values; step_length, the CFL length (run caps it at DT_MAX); step, which
+    returns the next phasor; sample, the checked state at a sample time; and
+    the monitors.  Steps rotate three value buffers, laid out as in the
+    module docstring; values, bufs[0].inner, holds the current values."""
 
-    def __init__(self, state: KineticState, cfl: float, dt_max: float):
+    def __init__(self, state: KineticState, cfl: float):
         if not 0.0 < cfl <= 1.0:
             raise ValueError("cfl must lie in (0, 1]")
-        if not dt_max > 0:
-            raise ValueError("dt_max must be positive")
-        grid, self.cfl, self.dt_max = state.grid, cfl, dt_max
+        grid, self.cfl = state.grid, cfl
         self.omega_max = float(np.max(np.abs(state.omega)))     # omega is fixed for the run
         shape, self.dtheta = (state.n_omega, grid.n_theta + 2), grid.dtheta
         self.trig = grid.trig_edges[np.r_[0:grid.n_theta, 0, 1]]   # edge p at column p
@@ -213,7 +212,9 @@ class _Muscl:
         self.vel, self.diff, self.slope, self.half, self.face = (_padded(shape) for _ in range(5))
         self.flux = self.diff.a[:, :-2]     # diff ends a stage as fluxes; edges 0 .. n_theta - 1
         self.upwind_right = np.zeros(shape[0] * shape[1] - 1, dtype=bool)
-        self.bufs[0].inner[...] = state.values
+        self.values = self.bufs[0].inner
+        self.values[...] = state.values
+        self.z = phasor(grid, state.weights, self.values)   # drives the first step
         self.m0 = state.slice_masses()
         self.m0_safe = np.where(self.m0 > 0, self.m0, 1.0)
         self.total0 = float(state.weights @ self.m0)
@@ -223,10 +224,9 @@ class _Muscl:
 
     def step_length(self, state: KineticState, R: float) -> float:
         """cfl * dtheta over omega_max + K R, omega_max = max|omega|, which no
-        edge |v| exceeds, capped at dt_max; a state with all velocities zero
-        gets dt_max."""
+        edge |v| exceeds; inf for a state with all velocities zero."""
         bound = self.omega_max + state.K * (R if R > TOL_R else 0.0)
-        return min(self.cfl * self.dtheta / bound, self.dt_max) if bound > 0.0 else self.dt_max
+        return self.cfl * self.dtheta / bound if bound > 0.0 else math.inf
 
     def stage(self, state: KineticState, src, dst, dt: float, z: complex) -> None:
         """Forward-Euler stage from src to dst; it leaves the fluxes in
@@ -257,18 +257,18 @@ class _Muscl:
         self.stage(state, u1, u2, dt, phasor(state.grid, state.weights, u1.inner))
         np.add(u0.f, u2.f, out=u2.f)
         np.multiply(u2.f, 0.5, out=u2.f)
-        self.bufs = [u2, u0, u1]
+        self.bufs, self.values = [u2, u0, u1], u2.inner
         return u2.inner
 
-    def step(self, state: KineticState, t: float, dt: float, z0: complex) -> np.ndarray:
-        """The advance from t by dt, checked: returns its values (a view that
-        the next advance overwrites) and folds their minimum and masses into
-        the monitors.  Values below -1e-13, the floor KineticState enforces,
-        raise ValueError.  A non-finite value raises FluxNanError: the two
-        stages run again from the start values, which advance keeps; the first
-        with a non-finite flux names its first non-finite value, else that
-        flux, at t.  If neither has one, the first non-finite cell of the
-        values is named at t + dt."""
+    def step(self, state: KineticState, t: float, dt: float, z0: complex) -> complex:
+        """The advance from t by dt from the values of phasor z0, checked:
+        leaves its values in self.values, folds their minimum and masses into
+        the monitors and returns their phasor.  Values below -1e-13, the floor
+        KineticState enforces, raise ValueError.  A non-finite value raises
+        FluxNanError: the two stages run again from the start values, which
+        advance keeps; the first with a non-finite flux names its first
+        non-finite value, else that flux, at t.  If neither has one, the first
+        non-finite cell of the values is named at t + dt."""
         values = self.advance(state, dt, z0)
         low, mass = float(values.min()), values.sum(axis=1) * self.dtheta
         total = float(state.weights @ mass)
@@ -290,42 +290,39 @@ class _Muscl:
             raise ValueError("cell averages must be nonnegative (within roundoff)")
         self.masses.append(mass)
         self.max_total_drift = max(self.max_total_drift, abs(total - self.total0))
-        return values
+        return phasor(state.grid, state.weights, values)
 
-    def sample(self) -> np.ndarray:
+    def sample(self, state: KineticState, t: float) -> KineticState:
         """Fold the slice-mass drift of the steps since the last sample, set
         the cells whose |value| is below the smallest normal float to 0, and
-        return a copy of the current values."""
+        return state at t with a copy of the values, built without the scan
+        of ``KineticState.__post_init__``, whose check each step has made."""
         # an interval shorter than the time tolerance takes no step and adds no drift
         drift_rel = np.abs(np.array(self.masses or [self.m0]) - self.m0) / self.m0_safe
         self.max_drift_rel = max(self.max_drift_rel, float(drift_rel.max()))
         self.masses.clear()
-        values = self.bufs[0].inner
-        values[np.abs(values) < np.finfo(float).tiny] = 0.0
-        return values.copy()
+        self.values[np.abs(self.values) < np.finfo(float).tiny] = 0.0
+        new = object.__new__(KineticState)
+        new.__dict__.update(vars(state), values=self.values.copy(), t=t)
+        return new
 
 
 def step(state: KineticState, dt: float) -> KineticState:
-    """One checked SSP-RK2 step; order parameters are refreshed at each stage."""
+    """One checked SSP-RK2 step and its sample; each stage refreshes (R, phi)."""
     if not dt > 0:
         raise ValueError("dt must be positive")
-    muscl = _Muscl(state, 1.0, np.inf)
-    z = phasor(state.grid, state.weights, muscl.bufs[0].inner)
-    admissible = muscl.step_length(state, abs(z))
+    muscl = _Muscl(state, 1.0)
+    admissible = muscl.step_length(state, abs(muscl.z))
     # admissible is 0 only for an infinite R: a non-finite cell, which the step names
     if admissible > 0.0 and dt > admissible * (1.0 + 1e-9):
         raise CflError(dt, admissible)
-    values = muscl.step(state, state.t, dt, z)
-    return replace(state, values=values.copy(), t=state.t + dt)
+    muscl.step(state, state.t, dt, muscl.z)
+    return muscl.sample(state, state.t + dt)
 
 
-def _checked_state(state: KineticState, values: np.ndarray, t: float) -> KineticState:
-    """state with values and t replaced, built without the scan of
-    ``KineticState.__post_init__``: for values a run's per-step checks
-    have already passed."""
-    new = object.__new__(KineticState)
-    new.__dict__.update(vars(state), values=values, t=t)
-    return new
+DT_MAX = 1.0                # the longest step of a run, whatever the CFL length
+SLICE_DRIFT_GATE = 1e-12    # a run's largest slice-mass drift, relative to the initial mass
+TOTAL_DRIFT_GATE = 1e-10    # a run's largest drift of the weighted total mass
 
 
 @dataclass
@@ -348,7 +345,7 @@ class RunResult:
 
 
 def run(state: KineticState, t_end: float, sample_every: float,
-        sampler=None, cfl: float = 0.5, dt_max: float = 1.0) -> RunResult:
+        sampler=None, cfl: float = 0.5) -> RunResult:
     """Advance with adaptive CFL steps through the samples t0 + i sample_every,
     i = 0 .. ``order.sample_count(t0, t_end, sample_every)``, and end at the
     last one; sample_count raises ValueError for any other t_end.
@@ -358,24 +355,23 @@ def run(state: KineticState, t_end: float, sample_every: float,
     holds no records.  The last sample's state is the result's final_state.
     Steps are shortened to land on sample times and then take that time
     exactly, so the cadence and therefore the output are deterministic for a
-    given configuration, and the sample interval caps each step as dt_max
-    does.  The stepper (``_Muscl.step`` and ``sample``) owns every per-cell
-    check and monitor: a value below the -1e-13 floor raises ValueError, a
-    non-finite one FluxNanError, and each sample sets the cells whose
-    |value| is below the smallest normal float to 0, in the state the run
-    goes on from as well (a contracting run drives its far field there, and
-    arithmetic on subnormals is many times slower).  sample_every must
-    exceed the time tolerance ``order.TIME_TOL``.
+    given configuration, and the sample interval caps each step as DT_MAX
+    does.  ``run`` reads the stepper only through the contract of the module
+    docstring, and the stepper owns every per-cell check and monitor: a
+    value below the -1e-13 floor raises ValueError, a non-finite one
+    FluxNanError, and each sample sets the cells whose |value| is below the
+    smallest normal float to 0, in the state the run goes on from as well
+    (a contracting run drives its far field there, and arithmetic on
+    subnormals is many times slower).  sample_every must exceed the time
+    tolerance ``order.TIME_TOL``.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     if not sample_every > TIME_TOL:
         raise ValueError(f"sample_every must exceed the time tolerance {TIME_TOL:g}")
-    muscl = _Muscl(state, cfl, dt_max)
-    grid, w = state.grid, state.weights
+    muscl = _Muscl(state, cfl)
     n_steps, max_dt, min_dR = 0, 0.0, 0.0
     t0 = t = state.t
-    z = phasor(grid, w, muscl.bufs[0].inner)    # of the current values: drives the next step
-    R = abs(z)
+    z, R = muscl.z, abs(muscl.z)    # of the current values: z drives the next step
     records = [] if sampler is None else [sampler(state, _from_phasor(z))]
 
     for i in range(1, n_samples + 1):
@@ -383,8 +379,8 @@ def run(state: KineticState, t_end: float, sample_every: float,
         # the last sample time may round past t_end (3 * 0.1 > 0.3): no step passes t_end
         t_stop = min(t_sample, t_end)
         while t < t_stop - TIME_TOL:
-            dt = min(muscl.step_length(state, R), t_stop - t)
-            z = phasor(grid, w, muscl.step(state, t, dt, z))
+            dt = min(muscl.step_length(state, R), DT_MAX, t_stop - t)
+            z = muscl.step(state, t, dt, z)
             t += dt
             n_steps += 1
             max_dt = max(max_dt, dt)
@@ -392,7 +388,7 @@ def run(state: KineticState, t_end: float, sample_every: float,
             R = abs(z)
 
         t = t_sample
-        state = _checked_state(state, muscl.sample(), t)
+        state = muscl.sample(state, t)
         if sampler is not None:
             records.append(sampler(state, _from_phasor(z)))
 

@@ -129,14 +129,14 @@ def _criterion(cid: int, name: str):
 @_criterion(1, "conservation under transport")
 def _conservation(cache, failures, details):
     run = cache.run("run1")
-    _check(failures, run.result.max_slice_mass_drift_rel <= 1e-12,
-           f"per-slice mass drift {run.result.max_slice_mass_drift_rel:.3e} > 1e-12")
-    _check(failures, run.result.max_total_mass_drift <= 1e-10,
-           f"total mass drift {run.result.max_total_mass_drift:.3e} > 1e-10")
+    slice_drift, total_drift = run.result.max_slice_mass_drift_rel, run.result.max_total_mass_drift
+    _check(failures, slice_drift <= kinetic.SLICE_DRIFT_GATE,
+           f"per-slice mass drift {slice_drift:.3e} > {kinetic.SLICE_DRIFT_GATE:g}")
+    _check(failures, total_drift <= kinetic.TOTAL_DRIFT_GATE,
+           f"total mass drift {total_drift:.3e} > {kinetic.TOTAL_DRIFT_GATE:g}")
     _check(failures, run.build_seconds < 30.0,
            f"runtime {run.build_seconds:.1f}s >= 30s")
-    details.update({"slice_drift": run.result.max_slice_mass_drift_rel,
-                    "total_drift": run.result.max_total_mass_drift,
+    details.update({"slice_drift": slice_drift, "total_drift": total_drift,
                     "runtime_s": run.build_seconds})
 
 

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# a failing @given test reports the first bug it finds: shrinking several
+# distinct failures one after another can take minutes and gigabytes
+settings.register_profile("kslab", report_multiple_bugs=False)
+settings.load_profile("kslab")
 
 _default_rng = np.random.default_rng
 

@@ -11,6 +11,11 @@ The same holds for class members: each annotated field and each method or
 property (dunders aside) of a kslab class must be loaded as an attribute,
 ``x.<name>``, somewhere in that code outside its own definition.  Members
 are matched by name only, whatever the object they are loaded from.
+
+And each parameter with a default, of any function in src/kslab, must be
+passed by some call in that code, by keyword or by position; a call with
+*args or **kwargs passes every parameter.  Functions are matched by name
+only, as members are.
 """
 
 import ast
@@ -122,3 +127,47 @@ def test_every_class_member_is_read_by_the_program():
             if not loads.get(name, set()) - inside:
                 unused.append(f"{path.stem}.{cls}.{name}")
     assert not unused, f"class members that no program code reads: {unused}"
+
+
+def defaulted_parameters(fn):
+    """(name, position) of each parameter of fn that has a default: position
+    among the arguments a call passes (self or cls aside), None if the
+    parameter is keyword-only."""
+    args = fn.args.posonlyargs + fn.args.args
+    if args and args[0].arg in ("self", "cls"):
+        args = args[1:]
+    first = len(args) - len(fn.args.defaults)
+    yield from ((a.arg, i) for i, a in enumerate(args) if i >= first)
+    yield from ((a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None)
+
+
+def passes(call, name, position):
+    """Whether call passes the parameter: by keyword, by position, or
+    possibly through *args or **kwargs."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or (position is not None and position < len(call.args)))
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    # a default that no program call overrides is a knob only tests turn
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in FILES}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                unpassed.extend(f"{path.stem}.{fn.name}({name}=...)"
+                                for name, position in defaulted_parameters(fn)
+                                if not any(passes(call, name, position)
+                                           for call in calls.get(fn.name, [])))
+    assert not unpassed, f"defaulted parameters that no program call passes: {unpassed}"

@@ -626,16 +626,26 @@ def test_hypothesis_never_raises():
 
 
 COUPLING_CHECKS = ("phase_drift_budget", "growth_budget", "coupling_floor")
+SANDWICH_CHECKS = ("amplitude_retention", "growth_exceeds_losses")
 
 
-@pytest.mark.parametrize("R0, mu, need", [
-    (0.3, -1.0, "M/K + mu >= 0"),       # sqrt(M/K + mu) of a negative number
-    (1e-200, 1e-3, "K R0^2 > 0"),       # R0^2 underflows to 0
-    (1e200, 1e-3, "R0^2 finite"),       # R0^2 overflows
+def _unmet(K, M, R0, mu, checks, need):
+    # the id of a coupling case names R0, mu and the need, as when they were its only parameters
+    case_id = f"{R0}-{mu}-{need}" if checks is COUPLING_CHECKS else f"K={K}-M={M}-{need}"
+    return pytest.param(K, M, R0, mu, checks, need, id=case_id)
+
+
+@pytest.mark.parametrize("K, M, R0, mu, checks, need", [
+    _unmet(1.0, 0.5, 0.3, -1.0, COUPLING_CHECKS, "M/K + mu >= 0"),   # sqrt of a negative
+    _unmet(1.0, 0.5, 1e-200, 1e-3, COUPLING_CHECKS, "K R0^2 > 0"),   # R0^2 underflows to 0
+    _unmet(1.0, 0.5, 1e200, 1e-3, COUPLING_CHECKS, "R0^2 finite"),   # R0^2 overflows
+    # constants_E divides by K R0/2 and by a multiple of M^2/K, which underflow to 0
+    _unmet(5e-324, 0.5, 0.3, 1e-3, SANDWICH_CHECKS, "K R0/2 > 0"),
+    _unmet(1.0, 1e-200, 0.3, 1e-3, SANDWICH_CHECKS, "M^2/K > 0"),
 ])
-def test_hypothesis_reports_an_unmet_need_as_undefined(R0, mu, need):
-    report = diag.hypothesis_check(K=1.0, M=0.5, R0=R0, mu=mu)
-    for name in COUPLING_CHECKS:
+def test_hypothesis_reports_an_unmet_need_as_undefined(K, M, R0, mu, checks, need):
+    report = diag.hypothesis_check(K=K, M=M, R0=R0, mu=mu)
+    for name in checks:
         c = report.check(name)
         assert (c.passed, c.margin) == (False, -math.inf)
         assert c.detail.startswith("undefined: needs ") and need in c.detail
@@ -644,7 +654,7 @@ def test_hypothesis_reports_an_unmet_need_as_undefined(R0, mu, need):
 _FINITE = hst.floats(allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=300, deadline=None, report_multiple_bugs=False)
+@settings(max_examples=300, deadline=None)
 @given(K=_FINITE, M=_FINITE, R0=_FINITE, mu=_FINITE, gamma=_FINITE, kappa=_FINITE,
        eps0=_FINITE, gamma0=_FINITE)
 def test_hypothesis_reports_every_check_on_finite_inputs(K, M, R0, mu, gamma, kappa, eps0,

@@ -92,20 +92,42 @@ def test_velocity_field_matches_direct_sine(K):
     # the stepping path takes the velocity straight from the phasor, at the
     # padded edges 0 .. n_theta + 1 of the stepper (edge n_theta is edge 0)
     z = order.phasor(st.grid, st.weights, st.values)
-    muscl = kinetic._Muscl(st, 0.5, 1.0)
+    muscl = kinetic._Muscl(st, 0.5)
     v = kinetic._edge_velocity(st, z, muscl.trig, muscl.vel.a)
     assert np.max(np.abs(v[:, :-2] - velocity_direct(st, order.global_order(st)))) <= 1e-14
     assert np.array_equal(v[:, -2], v[:, 0])
 
 
 def test_cfl_degenerate_returns_dt_max():
-    # no velocity anywhere: every step is dt_max, bar the last one to t_end
+    # no velocity anywhere: the CFL length is inf, and cfl_dt and run cap it at
+    # DT_MAX; a sample interval of 2.5 takes two DT_MAX steps and one of 0.5
     grid = kinetic.PhaseGrid(32)
     values = np.full((1, 32), 1.0 / TWO_PI)
     st = kinetic.KineticState(grid, np.zeros(1), np.ones(1), values, K=0.0)
-    assert kinetic.cfl_dt(st, 0.5) == 1.0
-    res = kinetic.run(st, 1.0, 1.0, dt_max=0.37)
-    assert res.max_dt == 0.37 and res.n_steps == 3
+    assert kinetic._Muscl(st, 0.5).step_length(st, 0.0) == math.inf
+    assert kinetic.cfl_dt(st, 0.5) == kinetic.DT_MAX == 1.0
+    res = kinetic.run(st, 2.5, 2.5)
+    assert res.max_dt == 1.0 and res.n_steps == 3
+
+
+def test_stepper_contract():
+    # z and the phasor each step returns are those of the stepper's values,
+    # bit for bit, and a sample is the state at its time with a copy of them
+    st = uniform_state(n_theta=64, n_omega=3, K=2.0)
+    muscl = kinetic._Muscl(st, 0.5)
+    assert np.array_equal(muscl.values, st.values)
+    assert muscl.z == order.phasor(st.grid, st.weights, muscl.values)
+    z, t = muscl.z, 0.0
+    for _ in range(3):
+        dt = muscl.step_length(st, abs(z))
+        z = muscl.step(st, t, dt, z)
+        t += dt
+        assert z == order.phasor(st.grid, st.weights, muscl.values)
+    sample = muscl.sample(st, t)
+    assert sample.t == t and np.array_equal(sample.values, muscl.values)
+    assert not np.shares_memory(sample.values, muscl.values)
+    assert sample.grid is st.grid and sample.omega is st.omega and sample.weights is st.weights
+    assert sample.K == st.K
 
 
 def test_cfl_at_full_velocity_bound():
@@ -135,7 +157,7 @@ def test_step_zero_velocity_keeps_state():
 
 def kernel_stage(state, values, dt):
     """One forward-Euler stage of the solver's kernel from values at state.t."""
-    muscl = kinetic._Muscl(state, 1.0, 1.0)
+    muscl = kinetic._Muscl(state, 1.0)
     src, dst = muscl.bufs[0], muscl.bufs[1]
     src.inner[...] = values
     muscl.stage(state, src, dst, dt, order.phasor(state.grid, state.weights, src.inner))
@@ -448,9 +470,10 @@ def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
                           oracle_stage(st, st.values, dt, z))
     assert np.array_equal(kinetic.step(st, dt).values, oracle_step(st, st.values, dt, z))
 
-    # 50 steps of run, dt a power of two so every step takes it exactly; the
-    # sampler keeps the values it is handed, so they must be copies
-    res = kinetic.run(st, 50 * dt, 10 * dt, sampler=lambda s, op: s.values, dt_max=dt)
+    # 50 steps of run, dt a power of two below the CFL length, sampled every dt
+    # so every step takes it exactly; the sampler keeps the values it is
+    # handed, so they must be copies
+    res = kinetic.run(st, 50 * dt, dt, sampler=lambda s, op: s.values)
     m0 = st.slice_masses()
     total0 = float(st.weights @ m0)
     values, samples = st.values, [st.values]
@@ -470,8 +493,8 @@ def test_kernel_matches_plain_array_oracle(n_omega, n_theta, K, seam, scheme):
             samples.append(values)
     min_dR = min(min_dR, order.global_order(res.final_state).R - prev_R)
     assert res.n_steps == 50 and res.max_dt == dt
-    assert len(res.records) == len(samples) == 6
-    assert all(np.array_equal(a, b) for a, b in zip(res.records, samples))
+    assert len(res.records) == 51 and len(samples) == 6
+    assert all(np.array_equal(a, b) for a, b in zip(res.records[::10], samples))
     assert np.array_equal(res.final_state.values, values)
     assert (res.min_step_delta_R, res.max_slice_mass_drift_rel,
             res.max_total_mass_drift, res.min_cell_value) == (
@@ -504,8 +527,6 @@ def test_run_zero_horizon_returns_initial_record():
     assert res.records == [0.0]
     with pytest.raises(ValueError):
         kinetic.run(st, -1.0, 0.1)
-    with pytest.raises(ValueError, match="dt_max"):
-        kinetic.run(st, 1.0, 0.1, dt_max=0.0)
 
 
 def test_sampler_gets_each_state_with_its_order_parameters():
