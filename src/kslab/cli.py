@@ -442,6 +442,7 @@ def _sweep_one(job):
 
 
 def cmd_sweep(args) -> int:
+    _require(args.threads >= 1, f"--threads must be at least 1, not {args.threads}")
     cfg, raw = _load_config(args.config)
     coupling = cfg["coupling"]
     if not isinstance(coupling, list) or len(coupling) < 2:
@@ -460,7 +461,7 @@ def cmd_sweep(args) -> int:
     jobs = [(cfg, K, str(out / name), g, profile)
             for K, name in zip(coupling, names)]
     # the pool forks all its workers at the first submit, so ask for no idle ones
-    threads = min(max(1, args.threads), len(jobs))
+    threads = min(args.threads, len(jobs))
     if threads == 1:
         results = [_sweep_one(job) for job in jobs]
     else:

@@ -379,25 +379,36 @@ class HypothesisReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
 
-def hypothesis_check(K: float, M: float, R0: float, mu: float = 1e-3, gamma: float = 1.45,
-                     kappa: float = 0.7, eps0: float = 0.2,
-                     gamma0: float = 1.1) -> HypothesisReport:
+#: the analysis constants mu, gamma, kappa, eps0 and gamma0 of the pinned
+#: criteria and of a config's hypothesis section
+MU, GAMMA, KAPPA, EPS0, GAMMA0 = 1e-3, 1.45, 0.7, 0.2, 1.1
+
+
+def hypothesis_check(K: float, M: float, R0: float, mu: float = MU, gamma: float = GAMMA,
+                     kappa: float = KAPPA, eps0: float = EPS0,
+                     gamma0: float = GAMMA0) -> HypothesisReport:
     """Structured pass/fail report, with margins, for every displayed
-    inequality the large-coupling results rest on; the defaults are the
-    analysis constants of the pinned criteria and of a config's hypothesis.
+    inequality the large-coupling results rest on.
 
     Reports, never raises: a failed check is data, so an out-of-hypothesis
-    configuration stays distinguishable from a failed verification run.
+    configuration stays distinguishable from a failed verification run.  A
+    check is undefined (margin -inf, not passed) when its group has an unmet
+    need or its margin is NaN; no margin is NaN.
     """
     checks: list[Check] = []
 
-    def add(name, group, margin, detail):
+    def add(name, group, margin, detail, need=None):
+        if need is None and math.isnan(margin):
+            need = "every term in the float range"
+        if need is not None:
+            margin, detail = -math.inf, f"undefined: needs {need}"
         checks.append(Check(name, group, bool(margin > 0), float(margin), detail))
 
     add("initial_amplitude_positive", "initial", R0, f"R0 = {R0:.6g} > 0")
 
     need = ("R0, K > 0" if not (R0 > 0 and K > 0)
             else "M/K + mu >= 0" if M / K + mu < 0 else None)
+    drift = budget = floor = math.nan
     if need is None:
         try:
             drift = (2.0 * M / (K * R0) + 4.0 * M / (K * R0 ** 2)
@@ -405,83 +416,71 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float = 1e-3, gamma: flo
                      * math.sqrt(M / K + mu))
             budget = K * K * mu - (2.0 * M * M / R0 ** 2 - 1.5 * M * M / R0)
             denom = 3.0 - (SQRT3 - 2.0 * R0) ** 2
+            floor = max(64.0 * M / SQRT3,
+                        64.0 * SQRT3 * M / denom if denom > 0 else math.inf)
         except ArithmeticError:     # R0^2 underflowed to 0 or overflowed
             need = "K R0^2 > 0 and R0^2 finite in floating point"
-    if need is None:
-        floor = max(64.0 * M / SQRT3,
-                    64.0 * SQRT3 * M / denom if denom > 0 else math.inf)
-        add("phase_drift_budget", "coupling", 0.5 - drift,
-            f"1/2 > 2M/(K R0) + 4M/(K R0^2) + (2 sqrt2 / R0^1.5) sqrt(M/K + mu) = {drift:.6g}")
-        add("growth_budget", "coupling", budget,
-            f"K^2 mu - (2M^2/R0^2 - 3M^2/(2R0)) = {budget:.6g} > 0")
-        add("coupling_floor", "coupling", K - floor,
-            f"K = {K:.6g} > max(64M/sqrt3, 64 sqrt3 M / (3 - (sqrt3 - 2R0)^2)) = {floor:.6g}")
-    else:
-        for name in ("phase_drift_budget", "growth_budget", "coupling_floor"):
-            add(name, "coupling", -math.inf, f"undefined: needs {need}")
+    add("phase_drift_budget", "coupling", 0.5 - drift,
+        f"1/2 > 2M/(K R0) + 4M/(K R0^2) + (2 sqrt2 / R0^1.5) sqrt(M/K + mu) = {drift:.6g}",
+        need)
+    add("growth_budget", "coupling", budget,
+        f"K^2 mu - (2M^2/R0^2 - 3M^2/(2R0)) = {budget:.6g} > 0", need)
+    add("coupling_floor", "coupling", K - floor,
+        f"K = {K:.6g} > max(64M/sqrt3, 64 sqrt3 M / (3 - (sqrt3 - 2R0)^2)) = {floor:.6g}",
+        need)
 
     gmargin = min(gamma - math.pi / 3, math.pi / 2 - gamma)
     add("sandwich_angle_range", "sandwich", gmargin,
         f"gamma = {gamma:.6g} in (pi/3, pi/2)")
-    undefined = ("undefined: needs gamma in range, R0, K, mu > 0"
-                 if not (gmargin > 0 and R0 > 0 and K > 0 and mu > 0)
-                 else "undefined: needs K R0/2 > 0 in floating point" if not K * (R0 / 2.0) > 0
-                 else None)
-    if undefined is None:
+    need = ("gamma in range, R0, K, mu > 0"
+            if not (gmargin > 0 and R0 > 0 and K > 0 and mu > 0)
+            else "K R0/2 > 0 in floating point" if not K * (R0 / 2.0) > 0
+            else "M >= 0" if M < 0 else None)
+    e1 = e2 = e3 = math.nan
+    if need is None:
         try:
             e1, e2, e3 = constants_E(K, M, R0 / 2.0, gamma, mu)
         except ArithmeticError:     # M^2/K underflowed to 0
-            undefined = "undefined: needs M^2/K > 0 in floating point"
-        except ValueError as exc:   # the growth-budget condition fails
-            undefined = f"undefined: {exc}"
-    if undefined is None:
-        add("amplitude_retention", "sandwich", (R0 - 2.0 * e1 - e2) - R0 / 2.0,
-            f"R0 - 2E1 - E2 = {R0 - 2 * e1 - e2:.6g} > R0/2 = {R0 / 2:.6g}")
-        add("growth_exceeds_losses", "sandwich", mu * R0 / 24.0 - (2.0 * e1 + e2 + e3),
-            f"mu R0/24 = {mu * R0 / 24:.6g} > 2E1 + E2 + E3 = {2 * e1 + e2 + e3:.6g}")
-    else:
-        for name in ("amplitude_retention", "growth_exceeds_losses"):
-            add(name, "sandwich", -math.inf, undefined)
+            need = "M^2/K > 0 in floating point"
+        except ValueError:          # E3's logarithm argument is not positive
+            need = "a positive E3 logarithm argument in floating point (the growth budget at R0/2)"
+    add("amplitude_retention", "sandwich", (R0 - 2.0 * e1 - e2) - R0 / 2.0,
+        f"R0 - 2E1 - E2 = {R0 - 2 * e1 - e2:.6g} > R0/2 = {R0 / 2:.6g}", need)
+    add("growth_exceeds_losses", "sandwich", mu * R0 / 24.0 - (2.0 * e1 + e2 + e3),
+        f"mu R0/24 = {mu * R0 / 24:.6g} > 2E1 + E2 + E3 = {2 * e1 + e2 + e3:.6g}", need)
 
     add("barrier_level_range", "barrier", min(kappa - 2.0 / 3.0, SQRT3 / 2.0 - kappa),
         f"kappa = {kappa:.6g} in (2/3, sqrt(3)/2)")
-    cap_arg = 3.0 - 64.0 * SQRT3 * M / K if K > 0 else -math.inf
-    if cap_arg >= 0:
-        cap = SQRT3 / 4.0 + 0.25 * math.sqrt(cap_arg)
-        add("barrier_level_cap", "barrier", cap - kappa,
-            f"kappa < sqrt3/4 + (1/4) sqrt(3 - 64 sqrt3 M/K) = {cap:.6g}")
-    else:
-        add("barrier_level_cap", "barrier", -math.inf,
-            "undefined: 3 - 64 sqrt3 M/K < 0")
-    if kappa > 0 and K > 0:
+    need = None if K > 0 else "K > 0"     # r_pm takes a negative K
+    cap = math.nan
+    if need is None:
+        try:
+            cap = r_pm(0.0, M, K)[1]
+        except ValueError:          # the comparison flow has no fixed points
+            need = "3 - 64 sqrt3 M/K >= 0"
+    add("barrier_level_cap", "barrier", cap - kappa,
+        f"kappa < sqrt3/4 + (1/4) sqrt(3 - 64 sqrt3 M/K) = {cap:.6g}", need)
+    need = None if kappa > 0 and K > 0 else "kappa, K > 0"
+    ek = math.nan
+    if need is None:
         try:
             ek = epsilon_kappa(kappa, M, K)[0]
-            add("barrier_offset_valid", "barrier", 1.0 - ek, f"eps_kappa = {ek:.6g} < 1")
         except ArithmeticError:     # kappa^2 underflowed to 0 or overflowed
-            add("barrier_offset_valid", "barrier", -math.inf,
-                "undefined: needs kappa^2 > 0 and finite in floating point")
-    else:
-        add("barrier_offset_valid", "barrier", -math.inf,
-            "undefined: needs kappa, K > 0")
+            need = "kappa^2 > 0 and finite in floating point"
+    add("barrier_offset_valid", "barrier", 1.0 - ek, f"eps_kappa = {ek:.6g} < 1", need)
 
-    if eps0 > 0:
-        thr = (M / eps0) * (1.0 + 1.0 / eps0)
-        add("arc_trapping_coupling", "arc_trapping", K - thr,
-            f"K = {K:.6g} > (M/eps0)(1 + 1/eps0) = {thr:.6g}")
-    else:
-        add("arc_trapping_coupling", "arc_trapping", -math.inf,
-            "undefined: needs eps0 > 0")
+    thr = (M / eps0) * (1.0 + 1.0 / eps0) if eps0 > 0 else math.nan
+    add("arc_trapping_coupling", "arc_trapping", K - thr,
+        f"K = {K:.6g} > (M/eps0)(1 + 1/eps0) = {thr:.6g}", None if eps0 > 0 else "eps0 > 0")
     add("mass_threshold_eps_window", "arc_trapping",
         min(eps0, MSTAR_EPS_MAX - eps0),
         f"0 < eps0 = {eps0:.6g} < {MSTAR_EPS_MAX:.6g}")
-    if 0 < eps0 < MSTAR_EPS_MAX:
-        cap = mstar_gamma0_cap(eps0)
-        add("mass_threshold_angle_window", "arc_trapping",
-            min(gamma0 - math.pi / 3 + 1e-15, cap - gamma0),
-            f"pi/3 <= gamma0 = {gamma0:.6g} < {cap:.6g}")
-    else:
-        add("mass_threshold_angle_window", "arc_trapping", -math.inf,
-            "undefined: eps0 out of window")
+    in_window = 0 < eps0 < MSTAR_EPS_MAX
+    cap = mstar_gamma0_cap(eps0) if in_window else math.nan
+    add("mass_threshold_angle_window", "arc_trapping",
+        min(gamma0 - math.pi / 3 + 1e-15, cap - gamma0),
+        f"pi/3 <= gamma0 = {gamma0:.6g} < {cap:.6g}",
+        None if in_window else f"eps0 in (0, {MSTAR_EPS_MAX:.6g})")
 
     floor2 = 15.0 * M / (2.0 * (math.sqrt(4.0 - 2.0 * math.sqrt(2.0)) - 1.0))
     add("floor_coupling", "floor", K - floor2,

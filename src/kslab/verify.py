@@ -23,9 +23,6 @@ from . import frequency as freq
 from . import kinetic, particle
 from .order import TWO_PI
 
-#: the analysis constants kappa, eps0 and gamma0: hypothesis_check's defaults
-_, _, _KAPPA, _EPS0, _GAMMA0 = diag.hypothesis_check.__defaults__
-
 
 @dataclass
 class CriterionResult:
@@ -395,14 +392,14 @@ def _equilibrium_self_consistency(cache, failures, details):
 
 @_criterion(12, "asymptotic amplitude floor")
 def _amplitude_floor(cache, failures, details):
-    report = diag.hypothesis_check(K=10.0, M=0.05, R0=0.3)
+    run = cache.run("run12")
+    recs, K, M = run.result.records, run.result.final_state.K, run.g.support
+    report = diag.hypothesis_check(K=K, M=M, R0=0.3)
     _check(failures, report.amplitude_floor_gate_passed,
            "structural hypothesis gate failed: "
            + "; ".join(c.name for c in report.checks
                        if c.name in diag.AMPLITUDE_FLOOR_GATE and not c.passed))
-    run = cache.run("run12")
-    recs = run.result.records
-    floor = diag.r_infinity(0.05, 10.0) - 0.02
+    floor = diag.r_infinity(M, K) - 0.02
     late = [r.R for r in recs if r.t >= 40.0]
     late_min = min(late)
     _check(failures, late_min >= floor,
@@ -420,14 +417,13 @@ def _amplitude_floor(cache, failures, details):
     else:
         fit = diag.fit_exponential_rate(fold, (onset, onset + 3.0))
         gamma_slope = fit.slope
-        bound = -0.9 * 10.0 * 0.3 / 4.0
+        bound = -0.9 * K * 0.3 / 4.0
         _check(failures, fit.slope <= bound,
                f"antipodal L2 slope {fit.slope:.3f} > {bound:.3f}")
 
     # mass/amplitude sandwich at interior samples where R does not grow, on
     # the l_plus(pi/3) mass, with a 5 dtheta quadrature slack
-    e1, e2, _ = diag.constants_E(run.result.final_state.K, run.g.support, 0.15,
-                                 report.params["gamma"], report.params["mu"])
+    e1, e2, _ = diag.constants_E(K, M, 0.15, diag.GAMMA, diag.MU)
     label = diag.Interval("l_plus", math.pi / 3).label
     slack = 5.0 * run.result.final_state.grid.dtheta
     sandwich_failures = 0
@@ -446,7 +442,7 @@ def _amplitude_floor(cache, failures, details):
 
 @_criterion(13, "arc mass monotonicity and L2 growth")
 def _arc_mass_and_growth(cache, failures, details):
-    eps0, gamma0, M = _EPS0, _GAMMA0, 0.01
+    eps0, gamma0, M = diag.EPS0, diag.GAMMA0, 0.01
     K = 1.2 * (M / eps0) * (1.0 + 1.0 / eps0)
     report = diag.hypothesis_check(K=K, M=M, R0=0.9)
     _check(failures, report.passed(("arc_trapping_coupling",
@@ -486,7 +482,7 @@ def _arc_mass_and_growth(cache, failures, details):
 def _barrier_comparison(cache, failures, details):
     run = cache.run("run12")
     recs = run.result.records
-    K, M, kappa = run.result.final_state.K, run.g.support, _KAPPA
+    K, M, kappa = run.result.final_state.K, run.g.support, diag.KAPPA
     eps_k, valid = diag.epsilon_kappa(kappa, M, K)
     _check(failures, valid, "barrier offset not below 1")
     p_lim = math.sqrt(1.0 - eps_k ** 2)
@@ -582,9 +578,7 @@ SUITES = {
 
 
 def run_suite(name: str):
-    """Run the named suite; returns (results, all_passed)."""
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    """Run the suite SUITES[name]; returns (results, all_passed)."""
     cache = RunCache()
     results = [CRITERIA[cid](cache) for cid in SUITES[name]]
     return results, all(r.passed for r in results)

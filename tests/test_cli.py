@@ -250,6 +250,16 @@ def test_sweep_threaded_matches_serial(tmp_path):
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_sweep_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, coupling=[1.0, 2.0], t_end=0.5)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_unknown_suite(tmp_path, capsys):
     assert cli.main(["verify", "--suite", "nonsense"]) == 2
 

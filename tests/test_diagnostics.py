@@ -627,28 +627,44 @@ def test_hypothesis_never_raises():
 
 COUPLING_CHECKS = ("phase_drift_budget", "growth_budget", "coupling_floor")
 SANDWICH_CHECKS = ("amplitude_retention", "growth_exceeds_losses")
+FLOAT_RANGE = "every term in the float range"     # the need of a NaN margin
 
 
 def _unmet(K, M, R0, mu, checks, need):
     # the id of a coupling case names R0, mu and the need, as when they were its only parameters
     case_id = f"{R0}-{mu}-{need}" if checks is COUPLING_CHECKS else f"K={K}-M={M}-{need}"
-    return pytest.param(K, M, R0, mu, checks, need, id=case_id)
+    return pytest.param(K, M, R0, mu, diag.EPS0, checks, need, id=case_id)
 
 
-@pytest.mark.parametrize("K, M, R0, mu, checks, need", [
+@pytest.mark.parametrize("K, M, R0, mu, eps0, checks, need", [
     _unmet(1.0, 0.5, 0.3, -1.0, COUPLING_CHECKS, "M/K + mu >= 0"),   # sqrt of a negative
     _unmet(1.0, 0.5, 1e-200, 1e-3, COUPLING_CHECKS, "K R0^2 > 0"),   # R0^2 underflows to 0
     _unmet(1.0, 0.5, 1e200, 1e-3, COUPLING_CHECKS, "R0^2 finite"),   # R0^2 overflows
     # constants_E divides by K R0/2 and by a multiple of M^2/K, which underflow to 0
     _unmet(5e-324, 0.5, 0.3, 1e-3, SANDWICH_CHECKS, "K R0/2 > 0"),
     _unmet(1.0, 1e-200, 0.3, 1e-3, SANDWICH_CHECKS, "M^2/K > 0"),
+    # margins that would be NaN: M^2 overflows (inf - inf); in E3, b/(4K) underflows
+    # to 0 against log(a/b) = inf; M/eps0 = 0 times 1/eps0 = inf
+    pytest.param(1.0, 1e200, 0.3, 1e-3, diag.EPS0, ("growth_budget", "growth_exceeds_losses"),
+                 FLOAT_RANGE, id="K=1.0-M=1e+200-float range"),
+    pytest.param(1e308, 0.05, 0.3, 1e-3, diag.EPS0, ("growth_exceeds_losses",),
+                 FLOAT_RANGE, id="K=1e+308-M=0.05-float range"),
+    pytest.param(1.0, 0.0, 0.3, 1e-3, 5e-324, ("arc_trapping_coupling",),
+                 FLOAT_RANGE, id="M=0.0-eps0=5e-324-float range"),
 ])
-def test_hypothesis_reports_an_unmet_need_as_undefined(K, M, R0, mu, checks, need):
-    report = diag.hypothesis_check(K=K, M=M, R0=R0, mu=mu)
+def test_hypothesis_reports_an_unmet_need_as_undefined(K, M, R0, mu, eps0, checks, need):
+    report = diag.hypothesis_check(K=K, M=M, R0=R0, mu=mu, eps0=eps0)
     for name in checks:
         c = report.check(name)
         assert (c.passed, c.margin) == (False, -math.inf)
         assert c.detail.startswith("undefined: needs ") and need in c.detail
+
+
+@pytest.mark.parametrize("M, K", [(0.05, 10.0), (0.0, 1.0), (0.01, 50.0), (-0.5, 1e-3),
+                                  (1e-300, 1e-290)])
+def test_barrier_level_cap_is_the_upper_comparison_root(M, K):
+    margin = diag.hypothesis_check(K=K, M=M, R0=0.3).check("barrier_level_cap").margin
+    assert margin == diag.r_pm(0.0, M, K)[1] - diag.KAPPA
 
 
 _FINITE = hst.floats(allow_nan=False, allow_infinity=False)
@@ -659,9 +675,14 @@ _FINITE = hst.floats(allow_nan=False, allow_infinity=False)
        eps0=_FINITE, gamma0=_FINITE)
 def test_hypothesis_reports_every_check_on_finite_inputs(K, M, R0, mu, gamma, kappa, eps0,
                                                          gamma0):
-    # a check whose terms leave the float range is reported undefined
+    # a check whose terms leave the float range is reported undefined, never NaN
     report = diag.hypothesis_check(K, M, R0, mu, gamma, kappa, eps0, gamma0)
     assert len(report.checks) == 14
+    for c in report.checks:
+        assert not math.isnan(c.margin), c
+        if c.detail.startswith("undefined"):
+            assert c.detail.startswith("undefined: ")
+            assert (c.passed, c.margin) == (False, -math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -194,13 +194,6 @@ def test_step_rejects_a_dt_that_is_not_positive(dt):
         kinetic.step(st, dt)
 
 
-def test_step_rejects_cfl_violation():
-    st = dirac_state(64, freq.cosine_profile(0.2), K=1.0)
-    with pytest.raises(kinetic.CflError) as err:
-        kinetic.step(st, 10.0)
-    assert err.value.admissible < 10.0
-
-
 def test_step_aborts_on_nan_with_location():
     with pytest.raises(kinetic.FluxNanError) as err:
         kinetic.step(two_slice_state(1, 5, math.nan), 1e-4)
