@@ -24,7 +24,7 @@ import numpy as np
 
 from . import frequency as freq
 from .files import write_csv, write_json
-from .order import MIN_CELLS, TIME_TOL, TWO_PI, sample_count
+from .order import MIN_CELLS, TWO_PI, sample_count
 
 
 class ConfigError(ValueError):
@@ -93,8 +93,9 @@ def validate_config(raw: dict) -> dict:
     section parsed into a DiagnosticsConfig (None for the empty default).
     The frequency kind and the initial preset each accept only the keys they
     read, a field that one needs must be given, t_end must be a whole
-    number of sample intervals (``order.sample_count``), and each interval
-    must exceed ``order.TIME_TOL``.
+    number of sample intervals that each exceed ``order.TIME_TOL``
+    (``order.sample_count``), and no two diagnostics intervals may share a
+    label, which names their trajectory.csv column.
     """
     cfg = {**_DEFAULTS, **_object(raw, _TOP_KEYS, "configuration")}
     _require(cfg["model"] in ("kinetic", "particle", "both"),
@@ -141,8 +142,6 @@ def validate_config(raw: dict) -> dict:
         cfg[key] = _real(cfg, key)
     _require(cfg["t_end"] >= 0, "t_end must be nonnegative")
     sample_count(0.0, cfg["t_end"], cfg["sample_every"])    # the samples must tile t_end
-    _require(cfg["sample_every"] > TIME_TOL,
-             f"sample_every must exceed the time tolerance {TIME_TOL:g}")
     _require(0.0 < cfg["cfl"] <= 1.0, "cfl must lie in (0, 1]")
     _require(cfg["scheme"] == "muscl",
              f"scheme must be 'muscl' ('upwind' was removed), not {cfg['scheme']!r}")
@@ -159,8 +158,15 @@ def validate_config(raw: dict) -> dict:
         def named(key):
             return _interval(dcfg[key], f"diagnostics.{key}") if key in dcfg else None
 
+        ivs = tuple(_interval(iv, "diagnostics.intervals[]") for iv in intervals)
+        for i, iv in enumerate(ivs):
+            for j, other in enumerate(ivs[:i]):
+                _require(iv.label != other.label,
+                         f"diagnostics.intervals[{j}] ({other.kind} {other.parameter!r}) and "
+                         f"[{i}] ({iv.kind} {iv.parameter!r}) share the column "
+                         f"mass_{iv.label}: interval labels must be unique")
         cfg["diagnostics"] = diag.DiagnosticsConfig(
-            intervals=tuple(_interval(iv, "diagnostics.intervals[]") for iv in intervals),
+            intervals=ivs,
             lambda_interval=named("lambda_interval"), gamma_plus_interval=named("gamma_plus"),
             gamma_minus_interval=named("gamma_minus"))
 
@@ -276,30 +282,31 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     M = g.support
     sampler = diag.RecordSampler(cfg["diagnostics"] or diag.DiagnosticsConfig())
     res = kinetic.run(state, cfg["t_end"], cfg["sample_every"], sampler=sampler, cfl=cfg["cfl"])
-    diag.finalize_records(res.records, K=K, m_bound=M)
+    checks = diag.finalize_records(res.records, K=K, m_bound=M)
     out.mkdir(parents=True, exist_ok=True)
     diag.records_to_csv(res.records, out / "trajectory.csv")
-    diag.bound_checks_to_json(res.records, out / "bound_checks.json")
+    diag.bound_checks_to_json(res.records, checks, out / "bound_checks.json")
 
-    summary = _summarize_kinetic(K, M, res)
+    summary = _summarize_kinetic(K, M, res, checks)
     if "hypothesis" in cfg:    # R0 defaults to the initial R of the run
-        hyp = {"R0": res.records[0].R, **cfg["hypothesis"]}
+        hyp = {"R0": res.records[0]["R"], **cfg["hypothesis"]}
         summary["hypothesis"] = diag.hypothesis_check(K=K, M=M, **hyp).to_dict()
-    _write_plot_script(res.records, out / "plot.gp")
+    _write_plot_script(list(res.records[0]), out / "plot.gp")
     return summary
 
 
-def _summarize_kinetic(K, M, res) -> dict:
+def _summarize_kinetic(K, M, res, checks) -> dict:
+    """res's summary; checks are its rows' bound checks (``finalize_records``)."""
     from . import diagnostics as diag, kinetic
     recs = res.records
     final = recs[-1]
-    bad_bounds = sum(1 for r in recs if r.bound_checks
-                     for name, c in r.bound_checks.items() if not c["passed"])
+    bad_bounds = sum(not c["passed"] for row_checks in checks for c in row_checks.values())
     summary = {
         "model": "kinetic", "K": K, "M": M,
         "n_steps": res.n_steps, "max_dt": res.max_dt,
-        "final_R": final.R, "final_t": final.t,
-        "final_masses": dict(final.masses),
+        "final_R": final["R"], "final_t": final["t"],
+        "final_masses": {name.removeprefix("mass_"): v for name, v in final.items()
+                         if name.startswith("mass_")},
         "min_step_delta_R": res.min_step_delta_R,
         "positivity_margin": res.min_cell_value,
         "mass_drift": {"per_slice_rel": res.max_slice_mass_drift_rel,
@@ -310,7 +317,7 @@ def _summarize_kinetic(K, M, res) -> dict:
     }
     if M == 0.0:    # identical oscillators: R never decreases
         summary["min_step_delta_R_ok"] = res.min_step_delta_R_ok
-    lam = [(r.t, r.lambda_value) for r in recs if r.lambda_value is not None]
+    lam = [(r["t"], r["lambda"]) for r in recs if r["lambda"] is not None]
     if len(lam) >= 25:
         onset = diag.detect_transient([t for t, _ in lam], [v for _, v in lam])
         if onset is not None:
@@ -323,9 +330,8 @@ def _summarize_kinetic(K, M, res) -> dict:
     return summary
 
 
-def _write_plot_script(records, path: Path) -> None:
-    from . import diagnostics as diag
-    cols = [name for name, _ in diag.record_cells(records[0])]
+def _write_plot_script(cols: list[str], path: Path) -> None:
+    """A gnuplot script of the standard panels of the trajectory.csv columns cols."""
     idx = {name: i + 1 for i, name in enumerate(cols)}   # gnuplot is 1-based
     mass_cols = [c for c in cols if c.startswith("mass_")]
     gamma_cols = [c for c in cols if c.startswith("gamma_")]

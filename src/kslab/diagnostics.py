@@ -1,5 +1,5 @@
 """Interval masses, Lyapunov functionals, closed-form constants, comparison
-ODEs, rate fitting, and the per-sample diagnostics records.
+ODEs, rate fitting, and the per-sample rows of trajectory.csv.
 
 Moving-interval masses use sub-cell linear apportionment at the two end
 cells; snapping to whole cells would add O(dtheta) jitter that defeats the
@@ -9,7 +9,7 @@ monotonicity checks downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -492,26 +492,7 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float = MU, gamma: float
 
 
 # ---------------------------------------------------------------------------
-# per-sample records
-
-
-@dataclass
-class DiagnosticsRecord:
-    """The order parameters, masses, functionals and rates at one sample."""
-    t: float
-    R: float
-    phi: float
-    phi_defined: bool
-    masses: dict = field(default_factory=dict)
-    lambda_value: float | None = None
-    gamma_plus: np.ndarray | None = None
-    gamma_minus: np.ndarray | None = None
-    v_k: float = math.nan
-    rdot_formula: float | None = None
-    phidot_formula: float | None = None
-    rdot_measured: float | None = None
-    phidot_measured: float | None = None
-    bound_checks: dict | None = None
+# per-sample trajectory rows
 
 
 @dataclass(frozen=True)
@@ -524,99 +505,88 @@ class DiagnosticsConfig:
 
 
 class RecordSampler:
-    """Stateful (state, op) -> DiagnosticsRecord map, op the order parameters
+    """Stateful (state, op) -> trajectory.csv row map, op the order parameters
     of state; carries the last defined phase.
 
-    When R falls below tolerance the logged phi keeps the last defined value
-    and the record is flagged undefined; phi-anchored masses are then NaN
-    rather than extrapolated.
+    A row maps each column name to its value, in column order: the fixed
+    columns t .. lambda, mass_<label> per interval, then gamma_plus_<k> and
+    gamma_minus_<k> per omega slice k if configured; every row has them all.
+    Without a phase (R below tolerance) phi keeps the last defined value and
+    the phi-anchored masses and L2 slices are NaN, lambda and the rate
+    formulas None, rather than extrapolated.
     """
 
     def __init__(self, config: DiagnosticsConfig):
         self.config = config
         self._carried_phi = 0.0
+        self._masses = [(f"mass_{iv.label}", iv) for iv in config.intervals]
+        self._l2 = [(name, iv) for name, iv in (("gamma_plus", config.gamma_plus_interval),
+                                                 ("gamma_minus", config.gamma_minus_interval))
+                    if iv is not None]
 
-    def __call__(self, state, op: OrderParams) -> DiagnosticsRecord:
+    def __call__(self, state, op: OrderParams) -> dict:
         cfg = self.config
         if op.defined:
             self._carried_phi = op.phi
-        rec = DiagnosticsRecord(t=state.t, R=op.R, phi=self._carried_phi,
-                                phi_defined=op.defined)
-        rec.v_k = kinetic_potential(state, op)
-        if op.defined:
-            grid, rho = state.grid, state.marginal_density()
-            for iv in cfg.intervals:
-                rec.masses[iv.label] = float(_arc_sum(grid, *iv.endpoints(op.phi), rho))
-            if cfg.lambda_interval is not None:
-                rec.lambda_value = float(_arc_sum(grid, *cfg.lambda_interval.endpoints(op.phi),
-                                                  rho ** 2))
-            if cfg.gamma_plus_interval is not None:
-                rec.gamma_plus = _arc_sum(grid, *cfg.gamma_plus_interval.endpoints(op.phi),
-                                          state.values ** 2)
-            if cfg.gamma_minus_interval is not None:
-                rec.gamma_minus = _arc_sum(grid, *cfg.gamma_minus_interval.endpoints(op.phi),
-                                           state.values ** 2)
-            rec.rdot_formula, rec.phidot_formula = _rates(state, op, rho)
-        else:
-            for iv in cfg.intervals:
-                rec.masses[iv.label] = math.nan
-        return rec
+        row = {"t": state.t, "R": op.R, "phi": self._carried_phi,
+               "phi_defined": int(op.defined), "v_k": kinetic_potential(state, op),
+               "rdot_formula": None, "rdot_measured": None,
+               "phidot_formula": None, "phidot_measured": None, "lambda": None}
+        if not op.defined:
+            row.update((name, math.nan) for name, _ in self._masses)
+            for name, _ in self._l2:
+                row.update((f"{name}_{k}", math.nan) for k in range(state.n_omega))
+            return row
+        grid, rho = state.grid, state.marginal_density()
+        row["rdot_formula"], row["phidot_formula"] = _rates(state, op, rho)
+        if cfg.lambda_interval is not None:
+            row["lambda"] = float(_arc_sum(grid, *cfg.lambda_interval.endpoints(op.phi),
+                                           rho ** 2))
+        for name, iv in self._masses:
+            row[name] = float(_arc_sum(grid, *iv.endpoints(op.phi), rho))
+        for name, iv in self._l2:
+            per_slice = _arc_sum(grid, *iv.endpoints(op.phi), state.values ** 2)
+            row.update((f"{name}_{k}", v) for k, v in enumerate(per_slice))
+        return row
 
 
-def finalize_records(records, K: float, m_bound: float) -> None:
-    """Fill measured derivatives (central differences) and bound checks.
+def finalize_records(rows, K: float, m_bound: float) -> list[dict]:
+    """Fill the measured derivatives (central differences) of the rows and
+    return the bound checks of each row.
 
-    Mutates the records in place.  The phase is unwrapped before
-    differencing; undefined-phase samples get no measured phidot.  m_bound
-    is the support bound M of g.
+    The phase is unwrapped before differencing; the two endpoints have only
+    one-sided differences and keep None and no checks, and an
+    undefined-phase sample gets no measured phidot.  m_bound is the support
+    bound M of g.
     """
-    n = len(records)
-    if n < 2:
-        return
-    ts = np.array([r.t for r in records])
-    Rs = np.array([r.R for r in records])
-    phis = np.unwrap(np.array([r.phi for r in records]))
-    rdot = np.gradient(Rs, ts)
-    phidot = np.gradient(phis, ts)
-    # the endpoints only have one-sided differences: they keep None
+    n = len(rows)
+    checks = [{} for _ in rows]
+    if n < 3:
+        return checks
+    ts = np.array([r["t"] for r in rows])
+    rdot = np.gradient(np.array([r["R"] for r in rows]), ts)
+    phidot = np.gradient(np.unwrap(np.array([r["phi"] for r in rows])), ts)
     for i in range(1, n - 1):
-        r = records[i]
-        r.rdot_measured = float(rdot[i])
-        r.phidot_measured = float(phidot[i]) if r.phi_defined else None
-        checks = {}
-        if r.phi_defined and r.R > 0:
-            bound = phidot_bound(r.R, m_bound, K)
-            margin = bound - abs(r.phidot_measured)
-            checks["phidot_bound"] = {"passed": bool(margin >= 0),
-                                      "margin": float(margin),
-                                      "bound": float(bound)}
-        lip = (m_bound + K + 0.01) - abs(r.rdot_measured)
-        checks["rdot_lipschitz"] = {"passed": bool(lip >= 0), "margin": float(lip)}
-        r.bound_checks = checks
+        r, c = rows[i], checks[i]
+        r["rdot_measured"] = float(rdot[i])
+        if r["phi_defined"]:
+            r["phidot_measured"] = float(phidot[i])
+            if r["R"] > 0:
+                bound = phidot_bound(r["R"], m_bound, K)
+                margin = bound - abs(r["phidot_measured"])
+                c["phidot_bound"] = {"passed": bool(margin >= 0), "margin": float(margin),
+                                     "bound": float(bound)}
+        lip = (m_bound + K + 0.01) - abs(r["rdot_measured"])
+        c["rdot_lipschitz"] = {"passed": bool(lip >= 0), "margin": float(lip)}
+    return checks
 
 
-def record_cells(rec: DiagnosticsRecord) -> list[tuple[str, object]]:
-    """The (column, value) pairs of rec's trajectory.csv row: fixed columns,
-    interval masses, then the omega slices of each L2 functional it holds."""
-    cells = [("t", rec.t), ("R", rec.R), ("phi", rec.phi),
-             ("phi_defined", int(rec.phi_defined)), ("v_k", rec.v_k),
-             ("rdot_formula", rec.rdot_formula), ("rdot_measured", rec.rdot_measured),
-             ("phidot_formula", rec.phidot_formula),
-             ("phidot_measured", rec.phidot_measured), ("lambda", rec.lambda_value)]
-    cells += [(f"mass_{label}", m) for label, m in rec.masses.items()]
-    for name, per_slice in (("gamma_plus", rec.gamma_plus), ("gamma_minus", rec.gamma_minus)):
-        if per_slice is not None:
-            cells += [(f"{name}_{k}", v) for k, v in enumerate(per_slice)]
-    return cells
-
-
-def records_to_csv(records, path) -> None:
-    """One row per sample, under the columns of the first (``record_cells``)."""
-    if not records:
+def records_to_csv(rows, path) -> None:
+    """One line per row, under the columns of the first."""
+    if not rows:
         raise ValueError("no records to write")
-    write_csv(path, [name for name, _ in record_cells(records[0])],
-              ([value for _, value in record_cells(r)] for r in records))
+    write_csv(path, list(rows[0]), (r.values() for r in rows))
 
 
-def bound_checks_to_json(records, path) -> None:
-    write_json(path, [{"t": r.t, "checks": r.bound_checks or {}} for r in records])
+def bound_checks_to_json(rows, checks, path) -> None:
+    write_json(path, [{"t": r["t"], "checks": c} for r, c in zip(rows, checks)])

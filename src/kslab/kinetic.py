@@ -83,6 +83,11 @@ class PhaseGrid:
                            np.column_stack([np.sin(edges), np.cos(edges)]))
 
 
+#: the smallest cell average a state may hold; below it a value is negative
+#: beyond roundoff, and a state or a step raises ValueError
+VALUE_FLOOR = -1e-13
+
+
 @dataclass(frozen=True, eq=False)
 class KineticState:
     """Immutable snapshot of the discretized density.
@@ -104,7 +109,7 @@ class KineticState:
             raise ValueError("values must have shape (n_omega, n_theta)")
         if self.K < 0:
             raise ValueError("coupling strength must be nonnegative")
-        if np.any(values < -1e-13):
+        if np.any(values < VALUE_FLOOR):
             raise ValueError("cell averages must be nonnegative (within roundoff)")
         object.__setattr__(self, "values", values)
 
@@ -256,8 +261,8 @@ class _Muscl:
     def step(self, state: KineticState, t: float, dt: float, z0: complex) -> complex:
         """The advance from t by dt from the values of phasor z0, checked:
         leaves its values in self.values, folds their minimum and masses into
-        the monitors and returns their phasor.  Values below -1e-13, the floor
-        KineticState enforces, raise ValueError.  A non-finite value raises
+        the monitors and returns their phasor.  Values below VALUE_FLOOR, the
+        floor KineticState enforces, raise ValueError.  A non-finite value raises
         FluxNanError: the two stages run again from the start values, which
         advance keeps; the first with a non-finite flux names its first
         non-finite value, else that flux, at t.  If neither has one, the first
@@ -279,7 +284,7 @@ class _Muscl:
                     raise FluxNanError(int(k), int(j), t)
             raise FluxNanError(int(k), int(j), t + dt)
         self.min_value = min(self.min_value, low)
-        if self.min_value < -1e-13:
+        if self.min_value < VALUE_FLOOR:
             raise ValueError("cell averages must be nonnegative (within roundoff)")
         self.masses.append(mass)
         self.max_total_drift = max(self.max_total_drift, abs(total - self.total0))
@@ -338,7 +343,8 @@ def run(state: KineticState, t_end: float, sample_every: float,
         sampler=None, cfl: float = 0.5) -> RunResult:
     """Advance with adaptive CFL steps through the samples t0 + i sample_every,
     i = 0 .. ``order.sample_count(t0, t_end, sample_every)``, and end at the
-    last one; sample_count raises ValueError for any other t_end.
+    last one; sample_count raises ValueError for any other t_end and for a
+    sample_every within the time tolerance ``order.TIME_TOL``.
 
     ``sampler(state, op)`` maps the state at each sample time, the start
     included, and its order parameters op to a record; without it the result
@@ -348,16 +354,13 @@ def run(state: KineticState, t_end: float, sample_every: float,
     given configuration, and the sample interval caps each step as DT_MAX
     does.  ``run`` reads the stepper only through the contract of the module
     docstring, and the stepper owns every per-cell check and monitor: a
-    value below the -1e-13 floor raises ValueError, a non-finite one
+    value below VALUE_FLOOR raises ValueError, a non-finite one
     FluxNanError, and each sample sets the cells whose |value| is below the
     smallest normal float to 0, in the state the run goes on from as well
     (a contracting run drives its far field there, and arithmetic on
-    subnormals is many times slower).  sample_every must exceed the time
-    tolerance ``order.TIME_TOL``.
+    subnormals is many times slower).
     """
     n_samples = sample_count(state.t, t_end, sample_every)
-    if not sample_every > TIME_TOL:
-        raise ValueError(f"sample_every must exceed the time tolerance {TIME_TOL:g}")
     muscl = _Muscl(state, cfl)
     n_steps, max_dt, min_dR = 0, 0.0, 0.0
     t0 = t = state.t

@@ -48,8 +48,9 @@ def sample_count(t0: float, t_end: float, sample_every: float) -> int:
     """Number n of sample intervals from t0 to t_end: a run from t0 samples
     at t0 + i sample_every for i = 0 .. n and ends at its last sample.
 
-    Raises ValueError unless sample_every > 0, t_end >= t0 and
-    (t_end - t0)/sample_every is within 1e-9 (relative) of an integer.
+    Raises ValueError unless sample_every > 0, t_end >= t0,
+    (t_end - t0)/sample_every is within 1e-9 (relative) of an integer, and
+    sample_every > TIME_TOL, in that order.
     """
     if not sample_every > 0:
         raise ValueError("sample_every must be positive")
@@ -59,6 +60,8 @@ def sample_count(t0: float, t_end: float, sample_every: float) -> int:
     if not (math.isfinite(span) and abs(span - round(span)) <= 1e-9 * span):
         raise ValueError(f"t_end - t0 = {t_end - t0!r} is not a whole number of "
                          f"sample intervals of {sample_every!r}")
+    if not sample_every > TIME_TOL:
+        raise ValueError(f"sample_every must exceed the time tolerance {TIME_TOL:g}")
     return round(span)
 
 

@@ -64,6 +64,7 @@ class _CachedRun:
     result: kinetic.RunResult
     g: freq.FrequencyDensity
     build_seconds: float        # time in kinetic.run
+    checks: list[dict]          # the bound checks of each row (``finalize_records``)
 
 
 class RunCache:
@@ -81,13 +82,13 @@ class RunCache:
             t0 = time.perf_counter()
             res = kinetic.run(state, t_end, 0.05, sampler=diag.RecordSampler(cfg), cfl=0.5)
             build_seconds = time.perf_counter() - t0
-            diag.finalize_records(res.records, K=K, m_bound=g.support)
-            self._runs[name] = _CachedRun(res, g, build_seconds)
+            checks = diag.finalize_records(res.records, K=K, m_bound=g.support)
+            self._runs[name] = _CachedRun(res, g, build_seconds, checks)
         return self._runs[name]
 
 
-def _interior(records):
-    return [r for r in records if r.rdot_measured is not None]
+def _interior(rows):
+    return [r for r in rows if r["rdot_measured"] is not None]
 
 
 def _check(failures, ok: bool, message: str):
@@ -143,22 +144,22 @@ def _identical_concentration(cache, failures, details):
     recs = run.result.records
     final = recs[-1]
     for delta in (0.2, 0.5):
-        label = diag.Interval("i_plus", delta).label
-        _check(failures, final.masses[label] >= 0.99,
+        column = f"mass_{diag.Interval('i_plus', delta).label}"
+        _check(failures, final[column] >= 0.99,
                f"final mass in the near interval ({delta}) "
-               f"{final.masses[label]:.4f} < 0.99")
-    label = diag.Interval("i_plus", 0.2).label
+               f"{final[column]:.4f} < 0.99")
+    column = f"mass_{diag.Interval('i_plus', 0.2).label}"
     _check(failures, run.result.min_step_delta_R >= -1e-8,
            f"R decreased by {-run.result.min_step_delta_R:.3e} in one step")
-    _check(failures, final.R >= 0.99, f"final R {final.R:.4f} < 0.99")
+    _check(failures, final["R"] >= 0.99, f"final R {final['R']:.4f} < 0.99")
     _check(failures, run.build_seconds < 60.0,
            f"runtime {run.build_seconds:.1f}s >= 60s")
     # amplitude settles: measured dR/dt dies out over the last quarter
-    quarter = [r for r in _interior(recs) if r.t >= 30.0]
-    max_late_rdot = max(abs(r.rdot_measured) for r in quarter)
+    quarter = [r for r in _interior(recs) if r["t"] >= 30.0]
+    max_late_rdot = max(abs(r["rdot_measured"]) for r in quarter)
     _check(failures, max_late_rdot <= 1e-4,
            f"late |dR/dt| {max_late_rdot:.3e} > 1e-4")
-    details.update({"final_mass_near": final.masses[label], "final_R": final.R,
+    details.update({"final_mass_near": final[column], "final_R": final["R"],
                     "min_step_dR": run.result.min_step_delta_R,
                     "min_step_delta_R_ok": run.result.min_step_delta_R_ok,
                     "late_rdot": max_late_rdot, "runtime_s": run.build_seconds})
@@ -167,8 +168,7 @@ def _identical_concentration(cache, failures, details):
 @_criterion(3, "antipodal L2 decay rate")
 def _antipodal_decay_rate(cache, failures, details):
     run = cache.run("run2")
-    series = [(r.t, r.lambda_value) for r in run.result.records
-              if r.lambda_value is not None]
+    series = [(r["t"], r["lambda"]) for r in run.result.records if r["lambda"] is not None]
     ts = [t for t, _ in series]
     vals = [v for _, v in series]
     onset = diag.detect_transient(ts, vals)
@@ -193,13 +193,14 @@ def _phase_drift_bound(cache, failures, details):
         slack = _slack(run)
         worst = math.inf
         lipschitz_bad = 0
-        for r in _interior(run.result.records):
-            if not r.bound_checks["rdot_lipschitz"]["passed"]:
+        # the interior rows: the endpoints have no central difference
+        for r, checks in zip(run.result.records[1:-1], run.checks[1:-1]):
+            if not checks["rdot_lipschitz"]["passed"]:
                 lipschitz_bad += 1
-            if r.R <= 0.05 or r.phidot_measured is None:
+            if r["R"] <= 0.05 or r["phidot_measured"] is None:
                 continue
-            bound = r.bound_checks["phidot_bound"]["bound"] + slack
-            worst = min(worst, bound - abs(r.phidot_measured))
+            bound = checks["phidot_bound"]["bound"] + slack
+            worst = min(worst, bound - abs(r["phidot_measured"]))
         _check(failures, worst >= 0.0,
                f"{name}: |dphi/dt| exceeds its bound by {-worst:.3e}")
         _check(failures, lipschitz_bad == 0,
@@ -214,10 +215,11 @@ def _rate_formulas(cache, failures, details):
     worst_r = 0.0
     worst_p = 0.0
     for r in _interior(run.result.records):
-        if r.rdot_formula is not None:
-            worst_r = max(worst_r, abs(r.rdot_measured - r.rdot_formula))
-        if r.R > 0.05 and r.phidot_measured is not None and r.phidot_formula is not None:
-            worst_p = max(worst_p, abs(r.phidot_measured - r.phidot_formula))
+        if r["rdot_formula"] is not None:
+            worst_r = max(worst_r, abs(r["rdot_measured"] - r["rdot_formula"]))
+        if (r["R"] > 0.05 and r["phidot_measured"] is not None
+                and r["phidot_formula"] is not None):
+            worst_p = max(worst_p, abs(r["phidot_measured"] - r["phidot_formula"]))
     _check(failures, worst_r <= slack,
            f"dR/dt mismatch {worst_r:.3e} > {slack:.3e}")
     _check(failures, worst_p <= slack,
@@ -231,17 +233,17 @@ def _potential_dissipation(cache, failures, details):
     run = cache.run("run2")
     recs = run.result.records
     K = run.result.final_state.K
-    vk = np.array([r.v_k for r in recs])
+    vk = np.array([r["v_k"] for r in recs])
     rise = float(np.max(np.diff(vk)))
     _check(failures, rise <= 1e-9, f"potential increased by {rise:.3e} between samples")
     slack = _slack(run) * K ** 2
-    ts = np.array([r.t for r in recs])
+    ts = np.array([r["t"] for r in recs])
     vkdot = np.gradient(vk, ts)
     worst = 0.0
     for i, r in enumerate(recs[1:-1], start=1):
-        if r.rdot_formula is None:
+        if r["rdot_formula"] is None:
             continue
-        dissipation = -K * r.R * r.rdot_formula   # equals -(K R)^2 <sin^2 rho>
+        dissipation = -K * r["R"] * r["rdot_formula"]   # equals -(K R)^2 <sin^2 rho>
         worst = max(worst, abs(vkdot[i] - dissipation))
     _check(failures, worst <= slack,
            f"dissipation identity off by {worst:.3e} > {slack:.3e}")
@@ -291,7 +293,7 @@ def _mean_field_consistency(cache, failures, details):
     r_part = particle.run_particles(pstate, 20.0, dt=0.01, sample_every=0.05)[:, 1]
     particle_seconds = time.perf_counter() - tp0
     recs = run.result.records
-    r_kin = np.array([r.R for r in recs])
+    r_kin = np.array([r["R"] for r in recs])
     _check(failures, r_part.size == len(recs),
            f"sample grids differ: {r_part.size} vs {len(recs)}")
     gap = float(np.max(np.abs(r_kin[:r_part.size] - r_part[:len(recs)])))
@@ -400,7 +402,7 @@ def _amplitude_floor(cache, failures, details):
            + "; ".join(c.name for c in report.checks
                        if c.name in diag.AMPLITUDE_FLOOR_GATE and not c.passed))
     floor = diag.r_infinity(M, K) - 0.02
-    late = [r.R for r in recs if r.t >= 40.0]
+    late = [r["R"] for r in recs if r["t"] >= 40.0]
     late_min = min(late)
     _check(failures, late_min >= floor,
            f"late-window min R {late_min:.4f} < {floor:.4f}")
@@ -408,8 +410,10 @@ def _amplitude_floor(cache, failures, details):
            f"runtime {run.build_seconds:.1f}s >= 300s")
 
     # antipodal quarter-arc L2 decays at the guaranteed rate once the trend sets in
-    fold = [(r.t, float(run.result.final_state.weights @ r.gamma_minus))
-            for r in recs if r.gamma_minus is not None]
+    weights = run.result.final_state.weights
+    columns = [f"gamma_minus_{k}" for k in range(weights.size)]
+    fold = [(r["t"], float(weights @ [r[c] for c in columns]))
+            for r in recs if r["phi_defined"]]
     onset = diag.detect_transient([t for t, _ in fold], [v for _, v in fold])
     gamma_slope = None
     if onset is None:
@@ -424,13 +428,13 @@ def _amplitude_floor(cache, failures, details):
     # mass/amplitude sandwich at interior samples where R does not grow, on
     # the l_plus(pi/3) mass, with a 5 dtheta quadrature slack
     e1, e2, _ = diag.constants_E(K, M, 0.15, diag.GAMMA, diag.MU)
-    label = diag.Interval("l_plus", math.pi / 3).label
+    column = f"mass_{diag.Interval('l_plus', math.pi / 3).label}"
     slack = 5.0 * run.result.final_state.grid.dtheta
     sandwich_failures = 0
     for r in _interior(recs):
-        if r.rdot_measured <= 0 and math.isfinite(r.masses[label]):
-            lo_margin = r.R - (2.0 * r.masses[label] - e2 - 1.0)
-            hi_margin = (2.0 * r.masses[label] + 2.0 * e1 - 1.0) - r.R
+        if r["rdot_measured"] <= 0 and math.isfinite(r[column]):
+            lo_margin = r["R"] - (2.0 * r[column] - e2 - 1.0)
+            hi_margin = (2.0 * r[column] + 2.0 * e1 - 1.0) - r["R"]
             if not (lo_margin >= -slack and hi_margin >= -slack):
                 sandwich_failures += 1
     _check(failures, sandwich_failures == 0,
@@ -460,7 +464,7 @@ def _arc_mass_and_growth(cache, failures, details):
     res = kinetic.run(state, 4.0, 0.02, sampler=diag.RecordSampler(cfg), cfl=0.5)
     recs = res.records
 
-    masses = np.array([r.masses[arc.label] for r in recs])
+    masses = np.array([r[f"mass_{arc.label}"] for r in recs])
     _check(failures, masses[0] >= threshold,
            f"initial arc mass {masses[0]:.4f} < threshold {threshold:.4f}")
     dip = float(np.min(np.diff(masses)))
@@ -469,7 +473,7 @@ def _arc_mass_and_growth(cache, failures, details):
     slope_bound = 0.9 * K * eps0 * math.sin(gamma0)
     slopes = []
     for k in range(state.n_omega):
-        series = [(r.t, float(r.gamma_plus[k])) for r in recs]
+        series = [(r["t"], float(r[f"gamma_plus_{k}"])) for r in recs]
         fit = diag.fit_exponential_rate(series, (0.5, 3.0))
         slopes.append(fit.slope)
     _check(failures, min(slopes) >= slope_bound,
@@ -487,8 +491,8 @@ def _barrier_comparison(cache, failures, details):
     _check(failures, valid, "barrier offset not below 1")
     p_lim = math.sqrt(1.0 - eps_k ** 2)
 
-    Rs = np.array([r.R for r in recs])
-    ts = np.array([r.t for r in recs])
+    Rs = np.array([r["R"] for r in recs])
+    ts = np.array([r["t"] for r in recs])
     above = Rs > kappa
     if above[-1]:
         idx = len(Rs) - 1
@@ -501,7 +505,7 @@ def _barrier_comparison(cache, failures, details):
     _check(failures, T_kappa < 50.0, "amplitude never settled above kappa")
     if T_kappa >= 50.0:
         return
-    series = kinetic.OrderSeries(ts, Rs, [r.phi for r in recs])
+    series = kinetic.OrderSeries(ts, Rs, [r["phi"] for r in recs])
     t_star = T_kappa + 5.0
 
     rng = np.random.default_rng(14)

@@ -86,9 +86,10 @@ def test_identical_oscillators_flag_decreasing_R(tmp_path):
                                     1, 1.0, freq.cosine_profile(0.2))
     res = kinetic.run(st, 0.2, 0.1, sampler=diagnostics.RecordSampler(
         diagnostics.DiagnosticsConfig()))
+    checks = diagnostics.finalize_records(res.records, K=1.0, m_bound=0.0)
     for dR, ok in ((-1e-12, True), (-1.01e-12, False)):
         res.min_step_delta_R = dR
-        assert cli._summarize_kinetic(1.0, 0.0, res)["min_step_delta_R_ok"] is ok
+        assert cli._summarize_kinetic(1.0, 0.0, res, checks)["min_step_delta_R_ok"] is ok
 
 
 def test_simulate_rejects_small_grid(tmp_path):
@@ -1034,6 +1035,42 @@ def test_trajectory_csv_cells(tmp_path, amplitude, defined):
     assert (rows[1][col["phidot_measured"]] == "nan") == (defined == "0")
     assert {r[col["phi_defined"]] for r in rows} == {defined}
     assert all(len(r) == len(col) for r in rows)
+
+
+def test_trajectory_rows_keep_their_columns_without_a_phase(tmp_path):
+    # uncoupled spread frequencies drive R below TOL_R at t = 163; the rows from
+    # there on used to drop their gamma_plus cells, so characteristics could
+    # not read the file
+    cfg = write_config(tmp_path, frequency={"kind": "uniform", "halfwidth": 5.0},
+                       coupling=0.0, n_theta=16, t_end=260.0, sample_every=1.0,
+                       diagnostics={"intervals": [{"kind": "i_plus", "parameter": 0.5}],
+                                    "gamma_plus": {"kind": "i_plus", "parameter": 0.5}})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    columns = header.split(",")
+    rows = [r.split(",") for r in rows]
+    assert len(rows) == 261 and all(len(r) == len(columns) for r in rows)
+    undefined = [r for r in rows if r[columns.index("phi_defined")] == "0"]
+    assert undefined and all(r[columns.index(c)] == "nan" for r in undefined
+                             for c in columns if c.startswith(("mass_", "gamma_plus_")))
+    assert cli.main(["characteristics", "--series", str(out / "trajectory.csv"),
+                     "--coupling", "0", "--theta0", "0.5", "--omega0", "0",
+                     "--t0", "1", "--t1", "200", "--out", str(tmp_path / "ch")]) == 0
+
+
+@pytest.mark.parametrize("second", [0.2000001, 0.2])
+def test_simulate_rejects_intervals_sharing_a_label(tmp_path, capsys, second):
+    # both used to write one mass_i_plus_0.2 column and one final_masses entry
+    ivs = [{"kind": "i_plus", "parameter": 0.2}, {"kind": "l_plus", "parameter": 1.0},
+           {"kind": "i_plus", "parameter": second}]
+    cfg = write_config(tmp_path, diagnostics={"intervals": ivs})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"intervals[0] (i_plus 0.2) and [2] (i_plus {second!r})" in err
+    assert "interval labels must be unique" in err
+    assert not out.exists()
 
 
 def assert_17g_cells(rows, values):

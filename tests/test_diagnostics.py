@@ -99,10 +99,10 @@ def test_record_sampler_masses_are_nan_without_a_phase():
     cfg = diag.DiagnosticsConfig(intervals=(diag.Interval("i_plus", 0.3),),
                                  lambda_interval=diag.Interval("i_minus", 0.5),
                                  gamma_plus_interval=diag.Interval("l_plus", 1.0))
-    rec = diag.RecordSampler(cfg)(st, op)
-    assert math.isnan(rec.masses["i_plus_0.3"])
-    assert (rec.lambda_value, rec.gamma_plus, rec.rdot_formula) == (None, None, None)
-    assert not rec.phi_defined
+    row = diag.RecordSampler(cfg)(st, op)
+    assert math.isnan(row["mass_i_plus_0.3"]) and math.isnan(row["gamma_plus_0"])
+    assert (row["lambda"], row["rdot_formula"]) == (None, None)
+    assert row["phi_defined"] == 0
 
 
 def test_lyapunov_constant_density():
@@ -686,36 +686,39 @@ def test_hypothesis_reports_every_check_on_finite_inputs(K, M, R0, mu, gamma, ka
 
 
 # ---------------------------------------------------------------------------
-# records
+# trajectory rows
 
 
-def run_with_records(n_theta=128, t_end=2.0):
+def run_with_rows(n_theta=128, t_end=2.0):
+    """The rows of a short run, filled by finalize_records, and their bound checks."""
     st = dirac_state(n_theta, freq.cosine_profile(0.25, 0.7), K=1.0)
     cfg = diag.DiagnosticsConfig(
         intervals=(diag.Interval("i_plus", 0.3), diag.Interval("i_minus", 0.3)),
         lambda_interval=diag.Interval("i_minus", 0.5),
         gamma_plus_interval=diag.Interval("l_plus", 1.0))
     res = kinetic.run(st, t_end, 0.05, sampler=diag.RecordSampler(cfg))
-    diag.finalize_records(res.records, K=1.0, m_bound=0.0)
-    return res.records, cfg
+    checks = diag.finalize_records(res.records, K=1.0, m_bound=0.0)
+    return res.records, checks
 
 
 def test_records_fields_and_finalize():
-    records, _ = run_with_records()
-    assert records[0].rdot_measured is None         # endpoint has no central diff
-    mid = records[len(records) // 2]
-    assert mid.phi_defined
-    assert mid.rdot_measured is not None
-    assert mid.rdot_formula is not None
-    assert mid.lambda_value >= 0.0
-    assert mid.gamma_plus.shape == (1,)
-    assert set(mid.masses) == {"i_plus_0.3", "i_minus_0.3"}
-    assert mid.bound_checks["rdot_lipschitz"]["passed"]
-    assert mid.bound_checks["phidot_bound"]["passed"]
+    records, checks = run_with_rows()
+    assert records[0]["rdot_measured"] is None      # endpoint has no central diff
+    assert checks[0] == {}
+    i = len(records) // 2
+    mid = records[i]
+    assert mid["phi_defined"]
+    assert mid["rdot_measured"] is not None
+    assert mid["rdot_formula"] is not None
+    assert mid["lambda"] >= 0.0
+    assert [c for c in mid if c.startswith("gamma_plus_")] == ["gamma_plus_0"]
+    assert {c for c in mid if c.startswith("mass_")} == {"mass_i_plus_0.3", "mass_i_minus_0.3"}
+    assert checks[i]["rdot_lipschitz"]["passed"]
+    assert checks[i]["phidot_bound"]["passed"]
 
 
 def test_records_csv_and_json(tmp_path):
-    records, _ = run_with_records()
+    records, checks = run_with_rows()
     csv_path = tmp_path / "trajectory.csv"
     diag.records_to_csv(records, csv_path)
     lines = csv_path.read_text().splitlines()
@@ -725,7 +728,7 @@ def test_records_csv_and_json(tmp_path):
     assert "gamma_plus_0" in header
     assert len(lines) == len(records) + 1
     json_path = tmp_path / "bounds.json"
-    diag.bound_checks_to_json(records, json_path)
+    diag.bound_checks_to_json(records, checks, json_path)
     payload = json.loads(json_path.read_text())
     assert len(payload) == len(records)
     assert "rdot_lipschitz" in payload[1]["checks"]

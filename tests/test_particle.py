@@ -596,6 +596,14 @@ def test_run_particles_rejects_incommensurate_t_end(run, t_end):
             run(t_end, sample_every)
 
 
+def test_run_particles_rejects_sample_intervals_within_time_tolerance():
+    # order.sample_count holds the floor that kinetic.run already had; a
+    # particle run used to take its steps at any positive interval
+    for sample_every in (1e-13, 1e-12):
+        with pytest.raises(ValueError, match="time tolerance 1e-12"):
+            _run_particles(10 * sample_every, sample_every)
+
+
 @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
 def test_run_particles_rejects_bad_dt(dt):
     st = particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=1.0)
