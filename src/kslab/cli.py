@@ -290,7 +290,7 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     summary = _summarize_kinetic(K, M, res, checks)
     if "hypothesis" in cfg:    # R0 defaults to the initial R of the run
         hyp = {"R0": res.records[0]["R"], **cfg["hypothesis"]}
-        summary["hypothesis"] = diag.hypothesis_check(K=K, M=M, **hyp).to_dict()
+        summary["hypothesis"] = diag.hypothesis_check(K=K, M=M, **hyp)
     _write_plot_script(list(res.records[0]), out / "plot.gp")
     return summary
 
@@ -511,21 +511,17 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 2
     results, ok = verify.run_suite(suite)
-    width = max(len(r.name) for r in results)
+    width = max(len(r["name"]) for r in results)
     for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        print(f"[{mark}] criterion {r.cid:>2}  {r.name:<{width}}  {r.elapsed:7.2f}s")
-        for f in r.failures:
+        mark = "PASS" if r["passed"] else "FAIL"
+        print(f"[{mark}] criterion {r['criterion']:>2}  {r['name']:<{width}}  "
+              f"{r['elapsed_s']:7.2f}s")
+        for f in r["failures"]:
             print(f"       - {f}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "verify.json", {
-            "suite": suite, "all_passed": ok,
-            "results": [{"criterion": r.cid, "name": r.name,
-                         "passed": r.passed, "failures": r.failures,
-                         "details": r.details, "elapsed_s": r.elapsed}
-                        for r in results]})
+        write_json(out / "verify.json", {"suite": suite, "all_passed": ok, "results": results})
     return 0 if ok else 1
 
 

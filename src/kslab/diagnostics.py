@@ -326,20 +326,6 @@ def barrier_solve(p_star, t_star: float, T_kappa: float, kappa: float, K: float,
 # hypothesis report
 
 
-@dataclass(frozen=True)
-class Check:
-    """One named inequality of a hypothesis report and its margin."""
-    name: str
-    group: str
-    passed: bool
-    margin: float        # satisfied amount; negative when violated
-    detail: str
-
-    def to_dict(self):
-        return {"name": self.name, "group": self.group, "passed": self.passed,
-                "margin": self.margin, "detail": self.detail}
-
-
 #: structural conditions gating a finite-horizon asymptotic-amplitude run;
 #: the remaining inequalities carry pessimistic analysis constants that only
 #: hold at astronomically large coupling and are reported, not gated.
@@ -349,36 +335,6 @@ AMPLITUDE_FLOOR_GATE = ("initial_amplitude_positive", "growth_budget",
                         "floor_coupling")
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Every check of the hypothesis inequalities, with their parameters."""
-    checks: tuple[Check, ...]
-    params: dict
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> Check:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def passed(self, names) -> bool:
-        return all(self.check(n).passed for n in names)
-
-    @property
-    def amplitude_floor_gate_passed(self) -> bool:
-        return self.passed(AMPLITUDE_FLOOR_GATE)
-
-    def to_dict(self):
-        return {"params": self.params,
-                "all_passed": self.all_passed,
-                "amplitude_floor_gate_passed": self.amplitude_floor_gate_passed,
-                "checks": [c.to_dict() for c in self.checks]}
-
-
 #: the analysis constants mu, gamma, kappa, eps0 and gamma0 of the pinned
 #: criteria and of a config's hypothesis section
 MU, GAMMA, KAPPA, EPS0, GAMMA0 = 1e-3, 1.45, 0.7, 0.2, 1.1
@@ -386,23 +342,26 @@ MU, GAMMA, KAPPA, EPS0, GAMMA0 = 1e-3, 1.45, 0.7, 0.2, 1.1
 
 def hypothesis_check(K: float, M: float, R0: float, mu: float = MU, gamma: float = GAMMA,
                      kappa: float = KAPPA, eps0: float = EPS0,
-                     gamma0: float = GAMMA0) -> HypothesisReport:
-    """Structured pass/fail report, with margins, for every displayed
-    inequality the large-coupling results rest on.
+                     gamma0: float = GAMMA0) -> dict:
+    """Pass/fail report, with margins, for every displayed inequality the
+    large-coupling results rest on: the dict that summary.json's hypothesis
+    section holds, ``{params, all_passed, amplitude_floor_gate_passed,
+    checks}``, each check ``{name, group, passed, margin, detail}``.
 
     Reports, never raises: a failed check is data, so an out-of-hypothesis
     configuration stays distinguishable from a failed verification run.  A
     check is undefined (margin -inf, not passed) when its group has an unmet
     need or its margin is NaN; no margin is NaN.
     """
-    checks: list[Check] = []
+    checks = []
 
     def add(name, group, margin, detail, need=None):
         if need is None and math.isnan(margin):
             need = "every term in the float range"
         if need is not None:
             margin, detail = -math.inf, f"undefined: needs {need}"
-        checks.append(Check(name, group, bool(margin > 0), float(margin), detail))
+        checks.append({"name": name, "group": group, "passed": bool(margin > 0),
+                       "margin": float(margin), "detail": detail})
 
     add("initial_amplitude_positive", "initial", R0, f"R0 = {R0:.6g} > 0")
 
@@ -488,7 +447,10 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float = MU, gamma: float
 
     params = {"K": K, "M": M, "R0": R0, "mu": mu, "gamma": gamma,
               "kappa": kappa, "eps0": eps0, "gamma0": gamma0}
-    return HypothesisReport(tuple(checks), params)
+    passed = {c["name"]: c["passed"] for c in checks}
+    return {"params": params, "all_passed": all(passed.values()),
+            "amplitude_floor_gate_passed": all(passed[name] for name in AMPLITUDE_FLOOR_GATE),
+            "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +517,9 @@ def finalize_records(rows, K: float, m_bound: float) -> list[dict]:
     return the bound checks of each row.
 
     The phase is unwrapped before differencing; the two endpoints have only
-    one-sided differences and keep None and no checks, and an
-    undefined-phase sample gets no measured phidot.  m_bound is the support
-    bound M of g.
+    one-sided differences and keep None and no checks, and a sample gets a
+    measured phidot only when it and both neighbours have a phase (a
+    phaseless one carries a stale phi).  m_bound is the support bound M of g.
     """
     n = len(rows)
     checks = [{} for _ in rows]
@@ -569,7 +531,7 @@ def finalize_records(rows, K: float, m_bound: float) -> list[dict]:
     for i in range(1, n - 1):
         r, c = rows[i], checks[i]
         r["rdot_measured"] = float(rdot[i])
-        if r["phi_defined"]:
+        if r["phi_defined"] and rows[i - 1]["phi_defined"] and rows[i + 1]["phi_defined"]:
             r["phidot_measured"] = float(phidot[i])
             if r["R"] > 0:
                 bound = phidot_bound(r["R"], m_bound, K)

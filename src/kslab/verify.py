@@ -5,8 +5,9 @@ CRITERIA by ``@_criterion(cid, name)``.  The check takes its expensive
 kinetic runs from the shared RunCache, which builds each run of the
 _PINNED_RUNS table once, appends a message to ``failures`` for each broken
 check at the pinned tolerances, and records what it measured in
-``details``.  ``CRITERIA[cid](cache)`` times the check and returns a
-CriterionResult, which passes when no failure was appended.  The CLI verify
+``details``.  ``CRITERIA[cid](cache)`` times the check and returns its
+verify.json entry ``{criterion, name, passed, failures, details,
+elapsed_s}``, which passes when no failure was appended.  The CLI verify
 command (through run_suite) and the acceptance test suite both call it.
 """
 
@@ -22,16 +23,6 @@ from . import diagnostics as diag
 from . import frequency as freq
 from . import kinetic, particle
 from .order import TWO_PI
-
-
-@dataclass
-class CriterionResult:
-    cid: int
-    name: str
-    passed: bool
-    failures: list[str]
-    details: dict
-    elapsed: float
 
 
 def _skewed_profile(th):
@@ -109,14 +100,15 @@ CRITERIA = {}
 
 def _criterion(cid: int, name: str):
     """Register check(cache, failures, details) as CRITERIA[cid], which times
-    the check and returns its CriterionResult."""
+    the check and returns its verify.json entry."""
     def register(check):
-        def evaluate(cache: RunCache) -> CriterionResult:
+        def evaluate(cache: RunCache) -> dict:
             t0 = time.perf_counter()
             failures, details = [], {}
             check(cache, failures, details)
-            return CriterionResult(cid, name, not failures, failures, details,
-                                   time.perf_counter() - t0)
+            return {"criterion": cid, "name": name, "passed": not failures,
+                    "failures": failures, "details": details,
+                    "elapsed_s": time.perf_counter() - t0}
 
         CRITERIA[cid] = evaluate
         return check
@@ -397,10 +389,10 @@ def _amplitude_floor(cache, failures, details):
     run = cache.run("run12")
     recs, K, M = run.result.records, run.result.final_state.K, run.g.support
     report = diag.hypothesis_check(K=K, M=M, R0=0.3)
-    _check(failures, report.amplitude_floor_gate_passed,
+    _check(failures, report["amplitude_floor_gate_passed"],
            "structural hypothesis gate failed: "
-           + "; ".join(c.name for c in report.checks
-                       if c.name in diag.AMPLITUDE_FLOOR_GATE and not c.passed))
+           + "; ".join(c["name"] for c in report["checks"]
+                       if c["name"] in diag.AMPLITUDE_FLOOR_GATE and not c["passed"]))
     floor = diag.r_infinity(M, K) - 0.02
     late = [r["R"] for r in recs if r["t"] >= 40.0]
     late_min = min(late)
@@ -439,7 +431,7 @@ def _amplitude_floor(cache, failures, details):
                 sandwich_failures += 1
     _check(failures, sandwich_failures == 0,
            f"{sandwich_failures} samples violated the mass/amplitude sandwich")
-    details.update({"hypothesis": report.to_dict(), "late_min_R": late_min,
+    details.update({"hypothesis": report, "late_min_R": late_min,
                     "floor": floor, "gamma_minus_slope": gamma_slope,
                     "runtime_s": run.build_seconds})
 
@@ -449,9 +441,9 @@ def _arc_mass_and_growth(cache, failures, details):
     eps0, gamma0, M = diag.EPS0, diag.GAMMA0, 0.01
     K = 1.2 * (M / eps0) * (1.0 + 1.0 / eps0)
     report = diag.hypothesis_check(K=K, M=M, R0=0.9)
-    _check(failures, report.passed(("arc_trapping_coupling",
-                                    "mass_threshold_eps_window",
-                                    "mass_threshold_angle_window")),
+    passed = {c["name"]: c["passed"] for c in report["checks"]}
+    window = ("arc_trapping_coupling", "mass_threshold_eps_window", "mass_threshold_angle_window")
+    _check(failures, all(passed[name] for name in window),
            "the large-coupling condition or the admissibility window failed")
     threshold = diag.mstar(eps0, gamma0)
 
@@ -585,4 +577,4 @@ def run_suite(name: str):
     """Run the suite SUITES[name]; returns (results, all_passed)."""
     cache = RunCache()
     results = [CRITERIA[cid](cache) for cid in SUITES[name]]
-    return results, all(r.passed for r in results)
+    return results, all(r["passed"] for r in results)

@@ -32,12 +32,12 @@ def cache():
 def _criterion_test(cid):
     def test(cache):
         result = verify.CRITERIA[cid](cache)
-        mark = "PASS" if result.passed else "FAIL"
-        print(f"[{mark}] criterion {result.cid:>2}: {result.name} "
-              f"({result.elapsed:.1f}s)")
-        for f in result.failures:
+        mark = "PASS" if result["passed"] else "FAIL"
+        print(f"[{mark}] criterion {result['criterion']:>2}: {result['name']} "
+              f"({result['elapsed_s']:.1f}s)")
+        for f in result["failures"]:
             print(f"       - {f}")
-        assert result.passed, f"criterion {cid} failed: {result.failures}"
+        assert result["passed"], f"criterion {cid} failed: {result['failures']}"
 
     return pytest.mark.slow(test) if cid in SLOW else test
 

@@ -37,6 +37,15 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+def read_json(path):
+    """A JSON output, read strictly: NaN, Infinity and -Infinity, which are not
+    JSON (RFC 8259), raise."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_simulate_smoke(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -44,7 +53,7 @@ def test_simulate_smoke(tmp_path):
     for name in ("trajectory.csv", "bound_checks.json", "summary.json",
                  "plot.gp", "config.json"):
         assert (out / name).exists(), name
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert summary["final_R"] > 0.2
     assert summary["mass_drift"]["per_slice_ok"]
     # the config echo is byte-for-byte the input document
@@ -58,7 +67,7 @@ def test_simulate_t_column_is_exact(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert [r.split(",")[0] for r in rows[1:]] == [format(i * 0.1, ".17g") for i in range(21)]
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert 0.0 < summary["positivity_margin"] < 1.0 / (2.0 * math.pi)
 
 
@@ -75,11 +84,11 @@ def test_identical_oscillators_flag_decreasing_R(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert summary["min_step_delta_R"] >= -1e-12 and summary["min_step_delta_R_ok"] is True
     cfg = write_config(tmp_path, frequency={"kind": "uniform", "halfwidth": 0.5}, n_omega=4)
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "u")]) == 0
-    assert "min_step_delta_R_ok" not in json.loads((tmp_path / "u" / "summary.json").read_text())
+    assert "min_step_delta_R_ok" not in read_json(tmp_path / "u" / "summary.json")
 
     from kslab import diagnostics, kinetic
     st = kinetic.state_from_profile(kinetic.PhaseGrid(64), kslab.frequency.dirac_at_zero(),
@@ -135,7 +144,7 @@ def test_simulate_particle_model(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "particles.csv").exists()
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert summary["model"] == "particle"
     # identical oscillators synchronize: r grows
     assert summary["final_r"] > 0.2
@@ -154,7 +163,7 @@ def test_particle_summary_reports_its_steps(tmp_path, dt_particle, coupling, per
                        dt_particle=dt_particle, coupling=coupling)
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert (summary["n_steps"], summary["dt"], summary["rotates"]) == (5 * per, 0.1 / per,
                                                                        rotates)
 
@@ -188,7 +197,7 @@ def test_simulate_both_models(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "trajectory.csv").exists()
     assert (out / "particles.csv").exists()
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     assert {"kinetic", "particle"} <= set(summary)
 
 
@@ -208,7 +217,7 @@ def test_sweep_identical_case(tmp_path):
     assert rows[0] == "K,final_R,r_infinity,gap,final_interval_mass"
     finals = [float(r.split(",")[1]) for r in rows[1:]]
     assert all(f >= 0.99 for f in finals)
-    summary = json.loads((out / "sweep_summary.json").read_text())
+    summary = read_json(out / "sweep_summary.json")
     assert summary["final_R_increasing"]
 
 
@@ -220,7 +229,7 @@ def test_sweep_distributed_monotone(tmp_path):
         sample_every=0.5)
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "sweep_summary.json").read_text())
+    summary = read_json(out / "sweep_summary.json")
     assert summary["final_R_increasing"]
     for row in summary["rows"]:
         assert math.isfinite(row["gap"])
@@ -234,7 +243,7 @@ def test_sweep_monotonicity_is_judged_in_coupling_order(tmp_path):
                        frequency={"kind": "uniform", "halfwidth": 0.1}, t_end=1.0)
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    summary = json.loads((out / "sweep_summary.json").read_text())
+    summary = read_json(out / "sweep_summary.json")
     assert [row["K"] for row in summary["rows"]] == [2.0, 1.0]
     assert summary["rows"][0]["final_R"] > summary["rows"][1]["final_R"]
     assert summary["final_R_increasing"]
@@ -270,7 +279,7 @@ def test_verify_equilibrium_suite(tmp_path, capsys):
     assert cli.main(["verify", "--suite", "equilibrium", "--out", str(out)]) == 0
     captured = capsys.readouterr().out
     assert "PASS" in captured
-    payload = json.loads((out / "verify.json").read_text())
+    payload = read_json(out / "verify.json")
     assert payload["all_passed"]
     assert payload["results"][0]["criterion"] == 11
     assert payload["results"][0]["details"]["R"] >= 0.5
@@ -317,7 +326,7 @@ def test_simulate_hypothesis_section_takes_the_documented_defaults(tmp_path):
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "trajectory.csv").read_text().splitlines()
     first = dict(zip(rows[0].split(","), rows[1].split(",")))
-    params = json.loads((out / "summary.json").read_text())["hypothesis"]["params"]
+    params = read_json(out / "summary.json")["hypothesis"]["params"]
     assert params == {"K": 1.0, "M": 0.0, "R0": float(first["R"]), "mu": 1e-3,
                       "gamma": 1.45, "kappa": 0.75, "eps0": 0.2, "gamma0": 1.1}
 
@@ -327,7 +336,7 @@ def test_simulate_reports_an_undefined_hypothesis_check(tmp_path):
     cfg = write_config(tmp_path, hypothesis={"mu": -1.0})
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-    checks = json.loads((out / "summary.json").read_text())["hypothesis"]["checks"]
+    checks = read_json(out / "summary.json")["hypothesis"]["checks"]
     drift = next(c for c in checks if c["name"] == "phase_drift_budget")
     assert drift["detail"] == "undefined: needs M/K + mu >= 0"
     assert (out / "plot.gp").exists()
@@ -340,7 +349,7 @@ def test_von_mises_preset_from_a_config(tmp_path, capsys, concentration, code):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == code
     if code == 0:
-        assert json.loads((out / "summary.json").read_text())["kinetic"]["final_R"] > 0.5
+        assert read_json(out / "summary.json")["kinetic"]["final_R"] > 0.5
     else:
         assert "concentration must be nonnegative" in capsys.readouterr().err
         assert not out.exists()
@@ -828,7 +837,7 @@ def test_sweep_reads_each_table_once(tmp_path, monkeypatch, threads):
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
                      "--threads", threads]) == 0
     assert sorted(map(str, reads)) == sorted([str(density), str(profile)])
-    assert json.loads((out / "sweep_summary.json").read_text())["failed_couplings"] == []
+    assert read_json(out / "sweep_summary.json")["failed_couplings"] == []
     assert len((out / "sweep.csv").read_text().splitlines()) == 4
 
 
@@ -846,7 +855,7 @@ def test_sweep_isolates_a_failed_coupling(tmp_path, monkeypatch, threads):
     out = tmp_path / "out"
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out),
                      "--threads", threads]) == 0
-    summary = json.loads((out / "sweep_summary.json").read_text())
+    summary = read_json(out / "sweep_summary.json")
     assert summary["failed_couplings"] == ["K=2.0: boom"]
     assert [row["K"] for row in summary["rows"]] == [1.0, 3.0]
 
@@ -966,7 +975,7 @@ def test_simulate_writes_summary_once(tmp_path, monkeypatch, model):
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert written.count(str(out / "summary.json")) == 1
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_json(out / "summary.json")
     if model == "both":
         assert set(summary) == {"kinetic", "particle"}
     else:
@@ -1059,6 +1068,47 @@ def test_trajectory_rows_keep_their_columns_without_a_phase(tmp_path):
                      "--t0", "1", "--t1", "200", "--out", str(tmp_path / "ch")]) == 0
 
 
+#: uncoupled spread frequencies: R falls below TOL_R at t = 163, and from
+#: there on the phase comes and goes
+UNCOUPLED = dict(frequency={"kind": "uniform", "halfwidth": 5.0}, coupling=0.0, n_theta=16,
+                 t_end=260.0, sample_every=1.0,
+                 diagnostics={"intervals": [{"kind": "i_plus", "parameter": 0.5}],
+                              "gamma_plus": {"kind": "i_plus", "parameter": 0.5}})
+
+
+def test_a_phaseless_neighbour_gives_no_measured_phidot(tmp_path):
+    # rows t = 162, 165 and 172 used to read a phidot of about +-pi/2, a central
+    # difference against the phi that a phaseless neighbour carries
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(write_config(tmp_path, **UNCOUPLED)),
+                     "--out", str(out)]) == 0
+    header, *rows = (out / "trajectory.csv").read_text().splitlines()
+    columns = header.split(",")
+    defined = [r.split(",")[columns.index("phi_defined")] == "1" for r in rows]
+    measured = [r.split(",")[columns.index("phidot_measured")] != "nan" for r in rows]
+    checked = ["phidot_bound" in c["checks"] for c in read_json(out / "bound_checks.json")]
+    assert not all(defined)
+    for i in range(1, len(rows) - 1):
+        assert measured[i] == checked[i] == all(defined[i - 1:i + 2]), i
+
+
+@pytest.mark.parametrize("command, overrides, output, read", [
+    ("sweep", {"coupling": [1.0, 2.0], "t_end": 0.5, "diagnostics": {}}, "sweep_summary.json",
+     lambda s: [r["final_interval_mass"] for r in s["rows"]]),
+    ("simulate", {"hypothesis": {"mu": -1.0}}, "summary.json",
+     lambda s: [c["margin"] for c in s["hypothesis"]["checks"]
+                if c["detail"].startswith("undefined")]),
+    ("simulate", UNCOUPLED, "summary.json", lambda s: list(s["final_masses"].values())),
+], ids=["sweep-no-intervals", "undefined-hypothesis-check", "phaseless-final-sample"])
+def test_a_non_finite_value_is_written_as_null(tmp_path, command, overrides, output, read):
+    # each used to be written as a bare NaN or -Infinity, which no RFC 8259 reader takes
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(write_config(tmp_path, **overrides)),
+                     "--out", str(out)]) == 0
+    values = read(read_json(out / output))
+    assert values and all(v is None for v in values)
+
+
 @pytest.mark.parametrize("second", [0.2000001, 0.2])
 def test_simulate_rejects_intervals_sharing_a_label(tmp_path, capsys, second):
     # both used to write one mass_i_plus_0.2 column and one final_masses entry
@@ -1088,7 +1138,7 @@ def test_sweep_csv_cells_round_trip(tmp_path):
     assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
     header, *rows = (out / "sweep.csv").read_text().splitlines()
     columns = header.split(",")
-    table = json.loads((out / "sweep_summary.json").read_text())["rows"]
+    table = read_json(out / "sweep_summary.json")["rows"]
     assert_17g_cells([r.split(",") for r in rows], [[t[c] for c in columns] for t in table])
 
 

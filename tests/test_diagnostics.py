@@ -577,20 +577,25 @@ def test_equilibrium_call_count(monkeypatch):
 # hypothesis report
 
 
+def check_named(report, name):
+    """The check of the hypothesis report called name."""
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
 def test_hypothesis_all_pass_without_frequency_spread():
     report = diag.hypothesis_check(K=50.0, M=0.0, R0=0.3, mu=5e-4,
                                    gamma=1.5695, kappa=0.7, eps0=0.2, gamma0=1.1)
-    assert report.all_passed, [c.name for c in report.checks if not c.passed]
-    assert report.amplitude_floor_gate_passed
+    assert report["all_passed"], [c["name"] for c in report["checks"] if not c["passed"]]
+    assert report["amplitude_floor_gate_passed"]
 
 
 def test_hypothesis_coupling_equal_to_spread_fails():
     report = diag.hypothesis_check(K=1.0, M=1.0, R0=0.3, mu=1e-3,
                                    gamma=1.45, kappa=0.7, eps0=0.2, gamma0=1.1)
-    c = report.check("arc_trapping_coupling")
-    assert not c.passed
-    assert c.margin < 0.0
-    assert not report.all_passed
+    c = check_named(report, "arc_trapping_coupling")
+    assert not c["passed"]
+    assert c["margin"] < 0.0
+    assert not report["all_passed"]
 
 
 def test_hypothesis_dual_implementation():
@@ -598,31 +603,31 @@ def test_hypothesis_dual_implementation():
     K, M, R0, mu = 50.0, 0.05, 0.3, 1e-3
     gamma, kappa, eps0, gamma0 = 1.45, 0.7, 0.2, 1.1
     report = diag.hypothesis_check(K, M, R0, mu, gamma, kappa, eps0, gamma0)
+    margin = {c["name"]: c["margin"] for c in report["checks"]}
 
     drift = (2 * M / (K * R0) + 4 * M / (K * R0 ** 2)
              + 2 * math.sqrt(2) / R0 ** 1.5 * math.sqrt(M / K + mu))
-    assert report.check("phase_drift_budget").margin == pytest.approx(0.5 - drift)
+    assert margin["phase_drift_budget"] == pytest.approx(0.5 - drift)
     budget = K * K * mu - (2 * M * M / R0 ** 2 - 1.5 * M * M / R0)
-    assert report.check("growth_budget").margin == pytest.approx(budget)
+    assert margin["growth_budget"] == pytest.approx(budget)
     floor = max(64 * M / SQRT3, 64 * SQRT3 * M / (3 - (SQRT3 - 2 * R0) ** 2))
-    assert report.check("coupling_floor").margin == pytest.approx(K - floor)
+    assert margin["coupling_floor"] == pytest.approx(K - floor)
     cap = SQRT3 / 4 + 0.25 * math.sqrt(3 - 64 * SQRT3 * M / K)
-    assert report.check("barrier_level_cap").margin == pytest.approx(cap - kappa)
+    assert margin["barrier_level_cap"] == pytest.approx(cap - kappa)
     ek = (kappa + 1) / kappa ** 2 * (M / K) + (1 - kappa) / kappa
-    assert report.check("barrier_offset_valid").margin == pytest.approx(1 - ek)
+    assert margin["barrier_offset_valid"] == pytest.approx(1 - ek)
     thr = (M / eps0) * (1 + 1 / eps0)
-    assert report.check("arc_trapping_coupling").margin == pytest.approx(K - thr)
+    assert margin["arc_trapping_coupling"] == pytest.approx(K - thr)
     floor2 = 15 * M / (2 * (math.sqrt(4 - 2 * math.sqrt(2)) - 1))
-    assert report.check("floor_coupling").margin == pytest.approx(K - floor2)
-    payload = report.to_dict()
+    assert margin["floor_coupling"] == pytest.approx(K - floor2)
     assert {"params", "all_passed", "amplitude_floor_gate_passed",
-            "checks"} <= set(payload)
+            "checks"} <= set(report)
 
 
 def test_hypothesis_never_raises():
     report = diag.hypothesis_check(K=-1.0, M=0.5, R0=0.0, mu=0.0,
                                    gamma=3.0, kappa=0.0, eps0=0.0, gamma0=0.5)
-    assert not report.all_passed
+    assert not report["all_passed"]
 
 
 COUPLING_CHECKS = ("phase_drift_budget", "growth_budget", "coupling_floor")
@@ -655,15 +660,15 @@ def _unmet(K, M, R0, mu, checks, need):
 def test_hypothesis_reports_an_unmet_need_as_undefined(K, M, R0, mu, eps0, checks, need):
     report = diag.hypothesis_check(K=K, M=M, R0=R0, mu=mu, eps0=eps0)
     for name in checks:
-        c = report.check(name)
-        assert (c.passed, c.margin) == (False, -math.inf)
-        assert c.detail.startswith("undefined: needs ") and need in c.detail
+        c = check_named(report, name)
+        assert (c["passed"], c["margin"]) == (False, -math.inf)
+        assert c["detail"].startswith("undefined: needs ") and need in c["detail"]
 
 
 @pytest.mark.parametrize("M, K", [(0.05, 10.0), (0.0, 1.0), (0.01, 50.0), (-0.5, 1e-3),
                                   (1e-300, 1e-290)])
 def test_barrier_level_cap_is_the_upper_comparison_root(M, K):
-    margin = diag.hypothesis_check(K=K, M=M, R0=0.3).check("barrier_level_cap").margin
+    margin = check_named(diag.hypothesis_check(K=K, M=M, R0=0.3), "barrier_level_cap")["margin"]
     assert margin == diag.r_pm(0.0, M, K)[1] - diag.KAPPA
 
 
@@ -677,12 +682,12 @@ def test_hypothesis_reports_every_check_on_finite_inputs(K, M, R0, mu, gamma, ka
                                                          gamma0):
     # a check whose terms leave the float range is reported undefined, never NaN
     report = diag.hypothesis_check(K, M, R0, mu, gamma, kappa, eps0, gamma0)
-    assert len(report.checks) == 14
-    for c in report.checks:
-        assert not math.isnan(c.margin), c
-        if c.detail.startswith("undefined"):
-            assert c.detail.startswith("undefined: ")
-            assert (c.passed, c.margin) == (False, -math.inf)
+    assert len(report["checks"]) == 14
+    for c in report["checks"]:
+        assert not math.isnan(c["margin"]), c
+        if c["detail"].startswith("undefined"):
+            assert c["detail"].startswith("undefined: ")
+            assert (c["passed"], c["margin"]) == (False, -math.inf)
 
 
 # ---------------------------------------------------------------------------

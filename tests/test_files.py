@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -30,3 +31,17 @@ def test_json_layout_and_numpy_values(tmp_path):
     for value in (object(), np.int64(2), np.arange(2.0)):
         with pytest.raises(TypeError):
             files.write_json(path, {"x": value})
+
+
+def test_json_writes_a_non_finite_float_as_null(tmp_path):
+    # json.dump wrote NaN, Infinity and -Infinity, which no RFC 8259 reader takes
+    path = tmp_path / "t.json"
+    files.write_json(path, {"d": {"nan": math.nan, "x": 1.5},
+                            "l": [math.inf, [np.float64(-math.inf), 0.0]],
+                            "t": (math.nan, -math.inf, 2)})
+
+    def reject(constant):
+        raise ValueError(constant)
+
+    assert json.loads(path.read_text(), parse_constant=reject) == {
+        "d": {"nan": None, "x": 1.5}, "l": [None, [None, 0.0]], "t": [None, None, 2]}
