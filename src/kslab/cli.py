@@ -27,10 +27,6 @@ from .files import write_csv, write_json
 from .order import MIN_CELLS, TWO_PI, sample_count
 
 
-class ConfigError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # configuration parsing
 
@@ -56,7 +52,7 @@ _INTERVAL_KEYS = {"kind", "parameter"}
 
 def _require(cond, message):
     if not cond:
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _object(value, allowed, where, tag=None) -> dict:
@@ -74,54 +70,43 @@ def _object(value, allowed, where, tag=None) -> dict:
     return dict(value)
 
 
-def _path(mapping: dict, key: str, where: str = "") -> None:
-    """mapping[key], if present, must be a non-empty string: an integer or a
-    bool would open that file descriptor (0 is stdin)."""
-    if key in mapping:
-        value = mapping[key]
-        _require(isinstance(value, str) and value != "",
-                 f"{where}{key} must be a non-empty string, not {value!r}")
+def _path(mapping: dict, key: str, where: str) -> str:
+    """mapping[key], which must be given and be a non-empty string: an integer
+    or a bool would open that file descriptor (0 is stdin)."""
+    _require(key in mapping, f"{where}{key} is required")
+    value = mapping[key]
+    _require(isinstance(value, str) and value != "",
+             f"{where}{key} must be a non-empty string, not {value!r}")
+    return value
 
 
 def validate_config(raw: dict) -> dict:
-    """Check every field against the module preconditions.
+    """Check every field's presence and JSON type, and each range that no
+    ``frequency`` builder checks.
 
     Returns a new config: the _DEFAULTS under the user's keys, real-valued
     fields as finite floats, dt_particle (sample_every / 5 unless given),
-    initial.center of a cosine or von Mises preset (0.0 unless given), the
-    fields of a given hypothesis section, and a non-empty diagnostics
-    section parsed into a DiagnosticsConfig (None for the empty default).
-    The frequency kind and the initial preset each accept only the keys they
-    read, a field that one needs must be given, t_end must be a whole
-    number of sample intervals that each exceed ``order.TIME_TOL``
-    (``order.sample_count``), and no two diagnostics intervals may share a
-    label, which names their trajectory.csv column.
+    initial.center of a cosine or von Mises preset (0.0 unless given), and
+    the hypothesis and diagnostics sections under their own keys, intervals
+    parsed ({} for no diagnostics).  A frequency kind or initial preset
+    accepts only, and needs, the keys it reads: path a non-empty string, any
+    other a finite number.  t_end must be a whole number of sample intervals
+    that each exceed ``order.TIME_TOL`` (``order.sample_count``), and no two
+    diagnostics intervals may share a label, which names their trajectory.csv
+    column.
     """
     cfg = {**_DEFAULTS, **_object(raw, _TOP_KEYS, "configuration")}
     _require(cfg["model"] in ("kinetic", "particle", "both"),
              f"model must be kinetic, particle, or both, not {cfg['model']!r}")
 
-    fcfg = cfg["frequency"] = _object(cfg["frequency"], _FREQ_KEYS, "frequency", "kind")
-    _path(fcfg, "path", "frequency.")
-    if fcfg["kind"] == "uniform":
-        fcfg["halfwidth"] = _real(fcfg, "halfwidth", "frequency.")
-        _require(fcfg["halfwidth"] > 0, "frequency.halfwidth must be positive")
-    if fcfg["kind"] == "table":
-        _require("path" in fcfg, "frequency.path required for table densities")
-
-    icfg = cfg["initial"] = _object(cfg["initial"], _INIT_KEYS, "initial", "preset")
-    _path(icfg, "path", "initial.")
-    if icfg["preset"] == "cosine":
-        icfg["amplitude"] = _real(icfg, "amplitude", "initial.")
-        _require(abs(icfg["amplitude"]) <= 0.5, "initial.amplitude must satisfy |a| <= 1/2")
-    if icfg["preset"] == "von_mises":
-        icfg["concentration"] = _real(icfg, "concentration", "initial.")
-        _require(icfg["concentration"] >= 0, "initial.concentration must be nonnegative")
-    if icfg["preset"] == "table":
-        _require("path" in icfg, "initial.path required for table profiles")
-    else:
-        icfg.setdefault("center", 0.0)
-        icfg["center"] = _real(icfg, "center", "initial.")
+    for section, keys, tag in (("frequency", _FREQ_KEYS, "kind"),
+                               ("initial", _INIT_KEYS, "preset")):
+        part = cfg[section] = _object(cfg[section], keys, section, tag)
+        fields = keys[part[tag]] - {tag}
+        if "center" in fields:    # the one field with a default
+            part.setdefault("center", 0.0)
+        for key in sorted(fields):
+            part[key] = (_path if key == "path" else _real)(part, key, f"{section}.")
 
     if isinstance(cfg["coupling"], list):
         _require(cfg["coupling"] and all(_is_number(k) and k > 0 for k in cfg["coupling"]),
@@ -147,28 +132,21 @@ def validate_config(raw: dict) -> dict:
              f"scheme must be 'muscl' ('upwind' was removed), not {cfg['scheme']!r}")
     _require(cfg["dt_particle"] > 0, "dt_particle must be positive")
 
-    if cfg["diagnostics"] == {}:    # nothing to parse, so no diagnostics module to load
-        cfg["diagnostics"] = None
-    else:
-        from . import diagnostics as diag
-        dcfg = _object(cfg["diagnostics"], _DIAG_KEYS, "diagnostics")
-        intervals = dcfg.get("intervals", [])
-        _require(isinstance(intervals, list), "diagnostics.intervals must be a JSON list")
-
-        def named(key):
-            return _interval(dcfg[key], f"diagnostics.{key}") if key in dcfg else None
-
-        ivs = tuple(_interval(iv, "diagnostics.intervals[]") for iv in intervals)
+    if cfg["diagnostics"] != {}:    # an empty section loads no diagnostics module
+        dcfg = cfg["diagnostics"] = _object(cfg["diagnostics"], _DIAG_KEYS, "diagnostics")
+        for key, value in dcfg.items():
+            if key == "intervals":
+                _require(isinstance(value, list), "diagnostics.intervals must be a JSON list")
+                dcfg[key] = [_interval(iv, "diagnostics.intervals[]") for iv in value]
+            else:
+                dcfg[key] = _interval(value, f"diagnostics.{key}")
+        ivs = dcfg.get("intervals", [])
         for i, iv in enumerate(ivs):
             for j, other in enumerate(ivs[:i]):
                 _require(iv.label != other.label,
                          f"diagnostics.intervals[{j}] ({other.kind} {other.parameter!r}) and "
                          f"[{i}] ({iv.kind} {iv.parameter!r}) share the column "
                          f"mass_{iv.label}: interval labels must be unique")
-        cfg["diagnostics"] = diag.DiagnosticsConfig(
-            intervals=ivs,
-            lambda_interval=named("lambda_interval"), gamma_plus_interval=named("gamma_plus"),
-            gamma_minus_interval=named("gamma_minus"))
 
     if "hypothesis" in cfg:
         h = _object(cfg["hypothesis"], _HYP_KEYS, "hypothesis")
@@ -189,7 +167,7 @@ def _is_number(value) -> bool:
 
 def _real(mapping: dict, key: str, where: str = "") -> float:
     """mapping[key] as a float; it must be given and be a finite JSON number,
-    so a bool, a numeric string, Infinity or NaN is a ConfigError."""
+    so a bool, a numeric string, Infinity or NaN is a ValueError."""
     _require(key in mapping, f"{where}{key} is required")
     value = mapping[key]
     _require(_is_number(value), f"{where}{key} must be a finite number, not {value!r}")
@@ -203,7 +181,7 @@ def _interval(value, where: str):
         _require(_is_number(iv["parameter"]), "parameter must be a number")
         return diag.Interval(iv["kind"], float(iv["parameter"]))
     except (KeyError, ValueError) as exc:
-        raise ConfigError(f"bad interval {iv!r}: {exc}") from None
+        raise ValueError(f"bad interval {iv!r}: {exc}") from None
 
 
 def _read_columns(path, names: tuple[str, ...]) -> list[np.ndarray]:
@@ -280,7 +258,7 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     state = kinetic.state_from_profile(kinetic.PhaseGrid(cfg["n_theta"]), g,
                                        cfg["n_omega"], K=K, profile=profile)
     M = g.support
-    sampler = diag.RecordSampler(cfg["diagnostics"] or diag.DiagnosticsConfig())
+    sampler = diag.RecordSampler(cfg["diagnostics"])
     res = kinetic.run(state, cfg["t_end"], cfg["sample_every"], sampler=sampler, cfl=cfg["cfl"])
     checks = diag.finalize_records(res.records, K=K, m_bound=M)
     out.mkdir(parents=True, exist_ok=True)
@@ -404,7 +382,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out or "out")
     K, model = cfg["coupling"], cfg["model"]
     if isinstance(K, list):
-        raise ConfigError("simulate needs a single coupling value; use sweep for lists")
+        raise ValueError("simulate needs a single coupling value; use sweep for lists")
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -452,12 +430,12 @@ def cmd_sweep(args) -> int:
     cfg, raw = _load_config(args.config)
     coupling = cfg["coupling"]
     if not isinstance(coupling, list) or len(coupling) < 2:
-        raise ConfigError("sweep needs a coupling list with at least 2 values")
+        raise ValueError("sweep needs a coupling list with at least 2 values")
     if cfg["model"] != "kinetic":
-        raise ConfigError(f"sweep runs only the kinetic model, not {cfg['model']!r}")
+        raise ValueError(f"sweep runs only the kinetic model, not {cfg['model']!r}")
     names = [f"K_{K:g}" for K in coupling]
     if len(set(names)) < len(names):
-        raise ConfigError(f"couplings {coupling} share output directory names {names}")
+        raise ValueError(f"couplings {coupling} share output directory names {names}")
     out = Path(args.out or "out")
     # read and check the input tables, once, before any output exists
     g, profile = build_frequency(cfg), build_profile(cfg)
@@ -583,12 +561,12 @@ def cmd_characteristics(args) -> int:
 def _load_config(path) -> tuple[dict, bytes]:
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file {path} does not exist")
+        raise ValueError(f"config file {path} does not exist")
     raw = p.read_bytes()
     try:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+        raise ValueError(f"config is not valid JSON: {exc}") from None
     return validate_config(cfg), raw
 
 
@@ -630,7 +608,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError, FloatingPointError) as exc:  # kinetic.FluxNanError
+    except (ValueError, OSError, FloatingPointError) as exc:  # kinetic.FluxNanError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -457,37 +457,29 @@ def hypothesis_check(K: float, M: float, R0: float, mu: float = MU, gamma: float
 # per-sample trajectory rows
 
 
-@dataclass(frozen=True)
-class DiagnosticsConfig:
-    """The intervals whose masses and L2 functionals each sample records."""
-    intervals: tuple[Interval, ...] = ()
-    lambda_interval: Interval | None = None
-    gamma_plus_interval: Interval | None = None
-    gamma_minus_interval: Interval | None = None
-
-
 class RecordSampler:
     """Stateful (state, op) -> trajectory.csv row map, op the order parameters
     of state; carries the last defined phase.
 
-    A row maps each column name to its value, in column order: the fixed
-    columns t .. lambda, mass_<label> per interval, then gamma_plus_<k> and
+    diagnostics is the parsed ``diagnostics`` section of a config
+    (``cli.validate_config``): each of intervals, lambda_interval,
+    gamma_plus and gamma_minus that it holds is recorded.  A row maps each
+    column name to its value, in column order: the fixed columns t ..
+    lambda, mass_<label> per interval, then gamma_plus_<k> and
     gamma_minus_<k> per omega slice k if configured; every row has them all.
     Without a phase (R below tolerance) phi keeps the last defined value and
     the phi-anchored masses and L2 slices are NaN, lambda and the rate
     formulas None, rather than extrapolated.
     """
 
-    def __init__(self, config: DiagnosticsConfig):
-        self.config = config
+    def __init__(self, diagnostics: dict):
         self._carried_phi = 0.0
-        self._masses = [(f"mass_{iv.label}", iv) for iv in config.intervals]
-        self._l2 = [(name, iv) for name, iv in (("gamma_plus", config.gamma_plus_interval),
-                                                 ("gamma_minus", config.gamma_minus_interval))
-                    if iv is not None]
+        self._lambda = diagnostics.get("lambda_interval")
+        self._masses = [(f"mass_{iv.label}", iv) for iv in diagnostics.get("intervals", [])]
+        self._l2 = [(name, diagnostics[name]) for name in ("gamma_plus", "gamma_minus")
+                    if name in diagnostics]
 
     def __call__(self, state, op: OrderParams) -> dict:
-        cfg = self.config
         if op.defined:
             self._carried_phi = op.phi
         row = {"t": state.t, "R": op.R, "phi": self._carried_phi,
@@ -501,9 +493,8 @@ class RecordSampler:
             return row
         grid, rho = state.grid, state.marginal_density()
         row["rdot_formula"], row["phidot_formula"] = _rates(state, op, rho)
-        if cfg.lambda_interval is not None:
-            row["lambda"] = float(_arc_sum(grid, *cfg.lambda_interval.endpoints(op.phi),
-                                           rho ** 2))
+        if self._lambda is not None:
+            row["lambda"] = float(_arc_sum(grid, *self._lambda.endpoints(op.phi), rho ** 2))
         for name, iv in self._masses:
             row[name] = float(_arc_sum(grid, *iv.endpoints(op.phi), rho))
         for name, iv in self._l2:

@@ -170,26 +170,26 @@ def _inverse_cdf(x: np.ndarray, y: np.ndarray, n: int, rng) -> np.ndarray:
 # initial phase profiles rho0(theta)
 
 
-def cosine_profile(a: float, theta0: float = 0.0):
-    """Density (1 + 2 a cos(theta - theta0)) / 2pi; needs |a| <= 1/2."""
-    if abs(a) > 0.5:
+def cosine_profile(amplitude: float, center: float = 0.0):
+    """Density (1 + 2 amplitude cos(theta - center)) / 2pi; needs |amplitude| <= 1/2."""
+    if abs(amplitude) > 0.5:
         raise ValueError("cosine amplitude must satisfy |a| <= 1/2 for positivity")
-    return partial(_cosine, a, theta0)
+    return partial(_cosine, amplitude, center)
 
 
-def _cosine(a, theta0, th):
-    return (1.0 + 2.0 * a * np.cos(th - theta0)) / TWO_PI
+def _cosine(amplitude, center, th):
+    return (1.0 + 2.0 * amplitude * np.cos(th - center)) / TWO_PI
 
 
-def von_mises_profile(concentration: float, theta0: float = 0.0):
-    """Von Mises density with the given concentration, centered at theta0."""
+def von_mises_profile(concentration: float, center: float = 0.0):
+    """Von Mises density with the given concentration about the angle center."""
     if concentration < 0:
         raise ValueError("concentration must be nonnegative")
-    return partial(_von_mises, concentration, theta0, TWO_PI * _i0e(concentration))
+    return partial(_von_mises, concentration, center, TWO_PI * _i0e(concentration))
 
 
-def _von_mises(concentration, theta0, norm, th):
-    return np.exp(concentration * (np.cos(th - theta0) - 1.0)) / norm
+def _von_mises(concentration, center, norm, th):
+    return np.exp(concentration * (np.cos(th - center) - 1.0)) / norm
 
 
 def _i0e(x: float) -> float:

@@ -29,24 +29,21 @@ def _skewed_profile(th):
     """Positive density with R0 = 0.2 and a genuinely moving average phase."""
     return (1.0 + 0.4 * np.cos(th) + 0.3 * np.sin(2.0 * th)) / TWO_PI
 
-# name: (density g, n_theta, n_omega, K, initial profile, t_end, diagnostics);
-# every run samples each 0.05 time units at CFL 0.5
+# name: (density g, n_theta, n_omega, K, initial profile, t_end, parsed
+# diagnostics section); every run samples each 0.05 time units at CFL 0.5
 _PINNED_RUNS = {
     # distributed frequencies: conservation / consistency host
-    "run1": (freq.uniform(0.1), 512, 16, 2.0, _skewed_profile, 20.0,
-             diag.DiagnosticsConfig()),
+    "run1": (freq.uniform(0.1), 512, 16, 2.0, _skewed_profile, 20.0, {}),
     # identical oscillators: point-attractor host
     "run2": (freq.dirac_at_zero(), 1024, 1, 1.0, freq.cosine_profile(0.2), 40.0,
-             diag.DiagnosticsConfig(
-                 intervals=(diag.Interval("i_plus", 0.2), diag.Interval("i_minus", 0.2),
-                            diag.Interval("i_plus", 0.5), diag.Interval("i_minus", 0.5)),
-                 lambda_interval=diag.Interval("i_minus", 0.5))),
+             {"intervals": [diag.Interval("i_plus", 0.2), diag.Interval("i_minus", 0.2),
+                            diag.Interval("i_plus", 0.5), diag.Interval("i_minus", 0.5)],
+              "lambda_interval": diag.Interval("i_minus", 0.5)}),
     # large coupling: asymptotic amplitude host
     "run12": (freq.uniform(0.05), 1024, 16, 10.0, freq.cosine_profile(0.3), 60.0,
-              diag.DiagnosticsConfig(
-                  intervals=(diag.Interval("l_plus", math.pi / 3),
-                             diag.Interval("l_minus", math.pi / 3)),
-                  gamma_minus_interval=diag.Interval("l_minus", math.pi / 3))),
+              {"intervals": [diag.Interval("l_plus", math.pi / 3),
+                             diag.Interval("l_minus", math.pi / 3)],
+               "gamma_minus": diag.Interval("l_minus", math.pi / 3)}),
 }
 
 
@@ -452,8 +449,8 @@ def _arc_mass_and_growth(cache, failures, details):
     state = kinetic.state_from_profile(grid, g, 8, K=K,
                                        profile=freq.von_mises_profile(30.0))
     arc = diag.Interval("l_plus", gamma0)
-    cfg = diag.DiagnosticsConfig(intervals=(arc,), gamma_plus_interval=arc)
-    res = kinetic.run(state, 4.0, 0.02, sampler=diag.RecordSampler(cfg), cfl=0.5)
+    sampler = diag.RecordSampler({"intervals": [arc], "gamma_plus": arc})
+    res = kinetic.run(state, 4.0, 0.02, sampler=sampler, cfl=0.5)
     recs = res.records
 
     masses = np.array([r[f"mass_{arc.label}"] for r in recs])

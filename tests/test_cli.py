@@ -1,4 +1,5 @@
 import concurrent.futures
+import inspect
 import json
 import math
 import os
@@ -93,8 +94,7 @@ def test_identical_oscillators_flag_decreasing_R(tmp_path):
     from kslab import diagnostics, kinetic
     st = kinetic.state_from_profile(kinetic.PhaseGrid(64), kslab.frequency.dirac_at_zero(),
                                     1, 1.0, freq.cosine_profile(0.2))
-    res = kinetic.run(st, 0.2, 0.1, sampler=diagnostics.RecordSampler(
-        diagnostics.DiagnosticsConfig()))
+    res = kinetic.run(st, 0.2, 0.1, sampler=diagnostics.RecordSampler({}))
     checks = diagnostics.finalize_records(res.records, K=1.0, m_bound=0.0)
     for dR, ok in ((-1e-12, True), (-1.01e-12, False)):
         res.min_step_delta_R = dR
@@ -300,6 +300,24 @@ def test_equilibrium_command(tmp_path, capsys):
     assert rows[1].split(",")[1] == "no solution"
     r5 = float(rows[2].split(",")[1])
     assert r5 >= 0.5
+
+
+def test_equilibrium_checks_only_the_frequency_ranges(tmp_path, capsys):
+    # equilibrium builds no initial profile, so only frequency's ranges apply
+    uniform = {"kind": "uniform", "halfwidth": 1.0}
+    tables = []
+    for amplitude in (0.2, 0.9):
+        cfg = write_config(tmp_path, frequency=uniform, coupling=[1.0, 5.0],
+                           initial={"preset": "cosine", "amplitude": amplitude})
+        out = tmp_path / f"amplitude-{amplitude}"
+        assert cli.main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 0
+        tables.append((out / "equilibrium.csv").read_bytes())
+    assert tables[0] == tables[1]
+    cfg = write_config(tmp_path, frequency={"kind": "uniform", "halfwidth": -1.0})
+    out = tmp_path / "negative-halfwidth"
+    assert cli.main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "halfwidth must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_coupling_list_is_config_error(tmp_path, capsys):
@@ -538,13 +556,39 @@ def test_bad_json_is_config_error(tmp_path):
     ("initial", {"preset": "von_mises", "concentration": math.inf}),
     ("dt_particle", math.inf), ("hypothesis", {"mu": math.nan}),
     # an integer too large for a float
-    pytest.param("coupling", 10 ** 400, id="coupling-10**400")])
-def test_config_rejects_bad_values(tmp_path, key, value):
+    pytest.param("coupling", 10 ** 400, id="coupling-10**400"),
+    # a range of a frequency builder
+    ("frequency", {"kind": "uniform", "halfwidth": 0}),
+    ("frequency", {"kind": "uniform", "halfwidth": -0.1}),
+    ("initial", {"preset": "cosine", "amplitude": 0.6}),
+    ("initial", {"preset": "cosine", "amplitude": -0.6})])
+def test_config_rejects_bad_values(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, **{key: value})
     command = "sweep" if key == "coupling" and isinstance(value, list) else "simulate"
     assert cli.main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert any(name in err for name in {key} | sub_keys(value)), err
+
+
+def sub_keys(value) -> set:
+    """The keys of every JSON object in value, at any depth."""
+    if isinstance(value, dict):
+        return set(value).union(*map(sub_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(sub_keys, value))
+    return set()
+
+
+@pytest.mark.parametrize("keys, name, builder", [
+    (cli._FREQ_KEYS, "dirac", freq.dirac_at_zero), (cli._FREQ_KEYS, "uniform", freq.uniform),
+    (cli._INIT_KEYS, "cosine", freq.cosine_profile),
+    (cli._INIT_KEYS, "von_mises", freq.von_mises_profile)],
+    ids=["dirac", "uniform", "cosine", "von_mises"])
+def test_each_kind_reads_its_builders_parameters(keys, name, builder):
+    # each config key is the builder parameter it is passed as, by name
+    assert keys[name] - {"kind", "preset"} == set(inspect.signature(builder).parameters)
 
 
 @pytest.mark.parametrize("section, value", [

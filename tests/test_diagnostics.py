@@ -96,9 +96,9 @@ def test_record_sampler_masses_are_nan_without_a_phase():
     st = dirac_state(64, lambda th: np.full_like(th, 1.0 / TWO_PI))
     op = order.global_order(st)
     assert not op.defined
-    cfg = diag.DiagnosticsConfig(intervals=(diag.Interval("i_plus", 0.3),),
-                                 lambda_interval=diag.Interval("i_minus", 0.5),
-                                 gamma_plus_interval=diag.Interval("l_plus", 1.0))
+    cfg = {"intervals": [diag.Interval("i_plus", 0.3)],
+           "lambda_interval": diag.Interval("i_minus", 0.5),
+           "gamma_plus": diag.Interval("l_plus", 1.0)}
     row = diag.RecordSampler(cfg)(st, op)
     assert math.isnan(row["mass_i_plus_0.3"]) and math.isnan(row["gamma_plus_0"])
     assert (row["lambda"], row["rdot_formula"]) == (None, None)
@@ -697,10 +697,9 @@ def test_hypothesis_reports_every_check_on_finite_inputs(K, M, R0, mu, gamma, ka
 def run_with_rows(n_theta=128, t_end=2.0):
     """The rows of a short run, filled by finalize_records, and their bound checks."""
     st = dirac_state(n_theta, freq.cosine_profile(0.25, 0.7), K=1.0)
-    cfg = diag.DiagnosticsConfig(
-        intervals=(diag.Interval("i_plus", 0.3), diag.Interval("i_minus", 0.3)),
-        lambda_interval=diag.Interval("i_minus", 0.5),
-        gamma_plus_interval=diag.Interval("l_plus", 1.0))
+    cfg = {"intervals": [diag.Interval("i_plus", 0.3), diag.Interval("i_minus", 0.3)],
+           "lambda_interval": diag.Interval("i_minus", 0.5),
+           "gamma_plus": diag.Interval("l_plus", 1.0)}
     res = kinetic.run(st, t_end, 0.05, sampler=diag.RecordSampler(cfg))
     checks = diag.finalize_records(res.records, K=1.0, m_bound=0.0)
     return res.records, checks
