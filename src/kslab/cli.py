@@ -265,46 +265,11 @@ def _run_kinetic(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     diag.records_to_csv(res.records, out / "trajectory.csv")
     diag.bound_checks_to_json(res.records, checks, out / "bound_checks.json")
 
-    summary = _summarize_kinetic(K, M, res, checks)
+    summary = diag.summarize_run(res, checks, K, M)
     if "hypothesis" in cfg:    # R0 defaults to the initial R of the run
         hyp = {"R0": res.records[0]["R"], **cfg["hypothesis"]}
         summary["hypothesis"] = diag.hypothesis_check(K=K, M=M, **hyp)
     _write_plot_script(list(res.records[0]), out / "plot.gp")
-    return summary
-
-
-def _summarize_kinetic(K, M, res, checks) -> dict:
-    """res's summary; checks are its rows' bound checks (``finalize_records``)."""
-    from . import diagnostics as diag, kinetic
-    recs = res.records
-    final = recs[-1]
-    bad_bounds = sum(not c["passed"] for row_checks in checks for c in row_checks.values())
-    summary = {
-        "model": "kinetic", "K": K, "M": M,
-        "n_steps": res.n_steps, "max_dt": res.max_dt,
-        "final_R": final["R"], "final_t": final["t"],
-        "final_masses": {name.removeprefix("mass_"): v for name, v in final.items()
-                         if name.startswith("mass_")},
-        "min_step_delta_R": res.min_step_delta_R,
-        "positivity_margin": res.min_cell_value,
-        "mass_drift": {"per_slice_rel": res.max_slice_mass_drift_rel,
-                       "total": res.max_total_mass_drift,
-                       "per_slice_ok": res.max_slice_mass_drift_rel <= kinetic.SLICE_DRIFT_GATE,
-                       "total_ok": res.max_total_mass_drift <= kinetic.TOTAL_DRIFT_GATE},
-        "bound_check_failures": bad_bounds,
-    }
-    if M == 0.0:    # identical oscillators: R never decreases
-        summary["min_step_delta_R_ok"] = res.min_step_delta_R_ok
-    lam = [(r["t"], r["lambda"]) for r in recs if r["lambda"] is not None]
-    if len(lam) >= 25:
-        onset = diag.detect_transient([t for t, _ in lam], [v for _, v in lam])
-        if onset is not None:
-            try:
-                fit = diag.fit_exponential_rate(lam, diag.late_window(onset, lam[-1][0]))
-                summary["lambda_rate"] = {"onset": onset, "slope": fit.slope,
-                                          "r_squared": fit.r_squared}
-            except ValueError:
-                pass
     return summary
 
 

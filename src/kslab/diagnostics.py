@@ -1,5 +1,6 @@
 """Interval masses, Lyapunov functionals, closed-form constants, comparison
-ODEs, rate fitting, and the per-sample rows of trajectory.csv.
+ODEs, rate fitting, the per-sample rows of trajectory.csv and the
+summary.json of a kinetic run.
 
 Moving-interval masses use sub-cell linear apportionment at the two end
 cells; snapping to whole cells would add O(dtheta) jitter that defeats the
@@ -543,3 +544,37 @@ def records_to_csv(rows, path) -> None:
 
 def bound_checks_to_json(rows, checks, path) -> None:
     write_json(path, [{"t": r["t"], "checks": c} for r, c in zip(rows, checks)])
+
+
+def summarize_run(res, checks, K: float, M: float) -> dict:
+    """summary.json of the kinetic run res with its rows' bound checks, M the
+    support bound of g.  Flags ``min_step_delta_R_ok`` (R fell by at most 1e-12
+    per step) for identical oscillators, M = 0; gives ``lambda_rate``, lambda's
+    log-linear slope over the late half after its onset, when it can be fitted."""
+    from .kinetic import SLICE_DRIFT_GATE, TOTAL_DRIFT_GATE    # diagnostics loads no kinetic
+    final = res.records[-1]
+    summary = {
+        "model": "kinetic", "K": K, "M": M, "n_steps": res.n_steps, "max_dt": res.max_dt,
+        "final_R": final["R"], "final_t": final["t"],
+        "final_masses": {name.removeprefix("mass_"): v for name, v in final.items()
+                         if name.startswith("mass_")},
+        "min_step_delta_R": res.min_step_delta_R, "positivity_margin": res.min_cell_value,
+        "mass_drift": {"per_slice_rel": res.max_slice_mass_drift_rel,
+                       "total": res.max_total_mass_drift,
+                       "per_slice_ok": res.max_slice_mass_drift_rel <= SLICE_DRIFT_GATE,
+                       "total_ok": res.max_total_mass_drift <= TOTAL_DRIFT_GATE},
+        "bound_check_failures": sum(not c["passed"] for row in checks for c in row.values()),
+    }
+    if M == 0.0:
+        summary["min_step_delta_R_ok"] = res.min_step_delta_R >= -1e-12
+    lam = [(r["t"], r["lambda"]) for r in res.records if r["lambda"] is not None]
+    if len(lam) >= 25:
+        onset = detect_transient([t for t, _ in lam], [v for _, v in lam])
+        if onset is not None:
+            try:
+                fit = fit_exponential_rate(lam, late_window(onset, lam[-1][0]))
+                summary["lambda_rate"] = {"onset": onset, "slope": fit.slope,
+                                          "r_squared": fit.r_squared}
+            except ValueError:
+                pass
+    return summary

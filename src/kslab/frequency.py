@@ -123,8 +123,8 @@ def _table_rule(om: np.ndarray, de: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([nodes.ravel(), weights.ravel()])
 
 
-def quadrature_nodes(g: FrequencyDensity, n: int) -> list[tuple[float, float]]:
-    """Return a density-folded rule for g as (node, weight) pairs.
+def quadrature_nodes(g: FrequencyDensity, n: int) -> np.ndarray:
+    """Return a density-folded rule for g as an array of (node, weight) rows.
 
     A table with n_seg segments gets p = max(2, ceil(n / n_seg)) Gauss
     nodes on each segment, p * n_seg in all: 8 for n = 1 or 8 on a 5-row
@@ -134,8 +134,8 @@ def quadrature_nodes(g: FrequencyDensity, n: int) -> list[tuple[float, float]]:
     if n < 1:
         raise ValueError("node count must be >= 1")
     if g.kind == "dirac":
-        return [(0.0, 1.0)]
-    return [tuple(row) for row in _table_rule(g.table_omega, g.table_density, n)]
+        return np.array([[0.0, 1.0]])
+    return _table_rule(g.table_omega, g.table_density, n)
 
 
 def sample(g: FrequencyDensity, n: int, seed: int) -> np.ndarray:
@@ -210,7 +210,7 @@ def _i0e(x: float) -> float:
 
 def table_profile(thetas, values):
     """Periodic piecewise-linear density through finite, nonnegative
-    (theta, value) samples, not all zero."""
+    (theta, value) samples, not all zero and one value per theta mod 2 pi."""
     th, va = np.asarray(thetas, dtype=float), np.asarray(values, dtype=float)
     if not (np.isfinite(th).all() and np.isfinite(va).all()):
         raise ValueError("profile table thetas and values must be finite")
@@ -223,6 +223,10 @@ def table_profile(thetas, values):
     th, va = th[idx], va[idx]
     th_ext = np.concatenate([[th[-1] - TWO_PI], th, [th[0] + TWO_PI]])
     va_ext = np.concatenate([[va[-1]], va, [va[0]]])
+    # a knot equal to the next, the first knot's 2 pi image after the last included
+    clash = th_ext[2:][(np.diff(th_ext[1:]) == 0) & (np.diff(va_ext[1:]) != 0)]
+    if clash.size:
+        raise ValueError(f"profile table gives two values at theta = {clash[0]:.17g} (mod 2 pi)")
     return partial(_periodic_interp, th_ext, va_ext)
 
 

@@ -151,7 +151,7 @@ def state_from_profile(grid: PhaseGrid, g: FrequencyDensity, n_omega: int,
     mass is exactly 1 (the projection itself is accurate to the quadrature
     order; the renormalization removes its residual).
     """
-    pairs = np.array(quadrature_nodes(g, n_omega))
+    pairs = quadrature_nodes(g, n_omega)
     cells = project_profile(grid, profile)
     if np.any(cells < 0):
         raise ValueError("initial profile produced negative cell averages")
@@ -331,12 +331,6 @@ class RunResult:
     max_slice_mass_drift_rel: float  # largest drift from the initial slice masses
     max_total_mass_drift: float
     min_cell_value: float            # smallest cell average seen (positivity margin)
-
-    @property
-    def min_step_delta_R_ok(self) -> bool:
-        """Whether R fell by at most 1e-12 in every step, as it must for
-        identical oscillators."""
-        return self.min_step_delta_R >= -1e-12
 
 
 def run(state: KineticState, t_end: float, sample_every: float,

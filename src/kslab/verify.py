@@ -1,9 +1,9 @@
 """Pinned desk-scale verification scenarios.
 
 Each criterion is a check ``(cache, failures, details)`` registered in
-CRITERIA by ``@_criterion(cid, name)``.  The check takes its expensive
-kinetic runs from the shared RunCache, which builds each run of the
-_PINNED_RUNS table once, appends a message to ``failures`` for each broken
+CRITERIA by ``@_criterion(cid, name)``.  The check takes every kinetic run
+it reads from the shared RunCache, which builds and summarizes each run of
+the _PINNED_RUNS table once, appends a message to ``failures`` for each broken
 check at the pinned tolerances, and records what it measured in
 ``details``.  ``CRITERIA[cid](cache)`` times the check and returns its
 verify.json entry ``{criterion, name, passed, failures, details,
@@ -29,21 +29,29 @@ def _skewed_profile(th):
     """Positive density with R0 = 0.2 and a genuinely moving average phase."""
     return (1.0 + 0.4 * np.cos(th) + 0.3 * np.sin(2.0 * th)) / TWO_PI
 
-# name: (density g, n_theta, n_omega, K, initial profile, t_end, parsed
-# diagnostics section); every run samples each 0.05 time units at CFL 0.5
+# criterion 13's support bound M, arc l_plus(gamma0) and coupling 1.2 (M/eps0)(1 + 1/eps0)
+_M13, _ARC13 = 0.01, diag.Interval("l_plus", diag.GAMMA0)
+_K13 = 1.2 * (_M13 / diag.EPS0) * (1.0 + 1.0 / diag.EPS0)
+
+# name: (density g, n_theta, n_omega, K, initial profile, t_end, sample
+# interval, parsed diagnostics section): every kinetic run a criterion reads,
+# each stepped at CFL 0.5 and summarized as ``simulate`` summarizes its run
 _PINNED_RUNS = {
     # distributed frequencies: conservation / consistency host
-    "run1": (freq.uniform(0.1), 512, 16, 2.0, _skewed_profile, 20.0, {}),
+    "run1": (freq.uniform(0.1), 512, 16, 2.0, _skewed_profile, 20.0, 0.05, {}),
     # identical oscillators: point-attractor host
-    "run2": (freq.dirac_at_zero(), 1024, 1, 1.0, freq.cosine_profile(0.2), 40.0,
+    "run2": (freq.dirac_at_zero(), 1024, 1, 1.0, freq.cosine_profile(0.2), 40.0, 0.05,
              {"intervals": [diag.Interval("i_plus", 0.2), diag.Interval("i_minus", 0.2),
                             diag.Interval("i_plus", 0.5), diag.Interval("i_minus", 0.5)],
               "lambda_interval": diag.Interval("i_minus", 0.5)}),
     # large coupling: asymptotic amplitude host
-    "run12": (freq.uniform(0.05), 1024, 16, 10.0, freq.cosine_profile(0.3), 60.0,
+    "run12": (freq.uniform(0.05), 1024, 16, 10.0, freq.cosine_profile(0.3), 60.0, 0.05,
               {"intervals": [diag.Interval("l_plus", math.pi / 3),
                              diag.Interval("l_minus", math.pi / 3)],
                "gamma_minus": diag.Interval("l_minus", math.pi / 3)}),
+    # large coupling, concentrated start: arc-trapping host
+    "run13": (freq.uniform(_M13), 1024, 8, _K13, freq.von_mises_profile(30.0), 4.0, 0.02,
+              {"intervals": [_ARC13], "gamma_plus": _ARC13}),
 }
 
 
@@ -53,6 +61,7 @@ class _CachedRun:
     g: freq.FrequencyDensity
     build_seconds: float        # time in kinetic.run
     checks: list[dict]          # the bound checks of each row (``finalize_records``)
+    summary: dict               # the run's summary.json (``diag.summarize_run``)
 
 
 class RunCache:
@@ -62,16 +71,17 @@ class RunCache:
         self._runs: dict[str, _CachedRun] = {}
 
     def run(self, name: str) -> _CachedRun:
-        """The pinned run `name`, built, timed and finalized on first use."""
+        """The pinned run `name`, built, timed, finalized and summarized on first use."""
         if name not in self._runs:
-            g, n_theta, n_omega, K, profile, t_end, cfg = _PINNED_RUNS[name]
+            g, n_theta, n_omega, K, profile, t_end, sample_every, cfg = _PINNED_RUNS[name]
             state = kinetic.state_from_profile(kinetic.PhaseGrid(n_theta), g, n_omega,
                                                K=K, profile=profile)
             t0 = time.perf_counter()
-            res = kinetic.run(state, t_end, 0.05, sampler=diag.RecordSampler(cfg), cfl=0.5)
+            res = kinetic.run(state, t_end, sample_every, sampler=diag.RecordSampler(cfg), cfl=0.5)
             build_seconds = time.perf_counter() - t0
             checks = diag.finalize_records(res.records, K=K, m_bound=g.support)
-            self._runs[name] = _CachedRun(res, g, build_seconds, checks)
+            summary = diag.summarize_run(res, checks, K, g.support)
+            self._runs[name] = _CachedRun(res, g, build_seconds, checks, summary)
         return self._runs[name]
 
 
@@ -116,63 +126,55 @@ def _criterion(cid: int, name: str):
 @_criterion(1, "conservation under transport")
 def _conservation(cache, failures, details):
     run = cache.run("run1")
-    slice_drift, total_drift = run.result.max_slice_mass_drift_rel, run.result.max_total_mass_drift
-    _check(failures, slice_drift <= kinetic.SLICE_DRIFT_GATE,
-           f"per-slice mass drift {slice_drift:.3e} > {kinetic.SLICE_DRIFT_GATE:g}")
-    _check(failures, total_drift <= kinetic.TOTAL_DRIFT_GATE,
-           f"total mass drift {total_drift:.3e} > {kinetic.TOTAL_DRIFT_GATE:g}")
+    drift = run.summary["mass_drift"]
+    _check(failures, drift["per_slice_ok"],
+           f"per-slice mass drift {drift['per_slice_rel']:.3e} > {kinetic.SLICE_DRIFT_GATE:g}")
+    _check(failures, drift["total_ok"],
+           f"total mass drift {drift['total']:.3e} > {kinetic.TOTAL_DRIFT_GATE:g}")
     _check(failures, run.build_seconds < 30.0,
            f"runtime {run.build_seconds:.1f}s >= 30s")
-    details.update({"slice_drift": slice_drift, "total_drift": total_drift,
+    details.update({"slice_drift": drift["per_slice_rel"], "total_drift": drift["total"],
                     "runtime_s": run.build_seconds})
 
 
 @_criterion(2, "identical-case concentration")
 def _identical_concentration(cache, failures, details):
     run = cache.run("run2")
-    recs = run.result.records
-    final = recs[-1]
+    summary, masses = run.summary, run.summary["final_masses"]
     for delta in (0.2, 0.5):
-        column = f"mass_{diag.Interval('i_plus', delta).label}"
-        _check(failures, final[column] >= 0.99,
-               f"final mass in the near interval ({delta}) "
-               f"{final[column]:.4f} < 0.99")
-    column = f"mass_{diag.Interval('i_plus', 0.2).label}"
-    _check(failures, run.result.min_step_delta_R >= -1e-8,
-           f"R decreased by {-run.result.min_step_delta_R:.3e} in one step")
-    _check(failures, final["R"] >= 0.99, f"final R {final['R']:.4f} < 0.99")
+        mass = masses[diag.Interval("i_plus", delta).label]
+        _check(failures, mass >= 0.99,
+               f"final mass in the near interval ({delta}) {mass:.4f} < 0.99")
+    min_dR, final_R = summary["min_step_delta_R"], summary["final_R"]
+    _check(failures, min_dR >= -1e-8, f"R decreased by {-min_dR:.3e} in one step")
+    _check(failures, final_R >= 0.99, f"final R {final_R:.4f} < 0.99")
     _check(failures, run.build_seconds < 60.0,
            f"runtime {run.build_seconds:.1f}s >= 60s")
     # amplitude settles: measured dR/dt dies out over the last quarter
-    quarter = [r for r in _interior(recs) if r["t"] >= 30.0]
+    quarter = [r for r in _interior(run.result.records) if r["t"] >= 30.0]
     max_late_rdot = max(abs(r["rdot_measured"]) for r in quarter)
     _check(failures, max_late_rdot <= 1e-4,
            f"late |dR/dt| {max_late_rdot:.3e} > 1e-4")
-    details.update({"final_mass_near": final[column], "final_R": final["R"],
-                    "min_step_dR": run.result.min_step_delta_R,
-                    "min_step_delta_R_ok": run.result.min_step_delta_R_ok,
+    details.update({"final_mass_near": masses[diag.Interval("i_plus", 0.2).label],
+                    "final_R": final_R, "min_step_dR": min_dR,
+                    "min_step_delta_R_ok": summary["min_step_delta_R_ok"],
                     "late_rdot": max_late_rdot, "runtime_s": run.build_seconds})
 
 
 @_criterion(3, "antipodal L2 decay rate")
 def _antipodal_decay_rate(cache, failures, details):
     run = cache.run("run2")
-    series = [(r["t"], r["lambda"]) for r in run.result.records if r["lambda"] is not None]
-    ts = [t for t, _ in series]
-    vals = [v for _, v in series]
-    onset = diag.detect_transient(ts, vals)
-    _check(failures, onset is not None, "no monotone-decay onset detected")
-    details["onset"] = onset
-    if onset is not None:
-        window = diag.late_window(onset, ts[-1])
-        fit = diag.fit_exponential_rate(series, window)
+    fit = run.summary.get("lambda_rate")     # absent without an onset or a fit
+    _check(failures, fit is not None, "no monotone-decay onset detected")
+    details["onset"] = None
+    if fit is not None:
         rate_bound = -0.9 * (0.2 * math.cos(0.5) / 2.0) * run.result.final_state.K
-        _check(failures, fit.slope <= rate_bound,
-               f"fitted slope {fit.slope:.4f} > bound {rate_bound:.4f}")
-        _check(failures, fit.r_squared >= 0.98,
-               f"r^2 {fit.r_squared:.4f} < 0.98")
-        details.update({"window": window, "slope": fit.slope,
-                        "rate_bound": rate_bound, "r_squared": fit.r_squared})
+        _check(failures, fit["slope"] <= rate_bound,
+               f"fitted slope {fit['slope']:.4f} > bound {rate_bound:.4f}")
+        _check(failures, fit["r_squared"] >= 0.98,
+               f"r^2 {fit['r_squared']:.4f} < 0.98")
+        details.update(fit, rate_bound=rate_bound,
+                       window=diag.late_window(fit["onset"], run.summary["final_t"]))
 
 
 @_criterion(4, "average-phase drift bound")
@@ -435,8 +437,7 @@ def _amplitude_floor(cache, failures, details):
 
 @_criterion(13, "arc mass monotonicity and L2 growth")
 def _arc_mass_and_growth(cache, failures, details):
-    eps0, gamma0, M = diag.EPS0, diag.GAMMA0, 0.01
-    K = 1.2 * (M / eps0) * (1.0 + 1.0 / eps0)
+    eps0, gamma0, M, K = diag.EPS0, diag.GAMMA0, _M13, _K13
     report = diag.hypothesis_check(K=K, M=M, R0=0.9)
     passed = {c["name"]: c["passed"] for c in report["checks"]}
     window = ("arc_trapping_coupling", "mass_threshold_eps_window", "mass_threshold_angle_window")
@@ -444,16 +445,9 @@ def _arc_mass_and_growth(cache, failures, details):
            "the large-coupling condition or the admissibility window failed")
     threshold = diag.mstar(eps0, gamma0)
 
-    g = freq.uniform(M)
-    grid = kinetic.PhaseGrid(1024)
-    state = kinetic.state_from_profile(grid, g, 8, K=K,
-                                       profile=freq.von_mises_profile(30.0))
-    arc = diag.Interval("l_plus", gamma0)
-    sampler = diag.RecordSampler({"intervals": [arc], "gamma_plus": arc})
-    res = kinetic.run(state, 4.0, 0.02, sampler=sampler, cfl=0.5)
-    recs = res.records
-
-    masses = np.array([r[f"mass_{arc.label}"] for r in recs])
+    run = cache.run("run13")
+    recs = run.result.records
+    masses = np.array([r[f"mass_{_ARC13.label}"] for r in recs])
     _check(failures, masses[0] >= threshold,
            f"initial arc mass {masses[0]:.4f} < threshold {threshold:.4f}")
     dip = float(np.min(np.diff(masses)))
@@ -461,7 +455,7 @@ def _arc_mass_and_growth(cache, failures, details):
 
     slope_bound = 0.9 * K * eps0 * math.sin(gamma0)
     slopes = []
-    for k in range(state.n_omega):
+    for k in range(run.result.final_state.n_omega):
         series = [(r["t"], float(r[f"gamma_plus_{k}"])) for r in recs]
         fit = diag.fit_exponential_rate(series, (0.5, 3.0))
         slopes.append(fit.slope)

@@ -42,7 +42,7 @@ def _criterion_test(cid):
     return pytest.mark.slow(test) if cid in SLOW else test
 
 
-# in registry order, so the session cache builds run1, run2 and run12 in turn
+# in registry order, so the session cache builds run1, run2, run12 and run13 in turn
 for _cid in sorted(verify.CRITERIA):
     globals()[f"test_criterion_{_cid:02d}_{NAMES.get(_cid, 'criterion')}"] = \
         _criterion_test(_cid)

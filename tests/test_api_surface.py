@@ -16,6 +16,9 @@ And each parameter with a default, of any function in src/kslab, must be
 passed by some call in that code, by keyword or by position; a call with
 *args or **kwargs passes every parameter.  Functions are matched by name
 only, as members are.
+
+And ``verify`` builds its kinetic runs only in ``RunCache``, which summarizes
+each as ``simulate`` does, so a criterion checks the code that writes a run.
 """
 
 import ast
@@ -171,3 +174,16 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
                                 if not any(passes(call, name, position)
                                            for call in calls.get(fn.name, [])))
     assert not unpassed, f"defaulted parameters that no program call passes: {unpassed}"
+
+
+def test_verify_builds_kinetic_runs_only_in_the_run_cache():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    builders = {("kinetic", "run"), ("kinetic", "state_from_profile"), ("diag", "RecordSampler")}
+    cache = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "RunCache")
+    inside = {id(node) for node in ast.walk(cache)}
+    outside = [f"verify.py:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and isinstance(node.func.value, ast.Name)
+               and (node.func.value.id, node.func.attr) in builders and id(node) not in inside]
+    assert not outside, f"kinetic runs built outside RunCache: {outside}"

@@ -98,7 +98,7 @@ def test_identical_oscillators_flag_decreasing_R(tmp_path):
     checks = diagnostics.finalize_records(res.records, K=1.0, m_bound=0.0)
     for dR, ok in ((-1e-12, True), (-1.01e-12, False)):
         res.min_step_delta_R = dR
-        assert cli._summarize_kinetic(1.0, 0.0, res, checks)["min_step_delta_R_ok"] is ok
+        assert diagnostics.summarize_run(res, checks, 1.0, 0.0)["min_step_delta_R_ok"] is ok
 
 
 def test_simulate_rejects_small_grid(tmp_path):
@@ -1201,3 +1201,58 @@ def test_path_csv_cells_round_trip(tmp_path, t0, t1):
         kinetic.OrderSeries(*cli._read_columns(series, ("t", "R", "phi"))),
         2.5, 0.1, float(t0), float(t1), K=1.0)
     assert_17g_cells([r.split(",") for r in rows], zip(ts, thetas))
+
+
+@pytest.mark.parametrize("theta", [2.0 * math.pi, -1e-17], ids=["2pi", "below-0"])
+@pytest.mark.parametrize("value", [0.2, 0.3], ids=["agrees", "differs"])
+def test_profile_table_gives_one_value_per_angle(tmp_path, capsys, theta, value):
+    # both thetas are a second row at theta = 0 (-1e-17 mod 2 pi rounds to 2 pi): a
+    # different value there used to make the profile jump, argsort's order of equal
+    # keys choosing which value won
+    columns, rows, _ = TABLES["profile"]
+    codes = {}
+    for name, extra in (("open", []), ("closed", [[theta, value]])):
+        table = tmp_path / f"{name}.csv"
+        table.write_text(csv_text(columns, rows + extra))
+        cfg = write_config(tmp_path, f"{name}.json", model="both", t_end=0.5, n_particles=50,
+                           initial={"preset": "table", "path": str(table)})
+        codes[name] = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / name)])
+    if value != rows[0][1]:
+        assert codes == {"open": 0, "closed": 2}
+        assert "two values at theta = " in capsys.readouterr().err
+        assert not (tmp_path / "closed").exists()
+        return
+    assert codes == {"open": 0, "closed": 0}
+    for file in ("trajectory.csv", "particles.csv", "summary.json"):
+        assert (tmp_path / "open" / file).read_bytes() == (tmp_path / "closed" / file).read_bytes()
+
+
+#: the pinned runs of ``verify`` that a config expresses (run1 and run12 start
+#: from a profile or density no config gives)
+PINNED_CONFIGS = {
+    "run2": dict(n_theta=1024, n_omega=1, coupling=1.0, t_end=40.0, sample_every=0.05,
+                 diagnostics={"intervals": [{"kind": kind, "parameter": delta}
+                                            for delta in (0.2, 0.5)
+                                            for kind in ("i_plus", "i_minus")],
+                              "lambda_interval": {"kind": "i_minus", "parameter": 0.5}}),
+    "run13": dict(frequency={"kind": "uniform", "halfwidth": 0.01}, n_theta=1024, n_omega=8,
+                  coupling=1.2 * (0.01 / diag.EPS0) * (1.0 + 1.0 / diag.EPS0),
+                  initial={"preset": "von_mises", "concentration": 30.0},
+                  t_end=4.0, sample_every=0.02,
+                  diagnostics={"intervals": [{"kind": "l_plus", "parameter": diag.GAMMA0}],
+                               "gamma_plus": {"kind": "l_plus", "parameter": diag.GAMMA0}}),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_CONFIGS)
+def test_pinned_run_is_what_simulate_writes(tmp_path, name):
+    # the criteria read the rows and summary that simulate writes, not a copy of its code
+    from kslab import verify
+    from kslab.files import write_json
+    run = verify.RunCache().run(name)
+    diag.records_to_csv(run.result.records, tmp_path / "trajectory.csv")
+    write_json(tmp_path / "summary.json", run.summary)
+    cfg = write_config(tmp_path, **PINNED_CONFIGS[name])
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    for file in ("trajectory.csv", "summary.json"):
+        assert (tmp_path / file).read_bytes() == (tmp_path / "out" / file).read_bytes(), file

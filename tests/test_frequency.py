@@ -22,7 +22,7 @@ def test_dirac_moments():
 def test_dirac_quadrature_any_n():
     g = freq.dirac_at_zero()
     for n in (1, 5, 64):
-        assert freq.quadrature_nodes(g, n) == [(0.0, 1.0)]
+        assert np.array_equal(freq.quadrature_nodes(g, n), [[0.0, 1.0]])
 
 
 def test_dirac_samples_are_zero():
