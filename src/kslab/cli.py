@@ -8,12 +8,15 @@ typo in an inequality parameter cannot silently change an experiment.  Every
 CSV and JSON output is written by ``files``.  Importing this module loads only
 ``files``, ``frequency`` and ``order``; each command loads the other modules
 and the process pool that it calls, so ``equilibrium`` loads none of them.
+The argument parser is built at the first ``main`` call of a process, and
+reused by every later one.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -332,12 +335,12 @@ def _run_particle(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     omegas = freq.sample(g, n, seed=seed + 1)
     state = particle.ParticleState(thetas, omegas, K=K)
     t_end, dt, sample_every = cfg["t_end"], cfg["dt_particle"], cfg["sample_every"]
-    n_samples, per, dt_taken, rotates = particle.step_plan(state, t_end, dt, sample_every)
+    n_samples, per, dt_taken, terms = particle.step_plan(state, t_end, dt, sample_every)
     rows = particle.run_particles(state, t_end, dt, sample_every)
     particle.trajectory_to_csv(rows, out / "particles.csv")
     _, r, phi, diameter, potential = rows[-1]
     return {"model": "particle", "K": K, "n_particles": n,
-            "n_steps": n_samples * per, "dt": dt_taken, "rotates": rotates,
+            "n_steps": n_samples * per, "dt": dt_taken, "rotates": terms > 0,
             "final_r": float(r), "final_phi": float(phi),
             "final_diameter": float(diameter), "final_potential": float(potential)}
 
@@ -535,25 +538,25 @@ def _load_config(path) -> tuple[dict, bytes]:
     return validate_config(cfg), raw
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kslab argument parser, built at the first call in a process; a
+    parse leaves it unchanged, so every later ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="kslab",
         description="Kuramoto-Sakaguchi kinetic equation laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, text in (("simulate", cmd_simulate, "run one experiment"),
-                             ("sweep", cmd_sweep, "run a coupling sweep"),
-                             ("equilibrium", cmd_equilibrium, "locked-equilibrium table")):
+    for name, text in (("simulate", "run one experiment"), ("sweep", "run a coupling sweep"),
+                       ("equilibrium", "locked-equilibrium table")):
         p_cfg = sub.add_parser(name, help=text)
         p_cfg.add_argument("--config", required=True)
         p_cfg.add_argument("--out", default=None)
-        p_cfg.set_defaults(func=func)
     sub.choices["sweep"].add_argument("--threads", type=int, default=1)
 
     p_ver = sub.add_parser("verify", help="run pinned verification suites")
     p_ver.add_argument("--suite", required=True)
     p_ver.add_argument("--out", default=None)
-    p_ver.set_defaults(func=cmd_verify)
 
     p_ch = sub.add_parser("characteristics", help="integrate one characteristic")
     p_ch.add_argument("--series", required=True,
@@ -564,15 +567,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--t0", type=float, required=True)
     p_ch.add_argument("--t1", type=float, required=True)
     p_ch.add_argument("--out", default=None)
-    p_ch.set_defaults(func=cmd_characteristics)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the command functions are looked up at each call, not stored in the
+    # cached parser, so a function patched onto this module is the one that runs
+    command = {"simulate": cmd_simulate, "sweep": cmd_sweep, "verify": cmd_verify,
+               "equilibrium": cmd_equilibrium,
+               "characteristics": cmd_characteristics}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError, FloatingPointError) as exc:  # kinetic.FluxNanError
         print(f"error: {exc}", file=sys.stderr)
         return 2

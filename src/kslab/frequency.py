@@ -36,7 +36,6 @@ predicts, in one numpy call.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,8 +43,6 @@ from functools import partial
 import numpy as np
 
 from .order import TWO_PI
-
-logger = logging.getLogger(__name__)
 
 MEAN_TOL = 1e-8
 
@@ -102,7 +99,8 @@ def from_table(omegas, densities) -> FrequencyDensity:
         raise ValueError("table density has zero mass")
     factor = 1.0 / mass
     if abs(factor - 1.0) > 1e-12:
-        logger.info("table density renormalized by factor %.17g", factor)
+        import logging     # ~3 ms per process, so only a run that logs pays it
+        logging.getLogger(__name__).info("table density renormalized by factor %.17g", factor)
     de = de * factor
     mean = np.trapezoid(om * de, om)
     if abs(mean) > MEAN_TOL:

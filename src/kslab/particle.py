@@ -12,8 +12,10 @@ One RK4 step (``_mean_field_step``) takes cos theta and sin theta at the
 step start, from np.cos/np.sin or from its caller.  Its stages 2-4 rotate
 them by the phase change d since the start, with cos d and sin d from
 Taylor polynomials (``_rotate``), whenever the a-priori bound
-|d| <= |dt| (max|omega| + K) is at most ``ROTATION_MAX`` (``_rotates``,
-decided once per run); larger steps call np.cos/np.sin at every stage.
+B = |dt| (max|omega| + K) on |d| is at most ``ROTATION_MAX``; larger steps
+call np.cos/np.sin at every stage.  The polynomials take the fewest terms
+whose first omitted term at B is below a quarter of an ulp of 1: 5 at
+B = 0.1, 4 at B = 0.021 (``_taylor_terms``, decided once per run).
 A rotating run (``run_particles``) takes np.cos/np.sin once per sample
 interval, at its start, and carries the table from one step start to the
 next by the same rotation through the step's phase change.  A run returns
@@ -39,8 +41,9 @@ from .order import TWO_PI, OrderParams, _from_phasor, rk4_step, sample_count
 ROTATION_MAX = 0.1
 
 # Taylor coefficients of cos d (d^8 .. d^0) and sin d / d (d^8 .. d^0) in
-# powers of u = d^2.  At |d| <= ROTATION_MAX the first terms left out,
-# d^10/10! and d^11/11!, are below 3e-17, a quarter of an ulp of 1.
+# powers of u = d^2; a rotation of n terms takes the last n of each.  At
+# |d| <= ROTATION_MAX the first terms left out of all five, d^10/10! and
+# d^11/11!, are below 2^-55, a quarter of an ulp of 1.
 _COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(4, -1, -1))
 _SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(4, -1, -1))
 
@@ -104,13 +107,14 @@ def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
     return p
 
 
-def _rotate(c0: np.ndarray, s0: np.ndarray, d: np.ndarray):
-    """(cos(theta + d), sin(theta + d)) from c0 = cos theta and s0 = sin theta,
-    for |d| <= ROTATION_MAX: the rotation by d with cos d and sin d from
-    their Taylor polynomials to d^8 and d^9."""
+def _rotate(c0: np.ndarray, s0: np.ndarray, d: np.ndarray, terms: int):
+    """(cos(theta + d), sin(theta + d)) from c0 = cos theta and s0 = sin theta:
+    the rotation by d with cos d and sin d from their Taylor polynomials of
+    2 <= terms <= 5 terms, to d^(2 terms - 2) and d^(2 terms - 1), for |d| at
+    most the bound that ``_taylor_terms`` picked them for."""
     u = d * d
-    cd = _horner(_COS_TAYLOR, u)
-    sd = _horner(_SIN_TAYLOR, u)
+    cd = _horner(_COS_TAYLOR[-terms:], u)
+    sd = _horner(_SIN_TAYLOR[-terms:], u)
     sd *= d
     c = np.multiply(c0, cd, out=u)     # u is spent: one array fewer alive
     c -= s0 * sd
@@ -120,13 +124,23 @@ def _rotate(c0: np.ndarray, s0: np.ndarray, d: np.ndarray):
     return c, cd
 
 
-def _rotates(omegas, K: float, dt: float) -> bool:
-    """Whether |dt| (max|omega| + K), the a-priori bound on the phase change
-    within one RK4 step, is at most ROTATION_MAX.  Fixed for a run."""
-    return abs(dt) * (float(np.max(np.abs(omegas))) + K) <= ROTATION_MAX
+def _taylor_terms(omegas, K: float, dt: float) -> int:
+    """The number of Taylor terms with which the stages of one RK4 step
+    rotate cos/sin (``_rotate``), or 0 when they call np.cos/np.sin: 0 when
+    B = |dt| (max|omega| + K), the a-priori bound on the step's phase change,
+    exceeds ROTATION_MAX, else the fewest terms n >= 2 whose first omitted
+    term of cos d, B^(2n)/(2n)!, is below 2^-55, a quarter of an ulp of 1
+    (that of sin d is B/(2n + 1) times it).  Fixed for a run."""
+    bound = abs(dt) * (float(np.max(np.abs(omegas))) + K)
+    if not bound <= ROTATION_MAX:
+        return 0
+    terms = 2
+    while bound ** (2 * terms) / math.factorial(2 * terms) >= 2.0 ** -55:
+        terms += 1
+    return terms
 
 
-def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, rotate: bool,
+def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, terms: int,
                      trig: tuple | None = None):
     """One RK4 step (``order.rk4_step``) of the mean-field flow for phases
     (..., N), one system per row; returns (new phases, Re z, Im z) with z the
@@ -134,8 +148,8 @@ def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, rotate: bo
 
     cos and sin of the phases are trig = (cos theta, sin theta), if given,
     or taken once, at the step start.  Stages 2-4 get theirs by rotating
-    those by d = y - theta when ``rotate`` (``_rotates(omegas, K, dt)``), and
-    from np.cos/np.sin otherwise.
+    those by d = y - theta through Taylor polynomials of terms > 0 terms
+    (``_taylor_terms(omegas, K, dt)``), and from np.cos/np.sin at terms 0.
     """
     c0, s0 = (np.cos(thetas), np.sin(thetas)) if trig is None else trig
     k1, z_re, z_im = _drift(c0, s0, omegas, K)
@@ -143,8 +157,8 @@ def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, rotate: bo
     def rhs(t, y):
         if y is thetas:             # stage 1, evaluated above
             return k1
-        if rotate:
-            return _drift(*_rotate(c0, s0, y - thetas), omegas, K)[0]
+        if terms:
+            return _drift(*_rotate(c0, s0, y - thetas, terms), omegas, K)[0]
         return _mean_field_rhs(y, omegas, K)
 
     return rk4_step(rhs, 0.0, thetas, dt), z_re, z_im
@@ -187,11 +201,12 @@ def phase_diameter(state: ParticleState) -> float:
 
 
 def step_plan(state: ParticleState, t_end: float, dt: float,
-              sample_every: float) -> tuple[int, int, float, bool]:
-    """(n_samples, per, dt, rotates) of a ``run_particles`` run: per RK4 steps
+              sample_every: float) -> tuple[int, int, float, int]:
+    """(n_samples, per, dt, terms) of a ``run_particles`` run: per RK4 steps
     of dt in each of the n_samples sample intervals of ``order.sample_count``,
     dt shrunk from the one asked for so that it divides sample_every, and
-    whether the steps rotate cos/sin (``_rotates``).
+    the Taylor terms with which the steps rotate cos/sin, 0 if they do not
+    (``_taylor_terms``).
 
     Raises ValueError as ``sample_count`` does, and unless dt is finite and
     positive.
@@ -201,7 +216,7 @@ def step_plan(state: ParticleState, t_end: float, dt: float,
         raise ValueError("dt must be finite and positive")
     per = max(1, math.ceil(sample_every / dt))
     dt = sample_every / per
-    return n_samples, per, dt, _rotates(state.omegas, state.K, dt)
+    return n_samples, per, dt, _taylor_terms(state.omegas, state.K, dt)
 
 
 def run_particles(state: ParticleState, t_end: float, dt: float,
@@ -218,7 +233,7 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
     Each row's r, phi and V_p come from the phasor mean of the step that
     starts at its sample; only the final row's is computed afresh.
     """
-    n_samples, per, dt, rotate = step_plan(state, t_end, dt, sample_every)
+    n_samples, per, dt, terms = step_plan(state, t_end, dt, sample_every)
     ts = state.t + sample_every * np.arange(n_samples + 1)
     thetas, omegas, K = state.thetas, state.omegas, state.K
 
@@ -230,13 +245,13 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
     rows = np.empty((n_samples + 1, 5))
     for i in range(n_samples):
         start = thetas
-        trig = (np.cos(thetas), np.sin(thetas)) if rotate else None
+        trig = (np.cos(thetas), np.sin(thetas)) if terms else None
         for k in range(per):
-            new, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, rotate, trig)
+            new, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, terms, trig)
             if k == 0:
                 rows[i] = row(i, start, complex(z_re[0], z_im[0]))
-            if rotate and k + 1 < per:
-                trig = _rotate(*trig, new - thetas)
+            if terms and k + 1 < per:
+                trig = _rotate(*trig, new - thetas, terms)
             thetas = new
     rows[-1] = row(n_samples, thetas, _phasor(thetas)[2])
     return rows

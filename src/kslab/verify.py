@@ -337,11 +337,11 @@ def _antipodal_cardinality(cache, failures, details):
         thetas[bad] = rng.uniform(0.0, TWO_PI, (int(bad.sum()), n_osc))
 
     dt, t_max = 0.05, 600.0
-    rotate = particle._rotates(0.0, K, dt)
+    terms = particle._taylor_terms(0.0, K, dt)
     t = 0.0
     while t < t_max:
         for _ in range(20):
-            thetas = particle._mean_field_step(thetas, 0.0, K, dt, rotate)[0]
+            thetas = particle._mean_field_step(thetas, 0.0, K, dt, terms)[0]
         t += 20 * dt
         rates = particle._mean_field_rhs(thetas, 0.0, K)
         if float(np.max(rates.max(axis=1) - rates.min(axis=1))) < 1e-8:

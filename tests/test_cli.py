@@ -427,9 +427,48 @@ def test_cli_import_leaves_command_only_modules_out():
                           capture_output=True, text=True, check=True)
     loaded = done.stdout.split()
     assert {m for m in loaded if m.split(".")[0] == "kslab"} == CLI_IMPORT_MODULES
-    assert [m for m in loaded if m.split(".")[0] == "multiprocessing"
+    assert [m for m in loaded if m.split(".")[0] in ("multiprocessing", "logging")
             or m == "concurrent.futures.process"
             or m.startswith("numpy.polynomial")] == []
+
+
+def test_cli_import_builds_no_parser():
+    # the parser is built at the first main call of a process, not at import
+    code = "import kslab.cli; print(kslab.cli.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_cached_parser_survives_usage_and_config_errors(tmp_path, capsys):
+    # one process: an argparse usage error, a config error, then a good call,
+    # whose table is byte for byte a fresh process's
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["equilibrium", "--out", str(tmp_path / "none")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
+    bad = write_config(tmp_path, "bad.json", frequency={"kind": "uniform", "halfwidth": -1.0})
+    assert cli.main(["equilibrium", "--config", str(bad), "--out", str(tmp_path / "bad")]) == 2
+    assert "halfwidth must be positive" in capsys.readouterr().err
+    good = write_config(tmp_path, "good.json", frequency={"kind": "uniform", "halfwidth": 1.0},
+                        coupling=[1.0, 5.0])
+    assert cli.main(["equilibrium", "--config", str(good), "--out", str(tmp_path / "a")]) == 0
+    subprocess.run([sys.executable, "-m", "kslab.cli", "equilibrium", "--config", str(good),
+                    "--out", str(tmp_path / "b")], env=src_env(), capture_output=True,
+                   check=True)
+    assert ((tmp_path / "a" / "equilibrium.csv").read_bytes()
+            == (tmp_path / "b" / "equilibrium.csv").read_bytes())
+    assert not (tmp_path / "none").exists() and not (tmp_path / "bad").exists()
+
+
+def test_main_runs_the_command_patched_after_a_first_call(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, frequency={"kind": "uniform", "halfwidth": 1.0})
+    argv = ["equilibrium", "--config", str(cfg)]
+    assert cli.main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_equilibrium", lambda args: seen.append(args.config) or 7)
+    assert cli.main(argv) == 7
+    assert seen == [str(cfg)]
 
 
 @pytest.mark.parametrize("command, leaves_out", [

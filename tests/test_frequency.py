@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -141,7 +142,10 @@ def test_quadrature_rejects_zero_nodes():
 def test_table_moments_and_normalization(caplog):
     om = np.linspace(-1.0, 1.0, 21)
     de = 2.0 * (1.0 - np.abs(om))        # integrates to 2, gets renormalized
-    g = freq.from_table(om, de)
+    with caplog.at_level(logging.INFO, logger="kslab.frequency"):
+        g = freq.from_table(om, de)
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("kslab.frequency", logging.INFO, "table density renormalized by factor 0.5")]
     mass, mean = moments(g, 64)
     assert abs(mass - 1.0) <= 1e-12
     assert abs(mean) <= 1e-12

@@ -30,8 +30,8 @@ def rk4_direct(thetas, omegas, K, dt):
 def rk4(state, dt):
     """One RK4 step of a state (``_mean_field_step``), the guard decided for
     this step as ``run_particles`` decides it for a run; t advances by dt."""
-    rotate = particle._rotates(state.omegas, state.K, dt)
-    thetas = particle._mean_field_step(state.thetas, state.omegas, state.K, dt, rotate)[0]
+    terms = particle._taylor_terms(state.omegas, state.K, dt)
+    thetas = particle._mean_field_step(state.thetas, state.omegas, state.K, dt, terms)[0]
     return particle.ParticleState(thetas, state.omegas, state.K, t=state.t + dt)
 
 
@@ -84,20 +84,43 @@ def test_batched_rhs_rows_are_single_systems():
         np.testing.assert_array_equal(stepped[i], rk4_step(rhs, 0.0, th[i], 0.05))
 
 
-def test_rotation_matches_trig():
+def largest_bound(terms: int) -> float:
+    """The largest step bound at which the rule picks the given Taylor terms:
+    (2^-55 (2 terms)!)^(1/(2 terms)), capped at ROTATION_MAX, less 1e-9."""
+    exact = (2.0 ** -55 * math.factorial(2 * terms)) ** (1.0 / (2 * terms))
+    return min(particle.ROTATION_MAX, exact) * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("bound, terms", [(0.021, 4), (0.05, 5), (0.1, 5), (0.1001, 0),
+                                          (0.0, 2)])
+def test_taylor_terms_follow_the_step_bound(bound, terms):
+    # the fewest terms whose first omitted term at the bound is below 2^-55;
+    # particle-mf and criterion 8 step at 0.021, criterion 10 at 0.05
+    assert particle._taylor_terms(np.array([0.0, -0.5, 0.25]), 0.5, bound) == terms
+    assert particle._taylor_terms(0.0, 1.0, bound) == terms
+
+
+@pytest.mark.parametrize("terms", [2, 3, 4, 5])
+def test_rotation_matches_trig(terms):
     # cos and sin of y = theta + d from those of theta, against np.cos/np.sin
-    # of y itself, over |d| <= ROTATION_MAX on 200,001 points
+    # of y itself, over |d| up to the largest bound at which the rule picks
+    # these terms, on 200,001 points
     rng = np.random.default_rng(40)
-    dmax = particle.ROTATION_MAX
+    dmax = largest_bound(terms)
+    assert particle._taylor_terms(0.0, 1.0, dmax) == terms
+    # just above it, the rule takes one term more, or no rotation above ROTATION_MAX
+    assert particle._taylor_terms(0.0, 1.0, dmax * (1.0 + 1e-8)) == (terms + 1 if terms < 5
+                                                                     else 0)
     th = rng.uniform(-20.0, 20.0, 200_001)
-    y = th + np.linspace(-dmax, dmax, th.size)
+    # shrunk by 1e-9, so that d = y - theta, rounded, stays within the bound
+    y = th + np.linspace(-dmax, dmax, th.size) * (1.0 - 1e-9)
     d = y - th
     assert np.max(np.abs(d)) <= dmax
-    c, s = particle._rotate(np.cos(th), np.sin(th), d)
+    c, s = particle._rotate(np.cos(th), np.sin(th), d, terms)
     assert np.max(np.abs(c - np.cos(y))) <= 1.5e-15
     assert np.max(np.abs(s - np.sin(y))) <= 1.5e-15
     zero = np.zeros(th.size)
-    c0, s0 = particle._rotate(np.cos(th), np.sin(th), zero)
+    c0, s0 = particle._rotate(np.cos(th), np.sin(th), zero, terms)
     np.testing.assert_array_equal(c0, np.cos(th))
     np.testing.assert_array_equal(s0, np.sin(th))
 
@@ -133,12 +156,12 @@ def test_batched_step_rows_are_single_systems(dt):
     rng = np.random.default_rng(13)
     th = rng.uniform(-5.0, 5.0, (7, 40))
     om = rng.uniform(-0.5, 0.5, 40)
-    rotate = particle._rotates(om, 1.3, dt)
-    assert rotate == (dt == 0.05)
-    stepped, z_re, z_im = particle._mean_field_step(th, om, 1.3, dt, rotate)
+    terms = particle._taylor_terms(om, 1.3, dt)
+    assert bool(terms) == (dt == 0.05)
+    stepped, z_re, z_im = particle._mean_field_step(th, om, 1.3, dt, terms)
     assert z_re.shape == z_im.shape == (7, 1)
     for i in range(th.shape[0]):
-        row, row_re, row_im = particle._mean_field_step(th[i], om, 1.3, dt, rotate)
+        row, row_re, row_im = particle._mean_field_step(th[i], om, 1.3, dt, terms)
         np.testing.assert_array_equal(stepped[i], row)
         assert (z_re[i, 0], z_im[i, 0]) == (row_re[0], row_im[0])
 
@@ -355,14 +378,15 @@ def sample_states(st, t_end, dt, sample_every):
     steps rotate, each later step start's cos/sin rotated from the previous
     one by the stored phase change new - old (np.cos/np.sin otherwise)."""
     per, h, ts = sample_times(st, t_end, dt, sample_every)
-    rotate = particle._rotates(st.omegas, st.K, h)
+    terms = particle._taylor_terms(st.omegas, st.K, h)
     th = st.thetas
     states = [particle.ParticleState(th, st.omegas, st.K, t=float(ts[0]))]
     for t in ts[1:]:
         c, s = np.cos(th), np.sin(th)
         for _ in range(per):
-            new = particle._mean_field_step(th, st.omegas, st.K, h, rotate, (c, s))[0]
-            c, s = particle._rotate(c, s, new - th) if rotate else (np.cos(new), np.sin(new))
+            new = particle._mean_field_step(th, st.omegas, st.K, h, terms, (c, s))[0]
+            c, s = (particle._rotate(c, s, new - th, terms) if terms
+                    else (np.cos(new), np.sin(new)))
             th = new
         states.append(particle.ParticleState(th, st.omegas, st.K, t=float(t)))
     return states
@@ -445,7 +469,7 @@ def test_run_snapshots_are_particle_steps(K, dt, rotates):
     rng = np.random.default_rng(22)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.uniform(-0.1, 0.1, 300), K=K)
-    assert particle._rotates(st.omegas, K, dt) == rotates
+    assert bool(particle._taylor_terms(st.omegas, K, dt)) == rotates
     rows = particle.run_particles(st, 0.2, dt=dt, sample_every=0.1)
     np.testing.assert_array_equal(rows, recomputed_rows(st, 0.2, dt, 0.1))
     assert_near_chain(rows, st, 0.2, dt, 0.1)
@@ -508,7 +532,7 @@ def test_run_particles_match_the_flow_map_of_identical_oscillators():
     # table from step to step; the flow map is exact up to its own RK4 error
     th = np.random.default_rng(10).uniform(0.0, TWO_PI, 10)
     st = particle.ParticleState(th, np.zeros(10), K=1.0)
-    assert particle.step_plan(st, 2.0, 0.01, 0.1) == (20, 10, 0.01, True)
+    assert particle.step_plan(st, 2.0, 0.01, 0.1) == (20, 10, 0.01, 4)
     rows = particle.run_particles(st, 2.0, dt=0.01, sample_every=0.1)
     exact = flow_map_orders(th, 0.0, 1.0, rows[:, 0], 1e-3)[0]
     assert np.max(np.abs(rows[:, 1] - exact[:, 0])) <= 1e-9
@@ -525,11 +549,11 @@ def test_batched_steps_match_the_flow_map_of_identical_oscillators():
     thetas = np.random.default_rng(10).uniform(0.0, TWO_PI, (200, 10))
     assert np.abs(np.mean(np.exp(1j * thetas), axis=1)).min() >= 0.01   # none redrawn
     dt = 0.05
-    rotate = particle._rotates(0.0, 1.0, dt)
-    assert rotate
+    terms = particle._taylor_terms(0.0, 1.0, dt)
+    assert terms == 5
     th = thetas
     for _ in range(40):
-        th = particle._mean_field_step(th, 0.0, 1.0, dt, rotate)[0]
+        th = particle._mean_field_step(th, 0.0, 1.0, dt, terms)[0]
     orders, phases = flow_map_orders(thetas, 0.0, 1.0, [0.0, 2.0], 1e-3)
     assert orders.shape == (2, 200, 2) and phases.shape == (200, 10)
     dphase = (th - phases + math.pi) % TWO_PI - math.pi
@@ -544,7 +568,7 @@ def test_long_rotating_interval_stays_near_the_step_chain():
     rng = np.random.default_rng(24)
     st = particle.ParticleState(rng.uniform(0.0, TWO_PI, 2000),
                                 rng.uniform(-0.5, 0.5, 2000), K=2.0)
-    assert particle.step_plan(st, 20.0, 0.01, 20.0) == (1, 2000, 0.01, True)
+    assert particle.step_plan(st, 20.0, 0.01, 20.0) == (1, 2000, 0.01, 4)
     rows = particle.run_particles(st, 20.0, dt=0.01, sample_every=20.0)
     op = particle.particle_order(st)
     assert (rows[0, 1], rows[0, 2]) == (op.R, op.phi)
