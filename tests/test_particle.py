@@ -100,29 +100,29 @@ def test_taylor_terms_follow_the_step_bound(bound, terms):
     assert particle._taylor_terms(0.0, 1.0, bound) == terms
 
 
-@pytest.mark.parametrize("terms", [2, 3, 4, 5])
-def test_rotation_matches_trig(terms):
+def test_rotation_matches_trig():
     # cos and sin of y = theta + d from those of theta, against np.cos/np.sin
     # of y itself, over |d| up to the largest bound at which the rule picks
-    # these terms, on 200,001 points
+    # each number of terms, on 200,001 points
     rng = np.random.default_rng(40)
-    dmax = largest_bound(terms)
-    assert particle._taylor_terms(0.0, 1.0, dmax) == terms
-    # just above it, the rule takes one term more, or no rotation above ROTATION_MAX
-    assert particle._taylor_terms(0.0, 1.0, dmax * (1.0 + 1e-8)) == (terms + 1 if terms < 5
-                                                                     else 0)
     th = rng.uniform(-20.0, 20.0, 200_001)
-    # shrunk by 1e-9, so that d = y - theta, rounded, stays within the bound
-    y = th + np.linspace(-dmax, dmax, th.size) * (1.0 - 1e-9)
-    d = y - th
-    assert np.max(np.abs(d)) <= dmax
-    c, s = particle._rotate(np.cos(th), np.sin(th), d, terms)
-    assert np.max(np.abs(c - np.cos(y))) <= 1.5e-15
-    assert np.max(np.abs(s - np.sin(y))) <= 1.5e-15
-    zero = np.zeros(th.size)
-    c0, s0 = particle._rotate(np.cos(th), np.sin(th), zero, terms)
-    np.testing.assert_array_equal(c0, np.cos(th))
-    np.testing.assert_array_equal(s0, np.sin(th))
+    for terms in (2, 3, 4, 5):
+        dmax = largest_bound(terms)
+        assert particle._taylor_terms(0.0, 1.0, dmax) == terms
+        # just above it, the rule takes one term more, or no rotation above ROTATION_MAX
+        above = particle._taylor_terms(0.0, 1.0, dmax * (1.0 + 1e-8))
+        assert above == (terms + 1 if terms < 5 else 0)
+        # shrunk by 1e-9, so that d = y - theta, rounded, stays within the bound
+        y = th + np.linspace(-dmax, dmax, th.size) * (1.0 - 1e-9)
+        d = y - th
+        assert np.max(np.abs(d)) <= dmax
+        c, s = particle._rotate(np.cos(th), np.sin(th), d, terms)
+        assert np.max(np.abs(c - np.cos(y))) <= 1.5e-15
+        assert np.max(np.abs(s - np.sin(y))) <= 1.5e-15
+        zero = np.zeros(th.size)
+        c0, s0 = particle._rotate(np.cos(th), np.sin(th), zero, terms)
+        np.testing.assert_array_equal(c0, np.cos(th))
+        np.testing.assert_array_equal(s0, np.sin(th))
 
 
 @pytest.mark.parametrize("dt, rotates", [(0.01, True), (0.05, False), (0.2, False),
