@@ -27,7 +27,7 @@ import numpy as np
 
 from . import frequency as freq
 from .files import write_csv, write_json
-from .order import MIN_CELLS, TWO_PI, sample_count
+from .order import MIN_CELLS, sample_count
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,9 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["scheme"] == "muscl",
              f"scheme must be 'muscl' ('upwind' was removed), not {cfg['scheme']!r}")
     _require(cfg["dt_particle"] > 0, "dt_particle must be positive")
+    _require(math.isfinite(cfg["sample_every"] / cfg["dt_particle"]),
+             f"dt_particle {cfg['dt_particle']!r} is too small: sample_every / dt_particle "
+             "overflows")
 
     if cfg["diagnostics"] != {}:    # an empty section loads no diagnostics module
         dcfg = cfg["diagnostics"] = _object(cfg["diagnostics"], _DIAG_KEYS, "diagnostics")
@@ -321,19 +324,8 @@ def _write_plot_script(cols: list[str], path: Path) -> None:
 def _run_particle(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
                   profile) -> dict:
     from . import particle
-    n, icfg, seed = cfg["n_particles"], cfg["initial"], cfg["seed"]
-    # sample_phases draws a table by inverting its CDF, and a cosine or von
-    # Mises profile by rejection under a bound: 1.05 times its maximum on a
-    # grid, or its exact peak, at its centre or the antipode, if that is larger
-    bound = None
-    if icfg["preset"] != "table":
-        th = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-        peaks = icfg["center"] + np.array([0.0, np.pi])
-        bound = max(float(np.max(profile(th))) * 1.05, float(np.max(profile(peaks))))
-    rng = np.random.default_rng(seed)
-    thetas = freq.sample_phases(profile, bound, n, rng)
-    omegas = freq.sample(g, n, seed=seed + 1)
-    state = particle.ParticleState(thetas, omegas, K=K)
+    n = cfg["n_particles"]
+    state = particle.ParticleState(*freq.draw(g, profile, n, cfg["seed"]), K=K)
     t_end, dt, sample_every = cfg["t_end"], cfg["dt_particle"], cfg["sample_every"]
     n_samples, per, dt_taken, terms = particle.step_plan(state, t_end, dt, sample_every)
     rows = particle.run_particles(state, t_end, dt, sample_every)

@@ -14,13 +14,16 @@ evaluated as sum_k weight_k * h(node_k).  Two kinds are supported:
 A uniform density on [-M, M] (``uniform``) is the one-segment table with
 constant density 1/(2M), so every continuous g takes the same path.
 
-All densities are required to have (numerically) zero mean; a nonzero-mean
-table is rejected, since the rotating-frame reduction is the caller's job.
+All densities are required to have (numerically) zero mean; a table whose
+exact mean, int omega g(omega) domega over its linear segments, is nonzero
+is rejected, since the rotating-frame reduction is the caller's job.
 
 A profile rho0 (cosine, von Mises or periodic piecewise-linear table) is a
 partial of a module-level function of theta, so it pickles into the worker
 processes of a sweep.  Every table, of g or of rho0, is drawn by one inverse
-CDF (``_inverse_cdf``), any other profile by rejection (``sample_phases``).
+CDF (``_inverse_cdf``), any other profile by rejection (``sample_phases``,
+which works out its own bound).  ``draw`` is the particle start of both
+``simulate`` and criterion 8.
 
 The locked-equilibrium functional H(a) = int_{|omega|<=a} sqrt(1-(omega/a)^2)
 g(omega) domega is evaluated in closed form.  A table density is linear on
@@ -82,7 +85,9 @@ def from_table(omegas, densities) -> FrequencyDensity:
 
     The table is renormalized to unit mass; the renormalization factor is
     logged.  A non-finite knot, negative densities, an all-zero table (no
-    mass to renormalize) and a nonzero mean are rejected.
+    mass to renormalize) and a nonzero mean are rejected; the mean is exact,
+    sum h/6 (omega_l (2 g_l + g_r) + omega_r (g_l + 2 g_r)) over the segments,
+    since omega g is quadratic on each.
     """
     om = np.asarray(omegas, dtype=float)
     de = np.asarray(densities, dtype=float)
@@ -102,7 +107,8 @@ def from_table(omegas, densities) -> FrequencyDensity:
         import logging     # ~3 ms per process, so only a run that logs pays it
         logging.getLogger(__name__).info("table density renormalized by factor %.17g", factor)
     de = de * factor
-    mean = np.trapezoid(om * de, om)
+    wl, wr, gl, gr = om[:-1], om[1:], de[:-1], de[1:]
+    mean = float(np.sum(np.diff(om) / 6.0 * (wl * (2.0 * gl + gr) + wr * (gl + 2.0 * gr))))
     if abs(mean) > MEAN_TOL:
         raise ValueError(f"table density has nonzero mean {mean:.3e}; "
                          "shift to the rotating frame first")
@@ -232,18 +238,22 @@ def _periodic_interp(th_ext, va_ext, x):
     return np.interp(np.asarray(x) % TWO_PI, th_ext, va_ext)
 
 
-def sample_phases(profile, bound: float | None, n: int, rng) -> np.ndarray:
+def sample_phases(profile, n: int, rng) -> np.ndarray:
     """n phases on [0, 2pi) drawn from a density profile.
 
     A table profile is drawn by ``_inverse_cdf`` over the period from its
-    first knot, at n uniform draws from ``rng``; it reads no bound, which
-    may be None.  Any other profile is drawn by rejection under ``bound``,
-    which must dominate it: candidates come from ``rng`` in batches of
-    4 max(n, 64) until n are accepted.
+    first knot, at n uniform draws from ``rng``.  Any other profile is drawn
+    by rejection under 1.05 times its largest value on 4,096 points or, for a
+    cosine or von Mises profile, its value at its centre or antipode if that
+    is larger: candidates come from ``rng`` in batches of 4 max(n, 64).
     """
-    if getattr(profile, "func", None) is _periodic_interp:
+    func = getattr(profile, "func", None)
+    if func is _periodic_interp:
         th_ext, va_ext = profile.args
         return _inverse_cdf(th_ext[1:], va_ext[1:], n, rng) % TWO_PI
+    bound = float(np.max(profile(np.linspace(0.0, TWO_PI, 4096, endpoint=False)))) * 1.05
+    if func in (_cosine, _von_mises):      # the peak may lie between grid points
+        bound = max(bound, float(np.max(profile(profile.args[1] + np.array([0.0, np.pi])))))
     out = np.empty(0)
     batch = 4 * max(n, 64)
     while out.size < n:
@@ -251,6 +261,12 @@ def sample_phases(profile, bound: float | None, n: int, rng) -> np.ndarray:
         u = rng.uniform(0.0, bound, batch)
         out = np.concatenate([out, x[u < profile(x)]])
     return out[:n]
+
+
+def draw(g: FrequencyDensity, profile, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The particle start: n phases from profile, drawn from
+    ``np.random.default_rng(seed)``, and n frequencies from g with seed + 1."""
+    return sample_phases(profile, n, np.random.default_rng(seed)), sample(g, n, seed + 1)
 
 
 def locked_phasor_mean(g: FrequencyDensity, a):

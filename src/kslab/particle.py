@@ -209,11 +209,13 @@ def step_plan(state: ParticleState, t_end: float, dt: float,
     (``_taylor_terms``).
 
     Raises ValueError as ``sample_count`` does, and unless dt is finite and
-    positive.
+    positive with sample_every / dt finite.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
+    if not math.isfinite(sample_every / dt):
+        raise ValueError(f"dt {dt!r} is too small: sample_every / dt overflows")
     per = max(1, math.ceil(sample_every / dt))
     dt = sample_every / per
     return n_samples, per, dt, _taylor_terms(state.omegas, state.K, dt)

@@ -274,10 +274,8 @@ def _particle_gradient_identity(cache, failures, details):
 def _mean_field_consistency(cache, failures, details):
     run = cache.run("run1")
     n_part = 20000
-    rng = np.random.default_rng(8)
-    thetas = freq.sample_phases(_skewed_profile, 1.7 / TWO_PI, n_part, rng)
-    omegas = freq.sample(run.g, n_part, seed=8)
-    pstate = particle.ParticleState(thetas, omegas, K=run.result.final_state.K)
+    pstate = particle.ParticleState(*freq.draw(run.g, _skewed_profile, n_part, 8),
+                                    K=run.result.final_state.K)
     n_samples, per = particle.step_plan(pstate, 20.0, 0.01, 0.05)[:2]
     n_steps = n_samples * per
     tp0 = time.perf_counter()

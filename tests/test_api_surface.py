@@ -19,6 +19,8 @@ only, as members are.
 
 And ``verify`` builds its kinetic runs only in ``RunCache``, which summarizes
 each as ``simulate`` does, so a criterion checks the code that writes a run.
+Likewise ``cli`` and ``verify`` draw a particle ensemble only through
+``frequency.draw``, so criterion 8 checks the start that ``simulate`` draws.
 """
 
 import ast
@@ -187,3 +189,13 @@ def test_verify_builds_kinetic_runs_only_in_the_run_cache():
                and isinstance(node.func.value, ast.Name)
                and (node.func.value.id, node.func.attr) in builders and id(node) not in inside]
     assert not outside, f"kinetic runs built outside RunCache: {outside}"
+
+
+def test_particle_start_is_drawn_only_by_frequency_draw():
+    samplers = {("freq", "sample_phases"), ("freq", "sample")}
+    found = [f"{name}:{node.lineno}" for name in ("cli.py", "verify.py")
+             for node in ast.walk(ast.parse((SRC / name).read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and (node.func.value.id, node.func.attr) in samplers]
+    assert not found, f"particle ensembles drawn outside frequency.draw: {found}"

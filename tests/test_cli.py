@@ -982,31 +982,41 @@ def test_simulate_reads_each_table_once(tmp_path, monkeypatch):
     assert sorted(map(str, reads)) == sorted([str(density), str(profile)])
 
 
-def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch):
+def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch, capped_rng):
     # the peak of 50 at theta = 1.0004 lies between the points of a 4,096-point
     # grid, whose maximum there is ~20; the table is drawn by inverting its
-    # CDF, with no rejection bound that could cut the peak and undersample
-    # [1, 1.0008]
+    # CDF, at n uniform draws, with no rejection bound that could cut the
+    # peak and undersample [1, 1.0008]
     table = tmp_path / "profile.csv"
     table.write_text(csv_text(["theta", "value"],
                               [[0, 1], [1, 1], [1.0004, 50], [1.0008, 1], [3, 1]]))
     sample_phases, drawn = freq.sample_phases, []
 
-    def recording(profile, bound, n, rng):
-        drawn.append((bound, sample_phases(profile, bound, n, rng)))
-        return drawn[-1][1]
+    def recording(profile, n, rng):
+        drawn.append(sample_phases(profile, n, rng))
+        return drawn[-1]
 
     monkeypatch.setattr(freq, "sample_phases", recording)
     n = 100000
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: capped_rng(seed, n))
     cfg = write_config(tmp_path, model="particle", n_particles=n, t_end=0.0,
                        initial={"preset": "table", "path": str(table)})
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    (bound, thetas), = drawn
-    assert bound is None
+    thetas, = drawn
     # exact mass on [1, 1.0008] over the total, by trapezoids on the table
     share = 0.0204 / (2.0 * math.pi + 0.0204 - 0.0008)
     sampled = np.mean((thetas >= 1.0) & (thetas <= 1.0008))
     assert abs(sampled - share) <= 5.0 * math.sqrt(share * (1.0 - share) / n), sampled
+
+
+def test_tiny_dt_particle_exits_2_before_any_output(tmp_path, capsys):
+    # sample_every / dt_particle overflows: step_plan's math.ceil raised
+    # OverflowError (exit 1) after the kinetic run had written its files
+    cfg = write_config(tmp_path, model="both", n_particles=20, dt_particle=1e-320)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "dt_particle 1e-320 is too small" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["kinetic", "particle"])

@@ -191,6 +191,9 @@ def test_table_negative_density_rejected():
 def test_table_nonzero_mean_rejected():
     with pytest.raises(ValueError):
         freq.from_table([0.0, 1.0], [1.0, 1.0])
+    # mean 1/3, where the trapezoid rule on omega g reads 0
+    with pytest.raises(ValueError, match="nonzero mean 3.333e-01"):
+        freq.from_table([-1.0, 0.0, 2.0], [0.0, 1.0, 0.0])
 
 
 def test_table_sampling_matches_density():
@@ -393,9 +396,10 @@ def test_inner_support_radius():
     # (on [-0.5, 0.5] alone the bound would be 1/3)
     g = freq.from_table([-1.0, -0.5, 0.5, 1.0], [0.0, 1.0, 1.0, 0.0])
     assert freq._inner_mass_bound(g) == 0.0
-    # support [-2, 1]: m = 1, and g is least on [-1, 1] at -1 and 0, 1/3 each
-    skew = freq.from_table([-2.0, -1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 2.0])
-    assert freq._inner_mass_bound(skew) == pytest.approx(1.0 / 3.0, rel=1e-15)
+    # support [-2, 1], zero mean: m = 1, and g is least on [-1, 1] at -1 and 0,
+    # 2/7 each
+    skew = freq.from_table([-2.0, -1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 3.0])
+    assert freq._inner_mass_bound(skew) == pytest.approx(2.0 / 7.0, rel=1e-15)
 
 
 def test_min_density_on_inner_finds_minimum_between_grid_points():

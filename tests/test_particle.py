@@ -635,15 +635,22 @@ def test_run_particles_rejects_bad_dt(dt):
         particle.run_particles(st, 0.2, dt, 0.1)
 
 
+def test_step_plan_rejects_a_dt_whose_step_count_overflows():
+    # sample_every / dt is inf: math.ceil of it raised OverflowError
+    st = particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=1.0)
+    with pytest.raises(ValueError, match="1e-320 is too small"):
+        particle.step_plan(st, 0.2, 1e-320, 0.1)
+
+
 def test_sample_phases_follows_profile():
     def profile(th):
         return (1.0 + 0.8 * np.cos(th)) / TWO_PI
-    th = freq.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
+    th = freq.sample_phases(profile, 20000, np.random.default_rng(3))
     assert th.shape == (20000,)
     assert np.all((th >= 0.0) & (th < TWO_PI))
     # first Fourier mode of the profile: E[cos] = 0.4
     assert np.mean(np.cos(th)) == pytest.approx(0.4, abs=0.02)
-    again = freq.sample_phases(profile, 1.8 / TWO_PI, 20000, np.random.default_rng(3))
+    again = freq.sample_phases(profile, 20000, np.random.default_rng(3))
     np.testing.assert_array_equal(th, again)
 
 
@@ -653,7 +660,7 @@ def test_sample_phases_inverts_a_spike_table(capped_rng):
     knots, heights = [0.0, 1.0, 1.000001, 1.000002, 3.0], [0.0, 0.0, 1.0, 0.0, 0.0]
     profile = freq.table_profile(knots, heights)
     n = 20000
-    th = freq.sample_phases(profile, 1.0, n, capped_rng(5, 4 * n))
+    th = freq.sample_phases(profile, n, capped_rng(5, 4 * n))
     assert th.shape == (n,)
     assert np.all((th >= 1.0) & (th <= 1.000002))
     # the table's CDF at its knots is 0, 0, 1/2, 1, 1
@@ -668,7 +675,7 @@ def test_sample_phases_follows_a_table_cdf():
     heights = np.array([1.0, 3.0, 0.0, 2.0, 0.25])
     profile = freq.table_profile(knots, heights)
     n = 200000
-    th = freq.sample_phases(profile, 3.0, n, np.random.default_rng(9))
+    th = freq.sample_phases(profile, n, np.random.default_rng(9))
     assert np.all((th >= 0.0) & (th < TWO_PI))
     x = np.append(knots, knots[0] + TWO_PI)
     y = np.append(heights, heights[0])
@@ -676,5 +683,29 @@ def test_sample_phases_follows_a_table_cdf():
     cdf = mass[:-1] / mass[-1]
     emp = np.array([np.mean((th >= knots[0]) & (th <= v)) for v in knots])
     assert np.max(np.abs(emp - cdf)) <= 5.0 * math.sqrt(0.25 / n), (emp, cdf)
-    again = freq.sample_phases(profile, 3.0, n, np.random.default_rng(9))
+    again = freq.sample_phases(profile, n, np.random.default_rng(9))
     np.testing.assert_array_equal(th, again)
+
+
+def test_sample_phases_bound_covers_a_peak_between_grid_points():
+    # the peak of a von Mises profile of concentration 1e6 lies midway between
+    # two of the 4,096 grid points, where the profile is 0.745 of it: a bound
+    # of 1.05 times the grid maximum would cut the peak and draw 0.4746 of the
+    # phases within 7e-4 of the centre, not the exact erf(0.7 / sqrt 2) = 0.5161
+    centre = 1000.5 * TWO_PI / 4096
+    profile = freq.von_mises_profile(1e6, centre)
+    n = 10000
+    th = freq.sample_phases(profile, n, np.random.default_rng(4))
+    share = math.erf(0.7 / math.sqrt(2.0))
+    sampled = np.mean(np.abs(th - centre) < 7e-4)
+    assert abs(sampled - share) <= 4.0 * math.sqrt(share * (1.0 - share) / n), sampled
+
+
+def test_draw_is_the_particle_start():
+    # phases from default_rng(seed) through sample_phases, frequencies from
+    # sample with seed + 1
+    g, profile = freq.uniform(0.1), freq.cosine_profile(-0.4, 2.0)
+    thetas, omegas = freq.draw(g, profile, 500, 7)
+    np.testing.assert_array_equal(
+        thetas, freq.sample_phases(profile, 500, np.random.default_rng(7)))
+    np.testing.assert_array_equal(omegas, freq.sample(g, 500, 8))
