@@ -27,7 +27,7 @@ import numpy as np
 
 from . import frequency as freq
 from .files import write_csv, write_json
-from .order import MIN_CELLS, sample_count
+from .order import MIN_CELLS, TIME_TOL, sample_count
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +94,9 @@ def validate_config(raw: dict) -> dict:
     parsed ({} for no diagnostics).  A frequency kind or initial preset
     accepts only, and needs, the keys it reads: path a non-empty string, any
     other a finite number.  t_end must be a whole number of sample intervals
-    that each exceed ``order.TIME_TOL`` (``order.sample_count``), and no two
-    diagnostics intervals may share a label, which names their trajectory.csv
-    column.
+    that each exceed ``order.TIME_TOL`` (``order.sample_count``), dt_particle
+    must exceed it too, and no two diagnostics intervals may share a label,
+    which names their trajectory.csv column.
     """
     cfg = {**_DEFAULTS, **_object(raw, _TOP_KEYS, "configuration")}
     _require(cfg["model"] in ("kinetic", "particle", "both"),
@@ -134,9 +134,10 @@ def validate_config(raw: dict) -> dict:
     _require(cfg["scheme"] == "muscl",
              f"scheme must be 'muscl' ('upwind' was removed), not {cfg['scheme']!r}")
     _require(cfg["dt_particle"] > 0, "dt_particle must be positive")
-    _require(math.isfinite(cfg["sample_every"] / cfg["dt_particle"]),
-             f"dt_particle {cfg['dt_particle']!r} is too small: sample_every / dt_particle "
-             "overflows")
+    _require(cfg["dt_particle"] > TIME_TOL
+             and math.isfinite(cfg["sample_every"] / cfg["dt_particle"]),
+             f"dt_particle {cfg['dt_particle']!r} is too small: it must exceed the time "
+             f"tolerance {TIME_TOL:g} and leave sample_every / dt_particle finite")
 
     if cfg["diagnostics"] != {}:    # an empty section loads no diagnostics module
         dcfg = cfg["diagnostics"] = _object(cfg["diagnostics"], _DIAG_KEYS, "diagnostics")

@@ -5,7 +5,8 @@ phasor mean of the phase distribution; phi is only meaningful when R exceeds
 TOL_R, and every phi-dependent quantity here refuses to extrapolate below
 that threshold.  The module also holds what every solver module shares:
 TWO_PI, the smallest phase grid (MIN_CELLS), the sample clock
-(``sample_count``), the classical RK4 step and the fixed-step RK4 path.
+(``sample_count``), the classical RK4 step, its increment and the
+fixed-step RK4 path.
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ def _from_phasor(z: complex) -> OrderParams:
 
 
 #: a kinetic run steps to within this time of each sample; the sample
-#: interval must exceed it
+#: interval and a particle run's step must exceed it
 TIME_TOL = 1e-12
+
+#: a ratio within this relative distance of a whole number counts as it
+RATIO_TOL = 1e-9
 
 
 def sample_count(t0: float, t_end: float, sample_every: float) -> int:
@@ -49,7 +53,7 @@ def sample_count(t0: float, t_end: float, sample_every: float) -> int:
     at t0 + i sample_every for i = 0 .. n and ends at its last sample.
 
     Raises ValueError unless sample_every > 0, t_end >= t0,
-    (t_end - t0)/sample_every is within 1e-9 (relative) of an integer, and
+    (t_end - t0)/sample_every is within RATIO_TOL (relative) of an integer, and
     sample_every > TIME_TOL, in that order.
     """
     if not sample_every > 0:
@@ -57,7 +61,7 @@ def sample_count(t0: float, t_end: float, sample_every: float) -> int:
     if not t_end >= t0:
         raise ValueError("t_end must not precede the state time")
     span = (t_end - t0) / sample_every
-    if not (math.isfinite(span) and abs(span - round(span)) <= 1e-9 * span):
+    if not (math.isfinite(span) and abs(span - round(span)) <= RATIO_TOL * span):
         raise ValueError(f"t_end - t0 = {t_end - t0!r} is not a whole number of "
                          f"sample intervals of {sample_every!r}")
     if not sample_every > TIME_TOL:
@@ -65,13 +69,30 @@ def sample_count(t0: float, t_end: float, sample_every: float) -> int:
     return round(span)
 
 
+def rk4_increment(f, t, h, k1):
+    """The change (h/6)(k1 + 2 k2 + 2 k3 + k4) of one classical Runge-Kutta
+    step from time t, given its first slope k1; f(s, d) is the slope at time
+    s of the state d away from the step start.  k2, k3 and k4 are summed in
+    place, in the order of that formula, so f must return a new float array
+    (or a float) at stages 2-4; k1 is left unchanged."""
+    half = 0.5 * h
+    k2 = f(t + half, half * k1)
+    k3 = f(t + half, half * k2)
+    k2 *= 2.0
+    k2 += k1
+    k4 = f(t + h, h * k3)
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    return k2
+
+
 def rk4_step(f, t, y, h):
-    """One classical Runge-Kutta step of dy/dt = f(t, y) from y at time t."""
-    k1 = f(t, y)
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical Runge-Kutta step of dy/dt = f(t, y) from y at time t:
+    y + ``rk4_increment``, y left unchanged.  f must return a new float
+    array (or a float) at stages 2-4, which are summed in place."""
+    return y + rk4_increment(lambda s, d: f(s, y + d), t, h, f(t, y))
 
 
 def rk4_path(f, t0: float, y0, h: float, n: int, project=None):

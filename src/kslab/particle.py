@@ -9,19 +9,20 @@ together with the arrays cos theta and sin theta, from one pass over the
 phases (``_phasor``; ``_drift``, per system in a batch), and the drift
 omega - K (sin theta Re z - cos theta Im z) needs no further trig call.
 One RK4 step (``_mean_field_step``) takes cos theta and sin theta at the
-step start, from np.cos/np.sin or from its caller.  Its stages 2-4 rotate
-them by the phase change d since the start, with cos d and sin d from
-Taylor polynomials (``_rotate``), whenever the a-priori bound
-B = |dt| (max|omega| + K) on |d| is at most ``ROTATION_MAX``; larger steps
-call np.cos/np.sin at every stage.  The polynomials take the fewest terms
-whose first omitted term at B is below a quarter of an ulp of 1: 5 at
-B = 0.1, 4 at B = 0.021 (``_taylor_terms``, decided once per run).
-A rotating run (``run_particles``) takes np.cos/np.sin once per sample
-interval, at its start, and carries the table from one step start to the
-next by the same rotation through the step's phase change.  A run returns
-one row (t, r, phi, D, V_p) per sample, with r, phi and V_p from the
-phasor mean of the step that starts there, which the exact trig of the
-sample phases gives.
+step start, from np.cos/np.sin or from its caller, and returns its phase
+change.  Its stages 2-4 rotate them by their phase change d since the
+start, with cos d and sin d from Taylor polynomials (``_rotate``), whenever
+the a-priori bound B = |dt| (max|omega| + K) on |d| is at most
+``ROTATION_MAX``; larger steps call np.cos/np.sin at every stage.  The
+polynomials take the fewest terms whose first omitted term at B is below a
+quarter of an ulp of 1: 5 at B = 0.1, 4 at B = 0.021 (``_taylor_terms``,
+decided once per run).  A rotating run (``run_particles``) takes
+np.cos/np.sin once, at its start, and carries the table from one step
+start to the next, across sample boundaries too, by the same rotation
+through the step's phase change.  A run returns one row (t, r, phi, D, V_p)
+per sample, with r, phi and V_p from the phasor mean of the table at that
+sample: the carried table of a rotating run, within roundoff of the exact
+trig of the sample phases, and that exact trig otherwise.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .files import write_csv
-from .order import TWO_PI, OrderParams, _from_phasor, rk4_step, sample_count
+from .order import (RATIO_TOL, TIME_TOL, TWO_PI, OrderParams, _from_phasor, rk4_increment,
+                    sample_count)
 
 #: largest a-priori phase change |dt| (max|omega| + K) of one RK4 step at
 #: which its stages 2-4, and the next step start, rotate the step-start
@@ -142,26 +144,25 @@ def _taylor_terms(omegas, K: float, dt: float) -> int:
 
 def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, terms: int,
                      trig: tuple | None = None):
-    """One RK4 step (``order.rk4_step``) of the mean-field flow for phases
-    (..., N), one system per row; returns (new phases, Re z, Im z) with z the
-    step-start phasor means.
+    """One RK4 step (``order.rk4_increment``) of the mean-field flow for
+    phases (..., N), one system per row; returns (its phase change, Re z,
+    Im z) with z the step-start phasor means.
 
     cos and sin of the phases are trig = (cos theta, sin theta), if given,
     or taken once, at the step start.  Stages 2-4 get theirs by rotating
-    those by d = y - theta through Taylor polynomials of terms > 0 terms
-    (``_taylor_terms(omegas, K, dt)``), and from np.cos/np.sin at terms 0.
+    those by their phase change d through Taylor polynomials of terms > 0
+    terms (``_taylor_terms(omegas, K, dt)``), and from np.cos/np.sin of
+    theta + d at terms 0.
     """
     c0, s0 = (np.cos(thetas), np.sin(thetas)) if trig is None else trig
     k1, z_re, z_im = _drift(c0, s0, omegas, K)
 
-    def rhs(t, y):
-        if y is thetas:             # stage 1, evaluated above
-            return k1
+    def rhs(t, d):
         if terms:
-            return _drift(*_rotate(c0, s0, y - thetas, terms), omegas, K)[0]
-        return _mean_field_rhs(y, omegas, K)
+            return _drift(*_rotate(c0, s0, d, terms), omegas, K)[0]
+        return _mean_field_rhs(thetas + d, omegas, K)
 
-    return rk4_step(rhs, 0.0, thetas, dt), z_re, z_im
+    return rk4_increment(rhs, 0.0, dt, k1), z_re, z_im
 
 
 def particle_order(state: ParticleState) -> OrderParams:
@@ -206,17 +207,22 @@ def step_plan(state: ParticleState, t_end: float, dt: float,
     of dt in each of the n_samples sample intervals of ``order.sample_count``,
     dt shrunk from the one asked for so that it divides sample_every, and
     the Taylor terms with which the steps rotate cos/sin, 0 if they do not
-    (``_taylor_terms``).
+    (``_taylor_terms``).  A ratio sample_every / dt within ``order.RATIO_TOL``
+    of a whole number takes that many steps.
 
     Raises ValueError as ``sample_count`` does, and unless dt is finite and
-    positive with sample_every / dt finite.
+    exceeds ``order.TIME_TOL`` with sample_every / dt finite.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
-    if not math.isfinite(sample_every / dt):
-        raise ValueError(f"dt {dt!r} is too small: sample_every / dt overflows")
-    per = max(1, math.ceil(sample_every / dt))
+    ratio = sample_every / dt
+    if not (dt > TIME_TOL and math.isfinite(ratio)):
+        raise ValueError(f"dt {dt!r} is too small: it must exceed the time tolerance "
+                         f"{TIME_TOL:g} and leave sample_every / dt finite")
+    per = round(ratio)
+    if abs(ratio - per) > RATIO_TOL * ratio:
+        per = math.ceil(ratio)
     dt = sample_every / per
     return n_samples, per, dt, _taylor_terms(state.omegas, state.K, dt)
 
@@ -228,34 +234,34 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
 
     The steps are those of ``step_plan``, which raises ValueError unless
     t_end - t0 is a whole number of sample intervals and dt is finite and
-    positive; the run ends at the last sample.
-    When the steps rotate, np.cos/np.sin are taken once per sample interval,
-    at its start; each later step start rotates the previous step start's
-    table (``_rotate``) through the step's phase change new - old.
-    Each row's r, phi and V_p come from the phasor mean of the step that
-    starts at its sample; only the final row's is computed afresh.
+    exceeds ``order.TIME_TOL``; the run ends at the last sample.
+    When the steps rotate, np.cos/np.sin are taken once, at the run start,
+    and every step rotates the table (``_rotate``) through its phase change,
+    across sample boundaries too.  Each row's r, phi and V_p come from the
+    phasor mean of the table at its sample: the carried one when the steps
+    rotate, np.cos/np.sin of the sample phases when they do not.
     """
     n_samples, per, dt, terms = step_plan(state, t_end, dt, sample_every)
     ts = state.t + sample_every * np.arange(n_samples + 1)
-    thetas, omegas, K = state.thetas, state.omegas, state.K
+    thetas, omegas, K = state.thetas.copy(), state.omegas, state.K
+    trig = (np.cos(thetas), np.sin(thetas)) if terms else None
 
-    def row(i: int, phases: np.ndarray, z: complex) -> tuple:
-        s = ParticleState(phases, omegas, K, t=float(ts[i]))
+    def row(i: int, z: complex) -> tuple:
+        s = ParticleState(thetas, omegas, K, t=float(ts[i]))
         op = _from_phasor(z)
         return s.t, op.R, op.phi, phase_diameter(s), _potential(s, op.R)
 
     rows = np.empty((n_samples + 1, 5))
     for i in range(n_samples):
-        start = thetas
-        trig = (np.cos(thetas), np.sin(thetas)) if terms else None
         for k in range(per):
-            new, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, terms, trig)
+            delta, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, terms, trig)
             if k == 0:
-                rows[i] = row(i, start, complex(z_re[0], z_im[0]))
-            if terms and k + 1 < per:
-                trig = _rotate(*trig, new - thetas, terms)
-            thetas = new
-    rows[-1] = row(n_samples, thetas, _phasor(thetas)[2])
+                rows[i] = row(i, complex(z_re[0], z_im[0]))
+            if terms:
+                trig = _rotate(*trig, delta, terms)
+            thetas += delta
+    c, s = trig if terms else (np.cos(thetas), np.sin(thetas))
+    rows[-1] = row(n_samples, complex(c.mean(), s.mean()))
     return rows
 
 

@@ -339,7 +339,7 @@ def _antipodal_cardinality(cache, failures, details):
     t = 0.0
     while t < t_max:
         for _ in range(20):
-            thetas = particle._mean_field_step(thetas, 0.0, K, dt, terms)[0]
+            thetas += particle._mean_field_step(thetas, 0.0, K, dt, terms)[0]
         t += 20 * dt
         rates = particle._mean_field_rhs(thetas, 0.0, K)
         if float(np.max(rates.max(axis=1) - rates.min(axis=1))) < 1e-8:

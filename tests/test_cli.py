@@ -1011,11 +1011,24 @@ def test_particle_start_phases_follow_a_narrow_table_peak(tmp_path, monkeypatch,
 
 def test_tiny_dt_particle_exits_2_before_any_output(tmp_path, capsys):
     # sample_every / dt_particle overflows: step_plan's math.ceil raised
-    # OverflowError (exit 1) after the kinetic run had written its files
+    # OverflowError (exit 1) after the kinetic run had written its files;
+    # 1e-320 is also below the time tolerance, which now rejects it first
     cfg = write_config(tmp_path, model="both", n_particles=20, dt_particle=1e-320)
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "dt_particle 1e-320 is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dt_particle_within_time_tolerance_exits_2_before_any_output(tmp_path, capsys):
+    # 1e-300 planned 1e299 RK4 steps per sample interval: simulate wrote
+    # config.json and never ended
+    cfg = write_config(tmp_path, model="particle", n_particles=10, t_end=0.1,
+                       dt_particle=1e-300)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert ("dt_particle 1e-300 is too small: it must exceed the time tolerance 1e-12"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -295,6 +295,46 @@ def test_characteristics_path_matches_old_loop(theta0, omega0, t0, t1):
     assert_paths_equal(kinetic.characteristics(series, theta0, omega0, t0, t1, K=1.5), want)
 
 
+def literal_rk4(f, t, y, h):
+    """The classical RK4 step written out: y + (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def float_ode(t, y):
+    return math.sin(3.0 * y) * math.cos(t) - 0.7 * y * y
+
+
+def array_ode(t, y):
+    return np.sin(3.0 * y) * np.cos(t) - 0.7 * y * y
+
+
+@pytest.mark.parametrize("f, y0", [(float_ode, 0.3), (float_ode, -1.7),
+                                   (array_ode, np.array([[-0.5, 0.1], [0.2, 2.0]]))])
+@pytest.mark.parametrize("t, h", [(0.0, 0.1), (1.3, -0.37), (-2.0, 1e-3)])
+def test_rk4_step_is_the_literal_tableau(f, y0, t, h):
+    # rk4_increment sums k2, k3 and k4 in place in the formula's order, so
+    # the step keeps the bits of the formula, on a float and an array ODE
+    y = y0.copy() if isinstance(y0, np.ndarray) else y0
+    got = order.rk4_step(f, t, y, h)
+    want = literal_rk4(f, t, y0, h)
+    assert type(got) is type(want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(y, y0)
+
+
+def test_rk4_increment_leaves_its_first_slope_unchanged():
+    y = np.array([-0.5, 0.1, 0.2, 2.0])
+    k1 = array_ode(0.4, y)
+    kept = k1.copy()
+    inc = order.rk4_increment(lambda s, d: array_ode(s, y + d), 0.4, 0.05, k1)
+    np.testing.assert_array_equal(k1, kept)
+    np.testing.assert_array_equal(y + inc, literal_rk4(array_ode, 0.4, y, 0.05))
+
+
 def test_rk4_path_projects_each_step():
     ts, ys = order.rk4_path(lambda t, y: np.ones_like(y), 1.0, np.zeros(2), 0.25, 4,
                             project=lambda y: np.minimum(y, 0.6))

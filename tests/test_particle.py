@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as hst
 
 from kslab import frequency as freq
 from kslab import kinetic, particle
-from kslab.order import rk4_step, sample_count
+from kslab.order import _from_phasor, rk4_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -31,7 +31,8 @@ def rk4(state, dt):
     """One RK4 step of a state (``_mean_field_step``), the guard decided for
     this step as ``run_particles`` decides it for a run; t advances by dt."""
     terms = particle._taylor_terms(state.omegas, state.K, dt)
-    thetas = particle._mean_field_step(state.thetas, state.omegas, state.K, dt, terms)[0]
+    thetas = state.thetas + particle._mean_field_step(state.thetas, state.omegas, state.K,
+                                                      dt, terms)[0]
     return particle.ParticleState(thetas, state.omegas, state.K, t=state.t + dt)
 
 
@@ -352,64 +353,68 @@ def test_classify_unconverged():
 
 
 def sample_times(st, t_end, dt, sample_every):
-    """(per, h, ts): per steps of h = sample_every / per in each sample
-    interval, dt shrunk to divide sample_every as run_particles does, and
-    the sample times t0 + i sample_every."""
-    per = max(1, math.ceil(sample_every / dt))
-    n = sample_count(st.t, t_end, sample_every)
-    return per, sample_every / per, st.t + sample_every * np.arange(n + 1)
+    """(per, h, terms, ts) of a run's ``step_plan``: per steps of h in each
+    sample interval, the Taylor terms of their rotation, and the sample
+    times t0 + i sample_every."""
+    n, per, h, terms = particle.step_plan(st, t_end, dt, sample_every)
+    return per, h, terms, st.t + sample_every * np.arange(n + 1)
 
 
 def chain_states(st, t_end, dt, sample_every):
-    """The states at the sample times of a chain of single RK4 steps (``rk4``),
-    each of which takes np.cos/np.sin at its own start."""
-    per, h, ts = sample_times(st, t_end, dt, sample_every)
-    states = [particle.ParticleState(st.thetas, st.omegas, st.K, t=float(ts[0]))]
-    for t in ts[1:]:
-        for _ in range(per):
+    """(state, cos, sin) at the sample times of a chain of single RK4 steps
+    (``rk4``), each of which takes np.cos/np.sin at its own start, with the
+    exact trig of the sample phases."""
+    per, h, _, ts = sample_times(st, t_end, dt, sample_every)
+    states = []
+    for i, t in enumerate(ts):
+        for _ in range(per if i else 0):
             st = rk4(st, h)
-        states.append(particle.ParticleState(st.thetas, st.omegas, st.K, t=float(t)))
+        states.append((particle.ParticleState(st.thetas, st.omegas, st.K, t=float(t)),
+                       np.cos(st.thetas), np.sin(st.thetas)))
     return states
 
 
 def sample_states(st, t_end, dt, sample_every):
-    """The states at the sample times of a run, stepped as run_particles
-    steps: np.cos/np.sin of the phases at each sample start and, when the
-    steps rotate, each later step start's cos/sin rotated from the previous
-    one by the stored phase change new - old (np.cos/np.sin otherwise)."""
-    per, h, ts = sample_times(st, t_end, dt, sample_every)
-    terms = particle._taylor_terms(st.omegas, st.K, h)
+    """(state, cos, sin) at the sample times of a run, stepped as
+    run_particles steps: when the steps rotate, np.cos/np.sin of the start
+    phases only, each step rotating the table by its phase change delta
+    (``_rotate``), across sample boundaries too; otherwise np.cos/np.sin of
+    every step start."""
+    per, h, terms, ts = sample_times(st, t_end, dt, sample_every)
     th = st.thetas
-    states = [particle.ParticleState(th, st.omegas, st.K, t=float(ts[0]))]
+    c, s = np.cos(th), np.sin(th)
+    states = [(particle.ParticleState(th, st.omegas, st.K, t=float(ts[0])), c, s)]
     for t in ts[1:]:
-        c, s = np.cos(th), np.sin(th)
         for _ in range(per):
-            new = particle._mean_field_step(th, st.omegas, st.K, h, terms, (c, s))[0]
-            c, s = (particle._rotate(c, s, new - th, terms) if terms
-                    else (np.cos(new), np.sin(new)))
-            th = new
-        states.append(particle.ParticleState(th, st.omegas, st.K, t=float(t)))
+            delta = particle._mean_field_step(th, st.omegas, st.K, h, terms, (c, s))[0]
+            th = th + delta
+            c, s = (particle._rotate(c, s, delta, terms) if terms
+                    else (np.cos(th), np.sin(th)))
+        states.append((particle.ParticleState(th, st.omegas, st.K, t=float(t)), c, s))
     return states
 
 
 def recomputed_rows(st, t_end, dt, sample_every, states=sample_states):
-    """The rows t, r, phi, D, V_p recomputed from the sample states through
-    particle_order, phase_diameter and the potential."""
+    """The rows t, r, phi, D, V_p recomputed from the sample states and their
+    cos/sin tables through the phasor mean, phase_diameter and the potential."""
     rows = []
-    for s in states(st, t_end, dt, sample_every):
-        op = particle.particle_order(s)
-        rows.append((s.t, op.R, op.phi, particle.phase_diameter(s), potential(s)))
+    for s, c, sn in states(st, t_end, dt, sample_every):
+        op = _from_phasor(complex(c.mean(), sn.mean()))
+        rows.append((s.t, op.R, op.phi, particle.phase_diameter(s),
+                     particle._potential(s, op.R)))
     return np.array(rows)
 
 
 def assert_near_chain(rows, st, t_end, dt, sample_every, tol=1e-13):
-    """r, phi and D of the rows within tol of those of the single-step chain."""
+    """r, phi and D of the rows within tol of those of the single-step chain;
+    returns the chain's rows."""
     chain = recomputed_rows(st, t_end, dt, sample_every, chain_states)
     np.testing.assert_array_equal(rows[:, 0], chain[:, 0])
     dphi = (rows[:, 2] - chain[:, 2] + math.pi) % TWO_PI - math.pi
     for name, err in (("r", rows[:, 1] - chain[:, 1]), ("phi", dphi),
                       ("D", rows[:, 3] - chain[:, 3])):
         assert np.max(np.abs(err)) <= tol, (name, np.max(np.abs(err)))
+    return chain
 
 
 def test_run_particles_and_csv(tmp_path):
@@ -437,7 +442,7 @@ def test_csv_rows_match_order_and_potential(tmp_path):
     lines = path.read_text().splitlines()[1:]
     np.testing.assert_array_equal(
         rows, [[float(x) for x in line.split(",")] for line in lines])
-    states = sample_states(st, 1.0, 0.02, 0.1)
+    states = [s for s, _, _ in sample_states(st, 1.0, 0.02, 0.1)]
     assert rows.shape == (len(states), 5) == (11, 5)
     for (t, r, phi, d, v), s in zip(rows, states):
         op = particle.particle_order(s)
@@ -553,7 +558,7 @@ def test_batched_steps_match_the_flow_map_of_identical_oscillators():
     assert terms == 5
     th = thetas
     for _ in range(40):
-        th = particle._mean_field_step(th, 0.0, 1.0, dt, terms)[0]
+        th = th + particle._mean_field_step(th, 0.0, 1.0, dt, terms)[0]
     orders, phases = flow_map_orders(thetas, 0.0, 1.0, [0.0, 2.0], 1e-3)
     assert orders.shape == (2, 200, 2) and phases.shape == (200, 10)
     dphase = (th - phases + math.pi) % TWO_PI - math.pi
@@ -573,6 +578,45 @@ def test_long_rotating_interval_stays_near_the_step_chain():
     op = particle.particle_order(st)
     assert (rows[0, 1], rows[0, 2]) == (op.R, op.phi)
     assert_near_chain(rows, st, 20.0, 0.01, 20.0, tol=1e-12)
+
+
+def test_rotating_run_of_20000_steps_stays_near_the_exact_trig_chain():
+    # the table carried over 20,000 rotating steps and nine sample
+    # boundaries keeps r within 1e-12 of np.cos/np.sin of the chain's phases
+    # (6.2e-13 here).  phi and D get 1e-11 (1.6e-12 and 2.1e-14 here): the
+    # ensemble locks and turns, so each step's phase change repeats and every
+    # stored phase, of the run and of the chain, loses the same fraction of an
+    # ulp each step, which does not average out.  The run's phi, read from the
+    # table, stays within 2.2e-16 of an RK4 run in long double, the chain's not.
+    rng = np.random.default_rng(26)
+    st = particle.ParticleState(rng.uniform(0.0, TWO_PI, 1000),
+                                rng.uniform(-0.5, 0.5, 1000), K=2.0)
+    assert particle.step_plan(st, 200.0, 0.01, 20.0) == (10, 2000, 0.01, 4)
+    rows = particle.run_particles(st, 200.0, dt=0.01, sample_every=20.0)
+    chain = assert_near_chain(rows, st, 200.0, 0.01, 20.0, tol=1e-11)
+    assert np.max(np.abs(rows[:, 1] - chain[:, 1])) <= 1e-12
+
+
+@pytest.mark.parametrize("K, dt, rotates", [(2.0, 0.01, True), (10.0, 0.02, False)])
+def test_a_rotating_run_takes_trig_once(K, dt, rotates, monkeypatch):
+    # over four sample intervals a rotating run calls np.cos and np.sin once
+    # each, at its start; a non-rotating one calls them at each of the four
+    # stages of every step and for its last row, as the single-step chain does
+    rng = np.random.default_rng(22)
+    st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
+                                rng.uniform(-0.1, 0.1, 300), K=K)
+    n_samples, per, _, terms = particle.step_plan(st, 0.4, dt, 0.1)
+    assert (n_samples, bool(terms)) == (4, rotates)
+    calls = {"cos": 0, "sin": 0}
+    for name, trig in (("cos", np.cos), ("sin", np.sin)):
+        monkeypatch.setattr(np, name, lambda x, name=name, trig=trig:
+                            calls.__setitem__(name, calls[name] + 1) or trig(x))
+    rows = particle.run_particles(st, 0.4, dt=dt, sample_every=0.1)
+    monkeypatch.undo()
+    n = 1 if rotates else 4 * n_samples * per + 1
+    assert calls == {"cos": n, "sin": n}
+    if not rotates:
+        np.testing.assert_array_equal(rows, recomputed_rows(st, 0.4, dt, 0.1, chain_states))
 
 
 def test_run_particles_memory_does_not_grow_with_samples():
@@ -638,8 +682,29 @@ def test_run_particles_rejects_bad_dt(dt):
 def test_step_plan_rejects_a_dt_whose_step_count_overflows():
     # sample_every / dt is inf: math.ceil of it raised OverflowError
     st = particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=1.0)
-    with pytest.raises(ValueError, match="1e-320 is too small"):
-        particle.step_plan(st, 0.2, 1e-320, 0.1)
+    assert math.isinf(1e300 / 1e-11)
+    with pytest.raises(ValueError, match="1e-11 is too small"):
+        particle.step_plan(st, 1e300, 1e-11, 1e300)
+
+
+@pytest.mark.parametrize("dt", [1e-300, 1e-12])
+def test_step_plan_rejects_a_dt_within_time_tolerance(dt):
+    # 1e-300 planned 1e299 steps per interval of 0.1, so the run never ended
+    st = particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=1.0)
+    with pytest.raises(ValueError, match=f"dt {dt!r} is too small: it must exceed the "
+                                         "time tolerance 1e-12"):
+        particle.step_plan(st, 0.1, dt, 0.1)
+
+
+@pytest.mark.parametrize("sample_every, dt, per", [
+    (0.07, 0.01, 7), (0.14, 0.005, 28), (0.28, 0.02, 14),    # ratio lifted by roundoff
+    (0.05, 0.01, 5), (0.1, 0.03, 4), (0.1, 0.3, 1)])
+def test_step_plan_takes_a_whole_ratio_as_its_step_count(sample_every, dt, per):
+    # a ratio within order.RATIO_TOL of a whole number takes that many steps;
+    # 0.07 / 0.01 reads 7.000000000000001, which math.ceil made 8 steps
+    st = particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=1.0)
+    assert particle.step_plan(st, sample_every, dt, sample_every)[1:3] == (
+        per, sample_every / per)
 
 
 def test_sample_phases_follows_profile():
