@@ -328,12 +328,12 @@ def _run_particle(cfg: dict, K: float, out: Path, g: freq.FrequencyDensity,
     n = cfg["n_particles"]
     state = particle.ParticleState(*freq.draw(g, profile, n, cfg["seed"]), K=K)
     t_end, dt, sample_every = cfg["t_end"], cfg["dt_particle"], cfg["sample_every"]
-    n_samples, per, dt_taken, terms = particle.step_plan(state, t_end, dt, sample_every)
+    n_samples, per, dt_taken, rotation = particle.step_plan(state, t_end, dt, sample_every)
     rows = particle.run_particles(state, t_end, dt, sample_every)
     particle.trajectory_to_csv(rows, out / "particles.csv")
     _, r, phi, diameter, potential = rows[-1]
     return {"model": "particle", "K": K, "n_particles": n,
-            "n_steps": n_samples * per, "dt": dt_taken, "rotates": terms > 0,
+            "n_steps": n_samples * per, "dt": dt_taken, "rotation_doublings": rotation[1],
             "final_r": float(r), "final_phi": float(phi),
             "final_diameter": float(diameter), "final_potential": float(potential)}
 

@@ -107,8 +107,8 @@ class KineticState:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.omega.size, self.grid.n_theta):
             raise ValueError("values must have shape (n_omega, n_theta)")
-        if self.K < 0:
-            raise ValueError("coupling strength must be nonnegative")
+        if not 0.0 <= self.K < math.inf:
+            raise ValueError("coupling strength must be finite and nonnegative")
         if np.any(values < VALUE_FLOOR):
             raise ValueError("cell averages must be nonnegative (within roundoff)")
         object.__setattr__(self, "values", values)

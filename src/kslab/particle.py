@@ -4,25 +4,29 @@ Phases are stored lifted to the real line, so the phase diameter and the
 gradient potential are well defined; projection to the circle happens only
 inside order-parameter and output code.  Start phases come from ``frequency``.
 
-Everything that needs the phasor mean z = (1/N) sum exp(i theta) takes it,
-together with the arrays cos theta and sin theta, from one pass over the
-phases (``_phasor``; ``_drift``, per system in a batch), and the drift
-omega - K (sin theta Re z - cos theta Im z) needs no further trig call.
-One RK4 step (``_mean_field_step``) takes cos theta and sin theta at the
-step start, from np.cos/np.sin or from its caller, and returns its phase
-change.  Its stages 2-4 rotate them by their phase change d since the
-start, with cos d and sin d from Taylor polynomials (``_rotate``), whenever
-the a-priori bound B = |dt| (max|omega| + K) on |d| is at most
-``ROTATION_MAX``; larger steps call np.cos/np.sin at every stage.  The
-polynomials take the fewest terms whose first omitted term at B is below a
-quarter of an ulp of 1: 5 at B = 0.1, 4 at B = 0.021 (``_taylor_terms``,
-decided once per run).  A rotating run (``run_particles``) takes
-np.cos/np.sin once, at its start, and carries the table from one step
-start to the next, across sample boundaries too, by the same rotation
-through the step's phase change.  A run returns one row (t, r, phi, D, V_p)
-per sample, with r, phi and V_p from the phasor mean of the table at that
-sample: the carried table of a rotating run, within roundoff of the exact
-trig of the sample phases, and that exact trig otherwise.
+Everything that needs the phasor mean z = (1/N) sum exp(i theta) takes it
+from one complex table w = exp(i theta) of the phases (``_unit``, from
+np.cos/np.sin; ``_mean``), and the drift omega - K Im(conj(z) w) needs no
+further trig call (``_drift``, per system in a batch).  One RK4 step
+(``_mean_field_step``) takes the table at the step start and returns its
+phase change.  Its stages 2-4 turn that table by their phase change d,
+w exp(i d) with cos d and sin d from Taylor polynomials, in one complex
+pass (``_turn``): a stage's table is read once, by one drift.  A run
+(``run_particles``) takes np.cos/np.sin once, at its start, and carries
+the table from one step start to the next, across sample boundaries too,
+by the step's phase change in versine form, w + w v with
+v = (cos d - 1) + i sin d (``_rotate``), whose rounding does not drift
+however often a locked, turning ensemble repeats d.  The rotation plan
+(``_rotation``), decided once per run, follows the a-priori bound
+B = |dt| (max|omega| + K) on |d|: the fewest doublings m that bring B / 2^m
+to at most ``ROTATION_MAX``, and the fewest Taylor terms of cos and sin
+whose first omitted term at B / 2^m is below a quarter of an ulp of 1 (5 at
+0.1, 4 at 0.021), with one term more for cos d - 1, whose first omitted
+term then falls below a quarter of an ulp of cos d - 1 itself.  A plan with
+m > 0 takes the polynomials at d / 2^m and squares 1 + v m times,
+v <- v (v + 2).  A run returns one row (t, r, phi, D, V_p) per sample, with
+r, phi and V_p from the phasor mean of the carried table at that sample,
+within roundoff of the exact trig of the sample phases.
 """
 
 from __future__ import annotations
@@ -36,18 +40,21 @@ from .files import write_csv
 from .order import (RATIO_TOL, TIME_TOL, TWO_PI, OrderParams, _from_phasor, rk4_increment,
                     sample_count)
 
-#: largest a-priori phase change |dt| (max|omega| + K) of one RK4 step at
-#: which its stages 2-4, and the next step start, rotate the step-start
-#: cos/sin (``_rotate``) instead of calling np.cos/np.sin;
+#: largest a-priori phase change |dt| (max|omega| + K) / 2^m at which a
+#: rotation takes cos and sin of d / 2^m from Taylor polynomials; a step of
+#: a larger bound B takes the fewest doublings m that bring B / 2^m to it
+#: (``_rotation``);
 #: |dtheta/dt| <= |omega| + K|z| and |z| <= 1
 ROTATION_MAX = 0.1
 
-# Taylor coefficients of cos d (d^8 .. d^0) and sin d / d (d^8 .. d^0) in
-# powers of u = d^2; a rotation of n terms takes the last n of each.  At
-# |d| <= ROTATION_MAX the first terms left out of all five, d^10/10! and
-# d^11/11!, are below 2^-55, a quarter of an ulp of 1.
-_COS_TAYLOR = tuple((-1) ** k / math.factorial(2 * k) for k in range(4, -1, -1))
-_SIN_TAYLOR = tuple((-1) ** k / math.factorial(2 * k + 1) for k in range(4, -1, -1))
+# Taylor coefficients in powers of u = e^2 (u^4 .. u^0), one (2, 1) column
+# per power: of cos e and sin e / e (``_EXP``), and of (cos e - 1) / u and
+# sin e / e (``_VERSINE``).  A plan of n terms (``_rotation``; at most 5 at
+# |e| <= ROTATION_MAX) takes the last n columns.
+_EXP = tuple(np.array([[(-1) ** k / math.factorial(2 * k)],
+                       [(-1) ** k / math.factorial(2 * k + 1)]]) for k in range(4, -1, -1))
+_VERSINE = tuple(np.array([[(-1) ** (k + 1) / math.factorial(2 * k + 2)],
+                           [(-1) ** k / math.factorial(2 * k + 1)]]) for k in range(4, -1, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +70,10 @@ class ParticleState:
         om = np.asarray(self.omegas, dtype=float)
         if th.ndim != 1 or th.size < 1 or th.shape != om.shape:
             raise ValueError("thetas/omegas must be matching nonempty 1-d arrays")
-        if self.K < 0:
-            raise ValueError("coupling strength must be nonnegative")
+        if not 0.0 <= self.K < math.inf:
+            raise ValueError("coupling strength must be finite and nonnegative")
+        if not (np.isfinite(th).all() and np.isfinite(om).all()):
+            raise ValueError("thetas and omegas must be finite")
         object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "omegas", om)
 
@@ -73,101 +82,133 @@ class ParticleState:
         return self.thetas.size
 
 
-def _phasor(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, complex]:
-    """(cos theta, sin theta, z) with z = (1/N) sum exp(i theta) their mean."""
-    c = np.cos(thetas)
-    s = np.sin(thetas)
-    return c, s, complex(c.mean(), s.mean())
+def _unit(thetas: np.ndarray) -> np.ndarray:
+    """The complex table w = exp(i theta) of phases (..., N), from np.cos/np.sin."""
+    w = np.empty(np.shape(thetas), complex)
+    np.cos(thetas, out=w.real)
+    np.sin(thetas, out=w.imag)
+    return w
 
 
-def _drift(c: np.ndarray, s: np.ndarray, omegas, K: float):
-    """(omega - K (sin theta Re z - cos theta Im z), Re z, Im z) from cos theta
-    and sin theta of phases (..., N), each row along the last axis one system
-    with its own phasor mean z, kept as a length-1 axis.  sum / n is numpy's
-    ``mean`` bit for bit, without its Python-level overhead."""
-    n = c.shape[-1]
-    z_re, z_im = c.sum(axis=-1, keepdims=True) / n, s.sum(axis=-1, keepdims=True) / n
-    out = s * z_re
-    out -= c * z_im
-    out *= -K
-    out += omegas
-    return out, z_re, z_im
+def _mean(w: np.ndarray) -> np.ndarray:
+    """The phasor means (..., 1) of the rows of a table w (..., N): sum / n is
+    numpy's ``mean`` bit for bit, without its Python-level overhead."""
+    return w.sum(axis=-1, keepdims=True) / w.shape[-1]
+
+
+def _drift(w: np.ndarray, omegas, K: float, spent: bool = False):
+    """(omega - K Im(conj(z) w), z) from the table w = exp(i theta) of phases
+    (..., N), each row along the last axis one system with its own phasor
+    mean z (``_mean``), kept as a length-1 axis.  A spent table, which no one
+    reads again, takes the products -K conj(z) w in place."""
+    z = _mean(w)
+    product = np.multiply(w, -K * z.conj(), out=w if spent else None)
+    return np.add(product.imag, omegas), z
 
 
 def _mean_field_rhs(thetas: np.ndarray, omegas, K: float) -> np.ndarray:
     """The mean-field drift of phases (..., N), one system per row."""
-    return _drift(np.cos(thetas), np.sin(thetas), omegas, K)[0]
+    return _drift(_unit(thetas), omegas, K)[0]
 
 
-def _horner(coeffs: tuple, u: np.ndarray) -> np.ndarray:
-    """sum_i coeffs[i] u^(n-i), n = len(coeffs) - 1, in place on one new array."""
-    p = coeffs[0] * u
+def _taylor(d: np.ndarray, coeffs: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, p0, p1): u = d^2 and, shaped as d, the two rows of
+    sum_i coeffs[i] u^(n-i), n = len(coeffs) - 1, summed by Horner's rule at
+    once on one contiguous (2, d.size) array."""
+    u = d * d
+    row = u.reshape(1, -1)
+    p = row * coeffs[0]
     for a in coeffs[1:-1]:
         p += a
-        p *= u
+        p *= row
     p += coeffs[-1]
-    return p
+    return u, p[0].reshape(d.shape), p[1].reshape(d.shape)
 
 
-def _rotate(c0: np.ndarray, s0: np.ndarray, d: np.ndarray, terms: int):
-    """(cos(theta + d), sin(theta + d)) from c0 = cos theta and s0 = sin theta:
-    the rotation by d with cos d and sin d from their Taylor polynomials of
-    2 <= terms <= 5 terms, to d^(2 terms - 2) and d^(2 terms - 1), for |d| at
-    most the bound that ``_taylor_terms`` picked them for."""
-    u = d * d
-    cd = _horner(_COS_TAYLOR[-terms:], u)
-    sd = _horner(_SIN_TAYLOR[-terms:], u)
-    sd *= d
-    c = np.multiply(c0, cd, out=u)     # u is spent: one array fewer alive
-    c -= s0 * sd
-    cd *= s0
-    sd *= c0
-    cd += sd
-    return c, cd
+def _rotate(w0: np.ndarray, d: np.ndarray, rotation: tuple[int, int]) -> np.ndarray:
+    """w0 exp(i d) in versine form, w0 + w0 v with v = (cos d - 1) + i sin d,
+    for |d| at most the bound that ``_rotation`` made the plan
+    rotation = (terms, m) for: the rotation of a carried table, whose
+    rounding does not drift however often one d repeats.  v.real and v.imag
+    take the Taylor polynomials of cos e - 1, to e^(2 terms), and of sin e,
+    to e^(2 terms - 1), at e = d / 2^m (``_taylor``), whose last products
+    write into the strided views; m doublings 1 + v <- (1 + v)^2,
+    v <- v (v + 2), then make e into d."""
+    terms, m = rotation
+    if m:
+        d = d * 0.5 ** m
+    u, c, s = _taylor(d, _VERSINE[-terms:])
+    v = np.empty(d.shape, complex)
+    np.multiply(c, u, out=v.real)
+    np.multiply(s, d, out=v.imag)
+    for _ in range(m):
+        v *= v + 2.0
+    v *= w0
+    v += w0
+    return v
 
 
-def _taylor_terms(omegas, K: float, dt: float) -> int:
-    """The number of Taylor terms with which the stages of one RK4 step
-    rotate cos/sin (``_rotate``), or 0 when they call np.cos/np.sin: 0 when
-    B = |dt| (max|omega| + K), the a-priori bound on the step's phase change,
-    exceeds ROTATION_MAX, else the fewest terms n >= 2 whose first omitted
-    term of cos d, B^(2n)/(2n)!, is below 2^-55, a quarter of an ulp of 1
-    (that of sin d is B/(2n + 1) times it).  Fixed for a run."""
+def _turn(w0: np.ndarray, d: np.ndarray, rotation: tuple[int, int]) -> np.ndarray:
+    """w0 exp(i d) for |d| at most the bound that ``_rotation`` made the plan
+    rotation = (terms, m) for: the table of one RK4 stage, which one drift
+    reads once, so the rounding of cos d near 1 does not build up.  Without
+    doublings, exp(i d) takes the Taylor polynomials of cos d, to
+    d^(2 terms - 2), and of sin d, to d^(2 terms - 1) (``_taylor``), and w0
+    turns in one complex pass; with them, in versine form (``_rotate``),
+    whose doublings keep the relative precision of v."""
+    terms, m = rotation
+    if m:
+        return _rotate(w0, d, rotation)
+    c, s = _taylor(d, _EXP[-terms:])[1:]
+    e = np.empty(d.shape, complex)
+    e.real = c
+    np.multiply(s, d, out=e.imag)
+    e *= w0
+    return e
+
+
+def _rotation(omegas, K: float, dt: float) -> tuple[int, int]:
+    """The plan (terms, m) with which one RK4 step turns its stages' tables
+    (``_turn``) and rotates the carried one (``_rotate``), fixed for a run.
+    B = |dt| (max|omega| + K) bounds the step's phase change; m is the
+    fewest doublings with B / 2^m at most ROTATION_MAX, and terms the fewest
+    n >= 2 with e^(2n)/(2n)! below 2^-55, a quarter of an ulp of 1, at
+    e = B / 2^m.  That is the first term that cos e, of n terms, leaves out;
+    sin e, of n terms, leaves out e/(2n + 1) times it; cos e - 1 in versine
+    form takes n + 1 terms, to e^(2n), so its first omitted term is below
+    2^-55 e^2 / ((2n + 1)(2n + 2)), less than a quarter of an ulp of
+    cos e - 1 (about -e^2/2).  Raises ValueError unless B is finite."""
     bound = abs(dt) * (float(np.max(np.abs(omegas))) + K)
-    if not bound <= ROTATION_MAX:
-        return 0
+    if not bound < math.inf:
+        raise ValueError(f"step bound |dt| (max|omega| + K) = {bound!r} is not finite")
+    m = 0
+    while bound > ROTATION_MAX:
+        bound *= 0.5
+        m += 1
     terms = 2
     while bound ** (2 * terms) / math.factorial(2 * terms) >= 2.0 ** -55:
         terms += 1
-    return terms
+    return terms, m
 
 
-def _mean_field_step(thetas: np.ndarray, omegas, K: float, dt: float, terms: int,
-                     trig: tuple | None = None):
-    """One RK4 step (``order.rk4_increment``) of the mean-field flow for
-    phases (..., N), one system per row; returns (its phase change, Re z,
-    Im z) with z the step-start phasor means.
-
-    cos and sin of the phases are trig = (cos theta, sin theta), if given,
-    or taken once, at the step start.  Stages 2-4 get theirs by rotating
-    those by their phase change d through Taylor polynomials of terms > 0
-    terms (``_taylor_terms(omegas, K, dt)``), and from np.cos/np.sin of
-    theta + d at terms 0.
+def _mean_field_step(w: np.ndarray, omegas, K: float, dt: float, rotation: tuple[int, int]):
+    """One RK4 step (``order.rk4_increment``) of the mean-field flow from the
+    table w = exp(i theta) of phases (..., N), one system per row; returns
+    (its phase change, z) with z the step-start phasor means (..., 1).
+    Stages 2-4 turn w by their phase change d (``_turn``) with the plan
+    rotation = ``_rotation(omegas, K, dt)``.
     """
-    c0, s0 = (np.cos(thetas), np.sin(thetas)) if trig is None else trig
-    k1, z_re, z_im = _drift(c0, s0, omegas, K)
+    k1, z = _drift(w, omegas, K)
 
     def rhs(t, d):
-        if terms:
-            return _drift(*_rotate(c0, s0, d, terms), omegas, K)[0]
-        return _mean_field_rhs(thetas + d, omegas, K)
+        return _drift(_turn(w, d, rotation), omegas, K, spent=True)[0]
 
-    return rk4_increment(rhs, 0.0, dt, k1), z_re, z_im
+    return rk4_increment(rhs, 0.0, dt, k1), z
 
 
 def particle_order(state: ParticleState) -> OrderParams:
     """Amplitude and average phase of the phasor mean (1/N) sum exp(i theta)."""
-    return _from_phasor(_phasor(state.thetas)[2])
+    return _from_phasor(complex(_mean(_unit(state.thetas))[0]))
 
 
 def particle_rhs(state: ParticleState) -> np.ndarray:
@@ -202,13 +243,13 @@ def phase_diameter(state: ParticleState) -> float:
 
 
 def step_plan(state: ParticleState, t_end: float, dt: float,
-              sample_every: float) -> tuple[int, int, float, int]:
-    """(n_samples, per, dt, terms) of a ``run_particles`` run: per RK4 steps
-    of dt in each of the n_samples sample intervals of ``order.sample_count``,
-    dt shrunk from the one asked for so that it divides sample_every, and
-    the Taylor terms with which the steps rotate cos/sin, 0 if they do not
-    (``_taylor_terms``).  A ratio sample_every / dt within ``order.RATIO_TOL``
-    of a whole number takes that many steps.
+              sample_every: float) -> tuple[int, int, float, tuple[int, int]]:
+    """(n_samples, per, dt, rotation) of a ``run_particles`` run: per RK4
+    steps of dt in each of the n_samples sample intervals of
+    ``order.sample_count``, dt shrunk from the one asked for so that it
+    divides sample_every, and the plan (terms, m) with which the steps
+    rotate the table (``_rotation``).  A ratio sample_every / dt within
+    ``order.RATIO_TOL`` of a whole number takes that many steps.
 
     Raises ValueError as ``sample_count`` does, and unless dt is finite and
     exceeds ``order.TIME_TOL`` with sample_every / dt finite.
@@ -224,7 +265,7 @@ def step_plan(state: ParticleState, t_end: float, dt: float,
     if abs(ratio - per) > RATIO_TOL * ratio:
         per = math.ceil(ratio)
     dt = sample_every / per
-    return n_samples, per, dt, _taylor_terms(state.omegas, state.K, dt)
+    return n_samples, per, dt, _rotation(state.omegas, state.K, dt)
 
 
 def run_particles(state: ParticleState, t_end: float, dt: float,
@@ -235,16 +276,15 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
     The steps are those of ``step_plan``, which raises ValueError unless
     t_end - t0 is a whole number of sample intervals and dt is finite and
     exceeds ``order.TIME_TOL``; the run ends at the last sample.
-    When the steps rotate, np.cos/np.sin are taken once, at the run start,
-    and every step rotates the table (``_rotate``) through its phase change,
-    across sample boundaries too.  Each row's r, phi and V_p come from the
-    phasor mean of the table at its sample: the carried one when the steps
-    rotate, np.cos/np.sin of the sample phases when they do not.
+    np.cos/np.sin are taken once, at the run start, and every step rotates
+    the table (``_rotate``) through its phase change, across sample
+    boundaries too.  Each row's r, phi and V_p come from the phasor mean of
+    the carried table at its sample.
     """
-    n_samples, per, dt, terms = step_plan(state, t_end, dt, sample_every)
+    n_samples, per, dt, rotation = step_plan(state, t_end, dt, sample_every)
     ts = state.t + sample_every * np.arange(n_samples + 1)
     thetas, omegas, K = state.thetas.copy(), state.omegas, state.K
-    trig = (np.cos(thetas), np.sin(thetas)) if terms else None
+    w = _unit(thetas)
 
     def row(i: int, z: complex) -> tuple:
         s = ParticleState(thetas, omegas, K, t=float(ts[i]))
@@ -254,14 +294,12 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
     rows = np.empty((n_samples + 1, 5))
     for i in range(n_samples):
         for k in range(per):
-            delta, z_re, z_im = _mean_field_step(thetas, omegas, K, dt, terms, trig)
+            delta, z = _mean_field_step(w, omegas, K, dt, rotation)
             if k == 0:
-                rows[i] = row(i, complex(z_re[0], z_im[0]))
-            if terms:
-                trig = _rotate(*trig, delta, terms)
+                rows[i] = row(i, complex(z[0]))
+            w = _rotate(w, delta, rotation)
             thetas += delta
-    c, s = trig if terms else (np.cos(thetas), np.sin(thetas))
-    rows[-1] = row(n_samples, complex(c.mean(), s.mean()))
+    rows[-1] = row(n_samples, complex(_mean(w)[0]))
     return rows
 
 

@@ -154,18 +154,22 @@ def test_simulate_particle_model(tmp_path):
                                  "final_potential")] == [float(x) for x in last[1:]]
 
 
-@pytest.mark.parametrize("dt_particle, coupling, per, rotates", [
-    (0.03, 1.0, 4, True), (0.1, 2.0, 1, False)])
-def test_particle_summary_reports_its_steps(tmp_path, dt_particle, coupling, per, rotates):
-    # dt_particle is shrunk to divide sample_every; the steps rotate cos/sin
-    # only when dt (max|omega| + K) <= ROTATION_MAX
+@pytest.mark.parametrize("dt_particle, coupling, per, undoubled", [
+    (0.03, 1.0, 4, True), (0.1, 2.0, 1, False), (0.1, 5.0, 1, False)])
+def test_particle_summary_reports_its_steps(tmp_path, dt_particle, coupling, per, undoubled):
+    # dt_particle is shrunk to divide sample_every; the steps rotate the table
+    # by d / 2^m and m doublings, m the fewest that bring dt (max|omega| + K)
+    # / 2^m to at most ROTATION_MAX: 0 while dt K <= 0.1 (omega = 0 here),
+    # 1 at dt K = 0.2 and 3 at 0.5
+    doublings = {(0.03, 1.0): 0, (0.1, 2.0): 1, (0.1, 5.0): 3}[dt_particle, coupling]
+    assert (doublings == 0) == undoubled
     cfg = write_config(tmp_path, model="particle", n_particles=50, t_end=0.5,
                        dt_particle=dt_particle, coupling=coupling)
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     summary = read_json(out / "summary.json")
-    assert (summary["n_steps"], summary["dt"], summary["rotates"]) == (5 * per, 0.1 / per,
-                                                                       rotates)
+    assert (summary["n_steps"], summary["dt"], summary["rotation_doublings"]) == (
+        5 * per, 0.1 / per, doublings)
 
 
 @pytest.mark.parametrize("model", ["particle", "both"])

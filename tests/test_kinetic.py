@@ -384,6 +384,14 @@ def test_state_rejects_a_negative_cell():
         kinetic.KineticState(grid, np.zeros(1), np.ones(1), values, K=1.0)
 
 
+@pytest.mark.parametrize("K", [-1.0, math.nan, math.inf])
+def test_state_rejects_a_negative_or_non_finite_coupling(K):
+    # NaN passed the old K < 0 check
+    values = np.full((1, 32), 1.0 / TWO_PI)
+    with pytest.raises(ValueError, match="coupling strength must be finite and nonnegative"):
+        kinetic.KineticState(kinetic.PhaseGrid(32), np.zeros(1), np.ones(1), values, K=K)
+
+
 def test_sampler_gets_the_run_values_at_each_sample_time(monkeypatch):
     st = uniform_state(n_theta=64, n_omega=3, K=2.0)
     samples = []

@@ -28,12 +28,39 @@ def rk4_direct(thetas, omegas, K, dt):
 
 
 def rk4(state, dt):
-    """One RK4 step of a state (``_mean_field_step``), the guard decided for
-    this step as ``run_particles`` decides it for a run; t advances by dt."""
-    terms = particle._taylor_terms(state.omegas, state.K, dt)
-    thetas = state.thetas + particle._mean_field_step(state.thetas, state.omegas, state.K,
-                                                      dt, terms)[0]
+    """One RK4 step of a state (``_mean_field_step``) from the exact trig of
+    its phases, the rotation planned for this step as ``run_particles``
+    plans it for a run; t advances by dt."""
+    rotation = particle._rotation(state.omegas, state.K, dt)
+    thetas = state.thetas + particle._mean_field_step(particle._unit(state.thetas), state.omegas,
+                                                      state.K, dt, rotation)[0]
     return particle.ParticleState(thetas, state.omegas, state.K, t=state.t + dt)
+
+
+@pytest.mark.parametrize("K", [-1.0, math.nan, math.inf])
+def test_state_rejects_a_negative_or_non_finite_coupling(K):
+    # NaN passed the old K < 0 check, and a run returned NaN rows
+    with pytest.raises(ValueError, match="coupling strength must be finite and nonnegative"):
+        particle.ParticleState(np.array([0.1, 0.2]), np.zeros(2), K=K)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_rejects_non_finite_phases(bad):
+    with pytest.raises(ValueError, match="thetas and omegas must be finite"):
+        particle.ParticleState(np.array([0.1, bad]), np.zeros(2), K=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_state_rejects_non_finite_frequencies(bad):
+    with pytest.raises(ValueError, match="thetas and omegas must be finite"):
+        particle.ParticleState(np.array([0.1, 0.2]), np.array([bad, 0.0]), K=1.0)
+
+
+def test_rotation_plan_rejects_an_overflowing_step_bound():
+    # finite inputs whose bound |dt| (max|omega| + K) overflows: m doublings
+    # of an infinite bound never reach ROTATION_MAX
+    with pytest.raises(ValueError, match="is not finite"):
+        particle._rotation(np.array([1e308]), 1e308, 10.0)
 
 
 def test_rhs_single_oscillator():
@@ -92,79 +119,114 @@ def largest_bound(terms: int) -> float:
     return min(particle.ROTATION_MAX, exact) * (1.0 - 1e-9)
 
 
-@pytest.mark.parametrize("bound, terms", [(0.021, 4), (0.05, 5), (0.1, 5), (0.1001, 0),
+@pytest.mark.parametrize("bound, terms", [(0.021, 4), (0.05, 5), (0.1, 5), (0.1001, 5),
                                           (0.0, 2)])
 def test_taylor_terms_follow_the_step_bound(bound, terms):
-    # the fewest terms whose first omitted term at the bound is below 2^-55;
-    # particle-mf and criterion 8 step at 0.021, criterion 10 at 0.05
-    assert particle._taylor_terms(np.array([0.0, -0.5, 0.25]), 0.5, bound) == terms
-    assert particle._taylor_terms(0.0, 1.0, bound) == terms
+    # the fewest terms whose first omitted term at bound / 2^m is below
+    # 2^-55; particle-mf and criterion 8 step at 0.021, criterion 10 at 0.05,
+    # and 0.1001 takes one doubling
+    assert particle._rotation(np.array([0.0, -0.5, 0.25]), 0.5, bound)[0] == terms
+    assert particle._rotation(0.0, 1.0, bound)[0] == terms
+
+
+@pytest.mark.parametrize("bound, doublings", [(0.021, 0), (0.1, 0), (0.1001, 1), (0.2, 1),
+                                              (0.4, 2), (1.6, 4), (1.61, 5)])
+def test_doublings_follow_the_step_bound(bound, doublings):
+    # the fewest doublings m with bound / 2^m <= ROTATION_MAX; K = 10 at
+    # dt 0.01 (bound 0.1 + 0.01 max|omega|) takes one
+    assert particle._rotation(np.array([0.0, -0.5, 0.25]), 0.5, bound)[1] == doublings
+    assert particle._rotation(0.0, 1.0, bound)[1] == doublings
 
 
 def test_rotation_matches_trig():
-    # cos and sin of y = theta + d from those of theta, against np.cos/np.sin
-    # of y itself, over |d| up to the largest bound at which the rule picks
-    # each number of terms, on 200,001 points
+    # exp(i y), y = theta + d, from exp(i theta), in versine form (a carried
+    # table, ``_rotate``) and in one pass (a stage's, ``_turn``), against
+    # np.cos/np.sin of y itself, over |d| up to the largest bound at which
+    # the rule picks each number of terms (no doubling) and each number
+    # m = 1..4 of doublings, on 200,001 points
     rng = np.random.default_rng(40)
     th = rng.uniform(-20.0, 20.0, 200_001)
-    for terms in (2, 3, 4, 5):
-        dmax = largest_bound(terms)
-        assert particle._taylor_terms(0.0, 1.0, dmax) == terms
-        # just above it, the rule takes one term more, or no rotation above ROTATION_MAX
-        above = particle._taylor_terms(0.0, 1.0, dmax * (1.0 + 1e-8))
-        assert above == (terms + 1 if terms < 5 else 0)
+    cases = [(largest_bound(terms), (terms, 0)) for terms in (2, 3, 4, 5)]
+    cases += [(particle.ROTATION_MAX * 2 ** m * (1.0 - 1e-9), (5, m)) for m in (1, 2, 3, 4)]
+    for dmax, rotation in cases:
+        assert particle._rotation(0.0, 1.0, dmax) == rotation
+        # just above it, the rule takes one term more, or one doubling more
+        terms, m = rotation
+        above = (terms + 1, m) if terms < 5 else (5, m + 1)
+        assert particle._rotation(0.0, 1.0, dmax * (1.0 + 1e-8)) == above
         # shrunk by 1e-9, so that d = y - theta, rounded, stays within the bound
         y = th + np.linspace(-dmax, dmax, th.size) * (1.0 - 1e-9)
         d = y - th
         assert np.max(np.abs(d)) <= dmax
-        c, s = particle._rotate(np.cos(th), np.sin(th), d, terms)
-        assert np.max(np.abs(c - np.cos(y))) <= 1.5e-15
-        assert np.max(np.abs(s - np.sin(y))) <= 1.5e-15
-        zero = np.zeros(th.size)
-        c0, s0 = particle._rotate(np.cos(th), np.sin(th), zero, terms)
-        np.testing.assert_array_equal(c0, np.cos(th))
-        np.testing.assert_array_equal(s0, np.sin(th))
+        for rotate in (particle._rotate, particle._turn):
+            w = rotate(particle._unit(th), d, rotation)
+            assert np.max(np.abs(w.real - np.cos(y))) <= 1.5e-15
+            assert np.max(np.abs(w.imag - np.sin(y))) <= 1.5e-15
+            w0 = rotate(particle._unit(th), np.zeros(th.size), rotation)
+            np.testing.assert_array_equal(w0.real, np.cos(th))
+            np.testing.assert_array_equal(w0.imag, np.sin(th))
 
 
-@pytest.mark.parametrize("dt, rotates", [(0.01, True), (0.05, False), (0.2, False),
-                                         (-0.1, False)])
-def test_step_guard_branches(dt, rotates, monkeypatch):
-    # the data of test_step_matches_direct_rk4: stages 2-4 rotate only when
-    # |dt| (max|omega| + K) <= ROTATION_MAX; otherwise they take np.cos/np.sin
-    # and the step is the plain RK4 of the mean-field right-hand side, bit for bit
+@pytest.mark.parametrize("bound, tol", [(0.021, 3e-14), (0.1, 1e-13)])
+def test_repeated_rotation_keeps_the_unit_modulus(bound, tol):
+    # 20,000 rotations of a unit table of 1,000 entries, each by its own d,
+    # |d| up to the step bound, repeated every time, as a locked, turning
+    # ensemble repeats its phase change.  max||w| - 1| reads 1.3e-14 at
+    # 0.021 and 3.7e-14 at 0.1, the random walk of the rounding of w + w v.
+    # Rounding cos d near 1, as the carried cos/sin table did, drifted
+    # 1.1e-12 at 0.021; a versine of as few terms as sin d, whose first
+    # omitted term is a quarter of an ulp of 1, not of cos d - 1, drifted
+    # 2.5e-14 at 0.021 and 5.4e-13 at 0.1
+    rng = np.random.default_rng(42)
+    rotation = particle._rotation(0.0, 1.0, bound)
+    assert rotation[1] == 0
+    d = rng.uniform(-bound, bound, 1000)
+    w = particle._unit(rng.uniform(0.0, TWO_PI, 1000))
+    for _ in range(20_000):
+        w = particle._rotate(w, d, rotation)
+    assert np.max(np.abs(np.abs(w) - 1.0)) <= tol
+
+
+@pytest.mark.parametrize("dt, undoubled", [(0.01, True), (0.05, False), (0.2, False),
+                                            (-0.1, False)])
+def test_step_guard_branches(dt, undoubled, monkeypatch):
+    # the data of test_step_matches_direct_rk4: stages 2-4 turn the
+    # step-start table, by d / 2^m and m doublings when |dt| (max|omega| + K)
+    # exceeds ROTATION_MAX; the step takes np.cos/np.sin once and stays
+    # within roundoff of the plain RK4 of the mean-field right-hand side
     rng = np.random.default_rng(41)
     th = rng.uniform(0, TWO_PI, 200)
     om = rng.normal(0, 1, 200)
     K = 2.5
-    assert (abs(dt) * (np.max(np.abs(om)) + K) <= particle.ROTATION_MAX) == rotates
+    assert particle._rotation(om, K, dt)[1] == {0.01: 0, 0.05: 2, 0.2: 4, -0.1: 3}[dt]
+    assert (abs(dt) * (np.max(np.abs(om)) + K) <= particle.ROTATION_MAX) == undoubled
     calls = []
-    rotate = particle._rotate
-    monkeypatch.setattr(particle, "_rotate",
-                        lambda *a: calls.append(1) or rotate(*a))
+    turn = particle._turn
+    monkeypatch.setattr(particle, "_turn", lambda *a: calls.append(1) or turn(*a))
+    trig = count_trig(monkeypatch)
     out = rk4(particle.ParticleState(th, om, K=K), dt).thetas
-    assert len(calls) == (3 if rotates else 0)
+    monkeypatch.undo()
+    assert len(calls) == 3
+    assert trig == {"cos": 1, "sin": 1}
     plain = rk4_step(lambda t, y: particle._mean_field_rhs(y, om, K), 0.0, th, dt)
-    if rotates:
-        assert np.max(np.abs(out - plain)) <= 1e-14
-    else:
-        np.testing.assert_array_equal(out, plain)
+    assert np.max(np.abs(out - plain)) <= 1e-14
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.3])
 def test_batched_step_rows_are_single_systems(dt):
-    # both branches of the guard: max|omega| + K is just under 1.8, so
+    # with and without doublings: max|omega| + K is just under 1.8, so
     # |dt| (max|omega| + K) is below ROTATION_MAX at dt 0.05, above at dt 0.3
     rng = np.random.default_rng(13)
     th = rng.uniform(-5.0, 5.0, (7, 40))
     om = rng.uniform(-0.5, 0.5, 40)
-    terms = particle._taylor_terms(om, 1.3, dt)
-    assert bool(terms) == (dt == 0.05)
-    stepped, z_re, z_im = particle._mean_field_step(th, om, 1.3, dt, terms)
-    assert z_re.shape == z_im.shape == (7, 1)
+    rotation = particle._rotation(om, 1.3, dt)
+    assert rotation == ((5, 0) if dt == 0.05 else (5, 3))
+    stepped, z = particle._mean_field_step(particle._unit(th), om, 1.3, dt, rotation)
+    assert z.shape == (7, 1)
     for i in range(th.shape[0]):
-        row, row_re, row_im = particle._mean_field_step(th[i], om, 1.3, dt, terms)
+        row, row_z = particle._mean_field_step(particle._unit(th[i]), om, 1.3, dt, rotation)
         np.testing.assert_array_equal(stepped[i], row)
-        assert (z_re[i, 0], z_im[i, 0]) == (row_re[0], row_im[0])
+        assert z[i, 0] == row_z[0]
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.05, 0.2, -0.1])
@@ -353,15 +415,15 @@ def test_classify_unconverged():
 
 
 def sample_times(st, t_end, dt, sample_every):
-    """(per, h, terms, ts) of a run's ``step_plan``: per steps of h in each
-    sample interval, the Taylor terms of their rotation, and the sample
-    times t0 + i sample_every."""
-    n, per, h, terms = particle.step_plan(st, t_end, dt, sample_every)
-    return per, h, terms, st.t + sample_every * np.arange(n + 1)
+    """(per, h, rotation, ts) of a run's ``step_plan``: per steps of h in
+    each sample interval, the plan of their rotation, and the sample times
+    t0 + i sample_every."""
+    n, per, h, rotation = particle.step_plan(st, t_end, dt, sample_every)
+    return per, h, rotation, st.t + sample_every * np.arange(n + 1)
 
 
 def chain_states(st, t_end, dt, sample_every):
-    """(state, cos, sin) at the sample times of a chain of single RK4 steps
+    """(state, table) at the sample times of a chain of single RK4 steps
     (``rk4``), each of which takes np.cos/np.sin at its own start, with the
     exact trig of the sample phases."""
     per, h, _, ts = sample_times(st, t_end, dt, sample_every)
@@ -370,36 +432,34 @@ def chain_states(st, t_end, dt, sample_every):
         for _ in range(per if i else 0):
             st = rk4(st, h)
         states.append((particle.ParticleState(st.thetas, st.omegas, st.K, t=float(t)),
-                       np.cos(st.thetas), np.sin(st.thetas)))
+                       particle._unit(st.thetas)))
     return states
 
 
 def sample_states(st, t_end, dt, sample_every):
-    """(state, cos, sin) at the sample times of a run, stepped as
-    run_particles steps: when the steps rotate, np.cos/np.sin of the start
-    phases only, each step rotating the table by its phase change delta
-    (``_rotate``), across sample boundaries too; otherwise np.cos/np.sin of
-    every step start."""
-    per, h, terms, ts = sample_times(st, t_end, dt, sample_every)
+    """(state, table) at the sample times of a run, stepped as run_particles
+    steps: np.cos/np.sin of the start phases only, each step rotating the
+    table by its phase change delta (``_rotate``), across sample boundaries
+    too."""
+    per, h, rotation, ts = sample_times(st, t_end, dt, sample_every)
     th = st.thetas
-    c, s = np.cos(th), np.sin(th)
-    states = [(particle.ParticleState(th, st.omegas, st.K, t=float(ts[0])), c, s)]
+    w = particle._unit(th)
+    states = [(particle.ParticleState(th, st.omegas, st.K, t=float(ts[0])), w)]
     for t in ts[1:]:
         for _ in range(per):
-            delta = particle._mean_field_step(th, st.omegas, st.K, h, terms, (c, s))[0]
+            delta = particle._mean_field_step(w, st.omegas, st.K, h, rotation)[0]
             th = th + delta
-            c, s = (particle._rotate(c, s, delta, terms) if terms
-                    else (np.cos(th), np.sin(th)))
-        states.append((particle.ParticleState(th, st.omegas, st.K, t=float(t)), c, s))
+            w = particle._rotate(w, delta, rotation)
+        states.append((particle.ParticleState(th, st.omegas, st.K, t=float(t)), w))
     return states
 
 
 def recomputed_rows(st, t_end, dt, sample_every, states=sample_states):
     """The rows t, r, phi, D, V_p recomputed from the sample states and their
-    cos/sin tables through the phasor mean, phase_diameter and the potential."""
+    tables through the phasor mean, phase_diameter and the potential."""
     rows = []
-    for s, c, sn in states(st, t_end, dt, sample_every):
-        op = _from_phasor(complex(c.mean(), sn.mean()))
+    for s, w in states(st, t_end, dt, sample_every):
+        op = _from_phasor(complex(particle._mean(w)[0]))
         rows.append((s.t, op.R, op.phi, particle.phase_diameter(s),
                      particle._potential(s, op.R)))
     return np.array(rows)
@@ -442,7 +502,7 @@ def test_csv_rows_match_order_and_potential(tmp_path):
     lines = path.read_text().splitlines()[1:]
     np.testing.assert_array_equal(
         rows, [[float(x) for x in line.split(",")] for line in lines])
-    states = [s for s, _, _ in sample_states(st, 1.0, 0.02, 0.1)]
+    states = [s for s, _ in sample_states(st, 1.0, 0.02, 0.1)]
     assert rows.shape == (len(states), 5) == (11, 5)
     for (t, r, phi, d, v), s in zip(rows, states):
         op = particle.particle_order(s)
@@ -466,20 +526,18 @@ def test_csv_phasors_from_steps_match_recompute(tmp_path):
     assert_near_chain(rows, st, 0.5, 0.01, 0.05)
 
 
-@pytest.mark.parametrize("K, dt, rotates", [(2.0, 0.01, True), (10.0, 0.02, False)])
-def test_run_snapshots_are_particle_steps(K, dt, rotates):
-    # the run steps arrays and decides the guard once; without rotation its
-    # rows are those of the states a chain of single steps (``rk4``) reaches,
-    # which decides it per step, bit for bit; with it, they differ at roundoff
+@pytest.mark.parametrize("K, dt, undoubled", [(2.0, 0.01, True), (10.0, 0.02, False)])
+def test_run_snapshots_are_particle_steps(K, dt, undoubled):
+    # the run steps arrays and plans its rotation once; its rows are within
+    # roundoff of those of the states a chain of single steps (``rk4``),
+    # each from exact trig, reaches, with and without doublings
     rng = np.random.default_rng(22)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.uniform(-0.1, 0.1, 300), K=K)
-    assert bool(particle._taylor_terms(st.omegas, K, dt)) == rotates
+    assert particle._rotation(st.omegas, K, dt)[1] == (0 if undoubled else 2)
     rows = particle.run_particles(st, 0.2, dt=dt, sample_every=0.1)
     np.testing.assert_array_equal(rows, recomputed_rows(st, 0.2, dt, 0.1))
     assert_near_chain(rows, st, 0.2, dt, 0.1)
-    if not rotates:
-        np.testing.assert_array_equal(rows, recomputed_rows(st, 0.2, dt, 0.1, chain_states))
 
 
 def test_run_particles_exact_sample_times(tmp_path):
@@ -537,7 +595,7 @@ def test_run_particles_match_the_flow_map_of_identical_oscillators():
     # table from step to step; the flow map is exact up to its own RK4 error
     th = np.random.default_rng(10).uniform(0.0, TWO_PI, 10)
     st = particle.ParticleState(th, np.zeros(10), K=1.0)
-    assert particle.step_plan(st, 2.0, 0.01, 0.1) == (20, 10, 0.01, 4)
+    assert particle.step_plan(st, 2.0, 0.01, 0.1) == (20, 10, 0.01, (4, 0))
     rows = particle.run_particles(st, 2.0, dt=0.01, sample_every=0.1)
     exact = flow_map_orders(th, 0.0, 1.0, rows[:, 0], 1e-3)[0]
     assert np.max(np.abs(rows[:, 1] - exact[:, 0])) <= 1e-9
@@ -554,11 +612,11 @@ def test_batched_steps_match_the_flow_map_of_identical_oscillators():
     thetas = np.random.default_rng(10).uniform(0.0, TWO_PI, (200, 10))
     assert np.abs(np.mean(np.exp(1j * thetas), axis=1)).min() >= 0.01   # none redrawn
     dt = 0.05
-    terms = particle._taylor_terms(0.0, 1.0, dt)
-    assert terms == 5
+    rotation = particle._rotation(0.0, 1.0, dt)
+    assert rotation == (5, 0)
     th = thetas
     for _ in range(40):
-        th = th + particle._mean_field_step(th, 0.0, 1.0, dt, terms)[0]
+        th = th + particle._mean_field_step(particle._unit(th), 0.0, 1.0, dt, rotation)[0]
     orders, phases = flow_map_orders(thetas, 0.0, 1.0, [0.0, 2.0], 1e-3)
     assert orders.shape == (2, 200, 2) and phases.shape == (200, 10)
     dphase = (th - phases + math.pi) % TWO_PI - math.pi
@@ -573,7 +631,7 @@ def test_long_rotating_interval_stays_near_the_step_chain():
     rng = np.random.default_rng(24)
     st = particle.ParticleState(rng.uniform(0.0, TWO_PI, 2000),
                                 rng.uniform(-0.5, 0.5, 2000), K=2.0)
-    assert particle.step_plan(st, 20.0, 0.01, 20.0) == (1, 2000, 0.01, 4)
+    assert particle.step_plan(st, 20.0, 0.01, 20.0) == (1, 2000, 0.01, (4, 0))
     rows = particle.run_particles(st, 20.0, dt=0.01, sample_every=20.0)
     op = particle.particle_order(st)
     assert (rows[0, 1], rows[0, 2]) == (op.R, op.phi)
@@ -582,41 +640,49 @@ def test_long_rotating_interval_stays_near_the_step_chain():
 
 def test_rotating_run_of_20000_steps_stays_near_the_exact_trig_chain():
     # the table carried over 20,000 rotating steps and nine sample
-    # boundaries keeps r within 1e-12 of np.cos/np.sin of the chain's phases
-    # (6.2e-13 here).  phi and D get 1e-11 (1.6e-12 and 2.1e-14 here): the
+    # boundaries keeps r within 1e-14 of np.cos/np.sin of the chain's phases
+    # (6.7e-16 here; the cos/sin table before the versine form drifted
+    # 6.2e-13).  phi and D get 1e-11 (1.6e-12 and 1.6e-14 here): the
     # ensemble locks and turns, so each step's phase change repeats and every
     # stored phase, of the run and of the chain, loses the same fraction of an
-    # ulp each step, which does not average out.  The run's phi, read from the
-    # table, stays within 2.2e-16 of an RK4 run in long double, the chain's not.
+    # ulp each step, which does not average out.  The run's r and phi, read
+    # from the table, stay within 2.2e-16 of an RK4 run in long double, the
+    # chain's phi not.
     rng = np.random.default_rng(26)
     st = particle.ParticleState(rng.uniform(0.0, TWO_PI, 1000),
                                 rng.uniform(-0.5, 0.5, 1000), K=2.0)
-    assert particle.step_plan(st, 200.0, 0.01, 20.0) == (10, 2000, 0.01, 4)
+    assert particle.step_plan(st, 200.0, 0.01, 20.0) == (10, 2000, 0.01, (4, 0))
     rows = particle.run_particles(st, 200.0, dt=0.01, sample_every=20.0)
     chain = assert_near_chain(rows, st, 200.0, 0.01, 20.0, tol=1e-11)
-    assert np.max(np.abs(rows[:, 1] - chain[:, 1])) <= 1e-12
+    assert np.max(np.abs(rows[:, 1] - chain[:, 1])) <= 1e-14
 
 
-@pytest.mark.parametrize("K, dt, rotates", [(2.0, 0.01, True), (10.0, 0.02, False)])
-def test_a_rotating_run_takes_trig_once(K, dt, rotates, monkeypatch):
-    # over four sample intervals a rotating run calls np.cos and np.sin once
-    # each, at its start; a non-rotating one calls them at each of the four
-    # stages of every step and for its last row, as the single-step chain does
+def count_trig(monkeypatch) -> dict:
+    """Counts of the np.cos and np.sin calls made until monkeypatch.undo()."""
+    calls = {"cos": 0, "sin": 0}
+    for name, trig in (("cos", np.cos), ("sin", np.sin)):
+        monkeypatch.setattr(np, name, lambda x, name=name, trig=trig, **kw:
+                            calls.__setitem__(name, calls[name] + 1) or trig(x, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("K, dt, undoubled", [(2.0, 0.01, True), (10.0, 0.02, False),
+                                              (10.0, 0.01, False)])
+def test_a_rotating_run_takes_trig_once(K, dt, undoubled, monkeypatch):
+    # over four sample intervals a run calls np.cos and np.sin once each, at
+    # its start, with and without doublings (K = 10 at dt 0.01 needs one),
+    # and its rows stay within roundoff of the single-step chain's
     rng = np.random.default_rng(22)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.uniform(-0.1, 0.1, 300), K=K)
-    n_samples, per, _, terms = particle.step_plan(st, 0.4, dt, 0.1)
-    assert (n_samples, bool(terms)) == (4, rotates)
-    calls = {"cos": 0, "sin": 0}
-    for name, trig in (("cos", np.cos), ("sin", np.sin)):
-        monkeypatch.setattr(np, name, lambda x, name=name, trig=trig:
-                            calls.__setitem__(name, calls[name] + 1) or trig(x))
+    n_samples, _, _, rotation = particle.step_plan(st, 0.4, dt, 0.1)
+    assert (n_samples, rotation[1]) == (4, {0.01: 0 if K == 2.0 else 1, 0.02: 2}[dt])
+    assert (rotation[1] == 0) == undoubled
+    calls = count_trig(monkeypatch)
     rows = particle.run_particles(st, 0.4, dt=dt, sample_every=0.1)
     monkeypatch.undo()
-    n = 1 if rotates else 4 * n_samples * per + 1
-    assert calls == {"cos": n, "sin": n}
-    if not rotates:
-        np.testing.assert_array_equal(rows, recomputed_rows(st, 0.4, dt, 0.1, chain_states))
+    assert calls == {"cos": 1, "sin": 1}
+    assert_near_chain(rows, st, 0.4, dt, 0.1)
 
 
 def test_run_particles_memory_does_not_grow_with_samples():
