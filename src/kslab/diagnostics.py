@@ -546,12 +546,15 @@ def bound_checks_to_json(rows, checks, path) -> None:
     write_json(path, [{"t": r["t"], "checks": c} for r, c in zip(rows, checks)])
 
 
+SLICE_DRIFT_GATE = 1e-12    # a run's largest slice-mass drift, relative to the initial mass
+TOTAL_DRIFT_GATE = 1e-10    # a run's largest drift of the weighted total mass
+
+
 def summarize_run(res, checks, K: float, M: float) -> dict:
     """summary.json of the kinetic run res with its rows' bound checks, M the
     support bound of g.  Flags ``min_step_delta_R_ok`` (R fell by at most 1e-12
     per step) for identical oscillators, M = 0; gives ``lambda_rate``, lambda's
     log-linear slope over the late half after its onset, when it can be fitted."""
-    from .kinetic import SLICE_DRIFT_GATE, TOTAL_DRIFT_GATE    # diagnostics loads no kinetic
     final = res.records[-1]
     summary = {
         "model": "kinetic", "K": K, "M": M, "n_steps": res.n_steps, "max_dt": res.max_dt,

@@ -316,8 +316,6 @@ def step(state: KineticState, dt: float) -> KineticState:
 
 
 DT_MAX = 1.0                # the longest step of a run, whatever the CFL length
-SLICE_DRIFT_GATE = 1e-12    # a run's largest slice-mass drift, relative to the initial mass
-TOTAL_DRIFT_GATE = 1e-10    # a run's largest drift of the weighted total mass
 
 
 @dataclass
@@ -352,10 +350,15 @@ def run(state: KineticState, t_end: float, sample_every: float,
     FluxNanError, and each sample sets the cells whose |value| is below the
     smallest normal float to 0, in the state the run goes on from as well
     (a contracting run drives its far field there, and arithmetic on
-    subnormals is many times slower).
+    subnormals is many times slower).  A CFL length at R = 1 within
+    ``order.TIME_TOL`` raises ValueError before any step: t would stop.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     muscl = _Muscl(state, cfl)
+    least = muscl.step_length(state, 1.0)
+    if least <= TIME_TOL:
+        raise ValueError(f"the CFL step {least:.3g} at R = 1 is within the time tolerance "
+                         f"{TIME_TOL:g}: the coupling or the frequency support is too large")
     n_steps, max_dt, min_dR = 0, 0.0, 0.0
     t0 = t = state.t
     z, R = muscl.z, abs(muscl.z)    # of the current values: z drives the next step

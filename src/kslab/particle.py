@@ -11,12 +11,13 @@ further trig call (``_drift``, per system in a batch).  One RK4 step
 (``_mean_field_step``) takes the table at the step start and returns its
 phase change.  Its stages 2-4 turn that table by their phase change d,
 w exp(i d) with cos d and sin d from Taylor polynomials, in one complex
-pass (``_turn``): a stage's table is read once, by one drift.  A run
-(``run_particles``) takes np.cos/np.sin once, at its start, and carries
-the table from one step start to the next, across sample boundaries too,
-by the step's phase change in versine form, w + w v with
-v = (cos d - 1) + i sin d (``_rotate``), whose rounding does not drift
-however often a locked, turning ensemble repeats d.  The rotation plan
+pass (``_turn``): a stage's table is read once, by one drift.  The one
+stepping loop (``_advance``) takes n steps and carries the table from one
+step start to the next by the step's phase change in versine form,
+w + w v with v = (cos d - 1) + i sin d (``_rotate``), whose rounding does
+not drift however often a locked, turning ensemble repeats d.  A run
+(``run_particles``) and criterion 10 of ``verify`` take np.cos/np.sin once,
+at their start, and step only in that loop.  The rotation plan
 (``_rotation``), decided once per run, follows the a-priori bound
 B = |dt| (max|omega| + K) on |d|: the fewest doublings m that bring B / 2^m
 to at most ``ROTATION_MAX``, and the fewest Taylor terms of cos and sin
@@ -77,10 +78,6 @@ class ParticleState:
         object.__setattr__(self, "thetas", th)
         object.__setattr__(self, "omegas", om)
 
-    @property
-    def n(self) -> int:
-        return self.thetas.size
-
 
 def _unit(thetas: np.ndarray) -> np.ndarray:
     """The complex table w = exp(i theta) of phases (..., N), from np.cos/np.sin."""
@@ -104,11 +101,6 @@ def _drift(w: np.ndarray, omegas, K: float, spent: bool = False):
     z = _mean(w)
     product = np.multiply(w, -K * z.conj(), out=w if spent else None)
     return np.add(product.imag, omegas), z
-
-
-def _mean_field_rhs(thetas: np.ndarray, omegas, K: float) -> np.ndarray:
-    """The mean-field drift of phases (..., N), one system per row."""
-    return _drift(_unit(thetas), omegas, K)[0]
 
 
 def _taylor(d: np.ndarray, coeffs: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,18 +184,28 @@ def _rotation(omegas, K: float, dt: float) -> tuple[int, int]:
 
 
 def _mean_field_step(w: np.ndarray, omegas, K: float, dt: float, rotation: tuple[int, int]):
-    """One RK4 step (``order.rk4_increment``) of the mean-field flow from the
-    table w = exp(i theta) of phases (..., N), one system per row; returns
-    (its phase change, z) with z the step-start phasor means (..., 1).
-    Stages 2-4 turn w by their phase change d (``_turn``) with the plan
-    rotation = ``_rotation(omegas, K, dt)``.
+    """The phase change of one RK4 step (``order.rk4_increment``) of the
+    mean-field flow from the table w = exp(i theta) of phases (..., N), one
+    system per row.  Stages 2-4 turn w by their phase change d (``_turn``)
+    with the plan rotation = ``_rotation(omegas, K, dt)``.
     """
-    k1, z = _drift(w, omegas, K)
-
     def rhs(t, d):
         return _drift(_turn(w, d, rotation), omegas, K, spent=True)[0]
 
-    return rk4_increment(rhs, 0.0, dt, k1), z
+    return rk4_increment(rhs, 0.0, dt, _drift(w, omegas, K)[0])
+
+
+def _advance(w: np.ndarray, thetas: np.ndarray, omegas, K: float, dt: float,
+             rotation: tuple[int, int], n: int) -> np.ndarray:
+    """n RK4 steps of dt (``_mean_field_step``) of phases thetas (..., N), one
+    system per row, from their table w = exp(i theta): advances thetas in
+    place, rotates w by each step's phase change (``_rotate``) with the plan
+    rotation = ``_rotation(omegas, K, dt)`` and returns the table at the end."""
+    for _ in range(n):
+        delta = _mean_field_step(w, omegas, K, dt, rotation)
+        w = _rotate(w, delta, rotation)
+        thetas += delta
+    return w
 
 
 def particle_order(state: ParticleState) -> OrderParams:
@@ -220,22 +222,22 @@ def particle_rhs(state: ParticleState) -> np.ndarray:
     r sin(theta_i - phi) = sin theta_i Re z - cos theta_i Im z, so one cos
     and one sin per oscillator give both z and the drift.
     """
-    return _mean_field_rhs(state.thetas, state.omegas, state.K)
+    return _drift(_unit(state.thetas), state.omegas, state.K)[0]
 
 
-def _potential(state: ParticleState, r: float) -> float:
-    """Gradient-flow potential, whose negative gradient is the dynamics, from
-    the amplitude r of the phasor mean:
+def _potential(thetas: np.ndarray, omegas: np.ndarray, K: float, r: float) -> float:
+    """Gradient-flow potential, whose negative gradient is the dynamics, of
+    the phases thetas at coupling K from the amplitude r of their phasor mean:
     V = -sum_i omega_i theta_i + (K/2N) sum_ij (1 - cos(theta_j - theta_i)),
     with sum_ij cos(theta_j - theta_i) = |sum exp(i theta)|^2 = (N r)^2.
     """
-    pair = 0.5 * state.K * state.n * (1.0 - r * r)
-    return float(-np.dot(state.omegas, state.thetas) + pair)
+    pair = 0.5 * K * thetas.size * (1.0 - r * r)
+    return float(-np.dot(omegas, thetas) + pair)
 
 
-def phase_diameter(state: ParticleState) -> float:
+def phase_diameter(thetas: np.ndarray) -> float:
     """Max pairwise difference of the lifted phases."""
-    return float(state.thetas.max() - state.thetas.min())
+    return float(thetas.max() - thetas.min())
 
 
 # ---------------------------------------------------------------------------
@@ -276,30 +278,20 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
     The steps are those of ``step_plan``, which raises ValueError unless
     t_end - t0 is a whole number of sample intervals and dt is finite and
     exceeds ``order.TIME_TOL``; the run ends at the last sample.
-    np.cos/np.sin are taken once, at the run start, and every step rotates
-    the table (``_rotate``) through its phase change, across sample
-    boundaries too.  Each row's r, phi and V_p come from the phasor mean of
-    the carried table at its sample.
+    np.cos/np.sin are taken once, at the run start, and the table is
+    carried through every sample interval (``_advance``).  Each row's r, phi
+    and V_p come from the phasor mean of the carried table at its sample.
     """
     n_samples, per, dt, rotation = step_plan(state, t_end, dt, sample_every)
     ts = state.t + sample_every * np.arange(n_samples + 1)
     thetas, omegas, K = state.thetas.copy(), state.omegas, state.K
     w = _unit(thetas)
-
-    def row(i: int, z: complex) -> tuple:
-        s = ParticleState(thetas, omegas, K, t=float(ts[i]))
-        op = _from_phasor(z)
-        return s.t, op.R, op.phi, phase_diameter(s), _potential(s, op.R)
-
     rows = np.empty((n_samples + 1, 5))
-    for i in range(n_samples):
-        for k in range(per):
-            delta, z = _mean_field_step(w, omegas, K, dt, rotation)
-            if k == 0:
-                rows[i] = row(i, complex(z[0]))
-            w = _rotate(w, delta, rotation)
-            thetas += delta
-    rows[-1] = row(n_samples, complex(_mean(w)[0]))
+    for i, t in enumerate(ts):
+        if i:
+            w = _advance(w, thetas, omegas, K, dt, rotation, per)
+        op = _from_phasor(complex(_mean(w)[0]))
+        rows[i] = t, op.R, op.phi, phase_diameter(thetas), _potential(thetas, omegas, K, op.R)
     return rows
 
 
@@ -318,9 +310,9 @@ def antipodal_count(final: ParticleState) -> int | None:
     None when the rate spread max|thetadot_i - thetadot_j| exceeds 1e-6.
     None of them is also within 0.1 of the average phase: the two circle
     distances sum to pi."""
-    rates = particle_rhs(final)
+    rates, z = _drift(_unit(final.thetas), final.omegas, final.K)
     if float(rates.max() - rates.min()) > 1e-6:
         return None
-    anti = particle_order(final).phi + np.pi
+    anti = _from_phasor(complex(z[0])).phi + np.pi
     d_anti = np.abs((final.thetas - anti + np.pi) % TWO_PI - np.pi)
     return int(np.count_nonzero(d_anti < 0.1))

@@ -128,9 +128,9 @@ def _conservation(cache, failures, details):
     run = cache.run("run1")
     drift = run.summary["mass_drift"]
     _check(failures, drift["per_slice_ok"],
-           f"per-slice mass drift {drift['per_slice_rel']:.3e} > {kinetic.SLICE_DRIFT_GATE:g}")
+           f"per-slice mass drift {drift['per_slice_rel']:.3e} > {diag.SLICE_DRIFT_GATE:g}")
     _check(failures, drift["total_ok"],
-           f"total mass drift {drift['total']:.3e} > {kinetic.TOTAL_DRIFT_GATE:g}")
+           f"total mass drift {drift['total']:.3e} > {diag.TOTAL_DRIFT_GATE:g}")
     _check(failures, run.build_seconds < 30.0,
            f"runtime {run.build_seconds:.1f}s >= 30s")
     details.update({"slice_drift": drift["per_slice_rel"], "total_drift": drift["total"],
@@ -304,7 +304,7 @@ def _diameter_amplitude_bound(cache, failures, details):
         center = rng.uniform(0.0, TWO_PI)
         th = center + rng.uniform(-spread / 2.0, spread / 2.0, 16)
         st = particle.ParticleState(th, np.zeros(16), K=1.0)
-        d = particle.phase_diameter(st)
+        d = particle.phase_diameter(st.thetas)
         r = particle.particle_order(st).R
         worst = min(worst, r - math.cos(d / 2.0))
     _check(failures, worst >= -1e-12,
@@ -336,12 +336,12 @@ def _antipodal_cardinality(cache, failures, details):
 
     dt, t_max = 0.05, 600.0
     rotation = particle._rotation(0.0, K, dt)
+    w = particle._unit(thetas)
     t = 0.0
     while t < t_max:
-        for _ in range(20):
-            thetas += particle._mean_field_step(particle._unit(thetas), 0.0, K, dt, rotation)[0]
+        w = particle._advance(w, thetas, 0.0, K, dt, rotation, 20)
         t += 20 * dt
-        rates = particle._mean_field_rhs(thetas, 0.0, K)
+        rates = particle._drift(w, 0.0, K)[0]
         if float(np.max(rates.max(axis=1) - rates.min(axis=1))) < 1e-8:
             break
 

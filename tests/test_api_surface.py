@@ -20,7 +20,9 @@ only, as members are.
 And ``verify`` builds its kinetic runs only in ``RunCache``, which summarizes
 each as ``simulate`` does, so a criterion checks the code that writes a run.
 Likewise ``cli`` and ``verify`` draw a particle ensemble only through
-``frequency.draw``, so criterion 8 checks the start that ``simulate`` draws.
+``frequency.draw``, so criterion 8 checks the start that ``simulate`` draws,
+and only ``particle._advance`` takes particle RK4 steps, so particle runs and
+criterion 10 share one stepping loop.
 """
 
 import ast
@@ -199,3 +201,17 @@ def test_particle_start_is_drawn_only_by_frequency_draw():
              and isinstance(node.func.value, ast.Name)
              and (node.func.value.id, node.func.attr) in samplers]
     assert not found, f"particle ensembles drawn outside frequency.draw: {found}"
+
+
+def test_particle_steps_are_taken_only_in_the_stepping_loop():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loop = [node for node in tree.body if path.stem == "particle"
+                and isinstance(node, ast.FunctionDef) and node.name == "_advance"]
+        inside = {id(node) for fn in loop for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and "_mean_field_step" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None))]
+    assert not found, f"particle steps taken outside particle._advance: {found}"

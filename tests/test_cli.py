@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1034,6 +1035,31 @@ def test_dt_particle_within_time_tolerance_exits_2_before_any_output(tmp_path, c
     assert ("dt_particle 1e-300 is too small: it must exceed the time tolerance 1e-12"
             in capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"coupling": 1e300},
+    {"frequency": {"kind": "uniform", "halfwidth": 1e300}, "n_omega": 1}])
+def test_kinetic_cfl_step_within_time_tolerance_exits_2(tmp_path, capsys, overrides):
+    # a CFL step of ~2e-301 falls below half an ulp of t once t passes
+    # ~4.5e-286, so t stopped advancing and simulate never ended
+    cfg = write_config(tmp_path, n_theta=16, t_end=0.1, **overrides)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "within the time tolerance 1e-12" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_sweep_lists_a_coupling_whose_cfl_step_is_within_time_tolerance(tmp_path):
+    cfg = write_config(tmp_path, coupling=[1.0, 1e300], n_theta=16, t_end=0.1)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_json(out / "sweep_summary.json")
+    assert [row["K"] for row in summary["rows"]] == [1.0]
+    [failure] = summary["failed_couplings"]
+    assert failure.startswith("K=1e+300: the CFL step") and "time tolerance" in failure
 
 
 @pytest.mark.parametrize("model", ["kinetic", "particle"])

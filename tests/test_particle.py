@@ -33,8 +33,14 @@ def rk4(state, dt):
     plans it for a run; t advances by dt."""
     rotation = particle._rotation(state.omegas, state.K, dt)
     thetas = state.thetas + particle._mean_field_step(particle._unit(state.thetas), state.omegas,
-                                                      state.K, dt, rotation)[0]
+                                                      state.K, dt, rotation)
     return particle.ParticleState(thetas, state.omegas, state.K, t=state.t + dt)
+
+
+def mean_field_rhs(thetas, omegas, K):
+    """The mean-field drift of phases (..., N), one system per row, from the
+    exact trig of the phases."""
+    return particle._drift(particle._unit(thetas), omegas, K)[0]
 
 
 @pytest.mark.parametrize("K", [-1.0, math.nan, math.inf])
@@ -103,7 +109,7 @@ def test_batched_rhs_rows_are_single_systems():
     th = rng.uniform(-5.0, 5.0, (7, 40))
     om = rng.normal(0.0, 1.0, 40)
     def rhs(t, thetas):
-        return particle._mean_field_rhs(thetas, om, 1.3)
+        return mean_field_rhs(thetas, om, 1.3)
 
     batched = rhs(0.0, th)
     stepped = rk4_step(rhs, 0.0, th, 0.05)
@@ -208,25 +214,44 @@ def test_step_guard_branches(dt, undoubled, monkeypatch):
     monkeypatch.undo()
     assert len(calls) == 3
     assert trig == {"cos": 1, "sin": 1}
-    plain = rk4_step(lambda t, y: particle._mean_field_rhs(y, om, K), 0.0, th, dt)
+    plain = rk4_step(lambda t, y: mean_field_rhs(y, om, K), 0.0, th, dt)
     assert np.max(np.abs(out - plain)) <= 1e-14
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.3])
 def test_batched_step_rows_are_single_systems(dt):
     # with and without doublings: max|omega| + K is just under 1.8, so
-    # |dt| (max|omega| + K) is below ROTATION_MAX at dt 0.05, above at dt 0.3
+    # |dt| (max|omega| + K) is below ROTATION_MAX at dt 0.05, above at dt 0.3;
+    # five steps of the stepping loop advance each row of a batch, phases and
+    # table, as they advance that row alone
     rng = np.random.default_rng(13)
     th = rng.uniform(-5.0, 5.0, (7, 40))
     om = rng.uniform(-0.5, 0.5, 40)
     rotation = particle._rotation(om, 1.3, dt)
     assert rotation == ((5, 0) if dt == 0.05 else (5, 3))
-    stepped, z = particle._mean_field_step(particle._unit(th), om, 1.3, dt, rotation)
-    assert z.shape == (7, 1)
+    batch = th.copy()
+    w = particle._advance(particle._unit(batch), batch, om, 1.3, dt, rotation, 5)
+    assert w.shape == batch.shape == (7, 40)
+    assert np.max(np.abs(batch - th)) > 0.0
     for i in range(th.shape[0]):
-        row, row_z = particle._mean_field_step(particle._unit(th[i]), om, 1.3, dt, rotation)
-        np.testing.assert_array_equal(stepped[i], row)
-        assert z[i, 0] == row_z[0]
+        row = th[i].copy()
+        row_w = particle._advance(particle._unit(row), row, om, 1.3, dt, rotation, 5)
+        np.testing.assert_array_equal(batch[i], row)
+        np.testing.assert_array_equal(w[i], row_w)
+
+
+def test_stepping_loop_takes_no_trig(monkeypatch):
+    # the loop carries the table it is given: no np.cos/np.sin at any step,
+    # with and without doublings
+    rng = np.random.default_rng(14)
+    om = rng.uniform(-0.5, 0.5, 40)
+    for dt in (0.05, 0.3):
+        th = rng.uniform(-5.0, 5.0, (3, 40))
+        w = particle._unit(th)
+        trig = count_trig(monkeypatch)
+        particle._advance(w, th, om, 1.3, dt, particle._rotation(om, 1.3, dt), 5)
+        monkeypatch.undo()
+        assert trig == {"cos": 0, "sin": 0}
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.05, 0.2, -0.1])
@@ -336,7 +361,8 @@ def test_order_rotation_invariance():
 
 def potential(state):
     """The solver's gradient potential at the state's own amplitude."""
-    return particle._potential(state, particle.particle_order(state).R)
+    return particle._potential(state.thetas, state.omegas, state.K,
+                               particle.particle_order(state).R)
 
 
 def test_potential_synchronized_zero():
@@ -378,10 +404,8 @@ def test_potential_monotone_identical_oscillators():
 
 
 def test_phase_diameter():
-    assert particle.phase_diameter(
-        particle.ParticleState(np.full(4, 0.3), np.zeros(4), K=1.0)) == 0.0
-    st = particle.ParticleState(np.array([0.0, 1.0, 2.0]), np.zeros(3), K=1.0)
-    assert particle.phase_diameter(st) == pytest.approx(2.0)
+    assert particle.phase_diameter(np.full(4, 0.3)) == 0.0
+    assert particle.phase_diameter(np.array([0.0, 1.0, 2.0])) == pytest.approx(2.0)
 
 
 def test_diameter_amplitude_inequality_sampled():
@@ -390,7 +414,7 @@ def test_diameter_amplitude_inequality_sampled():
         spread = rng.uniform(0.1, math.pi * 0.99)
         th = rng.uniform(-spread / 2, spread / 2, 16)
         st = particle.ParticleState(th, np.zeros(16), K=1.0)
-        d = particle.phase_diameter(st)
+        d = particle.phase_diameter(st.thetas)
         assert d < math.pi
         assert particle.particle_order(st).R >= math.cos(d / 2.0) - 1e-12
 
@@ -447,7 +471,7 @@ def sample_states(st, t_end, dt, sample_every):
     states = [(particle.ParticleState(th, st.omegas, st.K, t=float(ts[0])), w)]
     for t in ts[1:]:
         for _ in range(per):
-            delta = particle._mean_field_step(w, st.omegas, st.K, h, rotation)[0]
+            delta = particle._mean_field_step(w, st.omegas, st.K, h, rotation)
             th = th + delta
             w = particle._rotate(w, delta, rotation)
         states.append((particle.ParticleState(th, st.omegas, st.K, t=float(t)), w))
@@ -460,8 +484,8 @@ def recomputed_rows(st, t_end, dt, sample_every, states=sample_states):
     rows = []
     for s, w in states(st, t_end, dt, sample_every):
         op = _from_phasor(complex(particle._mean(w)[0]))
-        rows.append((s.t, op.R, op.phi, particle.phase_diameter(s),
-                     particle._potential(s, op.R)))
+        rows.append((s.t, op.R, op.phi, particle.phase_diameter(s.thetas),
+                     particle._potential(s.thetas, s.omegas, s.K, op.R)))
     return np.array(rows)
 
 
@@ -509,7 +533,7 @@ def test_csv_rows_match_order_and_potential(tmp_path):
         assert t == s.t
         assert abs(r - op.R) <= 1e-14
         assert abs(phi - op.phi) <= 1e-14
-        assert d == particle.phase_diameter(s)
+        assert d == particle.phase_diameter(s.thetas)
         assert abs(v - potential(s)) <= 1e-14 * max(1.0, abs(v))
 
 
@@ -604,8 +628,8 @@ def test_run_particles_match_the_flow_map_of_identical_oscillators():
 
 
 def test_batched_steps_match_the_flow_map_of_identical_oscillators():
-    # criterion 10's start and steps: 200 systems of 10 oscillators at K = 1,
-    # stepped together by rotating RK4 steps of 0.05 to t = 2.  Their phases
+    # criterion 10's start and stepping loop: 200 systems of 10 oscillators
+    # at K = 1, stepped together by RK4 steps of 0.05 to t = 2.  Their phases
     # differ from the flow map's (h = 1e-3, within 4e-12 of h = 5e-3) by at
     # most 3.9e-8, which falls 16-fold per halving of the step (6.1e-7 at
     # dt = 0.1, 2.5e-9 at 0.025): RK4's own error, so the bound is 1e-7
@@ -614,9 +638,8 @@ def test_batched_steps_match_the_flow_map_of_identical_oscillators():
     dt = 0.05
     rotation = particle._rotation(0.0, 1.0, dt)
     assert rotation == (5, 0)
-    th = thetas
-    for _ in range(40):
-        th = th + particle._mean_field_step(particle._unit(th), 0.0, 1.0, dt, rotation)[0]
+    th = thetas.copy()
+    particle._advance(particle._unit(th), th, 0.0, 1.0, dt, rotation, 40)
     orders, phases = flow_map_orders(thetas, 0.0, 1.0, [0.0, 2.0], 1e-3)
     assert orders.shape == (2, 200, 2) and phases.shape == (200, 10)
     dphase = (th - phases + math.pi) % TWO_PI - math.pi
