@@ -14,20 +14,21 @@ w exp(i d) with cos d and sin d from Taylor polynomials, in one complex
 pass (``_turn``): a stage's table is read once, by one drift.  The one
 stepping loop (``_advance``) takes n steps and carries the table from one
 step start to the next by the step's phase change in versine form,
-w + w v with v = (cos d - 1) + i sin d (``_rotate``), whose rounding does
-not drift however often a locked, turning ensemble repeats d.  A run
-(``run_particles``) and criterion 10 of ``verify`` take np.cos/np.sin once,
-at their start, and step only in that loop.  The rotation plan
-(``_rotation``), decided once per run, follows the a-priori bound
-B = |dt| (max|omega| + K) on |d|: the fewest doublings m that bring B / 2^m
-to at most ``ROTATION_MAX``, and the fewest Taylor terms of cos and sin
-whose first omitted term at B / 2^m is below a quarter of an ulp of 1 (5 at
-0.1, 4 at 0.021), with one term more for cos d - 1, whose first omitted
-term then falls below a quarter of an ulp of cos d - 1 itself.  A plan with
-m > 0 takes the polynomials at d / 2^m and squares 1 + v m times,
-v <- v (v + 2).  A run returns one row (t, r, phi, D, V_p) per sample, with
-r, phi and V_p from the phasor mean of the carried table at that sample,
-within roundoff of the exact trig of the sample phases.
+w + w v with v = (cos d - 1) + i sin d (``_rotate``), whose rounding builds up
+far more slowly than that of cos d near 1 when a locked, turning ensemble
+repeats d at every step.  A run (``run_particles``) and criterion 10 of
+``verify`` take np.cos/np.sin once, at their start, and step only in that
+loop.  Both forms take cos and sin of d from one Taylor polynomial each,
+with as many terms as the run's plan (``_rotation``), one number decided
+once per run: the fewest terms whose first omitted term at the a-priori
+bound B = |dt| (max|omega| + K) on |d| is below a quarter of an ulp of 1
+(4 at 0.021, 5 at 0.1, 14 at the cap), with one term more for cos d - 1,
+whose first omitted term then falls below a quarter of an ulp of cos d - 1
+itself.  B is capped at ``STEP_BOUND_MAX``, RK4's stability limit: a run
+past it raises ValueError before its first step.  A run returns one row
+(t, r, phi, D, V_p) per sample, with r, phi and V_p from the phasor mean of
+the carried table at that sample, within roundoff of the exact trig of the
+sample phases.
 """
 
 from __future__ import annotations
@@ -41,21 +42,22 @@ from .files import write_csv
 from .order import (RATIO_TOL, TIME_TOL, TWO_PI, OrderParams, _from_phasor, rk4_increment,
                     sample_count)
 
-#: largest a-priori phase change |dt| (max|omega| + K) / 2^m at which a
-#: rotation takes cos and sin of d / 2^m from Taylor polynomials; a step of
-#: a larger bound B takes the fewest doublings m that bring B / 2^m to it
-#: (``_rotation``);
-#: |dtheta/dt| <= |omega| + K|z| and |z| <= 1
-ROTATION_MAX = 0.1
+#: largest step bound B = |dt| (max|omega| + K) of a particle run
+#: (``_rotation``), which bounds the phase change of its steps, since
+#: |dtheta/dt| <= |omega| + K|z| and |z| <= 1: RK4's stability interval on
+#: the negative real axis, where |1 + z + z^2/2 + z^3/6 + z^4/24| <= 1 down
+#: to z = -2.7853.  A locked state's linearization has real eigenvalues in
+#: [-K, 0] and B >= dt K, so its steps stay stable
+STEP_BOUND_MAX = 2.785
 
-# Taylor coefficients in powers of u = e^2 (u^4 .. u^0), one (2, 1) column
+# Taylor coefficients in powers of u = e^2 (u^13 .. u^0), one (2, 1) column
 # per power: of cos e and sin e / e (``_EXP``), and of (cos e - 1) / u and
-# sin e / e (``_VERSINE``).  A plan of n terms (``_rotation``; at most 5 at
-# |e| <= ROTATION_MAX) takes the last n columns.
+# sin e / e (``_VERSINE``).  A plan of n terms (``_rotation``; at most 14 at
+# |e| <= STEP_BOUND_MAX) takes the last n columns.
 _EXP = tuple(np.array([[(-1) ** k / math.factorial(2 * k)],
-                       [(-1) ** k / math.factorial(2 * k + 1)]]) for k in range(4, -1, -1))
+                       [(-1) ** k / math.factorial(2 * k + 1)]]) for k in range(13, -1, -1))
 _VERSINE = tuple(np.array([[(-1) ** (k + 1) / math.factorial(2 * k + 2)],
-                           [(-1) ** k / math.factorial(2 * k + 1)]]) for k in range(4, -1, -1))
+                           [(-1) ** k / math.factorial(2 * k + 1)]]) for k in range(13, -1, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,40 +119,28 @@ def _taylor(d: np.ndarray, coeffs: tuple) -> tuple[np.ndarray, np.ndarray, np.nd
     return u, p[0].reshape(d.shape), p[1].reshape(d.shape)
 
 
-def _rotate(w0: np.ndarray, d: np.ndarray, rotation: tuple[int, int]) -> np.ndarray:
+def _rotate(w0: np.ndarray, d: np.ndarray, terms: int) -> np.ndarray:
     """w0 exp(i d) in versine form, w0 + w0 v with v = (cos d - 1) + i sin d,
-    for |d| at most the bound that ``_rotation`` made the plan
-    rotation = (terms, m) for: the rotation of a carried table, whose
-    rounding does not drift however often one d repeats.  v.real and v.imag
-    take the Taylor polynomials of cos e - 1, to e^(2 terms), and of sin e,
-    to e^(2 terms - 1), at e = d / 2^m (``_taylor``), whose last products
-    write into the strided views; m doublings 1 + v <- (1 + v)^2,
-    v <- v (v + 2), then make e into d."""
-    terms, m = rotation
-    if m:
-        d = d * 0.5 ** m
+    for |d| at most the bound that ``_rotation`` planned terms for: the
+    rotation of a carried table, whose rounding builds up slowly however
+    often one d repeats.  v.real and v.imag take the Taylor polynomials of
+    cos d - 1, to d^(2 terms), and of sin d, to d^(2 terms - 1)
+    (``_taylor``), whose last products write into the strided views."""
     u, c, s = _taylor(d, _VERSINE[-terms:])
     v = np.empty(d.shape, complex)
     np.multiply(c, u, out=v.real)
     np.multiply(s, d, out=v.imag)
-    for _ in range(m):
-        v *= v + 2.0
     v *= w0
     v += w0
     return v
 
 
-def _turn(w0: np.ndarray, d: np.ndarray, rotation: tuple[int, int]) -> np.ndarray:
-    """w0 exp(i d) for |d| at most the bound that ``_rotation`` made the plan
-    rotation = (terms, m) for: the table of one RK4 stage, which one drift
-    reads once, so the rounding of cos d near 1 does not build up.  Without
-    doublings, exp(i d) takes the Taylor polynomials of cos d, to
-    d^(2 terms - 2), and of sin d, to d^(2 terms - 1) (``_taylor``), and w0
-    turns in one complex pass; with them, in versine form (``_rotate``),
-    whose doublings keep the relative precision of v."""
-    terms, m = rotation
-    if m:
-        return _rotate(w0, d, rotation)
+def _turn(w0: np.ndarray, d: np.ndarray, terms: int) -> np.ndarray:
+    """w0 exp(i d) for |d| at most the bound that ``_rotation`` planned terms
+    for: the table of one RK4 stage, which one drift reads once, so the
+    rounding of cos d near 1 does not build up.  exp(i d) takes the Taylor
+    polynomials of cos d, to d^(2 terms - 2), and of sin d, to
+    d^(2 terms - 1) (``_taylor``), and w0 turns in one complex pass."""
     c, s = _taylor(d, _EXP[-terms:])[1:]
     e = np.empty(d.shape, complex)
     e.real = c
@@ -159,51 +149,50 @@ def _turn(w0: np.ndarray, d: np.ndarray, rotation: tuple[int, int]) -> np.ndarra
     return e
 
 
-def _rotation(omegas, K: float, dt: float) -> tuple[int, int]:
-    """The plan (terms, m) with which one RK4 step turns its stages' tables
-    (``_turn``) and rotates the carried one (``_rotate``), fixed for a run.
-    B = |dt| (max|omega| + K) bounds the step's phase change; m is the
-    fewest doublings with B / 2^m at most ROTATION_MAX, and terms the fewest
-    n >= 2 with e^(2n)/(2n)! below 2^-55, a quarter of an ulp of 1, at
-    e = B / 2^m.  That is the first term that cos e, of n terms, leaves out;
-    sin e, of n terms, leaves out e/(2n + 1) times it; cos e - 1 in versine
-    form takes n + 1 terms, to e^(2n), so its first omitted term is below
-    2^-55 e^2 / ((2n + 1)(2n + 2)), less than a quarter of an ulp of
-    cos e - 1 (about -e^2/2).  Raises ValueError unless B is finite."""
+def _rotation(omegas, K: float, dt: float) -> int:
+    """The number of Taylor terms with which one RK4 step turns its stages'
+    tables (``_turn``) and rotates the carried one (``_rotate``), fixed for a
+    run: the fewest n >= 2 with B^(2n)/(2n)! below 2^-55, a quarter of an ulp
+    of 1, at the bound B = |dt| (max|omega| + K) on the step's phase change.
+    That is the first term that cos B, of n terms, leaves out; sin B, of n
+    terms, leaves out B/(2n + 1) times it; cos B - 1 in versine form takes
+    n + 1 terms, to B^(2n), so its first omitted term is below
+    2^-55 B^2 / ((2n + 1)(2n + 2)), less than a quarter of an ulp of
+    cos B - 1, which is at least 2 B^2 / pi^2 in size.  Raises ValueError
+    unless B is finite and at most STEP_BOUND_MAX."""
     bound = abs(dt) * (float(np.max(np.abs(omegas))) + K)
     if not bound < math.inf:
         raise ValueError(f"step bound |dt| (max|omega| + K) = {bound!r} is not finite")
-    m = 0
-    while bound > ROTATION_MAX:
-        bound *= 0.5
-        m += 1
+    if bound > STEP_BOUND_MAX:
+        raise ValueError(f"step bound |dt| (max|omega| + K) = {bound:g} exceeds "
+                         f"{STEP_BOUND_MAX}, the stability limit of RK4: take a smaller dt")
     terms = 2
     while bound ** (2 * terms) / math.factorial(2 * terms) >= 2.0 ** -55:
         terms += 1
-    return terms, m
+    return terms
 
 
-def _mean_field_step(w: np.ndarray, omegas, K: float, dt: float, rotation: tuple[int, int]):
+def _mean_field_step(w: np.ndarray, omegas, K: float, dt: float, terms: int):
     """The phase change of one RK4 step (``order.rk4_increment``) of the
     mean-field flow from the table w = exp(i theta) of phases (..., N), one
     system per row.  Stages 2-4 turn w by their phase change d (``_turn``)
-    with the plan rotation = ``_rotation(omegas, K, dt)``.
+    with the plan terms = ``_rotation(omegas, K, dt)``.
     """
     def rhs(t, d):
-        return _drift(_turn(w, d, rotation), omegas, K, spent=True)[0]
+        return _drift(_turn(w, d, terms), omegas, K, spent=True)[0]
 
     return rk4_increment(rhs, 0.0, dt, _drift(w, omegas, K)[0])
 
 
 def _advance(w: np.ndarray, thetas: np.ndarray, omegas, K: float, dt: float,
-             rotation: tuple[int, int], n: int) -> np.ndarray:
+             terms: int, n: int) -> np.ndarray:
     """n RK4 steps of dt (``_mean_field_step``) of phases thetas (..., N), one
     system per row, from their table w = exp(i theta): advances thetas in
     place, rotates w by each step's phase change (``_rotate``) with the plan
-    rotation = ``_rotation(omegas, K, dt)`` and returns the table at the end."""
+    terms = ``_rotation(omegas, K, dt)`` and returns the table at the end."""
     for _ in range(n):
-        delta = _mean_field_step(w, omegas, K, dt, rotation)
-        w = _rotate(w, delta, rotation)
+        delta = _mean_field_step(w, omegas, K, dt, terms)
+        w = _rotate(w, delta, terms)
         thetas += delta
     return w
 
@@ -245,16 +234,17 @@ def phase_diameter(thetas: np.ndarray) -> float:
 
 
 def step_plan(state: ParticleState, t_end: float, dt: float,
-              sample_every: float) -> tuple[int, int, float, tuple[int, int]]:
-    """(n_samples, per, dt, rotation) of a ``run_particles`` run: per RK4
+              sample_every: float) -> tuple[int, int, float, int]:
+    """(n_samples, per, dt, terms) of a ``run_particles`` run: per RK4
     steps of dt in each of the n_samples sample intervals of
     ``order.sample_count``, dt shrunk from the one asked for so that it
-    divides sample_every, and the plan (terms, m) with which the steps
-    rotate the table (``_rotation``).  A ratio sample_every / dt within
+    divides sample_every, and the Taylor terms with which the steps rotate
+    the table (``_rotation``).  A ratio sample_every / dt within
     ``order.RATIO_TOL`` of a whole number takes that many steps.
 
     Raises ValueError as ``sample_count`` does, and unless dt is finite and
-    exceeds ``order.TIME_TOL`` with sample_every / dt finite.
+    exceeds ``order.TIME_TOL`` with sample_every / dt finite and
+    dt (max|omega| + K) at most ``STEP_BOUND_MAX``.
     """
     n_samples = sample_count(state.t, t_end, sample_every)
     if not 0.0 < dt < math.inf:
@@ -277,19 +267,20 @@ def run_particles(state: ParticleState, t_end: float, dt: float,
 
     The steps are those of ``step_plan``, which raises ValueError unless
     t_end - t0 is a whole number of sample intervals and dt is finite and
-    exceeds ``order.TIME_TOL``; the run ends at the last sample.
+    exceeds ``order.TIME_TOL`` and the step bound is at most
+    ``STEP_BOUND_MAX``; the run ends at the last sample.
     np.cos/np.sin are taken once, at the run start, and the table is
     carried through every sample interval (``_advance``).  Each row's r, phi
     and V_p come from the phasor mean of the carried table at its sample.
     """
-    n_samples, per, dt, rotation = step_plan(state, t_end, dt, sample_every)
+    n_samples, per, dt, terms = step_plan(state, t_end, dt, sample_every)
     ts = state.t + sample_every * np.arange(n_samples + 1)
     thetas, omegas, K = state.thetas.copy(), state.omegas, state.K
     w = _unit(thetas)
     rows = np.empty((n_samples + 1, 5))
     for i, t in enumerate(ts):
         if i:
-            w = _advance(w, thetas, omegas, K, dt, rotation, per)
+            w = _advance(w, thetas, omegas, K, dt, terms, per)
         op = _from_phasor(complex(_mean(w)[0]))
         rows[i] = t, op.R, op.phi, phase_diameter(thetas), _potential(thetas, omegas, K, op.R)
     return rows

@@ -335,11 +335,11 @@ def _antipodal_cardinality(cache, failures, details):
         thetas[bad] = rng.uniform(0.0, TWO_PI, (int(bad.sum()), n_osc))
 
     dt, t_max = 0.05, 600.0
-    rotation = particle._rotation(0.0, K, dt)
+    terms = particle._rotation(0.0, K, dt)
     w = particle._unit(thetas)
     t = 0.0
     while t < t_max:
-        w = particle._advance(w, thetas, 0.0, K, dt, rotation, 20)
+        w = particle._advance(w, thetas, 0.0, K, dt, terms, 20)
         t += 20 * dt
         rates = particle._drift(w, 0.0, K)[0]
         if float(np.max(rates.max(axis=1) - rates.min(axis=1))) < 1e-8:

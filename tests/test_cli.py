@@ -159,18 +159,44 @@ def test_simulate_particle_model(tmp_path):
     (0.03, 1.0, 4, True), (0.1, 2.0, 1, False), (0.1, 5.0, 1, False)])
 def test_particle_summary_reports_its_steps(tmp_path, dt_particle, coupling, per, undoubled):
     # dt_particle is shrunk to divide sample_every; the steps rotate the table
-    # by d / 2^m and m doublings, m the fewest that bring dt (max|omega| + K)
-    # / 2^m to at most ROTATION_MAX: 0 while dt K <= 0.1 (omega = 0 here),
-    # 1 at dt K = 0.2 and 3 at 0.5
-    doublings = {(0.03, 1.0): 0, (0.1, 2.0): 1, (0.1, 5.0): 3}[dt_particle, coupling]
-    assert (doublings == 0) == undoubled
+    # with the fewest Taylor terms whose first omitted term at the bound
+    # dt (max|omega| + K) is below 2^-55: 4 at 0.025 (omega = 0 here), 6 at
+    # 0.2 and 8 at 0.5.  undoubled: the bound is at most 0.1, where
+    # doublings never began
+    terms = {(0.03, 1.0): 4, (0.1, 2.0): 6, (0.1, 5.0): 8}[dt_particle, coupling]
+    assert (0.1 / per * coupling <= 0.1) == undoubled
     cfg = write_config(tmp_path, model="particle", n_particles=50, t_end=0.5,
                        dt_particle=dt_particle, coupling=coupling)
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     summary = read_json(out / "summary.json")
-    assert (summary["n_steps"], summary["dt"], summary["rotation_doublings"]) == (
-        5 * per, 0.1 / per, doublings)
+    assert (summary["n_steps"], summary["dt"], summary["rotation_terms"]) == (
+        5 * per, 0.1 / per, terms)
+
+
+@pytest.mark.parametrize("coupling", [150.0, 1e300])
+def test_particle_step_bound_past_rk4_stability_exits_2(tmp_path, capsys, coupling):
+    # dt_particle 0.02 at K 150 is the step bound 3.0, past RK4's stability
+    # limit, where a run to t = 2 ended at r 0.9921 and K 100 reaches 1.0; at
+    # 1e300 the rotation by doublings overflowed and wrote NaN rows with exit 0
+    cfg = write_config(tmp_path, model="particle", n_particles=50, t_end=0.2,
+                       dt_particle=0.02, coupling=coupling)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "the stability limit of RK4" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
+
+def test_particle_run_at_a_large_stable_step_locks(tmp_path):
+    # K 100 at dt_particle 0.02 is the step bound 2.0, within RK4's stability
+    # limit: identical oscillators lock
+    cfg = write_config(tmp_path, model="particle", n_particles=50, t_end=2.0,
+                       dt_particle=0.02, coupling=100.0)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["rotation_terms"] == 12
+    assert summary["final_r"] > 0.9999
 
 
 @pytest.mark.parametrize("model", ["particle", "both"])

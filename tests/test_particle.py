@@ -31,9 +31,9 @@ def rk4(state, dt):
     """One RK4 step of a state (``_mean_field_step``) from the exact trig of
     its phases, the rotation planned for this step as ``run_particles``
     plans it for a run; t advances by dt."""
-    rotation = particle._rotation(state.omegas, state.K, dt)
+    terms = particle._rotation(state.omegas, state.K, dt)
     thetas = state.thetas + particle._mean_field_step(particle._unit(state.thetas), state.omegas,
-                                                      state.K, dt, rotation)
+                                                      state.K, dt, terms)
     return particle.ParticleState(thetas, state.omegas, state.K, t=state.t + dt)
 
 
@@ -63,8 +63,8 @@ def test_state_rejects_non_finite_frequencies(bad):
 
 
 def test_rotation_plan_rejects_an_overflowing_step_bound():
-    # finite inputs whose bound |dt| (max|omega| + K) overflows: m doublings
-    # of an infinite bound never reach ROTATION_MAX
+    # finite inputs whose bound |dt| (max|omega| + K) overflows; a finite
+    # bound past STEP_BOUND_MAX is refused too (test_doublings_follow_the_step_bound)
     with pytest.raises(ValueError, match="is not finite"):
         particle._rotation(np.array([1e308]), 1e308, 10.0)
 
@@ -120,76 +120,96 @@ def test_batched_rhs_rows_are_single_systems():
 
 def largest_bound(terms: int) -> float:
     """The largest step bound at which the rule picks the given Taylor terms:
-    (2^-55 (2 terms)!)^(1/(2 terms)), capped at ROTATION_MAX, less 1e-9."""
+    (2^-55 (2 terms)!)^(1/(2 terms)), capped at STEP_BOUND_MAX, less 1e-9."""
     exact = (2.0 ** -55 * math.factorial(2 * terms)) ** (1.0 / (2 * terms))
-    return min(particle.ROTATION_MAX, exact) * (1.0 - 1e-9)
+    return min(particle.STEP_BOUND_MAX, exact) * (1.0 - 1e-9)
 
 
-@pytest.mark.parametrize("bound, terms", [(0.021, 4), (0.05, 5), (0.1, 5), (0.1001, 5),
+@pytest.mark.parametrize("bound, terms", [(0.021, 4), (0.05, 5), (0.1, 5), (0.1001, 6),
                                           (0.0, 2)])
 def test_taylor_terms_follow_the_step_bound(bound, terms):
-    # the fewest terms whose first omitted term at bound / 2^m is below
+    # the fewest terms whose first omitted term at the bound is below
     # 2^-55; particle-mf and criterion 8 step at 0.021, criterion 10 at 0.05,
-    # and 0.1001 takes one doubling
-    assert particle._rotation(np.array([0.0, -0.5, 0.25]), 0.5, bound)[0] == terms
-    assert particle._rotation(0.0, 1.0, bound)[0] == terms
+    # and 0.1001 (K = 10 at dt 0.01) takes one term more than 0.1
+    assert particle._rotation(np.array([0.0, -0.5, 0.25]), 0.5, bound) == terms
+    assert particle._rotation(0.0, 1.0, bound) == terms
+
+
+def test_step_bound_cap_is_rk4_stable():
+    # STEP_BOUND_MAX lies in RK4's stability interval on the negative real
+    # axis, which ends at -2.7853, and the coefficient tables reach its terms
+    z = -particle.STEP_BOUND_MAX
+    assert abs(1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0) <= 1.0
+    z = -2.7854
+    assert abs(1.0 + z + z ** 2 / 2.0 + z ** 3 / 6.0 + z ** 4 / 24.0) > 1.0
+    assert particle._rotation(0.0, 1.0, particle.STEP_BOUND_MAX) == len(particle._EXP)
+    assert len(particle._EXP) == len(particle._VERSINE) == 14
 
 
 @pytest.mark.parametrize("bound, doublings", [(0.021, 0), (0.1, 0), (0.1001, 1), (0.2, 1),
                                               (0.4, 2), (1.6, 4), (1.61, 5)])
 def test_doublings_follow_the_step_bound(bound, doublings):
-    # the fewest doublings m with bound / 2^m <= ROTATION_MAX; K = 10 at
-    # dt 0.01 (bound 0.1 + 0.01 max|omega|) takes one
-    assert particle._rotation(np.array([0.0, -0.5, 0.25]), 0.5, bound)[1] == doublings
-    assert particle._rotation(0.0, 1.0, bound)[1] == doublings
+    # the rotation takes no doublings: a bound at which the plan of
+    # (terms, doublings) took its polynomials at bound / 2^doublings now
+    # takes them at the bound itself, with no fewer terms, and a bound
+    # past STEP_BOUND_MAX by as much is refused, whatever max|omega| and K
+    # make it up; K = 10 at dt 0.01 (bound 0.1 + 0.01 max|omega|) took one
+    for omegas, K in ((np.array([0.0, -0.5, 0.25]), 0.5), (0.0, 1.0)):
+        terms = particle._rotation(omegas, K, bound)
+        assert type(terms) is int
+        assert terms >= particle._rotation(omegas, K, bound * 0.5 ** doublings)
+        with pytest.raises(ValueError, match=r"exceeds 2\.785, the stability limit of RK4"):
+            particle._rotation(omegas, K, particle.STEP_BOUND_MAX + bound)
 
 
 def test_rotation_matches_trig():
     # exp(i y), y = theta + d, from exp(i theta), in versine form (a carried
     # table, ``_rotate``) and in one pass (a stage's, ``_turn``), against
     # np.cos/np.sin of y itself, over |d| up to the largest bound at which
-    # the rule picks each number of terms (no doubling) and each number
-    # m = 1..4 of doublings, on 200,001 points
+    # the rule picks each number of terms, 2 up to the 14 of STEP_BOUND_MAX,
+    # on 200,001 points
     rng = np.random.default_rng(40)
     th = rng.uniform(-20.0, 20.0, 200_001)
-    cases = [(largest_bound(terms), (terms, 0)) for terms in (2, 3, 4, 5)]
-    cases += [(particle.ROTATION_MAX * 2 ** m * (1.0 - 1e-9), (5, m)) for m in (1, 2, 3, 4)]
-    for dmax, rotation in cases:
-        assert particle._rotation(0.0, 1.0, dmax) == rotation
-        # just above it, the rule takes one term more, or one doubling more
-        terms, m = rotation
-        above = (terms + 1, m) if terms < 5 else (5, m + 1)
-        assert particle._rotation(0.0, 1.0, dmax * (1.0 + 1e-8)) == above
+    for terms in range(2, 15):
+        dmax = largest_bound(terms)
+        assert particle._rotation(0.0, 1.0, dmax) == terms
+        # just above it, the rule takes one term more, or refuses the bound
+        if terms < 14:
+            assert particle._rotation(0.0, 1.0, dmax * (1.0 + 1e-8)) == terms + 1
+        else:
+            with pytest.raises(ValueError, match="exceeds"):
+                particle._rotation(0.0, 1.0, dmax * (1.0 + 1e-8))
         # shrunk by 1e-9, so that d = y - theta, rounded, stays within the bound
         y = th + np.linspace(-dmax, dmax, th.size) * (1.0 - 1e-9)
         d = y - th
         assert np.max(np.abs(d)) <= dmax
         for rotate in (particle._rotate, particle._turn):
-            w = rotate(particle._unit(th), d, rotation)
+            w = rotate(particle._unit(th), d, terms)
             assert np.max(np.abs(w.real - np.cos(y))) <= 1.5e-15
             assert np.max(np.abs(w.imag - np.sin(y))) <= 1.5e-15
-            w0 = rotate(particle._unit(th), np.zeros(th.size), rotation)
+            w0 = rotate(particle._unit(th), np.zeros(th.size), terms)
             np.testing.assert_array_equal(w0.real, np.cos(th))
             np.testing.assert_array_equal(w0.imag, np.sin(th))
 
 
-@pytest.mark.parametrize("bound, tol", [(0.021, 3e-14), (0.1, 1e-13)])
+@pytest.mark.parametrize("bound, tol", [(0.021, 3e-14), (0.1, 1e-13), (0.4, 1e-12),
+                                        (1.6, 1e-11)])
 def test_repeated_rotation_keeps_the_unit_modulus(bound, tol):
     # 20,000 rotations of a unit table of 1,000 entries, each by its own d,
     # |d| up to the step bound, repeated every time, as a locked, turning
     # ensemble repeats its phase change.  max||w| - 1| reads 1.3e-14 at
-    # 0.021 and 3.7e-14 at 0.1, the random walk of the rounding of w + w v.
+    # 0.021, 3.7e-14 at 0.1, 5.1e-13 at 0.4 and 4.2e-12 at 1.6, the random
+    # walk of the rounding of w + w v, which grows with |v|.
     # Rounding cos d near 1, as the carried cos/sin table did, drifted
     # 1.1e-12 at 0.021; a versine of as few terms as sin d, whose first
     # omitted term is a quarter of an ulp of 1, not of cos d - 1, drifted
     # 2.5e-14 at 0.021 and 5.4e-13 at 0.1
     rng = np.random.default_rng(42)
-    rotation = particle._rotation(0.0, 1.0, bound)
-    assert rotation[1] == 0
+    terms = particle._rotation(0.0, 1.0, bound)
     d = rng.uniform(-bound, bound, 1000)
     w = particle._unit(rng.uniform(0.0, TWO_PI, 1000))
     for _ in range(20_000):
-        w = particle._rotate(w, d, rotation)
+        w = particle._rotate(w, d, terms)
     assert np.max(np.abs(np.abs(w) - 1.0)) <= tol
 
 
@@ -197,15 +217,18 @@ def test_repeated_rotation_keeps_the_unit_modulus(bound, tol):
                                             (-0.1, False)])
 def test_step_guard_branches(dt, undoubled, monkeypatch):
     # the data of test_step_matches_direct_rk4: stages 2-4 turn the
-    # step-start table, by d / 2^m and m doublings when |dt| (max|omega| + K)
-    # exceeds ROTATION_MAX; the step takes np.cos/np.sin once and stays
-    # within roundoff of the plain RK4 of the mean-field right-hand side
+    # step-start table by d, with Taylor terms by |dt| (max|omega| + K); the
+    # step takes np.cos/np.sin once and stays within roundoff of the plain
+    # RK4 of the mean-field right-hand side.  undoubled: the plan takes at
+    # most 5 terms, |dt| (max|omega| + K) <= 0.1, where doublings never began
     rng = np.random.default_rng(41)
     th = rng.uniform(0, TWO_PI, 200)
     om = rng.normal(0, 1, 200)
     K = 2.5
-    assert particle._rotation(om, K, dt)[1] == {0.01: 0, 0.05: 2, 0.2: 4, -0.1: 3}[dt]
-    assert (abs(dt) * (np.max(np.abs(om)) + K) <= particle.ROTATION_MAX) == undoubled
+    terms = particle._rotation(om, K, dt)
+    assert terms == {0.01: 5, 0.05: 7, 0.2: 10, -0.1: 8}[dt]
+    assert (terms <= 5) == undoubled
+    assert (abs(dt) * (np.max(np.abs(om)) + K) <= 0.1) == undoubled
     calls = []
     turn = particle._turn
     monkeypatch.setattr(particle, "_turn", lambda *a: calls.append(1) or turn(*a))
@@ -220,29 +243,29 @@ def test_step_guard_branches(dt, undoubled, monkeypatch):
 
 @pytest.mark.parametrize("dt", [0.05, 0.3])
 def test_batched_step_rows_are_single_systems(dt):
-    # with and without doublings: max|omega| + K is just under 1.8, so
-    # |dt| (max|omega| + K) is below ROTATION_MAX at dt 0.05, above at dt 0.3;
+    # at 5 and 8 Taylor terms: max|omega| + K is just under 1.8, so
+    # |dt| (max|omega| + K) is below 0.1 at dt 0.05, above 0.5 at dt 0.3;
     # five steps of the stepping loop advance each row of a batch, phases and
     # table, as they advance that row alone
     rng = np.random.default_rng(13)
     th = rng.uniform(-5.0, 5.0, (7, 40))
     om = rng.uniform(-0.5, 0.5, 40)
-    rotation = particle._rotation(om, 1.3, dt)
-    assert rotation == ((5, 0) if dt == 0.05 else (5, 3))
+    terms = particle._rotation(om, 1.3, dt)
+    assert terms == (5 if dt == 0.05 else 8)
     batch = th.copy()
-    w = particle._advance(particle._unit(batch), batch, om, 1.3, dt, rotation, 5)
+    w = particle._advance(particle._unit(batch), batch, om, 1.3, dt, terms, 5)
     assert w.shape == batch.shape == (7, 40)
     assert np.max(np.abs(batch - th)) > 0.0
     for i in range(th.shape[0]):
         row = th[i].copy()
-        row_w = particle._advance(particle._unit(row), row, om, 1.3, dt, rotation, 5)
+        row_w = particle._advance(particle._unit(row), row, om, 1.3, dt, terms, 5)
         np.testing.assert_array_equal(batch[i], row)
         np.testing.assert_array_equal(w[i], row_w)
 
 
 def test_stepping_loop_takes_no_trig(monkeypatch):
     # the loop carries the table it is given: no np.cos/np.sin at any step,
-    # with and without doublings
+    # at 5 and 8 Taylor terms
     rng = np.random.default_rng(14)
     om = rng.uniform(-0.5, 0.5, 40)
     for dt in (0.05, 0.3):
@@ -439,11 +462,11 @@ def test_classify_unconverged():
 
 
 def sample_times(st, t_end, dt, sample_every):
-    """(per, h, rotation, ts) of a run's ``step_plan``: per steps of h in
-    each sample interval, the plan of their rotation, and the sample times
-    t0 + i sample_every."""
-    n, per, h, rotation = particle.step_plan(st, t_end, dt, sample_every)
-    return per, h, rotation, st.t + sample_every * np.arange(n + 1)
+    """(per, h, terms, ts) of a run's ``step_plan``: per steps of h in
+    each sample interval, the Taylor terms of their rotation, and the sample
+    times t0 + i sample_every."""
+    n, per, h, terms = particle.step_plan(st, t_end, dt, sample_every)
+    return per, h, terms, st.t + sample_every * np.arange(n + 1)
 
 
 def chain_states(st, t_end, dt, sample_every):
@@ -465,15 +488,15 @@ def sample_states(st, t_end, dt, sample_every):
     steps: np.cos/np.sin of the start phases only, each step rotating the
     table by its phase change delta (``_rotate``), across sample boundaries
     too."""
-    per, h, rotation, ts = sample_times(st, t_end, dt, sample_every)
+    per, h, terms, ts = sample_times(st, t_end, dt, sample_every)
     th = st.thetas
     w = particle._unit(th)
     states = [(particle.ParticleState(th, st.omegas, st.K, t=float(ts[0])), w)]
     for t in ts[1:]:
         for _ in range(per):
-            delta = particle._mean_field_step(w, st.omegas, st.K, h, rotation)
+            delta = particle._mean_field_step(w, st.omegas, st.K, h, terms)
             th = th + delta
-            w = particle._rotate(w, delta, rotation)
+            w = particle._rotate(w, delta, terms)
         states.append((particle.ParticleState(th, st.omegas, st.K, t=float(t)), w))
     return states
 
@@ -554,11 +577,12 @@ def test_csv_phasors_from_steps_match_recompute(tmp_path):
 def test_run_snapshots_are_particle_steps(K, dt, undoubled):
     # the run steps arrays and plans its rotation once; its rows are within
     # roundoff of those of the states a chain of single steps (``rk4``),
-    # each from exact trig, reaches, with and without doublings
+    # each from exact trig, reaches, at 4 and 6 Taylor terms.  undoubled:
+    # the bound is at most 0.1, where doublings never began
     rng = np.random.default_rng(22)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.uniform(-0.1, 0.1, 300), K=K)
-    assert particle._rotation(st.omegas, K, dt)[1] == (0 if undoubled else 2)
+    assert particle._rotation(st.omegas, K, dt) == (4 if undoubled else 6)
     rows = particle.run_particles(st, 0.2, dt=dt, sample_every=0.1)
     np.testing.assert_array_equal(rows, recomputed_rows(st, 0.2, dt, 0.1))
     assert_near_chain(rows, st, 0.2, dt, 0.1)
@@ -619,7 +643,7 @@ def test_run_particles_match_the_flow_map_of_identical_oscillators():
     # table from step to step; the flow map is exact up to its own RK4 error
     th = np.random.default_rng(10).uniform(0.0, TWO_PI, 10)
     st = particle.ParticleState(th, np.zeros(10), K=1.0)
-    assert particle.step_plan(st, 2.0, 0.01, 0.1) == (20, 10, 0.01, (4, 0))
+    assert particle.step_plan(st, 2.0, 0.01, 0.1) == (20, 10, 0.01, 4)
     rows = particle.run_particles(st, 2.0, dt=0.01, sample_every=0.1)
     exact = flow_map_orders(th, 0.0, 1.0, rows[:, 0], 1e-3)[0]
     assert np.max(np.abs(rows[:, 1] - exact[:, 0])) <= 1e-9
@@ -636,10 +660,10 @@ def test_batched_steps_match_the_flow_map_of_identical_oscillators():
     thetas = np.random.default_rng(10).uniform(0.0, TWO_PI, (200, 10))
     assert np.abs(np.mean(np.exp(1j * thetas), axis=1)).min() >= 0.01   # none redrawn
     dt = 0.05
-    rotation = particle._rotation(0.0, 1.0, dt)
-    assert rotation == (5, 0)
+    terms = particle._rotation(0.0, 1.0, dt)
+    assert terms == 5
     th = thetas.copy()
-    particle._advance(particle._unit(th), th, 0.0, 1.0, dt, rotation, 40)
+    particle._advance(particle._unit(th), th, 0.0, 1.0, dt, terms, 40)
     orders, phases = flow_map_orders(thetas, 0.0, 1.0, [0.0, 2.0], 1e-3)
     assert orders.shape == (2, 200, 2) and phases.shape == (200, 10)
     dphase = (th - phases + math.pi) % TWO_PI - math.pi
@@ -654,7 +678,7 @@ def test_long_rotating_interval_stays_near_the_step_chain():
     rng = np.random.default_rng(24)
     st = particle.ParticleState(rng.uniform(0.0, TWO_PI, 2000),
                                 rng.uniform(-0.5, 0.5, 2000), K=2.0)
-    assert particle.step_plan(st, 20.0, 0.01, 20.0) == (1, 2000, 0.01, (4, 0))
+    assert particle.step_plan(st, 20.0, 0.01, 20.0) == (1, 2000, 0.01, 4)
     rows = particle.run_particles(st, 20.0, dt=0.01, sample_every=20.0)
     op = particle.particle_order(st)
     assert (rows[0, 1], rows[0, 2]) == (op.R, op.phi)
@@ -674,7 +698,7 @@ def test_rotating_run_of_20000_steps_stays_near_the_exact_trig_chain():
     rng = np.random.default_rng(26)
     st = particle.ParticleState(rng.uniform(0.0, TWO_PI, 1000),
                                 rng.uniform(-0.5, 0.5, 1000), K=2.0)
-    assert particle.step_plan(st, 200.0, 0.01, 20.0) == (10, 2000, 0.01, (4, 0))
+    assert particle.step_plan(st, 200.0, 0.01, 20.0) == (10, 2000, 0.01, 4)
     rows = particle.run_particles(st, 200.0, dt=0.01, sample_every=20.0)
     chain = assert_near_chain(rows, st, 200.0, 0.01, 20.0, tol=1e-11)
     assert np.max(np.abs(rows[:, 1] - chain[:, 1])) <= 1e-14
@@ -693,14 +717,15 @@ def count_trig(monkeypatch) -> dict:
                                               (10.0, 0.01, False)])
 def test_a_rotating_run_takes_trig_once(K, dt, undoubled, monkeypatch):
     # over four sample intervals a run calls np.cos and np.sin once each, at
-    # its start, with and without doublings (K = 10 at dt 0.01 needs one),
-    # and its rows stay within roundoff of the single-step chain's
+    # its start, at 4 and 6 Taylor terms (K = 10 at dt 0.01 takes 6), and its
+    # rows stay within roundoff of the single-step chain's.  undoubled: the
+    # bound is at most 0.1, where doublings never began
     rng = np.random.default_rng(22)
     st = particle.ParticleState(rng.uniform(0, TWO_PI, 300),
                                 rng.uniform(-0.1, 0.1, 300), K=K)
-    n_samples, _, _, rotation = particle.step_plan(st, 0.4, dt, 0.1)
-    assert (n_samples, rotation[1]) == (4, {0.01: 0 if K == 2.0 else 1, 0.02: 2}[dt])
-    assert (rotation[1] == 0) == undoubled
+    n_samples, _, dt_taken, terms = particle.step_plan(st, 0.4, dt, 0.1)
+    assert (n_samples, terms) == (4, 4 if undoubled else 6)
+    assert (dt_taken * (np.max(np.abs(st.omegas)) + K) <= 0.1) == undoubled
     calls = count_trig(monkeypatch)
     rows = particle.run_particles(st, 0.4, dt=dt, sample_every=0.1)
     monkeypatch.undo()
